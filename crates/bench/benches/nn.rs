@@ -1,6 +1,7 @@
 //! Neural-network benchmarks: ST-DDGN Q-network forward and
 //! forward+backward at fleet scale, with and without the graph pathway
-//! (quantifying the cost of neighbourhood attention).
+//! (quantifying the cost of neighbourhood attention), and the campus-fleet
+//! (K = 100) `q_values` forward the perf ledger's `rl.q_forward_us` times.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dpdp_nn::{Graph, ParamStore, Tensor};
@@ -59,5 +60,24 @@ fn bench_qnet(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_qnet);
+/// One ST-DDGN decision's forward at the campus fleet size, on a throwaway
+/// tape (`q_values`) and across a batch of eight (`q_values_batch`).
+fn bench_q_values_k100(c: &mut Criterion) {
+    let mut group = c.benchmark_group("q_values_k100");
+    group.sample_size(50);
+    let mut store = ParamStore::new(7);
+    let net = QNetwork::new(&mut store, QNetworkConfig::default());
+    let snap = snapshot(100, 8);
+    group.bench_function("one", |b| {
+        b.iter(|| std::hint::black_box(net.q_values(&store, &snap)))
+    });
+    let batch = vec![snap; 8];
+    let pool = std::sync::Arc::new(dpdp_pool::ThreadPool::new(1));
+    group.bench_function("batch_of_8", |b| {
+        b.iter(|| std::hint::black_box(net.q_values_batch(&store, &batch, &pool)))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_qnet, bench_q_values_k100);
 criterion_main!(benches);

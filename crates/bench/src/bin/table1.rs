@@ -128,10 +128,10 @@ fn sweep_walltime(records: &mut Vec<BenchRecord>) {
 ///
 /// Two gates, either failure exits 1, so CI ratchets the hot path:
 /// * the shipped cached sweep must be at least
-///   [`METRO_SWEEP_MIN_SPEEDUP`]× faster than the naive baseline on the
+///   `METRO_SWEEP_MIN_SPEEDUP`× faster than the naive baseline on the
 ///   full `B × K` workload (the pre-cache per-epoch cost this repo started
 ///   from — regressions that eat the incremental win trip this first);
-/// * it must also stay within [`METRO_SWEEP_AOS_BAND`]× of the AoS
+/// * it must also stay within `METRO_SWEEP_AOS_BAND`× of the AoS
 ///   reference sweep, so the SoA layout can never quietly regress behind
 ///   the very reference it is parity-tested against (the band absorbs
 ///   shared-runner timing noise; the measured margin is the SoA path

@@ -1,51 +1,51 @@
 //! The autodiff tape: eager forward evaluation, reverse-mode backward.
 //!
-//! A [`Graph`] is rebuilt for every forward pass (define-by-run). Operations
-//! append nodes to the tape and compute values eagerly; [`Graph::backward`]
-//! walks the tape in reverse, accumulating gradients, and flushes the
-//! gradients of parameter-bound leaves into the [`ParamStore`].
+//! Operations append nodes to a [`Graph`] and compute values eagerly;
+//! [`Graph::backward`] walks the tape in reverse, accumulating gradients,
+//! and flushes the gradients of parameter-bound leaves into the
+//! [`ParamStore`].
+//!
+//! # Tape lifecycle
+//!
+//! A tape records one forward pass (define-by-run). Drop it afterwards, or
+//! [`Graph::clear`] it and record again: clearing keeps every node buffer,
+//! and the next pass takes them back in the order it first asked for them,
+//! so a tape that replays the same network on same-sized inputs stops
+//! allocating after its first pass. Reuse never shows in the results —
+//! values and gradients are bit-identical to a fresh tape's.
+//!
+//! A forward pass allocates only what it reads. Gradients appear, zeroed,
+//! the first time backward reaches a node (one that no gradient reaches has
+//! none: [`Graph::grad`] is `None`), and parameter leaves share the
+//! store's tensors instead of copying them.
 
 use crate::params::{ParamId, ParamStore};
 use crate::tensor::Tensor;
-use dpdp_pool::ThreadPool;
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// Handle to a node in a [`Graph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Var(usize);
 
-/// Floating-point width of a graph's forward matmul kernels.
-///
-/// Everything else on the tape (element-wise ops, softmax, reductions, the
-/// whole backward pass) always runs in `f64`; this knob only selects which
-/// matmul kernel [`Graph::matmul`] calls.
-///
-/// * [`Precision::F64`] (default) is the exact path every parity-gated
-///   pipeline uses: training, serial/batch equivalence tests, episode
-///   determinism.
-/// * [`Precision::F32`] demotes matmul inputs to `f32`, accumulates in
-///   single precision and widens the product back to `f64`
-///   ([`Tensor::matmul_f32`]) — an opt-in inference speedup for chunked
-///   batch forwards. Results differ from the f64 path by O(2⁻²⁴) relative
-///   error per accumulation step, so callers **must** gate it behind an
-///   explicit tolerance (see the f32/f64 parity test in `dpdp-rl`) and
-///   never feed it into a path that promises bit-identical outputs.
-///   Within the f32 path itself results remain bit-identical at any
-///   thread count ([`Tensor::matmul_f32_pooled`]).
-///
-/// Gradients are not defined through the f32 forward: call
-/// [`Graph::backward`] only on `F64` graphs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Precision {
-    /// Exact double-precision matmuls (the default).
-    #[default]
-    F64,
-    /// Single-precision matmul inputs and accumulation, widened back to
-    /// `f64`. Inference only; tolerance-gated.
-    F32,
+/// Handle to per-row neighbour lists held by a [`Graph`]
+/// ([`Graph::neighbor_lists`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Neighbors {
+    /// Where the `rows + 1` list boundaries start in the tape's index
+    /// arena; the boundaries are themselves arena positions.
+    offsets: usize,
+    rows: usize,
 }
 
-#[derive(Debug, Clone)]
+/// A run of the tape's index arena.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: usize,
+    len: usize,
+}
+
+#[derive(Debug, Clone, Copy)]
 enum Op {
     Leaf,
     MatMul(Var, Var),
@@ -56,21 +56,37 @@ enum Op {
     Scale(Var, f64),
     Relu(Var),
     SoftmaxRows(Var),
-    MaskedSoftmaxRows(Var, Tensor),
     Transpose(Var),
-    SliceCols(Var, usize, usize),
-    ConcatCols(Vec<Var>),
-    ConcatRows(Vec<Var>),
-    GatherRows(Var, Vec<usize>),
+    SliceCols(Var, usize),
+    ConcatCols(Span),
+    ConcatRows(Span),
+    GatherRows(Var, Span),
     MeanAll(Var),
     SumAll(Var),
     Ln(Var),
+    NeighborAttention {
+        q: Var,
+        k: Var,
+        v: Var,
+        /// The attention weights (a leaf the op pushes for its backward).
+        probs: Var,
+        heads: usize,
+        lists: Neighbors,
+    },
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
+enum Value {
+    /// Computed on this tape, in a buffer the tape recycles.
+    Owned(Tensor),
+    /// A parameter, shared with its store.
+    Shared(Arc<Tensor>),
+}
+
+#[derive(Debug)]
 struct Node {
-    value: Tensor,
-    grad: Tensor,
+    value: Value,
+    grad: Option<Tensor>,
     op: Op,
 }
 
@@ -79,8 +95,75 @@ struct Node {
 pub struct Graph {
     nodes: Vec<Node>,
     bindings: Vec<(ParamId, usize)>,
-    pool: Option<Arc<ThreadPool>>,
-    precision: Precision,
+    /// Index arena of the recorded ops: concatenation parts, gather
+    /// indices, neighbour lists.
+    ints: Vec<usize>,
+    /// Buffers of cleared nodes and finished backward temporaries, handed
+    /// to later nodes.
+    free: Vec<Vec<f64>>,
+}
+
+/// `Σ a[c]·b[c]` with `c` ascending and exact-zero `a[c]` skipped: one
+/// output element of [`Tensor::matmul_into`], term for term.
+#[inline]
+fn dot_skip(a: &[f64], b: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for (&x, &y) in a.iter().zip(b) {
+        if x != 0.0 {
+            acc += x * y;
+        }
+    }
+    acc
+}
+
+/// `out += s · row`.
+#[inline]
+fn axpy(out: &mut [f64], s: f64, row: &[f64]) {
+    for (o, &b) in out.iter_mut().zip(row) {
+        *o += s * b;
+    }
+}
+
+/// `out += row`.
+#[inline]
+fn add_to(out: &mut [f64], row: &[f64]) {
+    for (o, &b) in out.iter_mut().zip(row) {
+        *o += b;
+    }
+}
+
+/// `acc += f(upstream)`, element-wise.
+fn add_map(acc: &mut Tensor, upstream: &Tensor, f: impl Fn(f64) -> f64) {
+    for (a, &g) in acc.data_mut().iter_mut().zip(upstream.data()) {
+        *a += f(g);
+    }
+}
+
+/// `acc += f(upstream, x)`, element-wise.
+fn add_zip(acc: &mut Tensor, upstream: &Tensor, x: &Tensor, f: impl Fn(f64, f64) -> f64) {
+    for ((a, &g), &x) in acc.data_mut().iter_mut().zip(upstream.data()).zip(x.data()) {
+        *a += f(g, x);
+    }
+}
+
+/// Softmax Jacobian product, row by row: `acc += y ⊙ (g − ⟨g, y⟩)`. Entries
+/// a mask zeroed in `y` contribute and receive exactly nothing.
+fn add_softmax_grad(acc: &mut Tensor, upstream: &Tensor, y: &Tensor) {
+    let n = y.cols();
+    if n == 0 {
+        return;
+    }
+    for ((row_a, row_g), row_y) in acc
+        .data_mut()
+        .chunks_exact_mut(n)
+        .zip(upstream.data().chunks_exact(n))
+        .zip(y.data().chunks_exact(n))
+    {
+        let dot: f64 = row_g.iter().zip(row_y).map(|(g, y)| g * y).sum();
+        for ((a, &g), &y) in row_a.iter_mut().zip(row_g).zip(row_y) {
+            *a += y * (g - dot);
+        }
+    }
 }
 
 impl Graph {
@@ -89,43 +172,77 @@ impl Graph {
         Graph::default()
     }
 
-    /// An empty tape whose forward matmuls are chunked across `pool`'s
-    /// threads ([`Tensor::matmul_pooled`]). Values are bit-identical to a
-    /// pool-less graph — the pool only changes wall time — so inference
-    /// batches can opt in freely without perturbing training parity.
-    pub fn with_pool(pool: Arc<ThreadPool>) -> Self {
-        Graph {
-            pool: Some(pool),
-            ..Graph::default()
+    /// Forgets the recorded pass but keeps its buffers for the next one
+    /// (see the [module docs](self) for the lifecycle). Every [`Var`] and
+    /// [`Neighbors`] handle of the cleared pass is invalid afterwards.
+    pub fn clear(&mut self) {
+        // Hand-back order is the reverse of the order the next pass asks
+        // in (values first to last, then gradients last to first), so a
+        // replay of the same pass finds each buffer already at its size.
+        for node in &mut self.nodes {
+            if let Some(grad) = node.grad.take() {
+                self.free.push(grad.into_data());
+            }
         }
+        for node in self.nodes.drain(..).rev() {
+            if let Value::Owned(value) = node.value {
+                self.free.push(value.into_data());
+            }
+        }
+        self.bindings.clear();
+        self.ints.clear();
     }
 
-    /// Selects the forward matmul precision (builder-style). See
-    /// [`Precision`] for the tolerance contract; the default is
-    /// [`Precision::F64`].
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
-        self
+    /// A zeroed `rows x cols` tensor in a recycled buffer when one is free.
+    fn zeros(&mut self, rows: usize, cols: usize) -> Tensor {
+        let mut buf = self.free.pop().unwrap_or_default();
+        buf.clear();
+        buf.resize(rows * cols, 0.0);
+        Tensor::from_vec(rows, cols, buf)
     }
 
-    fn push(&mut self, value: Tensor, op: Op) -> Var {
-        let (r, c) = value.shape();
+    fn recycle(&mut self, t: Tensor) {
+        self.free.push(t.into_data());
+    }
+
+    fn push_node(&mut self, value: Value, op: Op) -> Var {
         self.nodes.push(Node {
             value,
-            grad: Tensor::zeros(r, c),
+            grad: None,
             op,
         });
         Var(self.nodes.len() - 1)
     }
 
-    /// The current value of a node.
-    pub fn value(&self, v: Var) -> &Tensor {
-        &self.nodes[v.0].value
+    fn push(&mut self, value: Tensor, op: Op) -> Var {
+        self.push_node(Value::Owned(value), op)
     }
 
-    /// The gradient of a node (valid after [`Graph::backward`]).
-    pub fn grad(&self, v: Var) -> &Tensor {
-        &self.nodes[v.0].grad
+    fn span(&mut self, items: impl IntoIterator<Item = usize>) -> Span {
+        let start = self.ints.len();
+        self.ints.extend(items);
+        Span {
+            start,
+            len: self.ints.len() - start,
+        }
+    }
+
+    fn ints(&self, span: Span) -> &[usize] {
+        &self.ints[span.start..span.start + span.len]
+    }
+
+    /// The current value of a node.
+    pub fn value(&self, v: Var) -> &Tensor {
+        match &self.nodes[v.0].value {
+            Value::Owned(t) => t,
+            Value::Shared(t) => t,
+        }
+    }
+
+    /// The gradient of a node after [`Graph::backward`]; `None` if no
+    /// gradient reached it.
+    pub fn grad(&self, v: Var) -> Option<&Tensor> {
+        self.nodes[v.0].grad.as_ref()
     }
 
     /// Number of tape nodes.
@@ -140,73 +257,74 @@ impl Graph {
 
     // ---- leaves -----------------------------------------------------------
 
-    /// A constant leaf (inputs, targets). Gradients are computed but not
+    /// A constant leaf (inputs, targets): `value` is copied onto the tape,
+    /// so pass a reference to keep yours. Gradients are computed but not
     /// propagated anywhere.
-    pub fn constant(&mut self, value: Tensor) -> Var {
-        self.push(value, Op::Leaf)
+    pub fn constant(&mut self, value: impl Borrow<Tensor>) -> Var {
+        let value = value.borrow();
+        let mut copy = self.zeros(value.rows(), value.cols());
+        copy.data_mut().copy_from_slice(value.data());
+        self.push(copy, Op::Leaf)
     }
 
-    /// A parameter leaf: copies the current value in and records the binding
-    /// so `backward` accumulates the gradient into the store.
+    /// A parameter leaf: shares the store's current value and records the
+    /// binding so `backward` accumulates the gradient into the store.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
-        let v = self.push(store.value(id).clone(), Op::Leaf);
+        let v = self.push_node(Value::Shared(store.shared_value(id)), Op::Leaf);
         self.bindings.push((id, v.0));
         v
     }
 
     // ---- ops --------------------------------------------------------------
 
-    /// Matrix product `a @ b`, through the kernel the graph's
-    /// [`Precision`] selects.
+    fn map(&mut self, a: Var, op: Op, f: impl Fn(f64) -> f64) -> Var {
+        let (m, n) = self.value(a).shape();
+        let mut value = self.zeros(m, n);
+        for (o, &x) in value.data_mut().iter_mut().zip(self.value(a).data()) {
+            *o = f(x);
+        }
+        self.push(value, op)
+    }
+
+    fn zip(&mut self, a: Var, b: Var, op: Op, f: impl Fn(f64, f64) -> f64) -> Var {
+        let (m, n) = self.value(a).shape();
+        assert_eq!(
+            (m, n),
+            self.value(b).shape(),
+            "element-wise op shape mismatch"
+        );
+        let mut value = self.zeros(m, n);
+        for ((o, &x), &y) in value
+            .data_mut()
+            .iter_mut()
+            .zip(self.value(a).data())
+            .zip(self.value(b).data())
+        {
+            *o = f(x, y);
+        }
+        self.push(value, op)
+    }
+
+    /// Matrix product `a @ b`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let value = match (self.precision, &self.pool) {
-            (Precision::F64, Some(pool)) => self.value(a).matmul_pooled(self.value(b), pool),
-            (Precision::F64, None) => self.value(a).matmul(self.value(b)),
-            (Precision::F32, Some(pool)) => self.value(a).matmul_f32_pooled(self.value(b), pool),
-            (Precision::F32, None) => self.value(a).matmul_f32(self.value(b)),
-        };
+        let mut value = self.zeros(self.value(a).rows(), self.value(b).cols());
+        self.value(a).matmul_into(self.value(b), value.data_mut());
         self.push(value, Op::MatMul(a, b))
     }
 
     /// Element-wise sum of same-shape tensors.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let mut value = self.value(a).clone();
-        value.add_assign(self.value(b));
-        self.push(value, Op::Add(a, b))
+        self.zip(a, b, Op::Add(a, b), |x, y| x + y)
     }
 
     /// Element-wise difference `a - b` of same-shape tensors.
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        assert_eq!(self.value(a).shape(), self.value(b).shape(), "sub shape");
-        let bt = self.value(b).clone();
-        let value = Tensor::from_vec(
-            bt.rows(),
-            bt.cols(),
-            self.value(a)
-                .data()
-                .iter()
-                .zip(bt.data())
-                .map(|(x, y)| x - y)
-                .collect(),
-        );
-        self.push(value, Op::Sub(a, b))
+        self.zip(a, b, Op::Sub(a, b), |x, y| x - y)
     }
 
     /// Hadamard (element-wise) product of same-shape tensors.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        assert_eq!(self.value(a).shape(), self.value(b).shape(), "mul shape");
-        let bt = self.value(b).clone();
-        let value = Tensor::from_vec(
-            bt.rows(),
-            bt.cols(),
-            self.value(a)
-                .data()
-                .iter()
-                .zip(bt.data())
-                .map(|(x, y)| x * y)
-                .collect(),
-        );
-        self.push(value, Op::Mul(a, b))
+        self.zip(a, b, Op::Mul(a, b), |x, y| x * y)
     }
 
     /// Adds a `1 x n` row vector to every row of an `m x n` matrix
@@ -214,11 +332,17 @@ impl Graph {
     pub fn add_row(&mut self, a: Var, b: Var) -> Var {
         let (m, n) = self.value(a).shape();
         assert_eq!(self.value(b).shape(), (1, n), "add_row wants a 1x{n} bias");
-        let mut value = self.value(a).clone();
-        let bias = self.value(b).clone();
-        for r in 0..m {
-            for c in 0..n {
-                *value.get_mut(r, c) += bias.get(0, c);
+        let mut value = self.zeros(m, n);
+        if n > 0 {
+            let bias = self.value(b).data();
+            for (row_o, row_a) in value
+                .data_mut()
+                .chunks_exact_mut(n)
+                .zip(self.value(a).data().chunks_exact(n))
+            {
+                for ((o, &x), &y) in row_o.iter_mut().zip(row_a).zip(bias) {
+                    *o = x + y;
+                }
             }
         }
         self.push(value, Op::AddRow(a, b))
@@ -226,87 +350,78 @@ impl Graph {
 
     /// Scalar multiple `a * s`.
     pub fn scale(&mut self, a: Var, s: f64) -> Var {
-        let value = self.value(a).map(|x| x * s);
-        self.push(value, Op::Scale(a, s))
+        self.map(a, Op::Scale(a, s), |x| x * s)
     }
 
     /// Rectified linear unit.
     pub fn relu(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(|x| x.max(0.0));
-        self.push(value, Op::Relu(a))
+        self.map(a, Op::Relu(a), |x| x.max(0.0))
     }
 
     /// Row-wise softmax (numerically stabilised).
     pub fn softmax_rows(&mut self, a: Var) -> Var {
-        let t = self.value(a);
-        let (m, n) = t.shape();
-        let mut value = Tensor::zeros(m, n);
-        for r in 0..m {
-            let row = t.row(r);
-            let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            let exps: Vec<f64> = row.iter().map(|&x| (x - max).exp()).collect();
-            let sum: f64 = exps.iter().sum();
-            for (c, &e) in exps.iter().enumerate() {
-                *value.get_mut(r, c) = e / sum;
-            }
-        }
-        self.push(value, Op::SoftmaxRows(a))
+        self.softmax_where(a, |_, _| true)
     }
 
     /// Row-wise softmax restricted to entries where `mask` is non-zero;
     /// masked entries get probability 0. A fully-masked row becomes all
     /// zeros. `mask` must have the same shape as the input and is treated
     /// as a constant (no gradient flows into it).
+    ///
+    /// This is the dense statement of what [`Graph::neighbor_attention`]
+    /// computes on neighbour lists; the parity tests hold one to the other.
     pub fn masked_softmax_rows(&mut self, a: Var, mask: &Tensor) -> Var {
-        let t = self.value(a);
-        let (m, n) = t.shape();
-        assert_eq!(mask.shape(), (m, n), "mask shape must match input");
-        let mut value = Tensor::zeros(m, n);
+        assert_eq!(
+            mask.shape(),
+            self.value(a).shape(),
+            "mask shape must match input"
+        );
+        self.softmax_where(a, |r, c| mask.get(r, c) != 0.0)
+    }
+
+    fn softmax_where(&mut self, a: Var, keep: impl Fn(usize, usize) -> bool) -> Var {
+        let (m, n) = self.value(a).shape();
+        let mut value = self.zeros(m, n);
         for r in 0..m {
-            let row = t.row(r);
-            let mrow = mask.row(r);
-            let max = row
-                .iter()
-                .zip(mrow)
-                .filter(|(_, &keep)| keep != 0.0)
-                .map(|(&x, _)| x)
+            let row = self.value(a).row(r);
+            let out = &mut value.data_mut()[r * n..(r + 1) * n];
+            let max = (0..n)
+                .filter(|&c| keep(r, c))
+                .map(|c| row[c])
                 .fold(f64::NEG_INFINITY, f64::max);
             if max == f64::NEG_INFINITY {
                 continue; // fully masked row
             }
             let mut sum = 0.0;
-            let mut exps = vec![0.0; n];
-            for c in 0..n {
-                if mrow[c] != 0.0 {
-                    exps[c] = (row[c] - max).exp();
-                    sum += exps[c];
-                }
+            for c in (0..n).filter(|&c| keep(r, c)) {
+                out[c] = (row[c] - max).exp();
+                sum += out[c];
             }
-            for (c, &e) in exps.iter().enumerate() {
-                *value.get_mut(r, c) = e / sum;
+            for o in out.iter_mut() {
+                *o /= sum;
             }
         }
-        self.push(value, Op::MaskedSoftmaxRows(a, mask.clone()))
+        self.push(value, Op::SoftmaxRows(a))
     }
 
     /// Transpose.
     pub fn transpose(&mut self, a: Var) -> Var {
-        let value = self.value(a).transpose();
+        let (m, n) = self.value(a).shape();
+        let mut value = self.zeros(n, m);
+        self.value(a).transpose_into(value.data_mut());
         self.push(value, Op::Transpose(a))
     }
 
     /// Columns `[start, start + len)` of a matrix.
     pub fn slice_cols(&mut self, a: Var, start: usize, len: usize) -> Var {
-        let t = self.value(a);
-        let (m, n) = t.shape();
+        let (m, n) = self.value(a).shape();
         assert!(start + len <= n, "slice_cols out of range");
-        let mut value = Tensor::zeros(m, len);
+        let mut value = self.zeros(m, len);
         for r in 0..m {
-            for c in 0..len {
-                *value.get_mut(r, c) = t.get(r, start + c);
-            }
+            value.data_mut()[r * len..(r + 1) * len]
+                .copy_from_slice(&self.value(a).row(r)[start..start + len]);
         }
-        self.push(value, Op::SliceCols(a, start, len))
+        self.push(value, Op::SliceCols(a, start))
     }
 
     /// Horizontal concatenation of matrices with equal row counts.
@@ -314,19 +429,18 @@ impl Graph {
         assert!(!parts.is_empty(), "concat_cols needs at least one part");
         let m = self.value(parts[0]).rows();
         let total: usize = parts.iter().map(|&p| self.value(p).cols()).sum();
-        let mut value = Tensor::zeros(m, total);
+        let mut value = self.zeros(m, total);
         let mut off = 0;
         for &p in parts {
-            let t = self.value(p).clone();
+            let t = self.value(p);
             assert_eq!(t.rows(), m, "concat_cols row mismatch");
             for r in 0..m {
-                for c in 0..t.cols() {
-                    *value.get_mut(r, off + c) = t.get(r, c);
-                }
+                value.data_mut()[r * total + off..][..t.cols()].copy_from_slice(t.row(r));
             }
             off += t.cols();
         }
-        self.push(value, Op::ConcatCols(parts.to_vec()))
+        let parts = self.span(parts.iter().map(|p| p.0));
+        self.push(value, Op::ConcatCols(parts))
     }
 
     /// Vertical concatenation of matrices with equal column counts.
@@ -334,54 +448,53 @@ impl Graph {
         assert!(!parts.is_empty(), "concat_rows needs at least one part");
         let n = self.value(parts[0]).cols();
         let total: usize = parts.iter().map(|&p| self.value(p).rows()).sum();
-        let mut value = Tensor::zeros(total, n);
+        let mut value = self.zeros(total, n);
         let mut off = 0;
         for &p in parts {
-            let t = self.value(p).clone();
+            let t = self.value(p);
             assert_eq!(t.cols(), n, "concat_rows column mismatch");
-            for r in 0..t.rows() {
-                for c in 0..n {
-                    *value.get_mut(off + r, c) = t.get(r, c);
-                }
-            }
-            off += t.rows();
+            value.data_mut()[off..off + t.data().len()].copy_from_slice(t.data());
+            off += t.data().len();
         }
-        self.push(value, Op::ConcatRows(parts.to_vec()))
+        let parts = self.span(parts.iter().map(|p| p.0));
+        self.push(value, Op::ConcatRows(parts))
     }
 
     /// Natural logarithm, element-wise. Inputs must be strictly positive.
     pub fn ln(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(|x| x.max(1e-300).ln());
-        self.push(value, Op::Ln(a))
+        self.map(a, Op::Ln(a), |x| x.max(1e-300).ln())
     }
 
     /// Row gather: `out[i, :] = a[indices[i], :]`. Rows may repeat.
     pub fn gather_rows(&mut self, a: Var, indices: &[usize]) -> Var {
-        let t = self.value(a);
-        let n = t.cols();
-        let mut value = Tensor::zeros(indices.len(), n);
+        let (rows, n) = self.value(a).shape();
+        let mut value = self.zeros(indices.len(), n);
         for (i, &idx) in indices.iter().enumerate() {
-            assert!(idx < t.rows(), "gather_rows index out of range");
-            for c in 0..n {
-                *value.get_mut(i, c) = t.get(idx, c);
-            }
+            assert!(idx < rows, "gather_rows index out of range");
+            value.data_mut()[i * n..(i + 1) * n].copy_from_slice(self.value(a).row(idx));
         }
-        self.push(value, Op::GatherRows(a, indices.to_vec()))
+        let indices = self.span(indices.iter().copied());
+        self.push(value, Op::GatherRows(a, indices))
+    }
+
+    fn scalar(&mut self, v: f64, op: Op) -> Var {
+        let mut value = self.zeros(1, 1);
+        value.data_mut()[0] = v;
+        self.push(value, op)
     }
 
     /// Mean over all elements (a `1 x 1` result).
     pub fn mean_all(&mut self, a: Var) -> Var {
         let t = self.value(a);
         let n = (t.rows() * t.cols()) as f64;
-        let value = Tensor::scalar(t.data().iter().sum::<f64>() / n);
-        self.push(value, Op::MeanAll(a))
+        let mean = t.data().iter().sum::<f64>() / n;
+        self.scalar(mean, Op::MeanAll(a))
     }
 
     /// Sum over all elements (a `1 x 1` result).
     pub fn sum_all(&mut self, a: Var) -> Var {
-        let t = self.value(a);
-        let value = Tensor::scalar(t.data().iter().sum::<f64>());
-        self.push(value, Op::SumAll(a))
+        let sum = self.value(a).data().iter().sum::<f64>();
+        self.scalar(sum, Op::SumAll(a))
     }
 
     /// Mean-squared-error between same-shape tensors (a `1 x 1` result).
@@ -391,201 +504,365 @@ impl Graph {
         self.mean_all(sq)
     }
 
+    // ---- neighbourhood attention --------------------------------------------
+
+    /// Registers per-row neighbour lists for [`Graph::neighbor_attention`]
+    /// over as many rows as `lists` has items: row `r` may attend to the
+    /// rows its list names. Lists may arrive unsorted and with repeats;
+    /// the tape keeps each **sorted and de-duplicated**, the form the op's
+    /// accumulation order is defined on. An empty list is a row that
+    /// attends to nothing.
+    ///
+    /// # Panics
+    /// Panics if a list names a row that does not exist.
+    pub fn neighbor_lists<I, J>(&mut self, lists: I) -> Neighbors
+    where
+        I: IntoIterator<Item = J>,
+        I::IntoIter: ExactSizeIterator,
+        J: IntoIterator<Item = usize>,
+    {
+        let lists = lists.into_iter();
+        let rows = lists.len();
+        let offsets = self.ints.len();
+        self.ints.resize(offsets + rows + 1, 0);
+        for (r, list) in lists.enumerate() {
+            let start = self.ints.len();
+            self.ints[offsets + r] = start;
+            self.ints.extend(list);
+            self.ints[start..].sort_unstable();
+            let mut end = start;
+            for at in start..self.ints.len() {
+                if end == start || self.ints[at] != self.ints[end - 1] {
+                    self.ints[end] = self.ints[at];
+                    end += 1;
+                }
+            }
+            self.ints.truncate(end);
+            assert!(
+                self.ints[start..].last().is_none_or(|&c| c < rows),
+                "neighbour index out of range"
+            );
+        }
+        self.ints[offsets + rows] = self.ints.len();
+        Neighbors { offsets, rows }
+    }
+
+    /// The arena boundaries of `lists`: row `i`'s neighbours are
+    /// `ints[b[i]..b[i + 1]]`.
+    fn neighbor_bounds(&self, lists: Neighbors) -> &[usize] {
+        &self.ints[lists.offsets..lists.offsets + lists.rows + 1]
+    }
+
+    /// Multi-head scaled dot-product self-attention over neighbour lists,
+    /// fused into one op: for every head `h` (a `d / heads`-wide column
+    /// block of `q`, `k`, `v`, all `K x d`) row `i` of the result is
+    /// `Σ_j softmax_j(q_i·k_j / √(d/heads)) · v_j` over the `j` in row
+    /// `i`'s list, the heads side by side (`K x d`). Work and memory are
+    /// `O(K · NE · d)` in forward and backward; no `K x K` matrix exists.
+    ///
+    /// The result is bit-identical to the dense composition it replaces —
+    /// per head `slice_cols`, `transpose`, `matmul`, `scale`,
+    /// [`Graph::masked_softmax_rows`] under the lists' adjacency mask,
+    /// `matmul`, then `concat_cols` — because every output and gradient
+    /// entry sums the same terms in the same order: neighbours ascending
+    /// (hence the sorted lists), and the entries the mask zeroed are the
+    /// ones [`Tensor::matmul`] skipped.
+    ///
+    /// # Panics
+    /// Panics on shape mismatch or if `heads` does not divide `d`.
+    pub fn neighbor_attention(
+        &mut self,
+        q: Var,
+        k: Var,
+        v: Var,
+        heads: usize,
+        lists: Neighbors,
+    ) -> Var {
+        let (rows, d) = self.value(q).shape();
+        assert_eq!(self.value(k).shape(), (rows, d), "attention key shape");
+        assert_eq!(self.value(v).shape(), (rows, d), "attention value shape");
+        assert_eq!(lists.rows, rows, "one neighbour list per row");
+        assert!(heads > 0 && d.is_multiple_of(heads), "heads must divide d");
+        let dk = d / heads;
+        let scale = 1.0 / (dk as f64).sqrt();
+        let nnz = self.ints[lists.offsets + rows] - self.ints[lists.offsets];
+        let mut probs = self.zeros(heads, nnz);
+        let mut out = self.zeros(rows, d);
+        let bounds = self.neighbor_bounds(lists);
+        let (qd, kd, vd) = (
+            self.value(q).data(),
+            self.value(k).data(),
+            self.value(v).data(),
+        );
+        for i in 0..rows {
+            let cols = &self.ints[bounds[i]..bounds[i + 1]];
+            let at = bounds[i] - bounds[0];
+            for h in 0..heads {
+                let block = h * dk..(h + 1) * dk;
+                let qh = &qd[i * d..][block.clone()];
+                let p = &mut probs.data_mut()[h * nnz + at..][..cols.len()];
+                let mut max = f64::NEG_INFINITY;
+                for (s, &j) in p.iter_mut().zip(cols) {
+                    *s = dot_skip(qh, &kd[j * d..][block.clone()]) * scale;
+                    max = max.max(*s);
+                }
+                if max == f64::NEG_INFINITY {
+                    p.fill(0.0); // attends to nothing
+                    continue;
+                }
+                let mut sum = 0.0;
+                for s in p.iter_mut() {
+                    *s = (*s - max).exp();
+                    sum += *s;
+                }
+                let oh = &mut out.data_mut()[i * d..][block.clone()];
+                for (s, &j) in p.iter_mut().zip(cols) {
+                    *s /= sum;
+                    if *s != 0.0 {
+                        axpy(oh, *s, &vd[j * d..][block.clone()]);
+                    }
+                }
+            }
+        }
+        let probs = self.push(probs, Op::Leaf);
+        self.push(
+            out,
+            Op::NeighborAttention {
+                q,
+                k,
+                v,
+                probs,
+                heads,
+                lists,
+            },
+        )
+    }
+
     // ---- backward ----------------------------------------------------------
+
+    /// Detaches `v`'s gradient — created zeroed on first touch — lets `f`
+    /// add to it with the rest of the tape readable, and puts it back.
+    fn accumulate_with(&mut self, v: Var, f: impl FnOnce(&Graph, &mut Tensor)) {
+        let mut grad = match self.nodes[v.0].grad.take() {
+            Some(grad) => grad,
+            None => {
+                let (m, n) = self.value(v).shape();
+                self.zeros(m, n)
+            }
+        };
+        f(self, &mut grad);
+        self.nodes[v.0].grad = Some(grad);
+    }
+
+    fn accumulate(&mut self, v: Var, delta: &Tensor) {
+        self.accumulate_with(v, |_, grad| grad.add_assign(delta));
+    }
 
     /// Runs reverse-mode accumulation from `loss` (which must be `1 x 1`)
     /// without touching any parameter store. Node gradients are then
     /// available through [`Graph::grad`].
     pub fn backward_graph_only(&mut self, loss: Var) {
         assert_eq!(
-            self.nodes[loss.0].value.shape(),
+            self.value(loss).shape(),
             (1, 1),
             "backward requires a scalar loss"
         );
-        for node in &mut self.nodes {
-            let (r, c) = node.value.shape();
-            node.grad = Tensor::zeros(r, c);
+        for i in 0..self.nodes.len() {
+            if let Some(stale) = self.nodes[i].grad.take() {
+                self.recycle(stale);
+            }
         }
-        *self.nodes[loss.0].grad.get_mut(0, 0) = 1.0;
+        self.accumulate_with(loss, |_, grad| grad.data_mut()[0] = 1.0);
 
         for i in (0..self.nodes.len()).rev() {
-            let grad = self.nodes[i].grad.clone();
-            if grad.data().iter().all(|&g| g == 0.0) {
+            let Some(grad) = self.nodes[i].grad.take() else {
                 continue;
+            };
+            if grad.data().iter().any(|&g| g != 0.0) {
+                self.backward_node(Var(i), &grad);
             }
-            let op = self.nodes[i].op.clone();
-            match op {
-                Op::Leaf => {}
-                Op::MatMul(a, b) => {
-                    let da = grad.matmul(&self.nodes[b.0].value.transpose());
-                    let db = self.nodes[a.0].value.transpose().matmul(&grad);
-                    self.nodes[a.0].grad.add_assign(&da);
-                    self.nodes[b.0].grad.add_assign(&db);
-                }
-                Op::Add(a, b) => {
-                    self.nodes[a.0].grad.add_assign(&grad);
-                    self.nodes[b.0].grad.add_assign(&grad);
-                }
-                Op::Sub(a, b) => {
-                    self.nodes[a.0].grad.add_assign(&grad);
-                    let neg = grad.map(|x| -x);
-                    self.nodes[b.0].grad.add_assign(&neg);
-                }
-                Op::Mul(a, b) => {
-                    let bv = self.nodes[b.0].value.clone();
-                    let av = self.nodes[a.0].value.clone();
-                    let da = Tensor::from_vec(
-                        grad.rows(),
-                        grad.cols(),
-                        grad.data()
-                            .iter()
-                            .zip(bv.data())
-                            .map(|(g, x)| g * x)
-                            .collect(),
-                    );
-                    let db = Tensor::from_vec(
-                        grad.rows(),
-                        grad.cols(),
-                        grad.data()
-                            .iter()
-                            .zip(av.data())
-                            .map(|(g, x)| g * x)
-                            .collect(),
-                    );
-                    self.nodes[a.0].grad.add_assign(&da);
-                    self.nodes[b.0].grad.add_assign(&db);
-                }
-                Op::AddRow(a, b) => {
-                    self.nodes[a.0].grad.add_assign(&grad);
-                    let (m, n) = grad.shape();
-                    let mut db = Tensor::zeros(1, n);
-                    for r in 0..m {
-                        for c in 0..n {
-                            *db.get_mut(0, c) += grad.get(r, c);
-                        }
+            self.nodes[i].grad = Some(grad);
+        }
+    }
+
+    /// Adds node `at`'s share of the upstream gradient `grad` to its
+    /// inputs. A contribution that is itself a sum (a matmul, a gather
+    /// with repeats, the attention op) is completed in a temporary before
+    /// it is added, so an input's gradient is always `(0 + Δ₁) + Δ₂ + …`
+    /// over its consumers' whole contributions, whatever was there before.
+    fn backward_node(&mut self, at: Var, grad: &Tensor) {
+        let op = self.nodes[at.0].op;
+        match op {
+            Op::Leaf => {}
+            Op::MatMul(a, b) => {
+                let (m, n) = grad.shape();
+                let p = self.value(a).cols();
+                let mut bt = self.zeros(n, p);
+                self.value(b).transpose_into(bt.data_mut());
+                let mut da = self.zeros(m, p);
+                grad.matmul_into(&bt, da.data_mut());
+                let mut db = self.zeros(p, n);
+                self.value(a).matmul_tn_into(grad, db.data_mut());
+                self.accumulate(a, &da);
+                self.accumulate(b, &db);
+                self.recycle(bt);
+                self.recycle(da);
+                self.recycle(db);
+            }
+            Op::Add(a, b) => {
+                self.accumulate(a, grad);
+                self.accumulate(b, grad);
+            }
+            Op::Sub(a, b) => {
+                self.accumulate(a, grad);
+                self.accumulate_with(b, |_, gb| add_map(gb, grad, |g| -g));
+            }
+            Op::Mul(a, b) => {
+                self.accumulate_with(a, |t, ga| add_zip(ga, grad, t.value(b), |g, x| g * x));
+                self.accumulate_with(b, |t, gb| add_zip(gb, grad, t.value(a), |g, x| g * x));
+            }
+            Op::AddRow(a, b) => {
+                self.accumulate(a, grad);
+                let n = grad.cols();
+                let mut db = self.zeros(1, n);
+                if n > 0 {
+                    for row in grad.data().chunks_exact(n) {
+                        add_to(db.data_mut(), row);
                     }
-                    self.nodes[b.0].grad.add_assign(&db);
                 }
-                Op::Scale(a, s) => {
-                    let da = grad.map(|x| x * s);
-                    self.nodes[a.0].grad.add_assign(&da);
-                }
-                Op::Relu(a) => {
-                    let av = &self.nodes[a.0].value;
-                    let da = Tensor::from_vec(
-                        grad.rows(),
-                        grad.cols(),
-                        grad.data()
-                            .iter()
-                            .zip(av.data())
-                            .map(|(g, x)| if *x > 0.0 { *g } else { 0.0 })
-                            .collect(),
-                    );
-                    self.nodes[a.0].grad.add_assign(&da);
-                }
-                Op::SoftmaxRows(a) => {
-                    let y = self.nodes[i].value.clone();
-                    let (m, n) = y.shape();
-                    let mut da = Tensor::zeros(m, n);
-                    for r in 0..m {
-                        let dot: f64 = (0..n).map(|c| grad.get(r, c) * y.get(r, c)).sum();
-                        for c in 0..n {
-                            *da.get_mut(r, c) = y.get(r, c) * (grad.get(r, c) - dot);
-                        }
+                self.accumulate(b, &db);
+                self.recycle(db);
+            }
+            Op::Scale(a, s) => self.accumulate_with(a, |_, ga| add_map(ga, grad, |g| g * s)),
+            Op::Relu(a) => self.accumulate_with(a, |t, ga| {
+                add_zip(ga, grad, t.value(a), |g, x| if x > 0.0 { g } else { 0.0 })
+            }),
+            Op::SoftmaxRows(a) => {
+                self.accumulate_with(a, |t, ga| add_softmax_grad(ga, grad, t.value(at)))
+            }
+            Op::Transpose(a) => self.accumulate_with(a, |_, ga| {
+                let (m, n) = grad.shape();
+                for r in 0..m {
+                    for c in 0..n {
+                        ga.data_mut()[c * m + r] += grad.data()[r * n + c];
                     }
-                    self.nodes[a.0].grad.add_assign(&da);
                 }
-                Op::MaskedSoftmaxRows(a, _mask) => {
-                    // Identical Jacobian to softmax: masked entries have
-                    // y = 0, which zeroes their rows/columns automatically.
-                    let y = self.nodes[i].value.clone();
-                    let (m, n) = y.shape();
-                    let mut da = Tensor::zeros(m, n);
-                    for r in 0..m {
-                        let dot: f64 = (0..n).map(|c| grad.get(r, c) * y.get(r, c)).sum();
-                        for c in 0..n {
-                            *da.get_mut(r, c) = y.get(r, c) * (grad.get(r, c) - dot);
+            }),
+            Op::SliceCols(a, start) => self.accumulate_with(a, |_, ga| {
+                let (len, an) = (grad.cols(), ga.cols());
+                for r in 0..grad.rows() {
+                    add_to(&mut ga.data_mut()[r * an + start..][..len], grad.row(r));
+                }
+            }),
+            Op::ConcatCols(parts) => {
+                let mut off = 0;
+                for part in parts.start..parts.start + parts.len {
+                    let p = Var(self.ints[part]);
+                    self.accumulate_with(p, |_, gp| {
+                        let n = gp.cols();
+                        for r in 0..gp.rows() {
+                            add_to(&mut gp.data_mut()[r * n..][..n], &grad.row(r)[off..off + n]);
                         }
-                    }
-                    self.nodes[a.0].grad.add_assign(&da);
-                }
-                Op::Transpose(a) => {
-                    let da = grad.transpose();
-                    self.nodes[a.0].grad.add_assign(&da);
-                }
-                Op::SliceCols(a, start, len) => {
-                    let (m, _) = grad.shape();
-                    let an = self.nodes[a.0].value.cols();
-                    let mut da = Tensor::zeros(m, an);
-                    for r in 0..m {
-                        for c in 0..len {
-                            *da.get_mut(r, start + c) = grad.get(r, c);
-                        }
-                    }
-                    self.nodes[a.0].grad.add_assign(&da);
-                }
-                Op::ConcatCols(parts) => {
-                    let mut off = 0;
-                    for p in parts {
-                        let (m, n) = self.nodes[p.0].value.shape();
-                        let mut dp = Tensor::zeros(m, n);
-                        for r in 0..m {
-                            for c in 0..n {
-                                *dp.get_mut(r, c) = grad.get(r, off + c);
-                            }
-                        }
-                        self.nodes[p.0].grad.add_assign(&dp);
                         off += n;
-                    }
+                    });
                 }
-                Op::ConcatRows(parts) => {
-                    let mut off = 0;
-                    for p in parts {
-                        let (m, n) = self.nodes[p.0].value.shape();
-                        let mut dp = Tensor::zeros(m, n);
-                        for r in 0..m {
-                            for c in 0..n {
-                                *dp.get_mut(r, c) = grad.get(off + r, c);
+            }
+            Op::ConcatRows(parts) => {
+                let mut off = 0;
+                for part in parts.start..parts.start + parts.len {
+                    let p = Var(self.ints[part]);
+                    self.accumulate_with(p, |_, gp| {
+                        let len = gp.data().len();
+                        add_to(gp.data_mut(), &grad.data()[off..off + len]);
+                        off += len;
+                    });
+                }
+            }
+            Op::GatherRows(a, indices) => {
+                let (rows, n) = self.value(a).shape();
+                let mut da = self.zeros(rows, n);
+                for (i, &idx) in self.ints(indices).iter().enumerate() {
+                    add_to(&mut da.data_mut()[idx * n..][..n], grad.row(i));
+                }
+                self.accumulate(a, &da);
+                self.recycle(da);
+            }
+            Op::MeanAll(a) => {
+                let (m, n) = self.value(a).shape();
+                let g = grad.item() / (m * n) as f64;
+                self.accumulate_with(a, |_, ga| ga.data_mut().iter_mut().for_each(|x| *x += g));
+            }
+            Op::SumAll(a) => {
+                let g = grad.item();
+                self.accumulate_with(a, |_, ga| ga.data_mut().iter_mut().for_each(|x| *x += g));
+            }
+            Op::Ln(a) => self.accumulate_with(a, |t, ga| {
+                add_zip(ga, grad, t.value(a), |g, x| g / x.max(1e-300))
+            }),
+            Op::NeighborAttention {
+                q,
+                k,
+                v,
+                probs,
+                heads,
+                lists,
+            } => {
+                let (rows, d) = grad.shape();
+                let dk = d / heads;
+                let scale = 1.0 / (dk as f64).sqrt();
+                let nnz = self.value(probs).cols();
+                let mut dq = self.zeros(rows, d);
+                let mut dkey = self.zeros(rows, d);
+                let mut dv = self.zeros(rows, d);
+                let mut ds = self.zeros(1, nnz);
+                let bounds = self.neighbor_bounds(lists);
+                let (qd, kd, vd, pd) = (
+                    self.value(q).data(),
+                    self.value(k).data(),
+                    self.value(v).data(),
+                    self.value(probs).data(),
+                );
+                for i in 0..rows {
+                    let cols = &self.ints[bounds[i]..bounds[i + 1]];
+                    let at = bounds[i] - bounds[0];
+                    for h in 0..heads {
+                        let block = h * dk..(h + 1) * dk;
+                        let g = &grad.data()[i * d..][block.clone()];
+                        let qh = &qd[i * d..][block.clone()];
+                        let p = &pd[h * nnz + at..][..cols.len()];
+                        let ds = &mut ds.data_mut()[at..][..cols.len()];
+                        // Through the weighted sum of values ...
+                        for ((s, &y), &j) in ds.iter_mut().zip(p).zip(cols) {
+                            *s = dot_skip(g, &vd[j * d..][block.clone()]);
+                            if y != 0.0 {
+                                axpy(&mut dv.data_mut()[j * d..][block.clone()], y, g);
                             }
                         }
-                        self.nodes[p.0].grad.add_assign(&dp);
-                        off += m;
-                    }
-                }
-                Op::Ln(a) => {
-                    let av = self.nodes[a.0].value.clone();
-                    let da = Tensor::from_vec(
-                        grad.rows(),
-                        grad.cols(),
-                        grad.data()
-                            .iter()
-                            .zip(av.data())
-                            .map(|(g, x)| g / x.max(1e-300))
-                            .collect(),
-                    );
-                    self.nodes[a.0].grad.add_assign(&da);
-                }
-                Op::GatherRows(a, indices) => {
-                    let n = grad.cols();
-                    let (ar, ac) = self.nodes[a.0].value.shape();
-                    let mut da = Tensor::zeros(ar, ac);
-                    for (i_out, &idx) in indices.iter().enumerate() {
-                        for c in 0..n {
-                            *da.get_mut(idx, c) += grad.get(i_out, c);
+                        // ... the softmax and the 1/sqrt(dk) scale ...
+                        let dot: f64 = ds.iter().zip(p).map(|(g, y)| g * y).sum();
+                        for (s, &y) in ds.iter_mut().zip(p) {
+                            *s = (y * (*s - dot)) * scale;
+                        }
+                        // ... into the scores' two factors.
+                        let dqh = &mut dq.data_mut()[i * d..][block.clone()];
+                        for (&s, &j) in ds.iter().zip(cols) {
+                            if s != 0.0 {
+                                axpy(dqh, s, &kd[j * d..][block.clone()]);
+                            }
+                            let dkh = &mut dkey.data_mut()[j * d..][block.clone()];
+                            for (o, &x) in dkh.iter_mut().zip(qh) {
+                                if x != 0.0 {
+                                    *o += x * s;
+                                }
+                            }
                         }
                     }
-                    self.nodes[a.0].grad.add_assign(&da);
                 }
-                Op::MeanAll(a) => {
-                    let (m, n) = self.nodes[a.0].value.shape();
-                    let g = grad.item() / (m * n) as f64;
-                    let da = Tensor::full(m, n, g);
-                    self.nodes[a.0].grad.add_assign(&da);
-                }
-                Op::SumAll(a) => {
-                    let (m, n) = self.nodes[a.0].value.shape();
-                    let da = Tensor::full(m, n, grad.item());
-                    self.nodes[a.0].grad.add_assign(&da);
+                self.accumulate(q, &dq);
+                self.accumulate(k, &dkey);
+                self.accumulate(v, &dv);
+                for t in [dq, dkey, dv, ds] {
+                    self.recycle(t);
                 }
             }
         }
@@ -595,8 +872,10 @@ impl Graph {
     /// gradients of parameter leaves into `store`.
     pub fn backward(&mut self, loss: Var, store: &mut ParamStore) {
         self.backward_graph_only(loss);
-        for (id, node) in &self.bindings {
-            store.accumulate_grad(*id, &self.nodes[*node].grad);
+        for &(id, node) in &self.bindings {
+            if let Some(grad) = &self.nodes[node].grad {
+                store.accumulate_grad(id, grad);
+            }
         }
     }
 }
@@ -613,7 +892,7 @@ mod tests {
         // The build closure must create the input as node 0.
         let loss = Var(g.nodes.len() - 1);
         g.backward_graph_only(loss);
-        let analytic = g.grad(Var(0)).clone();
+        let analytic = g.grad(Var(0)).expect("gradient reaches the input").clone();
 
         let eps = 1e-6;
         for r in 0..input.rows() {
@@ -693,7 +972,7 @@ mod tests {
         let loss = g.sum_all(y);
         g.backward_graph_only(loss);
         // d(sum)/db_c = number of rows = 2.
-        assert_eq!(g.grad(b).data(), &[2.0, 2.0, 2.0]);
+        assert_eq!(g.grad(b).unwrap().data(), &[2.0, 2.0, 2.0]);
     }
 
     #[test]
@@ -876,30 +1155,50 @@ mod tests {
         g.backward_graph_only(x);
     }
 
+    /// Neighbourhood attention against finite differences, through all
+    /// three projections at once. The lists are what a Q-network builds
+    /// when vehicle 2 is infeasible — nobody but itself may list it — and
+    /// cover a self-only row, an unsorted list and a repeated entry.
     #[test]
-    fn pooled_graph_matches_serial_graph_bit_for_bit() {
-        let x_data = Tensor::from_vec(
-            64,
-            8,
-            (0..64 * 8).map(|i| ((i as f64) * 0.11).sin()).collect(),
+    fn grad_neighbor_attention() {
+        let proj =
+            |seed: f64| Tensor::from_vec(4, 4, (0..16).map(|i| (i as f64 * seed).sin()).collect());
+        let (wq, wk, wv) = (proj(0.7), proj(1.3), proj(2.1));
+        let weights = Tensor::from_vec(4, 4, (0..16).map(|i| (i as f64 * 0.9).cos()).collect());
+        let feasible = [true, true, false, true];
+        let raw: [&[usize]; 4] = [&[2], &[3, 0, 2], &[2, 1, 1], &[0]];
+        let input = Tensor::from_vec(4, 4, (0..16).map(|i| (i as f64 * 0.37).sin()).collect());
+        grad_check(
+            |g, x| {
+                let xv = g.constant(x);
+                let (wq, wk, wv) = (g.constant(&wq), g.constant(&wk), g.constant(&wv));
+                let (q, k, v) = (g.matmul(xv, wq), g.matmul(xv, wk), g.matmul(xv, wv));
+                let lists = g.neighbor_lists((0..4).map(|r| {
+                    let others = raw[r].iter().copied().filter(|&n| feasible[n]);
+                    std::iter::once(r).chain(others)
+                }));
+                let mixed = g.neighbor_attention(q, k, v, 2, lists);
+                let w = g.constant(&weights);
+                let prod = g.mul(mixed, w);
+                g.sum_all(prod)
+            },
+            &input,
+            1e-5,
         );
-        let w_data = Tensor::from_vec(
-            8,
-            4,
-            (0..8 * 4).map(|i| ((i as f64) * 0.29).cos()).collect(),
-        );
-        let forward = |g: &mut Graph| {
-            let x = g.constant(x_data.clone());
-            let w = g.constant(w_data.clone());
-            let y = g.matmul(x, w);
-            let r = g.relu(y);
-            g.sum_all(r)
-        };
-        let mut serial = Graph::new();
-        let ls = forward(&mut serial);
-        let pool = std::sync::Arc::new(dpdp_pool::ThreadPool::new(4));
-        let mut pooled = Graph::with_pool(pool);
-        let lp = forward(&mut pooled);
-        assert!(serial.value(ls).data() == pooled.value(lp).data());
+    }
+
+    #[test]
+    fn neighbor_lists_are_sorted_and_deduplicated() {
+        let mut g = Graph::new();
+        let lists = g.neighbor_lists([vec![2, 0, 2, 1], vec![], vec![1, 1]]);
+        let bounds = g.neighbor_bounds(lists).to_vec();
+        let rows: Vec<&[usize]> = bounds.windows(2).map(|b| &g.ints[b[0]..b[1]]).collect();
+        assert_eq!(rows, [&[0, 1, 2][..], &[], &[1]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "neighbour index out of range")]
+    fn neighbor_lists_reject_unknown_rows() {
+        Graph::new().neighbor_lists([vec![0, 2], vec![1]]);
     }
 }

@@ -1,6 +1,6 @@
 //! Layers: linear, MLP, and multi-head scaled dot-product attention.
 
-use crate::graph::{Graph, Var};
+use crate::graph::{Graph, Neighbors, Var};
 use crate::params::{ParamId, ParamStore};
 
 /// A fully-connected layer `y = x W + b`.
@@ -150,17 +150,18 @@ impl MultiHeadAttention {
         self.out.forward(g, store, concat)
     }
 
-    /// Masked **self**-attention over a `K x d_model` batch: row `i` attends
-    /// only to rows `j` with `mask[i][j] != 0`. This is the batched form of
-    /// the paper's neighbourhood attention, where `mask` is the (self-
-    /// inclusive) adjacency matrix. Fully-masked rows produce zero attention
-    /// output (only the output layer's bias survives).
-    pub fn forward_masked(
+    /// Neighbourhood **self**-attention over a `K x d_model` batch — the
+    /// paper's neighbourhood attention module: row `i` attends only to the
+    /// rows in its list ([`Graph::neighbor_lists`]; put `i` itself in the
+    /// list for self-inclusive attention). A row with an empty list
+    /// produces zero attention output (only the output layer's bias
+    /// survives).
+    pub fn forward_neighbors(
         &self,
         g: &mut Graph,
         store: &ParamStore,
         x: Var,
-        mask: &crate::tensor::Tensor,
+        lists: Neighbors,
     ) -> Var {
         debug_assert_eq!(g.value(x).cols(), self.d_model, "input width");
         let wq = g.param(store, self.wq);
@@ -169,21 +170,8 @@ impl MultiHeadAttention {
         let q = g.matmul(x, wq);
         let k = g.matmul(x, wk);
         let v = g.matmul(x, wv);
-        let dk = self.d_model / self.heads;
-        let scale = 1.0 / (dk as f64).sqrt();
-        let mut head_outputs = Vec::with_capacity(self.heads);
-        for h in 0..self.heads {
-            let qh = g.slice_cols(q, h * dk, dk);
-            let kh = g.slice_cols(k, h * dk, dk);
-            let vh = g.slice_cols(v, h * dk, dk);
-            let kt = g.transpose(kh);
-            let scores = g.matmul(qh, kt);
-            let scaled = g.scale(scores, scale);
-            let attn = g.masked_softmax_rows(scaled, mask);
-            head_outputs.push(g.matmul(attn, vh));
-        }
-        let concat = g.concat_cols(&head_outputs);
-        self.out.forward(g, store, concat)
+        let mixed = g.neighbor_attention(q, k, v, self.heads, lists);
+        self.out.forward(g, store, mixed)
     }
 
     /// Representation width.

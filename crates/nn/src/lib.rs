@@ -1,13 +1,47 @@
 //! A minimal neural-network substrate: dense tensors, a tape-based
 //! reverse-mode autodiff graph, the layers the paper's networks need
-//! (linear, MLP, multi-head scaled dot-product attention), and SGD/Adam
-//! optimizers.
+//! (linear, MLP, multi-head scaled dot-product attention — dense, and over
+//! neighbour lists), and SGD/Adam optimizers.
 //!
 //! The paper's models are small (per-vehicle 5-feature states, two stacked
 //! attention blocks over at most a few hundred vehicles), so a straight
 //! `f64` CPU implementation reproduces the training dynamics without any
 //! external ML framework. Every op's backward pass is verified against
 //! central finite differences in the test suite.
+//!
+//! # The tape
+//!
+//! A [`Graph`] records one forward pass. Three rules keep it at the cost
+//! of its arithmetic:
+//!
+//! * **Reuse.** [`Graph::clear`] forgets the pass and keeps its buffers; a
+//!   tape that replays the same network on same-sized inputs stops
+//!   allocating after the first pass. Long-lived callers (an agent
+//!   deciding order after order) keep one tape; a one-off caller may
+//!   still build and drop a fresh one. Results are bit-identical either
+//!   way.
+//! * **Lazy gradients.** A forward pass allocates no gradient. Backward
+//!   creates a node's gradient the first time it adds to it, so
+//!   [`Graph::grad`] is `None` for a node no gradient reached, and
+//!   inference pays nothing for being differentiable.
+//! * **Shared parameters.** [`Graph::param`] takes a reference-counted
+//!   handle to the store's tensor, not a copy. An optimizer step copies a
+//!   parameter only if a tape (or a synced target network) still holds the
+//!   old value — clear the tape before stepping.
+//!
+//! # Neighbourhood attention
+//!
+//! [`Graph::neighbor_attention`] (wrapped by
+//! [`MultiHeadAttention::forward_neighbors`]) is self-attention in which
+//! row `i` attends only to the rows in its list, at `O(K · NE)` cost in
+//! forward and backward. The lists are registered with
+//! [`Graph::neighbor_lists`], which accepts them in any order, with
+//! repeats, and keeps them **sorted and de-duplicated**: the op sums over
+//! neighbours in ascending index order, which is what makes it
+//! bit-identical to the dense formulation (`matmul` → `scale` →
+//! [`Graph::masked_softmax_rows`] → `matmul` under the adjacency mask) it
+//! is tested against. A row's own index must be in its list for it to
+//! attend to itself; an empty list yields a zero row.
 //!
 //! # Example
 //!
@@ -39,7 +73,7 @@ pub mod params;
 pub mod serialize;
 pub mod tensor;
 
-pub use graph::{Graph, Precision, Var};
+pub use graph::{Graph, Neighbors, Var};
 pub use layers::{Linear, Mlp, MultiHeadAttention};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use params::{ParamId, ParamStore};

@@ -1,6 +1,7 @@
 //! Optimizers: SGD and Adam over a [`ParamStore`].
 
 use crate::params::ParamStore;
+use std::sync::Arc;
 
 /// A first-order optimizer: consumes accumulated gradients and updates
 /// parameter values in place, then clears the gradients.
@@ -59,7 +60,8 @@ impl Optimizer for Sgd {
     fn step(&mut self, store: &mut ParamStore) {
         let scale = clip_scale(store, self.clip_norm);
         for p in store.params_mut() {
-            for (w, g) in p.value.data_mut().iter_mut().zip(p.grad.data()) {
+            let value = Arc::make_mut(&mut p.value).data_mut();
+            for (w, g) in value.iter_mut().zip(p.grad.data()) {
                 *w -= self.lr * scale * g;
             }
         }
@@ -109,8 +111,8 @@ impl Optimizer for Adam {
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
         for p in store.params_mut() {
-            let n = p.value.data().len();
-            for i in 0..n {
+            let value = Arc::make_mut(&mut p.value).data_mut();
+            for (i, w) in value.iter_mut().enumerate() {
                 let g = p.grad.data()[i] * scale;
                 let m = self.beta1 * p.m.data()[i] + (1.0 - self.beta1) * g;
                 let v = self.beta2 * p.v.data()[i] + (1.0 - self.beta2) * g * g;
@@ -118,7 +120,7 @@ impl Optimizer for Adam {
                 p.v.data_mut()[i] = v;
                 let m_hat = m / bc1;
                 let v_hat = v / bc2;
-                p.value.data_mut()[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+                *w -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
             }
         }
         store.zero_grads();

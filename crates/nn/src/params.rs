@@ -5,6 +5,7 @@ use crate::init::xavier_uniform;
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Handle to a parameter inside a [`ParamStore`]. The raw index is public
 /// so callers can iterate a store's parameters (e.g. for gradient
@@ -13,9 +14,14 @@ use rand::SeedableRng;
 pub struct ParamId(pub usize);
 
 /// One trainable parameter: value, accumulated gradient, and Adam moments.
+///
+/// The value sits behind an [`Arc`] so a tape's parameter leaves
+/// ([`Graph::param`](crate::Graph::param)) and a synced target network
+/// share it instead of copying it; writers go through [`Arc::make_mut`],
+/// which copies only while someone else still holds the old value.
 #[derive(Debug, Clone)]
 pub(crate) struct Param {
-    pub value: Tensor,
+    pub value: Arc<Tensor>,
     pub grad: Tensor,
     pub m: Tensor,
     pub v: Tensor,
@@ -45,7 +51,7 @@ impl ParamStore {
     pub fn add(&mut self, value: Tensor) -> ParamId {
         let (r, c) = value.shape();
         self.params.push(Param {
-            value,
+            value: Arc::new(value),
             grad: Tensor::zeros(r, c),
             m: Tensor::zeros(r, c),
             v: Tensor::zeros(r, c),
@@ -77,6 +83,11 @@ impl ParamStore {
         &self.params[id.0].value
     }
 
+    /// A shared handle to the current value (what a tape leaf holds).
+    pub(crate) fn shared_value(&self, id: ParamId) -> Arc<Tensor> {
+        Arc::clone(&self.params[id.0].value)
+    }
+
     /// Overwrites the value of a parameter (e.g. target-network sync).
     ///
     /// # Panics
@@ -87,7 +98,7 @@ impl ParamStore {
             value.shape(),
             "set_value shape mismatch"
         );
-        self.params[id.0].value = value;
+        self.params[id.0].value = Arc::new(value);
     }
 
     /// The accumulated gradient of a parameter.
@@ -103,8 +114,7 @@ impl ParamStore {
     /// Zeroes all accumulated gradients.
     pub fn zero_grads(&mut self) {
         for p in &mut self.params {
-            let (r, c) = p.value.shape();
-            p.grad = Tensor::zeros(r, c);
+            p.grad.data_mut().fill(0.0);
         }
     }
 
@@ -143,7 +153,7 @@ impl ParamStore {
                 src.value.shape(),
                 "parameter shape mismatch"
             );
-            dst.value = src.value.clone();
+            dst.value = Arc::clone(&src.value);
         }
     }
 

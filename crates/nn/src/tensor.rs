@@ -1,6 +1,5 @@
 //! Dense row-major 2-D tensors.
 
-use dpdp_pool::ThreadPool;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -115,6 +114,11 @@ impl Tensor {
         &mut self.data
     }
 
+    /// Consumes the tensor, returning its row-major buffer.
+    pub(crate) fn into_data(self) -> Vec<f64> {
+        self.data
+    }
+
     /// One row as a slice.
     #[inline]
     pub fn row(&self, r: usize) -> &[f64] {
@@ -131,21 +135,48 @@ impl Tensor {
         self.data[0]
     }
 
-    /// The matmul kernel for output rows `[r0, r1)`, written into `block`
-    /// (a zeroed `(r1 - r0) x other.cols` slice). The **single** source of
-    /// the accumulation order: both [`Tensor::matmul`] and
-    /// [`Tensor::matmul_pooled`] delegate here, so the serial and
-    /// chunk-parallel products cannot drift apart bitwise.
-    fn matmul_rows(&self, other: &Tensor, r0: usize, r1: usize, block: &mut [f64]) {
+    /// Matrix product `self @ other`.
+    ///
+    /// # Panics
+    /// Panics if inner dimensions disagree.
+    pub fn matmul(&self, other: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(self.rows, other.cols);
+        self.matmul_into(other, &mut out.data);
+        out
+    }
+
+    /// Accumulates `self @ other` into `out`, a zeroed row-major
+    /// `self.rows x other.cols` slice. The **single** source of the
+    /// matmul accumulation order: [`Tensor::matmul`] and every matmul on a
+    /// [`Graph`](crate::Graph) tape (forward and backward) run this loop —
+    /// `k` ascending per output element, exact-zero left-hand entries
+    /// skipped — which the sparse neighbourhood-attention op reproduces
+    /// entry by entry.
+    ///
+    /// # Panics
+    /// Panics if inner dimensions or the length of `out` disagree.
+    pub(crate) fn matmul_into(&self, other: &Tensor, out: &mut [f64]) {
+        assert_eq!(
+            self.cols,
+            other.rows,
+            "matmul shape mismatch: {:?} @ {:?}",
+            self.shape(),
+            other.shape()
+        );
         let n = other.cols;
-        for i in r0..r1 {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
+        assert_eq!(out.len(), self.rows * n, "matmul output length");
+        if self.cols == 0 || n == 0 {
+            return;
+        }
+        for (row_a, row_o) in self
+            .data
+            .chunks_exact(self.cols)
+            .zip(out.chunks_exact_mut(n))
+        {
+            for (&a, row_b) in row_a.iter().zip(other.data.chunks_exact(n)) {
                 if a == 0.0 {
                     continue;
                 }
-                let row_b = &other.data[k * n..(k + 1) * n];
-                let row_o = &mut block[(i - r0) * n..(i - r0 + 1) * n];
                 for (o, b) in row_o.iter_mut().zip(row_b) {
                     *o += a * b;
                 }
@@ -153,138 +184,50 @@ impl Tensor {
         }
     }
 
-    /// Matrix product `self @ other`.
-    ///
-    /// # Panics
-    /// Panics if inner dimensions disagree.
-    pub fn matmul(&self, other: &Tensor) -> Tensor {
-        assert_eq!(
-            self.cols,
-            other.rows,
-            "matmul shape mismatch: {:?} @ {:?}",
-            self.shape(),
-            other.shape()
-        );
-        let mut out = Tensor::zeros(self.rows, other.cols);
-        self.matmul_rows(other, 0, self.rows, &mut out.data);
-        out
-    }
-
-    /// Matrix product `self @ other`, evaluated across `pool`'s threads in
-    /// row chunks. Every chunk runs the very same row kernel as
-    /// [`Tensor::matmul`] (the private `matmul_rows` is shared), so the
-    /// result is **bit-identical to the serial product for any thread
-    /// count**. Falls back to the serial kernel on a width-1 pool or a
-    /// small left-hand side.
-    ///
-    /// # Panics
-    /// Panics if inner dimensions disagree.
-    pub fn matmul_pooled(&self, other: &Tensor, pool: &ThreadPool) -> Tensor {
-        const MIN_PARALLEL_ROWS: usize = 16;
-        if !pool.is_parallel() || self.rows < MIN_PARALLEL_ROWS {
-            return self.matmul(other);
+    /// Accumulates `selfᵀ @ other` into `out` (a zeroed
+    /// `self.cols x other.cols` slice) without materialising the
+    /// transpose: a sum of row outer products, which visits every output
+    /// element's terms in the same order (`self`'s rows ascending, exact
+    /// zeros skipped) as `self.transpose().matmul(other)` — bit-identical,
+    /// one pass over contiguous rows.
+    pub(crate) fn matmul_tn_into(&self, other: &Tensor, out: &mut [f64]) {
+        assert_eq!(self.rows, other.rows, "matmul_tn shape mismatch");
+        let n = other.cols;
+        assert_eq!(out.len(), self.cols * n, "matmul_tn output length");
+        if self.cols == 0 || n == 0 {
+            return;
         }
-        assert_eq!(
-            self.cols,
-            other.rows,
-            "matmul shape mismatch: {:?} @ {:?}",
-            self.shape(),
-            other.shape()
-        );
-        let n = other.cols;
-        let chunk = self.rows.div_ceil((pool.threads() * 4).min(self.rows));
-        let mut out = Tensor::zeros(self.rows, n);
-        // Each task writes its disjoint row range of the output in place —
-        // no per-chunk buffers or final copy.
-        pool.scope(|s| {
-            for (ci, block) in out.data.chunks_mut(chunk * n).enumerate() {
-                let r0 = ci * chunk;
-                let r1 = (r0 + chunk).min(self.rows);
-                s.spawn(move || self.matmul_rows(other, r0, r1, block));
+        for (row_a, row_b) in self
+            .data
+            .chunks_exact(self.cols)
+            .zip(other.data.chunks_exact(n))
+        {
+            for (&a, row_o) in row_a.iter().zip(out.chunks_exact_mut(n)) {
+                if a == 0.0 {
+                    continue;
+                }
+                for (o, b) in row_o.iter_mut().zip(row_b) {
+                    *o += a * b;
+                }
             }
-        });
-        out
-    }
-
-    /// Row-major copy of the data demoted to `f32`.
-    fn to_f32(&self) -> Vec<f32> {
-        self.data.iter().map(|&x| x as f32).collect()
-    }
-
-    /// Matrix product `self @ other` computed **entirely in `f32`**:
-    /// inputs are demoted once, accumulation runs in single precision, and
-    /// the result is widened back to `f64`. Roughly halves the memory
-    /// traffic of the f64 kernel on large inference batches.
-    ///
-    /// This is an *approximate* product — each element differs from
-    /// [`Tensor::matmul`] by O(2⁻²⁴) relative error per accumulation step.
-    /// It is deterministic (fixed loop order, no FMA contraction), but it
-    /// is **not** interchangeable with the f64 kernel on any parity-gated
-    /// path; see [`crate::Precision`] for the opt-in contract.
-    ///
-    /// # Panics
-    /// Panics if inner dimensions disagree.
-    pub fn matmul_f32(&self, other: &Tensor) -> Tensor {
-        assert_eq!(
-            self.cols,
-            other.rows,
-            "matmul shape mismatch: {:?} @ {:?}",
-            self.shape(),
-            other.shape()
-        );
-        let a = self.to_f32();
-        let b = other.to_f32();
-        let n = other.cols;
-        let mut out = vec![0f32; self.rows * n];
-        matmul_rows_f32(&a, self.cols, &b, n, 0, self.rows, &mut out);
-        Tensor::from_vec(self.rows, n, out.iter().map(|&x| x as f64).collect())
-    }
-
-    /// [`Tensor::matmul_f32`] evaluated across `pool`'s threads in row
-    /// chunks. Every chunk runs the same f32 row kernel, so the result is
-    /// **bit-identical to the serial f32 product for any thread count** —
-    /// the determinism guarantee of [`Tensor::matmul_pooled`] carries over
-    /// to the reduced-precision path unchanged. Falls back to the serial
-    /// f32 kernel on a width-1 pool or a small left-hand side.
-    ///
-    /// # Panics
-    /// Panics if inner dimensions disagree.
-    pub fn matmul_f32_pooled(&self, other: &Tensor, pool: &ThreadPool) -> Tensor {
-        const MIN_PARALLEL_ROWS: usize = 16;
-        if !pool.is_parallel() || self.rows < MIN_PARALLEL_ROWS {
-            return self.matmul_f32(other);
         }
-        assert_eq!(
-            self.cols,
-            other.rows,
-            "matmul shape mismatch: {:?} @ {:?}",
-            self.shape(),
-            other.shape()
-        );
-        let a = self.to_f32();
-        let b = other.to_f32();
-        let n = other.cols;
-        let chunk = self.rows.div_ceil((pool.threads() * 4).min(self.rows));
-        let mut out = vec![0f32; self.rows * n];
-        let (a_ref, b_ref) = (&a, &b);
-        pool.scope(|s| {
-            for (ci, block) in out.chunks_mut(chunk * n).enumerate() {
-                let r0 = ci * chunk;
-                let r1 = (r0 + chunk).min(self.rows);
-                s.spawn(move || matmul_rows_f32(a_ref, self.cols, b_ref, n, r0, r1, block));
+    }
+
+    /// Writes the transpose of `self` into `out` (`self.cols x self.rows`,
+    /// row-major).
+    pub(crate) fn transpose_into(&self, out: &mut [f64]) {
+        assert_eq!(out.len(), self.data.len(), "transpose output length");
+        for r in 0..self.rows {
+            for c in 0..self.cols {
+                out[c * self.rows + r] = self.data[r * self.cols + c];
             }
-        });
-        Tensor::from_vec(self.rows, n, out.iter().map(|&x| x as f64).collect())
+        }
     }
 
     /// Transposed copy.
     pub fn transpose(&self) -> Tensor {
         let mut out = Tensor::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
-            }
-        }
+        self.transpose_into(&mut out.data);
         out
     }
 
@@ -331,27 +274,6 @@ impl Tensor {
             .zip(&other.data)
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max)
-    }
-}
-
-/// The f32 matmul kernel for output rows `[r0, r1)` of `a @ b`, written
-/// into `block`. The **single** source of the f32 accumulation order:
-/// [`Tensor::matmul_f32`] and [`Tensor::matmul_f32_pooled`] both delegate
-/// here, mirroring how the f64 pair shares `matmul_rows` — so the serial
-/// and chunk-parallel f32 products cannot drift apart bitwise.
-fn matmul_rows_f32(a: &[f32], a_cols: usize, b: &[f32], n: usize, r0: usize, r1: usize, block: &mut [f32]) {
-    for i in r0..r1 {
-        for k in 0..a_cols {
-            let av = a[i * a_cols + k];
-            if av == 0.0 {
-                continue;
-            }
-            let row_b = &b[k * n..(k + 1) * n];
-            let row_o = &mut block[(i - r0) * n..(i - r0 + 1) * n];
-            for (o, bv) in row_o.iter_mut().zip(row_b) {
-                *o += av * bv;
-            }
-        }
     }
 }
 
@@ -405,88 +327,6 @@ mod tests {
         let r = Tensor::from_rows(&[&[1.0, 0.0, 2.0]]);
         let s = Tensor::from_rows(&[&[1.0], &[1.0], &[1.0]]);
         assert_eq!(r.matmul(&s).item(), 3.0);
-    }
-
-    #[test]
-    fn matmul_pooled_is_bit_identical_to_serial() {
-        // Awkward sizes around the chunk boundaries, values whose products
-        // are not exactly representable — the parallel kernel must still
-        // agree bit for bit because each row keeps the serial loop order.
-        let a = Tensor::from_vec(
-            37,
-            19,
-            (0..37 * 19)
-                .map(|i| ((i as f64) * 0.37).sin() / 3.0)
-                .collect(),
-        );
-        let b = Tensor::from_vec(
-            19,
-            23,
-            (0..19 * 23)
-                .map(|i| ((i as f64) * 0.73).cos() / 7.0)
-                .collect(),
-        );
-        let serial = a.matmul(&b);
-        for threads in [1, 2, 4] {
-            let pool = dpdp_pool::ThreadPool::new(threads);
-            let pooled = a.matmul_pooled(&b, &pool);
-            assert!(
-                serial.data() == pooled.data(),
-                "pooled matmul diverged at width {threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn matmul_f32_tracks_f64_within_tolerance() {
-        let a = Tensor::from_vec(
-            23,
-            17,
-            (0..23 * 17)
-                .map(|i| ((i as f64) * 0.41).sin() * 2.0)
-                .collect(),
-        );
-        let b = Tensor::from_vec(
-            17,
-            29,
-            (0..17 * 29)
-                .map(|i| ((i as f64) * 0.59).cos() * 1.5)
-                .collect(),
-        );
-        let exact = a.matmul(&b);
-        let approx = a.matmul_f32(&b);
-        assert_eq!(exact.shape(), approx.shape());
-        // 17 accumulation steps of O(1) magnitudes: well inside a 1e-4
-        // absolute band, but never exactly equal on non-trivial inputs.
-        assert!(exact.max_abs_diff(&approx) < 1e-4);
-        assert!(exact.max_abs_diff(&approx) > 0.0);
-    }
-
-    #[test]
-    fn matmul_f32_pooled_is_bit_identical_to_serial_f32() {
-        let a = Tensor::from_vec(
-            37,
-            19,
-            (0..37 * 19)
-                .map(|i| ((i as f64) * 0.37).sin() / 3.0)
-                .collect(),
-        );
-        let b = Tensor::from_vec(
-            19,
-            23,
-            (0..19 * 23)
-                .map(|i| ((i as f64) * 0.73).cos() / 7.0)
-                .collect(),
-        );
-        let serial = a.matmul_f32(&b);
-        for threads in [1, 2, 4] {
-            let pool = dpdp_pool::ThreadPool::new(threads);
-            let pooled = a.matmul_f32_pooled(&b, &pool);
-            assert!(
-                serial.data() == pooled.data(),
-                "pooled f32 matmul diverged at width {threads}"
-            );
-        }
     }
 
     #[test]

@@ -1,0 +1,181 @@
+//! The fused neighbourhood-attention op against the dense composition it
+//! replaced, and tape reuse against fresh tapes — both bit for bit.
+
+use dpdp_nn::{Graph, Mlp, MultiHeadAttention, ParamStore, Tensor, Var};
+
+/// A small deterministic generator (the tests need reproducible noise,
+/// not quality).
+struct Lcg(u64);
+
+impl Lcg {
+    fn next(&mut self) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        self.0 >> 33
+    }
+
+    /// Values in `[-1, 1)`, about one in six exactly zero (post-ReLU
+    /// activations are, and the kernels skip them).
+    fn tensor(&mut self, rows: usize, cols: usize) -> Tensor {
+        let data = (0..rows * cols)
+            .map(|_| match self.next() % 6 {
+                0 => 0.0,
+                _ => (self.next() % 2000) as f64 / 1000.0 - 1.0,
+            })
+            .collect();
+        Tensor::from_vec(rows, cols, data)
+    }
+}
+
+/// The pre-fusion attention core: per head, `K x K` scores, scale, masked
+/// softmax under the adjacency mask, weighted values; heads concatenated.
+fn dense_attention(g: &mut Graph, q: Var, k: Var, v: Var, heads: usize, mask: &Tensor) -> Var {
+    let dk = g.value(q).cols() / heads;
+    let scale = 1.0 / (dk as f64).sqrt();
+    let outputs: Vec<Var> = (0..heads)
+        .map(|h| {
+            let qh = g.slice_cols(q, h * dk, dk);
+            let kh = g.slice_cols(k, h * dk, dk);
+            let vh = g.slice_cols(v, h * dk, dk);
+            let kt = g.transpose(kh);
+            let scores = g.matmul(qh, kt);
+            let scaled = g.scale(scores, scale);
+            let attn = g.masked_softmax_rows(scaled, mask);
+            g.matmul(attn, vh)
+        })
+        .collect();
+    g.concat_cols(&outputs)
+}
+
+fn bits(t: &Tensor) -> Vec<u64> {
+    t.data().iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn sparse_attention_is_bit_identical_to_the_dense_composition() {
+    let mut rng = Lcg(0x5EED_0001);
+    for (rows, d, heads) in [(1, 4, 2), (3, 4, 1), (3, 8, 4), (50, 32, 4), (100, 32, 4)] {
+        for density in [2, 5, 11] {
+            let (qt, kt, vt) = (
+                rng.tensor(rows, d),
+                rng.tensor(rows, d),
+                rng.tensor(rows, d),
+            );
+            let weights = rng.tensor(rows, d);
+            // Random adjacency (some rows empty), handed over as unsorted
+            // lists with repeats.
+            let mut mask = Tensor::zeros(rows, rows);
+            let lists: Vec<Vec<usize>> = (0..rows)
+                .map(|r| {
+                    let picks = rng.next() as usize % density;
+                    let mut list: Vec<usize> =
+                        (0..picks).map(|_| rng.next() as usize % rows).collect();
+                    if let Some(&again) = list.first() {
+                        list.push(again);
+                    }
+                    for &c in &list {
+                        *mask.get_mut(r, c) = 1.0;
+                    }
+                    list
+                })
+                .collect();
+
+            let run = |dense: bool| {
+                let mut g = Graph::new();
+                let (q, k, v) = (g.constant(&qt), g.constant(&kt), g.constant(&vt));
+                let out = if dense {
+                    dense_attention(&mut g, q, k, v, heads, &mask)
+                } else {
+                    let lists = g.neighbor_lists(lists.iter().map(|l| l.iter().copied()));
+                    g.neighbor_attention(q, k, v, heads, lists)
+                };
+                let w = g.constant(&weights);
+                let prod = g.mul(out, w);
+                let loss = g.sum_all(prod);
+                g.backward_graph_only(loss);
+                let grads = [q, k, v].map(|x| match g.grad(x) {
+                    Some(grad) => grad.clone(),
+                    None => Tensor::zeros(rows, d),
+                });
+                (g.value(out).clone(), grads)
+            };
+            let (dense_out, dense_grads) = run(true);
+            let (sparse_out, sparse_grads) = run(false);
+            assert_eq!(
+                bits(&dense_out),
+                bits(&sparse_out),
+                "forward, K={rows} d={d} heads={heads}"
+            );
+            // Gradients sum the same terms in the same order; the dense
+            // path also adds the masked entries' exact zeros, which can
+            // only turn a -0.0 into +0.0 — hence `==`, not `to_bits`.
+            for (dense, sparse) in dense_grads.iter().zip(&sparse_grads) {
+                assert!(
+                    dense.data() == sparse.data(),
+                    "backward, K={rows} d={d} heads={heads}"
+                );
+            }
+        }
+    }
+}
+
+/// One training-shaped pass of a small attention network: values of the
+/// output and the gradient of every parameter, as bit patterns.
+fn network_pass(
+    g: &mut Graph,
+    layers: &(Mlp, MultiHeadAttention, Mlp),
+    store: &ParamStore,
+    x: &Tensor,
+    lists: &[Vec<usize>],
+) -> (Vec<u64>, Vec<Vec<u64>>) {
+    let mut store = store.clone();
+    let (embed, attention, head) = layers;
+    let xv = g.constant(x);
+    let h0 = embed.forward(g, &store, xv);
+    let lists = g.neighbor_lists(lists.iter().map(|l| l.iter().copied()));
+    let mixed = attention.forward_neighbors(g, &store, h0, lists);
+    let top = g.relu(mixed);
+    let both = g.concat_cols(&[h0, top]);
+    let out = head.forward(g, &store, both);
+    let picked = g.gather_rows(out, &[x.rows() - 1]);
+    let target = g.constant(Tensor::scalar(0.25));
+    let loss = g.mse(picked, target);
+    g.backward(loss, &mut store);
+    let grads = (0..store.len())
+        .map(|i| bits(store.grad(dpdp_nn::ParamId(i))))
+        .collect();
+    (bits(g.value(out)), grads)
+}
+
+/// Reusing a tape must be invisible: a tape dirtied by passes of other
+/// shapes, then cleared, yields the same values and parameter gradients,
+/// bit for bit, as a fresh one.
+#[test]
+fn cleared_and_reused_tape_is_bit_identical_to_fresh() {
+    let mut rng = Lcg(0x5EED_0002);
+    let mut store = ParamStore::new(11);
+    let layers = (
+        Mlp::new(&mut store, &[5, 8, 8]),
+        MultiHeadAttention::new(&mut store, 8, 2),
+        Mlp::new(&mut store, &[16, 8, 1]),
+    );
+    let ring = |k: usize| -> Vec<Vec<usize>> {
+        (0..k).map(|r| vec![r, (r + 1) % k, (r + 3) % k]).collect()
+    };
+    let (small, large) = (rng.tensor(4, 5), rng.tensor(9, 5));
+    let fresh_small = network_pass(&mut Graph::new(), &layers, &store, &small, &ring(4));
+    let fresh_large = network_pass(&mut Graph::new(), &layers, &store, &large, &ring(9));
+
+    let mut tape = Graph::new();
+    for _ in 0..2 {
+        tape.clear();
+        assert!(tape.is_empty());
+        let reused = network_pass(&mut tape, &layers, &store, &large, &ring(9));
+        assert_eq!(reused, fresh_large);
+        tape.clear();
+        let reused = network_pass(&mut tape, &layers, &store, &small, &ring(4));
+        assert_eq!(reused, fresh_small);
+    }
+}

@@ -18,7 +18,10 @@ fn fd_check(
     let mut g = Graph::new();
     let (input_var, loss) = build(&mut g, input);
     g.backward_graph_only(loss);
-    let analytic = g.grad(input_var).clone();
+    let analytic = g
+        .grad(input_var)
+        .ok_or("no gradient reached the input")?
+        .clone();
     let eps = 1e-6;
     for r in 0..input.rows() {
         for c in 0..input.cols() {

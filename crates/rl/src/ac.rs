@@ -10,7 +10,7 @@ use crate::reward::{instant_reward, long_term_reward, RewardParams};
 use crate::state::{StateBuilder, StateSnapshot, STATE_DIM};
 use dpdp_net::{Instance, VehicleId};
 use dpdp_nn::{Adam, Graph, Mlp, Optimizer, ParamStore, Tensor};
-use dpdp_sim::{Decision, DecisionBatch, DispatchContext, Dispatcher};
+use dpdp_sim::{DispatchContext, Dispatcher};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -130,7 +130,7 @@ impl ActorCriticAgent {
             return (feasible, Vec::new());
         }
         let mut g = Graph::new();
-        let x = g.constant(snap.features.clone());
+        let x = g.constant(&snap.features);
         let logits = self.actor.forward(&mut g, &self.actor_params, x); // K x 1
         let picked = g.gather_rows(logits, &feasible); // F x 1
         let row = g.transpose(picked); // 1 x F
@@ -138,49 +138,7 @@ impl ActorCriticAgent {
         (feasible, g.value(probs).row(0).to_vec())
     }
 
-    /// Actor logits for many joint states in one forward pass (the actor is
-    /// a per-vehicle MLP, so stacking rows is exact; the pool chunks its
-    /// matmuls row-wise, which cannot change the values). Returns one logit
-    /// per vehicle per snapshot.
-    fn logits_batch(
-        &self,
-        snaps: &[StateSnapshot],
-        pool: &std::sync::Arc<dpdp_pool::ThreadPool>,
-    ) -> Vec<Vec<f64>> {
-        let (features, offsets) = crate::batch_dispatch::stack_features(snaps);
-        let mut g = Graph::with_pool(std::sync::Arc::clone(pool));
-        let x = g.constant(features);
-        let logits = self.actor.forward(&mut g, &self.actor_params, x);
-        let values = g.value(logits);
-        snaps
-            .iter()
-            .zip(&offsets)
-            .map(|(snap, &base)| {
-                (0..snap.num_vehicles())
-                    .map(|r| values.get(base + r, 0))
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Policy probabilities from precomputed logits, replicating the
-    /// graph-side masked softmax bit for bit (gather feasible ascending,
-    /// max-subtract, exponentiate, normalise).
-    fn policy_from_logits(snap: &StateSnapshot, logits: &[f64]) -> (Vec<usize>, Vec<f64>) {
-        let feasible: Vec<usize> = (0..snap.num_vehicles())
-            .filter(|&i| snap.feasible[i])
-            .collect();
-        if feasible.is_empty() {
-            return (feasible, Vec::new());
-        }
-        let picked: Vec<f64> = feasible.iter().map(|&i| logits[i]).collect();
-        let max = picked.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let exps: Vec<f64> = picked.iter().map(|&x| (x - max).exp()).collect();
-        let sum: f64 = exps.iter().sum();
-        (feasible, exps.iter().map(|&e| e / sum).collect())
-    }
-
-    /// The shared per-order decision body: sample (training) or argmax
+    /// The per-order decision body: sample (training) or argmax
     /// (evaluation) over the feasible policy, account the reward, and
     /// extend the on-policy trajectory.
     fn decide_one(
@@ -241,7 +199,7 @@ impl ActorCriticAgent {
             return 0.0;
         }
         let mut g = Graph::new();
-        let x = g.constant(snap.features.clone());
+        let x = g.constant(&snap.features);
         let v = self.critic.forward(&mut g, &self.critic_params, x);
         let picked = g.gather_rows(v, &feasible);
         let pooled = g.mean_all(picked);
@@ -275,7 +233,7 @@ impl ActorCriticAgent {
                 .expect("chosen action was feasible");
             // Actor: minimise -log pi(a|S) * advantage.
             let mut g = Graph::new();
-            let x = g.constant(step.snap.features.clone());
+            let x = g.constant(&step.snap.features);
             let logits = self.actor.forward(&mut g, &self.actor_params, x);
             let picked = g.gather_rows(logits, &feasible);
             let row = g.transpose(picked);
@@ -286,7 +244,7 @@ impl ActorCriticAgent {
             g.backward(loss, &mut self.actor_params);
             // Critic: minimise (V(S) - G)^2.
             let mut gc = Graph::new();
-            let xc = gc.constant(step.snap.features.clone());
+            let xc = gc.constant(&step.snap.features);
             let v = self.critic.forward(&mut gc, &self.critic_params, xc);
             let picked_v = gc.gather_rows(v, &feasible);
             let pooled = gc.mean_all(picked_v);
@@ -298,36 +256,6 @@ impl ActorCriticAgent {
         self.actor_opt.step(&mut self.actor_params);
         self.critic_opt.step(&mut self.critic_params);
         self.trajectory.clear();
-    }
-}
-
-impl crate::batch_dispatch::BatchScoredPolicy for ActorCriticAgent {
-    /// Per-vehicle actor logits.
-    type Scores = Vec<f64>;
-
-    fn build_snapshot(&self, ctx: &DispatchContext<'_>) -> StateSnapshot {
-        self.state_builder.build(ctx)
-    }
-
-    fn score_batch(
-        &self,
-        snaps: &[StateSnapshot],
-        pool: &std::sync::Arc<dpdp_pool::ThreadPool>,
-    ) -> Vec<Vec<f64>> {
-        self.logits_batch(snaps, pool)
-    }
-
-    fn decide(
-        &mut self,
-        ctx: &DispatchContext<'_>,
-        snap: StateSnapshot,
-        precomputed: Option<&Vec<f64>>,
-    ) -> Option<usize> {
-        let (feasible, probs) = match precomputed {
-            Some(logits) => Self::policy_from_logits(&snap, logits),
-            None => self.policy(&snap),
-        };
-        self.decide_one(ctx, snap, feasible, probs)
     }
 }
 
@@ -346,15 +274,6 @@ impl Dispatcher for ActorCriticAgent {
         let (feasible, probs) = self.policy(&snap);
         self.decide_one(ctx, snap, feasible, probs)
             .map(VehicleId::from_index)
-    }
-
-    /// Batch-native dispatch: one actor forward pass scores every order of
-    /// the epoch against the shared snapshot; orders commit sequentially
-    /// and fall back to fresh evaluation once an assignment perturbs the
-    /// snapshot, keeping the decision stream identical to the per-order
-    /// path.
-    fn dispatch_batch(&mut self, batch: &DecisionBatch<'_>) -> Vec<Decision> {
-        crate::batch_dispatch::dispatch_batch_scored(self, batch)
     }
 
     fn end_episode(&mut self) {

@@ -8,26 +8,49 @@ use dpdp_net::RoadNetwork;
 use dpdp_routing::VehicleView;
 
 /// For each vehicle, the indices of its `ne` nearest vehicles (by Euclidean
-/// distance between anchor-node positions), **including itself first**.
-/// Every list has length `min(ne, K)`.
+/// distance between anchor-node positions), **including itself first**;
+/// the others follow by distance, ties by index. Every list has length
+/// `min(ne, K)`.
+///
+/// Vehicles anchored on one node see the same fleet at the same distances,
+/// so the fleet is ranked once per occupied node: one row of distances and
+/// a top-`ne` insertion (one comparison per vehicle once the list has
+/// settled), never a sort of the fleet.
 pub fn nearest_neighbors(views: &[VehicleView], net: &RoadNetwork, ne: usize) -> Vec<Vec<usize>> {
     let k = views.len();
     let take = ne.min(k);
     let positions: Vec<_> = views.iter().map(|v| net.node(v.anchor_node).pos).collect();
+    let mut dist = vec![0.0; k];
+    // Per node, the `take` vehicles nearest to it, by distance then index.
+    let mut ranked: Vec<Option<Vec<usize>>> = vec![None; net.num_nodes()];
     (0..k)
         .map(|i| {
-            let mut by_dist: Vec<usize> = (0..k).collect();
-            by_dist.sort_by(|&a, &b| {
-                // Self always sorts first (distance 0 and tie-break by index
-                // equality), then by distance, then by index for determinism.
-                let da = positions[i].distance(&positions[a]) + if a == i { -1.0 } else { 0.0 };
-                let db = positions[i].distance(&positions[b]) + if b == i { -1.0 } else { 0.0 };
-                da.partial_cmp(&db)
-                    .expect("distances are finite")
-                    .then(a.cmp(&b))
+            let nearest = ranked[views[i].anchor_node.index()].get_or_insert_with(|| {
+                for (d, p) in dist.iter_mut().zip(&positions) {
+                    *d = positions[i].distance(p);
+                }
+                let mut nearest: Vec<usize> = Vec::with_capacity(take);
+                for a in 0..k {
+                    // Candidates come in index order, so among equal
+                    // distances the lower index already sits ahead: `a`
+                    // goes in front of the strictly farther ones only.
+                    let mut slot = nearest.len();
+                    while slot > 0 && dist[nearest[slot - 1]].total_cmp(&dist[a]).is_gt() {
+                        slot -= 1;
+                    }
+                    if slot < take {
+                        nearest.truncate(take - 1);
+                        nearest.insert(slot, a);
+                    }
+                }
+                nearest
             });
-            by_dist.truncate(take);
-            by_dist
+            // `i` is among its own node's nearest unless `take` others
+            // share the node; either way it goes first and `take` remain.
+            let others = nearest.iter().copied().filter(|&a| a != i);
+            let mut list = Vec::with_capacity(take);
+            list.extend(std::iter::once(i).chain(others).take(take));
+            list
         })
         .collect()
 }

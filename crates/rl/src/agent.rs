@@ -1,7 +1,7 @@
 //! The DQN-family dispatching agent: DQN / DDQN / DGN / DDGN and their
 //! ST-aided variants, trained per Algorithm 3.
 
-use crate::qnet::{QNetwork, QNetworkConfig};
+use crate::qnet::{best_feasible, QNetwork, QNetworkConfig};
 use crate::replay::ReplayBuffer;
 use crate::reward::{instant_reward, long_term_reward, RewardParams};
 use crate::schedule::EpsilonSchedule;
@@ -9,7 +9,7 @@ use crate::state::{StateBuilder, StateSnapshot};
 use dpdp_data::{StScorer, StdMatrix};
 use dpdp_net::{Instance, VehicleId};
 use dpdp_nn::{Adam, Graph, Optimizer, ParamStore, Tensor};
-use dpdp_sim::{Decision, DecisionBatch, DispatchContext, Dispatcher};
+use dpdp_sim::{DispatchContext, Dispatcher};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -137,6 +137,10 @@ pub struct DqnAgent {
     online: ParamStore,
     target: ParamStore,
     optimizer: Adam,
+    /// The one tape every forward of this agent is recorded on (dispatch,
+    /// TD targets, training steps), cleared between uses so its buffers
+    /// are recycled.
+    tape: Graph,
     replay: ReplayBuffer<Transition>,
     state_builder: StateBuilder,
     rng: StdRng,
@@ -189,6 +193,7 @@ impl DqnAgent {
             online,
             target,
             optimizer,
+            tape: Graph::new(),
             replay,
             state_builder,
             rng,
@@ -209,7 +214,8 @@ impl DqnAgent {
     }
 
     /// Enables/disables learning and exploration. In evaluation mode the
-    /// agent acts greedily and does not update weights.
+    /// agent acts greedily and learns nothing: no transition is recorded,
+    /// the replay memory and the weights stay as they are.
     pub fn set_training(&mut self, training: bool) {
         self.training = training;
     }
@@ -253,69 +259,23 @@ impl DqnAgent {
         }
     }
 
-    /// Epsilon-greedy action choice. When `precomputed` Q-values are given
-    /// (from a batched epoch forward) the greedy branch uses them instead
-    /// of running a fresh forward pass; both paths are bit-identical.
-    fn choose_action(
-        &mut self,
-        snap: &StateSnapshot,
-        precomputed: Option<&[f64]>,
-    ) -> Option<usize> {
-        let feasible: Vec<usize> = (0..snap.num_vehicles())
-            .filter(|&i| snap.feasible[i])
-            .collect();
-        if feasible.is_empty() {
+    /// Epsilon-greedy action choice.
+    fn choose_action(&mut self, snap: &StateSnapshot) -> Option<usize> {
+        let feasible = snap.feasible.iter().filter(|&&f| f).count();
+        if feasible == 0 {
             return None;
         }
         if self.rng.random_range(0.0..1.0) < self.epsilon() {
-            let pick = self.rng.random_range(0..feasible.len());
-            return Some(feasible[pick]);
+            let pick = self.rng.random_range(0..feasible);
+            return (0..snap.num_vehicles())
+                .filter(|&i| snap.feasible[i])
+                .nth(pick);
         }
-        match precomputed {
-            Some(q) => {
-                let mut best: Option<(usize, f64)> = None;
-                for &i in &feasible {
-                    if best.is_none_or(|(_, b)| q[i] > b) {
-                        best = Some((i, q[i]));
-                    }
-                }
-                best.map(|(i, _)| i)
-            }
-            None => self.qnet.greedy_action(&self.online, snap),
-        }
+        let q = self.qnet.q_values_on(&mut self.tape, &self.online, snap);
+        best_feasible(&q, &snap.feasible)
     }
 
-    /// The shared per-order decision body: choose, account the reward, and
-    /// chain the MDP transition. `snap` must describe `ctx`, and
-    /// `precomputed` (if any) must be `snap`'s Q-values.
-    fn decide_one(
-        &mut self,
-        ctx: &DispatchContext<'_>,
-        snap: StateSnapshot,
-        precomputed: Option<&[f64]>,
-    ) -> Option<usize> {
-        let action = self.choose_action(&snap, precomputed)?;
-        let plan = &ctx.plans[action];
-        let delta = plan
-            .incremental_length()
-            .expect("chosen action is feasible");
-        let r = instant_reward(&self.reward_params, ctx.views[action].used, delta);
-        self.close_last(Some((&snap, ctx.interval)));
-        self.last = Some((snap, action, r, ctx.interval));
-        self.episode_instant_rewards.push(r);
-        Some(action)
-    }
-
-    /// Best feasible Q-value of a snapshot under the given parameters.
-    fn max_q(&self, store: &ParamStore, snap: &StateSnapshot) -> Option<f64> {
-        let q = self.qnet.q_values(store, snap);
-        (0..q.len())
-            .filter(|&i| snap.feasible[i])
-            .map(|i| q[i])
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
-    }
-
-    fn td_target(&self, t: &Transition) -> f64 {
+    fn td_target(&mut self, t: &Transition) -> f64 {
         if t.terminal {
             return t.reward;
         }
@@ -324,16 +284,16 @@ impl DqnAgent {
             return t.reward;
         }
         let (double, _, _) = self.config.kind.flags();
-        let bootstrap = if double {
+        let q_target = if double {
             // DDQN: argmax under the online network, value under the target.
-            match self.qnet.greedy_action(&self.online, next) {
-                Some(a_star) => self.qnet.q_values(&self.target, next)[a_star],
-                None => 0.0,
-            }
+            let q_online = self.qnet.q_values_on(&mut self.tape, &self.online, next);
+            best_feasible(&q_online, &next.feasible)
+                .map(|a_star| self.qnet.q_values_on(&mut self.tape, &self.target, next)[a_star])
         } else {
-            self.max_q(&self.target, next).unwrap_or(0.0)
+            let q = self.qnet.q_values_on(&mut self.tape, &self.target, next);
+            best_feasible(&q, &next.feasible).map(|a_star| q[a_star])
         };
-        t.reward + self.config.gamma * bootstrap
+        t.reward + self.config.gamma * q_target.unwrap_or(0.0)
     }
 
     fn train_step(&mut self) -> Option<f64> {
@@ -351,8 +311,9 @@ impl DqnAgent {
         let mut total = 0.0;
         for t in &batch {
             let y = self.td_target(t);
-            let mut g = Graph::new();
-            let q_all = self.qnet.forward(&mut g, &self.online, &t.state);
+            let g = &mut self.tape;
+            g.clear();
+            let q_all = self.qnet.forward(g, &self.online, &t.state);
             let q_sa = g.gather_rows(q_all, &[t.action]);
             let target = g.constant(Tensor::scalar(y));
             let err = g.mse(q_sa, target);
@@ -360,6 +321,9 @@ impl DqnAgent {
             let scaled = g.scale(err, 1.0 / b);
             g.backward(scaled, &mut self.online);
         }
+        // Let go of the parameter leaves first: the optimizer updates in
+        // place only what nobody else still holds.
+        self.tape.clear();
         self.optimizer.step(&mut self.online);
         Some(total / b)
     }
@@ -384,31 +348,6 @@ impl DqnAgent {
     }
 }
 
-impl crate::batch_dispatch::BatchScoredPolicy for DqnAgent {
-    type Scores = Vec<f64>;
-
-    fn build_snapshot(&self, ctx: &DispatchContext<'_>) -> StateSnapshot {
-        self.state_builder.build(ctx)
-    }
-
-    fn score_batch(
-        &self,
-        snaps: &[StateSnapshot],
-        pool: &std::sync::Arc<dpdp_pool::ThreadPool>,
-    ) -> Vec<Vec<f64>> {
-        self.qnet.q_values_batch(&self.online, snaps, pool)
-    }
-
-    fn decide(
-        &mut self,
-        ctx: &DispatchContext<'_>,
-        snap: StateSnapshot,
-        precomputed: Option<&Vec<f64>>,
-    ) -> Option<usize> {
-        self.decide_one(ctx, snap, precomputed.map(Vec::as_slice))
-    }
-}
-
 impl Dispatcher for DqnAgent {
     fn begin_episode(&mut self, instance: &Instance) {
         self.reward_params = RewardParams::new(
@@ -421,22 +360,29 @@ impl Dispatcher for DqnAgent {
         self.episode_instant_rewards.clear();
     }
 
+    /// Scores the order's joint state once, when it is decided. Under
+    /// buffering the simulator's default per-order adapter calls this for
+    /// each order of the epoch against the state the earlier assignments
+    /// left behind, so no order is ever scored against a stale fleet.
     fn dispatch(&mut self, ctx: &DispatchContext<'_>) -> Option<VehicleId> {
         let snap = self.state_builder.build(ctx);
-        self.decide_one(ctx, snap, None).map(VehicleId::from_index)
-    }
-
-    /// Batch-native dispatch: builds every order's joint state against the
-    /// shared epoch snapshot and scores them all through **one** Q-network
-    /// forward pass ([`QNetwork::q_values_batch`]). Orders then commit
-    /// sequentially; once an assignment perturbs the snapshot, later orders
-    /// fall back to fresh single-state evaluation, which keeps the
-    /// decision stream bit-identical to the legacy per-order path.
-    fn dispatch_batch(&mut self, batch: &DecisionBatch<'_>) -> Vec<Decision> {
-        crate::batch_dispatch::dispatch_batch_scored(self, batch)
+        let action = self.choose_action(&snap)?;
+        if self.training {
+            let delta = ctx.plans[action]
+                .incremental_length()
+                .expect("chosen action is feasible");
+            let r = instant_reward(&self.reward_params, ctx.views[action].used, delta);
+            self.close_last(Some((&snap, ctx.interval)));
+            self.last = Some((snap, action, r, ctx.interval));
+            self.episode_instant_rewards.push(r);
+        }
+        Some(VehicleId::from_index(action))
     }
 
     fn end_episode(&mut self) {
+        if !self.training {
+            return;
+        }
         self.close_last(None);
         // Eq. (7)-(8): add the episode-mean reward to every transition.
         let r_bar = long_term_reward(&self.episode_instant_rewards);
@@ -444,20 +390,18 @@ impl Dispatcher for DqnAgent {
             t.reward += r_bar;
             self.replay.push(t);
         }
-        if self.training {
-            self.last_losses.clear();
-            for _ in 0..self.config.updates_per_episode {
-                if let Some(loss) = self.train_step() {
-                    self.last_losses.push(loss);
-                }
+        self.last_losses.clear();
+        for _ in 0..self.config.updates_per_episode {
+            if let Some(loss) = self.train_step() {
+                self.last_losses.push(loss);
             }
-            self.episode += 1;
-            if self
-                .episode
-                .is_multiple_of(self.config.target_sync_period.max(1))
-            {
-                self.target.copy_values_from(&self.online);
-            }
+        }
+        self.episode += 1;
+        if self
+            .episode
+            .is_multiple_of(self.config.target_sync_period.max(1))
+        {
+            self.target.copy_values_from(&self.online);
         }
     }
 
@@ -579,6 +523,31 @@ mod tests {
         let b = sim.run(&mut agent);
         assert_eq!(a.metrics, b.metrics);
         assert_eq!(a.assignments, b.assignments);
+    }
+
+    /// Evaluation leaves no trace in the learner: nothing is recorded, the
+    /// replay memory and the last training loss stay put, and greedy
+    /// decisions repeat.
+    #[test]
+    fn eval_episodes_have_no_training_side_effects() {
+        let inst = tiny_instance(6);
+        let mut agent = DqnAgent::new(quick_config(ModelKind::Ddgn), 144, None);
+        let sim = Simulator::builder(&inst).build().unwrap();
+        for _ in 0..3 {
+            sim.run(&mut agent);
+        }
+        let (stored, loss) = (agent.replay.len(), agent.last_loss());
+        let weights = dpdp_nn::serialize::save_params(agent.params());
+        agent.set_training(false);
+        let first = sim.run(&mut agent);
+        let second = sim.run(&mut agent);
+        assert_eq!(first.assignments, second.assignments);
+        assert_eq!(first.metrics, second.metrics);
+        assert_eq!(agent.replay.len(), stored);
+        assert_eq!(agent.last_loss(), loss);
+        assert!(agent.pending.is_empty() && agent.last.is_none());
+        assert_eq!(agent.episodes_completed(), 3);
+        assert_eq!(dpdp_nn::serialize::save_params(agent.params()), weights);
     }
 
     #[test]

@@ -15,6 +15,20 @@
 //! | ST-DDGN  | yes      | yes     | yes        |
 //!
 //! The Actor-Critic baseline is a separate agent ([`ActorCriticAgent`]).
+//!
+//! # How an order is scored
+//!
+//! Both agents are per-order policies: they implement
+//! [`Dispatcher::dispatch`](dpdp_sim::Dispatcher::dispatch) and ride the
+//! simulator's default `dispatch_batch` adapter, under immediate service
+//! and under buffering alike. Every order is scored exactly once, at the
+//! moment it is decided, against the joint state the epoch's earlier
+//! assignments left behind. One decision is one [`StateBuilder::build`]
+//! (a distance row per occupied node for the neighbour lists) and one
+//! [`QNetwork::forward`] — `O(K · NE)` attention on the agent's reusable
+//! tape, so a warmed-up [`DqnAgent`] allocates only the snapshot and the
+//! Q-vector it hands back. In evaluation mode ([`DqnAgent::set_training`])
+//! nothing is recorded and nothing is learned.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,7 +36,6 @@
 pub mod ac;
 pub mod adjacency;
 pub mod agent;
-mod batch_dispatch;
 pub mod qnet;
 pub mod recorder;
 pub mod replay;

@@ -8,7 +8,7 @@
 //! weights ("each vehicle owns its network but shares the same weights").
 
 use crate::state::{StateSnapshot, STATE_DIM};
-use dpdp_nn::{Graph, Mlp, MultiHeadAttention, ParamStore, Precision, Var};
+use dpdp_nn::{Graph, Mlp, MultiHeadAttention, ParamStore, Var};
 use dpdp_pool::ThreadPool;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -78,241 +78,89 @@ impl QNetwork {
         self.config
     }
 
-    /// Forward pass on the tape: returns a `K x 1` Q-value node.
+    /// Forward pass on the tape: returns a `K x 1` Q-value node. This is
+    /// the one definition of the network — training, target evaluation and
+    /// inference all record it.
     ///
-    /// Infeasible vehicles are excluded from every attention context (the
-    /// *constraint embedding*: they take no part in inference), and their
-    /// output rows are meaningless — callers must mask them.
+    /// Each vehicle attends to itself and to the *feasible* vehicles among
+    /// its `snap.neighbors` (the constraint embedding: infeasible vehicles
+    /// take no part in anyone else's inference), through
+    /// [`MultiHeadAttention::forward_neighbors`] — `O(K · NE)` work per
+    /// level, no `K x K` mask. The neighbour lists may come in any order
+    /// and may repeat or include the vehicle itself. Output rows of
+    /// infeasible vehicles are meaningless — callers must mask them.
     pub fn forward(&self, g: &mut Graph, store: &ParamStore, snap: &StateSnapshot) -> Var {
-        let k = snap.num_vehicles();
-        let x = g.constant(snap.features.clone());
+        let x = g.constant(&snap.features);
         let h0 = self.initial.forward(g, store, x);
-        let top = if self.config.graph {
-            // Self-inclusive adjacency mask restricted to feasible
-            // neighbours (the constraint embedding: infeasible vehicles
-            // take no part in anyone else's inference).
-            let mut mask = dpdp_nn::Tensor::zeros(k, k);
-            for v in 0..k {
-                *mask.get_mut(v, v) = 1.0;
-                for &n in &snap.neighbors[v] {
-                    if n != v && snap.feasible[n] {
-                        *mask.get_mut(v, n) = 1.0;
-                    }
-                }
-            }
-            let mut h = h0;
-            for attn in &self.attention {
-                let out = attn.forward_masked(g, store, h, &mask);
-                h = g.relu(out);
-            }
-            h
-        } else {
-            h0
-        };
-        let head_in = if self.config.graph {
-            g.concat_cols(&[h0, top])
-        } else {
-            top
-        };
+        if !self.config.graph {
+            return self.head.forward(g, store, h0);
+        }
+        let lists = g.neighbor_lists((0..snap.num_vehicles()).map(|v| {
+            let others = snap.neighbors[v].iter().copied();
+            std::iter::once(v).chain(others.filter(|&n| snap.feasible[n]))
+        }));
+        let mut top = h0;
+        for attn in &self.attention {
+            let out = attn.forward_neighbors(g, store, top, lists);
+            top = g.relu(out);
+        }
+        let head_in = g.concat_cols(&[h0, top]);
         self.head.forward(g, store, head_in)
     }
 
-    /// Convenience: evaluates Q-values on a throwaway graph and returns them
-    /// as a plain vector (infeasible entries set to `f64::NEG_INFINITY`, the
-    /// paper's "extremely small negative").
+    /// Q-values of one joint state as a plain vector (infeasible entries
+    /// set to `f64::NEG_INFINITY`, the paper's "extremely small negative"),
+    /// evaluated on a throwaway tape.
     pub fn q_values(&self, store: &ParamStore, snap: &StateSnapshot) -> Vec<f64> {
-        self.q_values_prec(store, snap, Precision::F64)
+        self.q_values_on(&mut Graph::new(), store, snap)
     }
 
-    fn q_values_prec(
+    /// [`QNetwork::q_values`] recorded on `tape`, which is cleared first:
+    /// a caller that keeps its tape stops allocating after the first call.
+    pub(crate) fn q_values_on(
         &self,
+        tape: &mut Graph,
         store: &ParamStore,
         snap: &StateSnapshot,
-        precision: Precision,
     ) -> Vec<f64> {
-        let mut g = Graph::new().with_precision(precision);
-        let q = self.forward(&mut g, store, snap);
-        let values = g.value(q);
-        (0..snap.num_vehicles())
-            .map(|i| {
-                if snap.feasible[i] {
-                    values.get(i, 0)
-                } else {
-                    f64::NEG_INFINITY
-                }
-            })
+        tape.clear();
+        let q = self.forward(tape, store, snap);
+        let values = tape.value(q).data();
+        snap.feasible
+            .iter()
+            .zip(values)
+            .map(|(&feasible, &q)| if feasible { q } else { f64::NEG_INFINITY })
             .collect()
     }
 
-    /// Evaluates many joint states in **one forward pass** by stacking
-    /// their feature matrices and running the attention levels under a
-    /// block-diagonal neighbourhood mask, so no information leaks between
-    /// states. Returns one Q-vector per snapshot, in order.
-    ///
-    /// Every op involved (row-wise MLPs, masked softmax attention with
-    /// exactly-zero masked weights) treats the blocks independently, so the
-    /// results are bit-identical to calling [`QNetwork::q_values`] once per
-    /// snapshot — the batch/serial parity tests rely on this.
-    ///
-    /// With the graph pathway enabled the stacked attention is dense over
-    /// all `sum K_i` rows, which grows quadratically; to bound that, wide
-    /// batches are split into chunks of at most
-    /// [`QNetwork::MAX_ATTENTION_ROWS`] rows. Blocks never interact, so the
-    /// chunks are independent forwards — they are evaluated concurrently
-    /// across `pool` and written back in snapshot order, which cannot
-    /// change the results. A single chunk instead hands `pool` to the graph
-    /// itself for row-parallel matmuls ([`Graph::with_pool`]).
+    /// Q-values of many joint states, one vector per snapshot, in order:
+    /// a map of [`QNetwork::q_values`] over `snaps` across `pool`. The
+    /// forward is linear in `K`, so there is nothing to gain from stacking
+    /// states into one pass, and no limit on how many may be passed.
     pub fn q_values_batch(
         &self,
         store: &ParamStore,
         snaps: &[StateSnapshot],
         pool: &Arc<ThreadPool>,
     ) -> Vec<Vec<f64>> {
-        self.q_values_batch_prec(store, snaps, pool, Precision::F64)
-    }
-
-    /// [`QNetwork::q_values_batch`] with every matmul demoted to `f32`
-    /// ([`Precision::F32`]): inputs are converted once, accumulation runs
-    /// in single precision and the products are widened back to `f64` —
-    /// roughly half the matmul memory traffic on wide inference batches.
-    ///
-    /// The contract is **tolerance, not bit-identity**, against the f64
-    /// path: per-element divergence is O(2⁻²⁴) relative per accumulation
-    /// step (see the `f32_batch_tracks_f64_within_tolerance` test for the
-    /// gate this repo holds it to). Within the f32 path itself, results
-    /// are bit-identical at any thread count — chunking, stacking and the
-    /// f32 row kernel are all scheduling-independent. Because greedy
-    /// action selection compares Q-values, callers accepting this path
-    /// accept that near-ties (within the tolerance band) may resolve
-    /// differently than under f64 — which is why every parity-gated
-    /// pipeline keeps the default f64 entry point.
-    pub fn q_values_batch_f32(
-        &self,
-        store: &ParamStore,
-        snaps: &[StateSnapshot],
-        pool: &Arc<ThreadPool>,
-    ) -> Vec<Vec<f64>> {
-        self.q_values_batch_prec(store, snaps, pool, Precision::F32)
-    }
-
-    fn q_values_batch_prec(
-        &self,
-        store: &ParamStore,
-        snaps: &[StateSnapshot],
-        pool: &Arc<ThreadPool>,
-        precision: Precision,
-    ) -> Vec<Vec<f64>> {
-        if !self.config.graph {
-            // Row-wise MLPs only: stacking cost is linear, no need to chunk.
-            return self.q_values_stacked(store, snaps, pool, precision);
-        }
-        let mut ranges: Vec<(usize, usize)> = Vec::new();
-        let mut start = 0;
-        while start < snaps.len() {
-            let mut rows = snaps[start].num_vehicles();
-            let mut end = start + 1;
-            while end < snaps.len() && rows + snaps[end].num_vehicles() <= Self::MAX_ATTENTION_ROWS
-            {
-                rows += snaps[end].num_vehicles();
-                end += 1;
-            }
-            ranges.push((start, end));
-            start = end;
-        }
-        if ranges.len() <= 1 {
-            return self.q_values_stacked(store, snaps, pool, precision);
-        }
-        let chunks = pool.par_map(ranges.len(), |c| {
-            let (lo, hi) = ranges[c];
-            // Inner graphs keep the pool: nested par_map is supported (the
-            // joiner drains the shared queue) and stays bit-identical, so
-            // when there are fewer chunks than threads the spare width
-            // still helps with each chunk's matmuls.
-            self.q_values_stacked(store, &snaps[lo..hi], pool, precision)
-        });
-        chunks.into_iter().flatten().collect()
-    }
-
-    /// Upper bound on the stacked-attention width per forward pass (rows of
-    /// the block-diagonal mask).
-    pub const MAX_ATTENTION_ROWS: usize = 256;
-
-    fn q_values_stacked(
-        &self,
-        store: &ParamStore,
-        snaps: &[StateSnapshot],
-        pool: &Arc<ThreadPool>,
-        precision: Precision,
-    ) -> Vec<Vec<f64>> {
-        match snaps.len() {
-            0 => return Vec::new(),
-            1 => return vec![self.q_values_prec(store, &snaps[0], precision)],
-            _ => {}
-        }
-        let total: usize = snaps.iter().map(StateSnapshot::num_vehicles).sum();
-        let (features, offsets) = crate::batch_dispatch::stack_features(snaps);
-        let mut g = Graph::with_pool(Arc::clone(pool)).with_precision(precision);
-        let x = g.constant(features);
-        let h0 = self.initial.forward(&mut g, store, x);
-        let top = if self.config.graph {
-            // Block-diagonal self-inclusive adjacency over feasible
-            // neighbours: block b holds snapshot b's mask, all cross-block
-            // entries stay zero.
-            let mut mask = dpdp_nn::Tensor::zeros(total, total);
-            for (snap, &base) in snaps.iter().zip(&offsets) {
-                for v in 0..snap.num_vehicles() {
-                    *mask.get_mut(base + v, base + v) = 1.0;
-                    for &n in &snap.neighbors[v] {
-                        if n != v && snap.feasible[n] {
-                            *mask.get_mut(base + v, base + n) = 1.0;
-                        }
-                    }
-                }
-            }
-            let mut h = h0;
-            for attn in &self.attention {
-                let out = attn.forward_masked(&mut g, store, h, &mask);
-                h = g.relu(out);
-            }
-            h
-        } else {
-            h0
-        };
-        let head_in = if self.config.graph {
-            g.concat_cols(&[h0, top])
-        } else {
-            top
-        };
-        let q = self.head.forward(&mut g, store, head_in);
-        let values = g.value(q);
-        snaps
-            .iter()
-            .zip(&offsets)
-            .map(|(snap, &base)| {
-                (0..snap.num_vehicles())
-                    .map(|i| {
-                        if snap.feasible[i] {
-                            values.get(base + i, 0)
-                        } else {
-                            f64::NEG_INFINITY
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
+        pool.par_map(snaps.len(), |i| self.q_values(store, &snaps[i]))
     }
 
     /// Index of the feasible vehicle with the highest Q-value, if any.
     pub fn greedy_action(&self, store: &ParamStore, snap: &StateSnapshot) -> Option<usize> {
-        let q = self.q_values(store, snap);
-        let mut best: Option<(usize, f64)> = None;
-        for (i, &v) in q.iter().enumerate() {
-            if snap.feasible[i] && best.is_none_or(|(_, b)| v > b) {
-                best = Some((i, v));
-            }
-        }
-        best.map(|(i, _)| i)
+        best_feasible(&self.q_values(store, snap), &snap.feasible)
     }
+}
+
+/// Index of the first feasible entry holding the highest value, if any.
+pub(crate) fn best_feasible(q: &[f64], feasible: &[bool]) -> Option<usize> {
+    let mut best: Option<(usize, f64)> = None;
+    for (i, &v) in q.iter().enumerate() {
+        if feasible[i] && best.is_none_or(|(_, b)| v > b) {
+            best = Some((i, v));
+        }
+    }
+    best.map(|(i, _)| i)
 }
 
 #[cfg(test)]
@@ -369,52 +217,6 @@ mod tests {
         assert!(q[0].is_finite() && q[2].is_finite());
         let a = net.greedy_action(&store, &snap).unwrap();
         assert_ne!(a, 1);
-    }
-
-    /// The tolerance contract of [`QNetwork::q_values_batch_f32`]: the f32
-    /// forward tracks the f64 reference within a small absolute band on
-    /// O(1)-magnitude Q-values, masks the same infeasible entries exactly,
-    /// and is bit-identical to itself at any thread count.
-    #[test]
-    fn f32_batch_tracks_f64_within_tolerance() {
-        let mut store = ParamStore::new(9);
-        let net = QNetwork::new(&mut store, QNetworkConfig::default());
-        let snaps: Vec<StateSnapshot> = (0..6)
-            .map(|s| {
-                let k = 3 + s % 4;
-                let feasible = (0..k).map(|i| i != s % k).collect();
-                snapshot(k, feasible)
-            })
-            .collect();
-        let pool = Arc::new(ThreadPool::new(2));
-        let exact = net.q_values_batch(&store, &snaps, &pool);
-        let approx = net.q_values_batch_f32(&store, &snaps, &pool);
-        assert_eq!(exact.len(), approx.len());
-        for (qe, qa) in exact.iter().zip(&approx) {
-            assert_eq!(qe.len(), qa.len());
-            for (&e, &a) in qe.iter().zip(qa) {
-                if e == f64::NEG_INFINITY {
-                    assert_eq!(a, f64::NEG_INFINITY, "masking must be exact");
-                } else {
-                    assert!((e - a).abs() < 1e-4, "f32 drifted too far: {e} vs {a}");
-                    assert!(a.is_finite());
-                }
-            }
-        }
-        // The reduced-precision path keeps the thread-count determinism
-        // guarantee: widths 1/2/4 agree bit for bit.
-        let serial = net.q_values_batch_f32(&store, &snaps, &Arc::new(ThreadPool::new(1)));
-        for threads in [2usize, 4] {
-            let wide = net.q_values_batch_f32(&store, &snaps, &Arc::new(ThreadPool::new(threads)));
-            for (qs, qw) in serial.iter().zip(&wide) {
-                for (&s, &w) in qs.iter().zip(qw) {
-                    assert!(
-                        s.to_bits() == w.to_bits(),
-                        "f32 path diverged at width {threads}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

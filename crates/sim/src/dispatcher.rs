@@ -58,8 +58,8 @@ impl<'a> DispatchContext<'a> {
 ///   commits through [`DecisionBatch::resolve`] — bit-for-bit the legacy
 ///   one-order-at-a-time semantics.
 /// * **Batch-native policies** override `dispatch_batch` to exploit the
-///   shared epoch snapshot (e.g. scoring every order's Q-values in one
-///   network forward pass, as `dpdp-rl`'s agents do).
+///   shared epoch snapshot (e.g. ranking every order's candidate plans in
+///   one parallel pass, as `dpdp-baselines`' greedy baselines do).
 ///
 /// Returning `None` from `dispatch`, or a vehicle whose plan is infeasible,
 /// rejects the order (the simulator records it as unserved).

@@ -49,8 +49,8 @@
 //! [`DecisionBatch`]: one shared set of vehicle snapshots and Algorithm 2
 //! planner outputs, delta-updated as decisions commit. Per-order policies
 //! implement [`Dispatcher::dispatch`] and ride the default adapter;
-//! batch-native policies (like `dpdp-rl`'s agents) score whole epochs at
-//! once. Stranded orders from breakdowns re-enter here as re-dispatchable
+//! batch-native policies (like `dpdp-baselines`' greedy baselines) score
+//! whole epochs at once. Stranded orders from breakdowns re-enter here as re-dispatchable
 //! arrivals; broken vehicles keep their dense snapshot slot but every
 //! plan of theirs arrives as `best: None`.
 //!
