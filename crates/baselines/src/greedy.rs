@@ -1,92 +1,95 @@
 //! The three greedy insertion baselines (Section V-A).
 //!
-//! Baselines 1 and 2 are *batch-native*: their `dispatch_batch` scores the
-//! epoch's candidate `(order, vehicle)` cells once against the shared
-//! snapshot via [`DecisionBatch::map_candidate_plans`] and then commits
-//! orders sequentially, rescoring only the column of the vehicle that just
-//! accepted (the batch's plan delta, read back cell-by-cell through
-//! [`DecisionBatch::with_plan`]). This is outcome-identical to the legacy
-//! per-order path for any thread count — the parity tests below and in
-//! `tests/batch_parity.rs` run both and compare `EpisodeResult`s — but
-//! does the scoring work once per epoch instead of once per order.
+//! Each baseline is an argmin over the vehicles with a feasible insertion,
+//! scanned in ascending vehicle order with a strict comparison (ties go to
+//! the lower vehicle id). The per-order [`Dispatcher::dispatch`] scans the
+//! dense `K`-slice of its [`DispatchContext`]; the batch-native
+//! [`Dispatcher::dispatch_batch`] commits the epoch's orders in creation
+//! order and, for each, folds the same comparison over the batch's own
+//! candidate row at decision time ([`DecisionBatch::fold_candidates`]).
+//! The policies keep no copy of the plan matrix: the batch refreshes the
+//! accepting vehicle's column itself on every acceptance, and the next
+//! order's fold simply reads the refreshed row.
 //!
-//! Under sharded dispatch (`SimulatorBuilder::sharding`) the candidate
-//! rows carry only the cells the shard-local sweeps actually evaluated:
-//! cross-shard pairs the exact geometric bound proves infeasible never
-//! appear, and since an absent cell is `best: None` it could never win an
-//! argmin anyway — same argmins, same episodes, with per-epoch policy work
-//! proportional to the candidate count instead of `B x K`
-//! (`tests/batch_parity.rs` asserts the shard-count invariance for all
-//! three baselines).
+//! Under sharded dispatch (`SimulatorBuilder::sharding`) a candidate row
+//! carries only the cells the shard-local sweeps and commit deltas actually
+//! evaluated: cross-shard pairs the exact geometric bound proves infeasible
+//! never appear, and since an absent cell is `best: None` it could never
+//! win an argmin anyway — same argmins, same episodes as the per-order
+//! path, with per-order policy work proportional to the candidate count
+//! instead of `K` (`tests/batch_parity.rs` asserts both the per-order
+//! parity and the shard-count invariance for all three baselines).
 
 use dpdp_net::{Instance, VehicleId};
 use dpdp_routing::PlannerOutput;
 use dpdp_sim::{Decision, DecisionBatch, DispatchContext, Dispatcher};
 
-fn argmin_by<F: Fn(usize) -> f64>(ctx: &DispatchContext<'_>, key: F) -> Option<VehicleId> {
-    let mut best: Option<(usize, f64)> = None;
-    for k in 0..ctx.plans.len() {
-        if !ctx.plans[k].feasible() {
-            continue;
-        }
-        let v = key(k);
-        if best.is_none_or(|(_, b)| v < b) {
-            best = Some((k, v));
-        }
-    }
-    best.map(|(k, _)| VehicleId::from_index(k))
-}
-
-/// Argmin over a candidate row (ascending vehicle order, strict `<`):
-/// identical winner and tie-breaks to a dense scan, because every vehicle
-/// absent from the row is infeasible and could never win.
-fn argmin_scores(scores: &[(u32, Option<f64>)]) -> Option<VehicleId> {
-    let mut best: Option<(u32, f64)> = None;
-    for &(k, s) in scores {
-        if let Some(v) = s {
-            if best.is_none_or(|(_, b)| v < b) {
-                best = Some((k, v));
-            }
-        }
-    }
-    best.map(|(k, _)| VehicleId::from_index(k as usize))
-}
-
-/// Writes vehicle `k`'s refreshed score into a sorted candidate row,
-/// inserting the cell when the initial sweep had pruned it (an accepted
-/// vehicle's plans can turn feasible once it starts moving).
-fn upsert_score(row: &mut Vec<(u32, Option<f64>)>, k: u32, score: Option<f64>) {
-    match row.binary_search_by_key(&k, |e| e.0) {
-        Ok(p) => row[p].1 = score,
-        Err(p) => row.insert(p, (k, score)),
+/// One step of a greedy scan: `best` is the running `(vehicle, key)`
+/// winner, `key` the candidate's (`None` = infeasible, never wins), and
+/// `better(candidate, incumbent)` the policy's strict comparison.
+fn keep_better<K: Copy>(
+    best: Option<(VehicleId, K)>,
+    k: VehicleId,
+    key: Option<K>,
+    better: impl Fn(K, K) -> bool,
+) -> Option<(VehicleId, K)> {
+    match (key, best) {
+        (None, _) => best,
+        (Some(v), Some((_, b))) if !better(v, b) => best,
+        (Some(v), _) => Some((k, v)),
     }
 }
 
-/// Batch-native greedy dispatch: score every `(order, vehicle)` pair once
-/// from the epoch snapshot (in parallel across the batch's thread pool),
-/// commit orders in creation order, and refresh only the accepting
-/// vehicle's column for the orders still undecided.
-///
-/// `score` maps a feasible plan to its (lower-is-better) key and an
-/// infeasible one to `None`.
-fn greedy_batch(
+/// Scans a per-order context's dense plan slice with [`keep_better`].
+fn scan_context<K: Copy>(
+    ctx: &DispatchContext<'_>,
+    key: impl Fn(VehicleId, &PlannerOutput) -> Option<K>,
+    better: impl Fn(K, K) -> bool,
+) -> Option<VehicleId> {
+    let vehicles = (0..ctx.plans.len()).map(VehicleId::from_index);
+    vehicles
+        .zip(ctx.plans)
+        .fold(None, |best, (k, p)| {
+            keep_better(best, k, key(k, p), &better)
+        })
+        .map(|(k, _)| k)
+}
+
+/// Folds [`keep_better`] over the `i`-th order's candidate row.
+fn scan_candidates<K: Copy>(
     batch: &DecisionBatch<'_>,
-    score: impl Fn(&PlannerOutput) -> Option<f64> + Sync,
+    i: usize,
+    key: impl Fn(VehicleId, &PlannerOutput) -> Option<K>,
+    better: impl Fn(K, K) -> bool,
+) -> Option<VehicleId> {
+    batch
+        .fold_candidates(i, None, |best, k, p| {
+            keep_better(best, k, key(k, p), &better)
+        })
+        .map(|(k, _)| k)
+}
+
+/// Per-order dispatch for a lowest-`score` policy (`None` = infeasible).
+fn lowest_score(
+    ctx: &DispatchContext<'_>,
+    score: impl Fn(&PlannerOutput) -> Option<f64>,
+) -> Option<VehicleId> {
+    scan_context(ctx, |_, p| score(p), |v, b| v < b)
+}
+
+/// Batch-native dispatch for a lowest-`score` policy: orders commit in
+/// creation order, each choosing over its candidate row as it stands after
+/// the commits before it.
+fn lowest_score_batch(
+    batch: &DecisionBatch<'_>,
+    score: impl Fn(&PlannerOutput) -> Option<f64>,
 ) -> Vec<Decision> {
-    let b = batch.len();
-    let mut scores: Vec<Vec<(u32, Option<f64>)>> =
-        batch.map_candidate_plans(|_, _, plan| score(plan));
-    let mut out = Vec::with_capacity(b);
-    for i in 0..b {
-        let decision = batch.resolve(i, argmin_scores(&scores[i]));
-        if let Some(k) = decision.vehicle {
-            for (j, row) in scores.iter_mut().enumerate().skip(i + 1) {
-                upsert_score(row, k.index() as u32, batch.with_plan(j, k, &score));
-            }
-        }
-        out.push(decision);
-    }
-    out
+    (0..batch.len())
+        .map(|i| {
+            let choice = scan_candidates(batch, i, |_, p| score(p), |v, b| v < b);
+            batch.resolve(i, choice)
+        })
+        .collect()
 }
 
 /// Baseline 1 (Mitrovic-Minic & Laporte): the vehicle with the **shortest
@@ -97,15 +100,11 @@ pub struct Baseline1;
 
 impl Dispatcher for Baseline1 {
     fn dispatch(&mut self, ctx: &DispatchContext<'_>) -> Option<VehicleId> {
-        argmin_by(ctx, |k| {
-            ctx.plans[k]
-                .incremental_length()
-                .expect("filtered to feasible")
-        })
+        lowest_score(ctx, PlannerOutput::incremental_length)
     }
 
     fn dispatch_batch(&mut self, batch: &DecisionBatch<'_>) -> Vec<Decision> {
-        greedy_batch(batch, PlannerOutput::incremental_length)
+        lowest_score_batch(batch, PlannerOutput::incremental_length)
     }
 
     fn name(&self) -> &str {
@@ -120,13 +119,11 @@ pub struct Baseline2;
 
 impl Dispatcher for Baseline2 {
     fn dispatch(&mut self, ctx: &DispatchContext<'_>) -> Option<VehicleId> {
-        argmin_by(ctx, |k| {
-            ctx.plans[k].best_length().expect("filtered to feasible")
-        })
+        lowest_score(ctx, PlannerOutput::best_length)
     }
 
     fn dispatch_batch(&mut self, batch: &DecisionBatch<'_>) -> Vec<Decision> {
-        greedy_batch(batch, PlannerOutput::best_length)
+        lowest_score_batch(batch, PlannerOutput::best_length)
     }
 
     fn name(&self) -> &str {
@@ -143,75 +140,49 @@ pub struct Baseline3 {
     accepted: Vec<usize>,
 }
 
+impl Baseline3 {
+    /// Sizes the counters for a dispatch outside an episode bracket.
+    fn ensure_counts(&mut self, num_vehicles: usize) {
+        if self.accepted.len() != num_vehicles {
+            self.accepted = vec![0; num_vehicles];
+        }
+    }
+
+    /// A feasible plan's `(accepted count, incremental length)` key.
+    fn key(&self, k: VehicleId, plan: &PlannerOutput) -> Option<(usize, f64)> {
+        Some((self.accepted[k.index()], plan.incremental_length()?))
+    }
+
+    /// More accepted orders wins; equal counts fall to the shorter detour.
+    fn better((count, delta): (usize, f64), (bc, bd): (usize, f64)) -> bool {
+        count > bc || (count == bc && delta < bd)
+    }
+}
+
 impl Dispatcher for Baseline3 {
     fn begin_episode(&mut self, instance: &Instance) {
         self.accepted = vec![0; instance.num_vehicles()];
     }
 
     fn dispatch(&mut self, ctx: &DispatchContext<'_>) -> Option<VehicleId> {
-        if self.accepted.len() != ctx.plans.len() {
-            // Defensive: a dispatch outside an episode bracket.
-            self.accepted = vec![0; ctx.plans.len()];
-        }
-        let mut best: Option<(usize, usize, f64)> = None; // (k, count, delta)
-        for k in 0..ctx.plans.len() {
-            if !ctx.plans[k].feasible() {
-                continue;
-            }
-            let count = self.accepted[k];
-            let delta = ctx.plans[k]
-                .incremental_length()
-                .expect("filtered to feasible");
-            let better = match best {
-                None => true,
-                Some((_, bc, bd)) => count > bc || (count == bc && delta < bd),
-            };
-            if better {
-                best = Some((k, count, delta));
-            }
-        }
-        let (k, _, _) = best?;
-        self.accepted[k] += 1;
-        Some(VehicleId::from_index(k))
+        self.ensure_counts(ctx.plans.len());
+        let k = scan_context(ctx, |k, p| self.key(k, p), Self::better)?;
+        self.accepted[k.index()] += 1;
+        Some(k)
     }
 
     fn dispatch_batch(&mut self, batch: &DecisionBatch<'_>) -> Vec<Decision> {
-        if self.accepted.len() != batch.num_vehicles() {
-            // Defensive: a dispatch outside an episode bracket.
-            self.accepted = vec![0; batch.num_vehicles()];
-        }
-        let b = batch.len();
-        let mut deltas: Vec<Vec<(u32, Option<f64>)>> =
-            batch.map_candidate_plans(|_, _, plan| plan.incremental_length());
-        let mut out = Vec::with_capacity(b);
-        for i in 0..b {
-            let mut best: Option<(u32, usize, f64)> = None; // (k, count, delta)
-            for &(k, d) in &deltas[i] {
-                if let Some(delta) = d {
-                    let count = self.accepted[k as usize];
-                    let better = match best {
-                        None => true,
-                        Some((_, bc, bd)) => count > bc || (count == bc && delta < bd),
-                    };
-                    if better {
-                        best = Some((k, count, delta));
-                    }
+        self.ensure_counts(batch.num_vehicles());
+        (0..batch.len())
+            .map(|i| {
+                let choice = scan_candidates(batch, i, |k, p| self.key(k, p), Self::better);
+                let decision = batch.resolve(i, choice);
+                if let Some(k) = decision.vehicle {
+                    self.accepted[k.index()] += 1;
                 }
-            }
-            let decision =
-                batch.resolve(i, best.map(|(k, _, _)| VehicleId::from_index(k as usize)));
-            if let Some(k) = decision.vehicle {
-                // Acceptance only perturbs the accepting vehicle's column:
-                // its count and its plans for the remaining orders.
-                self.accepted[k.index()] += 1;
-                for (j, row) in deltas.iter_mut().enumerate().skip(i + 1) {
-                    let fresh = batch.with_plan(j, k, |p| p.incremental_length());
-                    upsert_score(row, k.index() as u32, fresh);
-                }
-            }
-            out.push(decision);
-        }
-        out
+                decision
+            })
+            .collect()
     }
 
     fn name(&self) -> &str {

@@ -127,22 +127,30 @@ fn bench_batched_distance_row(c: &mut Criterion) {
         let targets: Vec<_> = (0..width).map(|i| nodes[i % nodes.len()].id).collect();
         let mut dist = vec![0.0; width];
         let mut tt = vec![dpdp_net::TimeDelta::ZERO; width];
-        group.bench_with_input(BenchmarkId::new("batched", width), &targets, |b, targets| {
-            b.iter(|| {
-                net.distances_from(anchor, targets, &mut dist);
-                fleet.travel_times(&dist, &mut tt);
-                std::hint::black_box((&dist, &tt));
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("per_call", width), &targets, |b, targets| {
-            b.iter(|| {
-                for (i, &t) in targets.iter().enumerate() {
-                    dist[i] = net.distance(anchor, t);
-                    tt[i] = fleet.travel_time(dist[i]);
-                }
-                std::hint::black_box((&dist, &tt));
-            })
-        });
+        group.bench_with_input(
+            BenchmarkId::new("batched", width),
+            &targets,
+            |b, targets| {
+                b.iter(|| {
+                    net.distances_from(anchor, targets, &mut dist);
+                    fleet.travel_times(&dist, &mut tt);
+                    std::hint::black_box((&dist, &tt));
+                })
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new("per_call", width),
+            &targets,
+            |b, targets| {
+                b.iter(|| {
+                    for (i, &t) in targets.iter().enumerate() {
+                        dist[i] = net.distance(anchor, t);
+                        tt[i] = fleet.travel_time(dist[i]);
+                    }
+                    std::hint::black_box((&dist, &tt));
+                })
+            },
+        );
     }
     group.finish();
 }

@@ -199,7 +199,8 @@ impl RoadNetwork {
     /// Panics if `out.len() != targets.len()` or any id is out of range.
     pub fn distances_from(&self, from: NodeId, targets: &[NodeId], out: &mut [f64]) {
         assert_eq!(out.len(), targets.len(), "distances_from length mismatch");
-        let row = &self.dist[from.index() * self.nodes.len()..(from.index() + 1) * self.nodes.len()];
+        let row =
+            &self.dist[from.index() * self.nodes.len()..(from.index() + 1) * self.nodes.len()];
         for (o, t) in out.iter_mut().zip(targets) {
             *o = row[t.index()];
         }

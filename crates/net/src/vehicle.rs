@@ -120,7 +120,11 @@ impl FleetConfig {
     /// # Panics
     /// Panics if `out.len() != distances_km.len()`.
     pub fn travel_times(&self, distances_km: &[f64], out: &mut [TimeDelta]) {
-        assert_eq!(out.len(), distances_km.len(), "travel_times length mismatch");
+        assert_eq!(
+            out.len(),
+            distances_km.len(),
+            "travel_times length mismatch"
+        );
         for (o, &d) in out.iter_mut().zip(distances_km) {
             *o = self.travel_time(d);
         }

@@ -224,7 +224,11 @@ impl ScheduleCache {
         self.leg_dist.resize(n, 0.0);
         if n > 0 {
             self.leg_dist[0] = net.distance(view.anchor_node, self.node[0]);
-            net.leg_distances(&self.node[..n - 1], &self.node[1..], &mut self.leg_dist[1..]);
+            net.leg_distances(
+                &self.node[..n - 1],
+                &self.node[1..],
+                &mut self.leg_dist[1..],
+            );
         }
         self.leg_tt.resize(n, 0.0);
         fleet.travel_times_secs(&self.leg_dist, &mut self.leg_tt);
@@ -528,7 +532,11 @@ pub fn sweep_insertions(
             // follows the cached base legs (`leg_tt[j-1]` is exactly
             // `travel_time(d(stops[j-2], stops[j-1]))`).
             let p = j - 1;
-            let leg_tt = if j == i + 1 { tt_from_p } else { cache.leg_tt[p] };
+            let leg_tt = if j == i + 1 {
+                tt_from_p
+            } else {
+                cache.leg_tt[p]
+            };
             let arr = cur_dep + leg_tt;
             let service_start = if cache.is_pickup[p] {
                 let segment_load = load + cache.quantity[p];
@@ -973,10 +981,7 @@ mod tests {
         let fresh = ScheduleCache::build(&short_view, &net, &fleet, &orders);
         assert_eq!(dirty.is_feasible(), fresh.is_feasible());
         assert_eq!(dirty.len(), fresh.len());
-        assert_eq!(
-            dirty.base_length().to_bits(),
-            fresh.base_length().to_bits()
-        );
+        assert_eq!(dirty.base_length().to_bits(), fresh.base_length().to_bits());
         for p in 0..fresh.len() {
             assert_eq!(dirty.slack(p).to_bits(), fresh.slack(p).to_bits());
             assert_eq!(dirty.arrival[p].to_bits(), fresh.arrival[p].to_bits());

@@ -9,7 +9,14 @@
 //! entries for the still-undecided orders (a per-order plan delta), so a
 //! batch of `B` orders over `K` vehicles costs one full `B x K` planning
 //! sweep plus at most `B` single-vehicle replans, instead of `B` full
-//! sweeps.
+//! sweeps. Under sharding both the sweep and the deltas skip the cells
+//! the exact bound rules out, and the matrix never stores them: a delta
+//! costs what it evaluates.
+//!
+//! The batch is the matrix's only writer and policies keep no copy of it.
+//! They read an order's row when they decide it — densely through
+//! [`DecisionBatch::with_context`], or as the candidate row
+//! [`DecisionBatch::fold_candidates`] folds over.
 //!
 //! Sequential commit through [`DecisionBatch::resolve`] reproduces the
 //! legacy one-order-at-a-time semantics exactly (same snapshot evolution,
@@ -119,9 +126,7 @@ pub(crate) struct CommitAssignment {
 }
 
 /// Evaluates `f(i, k)` for every cell of a `rows x k` matrix across the
-/// pool and regroups the flat results into rows. The single source of the
-/// flat-index layout shared by the initial `B x K` sweep and
-/// [`DecisionBatch::map_plans`], so the two cannot drift apart.
+/// pool and regroups the flat results into rows (the dense `B x K` sweep).
 fn par_map_matrix<T: Send>(
     pool: &ThreadPool,
     rows: usize,
@@ -223,17 +228,23 @@ impl EpochScratch {
 /// cell was proven infeasible by the geometric bound, so its output is the
 /// per-vehicle pruned fallback (`best: None` plus the vehicle's
 /// `d_{t,k}`) — identical for every row. Both representations answer every
-/// cell query with bit-identical values; `Sparse` just refuses to spend
-/// `O(B x K)` memory traffic on cells whose content is known in advance,
-/// which is what lets the hierarchical megacity episode scale with the
-/// *work* of the epoch instead of the fleet size.
+/// cell query of a still-undecided row with bit-identical values; `Sparse`
+/// just refuses to spend `O(B x K)` memory traffic on cells whose content
+/// is known in advance, which is what lets the hierarchical megacity
+/// episode scale with the *work* of the epoch instead of the fleet size.
+///
+/// Pruned cells stay implicit through commits too: an acceptance on
+/// vehicle `k` refreshes `fallback[k]` once and touches a row only where
+/// the column replan evaluated a cell or a stored cell went stale, so a
+/// row grows by at most one entry per *evaluated* delta cell.
 #[derive(Debug)]
 enum PlanStore {
     /// `rows[i][k]`: Algorithm 2 output for epoch order `i` on vehicle `k`.
     Dense(Vec<Vec<PlannerOutput>>),
-    /// Evaluated cells only, each row sorted by vehicle index; every absent
-    /// cell reads as `fallback[k]`. Commit deltas upsert into the rows, so
-    /// a cell that becomes feasible after an acceptance is always present.
+    /// Candidate cells only, each row sorted by vehicle index; every absent
+    /// cell reads as `fallback[k]`, which is always `best: None`. A cell
+    /// that was ever evaluated stays stored (overwritten with the fallback
+    /// if a later commit prunes it), so a feasible cell is always present.
     Sparse {
         rows: Vec<Vec<(u32, PlannerOutput)>>,
         fallback: Vec<PlannerOutput>,
@@ -254,15 +265,22 @@ impl PlanStore {
         }
     }
 
-    /// Overwrites cell `(i, k)` (inserting it when sparse).
-    fn set(&mut self, i: usize, k: usize, plan: PlannerOutput) {
+    /// Applies one commit-delta cell: `Some` is the freshly evaluated plan
+    /// of `(i, k)`, `None` means the bound pruned it, i.e. the cell now
+    /// reads as `fallback[k]` (which the caller refreshed first). A pruned
+    /// cell overwrites a stored one but is never inserted.
+    fn apply_delta(&mut self, i: usize, k: usize, plan: Option<PlannerOutput>) {
         match self {
-            PlanStore::Dense(rows) => rows[i][k] = plan,
-            PlanStore::Sparse { rows, .. } => {
+            PlanStore::Dense(rows) => {
+                rows[i][k] = plan.expect("only the sharded sweep prunes cells");
+            }
+            PlanStore::Sparse { rows, fallback } => {
                 let row = &mut rows[i];
-                match row.binary_search_by_key(&(k as u32), |e| e.0) {
-                    Ok(p) => row[p].1 = plan,
-                    Err(p) => row.insert(p, (k as u32, plan)),
+                match (row.binary_search_by_key(&(k as u32), |e| e.0), plan) {
+                    (Ok(p), Some(plan)) => row[p].1 = plan,
+                    (Ok(p), None) => row[p].1 = fallback[k].clone(),
+                    (Err(p), Some(plan)) => row.insert(p, (k as u32, plan)),
+                    (Err(_), None) => {}
                 }
             }
         }
@@ -313,16 +331,23 @@ struct BatchInner {
     /// Sharded-sweep work accounting (initial matrix plus commit deltas);
     /// zero cells when the batch runs unsharded.
     stats: ShardStats,
+    /// Commit scratch: the still-undecided rows of the current acceptance.
+    undecided: Vec<usize>,
+    /// Commit scratch: the accepting vehicle's schedule cache, rebuilt in
+    /// place per acceptance.
+    column_cache: ScheduleCache,
 }
 
 /// All orders flushed at one decision epoch, sharing one fleet snapshot.
 ///
 /// Built by the [`Simulator`] once per epoch and handed to
 /// [`Dispatcher::dispatch_batch`]. Policies read per-order joint states via
-/// [`DecisionBatch::with_context`] and commit outcomes via
+/// [`DecisionBatch::with_context`] (or just the candidate row, via
+/// [`DecisionBatch::fold_candidates`]) and commit outcomes via
 /// [`DecisionBatch::resolve`]; the shared snapshot is delta-updated after
 /// every acceptance so later orders in the batch see the committed routes,
-/// exactly as the legacy per-order path did.
+/// exactly as the legacy per-order path did. Rows of orders already
+/// resolved are not maintained.
 ///
 /// Under [`SimulatorBuilder::sharding`] the batch is assembled as a
 /// *merge of shard-local batches*: in-shard `(order, vehicle)` pairs run
@@ -514,6 +539,8 @@ impl<'a> DecisionBatch<'a> {
                 decided,
                 commits,
                 stats,
+                undecided: Vec::new(),
+                column_cache: ScheduleCache::default(),
             }),
         }
     }
@@ -526,120 +553,39 @@ impl<'a> DecisionBatch<'a> {
         &self.pool
     }
 
-    /// Applies `f` to every `(order, vehicle)` plan of the **current**
-    /// snapshot across the batch's thread pool, returning one row per epoch
-    /// order (`result[i][k]` = `f(i, k, plan)`), exactly as the serial
-    /// nested loop would.
+    /// Folds `f` over the `i`-th order's **candidate row** of the current
+    /// snapshot, in ascending vehicle order — the one read primitive
+    /// batch-native policies pick a vehicle with, called at decision time so
+    /// there is no policy-side copy of the matrix to keep in sync.
     ///
-    /// This is the whole-epoch scoring primitive batch-native policies use:
-    /// plans are read under one shared borrow, so it must not be called
-    /// while [`DecisionBatch::resolve`] is on the stack.
-    pub fn map_plans<T: Send>(
-        &self,
-        f: impl Fn(usize, usize, &PlannerOutput) -> T + Sync,
-    ) -> Vec<Vec<T>> {
-        let inner = self.inner.borrow();
-        let plans = &inner.plans;
-        match plans {
-            PlanStore::Dense(rows) => {
-                par_map_matrix(&self.pool, rows.len(), inner.views.len(), |i, k| {
-                    f(i, k, &rows[i][k])
-                })
-            }
-            PlanStore::Sparse { rows, .. } => self.pool.par_map(rows.len(), |i| {
-                let row = plans.row_dense(i);
-                row.iter().enumerate().map(|(k, p)| f(i, k, p)).collect()
-            }),
-        }
-    }
-
-    /// Applies `f` to every **candidate** `(order, vehicle)` plan of the
-    /// current snapshot, returning one row per epoch order of
-    /// `(vehicle_index, f(..))` pairs in ascending vehicle order.
-    ///
-    /// On a flat (unsharded) batch every vehicle is a candidate, so this is
-    /// [`DecisionBatch::map_plans`] in sparse clothing. Under sharding only
-    /// the cells the sweep actually evaluated appear — every absent cell is
-    /// provably infeasible (`best: None`), so argmin-style policies lose
-    /// nothing by never looking at it. This is the scoring primitive that
-    /// keeps batch-native policies `O(work)` instead of `O(B x K)` at
-    /// megacity scale.
-    ///
-    /// The rows reflect the snapshot at call time; after committing an
-    /// acceptance through [`DecisionBatch::resolve`], the accepting
-    /// vehicle's plans change for the still-undecided orders (and a
-    /// previously-pruned cell may even become feasible once the vehicle
-    /// starts moving) — re-read that column via
-    /// [`DecisionBatch::with_plan`], exactly as the greedy baselines do.
-    pub fn map_candidate_plans<T: Send>(
-        &self,
-        f: impl Fn(usize, usize, &PlannerOutput) -> T + Sync,
-    ) -> Vec<Vec<(u32, T)>> {
-        let inner = self.inner.borrow();
-        match &inner.plans {
-            PlanStore::Dense(rows) => self.pool.par_map(rows.len(), |i| {
-                rows[i]
-                    .iter()
-                    .enumerate()
-                    .map(|(k, p)| (k as u32, f(i, k, p)))
-                    .collect()
-            }),
-            PlanStore::Sparse { rows, .. } => rows
-                .iter()
-                .enumerate()
-                .map(|(i, row)| {
-                    row.iter()
-                        .map(|(k, p)| (*k, f(i, *k as usize, p)))
-                        .collect()
-                })
-                .collect(),
-        }
-    }
-
-    /// Runs `f` with the current plan of the single cell `(i, k)` — the
-    /// point read batch-native policies use to refresh an accepting
-    /// vehicle's column without materialising whole rows.
+    /// On a flat (unsharded) batch the row holds all `K` vehicles. Under
+    /// sharding it holds the cells the initial sweep or a later commit
+    /// delta actually evaluated; every vehicle it omits is provably
+    /// infeasible for this order (`best: None`), so an argmin over feasible
+    /// plans sees the same winner and the same tie-breaks as a dense scan.
+    /// A row changes only when [`DecisionBatch::resolve`] commits an
+    /// acceptance: the accepting vehicle's cell is replanned for every
+    /// still-undecided order (rows of resolved orders are left as they
+    /// were).
     ///
     /// # Panics
-    /// Panics if `i >= len()` or `k` is out of range, or when called while
-    /// the snapshot is mutably borrowed (inside [`DecisionBatch::resolve`]).
-    pub fn with_plan<R>(&self, i: usize, k: VehicleId, f: impl FnOnce(&PlannerOutput) -> R) -> R {
-        let inner = self.inner.borrow();
-        f(inner.plans.cell(i, k.index()))
-    }
-
-    /// Runs `f` over every order's [`DispatchContext`] — all built from the
-    /// batch's **current** shared snapshot — across the thread pool, and
-    /// returns the results in batch order.
-    ///
-    /// Equivalent to calling [`DecisionBatch::with_context`] for each `i`
-    /// before any decision commits (the precompute step of batch-native
-    /// policies). Like `with_context`, the snapshot is borrowed for the
-    /// duration, so `f` must not touch `resolve`.
-    pub fn map_contexts<T: Send>(
+    /// Panics if `i >= len()`, or when called while the snapshot is mutably
+    /// borrowed (inside [`DecisionBatch::resolve`]).
+    pub fn fold_candidates<A>(
         &self,
-        f: impl Fn(usize, &DispatchContext<'_>) -> T + Sync,
-    ) -> Vec<T> {
-        let inner = self.inner.borrow();
-        let views = &inner.views;
-        let plans = &inner.plans;
-        let (now, interval) = (self.now, self.interval);
-        let (net, fleet, orders) = (self.net, self.fleet, self.orders);
-        let epoch = &self.epoch_orders;
-        self.pool.par_map(epoch.len(), |i| {
-            let row = plans.row_dense(i);
-            let ctx = DispatchContext {
-                order: &orders[epoch[i].index()],
-                now,
-                interval,
-                views,
-                plans: &row,
-                net,
-                fleet,
-                orders,
-            };
-            f(i, &ctx)
-        })
+        i: usize,
+        init: A,
+        mut f: impl FnMut(A, VehicleId, &PlannerOutput) -> A,
+    ) -> A {
+        match &self.inner.borrow().plans {
+            PlanStore::Dense(rows) => rows[i]
+                .iter()
+                .enumerate()
+                .fold(init, |acc, (k, p)| f(acc, VehicleId::from_index(k), p)),
+            PlanStore::Sparse { rows, .. } => rows[i].iter().fold(init, |acc, (k, p)| {
+                f(acc, VehicleId::from_index(*k as usize), p)
+            }),
+        }
     }
 
     /// Tears the batch down into its per-order commit records and scratch
@@ -827,6 +773,8 @@ impl<'a> DecisionBatch<'a> {
             plans,
             decided,
             stats,
+            undecided,
+            column_cache,
             ..
         } = inner;
         let plan = plans.cell(i, k.index()).clone();
@@ -847,63 +795,73 @@ impl<'a> DecisionBatch<'a> {
         views[k.index()] = state.view.clone();
         // The plan delta: only the accepting vehicle's column changes, and
         // only for the still-undecided orders — replanned in parallel, each
-        // result landing back in its own row, all sharing one fresh
-        // schedule cache for the vehicle's new route. Under sharding the
+        // result landing back in its own row, all sharing one schedule
+        // cache rebuilt for the vehicle's new route. Under sharding the
         // column gets the same exact prune as the initial sweep (foreign
         // orders the bound rules out skip the sweep; no m-nearest
         // escalation here — a single column has no ranking to run), which
-        // is bit-identical to replanning every cell.
+        // is bit-identical to replanning every cell. A pruned cell's value
+        // is the vehicle's new fallback, written once below, so a pruned
+        // delta cell costs its bound check and nothing else.
         let planner = RoutePlanner::with_mode(batch.net, batch.fleet, batch.orders, batch.mode);
-        let undecided: Vec<usize> = (0..decided.len()).filter(|&j| !decided[j]).collect();
+        undecided.clear();
+        undecided.extend((0..decided.len()).filter(|&j| !decided[j]));
         let view = &views[k.index()];
         // The reference mode never reads a cache; don't build one.
-        let cache = (batch.mode != PlannerMode::Naive).then(|| planner.cache(view));
-        let cache_ref = cache.as_ref();
-        let orders = batch.orders;
-        let epoch = &batch.epoch_orders;
-        let js = &undecided;
+        let cache = (batch.mode != PlannerMode::Naive).then(|| {
+            planner.cache_into(column_cache, view);
+            &*column_cache
+        });
         let shard_ctx = batch.shards.as_ref().filter(|c| c.map.num_shards() > 1);
         let vehicle_shard = shard_ctx.map(|c| c.map.shard_of(view.anchor_node));
-        // Columns are usually short next to the pool's wake/join latency;
-        // replan them inline below this size (the values are identical
-        // either way — `par_map` already matches the serial order).
-        const PAR_COLUMN_MIN: usize = 256;
-        let replan = |u: usize| {
-            let order = &orders[epoch[js[u]].index()];
+        if let PlanStore::Sparse { fallback, .. } = plans {
+            fallback[k.index()] = planner.pruned_output(cache, view);
+        }
+        let (orders, epoch) = (batch.orders, &batch.epoch_orders);
+        // `(plan, foreign)` of delta cell `(j, k)`; `None` = pruned.
+        let replan = |j: usize| {
+            let order = &orders[epoch[j].index()];
             let foreign = match (shard_ctx, vehicle_shard) {
                 (Some(ctx), Some(vs)) => ctx.map.shard_of(order.pickup) != vs,
                 _ => false,
             };
             if foreign && planner.provably_infeasible(view, order) {
-                (planner.pruned_output(cache_ref, view), true, foreign)
-            } else {
-                let plan = match cache_ref {
-                    Some(cache) => planner.plan_cached(cache, view, order),
-                    None => planner.plan(view, order),
-                };
-                (plan, false, foreign)
+                return (None, foreign);
             }
+            let plan = match cache {
+                Some(cache) => planner.plan_cached(cache, view, order),
+                None => planner.plan(view, order),
+            };
+            (Some(plan), foreign)
         };
-        let fresh = if undecided.len() < PAR_COLUMN_MIN {
-            (0..undecided.len()).map(replan).collect()
-        } else {
-            batch.pool.par_map(undecided.len(), replan)
-        };
-        if shard_ctx.is_some() {
-            stats.cells += fresh.len();
-        }
-        for (&j, (plan, pruned, foreign)) in undecided.iter().zip(fresh) {
+        let mut record = |j: usize, (plan, foreign): (Option<PlannerOutput>, bool)| {
             if shard_ctx.is_some() {
-                if pruned {
-                    stats.pruned += 1;
-                } else {
-                    stats.evaluated += 1;
-                    if foreign {
-                        stats.escalated += 1;
+                stats.cells += 1;
+                match plan {
+                    None => stats.pruned += 1,
+                    Some(_) => {
+                        stats.evaluated += 1;
+                        stats.escalated += usize::from(foreign);
                     }
                 }
             }
-            plans.set(j, k.index(), plan);
+            plans.apply_delta(j, k.index(), plan);
+        };
+        // Columns are usually short next to the pool's wake/join latency;
+        // replan them inline below this size (the values are identical
+        // either way — `par_map` already matches the serial order).
+        const PAR_COLUMN_MIN: usize = 256;
+        if undecided.len() < PAR_COLUMN_MIN {
+            for &j in undecided.iter() {
+                record(j, replan(j));
+            }
+        } else {
+            let fresh = batch
+                .pool
+                .par_map(undecided.len(), |u| replan(undecided[u]));
+            for (&j, cell) in undecided.iter().zip(fresh) {
+                record(j, cell);
+            }
         }
         (
             Decision::assigned(oid, k),
@@ -917,148 +875,4 @@ impl<'a> DecisionBatch<'a> {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use dpdp_net::{FleetConfig, Instance, IntervalGrid, Node, NodeId, Point, TimeDelta};
-
-    fn instance() -> Instance {
-        let nodes = vec![
-            Node::depot(NodeId(0), Point::new(0.0, 0.0)),
-            Node::factory(NodeId(1), Point::new(10.0, 0.0)),
-            Node::factory(NodeId(2), Point::new(20.0, 0.0)),
-        ];
-        let net = RoadNetwork::euclidean(nodes, 1.0).unwrap();
-        let fleet =
-            FleetConfig::homogeneous(2, &[NodeId(0)], 10.0, 500.0, 2.0, 60.0, TimeDelta::ZERO)
-                .unwrap();
-        let orders = vec![
-            Order::new(
-                OrderId(0),
-                NodeId(1),
-                NodeId(2),
-                9.0,
-                TimePoint::from_hours(8.0),
-                // Tight deadline: no time to serve both orders back to
-                // back, and 9 + 9 exceeds the capacity of 10, so a vehicle
-                // that commits to one order cannot take the other.
-                TimePoint::from_hours(8.34),
-            )
-            .unwrap(),
-            Order::new(
-                OrderId(1),
-                NodeId(1),
-                NodeId(2),
-                9.0,
-                TimePoint::from_hours(8.0),
-                TimePoint::from_hours(8.34),
-            )
-            .unwrap(),
-        ];
-        Instance::new(net, fleet, IntervalGrid::paper_default(), orders).unwrap()
-    }
-
-    fn batch(inst: &Instance) -> DecisionBatch<'_> {
-        batch_with(inst, &mut EpochScratch::default())
-    }
-
-    fn batch_with<'a>(inst: &'a Instance, scratch: &mut EpochScratch) -> DecisionBatch<'a> {
-        let states: Vec<VehicleState> = inst.fleet.vehicles.iter().map(VehicleState::new).collect();
-        let mut states = states;
-        for s in &mut states {
-            s.advance_to(
-                TimePoint::from_hours(8.0),
-                &inst.network,
-                &inst.fleet,
-                inst.orders(),
-            );
-        }
-        DecisionBatch::new(
-            TimePoint::from_hours(8.0),
-            inst.grid.interval_of(TimePoint::from_hours(8.0)),
-            &inst.network,
-            &inst.fleet,
-            inst.orders(),
-            vec![OrderId(0), OrderId(1)],
-            states,
-            Arc::new(ThreadPool::serial()),
-            PlannerMode::default(),
-            None,
-            None,
-            scratch,
-        )
-    }
-
-    /// Reusing one `EpochScratch` across batch builds must be invisible:
-    /// a scratch dirtied by a previous epoch yields the same plan matrix,
-    /// bit for bit, as a freshly allocated one.
-    #[test]
-    fn dirty_epoch_scratch_is_bit_identical_to_fresh() {
-        let inst = instance();
-        let snapshot = |b: &DecisionBatch<'_>| {
-            b.map_plans(|_, _, p| {
-                (
-                    p.current_length.to_bits(),
-                    p.best.as_ref().map(|best| {
-                        (
-                            best.candidate.pickup_pos,
-                            best.candidate.delivery_pos,
-                            best.length().to_bits(),
-                        )
-                    }),
-                )
-            })
-        };
-        let fresh = snapshot(&batch(&inst));
-        let mut scratch = EpochScratch::default();
-        let first = snapshot(&batch_with(&inst, &mut scratch));
-        let second = snapshot(&batch_with(&inst, &mut scratch));
-        assert_eq!(fresh, first);
-        assert_eq!(fresh, second);
-    }
-
-    #[test]
-    fn resolve_updates_plan_deltas_for_later_orders() {
-        let inst = instance();
-        let b = batch(&inst);
-        assert_eq!(b.len(), 2);
-        assert!(b.any_feasible(0) && b.any_feasible(1));
-        // Before any commit both orders see an idle vehicle 0.
-        let d0_before = b.with_context(1, |ctx| ctx.plans[0].incremental_length().unwrap());
-        let d = b.resolve(0, Some(VehicleId(0)));
-        assert_eq!(d, Decision::assigned(OrderId(0), VehicleId(0)));
-        // Vehicle 0 is now loaded with 9 of 10 capacity: order 1 (quantity
-        // 9) no longer fits on it, so its plan flipped infeasible.
-        let feasible_now = b.with_context(1, |ctx| ctx.plans[0].feasible());
-        assert!(!feasible_now, "capacity should exclude vehicle 0");
-        assert!(d0_before.is_finite());
-        // Vehicle 1 remains available.
-        let d2 = b.resolve(1, Some(VehicleId(1)));
-        assert_eq!(d2.reason, DecisionReason::Assigned);
-    }
-
-    #[test]
-    fn resolve_classifies_rejections() {
-        let inst = instance();
-        let b = batch(&inst);
-        // Policy declined although feasible vehicles exist.
-        assert_eq!(b.resolve(0, None).reason, DecisionReason::PolicyRejected);
-        // Choosing an infeasible vehicle: make vehicle 0 full first.
-        let b2 = batch(&inst);
-        b2.resolve(0, Some(VehicleId(0)));
-        let d = b2.with_context(1, |ctx| ctx.plans[0].feasible());
-        assert!(!d);
-        assert_eq!(
-            b2.resolve(1, Some(VehicleId(0))).reason,
-            DecisionReason::InfeasibleChoice
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "resolved twice")]
-    fn double_resolve_panics() {
-        let inst = instance();
-        let b = batch(&inst);
-        b.resolve(0, None);
-        b.resolve(0, None);
-    }
-}
+mod tests;

@@ -1,0 +1,345 @@
+use super::*;
+use crate::shard::ShardContext;
+use dpdp_net::{
+    FleetConfig, Instance, IntervalGrid, Node, NodeId, Point, ShardMap, ShardPolicy, TimeDelta,
+};
+use proptest::prelude::*;
+
+/// Every fixture epoch is decided at 08:00.
+const NOW_H: f64 = 8.0;
+
+fn instance() -> Instance {
+    let nodes = vec![
+        Node::depot(NodeId(0), Point::new(0.0, 0.0)),
+        Node::factory(NodeId(1), Point::new(10.0, 0.0)),
+        Node::factory(NodeId(2), Point::new(20.0, 0.0)),
+    ];
+    let net = RoadNetwork::euclidean(nodes, 1.0).unwrap();
+    let fleet =
+        FleetConfig::homogeneous(2, &[NodeId(0)], 10.0, 500.0, 2.0, 60.0, TimeDelta::ZERO).unwrap();
+    let orders = vec![
+        Order::new(
+            OrderId(0),
+            NodeId(1),
+            NodeId(2),
+            9.0,
+            TimePoint::from_hours(8.0),
+            // Tight deadline: no time to serve both orders back to
+            // back, and 9 + 9 exceeds the capacity of 10, so a vehicle
+            // that commits to one order cannot take the other.
+            TimePoint::from_hours(8.34),
+        )
+        .unwrap(),
+        Order::new(
+            OrderId(1),
+            NodeId(1),
+            NodeId(2),
+            9.0,
+            TimePoint::from_hours(8.0),
+            TimePoint::from_hours(8.34),
+        )
+        .unwrap(),
+    ];
+    Instance::new(net, fleet, IntervalGrid::paper_default(), orders).unwrap()
+}
+
+fn batch(inst: &Instance) -> DecisionBatch<'_> {
+    batch_with(inst, None, &mut EpochScratch::default())
+}
+
+/// The 08:00 epoch over every order of `inst`, on a serial pool.
+fn batch_with<'a>(
+    inst: &'a Instance,
+    shards: Option<ShardContext>,
+    scratch: &mut EpochScratch,
+) -> DecisionBatch<'a> {
+    let now = TimePoint::from_hours(NOW_H);
+    let mut states: Vec<VehicleState> = inst.fleet.vehicles.iter().map(VehicleState::new).collect();
+    for s in &mut states {
+        s.advance_to(now, &inst.network, &inst.fleet, inst.orders());
+    }
+    DecisionBatch::new(
+        now,
+        inst.grid.interval_of(now),
+        &inst.network,
+        &inst.fleet,
+        inst.orders(),
+        inst.orders().iter().map(|o| o.id).collect(),
+        states,
+        Arc::new(ThreadPool::serial()),
+        PlannerMode::default(),
+        shards,
+        None,
+        scratch,
+    )
+}
+
+/// Reusing one `EpochScratch` across batch builds must be invisible:
+/// a scratch dirtied by a previous epoch yields the same plan matrix,
+/// bit for bit, as a freshly allocated one.
+#[test]
+fn dirty_epoch_scratch_is_bit_identical_to_fresh() {
+    let inst = instance();
+    let snapshot = |b: &DecisionBatch<'_>| -> Vec<Vec<PlannerOutput>> {
+        (0..b.len())
+            .map(|i| b.with_context(i, |ctx| ctx.plans.to_vec()))
+            .collect()
+    };
+    let fresh = snapshot(&batch(&inst));
+    let mut scratch = EpochScratch::default();
+    let first = snapshot(&batch_with(&inst, None, &mut scratch));
+    let second = snapshot(&batch_with(&inst, None, &mut scratch));
+    assert_eq!(fresh, first);
+    assert_eq!(fresh, second);
+}
+
+#[test]
+fn resolve_updates_plan_deltas_for_later_orders() {
+    let inst = instance();
+    let b = batch(&inst);
+    assert_eq!(b.len(), 2);
+    assert!(b.any_feasible(0) && b.any_feasible(1));
+    // Before any commit both orders see an idle vehicle 0.
+    let d0_before = b.with_context(1, |ctx| ctx.plans[0].incremental_length().unwrap());
+    let d = b.resolve(0, Some(VehicleId(0)));
+    assert_eq!(d, Decision::assigned(OrderId(0), VehicleId(0)));
+    // Vehicle 0 is now loaded with 9 of 10 capacity: order 1 (quantity
+    // 9) no longer fits on it, so its plan flipped infeasible.
+    let feasible_now = b.with_context(1, |ctx| ctx.plans[0].feasible());
+    assert!(!feasible_now, "capacity should exclude vehicle 0");
+    assert!(d0_before.is_finite());
+    // Vehicle 1 remains available.
+    let d2 = b.resolve(1, Some(VehicleId(1)));
+    assert_eq!(d2.reason, DecisionReason::Assigned);
+}
+
+#[test]
+fn resolve_classifies_rejections() {
+    let inst = instance();
+    let b = batch(&inst);
+    // Policy declined although feasible vehicles exist.
+    assert_eq!(b.resolve(0, None).reason, DecisionReason::PolicyRejected);
+    // Choosing an infeasible vehicle: make vehicle 0 full first.
+    let b2 = batch(&inst);
+    b2.resolve(0, Some(VehicleId(0)));
+    let d = b2.with_context(1, |ctx| ctx.plans[0].feasible());
+    assert!(!d);
+    assert_eq!(
+        b2.resolve(1, Some(VehicleId(0))).reason,
+        DecisionReason::InfeasibleChoice
+    );
+}
+
+#[test]
+#[should_panic(expected = "resolved twice")]
+fn double_resolve_panics() {
+    let inst = instance();
+    let b = batch(&inst);
+    b.resolve(0, None);
+    b.resolve(0, None);
+}
+
+/// One epoch order of the two-town fixture: pickup town (`true` = B),
+/// pickup factory, delivery offset within the town, hours to the deadline.
+type OrderSpec = (bool, usize, usize, f64);
+
+/// Two towns 300 km apart, each one depot plus four factories within a few
+/// km; vehicles alternate between the depots (even ids in town A). At
+/// 60 km/h a tight order (under two hours of slack) is servable in-town
+/// only, so under a two-shard map every cross-town cell of a tight order
+/// is pruned by the bound. All orders are created at the 08:00 epoch.
+fn two_towns(num_vehicles: usize, specs: &[OrderSpec]) -> Instance {
+    let offsets = [(4.0, 0.0), (0.0, 5.0), (6.0, 6.0), (9.0, 2.0)];
+    let mut nodes = vec![
+        Node::depot(NodeId(0), Point::new(0.0, 0.0)),
+        Node::depot(NodeId(1), Point::new(300.0, 0.0)),
+    ];
+    for town_x in [0.0, 300.0] {
+        for (dx, dy) in offsets {
+            let id = NodeId::from_index(nodes.len());
+            nodes.push(Node::factory(id, Point::new(town_x + dx, dy)));
+        }
+    }
+    let net = RoadNetwork::euclidean(nodes, 1.0).unwrap();
+    let fleet = FleetConfig::homogeneous(
+        num_vehicles,
+        &[NodeId(0), NodeId(1)],
+        10.0,
+        500.0,
+        2.0,
+        60.0,
+        TimeDelta::from_minutes(2.0),
+    )
+    .unwrap();
+    let orders = specs
+        .iter()
+        .enumerate()
+        .map(|(i, &(town_b, pickup, hop, slack_h))| {
+            let base = if town_b { 6 } else { 2 };
+            Order::new(
+                OrderId(i as u32),
+                NodeId::from_index(base + pickup % 4),
+                NodeId::from_index(base + (pickup + 1 + hop % 3) % 4),
+                1.0,
+                TimePoint::from_hours(NOW_H),
+                TimePoint::from_hours(NOW_H + slack_h),
+            )
+            .unwrap()
+        })
+        .collect();
+    Instance::new(net, fleet, IntervalGrid::paper_default(), orders).unwrap()
+}
+
+/// The epoch over every order of `inst`, flat or under a two-shard map
+/// (escalation 0, so foreign cells survive on the bound alone).
+fn town_batch(inst: &Instance, sharded: bool) -> DecisionBatch<'_> {
+    let shards = sharded.then(|| ShardContext {
+        map: Arc::new(ShardMap::build(&inst.network, 2, ShardPolicy::default(), 7)),
+        escalation: 0,
+    });
+    batch_with(inst, shards, &mut EpochScratch::default())
+}
+
+/// The vehicles row `i` of a sharded batch stores a cell for.
+fn stored_vehicles(b: &DecisionBatch<'_>, i: usize) -> Vec<u32> {
+    match &b.inner.borrow().plans {
+        PlanStore::Sparse { rows, .. } => rows[i].iter().map(|e| e.0).collect(),
+        PlanStore::Dense(_) => panic!("expected a sharded batch"),
+    }
+}
+
+fn dense_row(b: &DecisionBatch<'_>, i: usize) -> Vec<PlannerOutput> {
+    b.with_context(i, |ctx| ctx.plans.to_vec())
+}
+
+/// The hook (a loose town-B order vehicle 0 of town A accepts first, which
+/// sends it across the gap), one tight order per town, then the extras.
+fn epoch_specs(extra: Vec<OrderSpec>) -> Vec<OrderSpec> {
+    let mut specs = vec![(true, 0, 0, 20.0), (false, 1, 1, 1.5), (true, 2, 0, 1.5)];
+    specs.extend(extra);
+    specs
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A sharded and a flat batch over the same epoch, driven through the
+    /// same `resolve` sequence, expose `==` rows for every undecided order
+    /// after every step — while the sparse rows keep pruned delta cells
+    /// implicit. Every case crosses both transitions: vehicle 0 leaving
+    /// town A turns its *stored* town-A cells pruned (overwritten in place
+    /// with the fallback), and its *absent* town-B cells in-shard, hence
+    /// evaluated and inserted. (They come out infeasible: the bound only
+    /// grows along a route, so a pruned pair cannot turn feasible on a
+    /// metric network — the insert is what keeps that a checked fact
+    /// instead of an assumption.) The work counters are recomputed here
+    /// from the public classification rule and must match `shard_stats`.
+    #[test]
+    fn sharded_rows_match_flat_rows_through_commits(
+        num_vehicles in 2usize..7,
+        extra in proptest::collection::vec(
+            (proptest::bool::ANY, 0usize..4, 0usize..3, 0.5f64..2.0),
+            0..6,
+        ),
+        picks in proptest::collection::vec(0usize..8, 9),
+    ) {
+        let inst = two_towns(num_vehicles, &epoch_specs(extra));
+        let planner = RoutePlanner::new(&inst.network, &inst.fleet, inst.orders());
+        let flat = town_batch(&inst, false);
+        let sharded = town_batch(&inst, true);
+        let b = flat.len();
+        let mut picks = picks.into_iter();
+        let initial: Vec<usize> = (0..b).map(|j| stored_vehicles(&sharded, j).len()).collect();
+        let mut evaluated = vec![0usize; b];
+        let mut inserted = vec![0usize; b];
+        let (mut stale_pruned, mut absent_evaluated) = (0usize, 0usize);
+        for i in 0..b {
+            for j in i..b {
+                prop_assert_eq!(dense_row(&sharded, j), dense_row(&flat, j), "row {} at step {}", j, i);
+            }
+            let choice = if i == 0 {
+                Some(VehicleId(0))
+            } else {
+                let feasible: Vec<usize> = flat.with_context(i, |ctx| {
+                    (0..ctx.plans.len()).filter(|&k| ctx.plans[k].feasible()).collect()
+                });
+                feasible.get(picks.next().expect("one pick per order") % (feasible.len() + 1)).map(|&k| VehicleId::from_index(k))
+            };
+            let was_stored: Vec<bool> = (0..b)
+                .map(|j| choice.is_some_and(|k| stored_vehicles(&sharded, j).contains(&k.0)))
+                .collect();
+            let mut expect = sharded.shard_stats();
+            let decision = sharded.resolve(i, choice);
+            prop_assert_eq!(decision, flat.resolve(i, choice));
+            let Some(k) = decision.vehicle else {
+                prop_assert_eq!(sharded.shard_stats(), expect);
+                continue;
+            };
+            let view = sharded.with_context(i, |ctx| ctx.views[k.index()].clone());
+            for j in i + 1..b {
+                let foreign = sharded.shard_of_order(j) != sharded.shard_of_vehicle(k);
+                let pruned = foreign && planner.provably_infeasible(&view, sharded.order(j));
+                let stored = stored_vehicles(&sharded, j).contains(&k.0);
+                expect.cells += 1;
+                if pruned {
+                    expect.pruned += 1;
+                    prop_assert_eq!(stored, was_stored[j], "a pruned cell was inserted");
+                    stale_pruned += usize::from(stored);
+                } else {
+                    expect.evaluated += 1;
+                    expect.escalated += usize::from(foreign);
+                    evaluated[j] += 1;
+                    prop_assert!(stored, "an evaluated cell must be stored");
+                    if !was_stored[j] {
+                        inserted[j] += 1;
+                        absent_evaluated += 1;
+                    }
+                }
+            }
+            prop_assert_eq!(sharded.shard_stats(), expect);
+        }
+        for j in 0..b {
+            prop_assert_eq!(stored_vehicles(&sharded, j).len(), initial[j] + inserted[j]);
+            prop_assert!(inserted[j] <= evaluated[j]);
+        }
+        prop_assert!(stale_pruned >= 1, "no stored cell turned pruned");
+        prop_assert!(absent_evaluated >= 1, "no pruned cell turned evaluated");
+    }
+}
+
+/// `shard_stats` counts commit-delta cells exactly as it did when pruned
+/// delta cells were still written into the rows: the counters of this
+/// fixed epoch — after the initial sweep and after a first-feasible
+/// dispatch behind the hook — are the values the previous store produced.
+#[test]
+fn shard_stats_count_commit_deltas_as_before() {
+    let extra = vec![
+        (false, 0, 2, 1.0),
+        (true, 3, 1, 0.8),
+        (false, 2, 0, 1.9),
+        (true, 1, 2, 1.2),
+        (false, 3, 1, 0.6),
+    ];
+    let inst = two_towns(6, &epoch_specs(extra));
+    let batch = town_batch(&inst, true);
+    let stats = |cells, evaluated, pruned, escalated| ShardStats {
+        cells,
+        evaluated,
+        pruned,
+        escalated,
+    };
+    assert_eq!(batch.shard_stats(), stats(48, 27, 21, 3));
+    for i in 0..batch.len() {
+        let choice = if i == 0 {
+            Some(VehicleId(0))
+        } else {
+            batch.with_context(i, |ctx| {
+                (0..ctx.plans.len())
+                    .find(|&k| ctx.plans[k].feasible())
+                    .map(VehicleId::from_index)
+            })
+        };
+        batch.resolve(i, choice);
+    }
+    assert_eq!(batch.shard_stats(), stats(76, 39, 37, 3));
+}

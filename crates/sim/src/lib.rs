@@ -49,23 +49,33 @@
 //! [`DecisionBatch`]: one shared set of vehicle snapshots and Algorithm 2
 //! planner outputs, delta-updated as decisions commit. Per-order policies
 //! implement [`Dispatcher::dispatch`] and ride the default adapter;
-//! batch-native policies (like `dpdp-baselines`' greedy baselines) score
-//! whole epochs at once. Stranded orders from breakdowns re-enter here as re-dispatchable
+//! batch-native policies (like `dpdp-baselines`' greedy baselines) read
+//! the batch's rows directly. Stranded orders from breakdowns re-enter here as re-dispatchable
 //! arrivals; broken vehicles keep their dense snapshot slot but every
 //! plan of theirs arrives as `best: None`.
 //!
 //! # Parallel epoch scoring
 //!
 //! [`SimulatorBuilder::num_threads`] hands every [`DecisionBatch`] a
-//! [`dpdp_pool::ThreadPool`]: the initial `B x K` Algorithm 2 sweep, the
-//! per-commit plan deltas, and policy-side scoring
-//! ([`DecisionBatch::map_plans`] / [`DecisionBatch::map_contexts`]) all
-//! fan out across it, with every result written to a pre-indexed slot —
-//! results are bit-identical for every thread count. Sharded batches
-//! store only the cells the sweep evaluated; batch-native policies can
-//! stay `O(work)` instead of `O(B x K)` through
-//! [`DecisionBatch::map_candidate_plans`] / [`DecisionBatch::with_plan`]
-//! (every cell the candidate rows omit is provably infeasible).
+//! [`dpdp_pool::ThreadPool`]: the initial `B x K` Algorithm 2 sweep and
+//! the longer per-commit plan deltas fan out across it, with every result
+//! written to a pre-indexed slot — results are bit-identical for every
+//! thread count.
+//!
+//! # Candidate rows
+//!
+//! A batch owns the epoch's plan matrix and is its only writer. Policies
+//! read it one order at a time: per-order policies through the dense
+//! `K`-slice of [`DecisionBatch::with_context`], batch-native policies by
+//! folding over the order's *candidate row* at decision time
+//! ([`DecisionBatch::fold_candidates`]). Unsharded, a row is all `K`
+//! vehicles. Sharded, it is the cells some sweep actually evaluated —
+//! every cell it omits was proven infeasible by the exact bound and reads
+//! as the vehicle's `best: None` fallback, so it could never win an
+//! argmin and a policy stays `O(work)` instead of `O(K)` per order. A row
+//! changes only when an acceptance commits: the accepting vehicle's cell
+//! is replanned for every still-undecided order, and cells the bound
+//! prunes again stay implicit (the vehicle's fallback is refreshed once).
 //!
 //! # Region-sharded dispatch: partition → score → merge
 //!

@@ -1,0 +1,172 @@
+//! Allocation budget of a commit delta on a sharded batch: a warmed-up
+//! acceptance allocates for its commit record and for the delta cells it
+//! *evaluates* — and nothing per pruned cell, however many still-undecided
+//! rows the bound dismisses. Pruned cells used to be written into every
+//! such row; this pins that they stay implicit.
+
+use dpdp_net::{
+    FleetConfig, Instance, IntervalGrid, Node, NodeId, Order, OrderId, Point, RoadNetwork,
+    TimeDelta, TimePoint, VehicleId,
+};
+use dpdp_sim::{BufferingMode, Decision, DecisionBatch, Dispatcher, ShardConfig, Simulator};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocations made by this thread (const-initialised: reading it
+    /// never allocates).
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the only addition is a thread-local counter bump
+// that neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are `System.alloc`'s own.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are `System.realloc`'s own.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocations_of<R>(f: impl FnOnce() -> R) -> (usize, R) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let result = f();
+    (ALLOCATIONS.with(Cell::get) - before, result)
+}
+
+const TOWN_A_ORDERS: usize = 6;
+const TOWN_B_ORDERS: usize = 40;
+
+/// Two towns 300 km apart. Six vehicles idle in town A; six loose town-A
+/// orders head the epoch, forty town-B orders with ninety minutes of slack follow
+/// (no vehicle can reach them: every one of their cells is pruned, before
+/// and after each commit).
+fn instance() -> Instance {
+    let nodes = vec![
+        Node::depot(NodeId(0), Point::new(0.0, 0.0)),
+        Node::factory(NodeId(1), Point::new(4.0, 0.0)),
+        Node::factory(NodeId(2), Point::new(0.0, 5.0)),
+        Node::factory(NodeId(3), Point::new(300.0, 0.0)),
+        Node::factory(NodeId(4), Point::new(304.0, 3.0)),
+    ];
+    let net = RoadNetwork::euclidean(nodes, 1.0).unwrap();
+    let fleet = FleetConfig::homogeneous(
+        TOWN_A_ORDERS,
+        &[NodeId(0)],
+        10.0,
+        500.0,
+        2.0,
+        60.0,
+        TimeDelta::from_minutes(2.0),
+    )
+    .unwrap();
+    let created = TimePoint::from_hours(8.5);
+    let orders = (0..TOWN_A_ORDERS + TOWN_B_ORDERS)
+        .map(|i| {
+            let (pickup, delivery, slack_h) = if i < TOWN_A_ORDERS {
+                (1, 2, 12.0)
+            } else {
+                (3, 4, 1.5)
+            };
+            Order::new(
+                OrderId(i as u32),
+                NodeId(pickup),
+                NodeId(delivery),
+                1.0,
+                created,
+                created + TimeDelta::from_hours(slack_h),
+            )
+            .unwrap()
+        })
+        .collect();
+    Instance::new(net, fleet, IntervalGrid::paper_default(), orders).unwrap()
+}
+
+/// Gives town-A order `i` to vehicle `i` (a fresh idle vehicle each time,
+/// so every acceptance replans a column no row stores yet) and records,
+/// per acceptance, what `resolve` allocated and how many delta cells it
+/// evaluated.
+#[derive(Default)]
+struct Probe {
+    /// `(allocations, evaluated delta cells, pruned delta cells)`.
+    acceptances: Vec<(usize, usize, usize)>,
+}
+
+impl Dispatcher for Probe {
+    fn dispatch(&mut self, _ctx: &dpdp_sim::DispatchContext<'_>) -> Option<VehicleId> {
+        unreachable!("batch-native")
+    }
+
+    fn dispatch_batch(&mut self, batch: &DecisionBatch<'_>) -> Vec<Decision> {
+        assert_eq!(batch.len(), TOWN_A_ORDERS + TOWN_B_ORDERS);
+        assert_eq!(batch.num_shards(), 2);
+        self.acceptances.reserve(TOWN_A_ORDERS);
+        (0..batch.len())
+            .map(|i| {
+                let choice = (i < TOWN_A_ORDERS).then(|| VehicleId::from_index(i));
+                let before = batch.shard_stats();
+                let (allocations, decision) = allocations_of(|| batch.resolve(i, choice));
+                if decision.is_assigned() {
+                    let after = batch.shard_stats();
+                    self.acceptances.push((
+                        allocations,
+                        after.evaluated - before.evaluated,
+                        after.pruned - before.pruned,
+                    ));
+                }
+                decision
+            })
+            .collect()
+    }
+}
+
+#[test]
+fn warmed_up_acceptance_allocates_only_for_evaluated_cells() {
+    let inst = instance();
+    let mut probe = Probe::default();
+    let result = Simulator::builder(&inst)
+        .buffering(BufferingMode::FixedInterval(TimeDelta::from_minutes(60.0)))
+        .sharding(ShardConfig::flat(2).unwrap().escalation(0))
+        .build()
+        .unwrap()
+        .run(&mut probe);
+    assert_eq!(result.metrics.served, TOWN_A_ORDERS);
+    assert_eq!(probe.acceptances.len(), TOWN_A_ORDERS);
+
+    // The first acceptance sizes the batch's commit scratch (undecided
+    // list, column schedule cache). From then on an acceptance costs its
+    // commit record (the plan, the pre-commit view and the adopted route —
+    // a handful of clones) plus the boxed best insertion of each delta
+    // cell it evaluates; the forty pruned town-B cells cost nothing.
+    for &(allocations, evaluated, pruned) in &probe.acceptances[1..] {
+        assert_eq!(pruned, TOWN_B_ORDERS);
+        assert!(
+            allocations <= 10 + 6 * evaluated,
+            "acceptance allocated {allocations} times for {evaluated} evaluated \
+             and {pruned} pruned delta cells"
+        );
+    }
+    let evaluated: Vec<usize> = probe.acceptances.iter().map(|a| a.1).collect();
+    assert_eq!(
+        evaluated,
+        [5, 4, 3, 2, 1, 0],
+        "one delta cell per remaining town-A order"
+    );
+}

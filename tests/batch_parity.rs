@@ -22,9 +22,11 @@
 //! re-partitioning get the same treatment in `tests/repartition.rs`.
 
 use dpdp_core::prelude::*;
-use dpdp_net::TimeDelta;
+use dpdp_net::{TimeDelta, VehicleId};
 use dpdp_rl::ActorCriticConfig;
-use dpdp_sim::{BufferingMode, EpisodeResult, PerOrder, PlannerMode, ShardConfig};
+use dpdp_sim::{
+    BufferingMode, EpisodeResult, PerOrder, PlannerMode, RepartitionPolicy, ShardConfig,
+};
 
 fn presets() -> Presets {
     let mut cfg = DatasetConfig::default();
@@ -293,6 +295,106 @@ fn sharded_metro_epochs_actually_prune() {
         stats.cells
     );
     assert!(stats.escalated > 0, "escalation must also fire");
+}
+
+/// The ledger's `megacity_b1` configuration at a tenth of its size: the
+/// hierarchical 64 x 2 layout with escalation 2 and periodic
+/// re-partitioning under 30-minute buffering, where most of a commit
+/// delta's column is pruned and the sparse rows keep those cells implicit.
+/// Baselines 1-3 must decide exactly as on the flat unsharded scan — at
+/// both thread widths, and through the per-order adapter reading the same
+/// sharded batch — and the commit deltas must actually prune.
+#[test]
+fn hierarchical_megacity_commit_deltas_are_invisible_to_the_baselines() {
+    use dpdp_sim::{Decision, DecisionBatch, DispatchContext, ShardStats};
+
+    /// Forwards to `inner`, tallying the work its commits added on top of
+    /// each epoch's initial sweep.
+    struct DeltaTally {
+        inner: Box<dyn Dispatcher>,
+        deltas: ShardStats,
+    }
+    impl Dispatcher for DeltaTally {
+        fn dispatch(&mut self, ctx: &DispatchContext<'_>) -> Option<VehicleId> {
+            self.inner.dispatch(ctx)
+        }
+        fn dispatch_batch(&mut self, batch: &DecisionBatch<'_>) -> Vec<Decision> {
+            let before = batch.shard_stats();
+            let decisions = self.inner.dispatch_batch(batch);
+            let after = batch.shard_stats();
+            self.deltas.cells += after.cells - before.cells;
+            self.deltas.pruned += after.pruned - before.pruned;
+            self.deltas.evaluated += after.evaluated - before.evaluated;
+            decisions
+        }
+        fn begin_episode(&mut self, instance: &Instance) {
+            self.inner.begin_episode(instance);
+        }
+    }
+
+    let megacity = Presets::megacity(7);
+    let instance = megacity.megacity_instance(2_000, 1_000, 7);
+    let buffering = BufferingMode::FixedInterval(TimeDelta::from_minutes(30.0));
+    let sharding = ShardConfig::hierarchical(64, 2)
+        .expect("positive region and cell counts")
+        .escalation(2)
+        .repartition(RepartitionPolicy::periodic(4))
+        .expect("positive re-partition period");
+    let run_with = |inner: Box<dyn Dispatcher>, sharded: bool, num_threads: usize| {
+        let mut builder = Simulator::builder(&instance)
+            .buffering(buffering)
+            .num_threads(num_threads);
+        if sharded {
+            builder = builder.sharding(sharding.clone());
+        }
+        let mut tally = DeltaTally {
+            inner,
+            deltas: ShardStats::default(),
+        };
+        let result = builder
+            .build()
+            .expect("valid configuration")
+            .run(&mut tally);
+        (result, tally.deltas)
+    };
+    type MakeDispatcher = fn() -> Box<dyn Dispatcher>;
+    let heuristics: [(&str, MakeDispatcher, MakeDispatcher); 3] = [
+        (
+            "Baseline1",
+            || Box::new(Baseline1),
+            || Box::new(PerOrder(Baseline1)),
+        ),
+        (
+            "Baseline2",
+            || Box::new(Baseline2),
+            || Box::new(PerOrder(Baseline2)),
+        ),
+        (
+            "Baseline3",
+            || Box::<Baseline3>::default(),
+            || Box::new(PerOrder(Baseline3::default())),
+        ),
+    ];
+    for (name, native, per_order) in heuristics {
+        let (flat, _) = run_with(native(), false, 1);
+        assert_eq!(flat.assignments.len(), instance.num_orders());
+        for width in [1, parallel_threads()] {
+            let (sharded, deltas) = run_with(native(), true, width);
+            assert_eq!(
+                flat, sharded,
+                "{name} diverged under the hierarchical layout at {width} thread(s)"
+            );
+            assert!(
+                deltas.pruned > deltas.evaluated && deltas.evaluated > 0,
+                "{name}: commit deltas should mostly prune, got {deltas:?}"
+            );
+        }
+        let (adapter, _) = run_with(per_order(), true, 1);
+        assert_eq!(
+            flat, adapter,
+            "{name} diverged through the per-order adapter"
+        );
+    }
 }
 
 #[test]
