@@ -1,16 +1,11 @@
 //! Route-planner microbenchmarks: insertion evaluation (Algorithm 2)
-//! throughput as a function of route length — naive O(n³) reference vs the
-//! incremental O(n²) prefix/suffix-cached evaluator, the SoA schedule
-//! cache vs the retained AoS reference layout, and the batched
-//! distance-row kernels vs per-call matrix reads.
+//! throughput as a function of route length, and the batched distance-row
+//! kernels vs per-call matrix reads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dpdp_bench::{insertion_fixture, insertion_fixture_with_probes};
+use dpdp_bench::insertion_fixture;
 use dpdp_core::prelude::*;
-use dpdp_routing::{
-    sweep_best, sweep_best_aos, AosScheduleCache, PlannerMode, RoutePlanner, ScheduleCache,
-    VehicleView,
-};
+use dpdp_routing::{RoutePlanner, VehicleView};
 use dpdp_sim::Simulator;
 
 /// Builds a view whose route already carries `orders_on_route` orders by
@@ -42,71 +37,6 @@ fn bench_insertion(c: &mut Criterion) {
             &view,
             |b, view| b.iter(|| std::hint::black_box(planner.plan(view, probe))),
         );
-    }
-    group.finish();
-}
-
-/// Head-to-head: the naive enumerate-and-resimulate reference vs the
-/// incremental evaluator on the same loose ring fixture, route lengths
-/// n = 4, 8, 16 and 32 stops. The acceptance bar for this PR is >= 3x at
-/// n = 16 (the real gap grows with n; the CI bench-smoke job gates on the
-/// wall times archived by the `table1` binary).
-fn bench_naive_vs_incremental(c: &mut Criterion) {
-    let mut group = c.benchmark_group("insertion_sweep");
-    for &orders_on_route in &[2usize, 4, 8, 16] {
-        let (instance, view) = insertion_fixture(orders_on_route);
-        let probe = instance.orders().last().unwrap();
-        let n = 2 * orders_on_route;
-        let incremental = RoutePlanner::new(&instance.network, &instance.fleet, instance.orders());
-        let naive = RoutePlanner::with_mode(
-            &instance.network,
-            &instance.fleet,
-            instance.orders(),
-            PlannerMode::Naive,
-        );
-        group.bench_with_input(BenchmarkId::new("incremental", n), &view, |b, view| {
-            b.iter(|| std::hint::black_box(incremental.plan(view, probe)))
-        });
-        group.bench_with_input(BenchmarkId::new("naive", n), &view, |b, view| {
-            b.iter(|| std::hint::black_box(naive.plan(view, probe)))
-        });
-    }
-    group.finish();
-}
-
-/// Head-to-head on the epoch-shaped `B × K` workload (cache rebuild + ten
-/// distinct probe sweeps): the SoA [`ScheduleCache`] sweep vs the retained
-/// AoS reference layout. Bit-identical winners by construction (the parity
-/// suites assert it); this group tracks the layout's wall-time edge — the
-/// SoA path reads its persisted base-leg tables where the AoS walk
-/// re-derives each leg with a matrix read and a division.
-fn bench_soa_vs_aos_sweep(c: &mut Criterion) {
-    const B: usize = 10;
-    let mut group = c.benchmark_group("soa_vs_aos_sweep");
-    for &orders_on_route in &[4usize, 8, 16] {
-        let (instance, view) = insertion_fixture_with_probes(orders_on_route, B);
-        let net = &instance.network;
-        let fleet = &instance.fleet;
-        let orders = instance.orders();
-        let probes: Vec<_> = orders.iter().rev().take(B).collect();
-        let n = 2 * orders_on_route;
-        group.bench_with_input(BenchmarkId::new("soa", n), &view, |b, view| {
-            let mut cache = ScheduleCache::default();
-            b.iter(|| {
-                cache.rebuild(view, net, fleet, orders);
-                for probe in &probes {
-                    std::hint::black_box(sweep_best(&cache, view, probe, net, fleet, orders));
-                }
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("aos", n), &view, |b, view| {
-            b.iter(|| {
-                let cache = AosScheduleCache::build(view, net, fleet, orders);
-                for probe in &probes {
-                    std::hint::black_box(sweep_best_aos(&cache, view, probe, net, fleet, orders));
-                }
-            })
-        });
     }
     group.finish();
 }
@@ -169,8 +99,6 @@ fn bench_episode_planning(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_insertion,
-    bench_naive_vs_incremental,
-    bench_soa_vs_aos_sweep,
     bench_batched_distance_row,
     bench_episode_planning
 );

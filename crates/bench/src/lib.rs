@@ -1,7 +1,8 @@
 //! Shared harness for the table/figure regenerator binaries.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md §4). This library provides the common plumbing: CLI
+//! (`table1`, `fig2`, `fig6`–`fig9`, `suppl_*`); `loadgen` drives the
+//! decision service. This library provides the common plumbing: CLI
 //! parsing, model training with the right ST-prediction wiring, and result
 //! output to `target/experiments/`.
 
@@ -19,37 +20,22 @@ pub enum Scenario {
     /// The paper's single-campus workload (the default).
     #[default]
     Campus,
-    /// The multi-hotspot metro workload (`Presets::metro`).
-    Metro,
     /// Metro plus seeded cancellations and vehicle breakdowns
     /// (`Presets::metro_disrupted`); the disruption seed is the master
     /// `--seed` and is recorded in the benchmark JSON so perf
     /// trajectories stay comparable across scenarios.
     MetroDisrupted,
-    /// The industry-scale megacity workload (`Presets::megacity`): a
-    /// 10k-vehicle fleet under a hierarchical two-level `ShardConfig`
-    /// versus the flat fleet scan, gated on a ≥ 5× wall-time win
-    /// (`table1` runs *only* this stage under the scenario — the regular
-    /// Table I lineup would dwarf the gate's runtime).
-    Megacity,
 }
 
 impl Scenario {
     /// Every scenario, in CLI advertisement order.
-    pub const ALL: [Scenario; 4] = [
-        Scenario::Campus,
-        Scenario::Metro,
-        Scenario::MetroDisrupted,
-        Scenario::Megacity,
-    ];
+    pub const ALL: [Scenario; 2] = [Scenario::Campus, Scenario::MetroDisrupted];
 
     /// The scenario's canonical CLI/JSON name.
     pub fn name(self) -> &'static str {
         match self {
             Scenario::Campus => "campus",
-            Scenario::Metro => "metro",
             Scenario::MetroDisrupted => "metro_disrupted",
-            Scenario::Megacity => "megacity",
         }
     }
 
@@ -64,8 +50,7 @@ impl Scenario {
 }
 
 /// Minimal CLI: `--episodes N`, `--instances N`, `--quick` (smaller
-/// dataset), `--seed N`, `--threads N`, `--shards LIST`,
-/// `--scenario NAME`.
+/// dataset), `--seed N`, `--threads N`, `--scenario NAME`.
 #[derive(Debug, Clone)]
 pub struct Cli {
     /// Training episodes for learned models.
@@ -79,11 +64,7 @@ pub struct Cli {
     /// Scoring pool width for evaluation episodes (1 = serial; results are
     /// identical for every width, only wall time moves).
     pub threads: usize,
-    /// Shard counts the shard-sweep measurements run at (comma-separated
-    /// `--shards 1,4`; results are identical for every count, only wall
-    /// time moves). Consumed by `table1`'s metro shard sweep.
-    pub shards: Vec<usize>,
-    /// Scenario family (`--scenario campus|metro|metro_disrupted`).
+    /// Scenario family (`--scenario campus|metro_disrupted`).
     /// Selects which *scenario-specific* sections a benchmark binary adds
     /// (e.g. `table1`'s disrupted smoke episode); the fixed campus rows
     /// every run produces are unaffected. Recorded in the benchmark JSON
@@ -142,11 +123,8 @@ options:
   --instances N   number of evaluation instances
   --seed N        master seed
   --threads N     scoring pool width (1 = serial; results are identical)
-  --shards LIST   comma-separated shard counts for the shard sweep
-                  (e.g. 1,4; results are identical, only wall time moves)
-  --scenario NAME scenario family: campus (default), metro,
-                  metro_disrupted (seeded cancellations + breakdowns), or
-                  megacity (10k-vehicle hierarchical-sharding gate)
+  --scenario NAME scenario family: campus (default) or metro_disrupted
+                  (seeded cancellations + breakdowns)
   --quick         use the reduced-volume dataset
   -h, --help      print this help";
 
@@ -188,7 +166,6 @@ impl Cli {
             quick: false,
             seed: 7,
             threads: 1,
-            shards: vec![1],
             scenario: Scenario::default(),
         };
         fn numeric<T: std::str::FromStr>(
@@ -223,23 +200,6 @@ impl Cli {
                             flag: "--threads",
                             value: "0".to_string(),
                         });
-                    }
-                    i += 1;
-                }
-                "--shards" => {
-                    let value = args.get(i + 1).ok_or(CliError::MissingValue("--shards"))?;
-                    let parsed: Result<Vec<usize>, _> =
-                        value.split(',').map(str::parse::<usize>).collect();
-                    match parsed {
-                        Ok(list) if !list.is_empty() && list.iter().all(|&s| s >= 1) => {
-                            cli.shards = list;
-                        }
-                        _ => {
-                            return Err(CliError::InvalidValue {
-                                flag: "--shards",
-                                value: value.clone(),
-                            })
-                        }
                     }
                     i += 1;
                 }
@@ -462,18 +422,16 @@ pub fn bench_json(bench: &str, cli: &Cli, records: &[BenchRecord]) -> String {
             )
         })
         .collect();
-    let shards: Vec<String> = cli.shards.iter().map(|s| s.to_string()).collect();
     let disruption_seed = match cli.scenario {
         Scenario::MetroDisrupted => cli.seed.to_string(),
         _ => "null".to_string(),
     };
     format!(
-        "{{\n  \"bench\": \"{}\",\n  \"threads\": {},\n  \"shards\": [{}],\n  \
+        "{{\n  \"bench\": \"{}\",\n  \"threads\": {},\n  \
          \"scenario\": \"{}\",\n  \"disruption_seed\": {},\n  \
          \"episodes\": {},\n  \"seed\": {},\n  \"quick\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
         esc(bench),
         cli.threads,
-        shards.join(", "),
         cli.scenario.name(),
         disruption_seed,
         cli.episodes,
@@ -490,21 +448,9 @@ pub fn bench_json(bench: &str, cli: &Cli, records: &[BenchRecord]) -> String {
 /// instance's last) left off the route.
 ///
 /// Looseness is the point: every greedy insertion stays feasible, so the
-/// route length is exactly `2 * orders_on_route` and the naive vs
-/// incremental comparison measures the evaluators, not the instance.
+/// route length is exactly `2 * orders_on_route` and a benchmark over it
+/// measures the evaluator, not the instance.
 pub fn insertion_fixture(orders_on_route: usize) -> (Instance, dpdp_routing::VehicleView) {
-    insertion_fixture_with_probes(orders_on_route, 1)
-}
-
-/// [`insertion_fixture`] generalized to leave `probes` orders off the
-/// route: the instance's last `probes` orders are un-routed, so a `B × K`
-/// epoch-shaped benchmark can sweep `B` *distinct* probe orders per cache
-/// without tripping the duplicate-order fallback in
-/// [`dpdp_routing::best_insertion_cached`].
-pub fn insertion_fixture_with_probes(
-    orders_on_route: usize,
-    probes: usize,
-) -> (Instance, dpdp_routing::VehicleView) {
     use dpdp_net::{
         FleetConfig, IntervalGrid, Node, NodeId, Order, OrderId, Point, RoadNetwork, TimeDelta,
         TimePoint,
@@ -529,7 +475,7 @@ pub fn insertion_fixture_with_probes(
         TimeDelta::from_minutes(2.0),
     )
     .expect("valid fleet");
-    let orders: Vec<Order> = (0..orders_on_route + probes)
+    let orders: Vec<Order> = (0..=orders_on_route)
         .map(|i| {
             Order::new(
                 OrderId(i as u32),
@@ -618,50 +564,22 @@ mod tests {
     }
 
     #[test]
-    fn cli_parses_shard_lists() {
-        let cli = Cli::parse_from(&argv(&["--shards", "1,4,8"]), 60, 3).unwrap();
-        assert_eq!(cli.shards, vec![1, 4, 8]);
-        let cli = Cli::parse_from(&[], 60, 3).unwrap();
-        assert_eq!(cli.shards, vec![1]);
-        for bad in ["", "0", "1,x", "1,,4"] {
-            let err = Cli::parse_from(&argv(&["--shards", bad]), 60, 3).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    CliError::InvalidValue {
-                        flag: "--shards",
-                        ..
-                    }
-                ),
-                "{bad:?} must be rejected"
-            );
-        }
-        let err = Cli::parse_from(&argv(&["--shards"]), 60, 3).unwrap_err();
-        assert_eq!(err, CliError::MissingValue("--shards"));
-    }
-
-    #[test]
     fn cli_parses_scenarios() {
         let cli = Cli::parse_from(&argv(&["--scenario", "metro_disrupted"]), 60, 3).unwrap();
         assert_eq!(cli.scenario, Scenario::MetroDisrupted);
         assert_eq!(cli.scenario.name(), "metro_disrupted");
-        let cli = Cli::parse_from(&argv(&["--scenario", "metro"]), 60, 3).unwrap();
-        assert_eq!(cli.scenario, Scenario::Metro);
-        let cli = Cli::parse_from(&argv(&["--scenario", "megacity"]), 60, 3).unwrap();
-        assert_eq!(cli.scenario, Scenario::Megacity);
-        assert_eq!(cli.scenario.name(), "megacity");
         let cli = Cli::parse_from(&[], 60, 3).unwrap();
         assert_eq!(cli.scenario, Scenario::Campus);
-        let err = Cli::parse_from(&argv(&["--scenario", "mars"]), 60, 3).unwrap_err();
-        assert_eq!(err, CliError::UnknownScenario("mars".to_string()));
-        let msg = err.to_string();
-        assert!(
-            msg.contains("campus")
-                && msg.contains("metro")
-                && msg.contains("metro_disrupted")
-                && msg.contains("megacity"),
-            "the error must list every valid scenario: {msg}"
-        );
+        // A prefix of a valid name is not a name.
+        for bad in ["mars", "metro"] {
+            let err = Cli::parse_from(&argv(&["--scenario", bad]), 60, 3).unwrap_err();
+            assert_eq!(err, CliError::UnknownScenario(bad.to_string()));
+            let msg = err.to_string();
+            assert!(
+                msg.ends_with("valid scenarios: campus, metro_disrupted"),
+                "the error must list every valid scenario: {msg}"
+            );
+        }
         let err = Cli::parse_from(&argv(&["--scenario"]), 60, 3).unwrap_err();
         assert_eq!(err, CliError::MissingValue("--scenario"));
     }

@@ -54,20 +54,20 @@
 //! * **Probe legs** (pickup and delivery detour legs) stay lazy scalar
 //!   calls like the reference path, evaluated only past the capacity /
 //!   deadline / LIFO prunes. Batching them eagerly was measured to be a
-//!   net loss: the sweep is pruning-dominated, so an eager five-table
-//!   per-sweep fill made it ~1.7× *slower* than the AoS reference on the
-//!   metro-style fixtures, and even a delivery-only two-table fill still
-//!   trailed by ~5–10%. Only quantities reused across the whole sweep
-//!   (`d(pickup, delivery)`, `d(delivery, depot)`) are hoisted.
+//!   net loss: the sweep is pruning-dominated, so most positions never
+//!   read their probe legs, and an eager per-sweep table fill (five tables,
+//!   or even the two delivery tables alone) cost more than the scalar
+//!   reads it replaced on the metro-style fixtures. Only quantities reused
+//!   across the whole sweep (`d(pickup, delivery)`, `d(delivery, depot)`)
+//!   are hoisted.
 //!
-//! Each cached leg entry is the identical f64 the scalar calls produce and
-//! all sums/comparisons keep their original order, so the optimized sweep
-//! is **bit-identical** to the retained array-of-structs reference in
-//! [`crate::aos`] (asserted candidate by candidate in the parity suites)
-//! while doing strictly less work per visited pair: the base-leg travel
-//! times the reference re-derives with a matrix read and a division on
-//! every segment advance are single array loads here, and the sweep itself
-//! allocates nothing.
+//! Each cached leg entry is the identical f64 the scalar
+//! [`dpdp_net::RoadNetwork::distance`] / [`dpdp_net::FleetConfig::
+//! travel_time`] calls produce and all sums/comparisons keep the order of
+//! the scalar walk, so the tables change no bit of any score: a base-leg
+//! travel time is a single array load instead of a matrix read and a
+//! division on every segment advance, and the sweep itself allocates
+//! nothing.
 //!
 //! All sweep time arithmetic happens on raw f64 seconds: `TimePoint` /
 //! `TimeDelta` are exact newtypes over finite f64 seconds whose operators
@@ -114,8 +114,7 @@
 //! The randomized parity suite (`tests/incremental_parity.rs`) asserts
 //! agreement on feasibility sets, winning positions and lengths across
 //! hundreds of random routes, including in-service vehicles with non-empty
-//! onboard stacks — and bit-identical winners against the [`crate::aos`]
-//! reference layout.
+//! onboard stacks.
 
 use crate::insertion::{best_insertion_naive, BestInsertion, InsertionCandidate};
 use crate::schedule::simulate_schedule;
@@ -419,8 +418,7 @@ fn lookup(orders: &[Order], id: OrderId) -> Option<&Order> {
 ///
 /// This is the allocation-free O(n²) core of the incremental evaluator;
 /// [`sweep_best`] layers argmin selection on top and
-/// [`best_insertion_cached`] materializes the winner. Bit-identical to the
-/// reference [`crate::aos::sweep_insertions_aos`] (see the module docs).
+/// [`best_insertion_cached`] materializes the winner.
 ///
 /// `cache` must have been built from the same `view` (and the same
 /// network/fleet/orders) and be feasible; see
@@ -901,6 +899,33 @@ mod tests {
         let incremental = best_insertion_cached(&cache, &view, &orders[0], &net, &fleet, &orders);
         let naive = best_insertion_naive(&view, &orders[0], &net, &fleet, &orders);
         assert_eq!(incremental, naive);
+    }
+
+    /// A probe whose order id is already routed (its stops are on the
+    /// base route) or already on board is outside the sweep's
+    /// distinct-id assumption: the cached entry point must return exactly
+    /// the naive verdict for it.
+    #[test]
+    fn duplicate_probe_order_falls_back_to_naive() {
+        let (net, fleet) = setup();
+        let orders = vec![order(0, 1, 3, 3.0, 0.0, 10.0)];
+        let mut routed = VehicleView::idle_at_depot(VehicleId(0), NodeId(0));
+        routed.route = Route::from_stops(vec![
+            Stop::pickup(NodeId(1), OrderId(0)),
+            Stop::delivery(NodeId(3), OrderId(0)),
+        ]);
+        let mut onboard = VehicleView::idle_at_depot(VehicleId(0), NodeId(0));
+        onboard.anchor_node = NodeId(1);
+        onboard.anchor_time = TimePoint::from_hours(0.5);
+        onboard.onboard = vec![(OrderId(0), 3.0)];
+        onboard.route = Route::from_stops(vec![Stop::delivery(NodeId(3), OrderId(0))]);
+        for (view, label) in [(&routed, "on the route"), (&onboard, "on board")] {
+            let cache = ScheduleCache::build(view, &net, &fleet, &orders);
+            assert!(cache.is_feasible(), "{label}: base route must be feasible");
+            let cached = best_insertion_cached(&cache, view, &orders[0], &net, &fleet, &orders);
+            let naive = best_insertion_naive(view, &orders[0], &net, &fleet, &orders);
+            assert_eq!(cached, naive, "{label}");
+        }
     }
 
     /// A probe order missing from the dense table is rejected everywhere,

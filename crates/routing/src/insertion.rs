@@ -5,18 +5,17 @@
 //! vehicle `k`'s current route in an enumeration way". For a route with `n`
 //! remaining stops there are `(n+1)(n+2)/2` position pairs.
 //!
-//! Two implementations coexist:
+//! [`best_insertion`] is the evaluator: it delegates to
+//! [`crate::incremental`], which scores every pair allocation-free from
+//! cached prefix/suffix passes (O(n²) per call) and materializes only the
+//! winner.
 //!
-//! * [`enumerate_insertions`] / [`best_insertion_naive`] — the **reference**
-//!   path: every candidate clones the route and re-validates it with
-//!   [`simulate_schedule`] (O(n) work and two allocations per pair, O(n³)
-//!   per call). Kept as the authoritative oracle and the parity baseline.
-//! * [`best_insertion`] — the **production** path: delegates to the
-//!   incremental evaluator in [`crate::incremental`], which scores every
-//!   pair allocation-free from cached prefix/suffix passes (O(n²) per call)
-//!   and materializes only the winner. It returns the identical winning
-//!   position pair and length as the reference (see the parity notes on
-//!   [`crate::incremental`]).
+//! [`enumerate_insertions`] / [`best_insertion_naive`] are the oracle it is
+//! tested against and falls back to: every candidate clones the route and
+//! re-validates it with [`simulate_schedule`] (O(n) work and two
+//! allocations per pair, O(n³) per call). The evaluator returns the
+//! identical winning position pair and length (see the parity notes on
+//! [`crate::incremental`]).
 
 use crate::route::Route;
 use crate::schedule::{simulate_schedule, Schedule};

@@ -16,40 +16,37 @@
 //! * [`simulate_schedule`] — the feasibility oracle;
 //! * [`RoutePlanner`] — Algorithm 2.
 //!
-//! # Insertion evaluation: O(n²) incremental vs O(n³) reference
+//! # Insertion evaluation: one evaluator and its oracle
 //!
-//! Candidate scoring has two interchangeable engines (selected by
-//! [`PlannerMode`], default incremental):
+//! Every candidate is scored by the **incremental evaluator**
+//! ([`incremental`]): one forward pass (prefix departure times, loads,
+//! cumulative length) and one backward pass (per-position deadline slack
+//! with wait absorption) over the base route, then each of the
+//! `(n+1)(n+2)/2` position pairs scored allocation-free — O(n²) total per
+//! `(order, vehicle)` pair, with LIFO-violating pairs pruned before
+//! evaluation and only the winner materialized through
+//! [`simulate_schedule`]. Its cache is struct-of-arrays with persisted
+//! base-leg tables filled through the `dpdp_net` row kernels (see
+//! [`incremental`] for the layout).
 //!
-//! * the **incremental evaluator** ([`incremental`]) precomputes one
-//!   forward pass (prefix departure times, loads, cumulative length) and
-//!   one backward pass (per-position deadline slack with wait absorption)
-//!   over the base route, then scores each of the `(n+1)(n+2)/2` position
-//!   pairs allocation-free — O(n²) total per `(order, vehicle)` pair, with
-//!   LIFO-violating pairs pruned before evaluation and only the winner
-//!   materialized through [`simulate_schedule`];
-//! * the **naive reference** ([`enumerate_insertions`],
-//!   [`best_insertion_naive`]) clones and re-simulates every candidate —
-//!   O(n³) per pair — and remains the authoritative oracle.
+//! The **oracle** ([`enumerate_insertions`], [`best_insertion_naive`]) is
+//! Algorithm 2 as written: clone and re-simulate every candidate, O(n³) per
+//! pair. It is the specification the evaluator is tested against
+//! (`tests/incremental_parity.rs`: feasible set, lengths, winning positions
+//! and a bit-identical winning length on randomized routes), and what the
+//! evaluator falls back to where its cached passes do not apply — an
+//! infeasible base route, a probe order already on the route or on board,
+//! or a winner the oracle rejects.
 //!
-//! Both engines return the identical winning `(pickup_pos, delivery_pos)`
-//! and route length; the winning length always comes from one final
-//! [`simulate_schedule`] call, so it is bit-identical to the reference by
-//! construction, and the determinism guarantees of the parallel epoch
-//! sweep (bit-identical results at any thread count) carry over unchanged.
-//! See [`incremental`] for the invariants and `tests/incremental_parity.rs`
-//! for the randomized proof.
-//!
-//! The incremental evaluator stores its cache as struct-of-arrays and
-//! batch-builds per-sweep leg tables through the `dpdp_net` row kernels
-//! (see [`incremental`] for the layout); the original interleaved
-//! implementation is retained verbatim in [`aos`] as the bit-exact parity
-//! and performance reference.
+//! The winning length always comes from one final [`simulate_schedule`]
+//! call, so it is bit-identical to the oracle's by construction, and the
+//! determinism guarantees of the parallel epoch sweep (bit-identical
+//! results at any thread count) carry over unchanged. See [`incremental`]
+//! for the invariants.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aos;
 pub mod constraints;
 pub mod incremental;
 pub mod insertion;
@@ -59,7 +56,6 @@ pub mod schedule;
 pub mod stop;
 pub mod view;
 
-pub use aos::{sweep_best_aos, sweep_insertions_aos, AosScheduleCache};
 pub use constraints::Violation;
 pub use incremental::{
     best_insertion_cached, sweep_best, sweep_insertions, InsertionSweep, ScheduleCache,
@@ -69,8 +65,7 @@ pub use insertion::{
     best_insertion, best_insertion_naive, enumerate_insertions, BestInsertion, InsertionCandidate,
 };
 pub use planner::{
-    earliest_delivery_arrival, PlannerMode, PlannerOutput, PruneProbe, RoutePlanner,
-    PRUNE_MARGIN_SECS,
+    earliest_delivery_arrival, PlannerOutput, PruneProbe, RoutePlanner, PRUNE_MARGIN_SECS,
 };
 pub use route::Route;
 pub use schedule::{simulate_schedule, Schedule, StopTiming};

@@ -1,7 +1,7 @@
 //! The route planner: the paper's Algorithm 2.
 
 use crate::incremental::{best_insertion_cached, ScheduleCache};
-use crate::insertion::{best_insertion_naive, BestInsertion};
+use crate::insertion::BestInsertion;
 use crate::view::VehicleView;
 use dpdp_net::{FleetConfig, NodeId, Order, RoadNetwork, TimeDelta, TimePoint};
 use serde::{Deserialize, Serialize};
@@ -71,21 +71,6 @@ impl PruneProbe {
     }
 }
 
-/// Which insertion evaluator a [`RoutePlanner`] scores candidates with.
-///
-/// Both modes return the identical winning `(pickup_pos, delivery_pos)`
-/// and route length (see [`crate::incremental`] for the parity argument and
-/// `tests/incremental_parity.rs` for the randomized proof); `Naive` exists
-/// as the always-available reference for parity testing and debugging.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PlannerMode {
-    /// The O(n²) prefix/suffix-cached evaluator (the default).
-    #[default]
-    Incremental,
-    /// The O(n³) enumerate-and-resimulate reference implementation.
-    Naive,
-}
-
 /// Output of Algorithm 2 for one `(order, vehicle)` pair.
 ///
 /// Mirrors the paper's outputs: the feasibility flag `fe^i_{t,k}`, the
@@ -132,36 +117,13 @@ pub struct RoutePlanner<'a> {
     net: &'a RoadNetwork,
     fleet: &'a FleetConfig,
     orders: &'a [Order],
-    mode: PlannerMode,
 }
 
 impl<'a> RoutePlanner<'a> {
-    /// Creates a planner over the given problem data, scoring with the
-    /// default [`PlannerMode::Incremental`] evaluator. `orders` must be
+    /// Creates a planner over the given problem data. `orders` must be
     /// dense by id, as guaranteed by [`dpdp_net::Instance`].
     pub fn new(net: &'a RoadNetwork, fleet: &'a FleetConfig, orders: &'a [Order]) -> Self {
-        Self::with_mode(net, fleet, orders, PlannerMode::default())
-    }
-
-    /// Creates a planner with an explicit insertion evaluator.
-    pub fn with_mode(
-        net: &'a RoadNetwork,
-        fleet: &'a FleetConfig,
-        orders: &'a [Order],
-        mode: PlannerMode,
-    ) -> Self {
-        RoutePlanner {
-            net,
-            fleet,
-            orders,
-            mode,
-        }
-    }
-
-    /// The insertion evaluator this planner scores with.
-    #[inline]
-    pub fn mode(&self) -> PlannerMode {
-        self.mode
+        RoutePlanner { net, fleet, orders }
     }
 
     /// Builds the reusable prefix/suffix schedule cache for a vehicle view
@@ -184,35 +146,27 @@ impl<'a> RoutePlanner<'a> {
     /// Runs Algorithm 2: checks whether `view`'s vehicle can take `order`,
     /// and if so finds the shortest feasible temporary route.
     pub fn plan(&self, view: &VehicleView, order: &Order) -> PlannerOutput {
-        match self.mode {
-            PlannerMode::Incremental => {
-                let cache = self.cache(view);
-                self.plan_cached(&cache, view, order)
-            }
-            PlannerMode::Naive => self.plan_naive(view, order),
-        }
+        self.plan_cached(&self.cache(view), view, order)
     }
 
     /// Runs Algorithm 2 against a prebuilt [`ScheduleCache`] for `view`
     /// (see [`RoutePlanner::cache`]): the vehicle's current route length
     /// comes from the cache and the candidate sweep is allocation-free.
     ///
-    /// In [`PlannerMode::Naive`] the cache is ignored and the reference
-    /// path runs instead. An infeasible cache (base route fails the oracle;
-    /// committed routes never do) also falls back to the reference path.
+    /// An infeasible cache (base route fails the oracle; committed routes
+    /// never do) has no passes to sweep: [`best_insertion_cached`] then
+    /// answers from the [`crate::best_insertion_naive`] oracle and the
+    /// route length comes from [`crate::Route::length`].
     pub fn plan_cached(
         &self,
         cache: &ScheduleCache,
         view: &VehicleView,
         order: &Order,
     ) -> PlannerOutput {
-        if self.mode == PlannerMode::Naive || !cache.is_feasible() {
-            return self.plan_naive(view, order);
-        }
         PlannerOutput {
-            current_length: cache.base_length(),
             best: best_insertion_cached(cache, view, order, self.net, self.fleet, self.orders)
                 .map(Box::new),
+            ..self.pruned_output(Some(cache), view)
         }
     }
 
@@ -269,9 +223,9 @@ impl<'a> RoutePlanner<'a> {
 
     /// The [`PlannerOutput`] for a pair pruned by
     /// [`RoutePlanner::provably_infeasible`]: `best: None` with the
-    /// `current_length` the full evaluation path would have reported —
-    /// `cache.base_length()` on the incremental path, the view's route
-    /// length on the naive path or when the cache fell back (mirroring
+    /// `current_length` the full evaluation would have reported —
+    /// `cache.base_length()` of a feasible cache, the view's route length
+    /// when there is no cache or it is infeasible (mirroring
     /// [`RoutePlanner::plan_cached`] exactly, so pruned and evaluated cells
     /// are indistinguishable).
     pub fn pruned_output(
@@ -280,26 +234,12 @@ impl<'a> RoutePlanner<'a> {
         view: &VehicleView,
     ) -> PlannerOutput {
         let current_length = match cache {
-            Some(cache) if self.mode != PlannerMode::Naive && cache.is_feasible() => {
-                cache.base_length()
-            }
+            Some(cache) if cache.is_feasible() => cache.base_length(),
             _ => view.route.length(self.net, view.anchor_node, view.depot),
         };
         PlannerOutput {
             current_length,
             best: None,
-        }
-    }
-
-    /// The reference Algorithm 2: full enumeration with per-candidate
-    /// re-simulation.
-    fn plan_naive(&self, view: &VehicleView, order: &Order) -> PlannerOutput {
-        let current_length = view.route.length(self.net, view.anchor_node, view.depot);
-        let best =
-            best_insertion_naive(view, order, self.net, self.fleet, self.orders).map(Box::new);
-        PlannerOutput {
-            current_length,
-            best,
         }
     }
 
@@ -325,6 +265,7 @@ impl<'a> RoutePlanner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::insertion::best_insertion_naive;
     use crate::route::Route;
     use crate::stop::Stop;
     use dpdp_net::{Node, NodeId, OrderId, Point, TimeDelta, TimePoint, VehicleId};
@@ -377,7 +318,7 @@ mod tests {
     }
 
     #[test]
-    fn planner_modes_agree_and_cache_is_reusable() {
+    fn plan_matches_the_oracle_and_cache_is_reusable() {
         let (net, fleet, mut orders) = setup();
         orders.push(
             Order::new(
@@ -390,22 +331,26 @@ mod tests {
             )
             .unwrap(),
         );
-        let incremental = RoutePlanner::new(&net, &fleet, &orders);
-        let naive = RoutePlanner::with_mode(&net, &fleet, &orders, PlannerMode::Naive);
-        assert_eq!(incremental.mode(), PlannerMode::Incremental);
+        let planner = RoutePlanner::new(&net, &fleet, &orders);
         let mut view = VehicleView::idle_at_depot(VehicleId(0), NodeId(0));
         view.route = Route::from_stops(vec![
             Stop::pickup(NodeId(1), OrderId(0)),
             Stop::delivery(NodeId(2), OrderId(0)),
         ]);
         // One cache serves every order planned against the same view.
-        let cache = incremental.cache(&view);
+        let cache = planner.cache(&view);
         for order in &orders {
-            let a = incremental.plan(&view, order);
-            let b = incremental.plan_cached(&cache, &view, order);
-            let c = naive.plan(&view, order);
-            assert_eq!(a, b);
-            assert_eq!(a, c, "modes diverged for {}", order.id);
+            let oracle = PlannerOutput {
+                current_length: view.route.length(&net, view.anchor_node, view.depot),
+                best: best_insertion_naive(&view, order, &net, &fleet, &orders).map(Box::new),
+            };
+            assert_eq!(planner.plan(&view, order), oracle, "plan, {}", order.id);
+            assert_eq!(
+                planner.plan_cached(&cache, &view, order),
+                oracle,
+                "plan_cached, {}",
+                order.id
+            );
         }
     }
 

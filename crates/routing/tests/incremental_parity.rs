@@ -13,9 +13,8 @@ use dpdp_net::{
     FleetConfig, Node, NodeId, Order, OrderId, Point, RoadNetwork, TimeDelta, TimePoint, VehicleId,
 };
 use dpdp_routing::{
-    best_insertion, best_insertion_naive, enumerate_insertions, simulate_schedule, sweep_best,
-    sweep_best_aos, sweep_insertions, sweep_insertions_aos, AosScheduleCache, ScheduleCache,
-    StopAction, VehicleView,
+    best_insertion, best_insertion_naive, enumerate_insertions, simulate_schedule,
+    sweep_insertions, ScheduleCache, StopAction, VehicleView,
 };
 
 /// Minimal deterministic RNG (xorshift64*), independent of any shimmed
@@ -185,59 +184,6 @@ fn assert_parity(sc: &Scenario, view: &VehicleView, label: &str) {
             s.length,
             c.length()
         );
-    }
-
-    // SoA-vs-AoS layout parity: the retained array-of-structs reference
-    // must produce the identical candidate stream — positions AND
-    // bit-identical scores — and the identical winner. This is the direct
-    // witness that the batched-leg-table rewrite changed no arithmetic.
-    let aos = AosScheduleCache::build(view, &sc.net, &sc.fleet, &sc.orders);
-    assert!(aos.is_feasible(), "{label}: AoS cache feasibility");
-    assert_eq!(
-        aos.base_length().to_bits(),
-        cache.base_length().to_bits(),
-        "{label}: base length not bit-identical across layouts"
-    );
-    let mut aos_swept = Vec::new();
-    sweep_insertions_aos(&aos, view, probe, &sc.net, &sc.fleet, &sc.orders, |c| {
-        aos_swept.push(c)
-    });
-    assert_eq!(aos_swept.len(), swept.len(), "{label}: AoS/SoA counts");
-    for (a, s) in aos_swept.iter().zip(&swept) {
-        assert_eq!(
-            (a.pickup_pos, a.delivery_pos),
-            (s.pickup_pos, s.delivery_pos),
-            "{label}: AoS/SoA candidate streams diverged"
-        );
-        assert_eq!(
-            a.length.to_bits(),
-            s.length.to_bits(),
-            "{label}: AoS/SoA score not bit-identical at ({}, {})",
-            s.pickup_pos,
-            s.delivery_pos
-        );
-    }
-    let aos_best = sweep_best_aos(&aos, view, probe, &sc.net, &sc.fleet, &sc.orders);
-    let soa_best = sweep_best(&cache, view, probe, &sc.net, &sc.fleet, &sc.orders);
-    assert_eq!(
-        aos_best.num_feasible, soa_best.num_feasible,
-        "{label}: AoS/SoA num_feasible"
-    );
-    match (aos_best.best, soa_best.best) {
-        (None, None) => {}
-        (Some(a), Some(s)) => {
-            assert_eq!(
-                (a.pickup_pos, a.delivery_pos),
-                (s.pickup_pos, s.delivery_pos),
-                "{label}: AoS/SoA winners diverged"
-            );
-            assert_eq!(
-                a.length.to_bits(),
-                s.length.to_bits(),
-                "{label}: AoS/SoA winning score not bit-identical"
-            );
-        }
-        (a, s) => panic!("{label}: AoS/SoA winner presence diverged: {a:?} vs {s:?}"),
     }
 
     // Winner parity: identical positions, bit-identical length, identical

@@ -30,7 +30,7 @@ use crate::shard::{plan_sweep, ShardContext, ShardStats, SweepBuffers};
 use crate::state::VehicleState;
 use dpdp_net::{FleetConfig, Order, OrderId, RoadNetwork, TimePoint, VehicleId};
 use dpdp_pool::ThreadPool;
-use dpdp_routing::{PlannerMode, PlannerOutput, RoutePlanner, ScheduleCache, VehicleView};
+use dpdp_routing::{PlannerOutput, RoutePlanner, ScheduleCache, VehicleView};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -368,7 +368,6 @@ pub struct DecisionBatch<'a> {
     orders: &'a [Order],
     epoch_orders: Vec<OrderId>,
     pool: Arc<ThreadPool>,
-    mode: PlannerMode,
     shards: Option<ShardContext>,
     /// Per-vehicle availability mask (`None` = every vehicle available).
     /// Masked vehicles — e.g. broken down mid-episode — keep their dense
@@ -400,13 +399,12 @@ impl<'a> DecisionBatch<'a> {
         epoch_orders: Vec<OrderId>,
         states: Vec<VehicleState>,
         pool: Arc<ThreadPool>,
-        mode: PlannerMode,
         shards: Option<ShardContext>,
         active: Option<Vec<bool>>,
         scratch: &mut EpochScratch,
     ) -> Self {
         let views: Vec<VehicleView> = states.iter().map(|s| s.view.clone()).collect();
-        let planner = RoutePlanner::with_mode(net, fleet, orders, mode);
+        let planner = RoutePlanner::new(net, fleet, orders);
         let epoch = &epoch_orders;
         let views_ref = &views;
         let active_ref = active.as_deref();
@@ -414,43 +412,25 @@ impl<'a> DecisionBatch<'a> {
         let mut stats = ShardStats::default();
         let plans = match shards.as_ref().filter(|c| c.map.num_shards() > 1) {
             None => {
-                if mode == PlannerMode::Naive {
-                    // The reference path never reads a cache; don't build
-                    // them. Masked vehicles skip the sweep entirely and
-                    // emit the known infeasible output.
-                    PlanStore::Dense(par_map_matrix(
-                        &pool,
-                        epoch_orders.len(),
-                        views.len(),
-                        |i, k| {
-                            if is_active(k) {
-                                planner.plan(&views_ref[k], &orders[epoch[i].index()])
-                            } else {
-                                planner.pruned_output(None, &views_ref[k])
-                            }
-                        },
-                    ))
-                } else {
-                    // Schedule caches only for available vehicles; a masked
-                    // vehicle's plans are `best: None` with its exact route
-                    // length, so the mask is value-identical everywhere it
-                    // is applied (flat or sharded, any thread count). The
-                    // caches are rebuilt in place inside the epoch scratch
-                    // arena, not freshly allocated.
-                    scratch.rebuild_caches(&planner, &views, &pool, is_active);
-                    let scr = &*scratch;
-                    PlanStore::Dense(par_map_matrix(
-                        &pool,
-                        epoch_orders.len(),
-                        views.len(),
-                        |i, k| match scr.cache(k) {
-                            Some(cache) => {
-                                planner.plan_cached(cache, &views_ref[k], &orders[epoch[i].index()])
-                            }
-                            None => planner.pruned_output(None, &views_ref[k]),
-                        },
-                    ))
-                }
+                // Schedule caches only for available vehicles; a masked
+                // vehicle's plans are `best: None` with its exact route
+                // length, so the mask is value-identical everywhere it
+                // is applied (flat or sharded, any thread count). The
+                // caches are rebuilt in place inside the epoch scratch
+                // arena, not freshly allocated.
+                scratch.rebuild_caches(&planner, &views, &pool, is_active);
+                let scr = &*scratch;
+                PlanStore::Dense(par_map_matrix(
+                    &pool,
+                    epoch_orders.len(),
+                    views.len(),
+                    |i, k| match scr.cache(k) {
+                        Some(cache) => {
+                            planner.plan_cached(cache, &views_ref[k], &orders[epoch[i].index()])
+                        }
+                        None => planner.pruned_output(None, &views_ref[k]),
+                    },
+                ))
             }
             Some(ctx) => {
                 // Sharded sweep: classify every cell, run the surviving
@@ -479,27 +459,21 @@ impl<'a> DecisionBatch<'a> {
                 // emitted value is bit-identical either way). The `needed`
                 // mask is lifted out of the scratch while `rebuild_caches`
                 // borrows it mutably, then restored.
-                if mode != PlannerMode::Naive {
-                    let mut needed = std::mem::take(&mut scratch.needed);
-                    needed.clear();
-                    needed.resize(views.len(), false);
-                    for &(_, k) in work.iter() {
-                        needed[k as usize] = true;
-                    }
-                    scratch.rebuild_caches(&planner, &views, &pool, |k| needed[k]);
-                    scratch.needed = needed;
-                } else {
-                    // The reference path never reads a cache; mark every
-                    // slot dead so queries below fall through to `plan`.
-                    scratch.rebuild_caches(&planner, &views, &pool, |_| false);
+                let mut needed = std::mem::take(&mut scratch.needed);
+                needed.clear();
+                needed.resize(views.len(), false);
+                for &(_, k) in work.iter() {
+                    needed[k as usize] = true;
                 }
+                scratch.rebuild_caches(&planner, &views, &pool, |k| needed[k]);
+                scratch.needed = needed;
                 let scr = &*scratch;
                 let outs = pool.par_map(work.len(), |w| {
                     let (i, k) = (work[w].0 as usize, work[w].1 as usize);
-                    match scr.cache(k) {
-                        Some(cache) => planner.plan_cached(cache, &views_ref[k], epoch_refs[i]),
-                        None => planner.plan(&views_ref[k], epoch_refs[i]),
-                    }
+                    let cache = scr
+                        .cache(k)
+                        .expect("every work cell's vehicle is in `needed`");
+                    planner.plan_cached(cache, &views_ref[k], epoch_refs[i])
                 });
                 // A pruned cell's output depends only on the vehicle
                 // (`best: None` plus its `d_{t,k}`), so compute it once
@@ -529,7 +503,6 @@ impl<'a> DecisionBatch<'a> {
             orders,
             epoch_orders,
             pool,
-            mode,
             shards,
             active,
             inner: RefCell::new(BatchInner {
@@ -803,19 +776,16 @@ impl<'a> DecisionBatch<'a> {
         // is bit-identical to replanning every cell. A pruned cell's value
         // is the vehicle's new fallback, written once below, so a pruned
         // delta cell costs its bound check and nothing else.
-        let planner = RoutePlanner::with_mode(batch.net, batch.fleet, batch.orders, batch.mode);
+        let planner = RoutePlanner::new(batch.net, batch.fleet, batch.orders);
         undecided.clear();
         undecided.extend((0..decided.len()).filter(|&j| !decided[j]));
         let view = &views[k.index()];
-        // The reference mode never reads a cache; don't build one.
-        let cache = (batch.mode != PlannerMode::Naive).then(|| {
-            planner.cache_into(column_cache, view);
-            &*column_cache
-        });
+        planner.cache_into(column_cache, view);
+        let cache = &*column_cache;
         let shard_ctx = batch.shards.as_ref().filter(|c| c.map.num_shards() > 1);
         let vehicle_shard = shard_ctx.map(|c| c.map.shard_of(view.anchor_node));
         if let PlanStore::Sparse { fallback, .. } = plans {
-            fallback[k.index()] = planner.pruned_output(cache, view);
+            fallback[k.index()] = planner.pruned_output(Some(cache), view);
         }
         let (orders, epoch) = (batch.orders, &batch.epoch_orders);
         // `(plan, foreign)` of delta cell `(j, k)`; `None` = pruned.
@@ -828,11 +798,7 @@ impl<'a> DecisionBatch<'a> {
             if foreign && planner.provably_infeasible(view, order) {
                 return (None, foreign);
             }
-            let plan = match cache {
-                Some(cache) => planner.plan_cached(cache, view, order),
-                None => planner.plan(view, order),
-            };
-            (Some(plan), foreign)
+            (Some(planner.plan_cached(cache, view, order)), foreign)
         };
         let mut record = |j: usize, (plan, foreign): (Option<PlannerOutput>, bool)| {
             if shard_ctx.is_some() {

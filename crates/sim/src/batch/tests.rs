@@ -67,7 +67,6 @@ fn batch_with<'a>(
         inst.orders().iter().map(|o| o.id).collect(),
         states,
         Arc::new(ThreadPool::serial()),
-        PlannerMode::default(),
         shards,
         None,
         scratch,

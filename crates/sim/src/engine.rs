@@ -430,7 +430,6 @@ impl<'a> Simulator<'a> {
             epoch_ids.clone(),
             states.clone(),
             Arc::clone(&self.pool),
-            self.planner_mode,
             shard_rt.context(),
             active,
             scratch,
@@ -496,7 +495,7 @@ impl<'a> Simulator<'a> {
             }
             *states = scratch_states;
         } else {
-            let planner = RoutePlanner::with_mode(net, fleet, table, self.planner_mode);
+            let planner = RoutePlanner::new(net, fleet, table);
             for (&oid, decision) in epoch_ids.iter().zip(&decisions) {
                 assert_eq!(
                     decision.order,

@@ -38,7 +38,7 @@
 //! **Determinism guarantee.** The merged stream — and therefore the whole
 //! episode — is a pure function of the sources' contents: same instance,
 //! config and seed ⇒ bit-identical [`EpisodeResult`] and disruption
-//! trace, for every thread count, shard count and planner mode
+//! trace, for every thread count and shard count
 //! (`tests/event_parity.rs`, `tests/batch_parity.rs`).
 //!
 //! # Batched decision epochs
@@ -133,7 +133,6 @@ pub mod state;
 pub use batch::{Decision, DecisionBatch, DecisionReason};
 pub use dispatcher::{DispatchContext, Dispatcher, FirstFeasible, PerOrder};
 pub use dpdp_net::{ShardMap, ShardPolicy};
-pub use dpdp_routing::PlannerMode;
 pub use event::{
     DisruptionConfig, DisruptionSource, EventSource, ReplaySource, SimEvent, StreamCommand,
     StreamSource, TimedEvent,

@@ -89,8 +89,8 @@ impl AssignmentRecord {
 /// the assignment log.
 ///
 /// Rejection *reasons* are part of the decision stream, so these counts are
-/// bit-identical across thread counts, shard counts and planner modes —
-/// the batch-parity suite compares them as part of [`EpisodeMetrics`].
+/// bit-identical across thread counts and shard counts — the batch-parity
+/// suite compares them as part of [`EpisodeMetrics`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RejectionCounts {
     /// No vehicle had a feasible insertion

@@ -11,7 +11,7 @@ use crate::sharding::{ShardConfig, ShardRuntime};
 use crate::state::VehicleState;
 use dpdp_net::{Instance, ShardMap, TimeDelta, TimePoint};
 use dpdp_pool::ThreadPool;
-use dpdp_routing::{PlannerMode, PlannerOutput, RoutePlanner, VehicleView};
+use dpdp_routing::{PlannerOutput, RoutePlanner, VehicleView};
 use std::sync::Arc;
 
 /// When dispatch decisions are made relative to order creation.
@@ -111,15 +111,13 @@ pub struct SimulatorBuilder<'a> {
     seed: u64,
     num_threads: usize,
     pool: Option<Arc<ThreadPool>>,
-    planner_mode: PlannerMode,
     sharding: ShardConfig,
     disruptions: Option<DisruptionConfig>,
 }
 
 impl<'a> SimulatorBuilder<'a> {
     /// Starts from the defaults: immediate service, no horizon, full
-    /// metrics, seed 0, single-threaded scoring, incremental insertion
-    /// evaluation, unsharded dispatch.
+    /// metrics, seed 0, single-threaded scoring, unsharded dispatch.
     pub fn new(instance: &'a Instance) -> Self {
         SimulatorBuilder {
             instance,
@@ -129,7 +127,6 @@ impl<'a> SimulatorBuilder<'a> {
             seed: 0,
             num_threads: 1,
             pool: None,
-            planner_mode: PlannerMode::default(),
             sharding: ShardConfig::default(),
             disruptions: None,
         }
@@ -235,19 +232,6 @@ impl<'a> SimulatorBuilder<'a> {
         self
     }
 
-    /// Selects the insertion evaluator every Algorithm 2 sweep of this
-    /// simulator uses. The default [`PlannerMode::Incremental`] scores
-    /// candidates through the O(n²) prefix/suffix-cached evaluator;
-    /// [`PlannerMode::Naive`] forces the O(n³) enumerate-and-resimulate
-    /// reference. Both modes produce bit-identical episodes (the parity
-    /// suite in `tests/batch_parity.rs` asserts it for every built-in
-    /// policy), so this switch exists for parity testing and debugging,
-    /// not behaviour.
-    pub fn planner_mode(mut self, mode: PlannerMode) -> Self {
-        self.planner_mode = mode;
-        self
-    }
-
     /// Validates the configuration and builds the simulator.
     ///
     /// # Errors
@@ -286,7 +270,6 @@ impl<'a> SimulatorBuilder<'a> {
             metrics: self.metrics,
             seed: self.seed,
             pool,
-            planner_mode: self.planner_mode,
             sharding: self.sharding,
             shards,
             disruptions: self.disruptions,
@@ -374,7 +357,6 @@ pub struct Simulator<'a> {
     pub(crate) metrics: MetricsOptions,
     pub(crate) seed: u64,
     pub(crate) pool: Arc<ThreadPool>,
-    pub(crate) planner_mode: PlannerMode,
     pub(crate) sharding: ShardConfig,
     pub(crate) shards: Option<ShardContext>,
     pub(crate) disruptions: Option<DisruptionConfig>,
@@ -405,12 +387,6 @@ impl<'a> Simulator<'a> {
     /// [`SimulatorBuilder::num_threads`]).
     pub fn num_threads(&self) -> usize {
         self.pool.threads()
-    }
-
-    /// The insertion evaluator in effect (see
-    /// [`SimulatorBuilder::planner_mode`]).
-    pub fn planner_mode(&self) -> PlannerMode {
-        self.planner_mode
     }
 
     /// Number of geographic shards (cells) epochs are scored with (see
@@ -530,7 +506,7 @@ impl<'a> Simulator<'a> {
     /// for every scenario, policy, shard count and thread count.
     ///
     /// Supports everything the scan loop ever supported — buffering,
-    /// horizon, threads, shards, planner modes — but *not* event-only
+    /// horizon, threads, shards — but *not* event-only
     /// features: any [`SimulatorBuilder::disruptions`] config is ignored
     /// here, and nothing can arrive mid-episode.
     ///
@@ -609,7 +585,6 @@ impl<'a> Simulator<'a> {
                 epoch_orders.iter().map(|o| o.id).collect(),
                 states.clone(),
                 Arc::clone(&self.pool),
-                self.planner_mode,
                 shard_rt.context(),
                 None,
                 &mut scratch,
@@ -680,7 +655,7 @@ impl<'a> Simulator<'a> {
                 }
                 states = scratch_states;
             } else {
-                let planner = RoutePlanner::with_mode(net, fleet, orders, self.planner_mode);
+                let planner = RoutePlanner::new(net, fleet, orders);
                 for (order, decision) in epoch_orders.iter().zip(&decisions) {
                     assert_eq!(
                         decision.order,

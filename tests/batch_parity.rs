@@ -20,12 +20,17 @@
 //! parallel width, on the metro preset (where the prune genuinely fires; a
 //! guard test asserts non-vacuity). Hierarchical layouts and mid-episode
 //! re-partitioning get the same treatment in `tests/repartition.rs`.
+//!
+//! Finally, parity says two runs agree, not that either is right: the
+//! `OracleChecked` wrapper compares every plan cell a policy is shown —
+//! under all of the above — against the naive Algorithm 2 oracle.
 
 use dpdp_core::prelude::*;
 use dpdp_net::{TimeDelta, VehicleId};
 use dpdp_rl::ActorCriticConfig;
+use dpdp_routing::best_insertion_naive;
 use dpdp_sim::{
-    BufferingMode, EpisodeResult, PerOrder, PlannerMode, RepartitionPolicy, ShardConfig,
+    BufferingMode, DispatchContext, EpisodeResult, PerOrder, RepartitionPolicy, ShardConfig,
 };
 
 fn presets() -> Presets {
@@ -122,73 +127,111 @@ fn buffered_baseline1_actually_forms_multi_order_batches() {
     );
 }
 
-/// The incremental O(n²) insertion evaluator must reproduce the naive
-/// enumerate-and-resimulate reference **bit-identically** over whole
-/// episodes: for every policy of the lineup and every buffering mode, the
-/// full `EpisodeResult` — assignment log with per-pair winning routes and
-/// lengths included — matches between `PlannerMode::Incremental` (the
-/// default) and `PlannerMode::Naive`, at 1 thread and at the parallel
-/// width. This is the end-to-end form of the per-pair parity asserted in
-/// `crates/routing/tests/incremental_parity.rs`.
+/// Per-order wrapper that checks every cell of every context row it is
+/// shown against the Algorithm 2 oracle before delegating: the winner (and
+/// its bookkeeping counts) must equal `best_insertion_naive`'s, and
+/// `d_{t,k}` must be the bit pattern `Route::length` folds. Going through
+/// the per-order adapter, it sees each order's row as it stands when the
+/// order is decided — commit deltas and the sparse store's implicit pruned
+/// cells included.
+struct OracleChecked {
+    inner: Box<dyn Dispatcher>,
+    cells: usize,
+}
+
+impl Dispatcher for OracleChecked {
+    fn dispatch(&mut self, ctx: &DispatchContext<'_>) -> Option<VehicleId> {
+        for (view, plan) in ctx.views.iter().zip(ctx.plans) {
+            let oracle = best_insertion_naive(view, ctx.order, ctx.net, ctx.fleet, ctx.orders);
+            assert_eq!(
+                plan.best.as_deref(),
+                oracle.as_ref(),
+                "{} on {}: winner diverged from the oracle",
+                ctx.order.id,
+                view.vehicle
+            );
+            assert_eq!(
+                plan.current_length.to_bits(),
+                view.route
+                    .length(ctx.net, view.anchor_node, view.depot)
+                    .to_bits(),
+                "{} on {}: d_(t,k) not bit-identical",
+                ctx.order.id,
+                view.vehicle
+            );
+        }
+        self.cells += ctx.plans.len();
+        self.inner.dispatch(ctx)
+    }
+
+    fn begin_episode(&mut self, instance: &Instance) {
+        self.inner.begin_episode(instance);
+    }
+
+    fn end_episode(&mut self) {
+        self.inner.end_episode();
+    }
+}
+
+/// Every cell a policy can read equals the naive Algorithm 2 oracle, and
+/// checking changes nothing: for Baselines 1–3 the oracle-checked episode
+/// is the unwrapped native-batch episode — on the campus instance under
+/// every buffering mode at both thread widths, and on the metro instance
+/// flat, sharded (where pruned cells are never evaluated) and under a
+/// hierarchical layout that re-partitions mid-episode.
 #[test]
-fn incremental_planner_matches_naive_reference_end_to_end() {
-    let presets = presets();
-    let threads = parallel_threads();
-    let instance = presets.dataset().sampled_instance(0..3, 30, 8, 21);
-    let rl_instance = presets.dataset().sampled_instance(0..3, 20, 6, 9);
-    let run_mode = |instance: &Instance,
-                    buffering: BufferingMode,
-                    dispatcher: &mut dyn Dispatcher,
-                    mode: PlannerMode,
-                    num_threads: usize| {
-        Simulator::builder(instance)
-            .buffering(buffering)
-            .planner_mode(mode)
-            .num_threads(num_threads)
-            .build()
-            .expect("valid configuration")
-            .run(dispatcher)
-    };
-    for mode in modes() {
-        for &width in &[1usize, threads] {
-            type MakeDispatcher = fn() -> Box<dyn Dispatcher>;
-            let heuristics: [(&str, MakeDispatcher); 3] = [
-                ("Baseline1", || Box::new(Baseline1)),
-                ("Baseline2", || Box::new(Baseline2)),
-                ("Baseline3", || Box::<Baseline3>::default()),
-            ];
-            for (name, make) in heuristics {
-                let fast = run_mode(
-                    &instance,
-                    mode,
-                    &mut *make(),
-                    PlannerMode::Incremental,
-                    width,
-                );
-                let slow = run_mode(&instance, mode, &mut *make(), PlannerMode::Naive, width);
+fn every_cell_a_policy_reads_matches_the_naive_oracle() {
+    type MakeDispatcher = fn() -> Box<dyn Dispatcher>;
+    let lineup: [(&str, MakeDispatcher); 3] = [
+        ("Baseline1", || Box::new(Baseline1)),
+        ("Baseline2", || Box::new(Baseline2)),
+        ("Baseline3", || Box::<Baseline3>::default()),
+    ];
+    let campus = presets().dataset().sampled_instance(0..3, 30, 8, 21);
+    let metro = Presets::metro(7).metro_instance(60, 32, 5);
+    let hourly = BufferingMode::FixedInterval(TimeDelta::from_minutes(60.0));
+    let unsharded = ShardConfig::flat(1).expect("one shard");
+    let repartitioned = ShardConfig::hierarchical(2, 2)
+        .expect("positive region/cell counts")
+        .escalation(2)
+        .repartition(RepartitionPolicy::Periodic {
+            every_epochs: 2,
+            min_orders: 1,
+        })
+        .expect("positive epoch period");
+    let mut configs: Vec<(&Instance, BufferingMode, ShardConfig)> = modes()
+        .into_iter()
+        .map(|mode| (&campus, mode, unsharded.clone()))
+        .collect();
+    configs.push((&metro, hourly, unsharded.clone()));
+    configs.push((&metro, hourly, ShardConfig::flat(4).expect("four shards")));
+    configs.push((&metro, hourly, repartitioned));
+    for (instance, mode, sharding) in configs {
+        for width in [1, parallel_threads()] {
+            let sim = Simulator::builder(instance)
+                .buffering(mode)
+                .sharding(sharding.clone())
+                .num_threads(width)
+                .build()
+                .expect("valid configuration");
+            for (name, make) in lineup {
+                let mut checked = OracleChecked {
+                    inner: make(),
+                    cells: 0,
+                };
                 assert_eq!(
-                    fast, slow,
-                    "{name} diverged between incremental and naive planner \
-                     under {mode:?} at {width} thread(s)"
+                    sim.run(&mut checked),
+                    sim.run(&mut *make()),
+                    "{name}: oracle-checked episode diverged under {mode:?} / \
+                     {sharding:?} at {width} thread(s)"
+                );
+                assert_eq!(
+                    checked.cells,
+                    instance.num_orders() * instance.fleet.vehicles.len(),
+                    "{name}: every order must show its full row"
                 );
             }
         }
-        // One learned policy episode (seeded identically) for coverage of
-        // the RL joint-state path; width 1 keeps the suite fast.
-        let mut dqn_fast = models::dqn_agent(ModelKind::Dgn, presets.dataset(), 5);
-        let mut dqn_slow = models::dqn_agent(ModelKind::Dgn, presets.dataset(), 5);
-        let a = run_mode(
-            &rl_instance,
-            mode,
-            &mut dqn_fast,
-            PlannerMode::Incremental,
-            1,
-        );
-        let b = run_mode(&rl_instance, mode, &mut dqn_slow, PlannerMode::Naive, 1);
-        assert_eq!(
-            a, b,
-            "DQN diverged between incremental and naive planner under {mode:?}"
-        );
     }
 }
 
