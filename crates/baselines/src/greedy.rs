@@ -2,12 +2,17 @@
 //!
 //! Each baseline is an argmin over the vehicles with a feasible insertion,
 //! scanned in ascending vehicle order with a strict comparison (ties go to
-//! the lower vehicle id). The per-order [`Dispatcher::dispatch`] scans the
-//! dense `K`-slice of its [`DispatchContext`]; the batch-native
-//! [`Dispatcher::dispatch_batch`] commits the epoch's orders in creation
-//! order and, for each, folds the same comparison over the batch's own
-//! candidate row at decision time ([`DecisionBatch::fold_candidates`]).
-//! The policies keep no copy of the plan matrix: the batch refreshes the
+//! the lower vehicle id). Its key is a function of a [`PlanScore`] — the
+//! scalars Algorithm 2 scores for an `(order, vehicle)` pair; no baseline
+//! looks inside a route. The per-order [`Dispatcher::dispatch`] scans the
+//! scores of the dense `K`-slice of its [`DispatchContext`]; the
+//! batch-native [`Dispatcher::dispatch_batch`] commits the epoch's orders
+//! in creation order and, for each, folds the same comparison over the
+//! batch's own candidate row at decision time
+//! ([`DecisionBatch::fold_candidates`]). A batch's cells *are* scores, so
+//! on that path no route exists until `resolve` builds the winner's — the
+//! policy pays for none, the epoch for one per accepted order. The
+//! policies keep no copy of the plan matrix: the batch refreshes the
 //! accepting vehicle's column itself on every acceptance, and the next
 //! order's fold simply reads the refreshed row.
 //!
@@ -21,7 +26,7 @@
 //! parity and the shard-count invariance for all three baselines).
 
 use dpdp_net::{Instance, VehicleId};
-use dpdp_routing::PlannerOutput;
+use dpdp_routing::PlanScore;
 use dpdp_sim::{Decision, DecisionBatch, DispatchContext, Dispatcher};
 
 /// One step of a greedy scan: `best` is the running `(vehicle, key)`
@@ -40,17 +45,18 @@ fn keep_better<K: Copy>(
     }
 }
 
-/// Scans a per-order context's dense plan slice with [`keep_better`].
+/// Scans the scores of a per-order context's dense plan slice with
+/// [`keep_better`].
 fn scan_context<K: Copy>(
     ctx: &DispatchContext<'_>,
-    key: impl Fn(VehicleId, &PlannerOutput) -> Option<K>,
+    key: impl Fn(VehicleId, &PlanScore) -> Option<K>,
     better: impl Fn(K, K) -> bool,
 ) -> Option<VehicleId> {
     let vehicles = (0..ctx.plans.len()).map(VehicleId::from_index);
     vehicles
         .zip(ctx.plans)
         .fold(None, |best, (k, p)| {
-            keep_better(best, k, key(k, p), &better)
+            keep_better(best, k, key(k, &p.score()), &better)
         })
         .map(|(k, _)| k)
 }
@@ -59,7 +65,7 @@ fn scan_context<K: Copy>(
 fn scan_candidates<K: Copy>(
     batch: &DecisionBatch<'_>,
     i: usize,
-    key: impl Fn(VehicleId, &PlannerOutput) -> Option<K>,
+    key: impl Fn(VehicleId, &PlanScore) -> Option<K>,
     better: impl Fn(K, K) -> bool,
 ) -> Option<VehicleId> {
     batch
@@ -72,7 +78,7 @@ fn scan_candidates<K: Copy>(
 /// Per-order dispatch for a lowest-`score` policy (`None` = infeasible).
 fn lowest_score(
     ctx: &DispatchContext<'_>,
-    score: impl Fn(&PlannerOutput) -> Option<f64>,
+    score: impl Fn(&PlanScore) -> Option<f64>,
 ) -> Option<VehicleId> {
     scan_context(ctx, |_, p| score(p), |v, b| v < b)
 }
@@ -82,7 +88,7 @@ fn lowest_score(
 /// the commits before it.
 fn lowest_score_batch(
     batch: &DecisionBatch<'_>,
-    score: impl Fn(&PlannerOutput) -> Option<f64>,
+    score: impl Fn(&PlanScore) -> Option<f64>,
 ) -> Vec<Decision> {
     (0..batch.len())
         .map(|i| {
@@ -100,11 +106,11 @@ pub struct Baseline1;
 
 impl Dispatcher for Baseline1 {
     fn dispatch(&mut self, ctx: &DispatchContext<'_>) -> Option<VehicleId> {
-        lowest_score(ctx, PlannerOutput::incremental_length)
+        lowest_score(ctx, PlanScore::incremental_length)
     }
 
     fn dispatch_batch(&mut self, batch: &DecisionBatch<'_>) -> Vec<Decision> {
-        lowest_score_batch(batch, PlannerOutput::incremental_length)
+        lowest_score_batch(batch, PlanScore::incremental_length)
     }
 
     fn name(&self) -> &str {
@@ -119,11 +125,11 @@ pub struct Baseline2;
 
 impl Dispatcher for Baseline2 {
     fn dispatch(&mut self, ctx: &DispatchContext<'_>) -> Option<VehicleId> {
-        lowest_score(ctx, PlannerOutput::best_length)
+        lowest_score(ctx, PlanScore::best_length)
     }
 
     fn dispatch_batch(&mut self, batch: &DecisionBatch<'_>) -> Vec<Decision> {
-        lowest_score_batch(batch, PlannerOutput::best_length)
+        lowest_score_batch(batch, PlanScore::best_length)
     }
 
     fn name(&self) -> &str {
@@ -149,7 +155,7 @@ impl Baseline3 {
     }
 
     /// A feasible plan's `(accepted count, incremental length)` key.
-    fn key(&self, k: VehicleId, plan: &PlannerOutput) -> Option<(usize, f64)> {
+    fn key(&self, k: VehicleId, plan: &PlanScore) -> Option<(usize, f64)> {
         Some((self.accepted[k.index()], plan.incremental_length()?))
     }
 

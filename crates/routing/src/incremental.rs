@@ -27,9 +27,10 @@
 //!    pruned without evaluation: a base delivery reached while the new
 //!    cargo is on top of the stack kills every later `j` for that `i`.
 //!
-//! Total: O(n²) per `(order, vehicle)` pair with O(n) allocations — down
-//! from O(n³) with O(n²) allocations — and the cache is reusable across
-//! every order of a decision epoch (see `dpdp_sim::DecisionBatch`).
+//! Total: O(n²) per `(order, vehicle)` pair with no allocation at all once
+//! the cache is built — down from O(n³) with O(n²) allocations — and the
+//! cache is reusable across every order of a decision epoch (see
+//! `dpdp_sim::DecisionBatch`).
 //!
 //! # Memory layout: struct of arrays + batched leg tables
 //!
@@ -104,21 +105,36 @@
 //!   with first-wins tie-breaking in enumeration order. The selected
 //!   winner is therefore **exactly** the one the naive
 //!   `min_by(total_cmp)` picks, degenerate zero-detour ties included;
-//! * only the winner materializes a [`crate::Route`] and
-//!   [`crate::Schedule`], through one final [`crate::simulate_schedule`]
-//!   call — the simulator stays the authoritative oracle, and the winning
-//!   length is bit-identical to the naive path's by construction. In the
+//! * the winner is validated by one final oracle walk over the spliced
+//!   stop sequence ([`crate::simulate_insertion`]: the walk of
+//!   [`crate::simulate_schedule`] with its timings discarded, so no route
+//!   is built and nothing is allocated) — the simulator stays the
+//!   authoritative oracle, and the winning length, which is that walk's
+//!   total, is bit-identical to the naive path's by construction. In the
 //!   (never observed) event the oracle rejects the sweep's winner,
-//!   [`best_insertion_cached`] falls back to the naive reference wholesale.
+//!   [`score_insertion_cached`] falls back to the naive reference
+//!   wholesale.
+//!
+//! # Score, then materialise
+//!
+//! [`score_insertion_cached`] stops there: its result is an
+//! [`InsertionScore`] — positions, the authoritative length, the feasible
+//! and enumerated counts — and no [`crate::Route`] or [`crate::Schedule`]
+//! exists yet. [`InsertionScore::materialise`] builds them, by splicing
+//! the route and running the collecting oracle over it; it is the same
+//! walk the score was validated by, so the schedule's `total_length` is
+//! the score's `length` bit for bit. [`best_insertion_cached`] is the two
+//! composed. Callers that rank many cells and adopt one (a decision
+//! epoch) keep scores and materialise the winner.
 //!
 //! The randomized parity suite (`tests/incremental_parity.rs`) asserts
 //! agreement on feasibility sets, winning positions and lengths across
 //! hundreds of random routes, including in-service vehicles with non-empty
 //! onboard stacks.
 
-use crate::insertion::{best_insertion_naive, BestInsertion, InsertionCandidate};
-use crate::schedule::simulate_schedule;
-use crate::stop::{Stop, StopAction};
+use crate::insertion::{best_insertion_naive, narrow, BestInsertion, InsertionScore};
+use crate::schedule::simulate_insertion;
+use crate::stop::StopAction;
 use crate::view::VehicleView;
 use dpdp_net::{FleetConfig, NodeId, Order, OrderId, RoadNetwork};
 
@@ -127,7 +143,7 @@ use dpdp_net::{FleetConfig, NodeId, Order, OrderId, RoadNetwork};
 ///
 /// Built once per [`VehicleView`] (O(n)); every insertion sweep for that
 /// view — one per order in a decision epoch — then runs in O(n²) without
-/// touching [`crate::simulate_schedule`] except to materialize the winner.
+/// touching the oracle except to validate the winner.
 /// [`ScheduleCache::rebuild`] re-runs the passes in place, reusing every
 /// allocation, so per-epoch cache arrays can live in arena scratch.
 ///
@@ -334,7 +350,7 @@ impl ScheduleCache {
 
     /// Whether the base route simulates feasibly. When false every cached
     /// quantity is meaningless and insertion evaluation must go through the
-    /// naive reference path (see [`best_insertion_cached`]).
+    /// naive reference path (see [`score_insertion_cached`]).
     #[inline]
     pub fn is_feasible(&self) -> bool {
         self.feasible
@@ -384,8 +400,8 @@ pub struct ScoredInsertion {
     /// Resulting route length: base length plus the detour delta
     /// `d(a,p) + d(p,b) − d(a,b)`. Mathematically equal to the simulated
     /// candidate length; may differ from it by floating-point rounding, so
-    /// the winner's authoritative length comes from the final
-    /// [`crate::simulate_schedule`] call.
+    /// the winner's authoritative length comes from the final oracle walk
+    /// ([`InsertionScore::length`]).
     pub length: f64,
 }
 
@@ -418,7 +434,7 @@ fn lookup(orders: &[Order], id: OrderId) -> Option<&Order> {
 ///
 /// This is the allocation-free O(n²) core of the incremental evaluator;
 /// [`sweep_best`] layers argmin selection on top and
-/// [`best_insertion_cached`] materializes the winner.
+/// [`score_insertion_cached`] oracle-validates the winner.
 ///
 /// `cache` must have been built from the same `view` (and the same
 /// network/fleet/orders) and be feasible; see
@@ -713,16 +729,58 @@ pub fn sweep_best(
     }
 }
 
-/// The incremental engine behind [`crate::best_insertion`]: finds the
-/// shortest feasible insertion from the cached passes and materializes only
-/// the winner (one [`crate::Route`] + one [`crate::simulate_schedule`]
-/// call).
+/// The incremental evaluator: finds the shortest feasible insertion from
+/// the cached passes and returns it as positions, building no route.
+///
+/// The sweep's winner is validated by the oracle walk over the spliced stop
+/// sequence ([`simulate_insertion`] — allocation-free), and the score's
+/// `length` is that walk's total, i.e. exactly the `total_length` the
+/// route has once [`InsertionScore::materialise`] simulates it.
 ///
 /// An infeasible `cache`, a probe order whose id already appears in the
 /// route or on board (the LIFO depth pruning assumes distinct ids; Algorithm
 /// 2 never re-inserts a routed order), or the (never observed) event of the
 /// oracle rejecting the sweep's winner all fall back to the naive reference
-/// [`best_insertion_naive`], so the result is always oracle-validated.
+/// [`best_insertion_naive`] and reduce its winner to a score, so the result
+/// is always oracle-validated.
+pub fn score_insertion_cached(
+    cache: &ScheduleCache,
+    view: &VehicleView,
+    order: &Order,
+    net: &RoadNetwork,
+    fleet: &FleetConfig,
+    orders: &[Order],
+) -> Option<InsertionScore> {
+    let naive = || best_insertion_naive(view, order, net, fleet, orders).map(|b| b.score());
+    let duplicate = view
+        .route
+        .stops()
+        .iter()
+        .any(|s| s.action.order() == order.id)
+        || view.onboard.iter().any(|&(id, _)| id == order.id);
+    if !cache.feasible || duplicate {
+        return naive();
+    }
+    let sweep = sweep_best(cache, view, order, net, fleet, orders);
+    let scored = sweep.best?;
+    let (pickup_pos, delivery_pos) = (scored.pickup_pos, scored.delivery_pos);
+    match simulate_insertion(view, order, pickup_pos, delivery_pos, net, fleet, orders) {
+        Ok(totals) => Some(InsertionScore {
+            pickup_pos: narrow(pickup_pos),
+            delivery_pos: narrow(delivery_pos),
+            length: totals.total_length,
+            num_feasible: narrow(sweep.num_feasible),
+            num_enumerated: narrow(sweep.num_enumerated),
+        }),
+        // The oracle disagrees with the sweep (only reachable on
+        // pathological float-boundary instances): defer to the reference
+        // implementation wholesale.
+        Err(_) => naive(),
+    }
+}
+
+/// [`score_insertion_cached`] with the winner materialised: the engine
+/// behind [`crate::best_insertion`].
 pub fn best_insertion_cached(
     cache: &ScheduleCache,
     view: &VehicleView,
@@ -731,45 +789,17 @@ pub fn best_insertion_cached(
     fleet: &FleetConfig,
     orders: &[Order],
 ) -> Option<BestInsertion> {
-    let duplicate = view
-        .route
-        .stops()
-        .iter()
-        .any(|s| s.action.order() == order.id)
-        || view.onboard.iter().any(|&(id, _)| id == order.id);
-    if !cache.feasible || duplicate {
-        return best_insertion_naive(view, order, net, fleet, orders);
-    }
-    let sweep = sweep_best(cache, view, order, net, fleet, orders);
-    let scored = sweep.best?;
-    let pickup = Stop::pickup(order.pickup, order.id);
-    let delivery = Stop::delivery(order.delivery, order.id);
-    let route = view
-        .route
-        .with_insertion(pickup, scored.pickup_pos, delivery, scored.delivery_pos);
-    match simulate_schedule(view, &route, net, fleet, orders) {
-        Ok(schedule) => Some(BestInsertion {
-            candidate: InsertionCandidate {
-                pickup_pos: scored.pickup_pos,
-                delivery_pos: scored.delivery_pos,
-                route,
-                schedule,
-            },
-            num_feasible: sweep.num_feasible,
-            num_enumerated: sweep.num_enumerated,
-        }),
-        // The oracle disagrees with the sweep (only reachable on
-        // pathological float-boundary instances): defer to the reference
-        // implementation wholesale.
-        Err(_) => best_insertion_naive(view, order, net, fleet, orders),
-    }
+    score_insertion_cached(cache, view, order, net, fleet, orders)
+        .map(|score| score.materialise(view, order, net, fleet, orders))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::insertion::enumerate_insertions;
+    use crate::planner::RoutePlanner;
     use crate::route::Route;
+    use crate::stop::Stop;
     use dpdp_net::{Node, Point, TimeDelta, TimePoint, VehicleId};
 
     fn setup() -> (RoadNetwork, FleetConfig) {
@@ -885,8 +915,29 @@ mod tests {
         }
     }
 
+    /// Both halves of the planner answer `order` on `view` exactly as the
+    /// naive oracle does: the plan is its winner, the score that winner's
+    /// positions and length.
+    fn assert_falls_back_to_naive(
+        cache: &ScheduleCache,
+        view: &VehicleView,
+        order: &Order,
+        net: &RoadNetwork,
+        fleet: &FleetConfig,
+        orders: &[Order],
+        label: &str,
+    ) {
+        let planner = RoutePlanner::new(net, fleet, orders);
+        let naive = best_insertion_naive(view, order, net, fleet, orders);
+        let plan = planner.plan_cached(cache, view, order);
+        assert_eq!(plan.best.as_deref(), naive.as_ref(), "{label}: plan");
+        let score = planner.score_cached(cache, view, order);
+        assert_eq!(score.best, naive.map(|b| b.score()), "{label}: score");
+        assert_eq!(score, plan.score(), "{label}: score vs plan");
+    }
+
     /// Base-route infeasibility (here: a stop referencing an unknown order)
-    /// marks the cache infeasible and the cached entry point falls back to
+    /// marks the cache infeasible and the cached entry points fall back to
     /// the naive reference.
     #[test]
     fn infeasible_base_falls_back_to_naive() {
@@ -896,14 +947,12 @@ mod tests {
         view.route = Route::from_stops(vec![Stop::pickup(NodeId(1), OrderId(7))]);
         let cache = ScheduleCache::build(&view, &net, &fleet, &orders);
         assert!(!cache.is_feasible());
-        let incremental = best_insertion_cached(&cache, &view, &orders[0], &net, &fleet, &orders);
-        let naive = best_insertion_naive(&view, &orders[0], &net, &fleet, &orders);
-        assert_eq!(incremental, naive);
+        assert_falls_back_to_naive(&cache, &view, &orders[0], &net, &fleet, &orders, "base");
     }
 
     /// A probe whose order id is already routed (its stops are on the
     /// base route) or already on board is outside the sweep's
-    /// distinct-id assumption: the cached entry point must return exactly
+    /// distinct-id assumption: the cached entry points must return exactly
     /// the naive verdict for it.
     #[test]
     fn duplicate_probe_order_falls_back_to_naive() {
@@ -922,9 +971,7 @@ mod tests {
         for (view, label) in [(&routed, "on the route"), (&onboard, "on board")] {
             let cache = ScheduleCache::build(view, &net, &fleet, &orders);
             assert!(cache.is_feasible(), "{label}: base route must be feasible");
-            let cached = best_insertion_cached(&cache, view, &orders[0], &net, &fleet, &orders);
-            let naive = best_insertion_naive(view, &orders[0], &net, &fleet, &orders);
-            assert_eq!(cached, naive, "{label}");
+            assert_falls_back_to_naive(&cache, view, &orders[0], &net, &fleet, &orders, label);
         }
     }
 

@@ -5,9 +5,18 @@
 //! vehicle `k`'s current route in an enumeration way". For a route with `n`
 //! remaining stops there are `(n+1)(n+2)/2` position pairs.
 //!
+//! The answer comes in two forms. An [`InsertionScore`] is the winner as
+//! *positions*: where the pair goes, how long the route gets, how many
+//! pairs were feasible — five `Copy` numbers, all a ranking needs. A
+//! [`BestInsertion`] is the winner as a *route*: the same numbers plus the
+//! materialised [`Route`] and its [`Schedule`], which only whoever adopts
+//! or inspects the route needs. [`InsertionScore::materialise`] turns the
+//! first into the second and is the one place that builds a winner's
+//! route; [`BestInsertion::score`] goes back.
+//!
 //! [`best_insertion`] is the evaluator: it delegates to
 //! [`crate::incremental`], which scores every pair allocation-free from
-//! cached prefix/suffix passes (O(n²) per call) and materializes only the
+//! cached prefix/suffix passes (O(n²) per call) and materialises the
 //! winner.
 //!
 //! [`enumerate_insertions`] / [`best_insertion_naive`] are the oracle it is
@@ -63,6 +72,92 @@ impl BestInsertion {
     pub fn length(&self) -> f64 {
         self.candidate.length()
     }
+
+    /// This winner reduced to its positions and counts.
+    pub fn score(&self) -> InsertionScore {
+        InsertionScore {
+            pickup_pos: narrow(self.candidate.pickup_pos),
+            delivery_pos: narrow(self.candidate.delivery_pos),
+            length: self.length(),
+            num_feasible: narrow(self.num_feasible),
+            num_enumerated: narrow(self.num_enumerated),
+        }
+    }
+}
+
+/// A route position or pair count as an [`InsertionScore`] stores it. A
+/// route has to pass 92 000 stops before its `(n+1)(n+2)/2` overflows.
+#[inline]
+pub(crate) fn narrow(n: usize) -> u32 {
+    u32::try_from(n).expect("insertion positions and pair counts fit in u32")
+}
+
+/// The shortest feasible insertion as positions: a [`BestInsertion`]
+/// without its route and schedule. `Copy` and 24 bytes, so an epoch can
+/// keep one per `(order, vehicle)` cell and build a route only for the
+/// cells somebody reads ([`InsertionScore::materialise`]).
+///
+/// The positions index the stop list of the [`VehicleView`] the score was
+/// computed against and mean nothing against any other view.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct InsertionScore {
+    /// Index (in the view's stop list) where the pickup is inserted.
+    pub pickup_pos: u32,
+    /// Index (in the view's stop list) before which the delivery is
+    /// inserted; `>= pickup_pos`.
+    pub delivery_pos: u32,
+    /// Length of the resulting route, `d^i_{t,k}` (km): the oracle walk's
+    /// total, bit-identical to the materialised [`Schedule::total_length`].
+    pub length: f64,
+    /// Number of feasible candidates among all enumerated position pairs.
+    pub num_feasible: u32,
+    /// Number of enumerated position pairs.
+    pub num_enumerated: u32,
+}
+
+impl InsertionScore {
+    /// Builds the route and schedule this score stands for: `order`'s
+    /// stops spliced into `view`'s route at the scored positions, simulated
+    /// by the collecting oracle. `view` and `order` must be the ones the
+    /// score was computed for.
+    ///
+    /// # Panics
+    /// Panics if the positions do not fit `view`'s route or the spliced
+    /// route does not simulate feasibly — either means the score belongs
+    /// to a different view.
+    pub fn materialise(
+        &self,
+        view: &VehicleView,
+        order: &Order,
+        net: &RoadNetwork,
+        fleet: &FleetConfig,
+        orders: &[Order],
+    ) -> BestInsertion {
+        let (pickup_pos, delivery_pos) = (self.pickup_pos as usize, self.delivery_pos as usize);
+        let route = view.route.with_insertion(
+            Stop::pickup(order.pickup, order.id),
+            pickup_pos,
+            Stop::delivery(order.delivery, order.id),
+            delivery_pos,
+        );
+        let schedule = simulate_schedule(view, &route, net, fleet, orders)
+            .expect("a score materialises against the view it was scored on");
+        debug_assert_eq!(
+            schedule.total_length.to_bits(),
+            self.length.to_bits(),
+            "scored and materialised lengths are the same walk"
+        );
+        BestInsertion {
+            candidate: InsertionCandidate {
+                pickup_pos,
+                delivery_pos,
+                route,
+                schedule,
+            },
+            num_feasible: self.num_feasible as usize,
+            num_enumerated: self.num_enumerated as usize,
+        }
+    }
 }
 
 /// Enumerates all feasible insertions of `order` into the vehicle's
@@ -98,10 +193,11 @@ pub fn enumerate_insertions(
 /// remaining route, or `None` if no position pair satisfies all constraints.
 ///
 /// This is the O(n²) incremental path: one [`crate::ScheduleCache`] build
-/// plus one allocation-free sweep, with only the winner materialized (and
-/// oracle-validated) — see [`crate::incremental`]. Callers evaluating many
+/// plus one allocation-free sweep and oracle walk, then the winner
+/// materialised — see [`crate::incremental`]. Callers evaluating many
 /// orders against the same view should build the cache once and use
-/// [`crate::best_insertion_cached`] directly.
+/// [`crate::RoutePlanner::score_cached`] (or
+/// [`crate::best_insertion_cached`]) directly.
 pub fn best_insertion(
     view: &VehicleView,
     order: &Order,

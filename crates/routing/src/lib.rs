@@ -14,7 +14,8 @@
 //! * [`VehicleView`] — a snapshot of everything the planner needs to know
 //!   about a vehicle (anchor position/time, cargo stack, remaining route);
 //! * [`simulate_schedule`] — the feasibility oracle;
-//! * [`RoutePlanner`] — Algorithm 2.
+//! * [`RoutePlanner`] — Algorithm 2, in two halves: [`PlanScore`] is what
+//!   it scores, [`PlannerOutput`] what it materialises.
 //!
 //! # Insertion evaluation: one evaluator and its oracle
 //!
@@ -24,10 +25,9 @@
 //! with wait absorption) over the base route, then each of the
 //! `(n+1)(n+2)/2` position pairs scored allocation-free — O(n²) total per
 //! `(order, vehicle)` pair, with LIFO-violating pairs pruned before
-//! evaluation and only the winner materialized through
-//! [`simulate_schedule`]. Its cache is struct-of-arrays with persisted
-//! base-leg tables filled through the `dpdp_net` row kernels (see
-//! [`incremental`] for the layout).
+//! evaluation. Its cache is struct-of-arrays with persisted base-leg
+//! tables filled through the `dpdp_net` row kernels (see [`incremental`]
+//! for the layout).
 //!
 //! The **oracle** ([`enumerate_insertions`], [`best_insertion_naive`]) is
 //! Algorithm 2 as written: clone and re-simulate every candidate, O(n³) per
@@ -38,11 +38,30 @@
 //! infeasible base route, a probe order already on the route or on board,
 //! or a winner the oracle rejects.
 //!
-//! The winning length always comes from one final [`simulate_schedule`]
-//! call, so it is bit-identical to the oracle's by construction, and the
-//! determinism guarantees of the parallel epoch sweep (bit-identical
-//! results at any thread count) carry over unchanged. See [`incremental`]
-//! for the invariants.
+//! # Scoring and materialising
+//!
+//! Algorithm 2 hands a policy a handful of scalars per `(order, vehicle)`
+//! pair and one route — the one the chosen vehicle adopts. The API is
+//! split the same way. [`RoutePlanner::score_cached`] runs the sweep and
+//! the oracle and returns a [`PlanScore`]: `d_{t,k}`, and the winner as an
+//! [`InsertionScore`] — positions, length, counts; `Copy`, no heap, no
+//! allocation to compute. [`RoutePlanner::materialise`] turns a score into
+//! the [`PlannerOutput`] with the winner's [`Route`] and [`Schedule`], and
+//! is the one place an insertion winner's route is built;
+//! [`RoutePlanner::plan`] and [`RoutePlanner::plan_cached`] are the two
+//! composed. An epoch scores every cell and materialises the accepted one.
+//!
+//! The oracle is **one walk with two sinks** ([`schedule`]):
+//! [`simulate_schedule`] collects per-stop timings into a [`Schedule`],
+//! [`simulate_insertion`] walks the base route with the pair spliced in,
+//! keeps nothing but the [`ScheduleTotals`] and allocates nothing. The
+//! evaluator validates its winner through the second, and the score's
+//! length *is* that walk's total — so it is bit-identical to the
+//! [`Schedule::total_length`] a later materialisation computes (same
+//! operations in the same order) and to the naive oracle's winning length,
+//! and the determinism guarantees of the parallel epoch sweep
+//! (bit-identical results at any thread count) carry over unchanged. See
+//! [`incremental`] for the invariants.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,16 +77,18 @@ pub mod view;
 
 pub use constraints::Violation;
 pub use incremental::{
-    best_insertion_cached, sweep_best, sweep_insertions, InsertionSweep, ScheduleCache,
-    ScoredInsertion,
+    best_insertion_cached, score_insertion_cached, sweep_best, sweep_insertions, InsertionSweep,
+    ScheduleCache, ScoredInsertion,
 };
 pub use insertion::{
     best_insertion, best_insertion_naive, enumerate_insertions, BestInsertion, InsertionCandidate,
+    InsertionScore,
 };
 pub use planner::{
-    earliest_delivery_arrival, PlannerOutput, PruneProbe, RoutePlanner, PRUNE_MARGIN_SECS,
+    earliest_delivery_arrival, PlanScore, PlannerOutput, PruneProbe, RoutePlanner,
+    PRUNE_MARGIN_SECS,
 };
 pub use route::Route;
-pub use schedule::{simulate_schedule, Schedule, StopTiming};
+pub use schedule::{simulate_insertion, simulate_schedule, Schedule, ScheduleTotals, StopTiming};
 pub use stop::{Stop, StopAction};
 pub use view::VehicleView;

@@ -1,7 +1,7 @@
 //! The route planner: the paper's Algorithm 2.
 
-use crate::incremental::{best_insertion_cached, ScheduleCache};
-use crate::insertion::BestInsertion;
+use crate::incremental::{score_insertion_cached, ScheduleCache};
+use crate::insertion::{BestInsertion, InsertionScore};
 use crate::view::VehicleView;
 use dpdp_net::{FleetConfig, NodeId, Order, RoadNetwork, TimeDelta, TimePoint};
 use serde::{Deserialize, Serialize};
@@ -71,21 +71,58 @@ impl PruneProbe {
     }
 }
 
+/// What Algorithm 2 *scores* for one `(order, vehicle)` pair: the
+/// feasibility flag `fe^i_{t,k}`, the current route length `d_{t,k}` and
+/// the best temporary route's length `d^i_{t,k}`, with that route held as
+/// insertion positions instead of stops. `Copy` and 40 bytes — this is the
+/// cell of an epoch's plan matrix, and everything an argmin over vehicles
+/// reads. [`RoutePlanner::materialise`] builds the [`PlannerOutput`] (the
+/// route and its schedule) for the cells somebody wants to look inside.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PlanScore {
+    /// Length of the vehicle's current remaining route, `d_{t,k}` (km).
+    pub current_length: f64,
+    /// The shortest feasible insertion as positions, if any.
+    pub best: Option<InsertionScore>,
+}
+
+impl PlanScore {
+    /// The feasibility flag `fe^i_{t,k}`.
+    #[inline]
+    pub fn feasible(&self) -> bool {
+        self.best.is_some()
+    }
+
+    /// Length of the best temporary route `d^i_{t,k}`, if feasible.
+    #[inline]
+    pub fn best_length(&self) -> Option<f64> {
+        self.best.map(|b| b.length)
+    }
+
+    /// Incremental distance `Δd^i_{t,k} = d^i_{t,k} - d_{t,k}` caused by
+    /// taking the order, if feasible.
+    #[inline]
+    pub fn incremental_length(&self) -> Option<f64> {
+        self.best_length().map(|l| l - self.current_length)
+    }
+}
+
 /// Output of Algorithm 2 for one `(order, vehicle)` pair.
 ///
 /// Mirrors the paper's outputs: the feasibility flag `fe^i_{t,k}`, the
 /// current route length `d_{t,k}`, the best temporary route and its length
 /// `d^i_{t,k}`. (The used flag `f_{t,k}` lives on [`VehicleView`]; the ST
 /// Score `xi^i_{t,k}` is computed by `dpdp-data` on top of the best route.)
+///
+/// This is a [`PlanScore`] with its winner materialised
+/// ([`RoutePlanner::materialise`]); [`PlannerOutput::score`] goes back.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlannerOutput {
     /// Length of the vehicle's current remaining route, `d_{t,k}` (km).
     pub current_length: f64,
-    /// The shortest feasible temporary route, if any. Boxed so the
-    /// out-of-line route/schedule payload keeps `PlannerOutput` itself at
-    /// pointer size — the epoch sweep materialises a dense `orders ×
-    /// vehicles` canvas of these, and at megacity scale (10k vehicles) the
-    /// canvas is memcpy-bound on `size_of::<PlannerOutput>()`.
+    /// The shortest feasible temporary route, if any: the materialised
+    /// route and schedule, out of line so an infeasible output — most of
+    /// any row a policy is shown — is two words and owns nothing.
     pub best: Option<Box<BestInsertion>>,
 }
 
@@ -107,6 +144,15 @@ impl PlannerOutput {
     #[inline]
     pub fn incremental_length(&self) -> Option<f64> {
         self.best_length().map(|l| l - self.current_length)
+    }
+
+    /// The scalars of this output: what [`RoutePlanner::materialise`] was
+    /// given to build it.
+    pub fn score(&self) -> PlanScore {
+        PlanScore {
+            current_length: self.current_length,
+            best: self.best.as_ref().map(|b| b.score()),
+        }
     }
 }
 
@@ -150,23 +196,59 @@ impl<'a> RoutePlanner<'a> {
     }
 
     /// Runs Algorithm 2 against a prebuilt [`ScheduleCache`] for `view`
-    /// (see [`RoutePlanner::cache`]): the vehicle's current route length
-    /// comes from the cache and the candidate sweep is allocation-free.
-    ///
-    /// An infeasible cache (base route fails the oracle; committed routes
-    /// never do) has no passes to sweep: [`best_insertion_cached`] then
-    /// answers from the [`crate::best_insertion_naive`] oracle and the
-    /// route length comes from [`crate::Route::length`].
+    /// (see [`RoutePlanner::cache`]): [`RoutePlanner::score_cached`], then
+    /// [`RoutePlanner::materialise`] on what it found.
     pub fn plan_cached(
         &self,
         cache: &ScheduleCache,
         view: &VehicleView,
         order: &Order,
     ) -> PlannerOutput {
+        self.materialise(&self.score_cached(cache, view, order), view, order)
+    }
+
+    /// The scoring half of Algorithm 2 against a prebuilt
+    /// [`ScheduleCache`] for `view`: the vehicle's current route length
+    /// comes from the cache, the candidate sweep and the oracle walk over
+    /// its winner are allocation-free, and the winner stays positions — no
+    /// route is built ([`score_insertion_cached`]).
+    ///
+    /// An infeasible cache (base route fails the oracle; committed routes
+    /// never do) has no passes to sweep: the score then comes from the
+    /// [`crate::best_insertion_naive`] oracle and the route length from
+    /// [`crate::Route::length`].
+    pub fn score_cached(
+        &self,
+        cache: &ScheduleCache,
+        view: &VehicleView,
+        order: &Order,
+    ) -> PlanScore {
+        PlanScore {
+            best: score_insertion_cached(cache, view, order, self.net, self.fleet, self.orders),
+            ..self.pruned_score(Some(cache), view)
+        }
+    }
+
+    /// The materialising half of Algorithm 2: builds the route and schedule
+    /// `score` stands for ([`InsertionScore::materialise`]). `view` and
+    /// `order` must be the ones the score was computed for — positions mean
+    /// nothing against another route. An infeasible score materialises to
+    /// `best: None` and touches neither.
+    ///
+    /// # Panics
+    /// Panics if a feasible score does not fit `view` (see
+    /// [`InsertionScore::materialise`]).
+    pub fn materialise(
+        &self,
+        score: &PlanScore,
+        view: &VehicleView,
+        order: &Order,
+    ) -> PlannerOutput {
         PlannerOutput {
-            best: best_insertion_cached(cache, view, order, self.net, self.fleet, self.orders)
-                .map(Box::new),
-            ..self.pruned_output(Some(cache), view)
+            current_length: score.current_length,
+            best: score.best.map(|best| {
+                Box::new(best.materialise(view, order, self.net, self.fleet, self.orders))
+            }),
         }
     }
 
@@ -221,23 +303,19 @@ impl<'a> RoutePlanner<'a> {
         }
     }
 
-    /// The [`PlannerOutput`] for a pair pruned by
+    /// The [`PlanScore`] for a pair pruned by
     /// [`RoutePlanner::provably_infeasible`]: `best: None` with the
     /// `current_length` the full evaluation would have reported —
     /// `cache.base_length()` of a feasible cache, the view's route length
     /// when there is no cache or it is infeasible (mirroring
-    /// [`RoutePlanner::plan_cached`] exactly, so pruned and evaluated cells
-    /// are indistinguishable).
-    pub fn pruned_output(
-        &self,
-        cache: Option<&ScheduleCache>,
-        view: &VehicleView,
-    ) -> PlannerOutput {
+    /// [`RoutePlanner::score_cached`] exactly, so pruned and evaluated
+    /// cells are indistinguishable).
+    pub fn pruned_score(&self, cache: Option<&ScheduleCache>, view: &VehicleView) -> PlanScore {
         let current_length = match cache {
             Some(cache) if cache.is_feasible() => cache.base_length(),
             _ => view.route.length(self.net, view.anchor_node, view.depot),
         };
-        PlannerOutput {
+        PlanScore {
             current_length,
             best: None,
         }
@@ -302,6 +380,12 @@ mod tests {
         assert_eq!(out.current_length, 0.0);
         assert!((out.best_length().unwrap() - 40.0).abs() < 1e-9);
         assert!((out.incremental_length().unwrap() - 40.0).abs() < 1e-9);
+    }
+
+    /// The size the epoch matrix pays per cell.
+    #[test]
+    fn a_plan_score_is_forty_bytes() {
+        assert_eq!(std::mem::size_of::<PlanScore>(), 40);
     }
 
     #[test]
@@ -402,8 +486,8 @@ mod tests {
                     "bound pruned a feasible pair for {}",
                     order.id
                 );
-                let out = planner.pruned_output(Some(&planner.cache(&view)), &view);
-                assert_eq!(out, full, "pruned output diverged for {}", order.id);
+                let out = planner.pruned_score(Some(&planner.cache(&view)), &view);
+                assert_eq!(out, full.score(), "pruned score diverged for {}", order.id);
             }
         }
         assert!(pruned > 0, "the deadline sweep must exercise the prune");

@@ -85,10 +85,37 @@ impl Route {
         self.stops.get(self.head)
     }
 
-    /// Returns a new route with `pickup` inserted at `pickup_pos` and
+    /// The stops of this route with `pickup` inserted at `pickup_pos` and
     /// `delivery` inserted so that it ends up at position `delivery_pos + 1`
     /// relative to the original stop list (i.e. `delivery_pos >= pickup_pos`
-    /// counts positions in the *original* route).
+    /// counts positions in the *original* route), in visit order. This is
+    /// what an insertion position pair *means*; [`Route::with_insertion`]
+    /// collects it, the oracle walks it in place
+    /// ([`crate::simulate_insertion`]).
+    ///
+    /// # Panics
+    /// Panics if positions are out of range or `delivery_pos < pickup_pos`.
+    pub fn insertion_stops(
+        &self,
+        pickup: Stop,
+        pickup_pos: usize,
+        delivery: Stop,
+        delivery_pos: usize,
+    ) -> impl Iterator<Item = Stop> + '_ {
+        let live = self.stops();
+        assert!(pickup_pos <= live.len(), "pickup_pos out of range");
+        assert!(delivery_pos <= live.len(), "delivery_pos out of range");
+        assert!(delivery_pos >= pickup_pos, "delivery before pickup");
+        let head = live[..pickup_pos].iter().copied();
+        let between = live[pickup_pos..delivery_pos].iter().copied();
+        let tail = live[delivery_pos..].iter().copied();
+        head.chain([pickup])
+            .chain(between)
+            .chain([delivery])
+            .chain(tail)
+    }
+
+    /// Returns a new route holding [`Route::insertion_stops`].
     ///
     /// # Panics
     /// Panics if positions are out of range or `delivery_pos < pickup_pos`.
@@ -99,17 +126,8 @@ impl Route {
         delivery: Stop,
         delivery_pos: usize,
     ) -> Route {
-        let live = self.stops();
-        assert!(pickup_pos <= live.len(), "pickup_pos out of range");
-        assert!(delivery_pos <= live.len(), "delivery_pos out of range");
-        assert!(delivery_pos >= pickup_pos, "delivery before pickup");
-        let mut stops = Vec::with_capacity(live.len() + 2);
-        stops.extend_from_slice(&live[..pickup_pos]);
-        stops.push(pickup);
-        stops.extend_from_slice(&live[pickup_pos..delivery_pos]);
-        stops.push(delivery);
-        stops.extend_from_slice(&live[delivery_pos..]);
-        Route { stops, head: 0 }
+        let stops = self.insertion_stops(pickup, pickup_pos, delivery, delivery_pos);
+        Route::from_stops(stops.collect())
     }
 
     /// The full node sequence `anchor -> stops... -> depot`.

@@ -1,10 +1,25 @@
 //! Schedule simulation: the feasibility oracle for candidate routes.
 //!
-//! [`simulate_schedule`] walks a vehicle's remaining route stop by stop,
-//! tracking time (constant travel speed plus per-stop service time, waiting
-//! allowed before an order's creation time), the LIFO cargo stack and the
-//! load, and reports either a full [`Schedule`] or the first
-//! [`Violation`] encountered.
+//! One stop-by-stop walk tracks time (constant travel speed plus per-stop
+//! service time, waiting allowed before an order's creation time), the
+//! LIFO cargo stack and the load, and stops at the first [`Violation`].
+//! The walk is generic over where its stops come from and what happens to
+//! each stop's timing, and has two callers:
+//!
+//! * [`simulate_schedule`] walks a [`Route`] and **collects** every
+//!   [`StopTiming`] into a full [`Schedule`] — what a route that somebody
+//!   will read (a committed plan, a policy's per-order context) needs;
+//! * [`simulate_insertion`] walks a base route with one pickup/delivery
+//!   pair spliced in at given positions and **discards** the timings,
+//!   returning only the [`ScheduleTotals`]. It never builds the spliced
+//!   route and allocates nothing in steady state, which is what lets the
+//!   insertion evaluator oracle-check every winner it scores without
+//!   materialising it (see [`crate::incremental`]).
+//!
+//! Both run the identical operations in the identical order, so the
+//! totals of a discarded walk are bit-identical to the `total_length`,
+//! `return_time` and `max_load` of the [`Schedule`] a collecting walk over
+//! the same stops returns.
 
 use crate::constraints::Violation;
 use crate::route::Route;
@@ -12,6 +27,7 @@ use crate::stop::{Stop, StopAction};
 use crate::view::VehicleView;
 use dpdp_net::{FleetConfig, Order, OrderId, RoadNetwork, TimePoint};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 
 /// Timing of one stop in a simulated schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -51,6 +67,121 @@ fn lookup(orders: &[Order], id: OrderId) -> Result<&Order, Violation> {
     }
 }
 
+/// What a feasible walk adds up to: a [`Schedule`] minus its per-stop
+/// timings.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ScheduleTotals {
+    /// Total driven distance from the anchor through all stops back to the
+    /// depot, km.
+    pub total_length: f64,
+    /// Time the vehicle arrives back at its depot.
+    pub return_time: TimePoint,
+    /// Maximum load reached anywhere along the route.
+    pub max_load: f64,
+}
+
+thread_local! {
+    /// The walk's LIFO cargo stack. Per thread so that a walk needs no
+    /// caller scratch and, once the buffer has grown to the deepest stack
+    /// the thread has seen, no allocation either.
+    static STACK: RefCell<Vec<(OrderId, f64)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The walk behind [`simulate_schedule`] and [`simulate_insertion`]: visits
+/// `stops` from the view's anchor with the view's onboard stack, checks the
+/// time-window, capacity and LIFO constraints (the back-to-depot constraint
+/// is structural, but the stack must empty before the depot return), and
+/// hands every visited stop's timing to `sink`.
+fn walk(
+    view: &VehicleView,
+    stops: impl IntoIterator<Item = Stop>,
+    net: &RoadNetwork,
+    fleet: &FleetConfig,
+    orders: &[Order],
+    mut sink: impl FnMut(StopTiming),
+) -> Result<ScheduleTotals, Violation> {
+    STACK.with_borrow_mut(|stack| {
+        stack.clear();
+        stack.extend_from_slice(&view.onboard);
+        let mut node = view.anchor_node;
+        let mut time = view.anchor_time;
+        let mut load: f64 = stack.iter().map(|(_, q)| q).sum();
+        let mut total_length = 0.0;
+        let mut max_load = load;
+
+        for stop in stops {
+            let leg = net.distance(node, stop.node);
+            total_length += leg;
+            time += fleet.travel_time(leg);
+            node = stop.node;
+            let arrival = time;
+
+            let order = lookup(orders, stop.action.order())?;
+            let (service_start, load_after) = match stop.action {
+                StopAction::Pickup(id) => {
+                    // Cargo only exists from the order's creation time; the
+                    // vehicle may wait at the factory.
+                    let start = arrival.max(order.created);
+                    let new_load = load + order.quantity;
+                    if new_load > fleet.capacity + 1e-9 {
+                        return Err(Violation::Capacity {
+                            order: id,
+                            load: new_load,
+                            capacity: fleet.capacity,
+                        });
+                    }
+                    stack.push((id, order.quantity));
+                    load = new_load;
+                    max_load = max_load.max(load);
+                    (start, load)
+                }
+                StopAction::Delivery(id) => {
+                    if arrival > order.deadline {
+                        return Err(Violation::TimeWindow {
+                            order: id,
+                            arrival,
+                            deadline: order.deadline,
+                        });
+                    }
+                    match stack.last() {
+                        Some(&(top, qty)) if top == id => {
+                            stack.pop();
+                            load -= qty;
+                        }
+                        _ => return Err(Violation::Lifo { order: id }),
+                    }
+                    (arrival, load)
+                }
+            };
+
+            time = service_start + fleet.service_time;
+            sink(StopTiming {
+                stop,
+                arrival,
+                service_start,
+                departure: time,
+                load_after,
+            });
+        }
+
+        if !stack.is_empty() {
+            return Err(Violation::IncompleteRoute {
+                undelivered: stack.iter().map(|&(o, _)| o).collect(),
+            });
+        }
+
+        let home = net.distance(node, view.depot);
+        total_length += home;
+        time += fleet.travel_time(home);
+
+        Ok(ScheduleTotals {
+            total_length,
+            return_time: time,
+            max_load,
+        })
+    })
+}
+
 /// Simulates `route` for the vehicle described by `view`, starting from the
 /// view's anchor with the view's onboard stack. Checks the time-window,
 /// capacity and LIFO constraints; the back-to-depot constraint is structural
@@ -68,85 +199,46 @@ pub fn simulate_schedule(
     fleet: &FleetConfig,
     orders: &[Order],
 ) -> Result<Schedule, Violation> {
-    let mut node = view.anchor_node;
-    let mut time = view.anchor_time;
-    let mut stack: Vec<(OrderId, f64)> = view.onboard.clone();
-    let mut load: f64 = stack.iter().map(|(_, q)| q).sum();
-    let mut total_length = 0.0;
-    let mut max_load = load;
     let mut timings = Vec::with_capacity(route.len());
-
-    for &stop in route.stops() {
-        let leg = net.distance(node, stop.node);
-        total_length += leg;
-        time += fleet.travel_time(leg);
-        node = stop.node;
-        let arrival = time;
-
-        let order = lookup(orders, stop.action.order())?;
-        let (service_start, load_after) = match stop.action {
-            StopAction::Pickup(id) => {
-                // Cargo only exists from the order's creation time; the
-                // vehicle may wait at the factory.
-                let start = arrival.max(order.created);
-                let new_load = load + order.quantity;
-                if new_load > fleet.capacity + 1e-9 {
-                    return Err(Violation::Capacity {
-                        order: id,
-                        load: new_load,
-                        capacity: fleet.capacity,
-                    });
-                }
-                stack.push((id, order.quantity));
-                load = new_load;
-                max_load = max_load.max(load);
-                (start, load)
-            }
-            StopAction::Delivery(id) => {
-                if arrival > order.deadline {
-                    return Err(Violation::TimeWindow {
-                        order: id,
-                        arrival,
-                        deadline: order.deadline,
-                    });
-                }
-                match stack.last() {
-                    Some(&(top, qty)) if top == id => {
-                        stack.pop();
-                        load -= qty;
-                    }
-                    _ => return Err(Violation::Lifo { order: id }),
-                }
-                (arrival, load)
-            }
-        };
-
-        time = service_start + fleet.service_time;
-        timings.push(StopTiming {
-            stop,
-            arrival,
-            service_start,
-            departure: time,
-            load_after,
-        });
-    }
-
-    if !stack.is_empty() {
-        return Err(Violation::IncompleteRoute {
-            undelivered: stack.into_iter().map(|(o, _)| o).collect(),
-        });
-    }
-
-    let home = net.distance(node, view.depot);
-    total_length += home;
-    time += fleet.travel_time(home);
-
+    let stops = route.stops().iter().copied();
+    let totals = walk(view, stops, net, fleet, orders, |t| timings.push(t))?;
     Ok(Schedule {
         timings,
-        total_length,
-        return_time: time,
-        max_load,
+        total_length: totals.total_length,
+        return_time: totals.return_time,
+        max_load: totals.max_load,
     })
+}
+
+/// Simulates `view`'s route with `order`'s pickup inserted at `pickup_pos`
+/// and its delivery at `delivery_pos` (positions as in
+/// [`Route::with_insertion`]) without building that route or keeping any
+/// timing: the same walk as [`simulate_schedule`] over
+/// [`Route::insertion_stops`], so the verdict and the totals are
+/// bit-identical to simulating the materialised route, at no allocation
+/// once the thread's stack buffer has grown.
+///
+/// # Errors
+/// Returns the first [`Violation`] encountered along the spliced route.
+///
+/// # Panics
+/// Panics if the positions are out of range or `delivery_pos < pickup_pos`.
+pub fn simulate_insertion(
+    view: &VehicleView,
+    order: &Order,
+    pickup_pos: usize,
+    delivery_pos: usize,
+    net: &RoadNetwork,
+    fleet: &FleetConfig,
+    orders: &[Order],
+) -> Result<ScheduleTotals, Violation> {
+    let stops = view.route.insertion_stops(
+        Stop::pickup(order.pickup, order.id),
+        pickup_pos,
+        Stop::delivery(order.delivery, order.id),
+        delivery_pos,
+    );
+    walk(view, stops, net, fleet, orders, |_| {})
 }
 
 #[cfg(test)]

@@ -4,6 +4,12 @@
 //! per-candidate lengths (within 1e-9), and the winning candidate's exact
 //! `(pickup_pos, delivery_pos)` and bit-identical route length.
 //!
+//! The same cases pin the score/materialise split: a score materialises to
+//! exactly the naive winner and already carries its bit-identical length,
+//! and the allocation-free oracle walk ([`simulate_insertion`]) returns, for
+//! every position pair of a sample of the routes, the verdict and totals
+//! of [`simulate_schedule`] over the materialised route.
+//!
 //! Scenarios cover idle vehicles at the depot and in-service vehicles
 //! advanced partway through their route with non-empty onboard LIFO stacks,
 //! over random geometry, capacities, speeds, service times and deadline
@@ -13,8 +19,9 @@ use dpdp_net::{
     FleetConfig, Node, NodeId, Order, OrderId, Point, RoadNetwork, TimeDelta, TimePoint, VehicleId,
 };
 use dpdp_routing::{
-    best_insertion, best_insertion_naive, enumerate_insertions, simulate_schedule,
-    sweep_insertions, ScheduleCache, StopAction, VehicleView,
+    best_insertion, best_insertion_naive, enumerate_insertions, simulate_insertion,
+    simulate_schedule, sweep_insertions, RoutePlanner, ScheduleCache, Stop, StopAction,
+    VehicleView,
 };
 
 /// Minimal deterministic RNG (xorshift64*), independent of any shimmed
@@ -190,6 +197,22 @@ fn assert_parity(sc: &Scenario, view: &VehicleView, label: &str) {
     // bookkeeping counts.
     let fast = best_insertion(view, probe, &sc.net, &sc.fleet, &sc.orders);
     let slow = best_insertion_naive(view, probe, &sc.net, &sc.fleet, &sc.orders);
+
+    // The split: the score alone carries the winner's authoritative length,
+    // and materialising it yields the naive winner, route and schedule.
+    let planner = RoutePlanner::new(&sc.net, &sc.fleet, &sc.orders);
+    let score = planner.score_cached(&cache, view, probe);
+    let out = planner.materialise(&score, view, probe);
+    assert_eq!(out.best.as_deref(), slow.as_ref(), "{label}: materialise");
+    assert_eq!(out.score(), score, "{label}: score round trip");
+    assert_eq!(
+        score.best.map(|b| b.length.to_bits()),
+        out.best
+            .as_ref()
+            .map(|b| b.candidate.schedule.total_length.to_bits()),
+        "{label}: scored length is not the schedule's"
+    );
+
     match (fast, slow) {
         (None, None) => {}
         (Some(a), Some(b)) => {
@@ -219,6 +242,31 @@ fn assert_parity(sc: &Scenario, view: &VehicleView, label: &str) {
     }
 }
 
+/// For every position pair of `view`'s route, feasible or not, the walk
+/// over the spliced stop sequence agrees with the oracle over the
+/// materialised route: same totals bit for bit, or the same violation.
+fn assert_walk_parity(sc: &Scenario, view: &VehicleView, label: &str) {
+    let probe = sc.orders.last().unwrap();
+    let pickup = Stop::pickup(probe.pickup, probe.id);
+    let delivery = Stop::delivery(probe.delivery, probe.id);
+    let bits = |length: f64, back: TimePoint, load: f64| {
+        (length.to_bits(), back.seconds().to_bits(), load.to_bits())
+    };
+    let n = view.route.len();
+    for i in 0..=n {
+        for j in i..=n {
+            let walked = simulate_insertion(view, probe, i, j, &sc.net, &sc.fleet, &sc.orders);
+            let route = view.route.with_insertion(pickup, i, delivery, j);
+            let simulated = simulate_schedule(view, &route, &sc.net, &sc.fleet, &sc.orders);
+            assert_eq!(
+                walked.map(|t| bits(t.total_length, t.return_time, t.max_load)),
+                simulated.map(|s| bits(s.total_length, s.return_time, s.max_load)),
+                "{label}: walk diverged at ({i}, {j})"
+            );
+        }
+    }
+}
+
 #[test]
 fn incremental_matches_naive_on_random_idle_routes() {
     let mut rng = Rng::new(0xD1D5_2024);
@@ -230,6 +278,9 @@ fn incremental_matches_naive_on_random_idle_routes() {
             nonempty += 1;
         }
         assert_parity(&sc, &view, &format!("idle case {case}"));
+        if case % 25 == 0 {
+            assert_walk_parity(&sc, &view, &format!("idle case {case}"));
+        }
     }
     assert!(
         nonempty >= 150,
@@ -250,6 +301,9 @@ fn incremental_matches_naive_on_in_service_vehicles() {
             with_stack += 1;
         }
         assert_parity(&sc, &view, &format!("in-service case {case}"));
+        if case % 25 == 0 {
+            assert_walk_parity(&sc, &view, &format!("in-service case {case}"));
+        }
     }
     assert!(
         with_stack >= 60,
@@ -276,6 +330,9 @@ fn incremental_matches_naive_under_tight_deadlines() {
             infeasible_epochs += 1;
         }
         assert_parity(&sc, &view, &format!("tight case {case}"));
+        if case % 25 == 0 {
+            assert_walk_parity(&sc, &view, &format!("tight case {case}"));
+        }
     }
     assert!(
         infeasible_epochs >= 20,

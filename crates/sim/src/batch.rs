@@ -3,20 +3,35 @@
 //! The paper's Algorithm 1 frames dispatch as a sequence of *decision
 //! epochs*: every order whose decision time lands on the same instant is
 //! decided against one shared fleet snapshot. A [`DecisionBatch`] carries
-//! that snapshot — one [`VehicleView`] and one [`PlannerOutput`] per
-//! `(order, vehicle)` pair — and maintains it *incrementally* as decisions
-//! are committed: accepting an order replans only the chosen vehicle's
-//! entries for the still-undecided orders (a per-order plan delta), so a
-//! batch of `B` orders over `K` vehicles costs one full `B x K` planning
-//! sweep plus at most `B` single-vehicle replans, instead of `B` full
-//! sweeps. Under sharding both the sweep and the deltas skip the cells
-//! the exact bound rules out, and the matrix never stores them: a delta
-//! costs what it evaluates.
+//! that snapshot — one [`VehicleView`] per vehicle and one [`PlanScore`]
+//! per `(order, vehicle)` pair — and maintains it *incrementally* as
+//! decisions are committed: accepting an order rescores only the chosen
+//! vehicle's entries for the still-undecided orders (a per-order plan
+//! delta), so a batch of `B` orders over `K` vehicles costs one full
+//! `B x K` scoring sweep plus at most `B` single-vehicle rescorings,
+//! instead of `B` full sweeps. Under sharding both the sweep and the
+//! deltas skip the cells the exact bound rules out, and the matrix never
+//! stores them: a delta costs what it evaluates.
+//!
+//! **A cell is positions, a route is for a winner.** Algorithm 2 hands a
+//! policy a few scalars per pair and one route, the one the chosen
+//! vehicle adopts; the matrix holds exactly the scalars. A [`PlanScore`]
+//! is `d_{t,k}` plus the best insertion as positions, length and counts —
+//! `Copy`, 40 bytes, no heap — and is only meaningful against the vehicle
+//! view it was scored on. A [`dpdp_routing::Route`] and
+//! [`dpdp_routing::Schedule`] are built ([`RoutePlanner::materialise`])
+//! in two places, by whoever reads them: [`DecisionBatch::resolve`]
+//! materialises the one accepted cell for the commit record, and
+//! [`DecisionBatch::with_context`] materialises the row it shows a
+//! per-order policy, for the length of that call. Every acceptance
+//! rescores the accepting vehicle's column for every undecided row, so an
+//! undecided row's positions always refer to the current views; the row
+//! of a resolved order is left behind and is never materialised again.
 //!
 //! The batch is the matrix's only writer and policies keep no copy of it.
-//! They read an order's row when they decide it — densely through
-//! [`DecisionBatch::with_context`], or as the candidate row
-//! [`DecisionBatch::fold_candidates`] folds over.
+//! They read an order's row when they decide it — densely and materialised
+//! through [`DecisionBatch::with_context`], or as the candidate row of
+//! scores [`DecisionBatch::fold_candidates`] folds over.
 //!
 //! Sequential commit through [`DecisionBatch::resolve`] reproduces the
 //! legacy one-order-at-a-time semantics exactly (same snapshot evolution,
@@ -30,9 +45,8 @@ use crate::shard::{plan_sweep, ShardContext, ShardStats, SweepBuffers};
 use crate::state::VehicleState;
 use dpdp_net::{FleetConfig, Order, OrderId, RoadNetwork, TimePoint, VehicleId};
 use dpdp_pool::ThreadPool;
-use dpdp_routing::{PlannerOutput, RoutePlanner, ScheduleCache, VehicleView};
+use dpdp_routing::{PlanScore, PlannerOutput, RoutePlanner, ScheduleCache, VehicleView};
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -125,20 +139,6 @@ pub(crate) struct CommitAssignment {
     pub(crate) vehicle_was_used: bool,
 }
 
-/// Evaluates `f(i, k)` for every cell of a `rows x k` matrix across the
-/// pool and regroups the flat results into rows (the dense `B x K` sweep).
-fn par_map_matrix<T: Send>(
-    pool: &ThreadPool,
-    rows: usize,
-    k: usize,
-    f: impl Fn(usize, usize) -> T + Sync,
-) -> Vec<Vec<T>> {
-    let mut flat = pool
-        .par_map(rows * k, |idx| f(idx / k, idx % k))
-        .into_iter();
-    (0..rows).map(|_| flat.by_ref().take(k).collect()).collect()
-}
-
 /// Reusable per-epoch scratch arena for [`DecisionBatch::new`].
 ///
 /// The driver loops (simulator episodes, server engine sessions) build one
@@ -221,94 +221,86 @@ impl EpochScratch {
     }
 }
 
-/// How the epoch's `B x K` plan matrix is stored.
+/// The epoch's `B x K` plan matrix: candidate rows over a per-vehicle
+/// fallback. A cell is a [`PlanScore`] — scalars and insertion positions,
+/// `Copy`, no heap — so the store owns no route and dropping it frees
+/// only its row vectors.
 ///
-/// The flat scan materialises every cell (`Dense`). The sharded sweep
-/// stores only the cells it actually evaluated (`Sparse`): every other
-/// cell was proven infeasible by the geometric bound, so its output is the
-/// per-vehicle pruned fallback (`best: None` plus the vehicle's
-/// `d_{t,k}`) — identical for every row. Both representations answer every
-/// cell query of a still-undecided row with bit-identical values; `Sparse`
-/// just refuses to spend `O(B x K)` memory traffic on cells whose content
-/// is known in advance, which is what lets the hierarchical megacity
-/// episode scale with the *work* of the epoch instead of the fleet size.
+/// A row stores the cells some sweep evaluated, sorted by vehicle index;
+/// every absent cell reads as `fallback[k]`, the vehicle's pruned score
+/// (`best: None` plus its `d_{t,k}`) — identical for every row. The flat
+/// scan evaluates every cell, so its rows are complete and the fallback
+/// is never read. The sharded sweep stores only the survivors of the
+/// geometric bound, which is what lets the hierarchical megacity episode
+/// scale with the *work* of the epoch instead of `O(B x K)` memory
+/// traffic on cells whose content is known in advance. Either way every
+/// cell query of a still-undecided row answers with bit-identical values.
 ///
 /// Pruned cells stay implicit through commits too: an acceptance on
 /// vehicle `k` refreshes `fallback[k]` once and touches a row only where
 /// the column replan evaluated a cell or a stored cell went stale, so a
-/// row grows by at most one entry per *evaluated* delta cell.
+/// row grows by at most one entry per *evaluated* delta cell. A cell that
+/// was ever evaluated stays stored (overwritten with the fallback if a
+/// later commit prunes it), so a feasible cell is always present.
 #[derive(Debug)]
-enum PlanStore {
-    /// `rows[i][k]`: Algorithm 2 output for epoch order `i` on vehicle `k`.
-    Dense(Vec<Vec<PlannerOutput>>),
-    /// Candidate cells only, each row sorted by vehicle index; every absent
-    /// cell reads as `fallback[k]`, which is always `best: None`. A cell
-    /// that was ever evaluated stays stored (overwritten with the fallback
-    /// if a later commit prunes it), so a feasible cell is always present.
-    Sparse {
-        rows: Vec<Vec<(u32, PlannerOutput)>>,
-        fallback: Vec<PlannerOutput>,
-    },
+struct PlanStore {
+    /// `rows[i]`: the stored `(vehicle, score)` cells of epoch order `i`.
+    rows: Vec<Vec<(u32, PlanScore)>>,
+    /// `fallback[k]`: what a cell of vehicle `k` no row stores reads as.
+    fallback: Vec<PlanScore>,
 }
 
 impl PlanStore {
-    /// The plan of cell `(i, k)`.
-    fn cell(&self, i: usize, k: usize) -> &PlannerOutput {
-        match self {
-            PlanStore::Dense(rows) => &rows[i][k],
-            PlanStore::Sparse { rows, fallback } => {
-                match rows[i].binary_search_by_key(&(k as u32), |e| e.0) {
-                    Ok(p) => &rows[i][p].1,
-                    Err(_) => &fallback[k],
-                }
-            }
+    /// The score of cell `(i, k)`.
+    fn cell(&self, i: usize, k: usize) -> PlanScore {
+        let row = &self.rows[i];
+        match row.binary_search_by_key(&(k as u32), |e| e.0) {
+            Ok(p) => row[p].1,
+            Err(_) => self.fallback[k],
         }
     }
 
-    /// Applies one commit-delta cell: `Some` is the freshly evaluated plan
+    /// Applies one commit-delta cell: `Some` is the freshly evaluated score
     /// of `(i, k)`, `None` means the bound pruned it, i.e. the cell now
     /// reads as `fallback[k]` (which the caller refreshed first). A pruned
     /// cell overwrites a stored one but is never inserted.
-    fn apply_delta(&mut self, i: usize, k: usize, plan: Option<PlannerOutput>) {
-        match self {
-            PlanStore::Dense(rows) => {
-                rows[i][k] = plan.expect("only the sharded sweep prunes cells");
-            }
-            PlanStore::Sparse { rows, fallback } => {
-                let row = &mut rows[i];
-                match (row.binary_search_by_key(&(k as u32), |e| e.0), plan) {
-                    (Ok(p), Some(plan)) => row[p].1 = plan,
-                    (Ok(p), None) => row[p].1 = fallback[k].clone(),
-                    (Err(p), Some(plan)) => row.insert(p, (k as u32, plan)),
-                    (Err(_), None) => {}
-                }
-            }
+    fn apply_delta(&mut self, i: usize, k: usize, score: Option<PlanScore>) {
+        let row = &mut self.rows[i];
+        match (row.binary_search_by_key(&(k as u32), |e| e.0), score) {
+            (Ok(p), Some(score)) => row[p].1 = score,
+            (Ok(p), None) => row[p].1 = self.fallback[k],
+            (Err(p), Some(score)) => row.insert(p, (k as u32, score)),
+            (Err(_), None) => {}
         }
     }
 
     /// Whether any vehicle currently has a feasible plan for row `i`.
-    /// Sparse fallback cells are `best: None` by construction, so scanning
-    /// the stored cells is exhaustive.
+    /// Fallback cells are `best: None` by construction, so scanning the
+    /// stored cells is exhaustive.
     fn row_feasible(&self, i: usize) -> bool {
-        match self {
-            PlanStore::Dense(rows) => rows[i].iter().any(|p| p.feasible()),
-            PlanStore::Sparse { rows, .. } => rows[i].iter().any(|(_, p)| p.feasible()),
-        }
+        self.rows[i].iter().any(|(_, p)| p.feasible())
     }
 
-    /// Row `i` as the dense `K`-slice [`DispatchContext`] exposes,
-    /// materialising it from the fallback when sparse.
-    fn row_dense(&self, i: usize) -> Cow<'_, [PlannerOutput]> {
-        match self {
-            PlanStore::Dense(rows) => Cow::Borrowed(&rows[i]),
-            PlanStore::Sparse { rows, fallback } => {
-                let mut row = fallback.clone();
-                for (k, p) in &rows[i] {
-                    row[*k as usize] = p.clone();
-                }
-                Cow::Owned(row)
-            }
-        }
+    /// Row `i` materialised as the dense `K`-slice [`DispatchContext`]
+    /// exposes: every feasible cell's route and schedule are built against
+    /// its vehicle's current view, so the row must be an undecided one
+    /// (see [`DecisionBatch::with_context`]).
+    fn row_materialised(
+        &self,
+        i: usize,
+        planner: &RoutePlanner<'_>,
+        views: &[VehicleView],
+        order: &Order,
+    ) -> Vec<PlannerOutput> {
+        let mut stored = self.rows[i].iter().peekable();
+        let cells = self.fallback.iter().enumerate().map(|(k, fallback)| {
+            let score = match stored.next_if(|e| e.0 as usize == k) {
+                Some(e) => &e.1,
+                None => fallback,
+            };
+            planner.materialise(score, &views[k], order)
+        });
+        cells.collect()
     }
 }
 
@@ -321,8 +313,8 @@ struct BatchInner {
     /// `states[k].view` clones, dense by vehicle, kept in sync on commit
     /// (the contiguous slice [`DispatchContext`] wants).
     views: Vec<VehicleView>,
-    /// The epoch's plan matrix (dense for the flat scan, candidate-sparse
-    /// under sharding).
+    /// The epoch's plan matrix (complete rows for the flat scan,
+    /// candidate-sparse under sharding).
     plans: PlanStore,
     /// Which epoch orders have been resolved already.
     decided: Vec<bool>,
@@ -346,8 +338,9 @@ struct BatchInner {
 /// [`DecisionBatch::fold_candidates`]) and commit outcomes via
 /// [`DecisionBatch::resolve`]; the shared snapshot is delta-updated after
 /// every acceptance so later orders in the batch see the committed routes,
-/// exactly as the legacy per-order path did. Rows of orders already
-/// resolved are not maintained.
+/// exactly as the legacy per-order path did. The row of an order already
+/// resolved is not maintained: `with_context` on it panics, and
+/// `fold_candidates` reads whatever scores it held when it was resolved.
 ///
 /// Under [`SimulatorBuilder::sharding`] the batch is assembled as a
 /// *merge of shard-local batches*: in-shard `(order, vehicle)` pairs run
@@ -380,9 +373,10 @@ pub struct DecisionBatch<'a> {
 impl<'a> DecisionBatch<'a> {
     /// Builds a batch over the given epoch orders from the simulator's
     /// current vehicle states (cloned as scratch space). The initial
-    /// `B x K` Algorithm 2 sweep is evaluated across `pool`'s threads, each
-    /// `(order, vehicle)` plan landing in its pre-indexed matrix slot —
-    /// bit-identical to the serial sweep for any thread count.
+    /// `B x K` Algorithm 2 sweep is scored across `pool`'s threads, each
+    /// `(order, vehicle)` score landing in its pre-indexed matrix slot —
+    /// bit-identical to the serial sweep for any thread count. No route is
+    /// built here.
     ///
     /// Each vehicle's [`ScheduleCache`] — prefix/suffix schedule passes and
     /// the current route length `d_{t,k}` — is built **once** here and
@@ -410,7 +404,7 @@ impl<'a> DecisionBatch<'a> {
         let active_ref = active.as_deref();
         let is_active = |k: usize| active_ref.is_none_or(|a| a[k]);
         let mut stats = ShardStats::default();
-        let plans = match shards.as_ref().filter(|c| c.map.num_shards() > 1) {
+        let rows = match shards.as_ref().filter(|c| c.map.num_shards() > 1) {
             None => {
                 // Schedule caches only for available vehicles; a masked
                 // vehicle's plans are `best: None` with its exact route
@@ -420,17 +414,23 @@ impl<'a> DecisionBatch<'a> {
                 // arena, not freshly allocated.
                 scratch.rebuild_caches(&planner, &views, &pool, is_active);
                 let scr = &*scratch;
-                PlanStore::Dense(par_map_matrix(
-                    &pool,
-                    epoch_orders.len(),
-                    views.len(),
-                    |i, k| match scr.cache(k) {
-                        Some(cache) => {
-                            planner.plan_cached(cache, &views_ref[k], &orders[epoch[i].index()])
+                let k_n = views.len();
+                let mut flat = pool
+                    .par_map(epoch.len() * k_n, |idx| {
+                        let (i, k) = (idx / k_n, idx % k_n);
+                        match scr.cache(k) {
+                            Some(cache) => planner.score_cached(
+                                cache,
+                                &views_ref[k],
+                                &orders[epoch[i].index()],
+                            ),
+                            None => planner.pruned_score(None, &views_ref[k]),
                         }
-                        None => planner.pruned_output(None, &views_ref[k]),
-                    },
-                ))
+                    })
+                    .into_iter();
+                (0..epoch.len())
+                    .map(|_| (0..k_n as u32).zip(flat.by_ref()).collect())
+                    .collect()
             }
             Some(ctx) => {
                 // Sharded sweep: classify every cell, run the surviving
@@ -473,26 +473,32 @@ impl<'a> DecisionBatch<'a> {
                     let cache = scr
                         .cache(k)
                         .expect("every work cell's vehicle is in `needed`");
-                    planner.plan_cached(cache, &views_ref[k], epoch_refs[i])
+                    planner.score_cached(cache, &views_ref[k], epoch_refs[i])
                 });
-                // A pruned cell's output depends only on the vehicle
-                // (`best: None` plus its `d_{t,k}`), so compute it once
-                // per vehicle as the sparse fallback instead of
-                // materialising a `B x K` canvas.
-                let fallback: Vec<PlannerOutput> = (0..views.len())
-                    .map(|k| planner.pruned_output(scr.cache(k), &views_ref[k]))
-                    .collect();
-                let mut rows: Vec<Vec<(u32, PlannerOutput)>> =
-                    (0..epoch_refs.len()).map(|_| Vec::new()).collect();
+                // `work` is vehicle-shard-major, so a row's cells arrive
+                // scattered: count them first and size every row exactly.
+                let mut row_len = vec![0usize; epoch_refs.len()];
+                for &(i, _) in work.iter() {
+                    row_len[i as usize] += 1;
+                }
+                let mut rows: Vec<Vec<(u32, PlanScore)>> =
+                    row_len.into_iter().map(Vec::with_capacity).collect();
                 for (&(i, k), out) in work.iter().zip(outs) {
                     rows[i as usize].push((k, out));
                 }
                 for row in &mut rows {
                     row.sort_unstable_by_key(|e| e.0);
                 }
-                PlanStore::Sparse { rows, fallback }
+                rows
             }
         };
+        // A pruned cell's score depends only on the vehicle (`best: None`
+        // plus its `d_{t,k}`), so it is computed once per vehicle instead
+        // of materialising a `B x K` canvas.
+        let fallback = (0..views.len())
+            .map(|k| planner.pruned_score(scratch.cache(k), &views[k]))
+            .collect();
+        let plans = PlanStore { rows, fallback };
         let decided = vec![false; epoch_orders.len()];
         let commits = (0..epoch_orders.len()).map(|_| None).collect();
         DecisionBatch {
@@ -529,7 +535,10 @@ impl<'a> DecisionBatch<'a> {
     /// Folds `f` over the `i`-th order's **candidate row** of the current
     /// snapshot, in ascending vehicle order — the one read primitive
     /// batch-native policies pick a vehicle with, called at decision time so
-    /// there is no policy-side copy of the matrix to keep in sync.
+    /// there is no policy-side copy of the matrix to keep in sync. A cell is
+    /// a [`PlanScore`]: the scalars an argmin ranks on. Nothing is
+    /// materialised here; the route of the cell the policy picks is built
+    /// once, by [`DecisionBatch::resolve`].
     ///
     /// On a flat (unsharded) batch the row holds all `K` vehicles. Under
     /// sharding it holds the cells the initial sweep or a later commit
@@ -537,9 +546,10 @@ impl<'a> DecisionBatch<'a> {
     /// infeasible for this order (`best: None`), so an argmin over feasible
     /// plans sees the same winner and the same tie-breaks as a dense scan.
     /// A row changes only when [`DecisionBatch::resolve`] commits an
-    /// acceptance: the accepting vehicle's cell is replanned for every
-    /// still-undecided order (rows of resolved orders are left as they
-    /// were).
+    /// acceptance: the accepting vehicle's cell is rescored for every
+    /// still-undecided order. The row of an already resolved order is not
+    /// maintained — folding over it is allowed and reads scores that may
+    /// be stale.
     ///
     /// # Panics
     /// Panics if `i >= len()`, or when called while the snapshot is mutably
@@ -548,17 +558,13 @@ impl<'a> DecisionBatch<'a> {
         &self,
         i: usize,
         init: A,
-        mut f: impl FnMut(A, VehicleId, &PlannerOutput) -> A,
+        mut f: impl FnMut(A, VehicleId, &PlanScore) -> A,
     ) -> A {
-        match &self.inner.borrow().plans {
-            PlanStore::Dense(rows) => rows[i]
-                .iter()
-                .enumerate()
-                .fold(init, |acc, (k, p)| f(acc, VehicleId::from_index(k), p)),
-            PlanStore::Sparse { rows, .. } => rows[i].iter().fold(init, |acc, (k, p)| {
+        self.inner.borrow().plans.rows[i]
+            .iter()
+            .fold(init, |acc, (k, p)| {
                 f(acc, VehicleId::from_index(*k as usize), p)
-            }),
-        }
+            })
     }
 
     /// Tears the batch down into its per-order commit records and scratch
@@ -668,19 +674,33 @@ impl<'a> DecisionBatch<'a> {
     /// Runs `f` with the `i`-th order's [`DispatchContext`], built from the
     /// batch's *current* (delta-updated) snapshot. This is the joint state
     /// `S^i_t` a legacy per-order policy would have seen at this point of
-    /// the sequential commit order.
+    /// the sequential commit order. The context's `plans` are materialised
+    /// for this call — one route and schedule per feasible vehicle, built
+    /// from the row's scores against the current views — and dropped when
+    /// it returns.
     ///
     /// # Panics
-    /// Panics if `i >= len()`. The batch's shared snapshot is borrowed for
-    /// the duration of `f`, so calling [`DecisionBatch::resolve`] (or any
-    /// other batch method) from *inside* `f` panics with a `RefCell`
-    /// borrow error — read the context, return the choice, and resolve
-    /// outside the closure.
+    /// Panics if `i >= len()`, or if the order was already resolved: its
+    /// row is no longer maintained, and positions scored against a route
+    /// that has since changed cannot be materialised. The batch's shared
+    /// snapshot is borrowed for the duration of `f`, so calling
+    /// [`DecisionBatch::resolve`] (or any other batch method) from
+    /// *inside* `f` panics with a `RefCell` borrow error — read the
+    /// context, return the choice, and resolve outside the closure.
     pub fn with_context<R>(&self, i: usize, f: impl FnOnce(&DispatchContext<'_>) -> R) -> R {
         let inner = self.inner.borrow();
-        let row = inner.plans.row_dense(i);
+        assert!(
+            !inner.decided[i],
+            "order {} already resolved: its row is no longer maintained",
+            self.epoch_orders[i]
+        );
+        let planner = RoutePlanner::new(self.net, self.fleet, self.orders);
+        let order = self.order(i);
+        let row = inner
+            .plans
+            .row_materialised(i, &planner, &inner.views, order);
         let ctx = DispatchContext {
-            order: self.order(i),
+            order,
             now: self.now,
             interval: self.interval,
             views: &inner.views,
@@ -696,9 +716,10 @@ impl<'a> DecisionBatch<'a> {
     /// resulting [`Decision`].
     ///
     /// An accepted choice updates the shared snapshot the way the simulator
-    /// will: the chosen vehicle adopts the best temporary route, advances
-    /// through any legs departing at the epoch instant, and its plans for
-    /// the still-undecided orders of the batch are recomputed. A `None`
+    /// will: the chosen cell's route is materialised (the one route this
+    /// order builds), the chosen vehicle adopts it, advances through any
+    /// legs departing at the epoch instant, and its scores for the
+    /// still-undecided orders of the batch are recomputed. A `None`
     /// choice or an infeasible vehicle yields a rejection with the matching
     /// [`DecisionReason`].
     ///
@@ -750,17 +771,23 @@ impl<'a> DecisionBatch<'a> {
             column_cache,
             ..
         } = inner;
-        let plan = plans.cell(i, k.index()).clone();
-        let Some(best) = plan.best.as_ref() else {
+        let score = plans.cell(i, k.index());
+        if !score.feasible() {
             return (
                 Decision::rejected(oid, DecisionReason::InfeasibleChoice),
                 None,
             );
-        };
+        }
+        // The accepted cell is the one cell of the epoch whose route is
+        // built: its positions were scored against the vehicle's current
+        // view (every earlier acceptance on `k` rescored this row).
+        let planner = RoutePlanner::new(batch.net, batch.fleet, batch.orders);
+        let state = &mut states[k.index()];
+        let plan = planner.materialise(&score, &state.view, &batch.orders[oid.index()]);
+        let best = plan.best.as_ref().expect("a feasible score materialises");
         // Mirror the simulator's commit: accept the route, then advance
         // through legs that depart at the epoch instant, so later orders in
         // the batch see the post-commit anchor (no-interference rule).
-        let state = &mut states[k.index()];
         let pre_view = state.view.clone();
         let vehicle_was_used = state.used();
         state.accept(best.candidate.route.clone());
@@ -776,7 +803,6 @@ impl<'a> DecisionBatch<'a> {
         // is bit-identical to replanning every cell. A pruned cell's value
         // is the vehicle's new fallback, written once below, so a pruned
         // delta cell costs its bound check and nothing else.
-        let planner = RoutePlanner::new(batch.net, batch.fleet, batch.orders);
         undecided.clear();
         undecided.extend((0..decided.len()).filter(|&j| !decided[j]));
         let view = &views[k.index()];
@@ -784,11 +810,9 @@ impl<'a> DecisionBatch<'a> {
         let cache = &*column_cache;
         let shard_ctx = batch.shards.as_ref().filter(|c| c.map.num_shards() > 1);
         let vehicle_shard = shard_ctx.map(|c| c.map.shard_of(view.anchor_node));
-        if let PlanStore::Sparse { fallback, .. } = plans {
-            fallback[k.index()] = planner.pruned_output(Some(cache), view);
-        }
+        plans.fallback[k.index()] = planner.pruned_score(Some(cache), view);
         let (orders, epoch) = (batch.orders, &batch.epoch_orders);
-        // `(plan, foreign)` of delta cell `(j, k)`; `None` = pruned.
+        // `(score, foreign)` of delta cell `(j, k)`; `None` = pruned.
         let replan = |j: usize| {
             let order = &orders[epoch[j].index()];
             let foreign = match (shard_ctx, vehicle_shard) {
@@ -798,12 +822,12 @@ impl<'a> DecisionBatch<'a> {
             if foreign && planner.provably_infeasible(view, order) {
                 return (None, foreign);
             }
-            (Some(planner.plan_cached(cache, view, order)), foreign)
+            (Some(planner.score_cached(cache, view, order)), foreign)
         };
-        let mut record = |j: usize, (plan, foreign): (Option<PlannerOutput>, bool)| {
+        let mut record = |j: usize, (score, foreign): (Option<PlanScore>, bool)| {
             if shard_ctx.is_some() {
                 stats.cells += 1;
-                match plan {
+                match score {
                     None => stats.pruned += 1,
                     Some(_) => {
                         stats.evaluated += 1;
@@ -811,7 +835,7 @@ impl<'a> DecisionBatch<'a> {
                     }
                 }
             }
-            plans.apply_delta(j, k.index(), plan);
+            plans.apply_delta(j, k.index(), score);
         };
         // Columns are usually short next to the pool's wake/join latency;
         // replan them inline below this size (the values are identical

@@ -138,6 +138,18 @@ fn double_resolve_panics() {
     b.resolve(0, None);
 }
 
+/// A resolved order's row is no longer rescored when later acceptances
+/// change routes, so its positions cannot be materialised any more:
+/// asking for its context is a caller bug and says so.
+#[test]
+#[should_panic(expected = "order O0 already resolved: its row is no longer maintained")]
+fn with_context_on_a_resolved_order_panics() {
+    let inst = instance();
+    let b = batch(&inst);
+    b.resolve(0, Some(VehicleId(0)));
+    b.with_context(0, |ctx| ctx.plans.len());
+}
+
 /// One epoch order of the two-town fixture: pickup town (`true` = B),
 /// pickup factory, delivery offset within the town, hours to the deadline.
 type OrderSpec = (bool, usize, usize, f64);
@@ -199,12 +211,10 @@ fn town_batch(inst: &Instance, sharded: bool) -> DecisionBatch<'_> {
     batch_with(inst, shards, &mut EpochScratch::default())
 }
 
-/// The vehicles row `i` of a sharded batch stores a cell for.
+/// The vehicles row `i` of a batch stores a cell for.
 fn stored_vehicles(b: &DecisionBatch<'_>, i: usize) -> Vec<u32> {
-    match &b.inner.borrow().plans {
-        PlanStore::Sparse { rows, .. } => rows[i].iter().map(|e| e.0).collect(),
-        PlanStore::Dense(_) => panic!("expected a sharded batch"),
-    }
+    let inner = b.inner.borrow();
+    inner.plans.rows[i].iter().map(|e| e.0).collect()
 }
 
 fn dense_row(b: &DecisionBatch<'_>, i: usize) -> Vec<PlannerOutput> {
@@ -274,7 +284,7 @@ proptest! {
                 prop_assert_eq!(sharded.shard_stats(), expect);
                 continue;
             };
-            let view = sharded.with_context(i, |ctx| ctx.views[k.index()].clone());
+            let view = sharded.inner.borrow().views[k.index()].clone();
             for j in i + 1..b {
                 let foreign = sharded.shard_of_order(j) != sharded.shard_of_vehicle(k);
                 let pruned = foreign && planner.provably_infeasible(&view, sharded.order(j));

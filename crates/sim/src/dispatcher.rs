@@ -19,7 +19,11 @@ pub struct DispatchContext<'a> {
     pub interval: usize,
     /// Per-vehicle snapshots, dense by vehicle id.
     pub views: &'a [VehicleView],
-    /// Per-vehicle Algorithm 2 outputs, dense by vehicle id.
+    /// Per-vehicle Algorithm 2 outputs, dense by vehicle id. A
+    /// [`DecisionBatch`] keeps scores, not routes: it materialises this
+    /// slice — the best route and schedule of every feasible vehicle — for
+    /// each [`DecisionBatch::with_context`] call, against the snapshot as
+    /// it stands then.
     pub plans: &'a [PlannerOutput],
     /// The road network.
     pub net: &'a RoadNetwork,

@@ -47,7 +47,7 @@
 //! creation instant; fixed-interval buffering: the flush multiple) are
 //! decided through a single [`Dispatcher::dispatch_batch`] call over a
 //! [`DecisionBatch`]: one shared set of vehicle snapshots and Algorithm 2
-//! planner outputs, delta-updated as decisions commit. Per-order policies
+//! scores, delta-updated as decisions commit. Per-order policies
 //! implement [`Dispatcher::dispatch`] and ride the default adapter;
 //! batch-native policies (like `dpdp-baselines`' greedy baselines) read
 //! the batch's rows directly. Stranded orders from breakdowns re-enter here as re-dispatchable
@@ -64,18 +64,30 @@
 //!
 //! # Candidate rows
 //!
-//! A batch owns the epoch's plan matrix and is its only writer. Policies
-//! read it one order at a time: per-order policies through the dense
-//! `K`-slice of [`DecisionBatch::with_context`], batch-native policies by
-//! folding over the order's *candidate row* at decision time
-//! ([`DecisionBatch::fold_candidates`]). Unsharded, a row is all `K`
-//! vehicles. Sharded, it is the cells some sweep actually evaluated —
-//! every cell it omits was proven infeasible by the exact bound and reads
-//! as the vehicle's `best: None` fallback, so it could never win an
-//! argmin and a policy stays `O(work)` instead of `O(K)` per order. A row
-//! changes only when an acceptance commits: the accepting vehicle's cell
-//! is replanned for every still-undecided order, and cells the bound
-//! prunes again stay implicit (the vehicle's fallback is refreshed once).
+//! A batch owns the epoch's plan matrix and is its only writer. A cell is
+//! a [`dpdp_routing::PlanScore`]: the scalars Algorithm 2 scores for the
+//! pair (`fe`, `d_{t,k}`, `d^i_{t,k}`) with the best insertion held as
+//! positions — `Copy`, no route. Policies read the matrix one order at a
+//! time: batch-native policies by folding over the order's *candidate
+//! row* of scores at decision time ([`DecisionBatch::fold_candidates`]),
+//! per-order policies through the dense `K`-slice of
+//! [`DecisionBatch::with_context`], whose
+//! [`PlannerOutput`](dpdp_routing::PlannerOutput)s — route and schedule
+//! per feasible vehicle — are materialised for that call and dropped
+//! after it. Whoever looks inside a route pays for building it: a
+//! per-order policy pays for its row, a batch-native one for nothing, and
+//! [`DecisionBatch::resolve`] builds the one route an accepted order's
+//! vehicle adopts. Unsharded, a row is all `K` vehicles. Sharded, it is
+//! the cells some sweep actually evaluated — every cell it omits was
+//! proven infeasible by the exact bound and reads as the vehicle's
+//! `best: None` fallback, so it could never win an argmin and a policy
+//! stays `O(work)` instead of `O(K)` per order. A row changes only when an
+//! acceptance commits: the accepting vehicle's cell is rescored for every
+//! still-undecided order, and cells the bound prunes again stay implicit
+//! (the vehicle's fallback is refreshed once). Positions only mean
+//! something against the view they were scored on, so the row of a
+//! resolved order — which no commit rescores — can no longer be shown:
+//! `with_context` on it panics.
 //!
 //! # Region-sharded dispatch: partition → score → merge
 //!

@@ -1,8 +1,10 @@
 //! Allocation budget of a commit delta on a sharded batch: a warmed-up
-//! acceptance allocates for its commit record and for the delta cells it
-//! *evaluates* — and nothing per pruned cell, however many still-undecided
-//! rows the bound dismisses. Pruned cells used to be written into every
-//! such row; this pins that they stay implicit.
+//! acceptance allocates for its commit record — the one materialised plan,
+//! the pre-commit view, the adopted route — and nothing per delta cell,
+//! evaluated or pruned. A cell is a `Copy` score: rescoring one touches no
+//! allocator, and pruned cells stay implicit (they used to be written into
+//! every still-undecided row; evaluated ones used to own a boxed route and
+//! schedule each).
 
 use dpdp_net::{
     FleetConfig, Instance, IntervalGrid, Node, NodeId, Order, OrderId, Point, RoadNetwork,
@@ -51,6 +53,10 @@ fn allocations_of<R>(f: impl FnOnce() -> R) -> (usize, R) {
     (ALLOCATIONS.with(Cell::get) - before, result)
 }
 
+/// What one warmed-up acceptance of this fixture allocates, however many
+/// cells it rescores (with a boxed route per evaluated cell it was
+/// `7 + 5 * evaluated`).
+const ACCEPTANCE_ALLOCATIONS: usize = 7;
 const TOWN_A_ORDERS: usize = 6;
 const TOWN_B_ORDERS: usize = 40;
 
@@ -138,7 +144,7 @@ impl Dispatcher for Probe {
 }
 
 #[test]
-fn warmed_up_acceptance_allocates_only_for_evaluated_cells() {
+fn warmed_up_acceptance_allocates_only_its_commit_record() {
     let inst = instance();
     let mut probe = Probe::default();
     let result = Simulator::builder(&inst)
@@ -151,14 +157,15 @@ fn warmed_up_acceptance_allocates_only_for_evaluated_cells() {
     assert_eq!(probe.acceptances.len(), TOWN_A_ORDERS);
 
     // The first acceptance sizes the batch's commit scratch (undecided
-    // list, column schedule cache). From then on an acceptance costs its
-    // commit record (the plan, the pre-commit view and the adopted route —
-    // a handful of clones) plus the boxed best insertion of each delta
-    // cell it evaluates; the forty pruned town-B cells cost nothing.
+    // list, column schedule cache, the oracle walk's stack). From then on
+    // an acceptance costs its commit record — the accepted cell's route,
+    // timings and box, the adopted route and the vehicle's refreshed
+    // snapshot — whether it goes on to rescore five delta cells or none;
+    // the forty pruned town-B cells cost nothing either.
     for &(allocations, evaluated, pruned) in &probe.acceptances[1..] {
         assert_eq!(pruned, TOWN_B_ORDERS);
         assert!(
-            allocations <= 10 + 6 * evaluated,
+            allocations <= ACCEPTANCE_ALLOCATIONS,
             "acceptance allocated {allocations} times for {evaluated} evaluated \
              and {pruned} pruned delta cells"
         );
