@@ -1,28 +1,25 @@
-//! Load generator for the `dpdp-server` decision service.
+//! The chaos gate for the `dpdp-server` decision service.
 //!
-//! Spawns (or connects to) a server, drives N concurrent tenants — each
-//! its own TCP session and episode — through a deterministic order
-//! workload, and measures sustained throughput plus p50/p99 wall-clock
-//! decision latency. Results are archived as
-//! `target/experiments/BENCH_serve.json`, the serving counterpart of
-//! `BENCH_table1.json`.
+//! Spawns a server (idle deadline and debug frames on), drives N
+//! concurrent tenants — each its own TCP session and episode — through a
+//! deterministic order workload, and assigns each a seeded fault: a killed
+//! connection + `RESUME`, an injected `PANIC` crash + `RESUME`,
+//! malformed-frame floods, slow-loris partial writes, or going idle until
+//! the server reaps it. The run passes only if *every* tenant still
+//! converges to the exact in-process reference metrics, every injected
+//! frame drew a structured `ERR`, and the server's supervision counters
+//! account for every fault; anything else exits non-zero. Results land in
+//! `target/experiments/BENCH_chaos.json`.
 //!
-//! The binary exits non-zero when the run is not trustworthy: any
-//! protocol error, a lost/extra decision, an episode that fails to drain
-//! to `METRICS`, or a non-finite latency quantile. CI runs it as the
-//! server smoke gate.
+//! This binary measures no speed. Serving throughput and decision latency
+//! are the perf ledger's `serve_closed` / `serve_journal` workloads
+//! (`BENCHMARK.json`), and multi-tenant protocol correctness without
+//! faults is `crates/server/tests/socket_parity.rs`.
 //!
 //! ```text
 //! cargo run --release -p dpdp-bench --bin loadgen -- \
-//!     --tenants 4 --orders 50 --threads 2
+//!     --tenants 4 --orders 24 --threads 2
 //! ```
-//!
-//! `--chaos` swaps the latency bench for a **fault-injection gate**: each
-//! tenant is assigned a seeded fault — killed connection + `RESUME`, an
-//! injected `PANIC` crash + `RESUME`, malformed-frame floods, slow-loris
-//! partial writes, or going idle until the server reaps it — and the run
-//! passes only if *every* tenant still converges to the exact in-process
-//! reference metrics. Results land in `target/experiments/BENCH_chaos.json`.
 
 use dpdp_bench::write_artifact;
 use dpdp_net::{NodeId, Order, OrderId, TimePoint};
@@ -36,13 +33,11 @@ use std::time::{Duration, Instant};
 const USAGE: &str = "\
 options:
   --tenants N   concurrent tenant sessions (default 4)
-  --orders N    orders per tenant (default 50)
+  --orders N    orders per tenant, at least 8 (default 50)
   --threads N   server scoring pool width (default 2)
   --queue N     per-session command queue bound (default 64)
   --seed N      base seed; tenant i uses seed + i (default 7)
   --policy P    dispatch policy for every tenant (default baseline1)
-  --addr A      drive an external server instead of spawning one in-process
-  --chaos       run the fault-injection gate instead of the latency bench
   -h, --help    print this help";
 
 fn fail_usage(msg: &str) -> ! {
@@ -57,8 +52,6 @@ struct LoadCli {
     queue: usize,
     seed: u64,
     policy: String,
-    addr: Option<String>,
-    chaos: bool,
 }
 
 fn parse_cli() -> LoadCli {
@@ -69,8 +62,6 @@ fn parse_cli() -> LoadCli {
         queue: 64,
         seed: 7,
         policy: "baseline1".to_string(),
-        addr: None,
-        chaos: false,
     };
     fn num(it: &mut std::slice::Iter<'_, String>, name: &str) -> usize {
         match it.next().and_then(|v| v.parse().ok()) {
@@ -91,11 +82,6 @@ fn parse_cli() -> LoadCli {
                 Some(v) => cli.policy = v.clone(),
                 None => fail_usage("flag `--policy` needs a value"),
             },
-            "--addr" => match it.next() {
-                Some(v) => cli.addr = Some(v.clone()),
-                None => fail_usage("flag `--addr` needs a value"),
-            },
-            "--chaos" => cli.chaos = true,
             "-h" | "--help" => {
                 println!("{USAGE}");
                 std::process::exit(0);
@@ -105,112 +91,6 @@ fn parse_cli() -> LoadCli {
     }
     cli
 }
-
-/// One tenant's measured episode.
-struct TenantOutcome {
-    tenant: usize,
-    latencies_ms: Vec<f64>,
-    served: usize,
-    rejected: usize,
-    protocol_errors: usize,
-}
-
-/// Drives one tenant session: per order, send `ORDER` + a `FLUSH`
-/// heartbeat one virtual second later (immediate buffering decides the
-/// order at its creation instant once the heartbeat proves no earlier
-/// event can arrive), then block until its `DECISION` comes back —
-/// measuring the full wire round trip through the live episode.
-fn run_tenant(addr: SocketAddr, tenant: usize, cli: &LoadCli) -> Result<TenantOutcome, String> {
-    let mut client =
-        ServeClient::connect(addr).map_err(|e| format!("tenant {tenant}: connect: {e}"))?;
-    client
-        .hello(
-            &format!("tenant{tenant}"),
-            "ring12",
-            cli.seed + tenant as u64,
-            &cli.policy,
-            0.0,
-        )
-        .map_err(|e| format!("tenant {tenant}: handshake: {e}"))?;
-
-    let mut outcome = TenantOutcome {
-        tenant,
-        latencies_ms: Vec::with_capacity(cli.orders),
-        served: 0,
-        rejected: 0,
-        protocol_errors: 0,
-    };
-    for k in 0..cli.orders {
-        // A deterministic tour of the ring's factories, staggered per
-        // tenant so concurrent episodes are genuinely different.
-        let pickup = 1 + ((k * 5 + tenant) % 12) as u32;
-        let delivery = 1 + ((k * 5 + tenant + 4) % 12) as u32;
-        let created_s = 8.0 * 3600.0 + 30.0 * k as f64;
-        let deadline_s = created_s + 6.0 * 3600.0;
-        let sent = Instant::now();
-        client
-            .order(pickup, delivery, 3.0, created_s, deadline_s)
-            .map_err(|e| format!("tenant {tenant}: order {k}: {e}"))?;
-        client
-            .flush(created_s + 1.0)
-            .map_err(|e| format!("tenant {tenant}: flush {k}: {e}"))?;
-        loop {
-            match client.next_msg() {
-                Ok(Some(ServerMsg::Decision(d))) => {
-                    if d.order.index() != k {
-                        return Err(format!(
-                            "tenant {tenant}: expected decision for order {k}, got {}",
-                            d.order.index()
-                        ));
-                    }
-                    outcome
-                        .latencies_ms
-                        .push(sent.elapsed().as_secs_f64() * 1e3);
-                    break;
-                }
-                Ok(Some(ServerMsg::Err { code, detail })) => {
-                    eprintln!("loadgen: tenant {tenant}: ERR {code} {detail}");
-                    outcome.protocol_errors += 1;
-                }
-                Ok(Some(_)) => continue, // EPOCH / DISRUPT narration
-                Ok(None) => return Err(format!("tenant {tenant}: server hung up mid-episode")),
-                Err(e) => return Err(format!("tenant {tenant}: read: {e}")),
-            }
-        }
-    }
-    client
-        .drain()
-        .map_err(|e| format!("tenant {tenant}: drain: {e}"))?;
-    let episode = client
-        .collect_episode()
-        .map_err(|e| format!("tenant {tenant}: drain read: {e}"))?;
-    outcome.protocol_errors += episode.errors.len();
-    let metrics = episode
-        .metrics
-        .ok_or_else(|| format!("tenant {tenant}: episode ended without METRICS"))?;
-    outcome.served = metrics.served;
-    outcome.rejected = metrics.rejected;
-    if metrics.served + metrics.rejected != cli.orders {
-        return Err(format!(
-            "tenant {tenant}: {} decisions for {} orders",
-            metrics.served + metrics.rejected,
-            cli.orders
-        ));
-    }
-    Ok(outcome)
-}
-
-fn quantile_ms(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
-}
-
-// ---------------------------------------------------------------------
-// Chaos mode: seeded fault injection, gated on bit-identical recovery.
-// ---------------------------------------------------------------------
 
 /// The chaos server's idle deadline. Generous enough that only the
 /// deliberately-silent ghost tenant ever trips it, small enough that the
@@ -542,14 +422,10 @@ fn run_chaos_tenant(
     })
 }
 
-fn run_chaos(cli: &LoadCli) -> ! {
-    if cli.addr.is_some() {
-        fail_usage(
-            "--chaos spawns its own server (it needs debug frames + an idle deadline); drop --addr",
-        );
-    }
+fn main() {
+    let cli = parse_cli();
     if cli.orders < 8 {
-        fail_usage("--chaos needs --orders >= 8 for a non-degenerate fault schedule");
+        fail_usage("`--orders` must be at least 8 for a non-degenerate fault schedule");
     }
     let server = DecisionServer::bind(
         "127.0.0.1:0",
@@ -667,142 +543,6 @@ fn run_chaos(cli: &LoadCli) -> ! {
         eprintln!(
             "loadgen: FAIL: clients resumed {total_resumes} times but the server counted {}",
             stats.resumed
-        );
-        std::process::exit(1);
-    }
-    std::process::exit(0);
-}
-
-fn main() {
-    let cli = parse_cli();
-    if cli.chaos {
-        run_chaos(&cli);
-    }
-    let spawned = if cli.addr.is_none() {
-        let server = DecisionServer::bind(
-            "127.0.0.1:0",
-            ServerConfig {
-                threads: cli.threads,
-                queue_depth: cli.queue,
-                ..ServerConfig::default()
-            },
-        )
-        .and_then(DecisionServer::spawn)
-        .unwrap_or_else(|e| {
-            eprintln!("loadgen: cannot start in-process server: {e}");
-            std::process::exit(1);
-        });
-        Some(server)
-    } else {
-        None
-    };
-    let addr: SocketAddr = match (&cli.addr, &spawned) {
-        (Some(a), _) => a.parse().unwrap_or_else(|_| fail_usage("bad --addr")),
-        (None, Some(server)) => server.addr(),
-        (None, None) => unreachable!("either an external addr or a spawned server"),
-    };
-
-    let wall = Instant::now();
-    let outcomes: Vec<TenantOutcome> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..cli.tenants)
-            .map(|tenant| {
-                let cli = &cli;
-                scope.spawn(move || run_tenant(addr, tenant, cli))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(Ok(outcome)) => outcome,
-                Ok(Err(msg)) => {
-                    eprintln!("loadgen: {msg}");
-                    std::process::exit(1);
-                }
-                Err(_) => {
-                    eprintln!("loadgen: tenant thread panicked");
-                    std::process::exit(1);
-                }
-            })
-            .collect()
-    });
-    let wall_secs = wall.elapsed().as_secs_f64();
-    if let Some(server) = spawned {
-        server.shutdown();
-    }
-
-    let mut all_ms: Vec<f64> = outcomes
-        .iter()
-        .flat_map(|o| o.latencies_ms.iter().copied())
-        .collect();
-    all_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let protocol_errors: usize = outcomes.iter().map(|o| o.protocol_errors).sum();
-    let total_orders = cli.tenants * cli.orders;
-    let p50 = quantile_ms(&all_ms, 0.50);
-    let p99 = quantile_ms(&all_ms, 0.99);
-    let orders_per_sec = total_orders as f64 / wall_secs;
-
-    let mut rows = String::new();
-    for o in &outcomes {
-        let mut ms = o.latencies_ms.clone();
-        ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        if !rows.is_empty() {
-            rows.push_str(",\n");
-        }
-        rows.push_str(&format!(
-            "    {{\"tenant\": {}, \"served\": {}, \"rejected\": {}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}}}",
-            o.tenant,
-            o.served,
-            o.rejected,
-            quantile_ms(&ms, 0.50),
-            quantile_ms(&ms, 0.99),
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"serve\",\n  \"preset\": \"ring12\",\n  \"policy\": \"{}\",\n  \
-         \"tenants\": {},\n  \"orders_per_tenant\": {},\n  \"threads\": {},\n  \
-         \"queue_depth\": {},\n  \"seed\": {},\n  \"wall_secs\": {:.3},\n  \
-         \"orders_per_sec\": {:.1},\n  \"p50_ms\": {:.3},\n  \"p99_ms\": {:.3},\n  \
-         \"protocol_errors\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        cli.policy,
-        cli.tenants,
-        cli.orders,
-        cli.threads,
-        cli.queue,
-        cli.seed,
-        wall_secs,
-        orders_per_sec,
-        p50,
-        p99,
-        protocol_errors,
-        rows,
-    );
-    match write_artifact("BENCH_serve.json", &json) {
-        Some(path) => println!("wrote {}", path.display()),
-        None => {
-            eprintln!("loadgen: cannot write BENCH_serve.json");
-            std::process::exit(1);
-        }
-    }
-    println!(
-        "serve: {} tenants x {} orders in {wall_secs:.2}s -> {orders_per_sec:.0} orders/s, \
-         p50 {p50:.2}ms, p99 {p99:.2}ms, {protocol_errors} protocol errors",
-        cli.tenants, cli.orders,
-    );
-
-    // The CI gates: a smoke run must be error-free with finite tails.
-    if protocol_errors > 0 {
-        eprintln!("loadgen: FAIL: {protocol_errors} protocol errors");
-        std::process::exit(1);
-    }
-    if !(p50.is_finite() && p99.is_finite()) {
-        eprintln!("loadgen: FAIL: non-finite latency quantiles (p50 {p50}, p99 {p99})");
-        std::process::exit(1);
-    }
-    if all_ms.len() != total_orders {
-        eprintln!(
-            "loadgen: FAIL: {} latency samples for {} orders",
-            all_ms.len(),
-            total_orders
         );
         std::process::exit(1);
     }

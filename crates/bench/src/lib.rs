@@ -1,8 +1,8 @@
 //! Shared harness for the table/figure regenerator binaries.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (`table1`, `fig2`, `fig6`–`fig9`, `suppl_*`); `loadgen` drives the
-//! decision service. This library provides the common plumbing: CLI
+//! (`table1`, `fig2`, `fig6`–`fig9`, `suppl_*`); `loadgen` is the decision
+//! service's chaos gate. This library provides the common plumbing: CLI
 //! parsing, model training with the right ST-prediction wiring, and result
 //! output to `target/experiments/`.
 

@@ -7,10 +7,8 @@
 //! concurrently and handle cross-cell pairs through a cheap escalation
 //! rule (see `dpdp-sim`'s partition → score → merge pipeline).
 //!
-//! Three partition policies exist ([`ShardPolicy`]):
+//! Two partition policies exist ([`ShardPolicy`]):
 //!
-//! * [`ShardPolicy::Grid`] — a fixed `rows x cols` grid over the node
-//!   bounding box, the predictable "draw lines on the map" baseline;
 //! * [`ShardPolicy::KMeans`] — k-means-style seeded centroids over node
 //!   coordinates (farthest-point initialisation from a seeded start, a
 //!   fixed number of Lloyd refinement rounds), which adapts the regions to
@@ -22,10 +20,10 @@
 //!   cells_per_region` cells); [`ShardMap::region_of`] recovers a cell's
 //!   parent region so escalation can stay region-local.
 //!
-//! Flat maps (`Grid`/`KMeans`) are a single region containing all their
-//! cells, so two-level consumers can treat every map uniformly.
+//! Flat maps (`KMeans`) are a single region containing all their cells,
+//! so two-level consumers can treat every map uniformly.
 //!
-//! All policies are **deterministic**: the partition is a pure function of
+//! Both policies are **deterministic**: the partition is a pure function of
 //! `(nodes, num_shards, policy, seed[, weights])`. Ties in
 //! nearest-centroid assignments break toward the lower shard index
 //! (first-wins under [`f64::total_cmp`]), so shard layouts never depend on
@@ -43,10 +41,6 @@ use serde::{Deserialize, Serialize};
 /// How a [`ShardMap`] assigns nodes to regions.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ShardPolicy {
-    /// A fixed grid over the node bounding box: `floor(sqrt(S))` rows and
-    /// `ceil(S / rows)` columns, row-major shard ids, cells clamped to the
-    /// box. Simple, seed-independent, and stable under node churn.
-    Grid,
     /// K-means-style clustering of node coordinates: the seed picks the
     /// first centroid, the remaining `S - 1` start farthest-point from the
     /// already-chosen set, then `iterations` Lloyd rounds refine them.
@@ -88,7 +82,7 @@ impl Default for ShardPolicy {
 pub struct ShardMap {
     /// Shard (cell) index per node, dense by node id.
     assignment: Vec<usize>,
-    /// Representative point per shard (grid cell centre / final centroid).
+    /// Representative point per shard (its final centroid).
     centroids: Vec<Point>,
     /// Parent region per cell; all zeros for flat (single-region) maps.
     cell_region: Vec<usize>,
@@ -118,8 +112,7 @@ impl ShardMap {
     /// per-node demand `weights` (weighted means), pulling cells toward
     /// where demand actually is. Nodes with zero weight still get
     /// assigned to their nearest cell; a cell whose members carry no
-    /// weight falls back to the unweighted mean. [`ShardPolicy::Grid`] is
-    /// geometry-only and ignores the weights.
+    /// weight falls back to the unweighted mean.
     ///
     /// # Panics
     /// Panics on the same conditions as [`ShardMap::build`], and if
@@ -166,10 +159,6 @@ impl ShardMap {
             (vec![0; points.len()], vec![mean_point(&points)], vec![0], 1)
         } else {
             match policy {
-                ShardPolicy::Grid => {
-                    let (a, c) = grid_partition(&points, num_shards);
-                    (a, c, vec![0; num_shards], 1)
-                }
                 ShardPolicy::KMeans { iterations } => {
                     let (a, c) = kmeans_partition(&points, weights, num_shards, iterations, seed);
                     (a, c, vec![0; num_shards], 1)
@@ -249,8 +238,7 @@ impl ShardMap {
         self.region_of(self.shard_of(node))
     }
 
-    /// Representative point of a shard (grid cell centre or final
-    /// centroid).
+    /// Representative point of a shard (its final centroid).
     ///
     /// # Panics
     /// Panics if `shard >= num_shards()`.
@@ -280,40 +268,6 @@ fn mean_point(points: &[Point]) -> Point {
         points.iter().map(|p| p.x).sum::<f64>() / n,
         points.iter().map(|p| p.y).sum::<f64>() / n,
     )
-}
-
-/// Fixed `rows x cols` grid over the bounding box, row-major shard ids.
-fn grid_partition(points: &[Point], num_shards: usize) -> (Vec<usize>, Vec<Point>) {
-    let rows = (num_shards as f64).sqrt().floor().max(1.0) as usize;
-    let cols = num_shards.div_ceil(rows);
-    let (min_x, max_x) = min_max(points.iter().map(|p| p.x));
-    let (min_y, max_y) = min_max(points.iter().map(|p| p.y));
-    let span_x = (max_x - min_x).max(f64::MIN_POSITIVE);
-    let span_y = (max_y - min_y).max(f64::MIN_POSITIVE);
-    let assignment = points
-        .iter()
-        .map(|p| {
-            let c = (((p.x - min_x) / span_x) * cols as f64).floor() as usize;
-            let r = (((p.y - min_y) / span_y) * rows as f64).floor() as usize;
-            (r.min(rows - 1) * cols + c.min(cols - 1)).min(num_shards - 1)
-        })
-        .collect();
-    let centroids = (0..num_shards)
-        .map(|s| {
-            let (r, c) = (s / cols, s % cols);
-            Point::new(
-                min_x + (c as f64 + 0.5) / cols as f64 * span_x,
-                min_y + (r as f64 + 0.5) / rows as f64 * span_y,
-            )
-        })
-        .collect();
-    (assignment, centroids)
-}
-
-fn min_max(values: impl Iterator<Item = f64>) -> (f64, f64) {
-    values.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| {
-        (lo.min(v), hi.max(v))
-    })
 }
 
 /// Splitmix64: the deterministic seed scrambler used for centroid init.
@@ -557,16 +511,14 @@ mod tests {
     #[test]
     fn single_shard_owns_everything() {
         let net = clustered_net();
-        for policy in [ShardPolicy::Grid, ShardPolicy::default()] {
-            let map = ShardMap::build(&net, 1, policy, 7);
-            assert_eq!(map.num_shards(), 1);
-            assert_eq!(map.num_regions(), 1);
-            for n in net.nodes() {
-                assert_eq!(map.shard_of(n.id), 0);
-                assert_eq!(map.region_of_node(n.id), 0);
-            }
-            assert_eq!(map.occupied_shards(), 1);
+        let map = ShardMap::build(&net, 1, ShardPolicy::default(), 7);
+        assert_eq!(map.num_shards(), 1);
+        assert_eq!(map.num_regions(), 1);
+        for n in net.nodes() {
+            assert_eq!(map.shard_of(n.id), 0);
+            assert_eq!(map.region_of_node(n.id), 0);
         }
+        assert_eq!(map.occupied_shards(), 1);
     }
 
     #[test]
@@ -577,17 +529,6 @@ mod tests {
         assert_eq!(map.shard_of(NodeId(2)), map.shard_of(NodeId(3)));
         assert_ne!(map.shard_of(NodeId(0)), map.shard_of(NodeId(2)));
         assert_eq!(map.occupied_shards(), 2);
-    }
-
-    #[test]
-    fn grid_separates_obvious_clusters() {
-        let net = clustered_net();
-        let map = ShardMap::build(&net, 4, ShardPolicy::Grid, 0);
-        assert_eq!(map.shard_of(NodeId(0)), map.shard_of(NodeId(1)));
-        assert_eq!(map.shard_of(NodeId(2)), map.shard_of(NodeId(3)));
-        assert_ne!(map.shard_of(NodeId(0)), map.shard_of(NodeId(2)));
-        let sizes = map.shard_sizes();
-        assert_eq!(sizes.iter().sum::<usize>(), 4);
     }
 
     #[test]
@@ -714,6 +655,6 @@ mod tests {
     #[should_panic(expected = "empty network")]
     fn empty_network_panics() {
         let net = RoadNetwork::euclidean(vec![], 1.0).unwrap();
-        let _ = ShardMap::build(&net, 2, ShardPolicy::Grid, 0);
+        let _ = ShardMap::build(&net, 2, ShardPolicy::default(), 0);
     }
 }

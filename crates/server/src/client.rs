@@ -1,5 +1,5 @@
 //! A blocking wire client for the decision service — the counterpart the
-//! examples, parity tests, and the `loadgen` bench drive.
+//! examples, parity tests, and the `loadgen` chaos gate drive.
 
 use crate::proto::{parse_server_msg, ProtoError, ServerMsg, WireDecision};
 use dpdp_sim::EpisodeMetrics;

@@ -133,7 +133,7 @@
 //!   [`DrainOutcome`].
 //!
 //! The `session_recovery` test suite proves kill-mid-episode + `RESUME`
-//! is bit-identical to an uninterrupted run, and `loadgen --chaos`
+//! is bit-identical to an uninterrupted run, and the `loadgen` chaos gate
 //! drives seeded fault injection (kills + resumes, malformed floods,
 //! slow-loris writers, idle ghosts, panics) while gating that every
 //! tenant still converges to correct metrics.

@@ -41,8 +41,8 @@
 //! [`Dispatcher`]: crate::dispatcher::Dispatcher
 
 use crate::dispatcher::DispatchContext;
-use crate::shard::{plan_sweep, ShardContext, ShardStats, SweepBuffers};
 use crate::state::VehicleState;
+use crate::sweep::{plan_sweep, ShardContext, ShardStats, SweepBuffers};
 use dpdp_net::{FleetConfig, Order, OrderId, RoadNetwork, TimePoint, VehicleId};
 use dpdp_pool::ThreadPool;
 use dpdp_routing::{PlanScore, PlannerOutput, RoutePlanner, ScheduleCache, VehicleView};
@@ -116,9 +116,8 @@ impl Decision {
 }
 
 /// Everything [`DecisionBatch::resolve`] recorded about one committed
-/// decision. The simulator adopts these records — and the batch's scratch
-/// states — wholesale when the dispatcher's returned decisions match them,
-/// so the planning work done inside the batch is never repeated.
+/// decision — what the engine turns into the episode's assignment record
+/// and observer call once the epoch's dispatch returns.
 #[derive(Debug)]
 pub(crate) struct CommitRecord {
     /// The decision `resolve` returned.
@@ -127,8 +126,8 @@ pub(crate) struct CommitRecord {
     pub(crate) assignment: Option<CommitAssignment>,
 }
 
-/// The committed side of an assignment, captured before the scratch state
-/// mutated.
+/// The committed side of an assignment, captured before the vehicle's
+/// state mutated.
 #[derive(Debug)]
 pub(crate) struct CommitAssignment {
     /// The chosen vehicle's view before accepting the order.
@@ -251,12 +250,12 @@ struct PlanStore {
 }
 
 impl PlanStore {
-    /// The score of cell `(i, k)`.
-    fn cell(&self, i: usize, k: usize) -> PlanScore {
+    /// The score of cell `(i, k)`; `None` for a vehicle outside the fleet.
+    fn cell(&self, i: usize, k: usize) -> Option<PlanScore> {
         let row = &self.rows[i];
         match row.binary_search_by_key(&(k as u32), |e| e.0) {
-            Ok(p) => row[p].1,
-            Err(_) => self.fallback[k],
+            Ok(p) => Some(row[p].1),
+            Err(_) => self.fallback.get(k).copied(),
         }
     }
 
@@ -307,8 +306,9 @@ impl PlanStore {
 /// Interior state of a batch: evolves as decisions are committed.
 #[derive(Debug)]
 struct BatchInner {
-    /// Scratch copies of the simulator's vehicle states; committing a
-    /// decision mirrors the simulator's accept-and-advance exactly.
+    /// The episode's vehicle states, owned by the batch for the length of
+    /// the epoch: a committed acceptance is applied here and nowhere else
+    /// ([`DecisionBatch::into_parts`] hands them back).
     states: Vec<VehicleState>,
     /// `states[k].view` clones, dense by vehicle, kept in sync on commit
     /// (the contiguous slice [`DispatchContext`] wants).
@@ -345,7 +345,7 @@ struct BatchInner {
 /// Under [`SimulatorBuilder::sharding`] the batch is assembled as a
 /// *merge of shard-local batches*: in-shard `(order, vehicle)` pairs run
 /// the full insertion sweep as shard-grouped pool tasks, cross-shard pairs
-/// go through the deterministic escalation/prune rule of [`crate::shard`],
+/// go through the deterministic escalation/prune rule of [`crate::sweep`],
 /// and the resulting plan matrix is **bit-identical** to the unsharded
 /// one — policies cannot tell the difference, only wall time moves.
 ///
@@ -371,8 +371,9 @@ pub struct DecisionBatch<'a> {
 }
 
 impl<'a> DecisionBatch<'a> {
-    /// Builds a batch over the given epoch orders from the simulator's
-    /// current vehicle states (cloned as scratch space). The initial
+    /// Builds a batch over the given epoch orders, taking the episode's
+    /// vehicle states by move (there is no second copy of the fleet;
+    /// [`DecisionBatch::into_parts`] returns them). The initial
     /// `B x K` Algorithm 2 sweep is scored across `pool`'s threads, each
     /// `(order, vehicle)` score landing in its pre-indexed matrix slot —
     /// bit-identical to the serial sweep for any thread count. No route is
@@ -438,7 +439,7 @@ impl<'a> DecisionBatch<'a> {
                 // candidate-sparse rows over the per-vehicle pruned
                 // fallback. Every pruned cell's output is bit-identical to
                 // what its full evaluation would have produced (see
-                // crate::shard), so queries cannot tell the difference.
+                // crate::sweep), so queries cannot tell the difference.
                 let epoch_refs: Vec<&Order> = epoch.iter().map(|id| &orders[id.index()]).collect();
                 let sweep = plan_sweep(
                     ctx,
@@ -567,8 +568,15 @@ impl<'a> DecisionBatch<'a> {
             })
     }
 
-    /// Tears the batch down into its per-order commit records and scratch
-    /// vehicle states (the simulator's fast commit path).
+    /// The decision [`DecisionBatch::resolve`] committed for the `i`-th
+    /// order, or `None` while it is unresolved.
+    pub(crate) fn committed(&self, i: usize) -> Option<Decision> {
+        self.inner.borrow().commits[i].as_ref().map(|c| c.decision)
+    }
+
+    /// Tears the batch down into its per-order commit records (`None` for
+    /// an order nobody resolved) and the vehicle states it was built from,
+    /// every committed acceptance applied.
     pub(crate) fn into_parts(self) -> (Vec<Option<CommitRecord>>, Vec<VehicleState>) {
         let inner = self.inner.into_inner();
         (inner.commits, inner.states)
@@ -715,13 +723,15 @@ impl<'a> DecisionBatch<'a> {
     /// Commits the policy's choice for the `i`-th order and returns the
     /// resulting [`Decision`].
     ///
-    /// An accepted choice updates the shared snapshot the way the simulator
-    /// will: the chosen cell's route is materialised (the one route this
-    /// order builds), the chosen vehicle adopts it, advances through any
-    /// legs departing at the epoch instant, and its scores for the
-    /// still-undecided orders of the batch are recomputed. A `None`
-    /// choice or an infeasible vehicle yields a rejection with the matching
-    /// [`DecisionReason`].
+    /// This is the episode's one commit: the engine adopts what happens
+    /// here and replans nothing. An accepted choice materialises the chosen
+    /// cell's route (the one route this order builds); the chosen vehicle
+    /// adopts it, advances through any legs departing at the epoch instant,
+    /// and its scores for the still-undecided orders of the batch are
+    /// recomputed. A `None` choice or an infeasible vehicle yields a
+    /// rejection with the matching [`DecisionReason`]; a vehicle id outside
+    /// the fleet is an infeasible choice like any other
+    /// ([`DecisionReason::InfeasibleChoice`]), not a panic.
     ///
     /// # Panics
     /// Panics if `i >= len()` or the order was already resolved. Must not
@@ -745,7 +755,8 @@ impl<'a> DecisionBatch<'a> {
     }
 
     /// The body of [`DecisionBatch::resolve`]: classifies the choice and,
-    /// for an acceptance, applies it to the scratch snapshot.
+    /// for an acceptance, applies it to the vehicle's state and the
+    /// snapshot.
     fn commit(
         inner: &mut BatchInner,
         batch: &DecisionBatch<'_>,
@@ -771,13 +782,14 @@ impl<'a> DecisionBatch<'a> {
             column_cache,
             ..
         } = inner;
-        let score = plans.cell(i, k.index());
-        if !score.feasible() {
+        // An id outside the fleet has no cell (untrusted input: the engine
+        // resolves whatever vehicle a policy returned unresolved).
+        let Some(score) = plans.cell(i, k.index()).filter(PlanScore::feasible) else {
             return (
                 Decision::rejected(oid, DecisionReason::InfeasibleChoice),
                 None,
             );
-        }
+        };
         // The accepted cell is the one cell of the epoch whose route is
         // built: its positions were scored against the vehicle's current
         // view (every earlier acceptance on `k` rescored this row).
@@ -785,9 +797,9 @@ impl<'a> DecisionBatch<'a> {
         let state = &mut states[k.index()];
         let plan = planner.materialise(&score, &state.view, &batch.orders[oid.index()]);
         let best = plan.best.as_ref().expect("a feasible score materialises");
-        // Mirror the simulator's commit: accept the route, then advance
-        // through legs that depart at the epoch instant, so later orders in
-        // the batch see the post-commit anchor (no-interference rule).
+        // Accept the route, then advance through legs that depart at the
+        // epoch instant, so later orders in the batch see the post-commit
+        // anchor (no-interference rule).
         let pre_view = state.view.clone();
         let vehicle_was_used = state.used();
         state.accept(best.candidate.route.clone());

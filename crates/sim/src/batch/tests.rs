@@ -1,5 +1,5 @@
 use super::*;
-use crate::shard::ShardContext;
+use crate::sweep::ShardContext;
 use dpdp_net::{
     FleetConfig, Instance, IntervalGrid, Node, NodeId, Point, ShardMap, ShardPolicy, TimeDelta,
 };
@@ -126,6 +126,15 @@ fn resolve_classifies_rejections() {
     assert_eq!(
         b2.resolve(1, Some(VehicleId(0))).reason,
         DecisionReason::InfeasibleChoice
+    );
+    // So is a vehicle outside the fleet: the engine passes on whatever id
+    // a policy returned unresolved, so it is input to reject, not an index.
+    let b3 = batch(&inst);
+    let outside = Some(VehicleId::from_index(b3.num_vehicles()));
+    let reason = DecisionReason::InfeasibleChoice;
+    assert_eq!(
+        b3.resolve(0, outside),
+        Decision::rejected(OrderId(0), reason)
     );
 }
 

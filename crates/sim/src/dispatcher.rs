@@ -67,12 +67,36 @@ impl<'a> DispatchContext<'a> {
 ///
 /// Returning `None` from `dispatch`, or a vehicle whose plan is infeasible,
 /// rejects the order (the simulator records it as unserved).
+///
+/// A policy only ever *answers*: the simulator owns the fleet, and
+/// [`DecisionBatch::resolve`] is the one place an answer is checked and
+/// applied (contract: [`dispatch_batch`](Dispatcher::dispatch_batch)).
 pub trait Dispatcher {
     /// Chooses a vehicle for the order in `ctx`.
     fn dispatch(&mut self, ctx: &DispatchContext<'_>) -> Option<VehicleId>;
 
     /// Decides every order of one epoch, returning one [`Decision`] per
     /// batch order **in batch order**.
+    ///
+    /// # Contract
+    ///
+    /// [`DecisionBatch::resolve`] is the commit: it decides the order,
+    /// updates the chosen vehicle's route and rescores that vehicle for the
+    /// orders still undecided (Algorithm 1's rule inside the epoch). The
+    /// returned vector reports those commits; it cannot change them.
+    ///
+    /// * An order the policy resolved must come back as exactly the
+    ///   [`Decision`] `resolve` returned. Anything else is a contract
+    ///   violation and panics with the dispatcher's
+    ///   [`name`](Dispatcher::name), like a wrong count or order.
+    /// * An order left unresolved is resolved by the simulator, through
+    ///   the same `resolve`, with the vehicle the returned decision names.
+    ///   The claim is untrusted: an infeasible, masked (broken-down) or
+    ///   out-of-range vehicle degrades to `InfeasibleChoice`. Leftovers
+    ///   commit after the policy returns, in batch order — so after every
+    ///   commit the policy made itself — and a leftover rejection gets the
+    ///   reason `resolve` computes (`PolicyRejected` / `NoFeasibleVehicle`),
+    ///   whatever reason the policy wrote.
     ///
     /// The default implementation adapts a per-order policy: for each order
     /// it builds the current [`DispatchContext`] (reflecting all decisions

@@ -18,12 +18,14 @@
 //! ```
 //!
 //! With a lone [`ReplaySource`](crate::event::ReplaySource) this grouping
-//! is provably the legacy one — arrivals are creation-sorted and decision
-//! times are monotone, so an epoch closes exactly when the next order's
-//! decision time differs — and `tests/event_parity.rs` asserts the
-//! resulting episodes are bit-identical to the retained
-//! [`Simulator::run_reference`] scan loop for every policy, shard count
-//! and thread count.
+//! is provably the plain scan's — arrivals are creation-sorted and
+//! decision times are monotone, so an epoch closes exactly when the next
+//! order's decision time differs — and `tests/event_parity.rs` asserts the
+//! resulting episodes are bit-identical to the [`Simulator::run_reference`]
+//! scan for every policy, shard count and thread count. Both flush through
+//! the one epoch body at the bottom of this file, so the comparison is
+//! about how epochs come to exist (merge order, flush timing, the growable
+//! order table), not about what a commit does.
 //!
 //! Disruption events mutate the authoritative vehicle states *between*
 //! epochs: cancellations drop buffered orders or shorten a committed route
@@ -41,7 +43,7 @@ use crate::sharding::ShardRuntime;
 use crate::simulator::{EpisodeSink, Simulator};
 use crate::state::VehicleState;
 use dpdp_net::{Order, OrderId, TimePoint, VehicleId};
-use dpdp_routing::{RoutePlanner, StopAction};
+use dpdp_routing::StopAction;
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 
@@ -370,12 +372,20 @@ impl<'a> Simulator<'a> {
         CancelOutcome::TooLate
     }
 
-    /// Flushes one decision epoch: advances the fleet to `now`, builds the
-    /// shared [`DecisionBatch`] (broken vehicles masked out), dispatches,
-    /// and commits — the exact sequence of the reference scan loop, plus
-    /// the availability mask and assignee bookkeeping.
+    /// Flushes one decision epoch — the crate's one epoch body, shared by
+    /// the event loop above and the [`Simulator::run_reference`] scan:
+    /// horizon arm, fleet advance to `now`, re-partition, [`DecisionBatch`]
+    /// (broken vehicles masked out), dispatch, commit.
+    ///
+    /// [`DecisionBatch::resolve`] is the commit and the batch owns the
+    /// fleet for the length of the epoch. What the dispatcher returns is
+    /// only checked against it: a resolved order must come back as the
+    /// decision `resolve` gave, and an unresolved one is resolved here, by
+    /// the same call, with the vehicle it claimed — so an untrusted claim
+    /// degrades to [`DecisionReason::InfeasibleChoice`], never to a
+    /// corrupt route.
     #[allow(clippy::too_many_arguments)] // engine-internal plumbing
-    fn run_epoch(
+    pub(crate) fn run_epoch(
         &self,
         sink: &mut EpisodeSink<'_, '_, '_>,
         states: &mut Vec<VehicleState>,
@@ -408,15 +418,13 @@ impl<'a> Simulator<'a> {
             s.advance_to(now, net, fleet, table);
         }
         // Broken vehicles keep their dense snapshot slot but are masked
-        // out of the sweep; with no breakdown in effect the mask is absent
-        // and the batch is bit-identical to the reference loop's.
+        // out of the sweep; with no breakdown in effect the mask is absent.
         let active: Option<Vec<bool>> = states
             .iter()
             .any(|s| s.broken)
             .then(|| states.iter().map(|s| !s.broken).collect());
-        // Demand accumulation and re-partitioning mirror the reference
-        // loop exactly: serial, in epoch order, at the flush boundary,
-        // before the batch forms.
+        // Demand accumulation and re-partitioning are serial, in epoch
+        // order, at the flush boundary, before the batch forms.
         for &oid in &epoch_ids {
             shard_rt.observe(&table[oid.index()]);
         }
@@ -427,8 +435,8 @@ impl<'a> Simulator<'a> {
             net,
             fleet,
             table,
-            epoch_ids.clone(),
-            states.clone(),
+            epoch_ids,
+            std::mem::take(states),
             Arc::clone(&self.pool),
             shard_rt.context(),
             active,
@@ -438,7 +446,7 @@ impl<'a> Simulator<'a> {
             index: *epoch_index,
             now,
             interval,
-            num_orders: epoch_ids.len(),
+            num_orders: batch.len(),
             num_shards: self.num_shards(),
             shards: batch.shard_stats(),
             repartitioned,
@@ -446,636 +454,62 @@ impl<'a> Simulator<'a> {
         let decisions = dispatcher.dispatch_batch(&batch);
         assert_eq!(
             decisions.len(),
-            epoch_ids.len(),
+            batch.len(),
             "{}: dispatch_batch returned {} decisions for {} orders",
             dispatcher.name(),
             decisions.len(),
-            epoch_ids.len(),
+            batch.len(),
         );
-
-        // Fast path: adopt the batch's own commits verbatim when the
-        // returned decisions match them; otherwise re-validate each
-        // decision against the authoritative state (see run_reference for
-        // the rationale — the two paths are kept in lockstep).
-        let (commits, scratch_states) = batch.into_parts();
-        let resolved_by_batch = decisions
-            .iter()
-            .zip(&commits)
-            .all(|(d, c)| c.as_ref().is_some_and(|c| c.decision == *d));
-        if resolved_by_batch {
-            for ((&oid, decision), commit) in epoch_ids.iter().zip(&decisions).zip(commits) {
-                let commit = commit.expect("all commits checked present");
-                let order = &table[oid.index()];
-                let response = (now - order.created).seconds();
-                match &commit.assignment {
-                    Some(a) => {
-                        let vehicle = decision.vehicle.expect("assignment has a vehicle");
-                        let record = AssignmentRecord::assigned(
-                            oid,
-                            vehicle,
-                            now,
-                            interval,
-                            &a.plan,
-                            a.vehicle_was_used,
-                        );
-                        assigned_to[oid.index()] = Some((vehicle, response));
-                        sink.decision(
-                            &commit.decision,
-                            record,
-                            Some((&a.pre_view, &a.plan)),
-                            Some(response),
-                        );
-                    }
-                    None => {
-                        let record =
-                            AssignmentRecord::rejected(oid, decision.reason, now, interval);
-                        sink.decision(&commit.decision, record, None, Some(response));
-                    }
-                }
-            }
-            *states = scratch_states;
-        } else {
-            let planner = RoutePlanner::new(net, fleet, table);
-            for (&oid, decision) in epoch_ids.iter().zip(&decisions) {
-                assert_eq!(
-                    decision.order,
-                    oid,
-                    "{}: dispatch_batch returned decisions out of order",
+        for (i, (decision, &oid)) in decisions.iter().zip(batch.order_ids()).enumerate() {
+            assert_eq!(
+                decision.order,
+                oid,
+                "{}: dispatch_batch returned decisions out of order",
+                dispatcher.name(),
+            );
+            match batch.committed(i) {
+                Some(committed) => assert!(
+                    *decision == committed,
+                    "{}: dispatch_batch returned {decision:?} for an order it did not commit \
+                     that way: `resolve` gave {committed:?}",
                     dispatcher.name(),
-                );
-                let order = &table[oid.index()];
-                let response = (now - order.created).seconds();
-                let validated = decision.vehicle.and_then(|k| {
-                    if states[k.index()].broken {
-                        return None; // a dead truck cannot serve
-                    }
-                    let plan = planner.plan(&states[k.index()].view, order);
-                    plan.best.is_some().then_some((k, plan))
-                });
-                match validated {
-                    Some((k, plan)) => {
-                        let record = AssignmentRecord::assigned(
-                            oid,
-                            k,
-                            now,
-                            interval,
-                            &plan,
-                            states[k.index()].used(),
-                        );
-                        let committed = Decision::assigned(oid, k);
-                        assigned_to[oid.index()] = Some((k, response));
-                        sink.decision(
-                            &committed,
-                            record,
-                            Some((&states[k.index()].view, &plan)),
-                            Some(response),
-                        );
-                        let best = plan.best.as_ref().expect("validated feasible");
-                        states[k.index()].accept(best.candidate.route.clone());
-                        states[k.index()].advance_to(now, net, fleet, table);
-                    }
-                    None => {
-                        let reason = match decision.reason {
-                            // An assignment that failed re-validation.
-                            DecisionReason::Assigned => DecisionReason::InfeasibleChoice,
-                            other => other,
-                        };
-                        let committed = Decision::rejected(oid, reason);
-                        let record = AssignmentRecord::rejected(oid, reason, now, interval);
-                        sink.decision(&committed, record, None, Some(response));
-                    }
+                ),
+                // Left to the engine: validated and committed by the same
+                // `resolve`, after the policy's own commits.
+                None => {
+                    batch.resolve(i, decision.vehicle);
                 }
             }
+        }
+
+        let (commits, fleet_states) = batch.into_parts();
+        *states = fleet_states;
+        for commit in commits {
+            let commit = commit.expect("every epoch order was resolved above");
+            let (decision, assignment) = (commit.decision, commit.assignment);
+            let oid = decision.order;
+            let response = (now - table[oid.index()].created).seconds();
+            let record = match &assignment {
+                Some(a) => {
+                    let vehicle = decision.vehicle.expect("an assignment has a vehicle");
+                    assigned_to[oid.index()] = Some((vehicle, response));
+                    AssignmentRecord::assigned(
+                        oid,
+                        vehicle,
+                        now,
+                        interval,
+                        &a.plan,
+                        a.vehicle_was_used,
+                    )
+                }
+                None => AssignmentRecord::rejected(oid, decision.reason, now, interval),
+            };
+            let committed = assignment.as_ref().map(|a| (&a.pre_view, &a.plan));
+            sink.decision(&decision, record, committed, Some(response));
         }
         *epoch_index += 1;
     }
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::dispatcher::FirstFeasible;
-    use crate::event::{DisruptionConfig, TimedEvent};
-    use crate::observer::EventCounter;
-    use dpdp_net::{
-        FleetConfig, Instance, IntervalGrid, Node, NodeId, Point, RoadNetwork, TimeDelta,
-    };
-
-    fn instance(num_vehicles: usize, orders: Vec<Order>) -> Instance {
-        let nodes = vec![
-            Node::depot(NodeId(0), Point::new(0.0, 0.0)),
-            Node::factory(NodeId(1), Point::new(10.0, 0.0)),
-            Node::factory(NodeId(2), Point::new(20.0, 0.0)),
-            Node::factory(NodeId(3), Point::new(30.0, 0.0)),
-        ];
-        let net = RoadNetwork::euclidean(nodes, 1.0).unwrap();
-        let fleet = FleetConfig::homogeneous(
-            num_vehicles,
-            &[NodeId(0)],
-            10.0,
-            500.0,
-            2.0,
-            60.0,
-            TimeDelta::ZERO,
-        )
-        .unwrap();
-        Instance::new(net, fleet, IntervalGrid::paper_default(), orders).unwrap()
-    }
-
-    fn order(id: u32, p: u32, d: u32, q: f64, created_h: f64, deadline_h: f64) -> Order {
-        Order::new(
-            OrderId(id),
-            NodeId(p),
-            NodeId(d),
-            q,
-            TimePoint::from_hours(created_h),
-            TimePoint::from_hours(deadline_h),
-        )
-        .unwrap()
-    }
-
-    /// A fixed pre-sorted event list, for injecting disruptions in tests.
-    struct Fixed(std::vec::IntoIter<TimedEvent>);
-
-    impl Fixed {
-        fn new(events: Vec<TimedEvent>) -> Self {
-            Fixed(events.into_iter())
-        }
-    }
-
-    impl EventSource for Fixed {
-        fn next_event(&mut self) -> Option<TimedEvent> {
-            self.0.next()
-        }
-    }
-
-    fn run_with_events(
-        inst: &Instance,
-        buffering: crate::simulator::BufferingMode,
-        events: Vec<TimedEvent>,
-        counter: &mut EventCounter,
-    ) -> EpisodeResult {
-        let sim = Simulator::builder(inst)
-            .buffering(buffering)
-            .build()
-            .unwrap();
-        let sources: Vec<Box<dyn EventSource + '_>> = vec![
-            Box::new(crate::event::ReplaySource::new(inst)),
-            Box::new(Fixed::new(events)),
-        ];
-        sim.run_events(sources, &mut FirstFeasible, &mut [&mut *counter])
-    }
-
-    #[test]
-    fn engine_matches_reference_loop_without_disruptions() {
-        use crate::simulator::BufferingMode;
-        let inst = instance(
-            3,
-            vec![
-                order(0, 1, 2, 9.0, 8.0, 8.34),
-                order(1, 1, 2, 9.0, 8.0, 8.34),
-                order(2, 2, 3, 4.0, 9.0, 20.0),
-                order(3, 3, 1, 4.0, 9.0, 20.0),
-            ],
-        );
-        for buffering in [
-            BufferingMode::Immediate,
-            BufferingMode::FixedInterval(TimeDelta::from_minutes(30.0)),
-        ] {
-            let sim = Simulator::builder(&inst)
-                .buffering(buffering)
-                .build()
-                .unwrap();
-            let engine = sim.run_observed(&mut FirstFeasible, &mut []);
-            let reference = sim.run_reference(&mut FirstFeasible, &mut []);
-            assert_eq!(engine, reference, "diverged under {buffering:?}");
-        }
-    }
-
-    #[test]
-    fn buffered_cancellation_before_dispatch_never_reaches_the_policy() {
-        use crate::simulator::BufferingMode;
-        // Created 8:05, due at the 8:30 flush, cancelled at 8:10.
-        let inst = instance(1, vec![order(0, 1, 2, 5.0, 8.05, 20.0)]);
-        let mut counter = EventCounter::default();
-        let result = run_with_events(
-            &inst,
-            BufferingMode::FixedInterval(TimeDelta::from_minutes(30.0)),
-            vec![TimedEvent {
-                time: TimePoint::from_hours(8.0 + 10.0 / 60.0),
-                event: SimEvent::OrderCancelled(OrderId(0)),
-            }],
-            &mut counter,
-        );
-        assert_eq!(result.metrics.served, 0);
-        assert_eq!(result.metrics.rejected, 1);
-        assert_eq!(result.metrics.rejections.cancelled, 1);
-        assert_eq!(result.assignments[0].reason, DecisionReason::Cancelled);
-        assert_eq!(counter.epochs, 0, "the cancelled order forms no epoch");
-        assert_eq!(counter.cancellations, 1);
-        assert_eq!(counter.decisions, 1);
-    }
-
-    #[test]
-    fn post_assignment_cancellation_shortens_the_route_by_surgery() {
-        // Order 0 departs immediately at 8:00 (pickup driven, onboard);
-        // order 1 is appended at 8:05 while the vehicle is mid-leg, so its
-        // pickup is still undriven when the 8:07 cancellation lands.
-        let inst = instance(
-            1,
-            vec![
-                order(0, 1, 2, 2.0, 8.0, 20.0),
-                order(1, 1, 2, 2.0, 8.0 + 5.0 / 60.0, 20.0),
-            ],
-        );
-        let mut counter = EventCounter::default();
-        let result = run_with_events(
-            &inst,
-            crate::simulator::BufferingMode::Immediate,
-            vec![TimedEvent {
-                time: TimePoint::from_hours(8.0 + 7.0 / 60.0),
-                event: SimEvent::OrderCancelled(OrderId(1)),
-            }],
-            &mut counter,
-        );
-        assert_eq!(result.metrics.served, 1);
-        assert_eq!(result.metrics.rejected, 1);
-        assert_eq!(result.metrics.rejections.cancelled, 1);
-        let rec1 = result
-            .assignments
-            .iter()
-            .find(|r| r.order == OrderId(1))
-            .unwrap();
-        assert_eq!(rec1.reason, DecisionReason::Cancelled);
-        assert_eq!(rec1.vehicle, None);
-        // The surgically shortened route still serves order 0 alone: the
-        // vehicle ends with exactly order 0's travel (0->1->2->0 = 40 km).
-        assert!((result.metrics.ttl - 40.0).abs() < 1e-9);
-        assert_eq!(result.vehicles[0].orders_accepted, 1);
-        assert_eq!(counter.cancellations, 1);
-    }
-
-    #[test]
-    fn cancelling_a_driven_pickup_is_too_late() {
-        let inst = instance(1, vec![order(0, 1, 2, 2.0, 8.0, 20.0)]);
-        let mut counter = EventCounter::default();
-        let result = run_with_events(
-            &inst,
-            crate::simulator::BufferingMode::Immediate,
-            vec![TimedEvent {
-                time: TimePoint::from_hours(8.05),
-                event: SimEvent::OrderCancelled(OrderId(0)),
-            }],
-            &mut counter,
-        );
-        // Pickup departed at 8:00 sharp: the cancellation has no effect.
-        assert_eq!(result.metrics.served, 1);
-        assert_eq!(result.metrics.rejections.cancelled, 0);
-        assert_eq!(counter.cancellations, 1, "the event still fired");
-    }
-
-    #[test]
-    fn breakdown_strands_undriven_orders_and_loses_onboard_cargo() {
-        let inst = instance(
-            2,
-            vec![
-                order(0, 1, 2, 2.0, 8.0, 20.0),
-                order(1, 2, 3, 2.0, 8.0 + 5.0 / 60.0, 20.0),
-            ],
-        );
-        let mut counter = EventCounter::default();
-        let result = run_with_events(
-            &inst,
-            crate::simulator::BufferingMode::Immediate,
-            vec![TimedEvent {
-                time: TimePoint::from_hours(8.1),
-                event: SimEvent::VehicleBreakdown(VehicleId(0)),
-            }],
-            &mut counter,
-        );
-        // First-feasible put both orders on vehicle 0. At the 8:06
-        // breakdown order 0 is onboard (lost) and order 1's pickup is
-        // undriven (stranded); the stranded order re-dispatches to
-        // vehicle 1 at the breakdown instant.
-        assert_eq!(counter.breakdowns, 1);
-        assert_eq!(result.metrics.served, 1);
-        assert_eq!(result.metrics.rejected, 1);
-        assert_eq!(result.metrics.rejections.vehicle_lost, 1);
-        let rec0 = result
-            .assignments
-            .iter()
-            .find(|r| r.order == OrderId(0))
-            .unwrap();
-        assert_eq!(rec0.reason, DecisionReason::VehicleLost);
-        let rec1 = result
-            .assignments
-            .iter()
-            .find(|r| r.order == OrderId(1))
-            .unwrap();
-        assert_eq!(rec1.vehicle, Some(VehicleId(1)));
-        assert!(
-            (rec1.time.hours() - 8.1).abs() < 1e-9,
-            "re-dispatched at the breakdown instant"
-        );
-        // One final record per order; totals invariant holds.
-        assert_eq!(result.assignments.len(), 2);
-        assert_eq!(
-            result.metrics.served + result.metrics.rejections.total(),
-            inst.num_orders()
-        );
-        // The broken vehicle keeps its driven kilometres and used flag.
-        assert!(result.vehicles[0].used);
-        assert!(result.vehicles[0].travel_km > 0.0);
-        assert_eq!(result.vehicles[0].orders_accepted, 0);
-    }
-
-    #[test]
-    fn broken_vehicle_is_masked_until_recovery() {
-        let inst = instance(
-            1,
-            vec![
-                order(0, 1, 2, 2.0, 8.0 + 5.0 / 60.0, 20.0),
-                order(1, 2, 3, 2.0, 9.0, 20.0),
-            ],
-        );
-        let mut counter = EventCounter::default();
-        let result = run_with_events(
-            &inst,
-            crate::simulator::BufferingMode::Immediate,
-            vec![
-                TimedEvent {
-                    time: TimePoint::from_hours(8.0),
-                    event: SimEvent::VehicleBreakdown(VehicleId(0)),
-                },
-                TimedEvent {
-                    time: TimePoint::from_hours(8.5),
-                    event: SimEvent::VehicleRecovered(VehicleId(0)),
-                },
-            ],
-            &mut counter,
-        );
-        // Broken at 8:00: the 8:05 order finds no feasible vehicle.
-        // Recovered at 8:30: the 9:00 order is served.
-        assert_eq!(
-            result.assignments[0].reason,
-            DecisionReason::NoFeasibleVehicle
-        );
-        assert_eq!(result.assignments[1].reason, DecisionReason::Assigned);
-        assert_eq!(counter.breakdowns, 1);
-        assert_eq!(counter.recoveries, 1);
-    }
-
-    #[test]
-    fn serve_flushes_buffered_epochs_as_the_stream_reveals_time() {
-        use crate::simulator::BufferingMode;
-        let inst = instance(2, vec![]);
-        let (tx, rx) = std::sync::mpsc::channel();
-        // All commands queued up front; the channel closing releases the
-        // final epoch.
-        tx.send(StreamCommand::Order(order(0, 1, 2, 2.0, 8.2, 20.0)))
-            .unwrap();
-        tx.send(StreamCommand::Order(order(1, 2, 3, 2.0, 8.9, 20.0)))
-            .unwrap();
-        drop(tx);
-        let sim = Simulator::builder(&inst)
-            .buffering(BufferingMode::FixedInterval(TimeDelta::from_minutes(30.0)))
-            .build()
-            .unwrap();
-        let mut counter = EventCounter::default();
-        let result = sim.serve_observed(rx, &mut FirstFeasible, &mut [&mut counter]);
-        assert_eq!(result.metrics.served, 2);
-        // Pushed orders get sequential engine ids and land on their flush
-        // multiples: 8:12 -> 8:30, 8:54 -> 9:00.
-        assert_eq!(result.assignments[0].order, OrderId(0));
-        assert!((result.assignments[0].time.hours() - 8.5).abs() < 1e-9);
-        assert!((result.assignments[1].time.hours() - 9.0).abs() < 1e-9);
-        assert_eq!(counter.epochs, 2);
-    }
-
-    #[test]
-    fn serve_sender_dropped_mid_episode_drains_buffered_epochs_cleanly() {
-        // The EOF contract: a producer that dies mid-episode — engine
-        // blocked on `recv`, orders still buffered, no Flush heartbeat,
-        // no goodbye — must end the episode cleanly with final metrics.
-        use crate::simulator::BufferingMode;
-        let inst = instance(2, vec![]);
-        let (tx, rx) = std::sync::mpsc::channel();
-        let producer = std::thread::spawn(move || {
-            tx.send(StreamCommand::Order(order(0, 1, 2, 2.0, 8.2, 20.0)))
-                .unwrap();
-            // Let the engine reach its blocking recv before the hang-up.
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            tx.send(StreamCommand::Order(order(1, 2, 3, 2.0, 8.9, 20.0)))
-                .unwrap();
-            // The sender drops here, with both epochs still buffered.
-        });
-        let sim = Simulator::builder(&inst)
-            .buffering(BufferingMode::FixedInterval(TimeDelta::from_minutes(30.0)))
-            .build()
-            .unwrap();
-        let result = sim.serve(rx, &mut FirstFeasible);
-        producer.join().unwrap();
-        assert_eq!(result.assignments.len(), 2, "both buffered orders decided");
-        assert_eq!(result.metrics.served + result.metrics.rejected, 2);
-        assert!((result.assignments[0].time.hours() - 8.5).abs() < 1e-9);
-        assert!((result.assignments[1].time.hours() - 9.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn serve_with_immediately_dropped_sender_equals_the_replay_episode() {
-        // The degenerate stream — hung up before a single command — must
-        // reduce `serve` to exactly the replay-only episode of `run`.
-        use crate::simulator::BufferingMode;
-        let inst = instance(
-            2,
-            vec![
-                order(0, 1, 2, 2.0, 8.0, 20.0),
-                order(1, 2, 3, 2.0, 9.0, 20.0),
-            ],
-        );
-        for buffering in [
-            BufferingMode::Immediate,
-            BufferingMode::FixedInterval(TimeDelta::from_minutes(30.0)),
-        ] {
-            let sim = Simulator::builder(&inst)
-                .buffering(buffering)
-                .build()
-                .unwrap();
-            let reference = sim.run(&mut FirstFeasible);
-            let (tx, rx) = std::sync::mpsc::channel::<StreamCommand>();
-            drop(tx);
-            assert_eq!(sim.serve(rx, &mut FirstFeasible), reference);
-        }
-    }
-
-    #[test]
-    fn streamed_orders_interleaving_with_replay_keep_ids_stable() {
-        use crate::simulator::BufferingMode;
-        // Replay table: ids 0 (8:00) and 1 (10:00). A streamed order
-        // created 9:00 interleaves between them — it must get id 2 (after
-        // the instance table), never shift the replayed 10:00 order, and a
-        // cancellation targeting id 2 must kill exactly the streamed
-        // order.
-        let inst = instance(
-            2,
-            vec![
-                order(0, 1, 2, 2.0, 8.0, 20.0),
-                order(1, 2, 3, 2.0, 10.0, 20.0),
-            ],
-        );
-        let (tx, rx) = std::sync::mpsc::channel();
-        tx.send(StreamCommand::Order(order(0, 3, 1, 2.0, 9.0, 20.0)))
-            .unwrap();
-        tx.send(StreamCommand::Cancel {
-            order: OrderId(2),
-            at: TimePoint::from_hours(8.95),
-        })
-        .unwrap();
-        drop(tx);
-        let sim = Simulator::builder(&inst)
-            .buffering(BufferingMode::FixedInterval(TimeDelta::from_minutes(30.0)))
-            .build()
-            .unwrap();
-        let result = sim.serve(rx, &mut FirstFeasible);
-        assert_eq!(result.metrics.served, 2);
-        assert_eq!(result.metrics.rejections.cancelled, 1);
-        let rec = |o: u32| {
-            result
-                .assignments
-                .iter()
-                .find(|r| r.order == OrderId(o))
-                .unwrap()
-        };
-        // Replayed orders keep their ids and are served at their own
-        // flush instants; the streamed order (id 2) is the cancelled one.
-        assert_eq!(rec(0).reason, DecisionReason::Assigned);
-        assert!((rec(0).time.hours() - 8.0).abs() < 1e-9);
-        assert_eq!(rec(1).reason, DecisionReason::Assigned);
-        assert!((rec(1).time.hours() - 10.0).abs() < 1e-9);
-        assert_eq!(rec(2).reason, DecisionReason::Cancelled);
-    }
-
-    #[test]
-    fn stranded_redispatch_keeps_only_the_final_response_sample() {
-        // Same fixture as the breakdown test above: at the 8:06 breakdown
-        // order 0 is onboard (lost, its 0 s sample kept by design) and
-        // order 1 is stranded — its withdrawn 0 s sample must be
-        // subtracted, and the re-dispatch at 8:06 contributes a fresh
-        // 60 s sample (it was created 8:05).
-        let inst = instance(
-            2,
-            vec![
-                order(0, 1, 2, 2.0, 8.0, 20.0),
-                order(1, 2, 3, 2.0, 8.0 + 5.0 / 60.0, 20.0),
-            ],
-        );
-        let mut counter = EventCounter::default();
-        let result = run_with_events(
-            &inst,
-            crate::simulator::BufferingMode::Immediate,
-            vec![TimedEvent {
-                time: TimePoint::from_hours(8.1),
-                event: SimEvent::VehicleBreakdown(VehicleId(0)),
-            }],
-            &mut counter,
-        );
-        assert_eq!(counter.breakdowns, 1);
-        assert_eq!(result.metrics.rejections.vehicle_lost, 1);
-        assert_eq!(result.metrics.served, 1);
-        // Kept samples: order 0 (0 s) and order 1's re-dispatch (60 s);
-        // with the withdrawn sample wrongly retained this would read
-        // (0 + 0 + 60) / 3 = 20 s instead.
-        let expect = (0.0 + 60.0) / 2.0;
-        assert!(
-            (result.metrics.avg_response_secs - expect).abs() < 1e-6,
-            "{} vs {expect}",
-            result.metrics.avg_response_secs
-        );
-    }
-
-    #[test]
-    fn epoch_flush_heartbeat_releases_buffered_orders() {
-        use crate::simulator::BufferingMode;
-        let inst = instance(1, vec![]);
-        let (tx, rx) = std::sync::mpsc::channel();
-        tx.send(StreamCommand::Order(order(0, 1, 2, 2.0, 8.2, 20.0)))
-            .unwrap();
-        // Without this heartbeat the 8:30 epoch would only flush at
-        // channel close; with it, the epoch flushes as soon as the
-        // heartbeat is consumed.
-        tx.send(StreamCommand::Flush {
-            at: TimePoint::from_hours(9.0),
-        })
-        .unwrap();
-        drop(tx);
-        let sim = Simulator::builder(&inst)
-            .buffering(BufferingMode::FixedInterval(TimeDelta::from_minutes(30.0)))
-            .build()
-            .unwrap();
-        let result = sim.serve(rx, &mut FirstFeasible);
-        assert_eq!(result.metrics.served, 1);
-        assert!((result.assignments[0].time.hours() - 8.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn seeded_disruptions_are_deterministic_and_seed_sensitive() {
-        let orders: Vec<Order> = (0..24)
-            .map(|i| {
-                order(
-                    i,
-                    1 + (i % 3),
-                    1 + ((i + 1) % 3),
-                    1.0,
-                    8.0 + 0.25 * i as f64,
-                    23.0,
-                )
-            })
-            .collect();
-        let inst = instance(4, orders);
-        let cfg = DisruptionConfig {
-            cancellation_prob: 0.3,
-            cancellation_delay: TimeDelta::from_minutes(20.0),
-            breakdown_prob: 0.5,
-            breakdown_window: (TimePoint::from_hours(8.0), TimePoint::from_hours(14.0)),
-            recovery_delay: Some((TimeDelta::from_minutes(30.0), TimeDelta::from_hours(2.0))),
-        };
-        let run = |seed: u64| {
-            let mut counter = EventCounter::default();
-            let sim = Simulator::builder(&inst)
-                .disruptions(cfg.clone())
-                .seed(seed)
-                .build()
-                .unwrap();
-            let result = sim.run_observed(&mut FirstFeasible, &mut [&mut counter]);
-            (result, counter)
-        };
-        let (a, ca) = run(5);
-        let (b, _) = run(5);
-        assert_eq!(a, b, "same seed must reproduce the episode bit for bit");
-        assert!(ca.cancellations > 0 && ca.breakdowns > 0, "non-vacuous");
-        let (c, _) = run(6);
-        assert_ne!(a, c, "a different seed must move the disruption draw");
-        // Every order ends in exactly one final state.
-        assert_eq!(
-            a.metrics.served + a.metrics.rejections.total(),
-            inst.num_orders()
-        );
-    }
-
-    #[test]
-    fn invalid_disruption_config_is_a_build_error() {
-        let inst = instance(1, vec![]);
-        let err = Simulator::builder(&inst)
-            .disruptions(DisruptionConfig {
-                cancellation_prob: 2.0,
-                ..DisruptionConfig::default()
-            })
-            .build()
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            crate::simulator::SimBuildError::InvalidDisruption { .. }
-        ));
-        assert!(err.to_string().contains("cancellation_prob"));
-    }
-}
+mod tests;

@@ -19,8 +19,10 @@
 //! (time, then a fixed event-class rank, then source position):
 //!
 //! * [`ReplaySource`] — the instance's order table; feeding the engine
-//!   from it alone is **bit-identical** to the pre-event scan loop (kept
-//!   as [`Simulator::run_reference`]) for every scenario, policy, shard
+//!   from it alone forms exactly the epochs a plain scan of the sorted
+//!   table does ([`Simulator::run_reference`], which shares the engine's
+//!   epoch body and differs only in how epochs come to exist), so the two
+//!   episodes are **bit-identical** for every scenario, policy, shard
 //!   count and thread count — `tests/event_parity.rs` asserts it.
 //! * [`StreamSource`] — a channel of [`StreamCommand`]s pushed by another
 //!   thread ([`Simulator::serve`]): the simulator as a serving loop for
@@ -47,10 +49,15 @@
 //! creation instant; fixed-interval buffering: the flush multiple) are
 //! decided through a single [`Dispatcher::dispatch_batch`] call over a
 //! [`DecisionBatch`]: one shared set of vehicle snapshots and Algorithm 2
-//! scores, delta-updated as decisions commit. Per-order policies
-//! implement [`Dispatcher::dispatch`] and ride the default adapter;
-//! batch-native policies (like `dpdp-baselines`' greedy baselines) read
-//! the batch's rows directly. Stranded orders from breakdowns re-enter here as re-dispatchable
+//! scores, delta-updated as decisions commit. There is one commit —
+//! [`DecisionBatch::resolve`] — and one fleet: the batch holds the
+//! episode's vehicle states for the length of the epoch, a policy resolves
+//! each order (the engine resolves, with the claimed vehicle, any order a
+//! policy returns unresolved), and the engine records what `resolve`
+//! recorded. Per-order policies implement [`Dispatcher::dispatch`] and
+//! ride the default adapter; batch-native policies (like
+//! `dpdp-baselines`' greedy baselines) read the batch's rows directly.
+//! Stranded orders from breakdowns re-enter here as re-dispatchable
 //! arrivals; broken vehicles keep their dense snapshot slot but every
 //! plan of theirs arrives as `best: None`.
 //!
@@ -94,8 +101,8 @@
 //! [`SimulatorBuilder::sharding`] takes a validated [`ShardConfig`] and
 //! turns every decision epoch into a merge of cell-local batches:
 //!
-//! * **Flat** ([`ShardConfig::flat`]) — one level of k-means (or grid)
-//!   cells. In-cell `(order, vehicle)` pairs run the full insertion sweep
+//! * **Flat** ([`ShardConfig::flat`]) — one level of k-means cells.
+//!   In-cell `(order, vehicle)` pairs run the full insertion sweep
 //!   shard-concurrently; cross-cell pairs are escalated (the `m` nearest
 //!   foreign vehicles) or skipped through the **exact** geometric bound
 //!   of [`dpdp_routing::RoutePlanner::provably_infeasible`].
@@ -114,7 +121,7 @@
 //!   counts and escalation widths; [`EpochInfo::repartitioned`] flags the
 //!   epochs where it fired.
 //!
-//! See [`crate::shard`] for the sweep pipeline and its determinism
+//! See [`crate::sweep`] for the sweep pipeline and its determinism
 //! argument, [`crate::sharding`] for the config surface.
 //!
 //! [`OrderArrival`]: event::SimEvent::OrderArrival
@@ -137,10 +144,10 @@ pub mod engine;
 pub mod event;
 pub mod metrics;
 pub mod observer;
-pub mod shard;
 pub mod sharding;
 pub mod simulator;
 pub mod state;
+pub mod sweep;
 
 pub use batch::{Decision, DecisionBatch, DecisionReason};
 pub use dispatcher::{DispatchContext, Dispatcher, FirstFeasible, PerOrder};
@@ -156,9 +163,9 @@ pub use observer::{
     CancelOutcome, DecisionRecord, DisruptionKind, DisruptionRecord, EpochInfo, EventCounter,
     SimObserver,
 };
-pub use shard::ShardStats;
 pub use sharding::{RepartitionPolicy, ShardConfig};
 pub use simulator::{
     BufferingMode, SimBuildError, Simulator, SimulatorBuilder, DEFAULT_SHARD_ESCALATION,
 };
 pub use state::{BreakdownOutcome, VehicleState};
+pub use sweep::ShardStats;

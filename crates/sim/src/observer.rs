@@ -24,7 +24,7 @@
 
 use crate::batch::Decision;
 use crate::metrics::{AssignmentRecord, EpisodeResult};
-use crate::shard::ShardStats;
+use crate::sweep::ShardStats;
 use dpdp_net::{FleetConfig, Instance, OrderId, RoadNetwork, TimePoint, VehicleId};
 use dpdp_routing::{PlannerOutput, VehicleView};
 

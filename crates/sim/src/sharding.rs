@@ -22,12 +22,12 @@
 //!
 //! Every knob here is a **work knob**: episode decisions are bit-identical
 //! for any shard layout, escalation width, re-partition cadence and thread
-//! count (see [`crate::shard`] for why). Only wall time moves.
+//! count (see [`crate::sweep`] for why). Only wall time moves.
 //!
 //! [`SimulatorBuilder::sharding`]: crate::simulator::SimulatorBuilder::sharding
 
-use crate::shard::ShardContext;
 use crate::simulator::{SimBuildError, DEFAULT_SHARD_ESCALATION};
+use crate::sweep::ShardContext;
 use dpdp_net::{Order, RoadNetwork, ShardMap, ShardPolicy};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -98,27 +98,10 @@ impl ShardConfig {
     /// # Errors
     /// [`SimBuildError::ZeroShards`] when `num_shards == 0`.
     pub fn flat(num_shards: usize) -> Result<ShardConfig, SimBuildError> {
-        Self::flat_with(num_shards, ShardPolicy::default())
-    }
-
-    /// A flat partition under an explicit policy
-    /// ([`ShardPolicy::Grid`] or [`ShardPolicy::KMeans`]).
-    ///
-    /// # Errors
-    /// [`SimBuildError::ZeroShards`] when `num_shards == 0`;
-    /// [`SimBuildError::InvalidSharding`] when handed
-    /// [`ShardPolicy::Hierarchical`] (use [`ShardConfig::hierarchical`]).
-    pub fn flat_with(num_shards: usize, policy: ShardPolicy) -> Result<ShardConfig, SimBuildError> {
         if num_shards == 0 {
             return Err(SimBuildError::ZeroShards);
         }
-        if matches!(policy, ShardPolicy::Hierarchical { .. }) {
-            return Err(SimBuildError::InvalidSharding {
-                reason: "use ShardConfig::hierarchical for two-level partitions".into(),
-            });
-        }
         Ok(ShardConfig {
-            policy,
             num_shards,
             ..ShardConfig::default()
         })
@@ -215,14 +198,11 @@ impl ShardConfig {
 /// Episode-local sharding state: the current [`ShardContext`] plus the
 /// demand accumulator driving mid-episode re-partitioning.
 ///
-/// Both episode loops ([`Simulator::run_reference`] and the event engine)
-/// create one per episode and drive it identically: `observe` every epoch
-/// order, then `maybe_repartition` at the flush boundary **before** the
-/// epoch's batch forms. Because the demand stream decided so far is
+/// An episode creates one and the epoch body drives it: `observe` every
+/// epoch order, then `maybe_repartition` at the flush boundary **before**
+/// the epoch's batch forms. Because the demand stream decided so far is
 /// bit-identical across thread counts, escalation widths and shard
 /// layouts, so is every re-seeded map — the partition stays a work detail.
-///
-/// [`Simulator::run_reference`]: crate::simulator::Simulator::run_reference
 pub(crate) struct ShardRuntime {
     ctx: Option<ShardContext>,
     config: ShardConfig,
@@ -241,9 +221,8 @@ impl ShardRuntime {
         seed: u64,
         num_nodes: usize,
     ) -> ShardRuntime {
-        let track_demand = initial.is_some()
-            && !matches!(config.repartition, RepartitionPolicy::Never)
-            && !matches!(config.policy, ShardPolicy::Grid);
+        let track_demand =
+            initial.is_some() && !matches!(config.repartition, RepartitionPolicy::Never);
         ShardRuntime {
             ctx: initial.cloned(),
             config: config.clone(),
@@ -346,18 +325,6 @@ mod tests {
         ));
         assert!(matches!(
             ShardConfig::hierarchical(4, 0).unwrap_err(),
-            SimBuildError::InvalidSharding { .. }
-        ));
-        assert!(matches!(
-            ShardConfig::flat_with(
-                2,
-                ShardPolicy::Hierarchical {
-                    regions: 1,
-                    cells_per_region: 2,
-                    iterations: 8
-                }
-            )
-            .unwrap_err(),
             SimBuildError::InvalidSharding { .. }
         ));
         assert!(matches!(

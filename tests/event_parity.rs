@@ -2,8 +2,10 @@
 //!
 //! 1. **Replay parity** — `Simulator::run_observed` now drives episodes
 //!    through the event engine (a `ReplaySource` over the order table
-//!    merged with nothing else); `Simulator::run_reference` is the
-//!    pre-refactor scan loop kept verbatim. For Baselines 1–3 and DQN,
+//!    merged with nothing else); `Simulator::run_reference` is the plain
+//!    scan over the sorted order table, flushing through the same epoch
+//!    body — so what is compared is how epochs come to exist (event
+//!    merge, flush timing, order-table handling). For Baselines 1–3 and DQN,
 //!    across shard counts {1, 4} × thread widths {1, N} and both
 //!    buffering strategies, the two must produce **bit-identical**
 //!    `EpisodeResult`s.
