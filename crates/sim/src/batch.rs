@@ -13,6 +13,29 @@
 //! deltas skip the cells the exact bound rules out, and the matrix never
 //! stores them: a delta costs what it evaluates.
 //!
+//! **An epoch costs its distinct work.** Half of the objective is the
+//! number of used vehicles, so a good policy leaves most of a large fleet
+//! parked, and every parked truck at one depot is the same input to
+//! Algorithm 2. An *idle twin* is an unmasked vehicle with an empty
+//! remaining route and nothing on board; two of them that agree on
+//! `(anchor_node, anchor_time, depot)` get bit-identical scores for every
+//! order. The key is complete because nothing else reaches the arithmetic:
+//! capacity, speed and service time are fleet-wide ([`FleetConfig`]), the
+//! route and the cargo stack are empty by definition, and neither the
+//! schedule cache nor the insertion sweep nor the oracle walk reads
+//! `view.vehicle` or `view.used`. The initial sweep therefore groups the
+//! twins (`EpochScratch::group_twins`), builds one [`ScheduleCache`] per
+//! group and scores each `(order, group)` once
+//! (`EpochScratch::score_cells`, the one scoring path of both the flat and
+//! the sharded arm); every member's cell still gets its own copy of the
+//! 40 bytes, so rows, folds and contexts are what they were. A masked
+//! (broken-down) vehicle, whose stripped route only *looks* idle, is never
+//! grouped. Commit deltas are one vehicle's column and share nothing —
+//! but they do keep the sweep's vehicle-major work list as a **column
+//! index**, so an acceptance touches only the rows that hold a cell of its
+//! vehicle instead of searching every undecided row for one (see
+//! `PlanStore`).
+//!
 //! **A cell is positions, a route is for a winner.** Algorithm 2 hands a
 //! policy a few scalars per pair and one route, the one the chosen
 //! vehicle adopts; the matrix holds exactly the scalars. A [`PlanScore`]
@@ -45,7 +68,9 @@ use crate::state::VehicleState;
 use crate::sweep::{plan_sweep, ShardContext, ShardStats, SweepBuffers};
 use dpdp_net::{FleetConfig, Order, OrderId, RoadNetwork, TimePoint, VehicleId};
 use dpdp_pool::ThreadPool;
-use dpdp_routing::{PlanScore, PlannerOutput, RoutePlanner, ScheduleCache, VehicleView};
+use dpdp_routing::{
+    PlanScore, PlannerOutput, PruneProbe, RoutePlanner, ScheduleCache, VehicleView,
+};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -138,38 +163,191 @@ pub(crate) struct CommitAssignment {
     pub(crate) vehicle_was_used: bool,
 }
 
+/// "No entry" in the scratch index tables below.
+const NONE: u32 = u32::MAX;
+
 /// Reusable per-epoch scratch arena for [`DecisionBatch::new`].
 ///
 /// The driver loops (simulator episodes, server engine sessions) build one
 /// `DecisionBatch` per decision epoch; without an arena every epoch pays
-/// a fresh round of allocations for the sweep classification buffers and
-/// one `ScheduleCache` per vehicle. An `EpochScratch` owned by the loop
-/// and threaded into `new` keeps all of that storage alive across epochs:
-/// buffers are cleared, never freed, so steady-state epochs allocate only
-/// when the fleet or epoch outgrows every previous one.
+/// a fresh round of allocations for the sweep classification buffers, the
+/// idle-twin grouping and one `ScheduleCache` per vehicle. An
+/// `EpochScratch` owned by the loop and threaded into `new` keeps all of
+/// that storage alive across epochs: buffers are cleared, never freed, so
+/// steady-state epochs allocate only when the fleet or epoch outgrows
+/// every previous one.
 ///
 /// Reuse is invisible in the output: cache rebuilds run the identical
 /// passes over cleared vectors (see `ScheduleCache::rebuild`), the sweep
-/// buffers are overwritten before use, and the per-vehicle rebuild fan-out
-/// writes disjoint slots whose values do not depend on scheduling — so a
-/// dirty scratch produces bit-identical plans to a fresh one at any
-/// thread count (`dirty_epoch_scratch_is_bit_identical_to_fresh` below).
+/// and grouping buffers are overwritten before use, and the per-vehicle
+/// rebuild fan-out writes disjoint slots whose values do not depend on
+/// scheduling — so a dirty scratch produces bit-identical plans to a fresh
+/// one at any thread count (`dirty_epoch_scratch_is_bit_identical_to_fresh`
+/// below).
 #[derive(Debug, Default)]
 pub(crate) struct EpochScratch {
     /// Sharded-sweep classification buffers (see [`SweepBuffers`]).
     pub(crate) sweep: SweepBuffers,
     /// One schedule cache slot per vehicle, rebuilt in place each epoch.
     caches: Vec<ScheduleCache>,
-    /// `cache_live[k]`: whether `caches[k]` was rebuilt for this epoch.
-    /// Dead slots keep stale storage for later epochs but are never read.
+    /// `cache_live[k]`: whether `caches[k]` was rebuilt for this epoch —
+    /// `k` stands for itself or for a twin group and some cell of theirs is
+    /// scored. Dead slots keep stale storage for later epochs but are
+    /// never read.
     cache_live: Vec<bool>,
-    /// Sharded path only: vehicles with at least one surviving sweep cell.
-    needed: Vec<bool>,
+    /// `twin_rep[k]`: the vehicle whose schedule cache and scores stand
+    /// for vehicle `k` this epoch — the lowest-numbered member of `k`'s
+    /// idle-twin group, `k` itself for everybody else.
+    twin_rep: Vec<u32>,
+    /// `twin_slot[r]`: the memo slot of the group representative `r`
+    /// leads, [`NONE`] unless the group has at least two members.
+    twin_slot: Vec<u32>,
+    /// Number of twin groups with at least two members (memo slots).
+    twin_groups: usize,
+    /// Grouping scratch: the latest representative anchored at each node.
+    /// All [`NONE`] between epochs (reset per anchor, not per node).
+    node_rep: Vec<u32>,
+    /// Grouping scratch: `next_rep[r]` chains the representatives that
+    /// share `r`'s anchor node but not its anchor time or depot.
+    next_rep: Vec<u32>,
+    /// `memo[slot * B + i]`: which score is order `i`'s for the group in
+    /// `slot`, [`NONE`] until the scan meets a cell asking for it.
+    memo: Vec<u32>,
+    /// `scorers[s]`: the cell that computes distinct score `s`.
+    scorers: Vec<u32>,
+    /// `score_of[w]`: cell `w`'s score, as an index into what
+    /// [`EpochScratch::score_cells`] returned.
+    score_of: Vec<u32>,
+    /// Sharded rows-build scratch: stored cells per row.
+    row_len: Vec<usize>,
 }
 
 impl EpochScratch {
-    /// Rebuilds the per-vehicle schedule caches in place for every vehicle
-    /// `want` selects, fanning the builds out across `pool` in fixed
+    /// Groups this epoch's **idle twins**: unmasked vehicles with an empty
+    /// remaining route and nothing on board that share anchor node, anchor
+    /// time (bit for bit) and depot. One pass in ascending vehicle order
+    /// over a node-indexed table of short chains, so the representative is
+    /// the group's lowest vehicle id, the cost is `O(K)` and the result
+    /// depends on nothing but the views. See the module docs for why the
+    /// key is complete.
+    fn group_twins(&mut self, views: &[VehicleView], active: Option<&[bool]>, num_nodes: usize) {
+        let k_n = views.len();
+        self.twin_rep.clear();
+        self.twin_rep.extend(0..k_n as u32);
+        self.twin_slot.clear();
+        self.twin_slot.resize(k_n, NONE);
+        self.next_rep.clear();
+        self.next_rep.resize(k_n, NONE);
+        self.twin_groups = 0;
+        if self.node_rep.len() < num_nodes {
+            self.node_rep.resize(num_nodes, NONE);
+        }
+        for (k, v) in views.iter().enumerate() {
+            let idle = v.route.is_empty() && v.onboard.is_empty();
+            if !(idle && active.is_none_or(|a| a[k])) {
+                continue;
+            }
+            let head = self.node_rep[v.anchor_node.index()];
+            let mut r = head;
+            while r != NONE {
+                let rv = &views[r as usize];
+                if rv.anchor_time.seconds().to_bits() == v.anchor_time.seconds().to_bits()
+                    && rv.depot == v.depot
+                {
+                    break;
+                }
+                r = self.next_rep[r as usize];
+            }
+            if r == NONE {
+                // First of its kind at this node: a new representative.
+                self.next_rep[k] = head;
+                self.node_rep[v.anchor_node.index()] = k as u32;
+                continue;
+            }
+            self.twin_rep[k] = r;
+            if self.twin_slot[r as usize] == NONE {
+                self.twin_slot[r as usize] = self.twin_groups as u32;
+                self.twin_groups += 1;
+            }
+        }
+        for v in views {
+            self.node_rep[v.anchor_node.index()] = NONE;
+        }
+    }
+
+    /// The initial sweep's one scoring path, shared by the flat and the
+    /// sharded arm of [`DecisionBatch::new`]: scores the `n` cells
+    /// `cell(w) = (order index, vehicle index)` and returns the epoch's
+    /// *distinct* [`PlanScore`]s; cell `w`'s is the one at
+    /// `self.score_of[w]`. `n` minus the returned length is how many cells
+    /// were handed an idle twin's score instead of running the sweep.
+    ///
+    /// Groups the fleet's idle twins, rebuilds one [`ScheduleCache`] per
+    /// vehicle that stands for some cell (itself or its group — a masked
+    /// vehicle gets none and scores as pruned), and runs
+    /// [`RoutePlanner::score_cached`] once per `(order, group)`: the first
+    /// cell of a group to ask for an order computes it, whichever member
+    /// it belongs to, and every later one points at the result. The scan
+    /// that decides who computes is serial and reads only `cell`, so the
+    /// result is the same at any thread count; the scoring itself fans out
+    /// across `pool`.
+    #[allow(clippy::too_many_arguments)] // one call site per arm of `new`
+    fn score_cells(
+        &mut self,
+        planner: &RoutePlanner<'_>,
+        views: &[VehicleView],
+        epoch: &[OrderId],
+        active: Option<&[bool]>,
+        pool: &ThreadPool,
+        n: usize,
+        cell: impl Fn(usize) -> (usize, usize) + Sync,
+    ) -> Vec<PlanScore> {
+        assert!(n < NONE as usize, "epoch matrix outgrew its u32 indices");
+        self.group_twins(views, active, planner.network().nodes().len());
+        self.caches.resize_with(views.len(), ScheduleCache::default);
+        self.cache_live.clear();
+        self.cache_live.resize(views.len(), false);
+        let b = epoch.len();
+        self.memo.clear();
+        self.memo.resize(self.twin_groups * b, NONE);
+        self.scorers.clear();
+        self.score_of.clear();
+        for w in 0..n {
+            let (i, k) = cell(w);
+            let rep = self.twin_rep[k] as usize;
+            let fresh = self.scorers.len() as u32;
+            let score = match self.twin_slot[rep] {
+                NONE => fresh,
+                slot => {
+                    // The first cell to ask scores for the whole group.
+                    let first = &mut self.memo[slot as usize * b + i];
+                    if *first == NONE {
+                        *first = fresh;
+                    }
+                    *first
+                }
+            };
+            if score == fresh {
+                self.scorers.push(w as u32);
+                self.cache_live[rep] = active.is_none_or(|a| a[k]);
+            }
+            self.score_of.push(score);
+        }
+        self.rebuild_caches(planner, views, pool);
+        let scr = &*self;
+        pool.par_map(scr.scorers.len(), |s| {
+            let (i, k) = cell(scr.scorers[s] as usize);
+            match scr.cache(scr.twin_rep[k] as usize) {
+                Some(cache) => {
+                    planner.score_cached(cache, &views[k], &planner.orders()[epoch[i].index()])
+                }
+                None => planner.pruned_score(None, &views[k]),
+            }
+        })
+    }
+
+    /// Rebuilds, in place, the schedule cache of every vehicle
+    /// `cache_live` selects, fanning the builds out across `pool` in fixed
     /// chunks. Each task owns a disjoint `chunks_mut` slice and every
     /// cache's content depends only on its own vehicle view, so the result
     /// is independent of task scheduling — bit-identical at any thread
@@ -179,15 +357,8 @@ impl EpochScratch {
         planner: &RoutePlanner<'_>,
         views: &[VehicleView],
         pool: &ThreadPool,
-        want: impl Fn(usize) -> bool + Sync,
     ) {
         let k_n = views.len();
-        self.caches.resize_with(k_n, ScheduleCache::default);
-        self.cache_live.clear();
-        self.cache_live.resize(k_n, false);
-        for (k, live) in self.cache_live.iter_mut().enumerate() {
-            *live = want(k);
-        }
         let live = &self.cache_live;
         if !pool.is_parallel() || k_n == 0 {
             for (k, cache) in self.caches.iter_mut().enumerate() {
@@ -218,35 +389,93 @@ impl EpochScratch {
     fn cache(&self, k: usize) -> Option<&ScheduleCache> {
         self.cache_live[k].then(|| &self.caches[k])
     }
+
+    /// The per-vehicle side of the epoch just scored: each vehicle's pruned
+    /// score (`best: None` plus its `d_{t,k}`), computed once per twin
+    /// group — a member's is its representative's, the same anchor-to-depot
+    /// leg — over a still empty column index.
+    fn columns(&self, planner: &RoutePlanner<'_>, views: &[VehicleView]) -> Vec<Column> {
+        let mut columns: Vec<Column> = Vec::with_capacity(views.len());
+        for (k, view) in views.iter().enumerate() {
+            let rep = self.twin_rep[k] as usize;
+            let fallback = if rep < k {
+                columns[rep].fallback
+            } else {
+                planner.pruned_score(self.cache(k), view)
+            };
+            columns.push(Column {
+                fallback,
+                stored: (0, 0),
+            });
+        }
+        columns
+    }
 }
 
 /// The epoch's `B x K` plan matrix: candidate rows over a per-vehicle
 /// fallback. A cell is a [`PlanScore`] — scalars and insertion positions,
 /// `Copy`, no heap — so the store owns no route and dropping it frees
-/// only its row vectors.
+/// only its row and index vectors.
 ///
 /// A row stores the cells some sweep evaluated, sorted by vehicle index;
-/// every absent cell reads as `fallback[k]`, the vehicle's pruned score
-/// (`best: None` plus its `d_{t,k}`) — identical for every row. The flat
-/// scan evaluates every cell, so its rows are complete and the fallback
-/// is never read. The sharded sweep stores only the survivors of the
-/// geometric bound, which is what lets the hierarchical megacity episode
-/// scale with the *work* of the epoch instead of `O(B x K)` memory
+/// every absent cell reads as `columns[k].fallback`, the vehicle's pruned
+/// score (`best: None` plus its `d_{t,k}`) — identical for every row. The
+/// flat scan evaluates every cell, so its rows are complete and the
+/// fallback is never read. The sharded sweep stores only the survivors of
+/// the geometric bound, which is what lets the hierarchical megacity
+/// episode scale with the *work* of the epoch instead of `O(B x K)` memory
 /// traffic on cells whose content is known in advance. Either way every
 /// cell query of a still-undecided row answers with bit-identical values.
+/// Idle twins share a *computation*, not storage: a row still stores one
+/// cell per member, so nothing that reads a row can tell.
 ///
 /// Pruned cells stay implicit through commits too: an acceptance on
-/// vehicle `k` refreshes `fallback[k]` once and touches a row only where
+/// vehicle `k` refreshes `k`'s fallback once and touches a row only where
 /// the column replan evaluated a cell or a stored cell went stale, so a
 /// row grows by at most one entry per *evaluated* delta cell. A cell that
 /// was ever evaluated stays stored (overwritten with the fallback if a
 /// later commit prunes it), so a feasible cell is always present.
+///
+/// **The column index** answers "which rows store a cell of vehicle `k`"
+/// without searching them — what a commit delta needs to find the stored
+/// cells it just made stale among thousands of rows that hold nothing of
+/// `k`. It is the sharded sweep's own work list, kept instead of dropped:
+/// the list is vehicle-major (see [`crate::sweep`]), so a column is one
+/// `(start, end)` into it and nothing is built. Cells a later delta
+/// inserts go to `inserted`. The invariant: every stored cell `(i, k)` of
+/// a sharded batch is in `k`'s run of `swept` or in `inserted` — rows
+/// never drop a cell, so the index only grows. (`inserted` is rarely what
+/// finds a cell: an accepting vehicle leaves with a leg to drive, so its
+/// anchor — all the bound reads — is fixed for the rest of the epoch, a
+/// second acceptance on it re-evaluates exactly the cells the first one
+/// inserted, and an evaluated cell is stored through its own search. The
+/// list makes the index complete by construction instead of by that
+/// argument, which zero-length legs at zero service time would break.) A
+/// flat batch stores every cell and prunes nothing: it has no stale cell
+/// to look for, and both lists stay empty.
 #[derive(Debug)]
 struct PlanStore {
     /// `rows[i]`: the stored `(vehicle, score)` cells of epoch order `i`.
     rows: Vec<Vec<(u32, PlanScore)>>,
-    /// `fallback[k]`: what a cell of vehicle `k` no row stores reads as.
-    fallback: Vec<PlanScore>,
+    /// Per vehicle: its fallback score and its run of `swept`.
+    columns: Vec<Column>,
+    /// The `(row, vehicle)` cells the sharded sweep stored: each vehicle's
+    /// are one contiguous run in ascending row order.
+    swept: Vec<(u32, u32)>,
+    /// The `(row, vehicle)` cells commit deltas inserted, in insertion
+    /// order. Short (an absent cell is only evaluated once its vehicle's
+    /// anchor has moved into reach of the row's order), so an acceptance
+    /// scans it whole.
+    inserted: Vec<(u32, u32)>,
+}
+
+/// Vehicle `k`'s side of a [`PlanStore`].
+#[derive(Debug)]
+struct Column {
+    /// What a cell of this vehicle no row stores reads as.
+    fallback: PlanScore,
+    /// This vehicle's `(start, end)` run of [`PlanStore::swept`].
+    stored: (u32, u32),
 }
 
 impl PlanStore {
@@ -255,22 +484,42 @@ impl PlanStore {
         let row = &self.rows[i];
         match row.binary_search_by_key(&(k as u32), |e| e.0) {
             Ok(p) => Some(row[p].1),
-            Err(_) => self.fallback.get(k).copied(),
+            Err(_) => self.columns.get(k).map(|c| c.fallback),
         }
     }
 
-    /// Applies one commit-delta cell: `Some` is the freshly evaluated score
-    /// of `(i, k)`, `None` means the bound pruned it, i.e. the cell now
-    /// reads as `fallback[k]` (which the caller refreshed first). A pruned
-    /// cell overwrites a stored one but is never inserted.
-    fn apply_delta(&mut self, i: usize, k: usize, score: Option<PlanScore>) {
+    /// Stores the freshly evaluated score of commit-delta cell `(i, k)`,
+    /// inserting the cell (and indexing it) if the row did not hold it.
+    fn store(&mut self, i: usize, k: usize, score: PlanScore) {
         let row = &mut self.rows[i];
-        match (row.binary_search_by_key(&(k as u32), |e| e.0), score) {
-            (Ok(p), Some(score)) => row[p].1 = score,
-            (Ok(p), None) => row[p].1 = self.fallback[k],
-            (Err(p), Some(score)) => row.insert(p, (k as u32, score)),
-            (Err(_), None) => {}
+        match row.binary_search_by_key(&(k as u32), |e| e.0) {
+            Ok(p) => row[p].1 = score,
+            Err(p) => {
+                row.insert(p, (k as u32, score));
+                self.inserted.push((i as u32, k as u32));
+            }
         }
+    }
+
+    /// Overwrites the stored cell `(i, k)` — one [`PlanStore::stored_rows`]
+    /// listed — with `k`'s fallback (which the caller refreshed first): a
+    /// commit delta pruned it.
+    fn prune_stored(&mut self, i: usize, k: usize) {
+        let row = &mut self.rows[i];
+        let p = row
+            .binary_search_by_key(&(k as u32), |e| e.0)
+            .expect("the column index lists stored cells only");
+        row[p].1 = self.columns[k].fallback;
+    }
+
+    /// The rows of a sharded batch that store a cell of vehicle `k`.
+    fn stored_rows(&self, k: usize) -> impl Iterator<Item = usize> + '_ {
+        let (start, end) = self.columns[k].stored;
+        let inserted = self.inserted.iter().filter(move |c| c.1 as usize == k);
+        self.swept[start as usize..end as usize]
+            .iter()
+            .chain(inserted)
+            .map(|c| c.0 as usize)
     }
 
     /// Whether any vehicle currently has a feasible plan for row `i`.
@@ -292,10 +541,10 @@ impl PlanStore {
         order: &Order,
     ) -> Vec<PlannerOutput> {
         let mut stored = self.rows[i].iter().peekable();
-        let cells = self.fallback.iter().enumerate().map(|(k, fallback)| {
+        let cells = self.columns.iter().enumerate().map(|(k, column)| {
             let score = match stored.next_if(|e| e.0 as usize == k) {
                 Some(e) => &e.1,
-                None => fallback,
+                None => &column.fallback,
             };
             planner.materialise(score, &views[k], order)
         });
@@ -316,18 +565,38 @@ struct BatchInner {
     /// The epoch's plan matrix (complete rows for the flat scan,
     /// candidate-sparse under sharding).
     plans: PlanStore,
-    /// Which epoch orders have been resolved already.
-    decided: Vec<bool>,
+    /// The epoch orders nobody resolved yet, ascending: the rows commit
+    /// deltas maintain. [`DecisionBatch::resolve`] removes its order.
+    undecided: Vec<u32>,
     /// Per-order commit records, filled by `resolve`.
     commits: Vec<Option<CommitRecord>>,
     /// Sharded-sweep work accounting (initial matrix plus commit deltas);
     /// zero cells when the batch runs unsharded.
     stats: ShardStats,
-    /// Commit scratch: the still-undecided rows of the current acceptance.
-    undecided: Vec<usize>,
+    /// Sharded batches only: per epoch order, what a commit delta
+    /// classifies its cell with (empty when the batch runs unsharded).
+    delta_rows: Vec<DeltaRow>,
+    /// Acceptances committed so far: the stamp [`DeltaRow::holds`] is
+    /// compared against.
+    acceptances: u32,
     /// Commit scratch: the accepting vehicle's schedule cache, rebuilt in
     /// place per acceptance.
     column_cache: ScheduleCache,
+}
+
+/// One epoch order as a commit delta sees it: the order-only half of the
+/// exact bound and the order's shard are fixed for the epoch (the sweep's
+/// classification computed both; see [`SweepBuffers`]), so a delta cell
+/// costs the accepting vehicle's anchor → pickup leg and a comparison.
+#[derive(Debug)]
+struct DeltaRow {
+    /// [`RoutePlanner::prune_probe`] of the order.
+    probe: PruneProbe,
+    /// Shard of the order's pickup node under the epoch's partition.
+    shard: u32,
+    /// Stamp of the latest acceptance whose vehicle this row stores a cell
+    /// of (see [`PlanStore::stored_rows`]); 0 = none yet.
+    holds: u32,
 }
 
 /// All orders flushed at one decision epoch, sharing one fleet snapshot.
@@ -382,8 +651,16 @@ impl<'a> DecisionBatch<'a> {
     /// Each vehicle's [`ScheduleCache`] — prefix/suffix schedule passes and
     /// the current route length `d_{t,k}` — is built **once** here and
     /// shared by every order of the batch, instead of being recomputed per
-    /// `(order, vehicle)` cell: the sweep costs `K` cache builds plus
-    /// `B x K` O(n²) incremental evaluations.
+    /// `(order, vehicle)` cell, and idle twins (see the module docs) share
+    /// one cache and one evaluation per order between them: the sweep
+    /// costs one cache build per vehicle *or twin group* that has a cell to
+    /// score, plus one O(n²) incremental evaluation per distinct
+    /// `(order, vehicle-or-group)` among the cells classification kept.
+    /// Both arms below hand their cells to the same
+    /// `EpochScratch::score_cells`; they differ in which cells exist
+    /// (all of them, row-major / the sharded sweep's survivors,
+    /// vehicle-major) and in keeping the survivors' list as the store's
+    /// column index.
     #[allow(clippy::too_many_arguments)] // crate-private; mirrors the fields
     pub(crate) fn new(
         now: TimePoint,
@@ -401,45 +678,45 @@ impl<'a> DecisionBatch<'a> {
         let views: Vec<VehicleView> = states.iter().map(|s| s.view.clone()).collect();
         let planner = RoutePlanner::new(net, fleet, orders);
         let epoch = &epoch_orders;
-        let views_ref = &views;
         let active_ref = active.as_deref();
-        let is_active = |k: usize| active_ref.is_none_or(|a| a[k]);
+        let k_n = views.len();
         let mut stats = ShardStats::default();
-        let rows = match shards.as_ref().filter(|c| c.map.num_shards() > 1) {
+        let (rows, swept, delta_rows) = match shards.as_ref().filter(|c| c.map.num_shards() > 1) {
             None => {
-                // Schedule caches only for available vehicles; a masked
-                // vehicle's plans are `best: None` with its exact route
-                // length, so the mask is value-identical everywhere it
-                // is applied (flat or sharded, any thread count). The
-                // caches are rebuilt in place inside the epoch scratch
-                // arena, not freshly allocated.
-                scratch.rebuild_caches(&planner, &views, &pool, is_active);
-                let scr = &*scratch;
-                let k_n = views.len();
-                let mut flat = pool
-                    .par_map(epoch.len() * k_n, |idx| {
-                        let (i, k) = (idx / k_n, idx % k_n);
-                        match scr.cache(k) {
-                            Some(cache) => planner.score_cached(
-                                cache,
-                                &views_ref[k],
-                                &orders[epoch[i].index()],
-                            ),
-                            None => planner.pruned_score(None, &views_ref[k]),
-                        }
+                // Every cell, row-major. A masked vehicle has no schedule
+                // cache and scores as pruned — `best: None` with its exact
+                // route length — so the mask is value-identical everywhere
+                // it is applied (flat or sharded, any thread count).
+                let cell = |idx: usize| (idx / k_n, idx % k_n);
+                let scores = scratch.score_cells(
+                    &planner,
+                    &views,
+                    epoch,
+                    active_ref,
+                    &pool,
+                    epoch.len() * k_n,
+                    cell,
+                );
+                let mut score_of = scratch.score_of.iter();
+                let rows = (0..epoch.len())
+                    .map(|_| {
+                        let row = (0..k_n as u32).zip(score_of.by_ref());
+                        row.map(|(k, &s)| (k, scores[s as usize])).collect()
                     })
-                    .into_iter();
-                (0..epoch.len())
-                    .map(|_| (0..k_n as u32).zip(flat.by_ref()).collect())
-                    .collect()
+                    .collect();
+                (rows, Vec::new(), Vec::new())
             }
             Some(ctx) => {
-                // Sharded sweep: classify every cell, run the surviving
+                // Sharded sweep: classify every cell, score the surviving
                 // cells shard-grouped across the pool, and store them as
                 // candidate-sparse rows over the per-vehicle pruned
                 // fallback. Every pruned cell's output is bit-identical to
                 // what its full evaluation would have produced (see
-                // crate::sweep), so queries cannot tell the difference.
+                // crate::sweep), so queries cannot tell the difference. A
+                // vehicle whose whole column pruned gets no schedule cache
+                // (its `d_{t,k}` comes from `Route::length`, which
+                // accumulates the same legs in the same order as the
+                // cache's forward pass).
                 let epoch_refs: Vec<&Order> = epoch.iter().map(|id| &orders[id.index()]).collect();
                 let sweep = plan_sweep(
                     ctx,
@@ -451,56 +728,63 @@ impl<'a> DecisionBatch<'a> {
                     &mut scratch.sweep,
                 );
                 stats = sweep.stats;
-                let work = &sweep.work;
-                // Schedule caches are only needed by vehicles with at
-                // least one surviving cell — a vehicle whose whole column
-                // pruned skips the build entirely (its `d_{t,k}` comes
-                // from `Route::length`, which accumulates the same legs in
-                // the same order as the cache's forward pass, so the
-                // emitted value is bit-identical either way). The `needed`
-                // mask is lifted out of the scratch while `rebuild_caches`
-                // borrows it mutably, then restored.
-                let mut needed = std::mem::take(&mut scratch.needed);
-                needed.clear();
-                needed.resize(views.len(), false);
-                for &(_, k) in work.iter() {
-                    needed[k as usize] = true;
-                }
-                scratch.rebuild_caches(&planner, &views, &pool, |k| needed[k]);
-                scratch.needed = needed;
-                let scr = &*scratch;
-                let outs = pool.par_map(work.len(), |w| {
-                    let (i, k) = (work[w].0 as usize, work[w].1 as usize);
-                    let cache = scr
-                        .cache(k)
-                        .expect("every work cell's vehicle is in `needed`");
-                    planner.score_cached(cache, &views_ref[k], epoch_refs[i])
-                });
-                // `work` is vehicle-shard-major, so a row's cells arrive
+                let work = sweep.work;
+                let cell = |w: usize| (work[w].0 as usize, work[w].1 as usize);
+                let scores = scratch.score_cells(
+                    &planner,
+                    &views,
+                    epoch,
+                    active_ref,
+                    &pool,
+                    work.len(),
+                    cell,
+                );
+                stats.shared = work.len() - scores.len();
+                // `work` is vehicle-major, so a row's cells arrive
                 // scattered: count them first and size every row exactly.
-                let mut row_len = vec![0usize; epoch_refs.len()];
-                for &(i, _) in work.iter() {
+                let row_len = &mut scratch.row_len;
+                row_len.clear();
+                row_len.resize(epoch.len(), 0);
+                for &(i, _) in &work {
                     row_len[i as usize] += 1;
                 }
                 let mut rows: Vec<Vec<(u32, PlanScore)>> =
-                    row_len.into_iter().map(Vec::with_capacity).collect();
-                for (&(i, k), out) in work.iter().zip(outs) {
-                    rows[i as usize].push((k, out));
+                    row_len.iter().map(|&n| Vec::with_capacity(n)).collect();
+                for (&(i, k), &s) in work.iter().zip(&scratch.score_of) {
+                    rows[i as usize].push((k, scores[s as usize]));
                 }
                 for row in &mut rows {
                     row.sort_unstable_by_key(|e| e.0);
                 }
-                rows
+                // What the classification computed per order, kept for the
+                // commit deltas to classify with.
+                let sweep = &scratch.sweep;
+                let delta_rows = (sweep.probes.iter().zip(&sweep.order_shard))
+                    .map(|(&probe, &shard)| DeltaRow {
+                        probe,
+                        shard,
+                        holds: 0,
+                    })
+                    .collect();
+                (rows, work, delta_rows)
             }
         };
-        // A pruned cell's score depends only on the vehicle (`best: None`
-        // plus its `d_{t,k}`), so it is computed once per vehicle instead
-        // of materialising a `B x K` canvas.
-        let fallback = (0..views.len())
-            .map(|k| planner.pruned_score(scratch.cache(k), &views[k]))
-            .collect();
-        let plans = PlanStore { rows, fallback };
-        let decided = vec![false; epoch_orders.len()];
+        let mut columns = scratch.columns(&planner, &views);
+        // The column index is the work list itself, moved: each vehicle's
+        // cells are one run of it, found by walking it once.
+        let mut start = 0;
+        for run in swept.chunk_by(|a, b| a.1 == b.1) {
+            let end = start + run.len() as u32;
+            columns[run[0].1 as usize].stored = (start, end);
+            start = end;
+        }
+        let plans = PlanStore {
+            rows,
+            columns,
+            swept,
+            inserted: Vec::new(),
+        };
+        let undecided = (0..epoch_orders.len() as u32).collect();
         let commits = (0..epoch_orders.len()).map(|_| None).collect();
         DecisionBatch {
             now,
@@ -516,10 +800,11 @@ impl<'a> DecisionBatch<'a> {
                 states,
                 views,
                 plans,
-                decided,
+                undecided,
                 commits,
                 stats,
-                undecided: Vec::new(),
+                delta_rows,
+                acceptances: 0,
                 column_cache: ScheduleCache::default(),
             }),
         }
@@ -698,7 +983,7 @@ impl<'a> DecisionBatch<'a> {
     pub fn with_context<R>(&self, i: usize, f: impl FnOnce(&DispatchContext<'_>) -> R) -> R {
         let inner = self.inner.borrow();
         assert!(
-            !inner.decided[i],
+            inner.commits[i].is_none(),
             "order {} already resolved: its row is no longer maintained",
             self.epoch_orders[i]
         );
@@ -740,11 +1025,15 @@ impl<'a> DecisionBatch<'a> {
     pub fn resolve(&self, i: usize, choice: Option<VehicleId>) -> Decision {
         let mut inner = self.inner.borrow_mut();
         assert!(
-            !inner.decided[i],
+            inner.commits[i].is_none(),
             "order {} resolved twice in one batch",
             self.epoch_orders[i]
         );
-        inner.decided[i] = true;
+        let at = inner
+            .undecided
+            .binary_search(&(i as u32))
+            .expect("an order without a commit record is undecided");
+        inner.undecided.remove(at);
         let oid = self.epoch_orders[i];
         let (decision, assignment) = Self::commit(&mut inner, self, i, oid, choice);
         inner.commits[i] = Some(CommitRecord {
@@ -776,9 +1065,10 @@ impl<'a> DecisionBatch<'a> {
             states,
             views,
             plans,
-            decided,
-            stats,
             undecided,
+            stats,
+            delta_rows,
+            acceptances,
             column_cache,
             ..
         } = inner;
@@ -814,30 +1104,41 @@ impl<'a> DecisionBatch<'a> {
         // escalation here — a single column has no ranking to run), which
         // is bit-identical to replanning every cell. A pruned cell's value
         // is the vehicle's new fallback, written once below, so a pruned
-        // delta cell costs its bound check and nothing else.
-        undecided.clear();
-        undecided.extend((0..decided.len()).filter(|&j| !decided[j]));
+        // delta cell costs its bound check and — unless the column index
+        // says the row stores a now stale cell of `k` — touches no row.
         let view = &views[k.index()];
         planner.cache_into(column_cache, view);
         let cache = &*column_cache;
-        let shard_ctx = batch.shards.as_ref().filter(|c| c.map.num_shards() > 1);
-        let vehicle_shard = shard_ctx.map(|c| c.map.shard_of(view.anchor_node));
-        plans.fallback[k.index()] = planner.pruned_score(Some(cache), view);
+        plans.columns[k.index()].fallback = planner.pruned_score(Some(cache), view);
+        let sharded = batch.shards.as_ref().filter(|c| c.map.num_shards() > 1);
+        let vehicle_shard = sharded.map(|c| c.map.shard_of(view.anchor_node) as u32);
+        *acceptances += 1;
+        let stamp = *acceptances;
+        if vehicle_shard.is_some() {
+            for j in plans.stored_rows(k.index()) {
+                delta_rows[j].holds = stamp;
+            }
+        }
+        let delta_rows = &*delta_rows;
         let (orders, epoch) = (batch.orders, &batch.epoch_orders);
-        // `(score, foreign)` of delta cell `(j, k)`; `None` = pruned.
+        // `(score, foreign)` of delta cell `(j, k)`; `None` = pruned. The
+        // stored probe runs the float expression `provably_infeasible`
+        // would (see `PruneProbe::prunes`).
         let replan = |j: usize| {
             let order = &orders[epoch[j].index()];
-            let foreign = match (shard_ctx, vehicle_shard) {
-                (Some(ctx), Some(vs)) => ctx.map.shard_of(order.pickup) != vs,
-                _ => false,
+            // (`delta_rows` is empty, and unread, when the batch is flat.)
+            let foreign = vehicle_shard.is_some_and(|vs| delta_rows[j].shard != vs);
+            let pruned = foreign && {
+                let to_pickup = planner.leg_time(view.anchor_node, order.pickup);
+                delta_rows[j].probe.prunes(view.anchor_time, to_pickup)
             };
-            if foreign && planner.provably_infeasible(view, order) {
+            if pruned {
                 return (None, foreign);
             }
             (Some(planner.score_cached(cache, view, order)), foreign)
         };
         let mut record = |j: usize, (score, foreign): (Option<PlanScore>, bool)| {
-            if shard_ctx.is_some() {
+            if vehicle_shard.is_some() {
                 stats.cells += 1;
                 match score {
                     None => stats.pruned += 1,
@@ -847,7 +1148,11 @@ impl<'a> DecisionBatch<'a> {
                     }
                 }
             }
-            plans.apply_delta(j, k.index(), score);
+            match score {
+                Some(score) => plans.store(j, k.index(), score),
+                None if delta_rows[j].holds == stamp => plans.prune_stored(j, k.index()),
+                None => {}
+            }
         };
         // Columns are usually short next to the pool's wake/join latency;
         // replan them inline below this size (the values are identical
@@ -855,14 +1160,14 @@ impl<'a> DecisionBatch<'a> {
         const PAR_COLUMN_MIN: usize = 256;
         if undecided.len() < PAR_COLUMN_MIN {
             for &j in undecided.iter() {
-                record(j, replan(j));
+                record(j as usize, replan(j as usize));
             }
         } else {
             let fresh = batch
                 .pool
-                .par_map(undecided.len(), |u| replan(undecided[u]));
+                .par_map(undecided.len(), |u| replan(undecided[u] as usize));
             for (&j, cell) in undecided.iter().zip(fresh) {
-                record(j, cell);
+                record(j as usize, cell);
             }
         }
         (

@@ -47,17 +47,36 @@ fn batch(inst: &Instance) -> DecisionBatch<'_> {
     batch_with(inst, None, &mut EpochScratch::default())
 }
 
-/// The 08:00 epoch over every order of `inst`, on a serial pool.
+/// The 08:00 epoch over every order of `inst`, on a serial pool, every
+/// vehicle idle at its depot.
 fn batch_with<'a>(
     inst: &'a Instance,
     shards: Option<ShardContext>,
     scratch: &mut EpochScratch,
 ) -> DecisionBatch<'a> {
+    batch_of(inst, idle_fleet(inst), None, shards, scratch)
+}
+
+/// `inst`'s fleet at 08:00, nothing accepted yet.
+fn idle_fleet(inst: &Instance) -> Vec<VehicleState> {
     let now = TimePoint::from_hours(NOW_H);
     let mut states: Vec<VehicleState> = inst.fleet.vehicles.iter().map(VehicleState::new).collect();
     for s in &mut states {
         s.advance_to(now, &inst.network, &inst.fleet, inst.orders());
     }
+    states
+}
+
+/// The 08:00 epoch over every order of `inst` for the given vehicle states
+/// and availability mask, on a serial pool.
+fn batch_of<'a>(
+    inst: &'a Instance,
+    states: Vec<VehicleState>,
+    active: Option<Vec<bool>>,
+    shards: Option<ShardContext>,
+    scratch: &mut EpochScratch,
+) -> DecisionBatch<'a> {
+    let now = TimePoint::from_hours(NOW_H);
     DecisionBatch::new(
         now,
         inst.grid.interval_of(now),
@@ -68,7 +87,7 @@ fn batch_with<'a>(
         states,
         Arc::new(ThreadPool::serial()),
         shards,
-        None,
+        active,
         scratch,
     )
 }
@@ -210,13 +229,18 @@ fn two_towns(num_vehicles: usize, specs: &[OrderSpec]) -> Instance {
     Instance::new(net, fleet, IntervalGrid::paper_default(), orders).unwrap()
 }
 
-/// The epoch over every order of `inst`, flat or under a two-shard map
-/// (escalation 0, so foreign cells survive on the bound alone).
-fn town_batch(inst: &Instance, sharded: bool) -> DecisionBatch<'_> {
-    let shards = sharded.then(|| ShardContext {
+/// The two-shard map of a two-town instance (escalation 0, so foreign
+/// cells survive on the bound alone), or `None` for the flat scan.
+fn town_shards(inst: &Instance, sharded: bool) -> Option<ShardContext> {
+    sharded.then(|| ShardContext {
         map: Arc::new(ShardMap::build(&inst.network, 2, ShardPolicy::default(), 7)),
         escalation: 0,
-    });
+    })
+}
+
+/// The epoch over every order of `inst`, flat or under the two-shard map.
+fn town_batch(inst: &Instance, sharded: bool) -> DecisionBatch<'_> {
+    let shards = town_shards(inst, sharded);
     batch_with(inst, shards, &mut EpochScratch::default())
 }
 
@@ -228,6 +252,203 @@ fn stored_vehicles(b: &DecisionBatch<'_>, i: usize) -> Vec<u32> {
 
 fn dense_row(b: &DecisionBatch<'_>, i: usize) -> Vec<PlannerOutput> {
     b.with_context(i, |ctx| ctx.plans.to_vec())
+}
+
+/// The mixed fleet: idle twins plus one of every vehicle that looks like a
+/// twin and is not. By vehicle id (even ids are homed in town A):
+/// 0, 2, 4 idle at A's depot and 3, 5, 9 idle at B's — the twin groups —
+/// then the five below; ids from 11 on are more idle twins.
+const MIXED_FLEET: usize = 11;
+/// Broken down at B's depot: the lowest id there, so it would lead B's
+/// group if a stripped route made a twin.
+const MASKED: usize = 1;
+/// At A's depot with an empty route, but its last leg ends at 08:45.
+const LATE: usize = 6;
+/// Idle at A's depot, homed at B's.
+const FAR_HOME: usize = 7;
+/// Idle at A's depot with a unit of order 1's cargo on board and no stop
+/// left to deliver it (no feasible insertion exists).
+const LOADED: usize = 8;
+/// Back at A's depot after an earlier job: a twin in everything but
+/// `used` and the odometer.
+const RETURNED: usize = 10;
+
+fn mixed_fleet(inst: &Instance) -> (Vec<VehicleState>, Vec<bool>) {
+    assert!(inst.fleet.vehicles.len() >= MIXED_FLEET);
+    let mut states = idle_fleet(inst);
+    let mut active = vec![true; states.len()];
+    states[MASKED].broken = true;
+    active[MASKED] = false;
+    states[LATE].view.anchor_time = TimePoint::from_hours(NOW_H + 0.75);
+    states[FAR_HOME].view.anchor_node = NodeId(0);
+    states[LOADED].view.onboard.push((OrderId(1), 1.0));
+    states[RETURNED].view.used = true;
+    states[RETURNED].traveled = 30.0;
+    (states, active)
+}
+
+/// The hook's epoch plus a half-hour town-A order only a vehicle free at
+/// 08:00 can serve, over the mixed fleet.
+fn mixed_instance() -> Instance {
+    two_towns(MIXED_FLEET, &epoch_specs(vec![(false, 1, 1, 0.5)]))
+}
+
+fn mixed_batch(inst: &Instance, sharded: bool) -> (DecisionBatch<'_>, EpochScratch) {
+    let (states, active) = mixed_fleet(inst);
+    let mut scratch = EpochScratch::default();
+    let shards = town_shards(inst, sharded);
+    let batch = batch_of(inst, states, Some(active), shards, &mut scratch);
+    (batch, scratch)
+}
+
+/// Algorithm 2 on nothing but vehicle `k`'s own view — what cell `(i, k)`
+/// must read as whoever computed it; a masked vehicle offers no plan.
+fn own_plan(b: &DecisionBatch<'_>, i: usize, k: usize) -> PlannerOutput {
+    let planner = RoutePlanner::new(b.net, b.fleet, b.orders);
+    let view = b.inner.borrow().views[k].clone();
+    if b.vehicle_active(VehicleId::from_index(k)) {
+        planner.plan(&view, b.order(i))
+    } else {
+        planner.materialise(&planner.pruned_score(None, &view), &view, b.order(i))
+    }
+}
+
+fn assert_row_is_own_plans(b: &DecisionBatch<'_>, i: usize) {
+    for (k, plan) in dense_row(b, i).into_iter().enumerate() {
+        assert_eq!(plan, own_plan(b, i, k), "order {i} on vehicle {k}");
+    }
+}
+
+/// The groups the mixed fleet forms: A's idle vehicles and the returned
+/// one follow vehicle 0, B's unmasked ones follow vehicle 3, and each
+/// look-alike stands for itself.
+#[test]
+fn mixed_fleet_groups_only_its_idle_twins() {
+    let inst = mixed_instance();
+    for sharded in [false, true] {
+        let (b, scratch) = mixed_batch(&inst, sharded);
+        assert_eq!(scratch.twin_rep, [0, 1, 0, 3, 0, 3, 6, 7, 8, 3, 0]);
+        assert_eq!(scratch.twin_groups, 2);
+        for i in 0..b.len() {
+            assert_row_is_own_plans(&b, i);
+        }
+    }
+}
+
+/// Same node, different depot: the route home differs, so both `d_{t,k}`
+/// and the best insertion's length do.
+#[test]
+fn idle_vehicles_with_different_depots_do_not_share() {
+    let inst = mixed_instance();
+    for sharded in [false, true] {
+        let (b, _) = mixed_batch(&inst, sharded);
+        let row = dense_row(&b, 1);
+        assert_eq!(row[0].current_length, 0.0);
+        assert_eq!(row[FAR_HOME].current_length, 300.0);
+        assert!(row[FAR_HOME].best_length() > row[0].best_length());
+        for i in 0..b.len() {
+            assert_eq!(dense_row(&b, i)[FAR_HOME], own_plan(&b, i, FAR_HOME));
+        }
+    }
+}
+
+/// Same node and depot, but one is still driving its last leg (`route`
+/// empty, `anchor_time > now`): the half-hour order is out of its reach.
+#[test]
+fn a_vehicle_still_driving_its_last_leg_does_not_share() {
+    let inst = mixed_instance();
+    for sharded in [false, true] {
+        let (b, _) = mixed_batch(&inst, sharded);
+        let tight = b.len() - 1;
+        let row = dense_row(&b, tight);
+        assert!(row[0].feasible() && row[2].feasible());
+        assert!(!row[LATE].feasible());
+        for i in 0..b.len() {
+            assert_eq!(dense_row(&b, i)[LATE], own_plan(&b, i, LATE));
+        }
+    }
+}
+
+/// Cargo on board and an empty route is not idle, whatever the route
+/// looks like: nothing can be inserted behind an undeliverable load.
+#[test]
+fn a_vehicle_with_cargo_on_board_does_not_share() {
+    let inst = mixed_instance();
+    for sharded in [false, true] {
+        let (b, _) = mixed_batch(&inst, sharded);
+        for i in 0..b.len() {
+            let row = dense_row(&b, i);
+            assert!(!row[LOADED].feasible());
+            assert_eq!(row[LOADED], own_plan(&b, i, LOADED));
+        }
+        assert!(dense_row(&b, 1)[0].feasible());
+    }
+}
+
+/// A broken-down vehicle's stripped route looks idle. It stays
+/// `best: None`, and B's twins are scored although the lowest id at their
+/// depot is the masked one.
+#[test]
+fn a_masked_vehicle_among_idle_twins_neither_borrows_nor_lends() {
+    let inst = mixed_instance();
+    for sharded in [false, true] {
+        let (b, _) = mixed_batch(&inst, sharded);
+        assert!(!b.vehicle_active(VehicleId::from_index(MASKED)));
+        for i in 0..b.len() {
+            let row = dense_row(&b, i);
+            assert!(!row[MASKED].feasible());
+            assert_eq!(row[MASKED].current_length, 0.0);
+            for k in [3, 5, 9] {
+                assert_eq!(row[k], own_plan(&b, i, k));
+            }
+        }
+        // Order 2 is the tight town-B one.
+        let row = dense_row(&b, 2);
+        assert!(row[3].feasible() && row[5].feasible() && row[9].feasible());
+        let choice = Some(VehicleId::from_index(MASKED));
+        let reason = DecisionReason::InfeasibleChoice;
+        assert_eq!(b.resolve(2, choice).reason, reason);
+    }
+}
+
+/// `used` and the odometer are not Algorithm 2 inputs: a vehicle that
+/// returned to its depot shares with the never-used ones parked there,
+/// and a policy still reads its own `used` flag off the snapshot.
+#[test]
+fn a_used_and_returned_vehicle_shares_and_keeps_its_used_flag() {
+    let inst = mixed_instance();
+    for sharded in [false, true] {
+        let (b, scratch) = mixed_batch(&inst, sharded);
+        assert_eq!(scratch.twin_rep[RETURNED], 0);
+        for i in 0..b.len() {
+            let row = dense_row(&b, i);
+            assert_eq!(row[RETURNED], row[0]);
+            assert_eq!(row[RETURNED], own_plan(&b, i, RETURNED));
+        }
+        let used: Vec<bool> = b.with_context(1, |ctx| ctx.views.iter().map(|v| v.used).collect());
+        assert!(used[RETURNED] && !used[0]);
+        // Taking the order leaves the group: the others still share.
+        b.resolve(0, Some(VehicleId::from_index(RETURNED)));
+        for i in 1..b.len() {
+            assert_row_is_own_plans(&b, i);
+        }
+    }
+}
+
+/// A sharded epoch counts what the twins saved: of the cells classified
+/// for evaluation, all but one per `(order, group)` are shared.
+#[test]
+fn shared_counts_the_cells_copied_from_a_twin() {
+    let inst = mixed_instance();
+    let (b, _) = mixed_batch(&inst, true);
+    let stats = b.shard_stats();
+    // Town A's group has four members, town B's three; the hook (order 0)
+    // is loose enough for both towns, the other three are in-town only.
+    let a_rows = 3; // orders 0, 1, 3
+    let b_rows = 2; // orders 0, 2
+    assert_eq!(stats.shared, a_rows * 3 + b_rows * 2);
+    assert!(stats.shared < stats.evaluated);
+    assert_eq!(town_batch(&inst, false).shard_stats().shared, 0);
 }
 
 /// The hook (a loose town-B order vehicle 0 of town A accepts first, which
@@ -252,19 +473,25 @@ proptest! {
     /// metric network — the insert is what keeps that a checked fact
     /// instead of an assumption.) The work counters are recomputed here
     /// from the public classification rule and must match `shard_stats`.
+    ///
+    /// The fleet is the mixed one — at least three idle twins per depot
+    /// plus every look-alike — so both batches score most cells once per
+    /// group, and every row shown must also be Algorithm 2 run per cell on
+    /// the vehicle's own view.
     #[test]
     fn sharded_rows_match_flat_rows_through_commits(
-        num_vehicles in 2usize..7,
+        more_twins in 0usize..4,
         extra in proptest::collection::vec(
             (proptest::bool::ANY, 0usize..4, 0usize..3, 0.5f64..2.0),
             0..6,
         ),
-        picks in proptest::collection::vec(0usize..8, 9),
+        picks in proptest::collection::vec(0usize..16, 9),
     ) {
-        let inst = two_towns(num_vehicles, &epoch_specs(extra));
+        let inst = two_towns(MIXED_FLEET + more_twins, &epoch_specs(extra));
         let planner = RoutePlanner::new(&inst.network, &inst.fleet, inst.orders());
-        let flat = town_batch(&inst, false);
-        let sharded = town_batch(&inst, true);
+        let (flat, _) = mixed_batch(&inst, false);
+        let (sharded, _) = mixed_batch(&inst, true);
+        prop_assert!(sharded.shard_stats().shared > 0);
         let b = flat.len();
         let mut picks = picks.into_iter();
         let initial: Vec<usize> = (0..b).map(|j| stored_vehicles(&sharded, j).len()).collect();
@@ -274,6 +501,7 @@ proptest! {
         for i in 0..b {
             for j in i..b {
                 prop_assert_eq!(dense_row(&sharded, j), dense_row(&flat, j), "row {} at step {}", j, i);
+                assert_row_is_own_plans(&flat, j);
             }
             let choice = if i == 0 {
                 Some(VehicleId(0))
@@ -325,6 +553,51 @@ proptest! {
     }
 }
 
+/// The column index must also list the cells a delta *inserted*: the
+/// initial sweep pruned `(tight town-B order, vehicle 2)`, so vehicle 2's
+/// run does not list that row. Once a delta has stored the cell (done by
+/// hand here, with a score nothing computes), the next acceptance on
+/// vehicle 2 prunes it again and has to find it — through `inserted` — to
+/// overwrite it with the refreshed fallback. Without that list the stale
+/// score would stay and the row would no longer read as the flat scan's.
+#[test]
+fn a_cell_a_delta_inserted_is_overwritten_by_the_next_acceptance_on_its_vehicle() {
+    let inst = two_towns(4, &epoch_specs(Vec::new()));
+    let (flat, sharded) = (town_batch(&inst, false), town_batch(&inst, true));
+    let (town_a_order, town_b_order, k) = (1, 2, 2);
+    assert!(!stored_vehicles(&sharded, town_b_order).contains(&(k as u32)));
+    let stale = PlanScore {
+        current_length: -1.0,
+        best: None,
+    };
+    sharded
+        .inner
+        .borrow_mut()
+        .plans
+        .store(town_b_order, k, stale);
+    assert_eq!(
+        sharded.inner.borrow().plans.inserted,
+        [(town_b_order as u32, k as u32)]
+    );
+    assert_eq!(
+        sharded.inner.borrow().plans.cell(town_b_order, k),
+        Some(stale)
+    );
+
+    let choice = Some(VehicleId::from_index(k));
+    assert!(sharded.resolve(town_a_order, choice).is_assigned());
+    assert!(flat.resolve(town_a_order, choice).is_assigned());
+    let inner = sharded.inner.borrow();
+    let fallback = inner.plans.columns[k].fallback;
+    assert!(fallback.current_length > 0.0, "vehicle 2 has a route now");
+    assert_eq!(inner.plans.cell(town_b_order, k), Some(fallback));
+    drop(inner);
+    assert_eq!(
+        dense_row(&sharded, town_b_order),
+        dense_row(&flat, town_b_order)
+    );
+}
+
 /// `shard_stats` counts commit-delta cells exactly as it did when pruned
 /// delta cells were still written into the rows: the counters of this
 /// fixed epoch — after the initial sweep and after a first-feasible
@@ -340,13 +613,14 @@ fn shard_stats_count_commit_deltas_as_before() {
     ];
     let inst = two_towns(6, &epoch_specs(extra));
     let batch = town_batch(&inst, true);
-    let stats = |cells, evaluated, pruned, escalated| ShardStats {
+    let stats = |cells, evaluated, pruned, escalated, shared| ShardStats {
         cells,
         evaluated,
         pruned,
         escalated,
+        shared,
     };
-    assert_eq!(batch.shard_stats(), stats(48, 27, 21, 3));
+    assert_eq!(batch.shard_stats(), stats(48, 27, 21, 3, 18));
     for i in 0..batch.len() {
         let choice = if i == 0 {
             Some(VehicleId(0))
@@ -359,5 +633,5 @@ fn shard_stats_count_commit_deltas_as_before() {
         };
         batch.resolve(i, choice);
     }
-    assert_eq!(batch.shard_stats(), stats(76, 39, 37, 3));
+    assert_eq!(batch.shard_stats(), stats(76, 39, 37, 3, 18));
 }

@@ -88,10 +88,17 @@
 //! the cells some sweep actually evaluated — every cell it omits was
 //! proven infeasible by the exact bound and reads as the vehicle's
 //! `best: None` fallback, so it could never win an argmin and a policy
-//! stays `O(work)` instead of `O(K)` per order. A row changes only when an
-//! acceptance commits: the accepting vehicle's cell is rescored for every
-//! still-undecided order, and cells the bound prunes again stay implicit
-//! (the vehicle's fallback is refreshed once). Positions only mean
+//! stays `O(work)` instead of `O(K)` per order. Filling the rows costs the
+//! epoch's *distinct* work: idle vehicles that share anchor node, anchor
+//! time and depot are one input to Algorithm 2, so each such group is
+//! scored once per order and the score copied into every member's cell
+//! (still one stored cell per member — readers cannot tell; the count is
+//! [`ShardStats::shared`]). A row changes only when an acceptance commits:
+//! the accepting vehicle's cell is rescored for every still-undecided
+//! order, and cells the bound prunes again stay implicit (the vehicle's
+//! fallback is refreshed once; a sharded batch keeps a per-vehicle column
+//! index, so only the rows that hold a cell of that vehicle are touched,
+//! not every row searched). Positions only mean
 //! something against the view they were scored on, so the row of a
 //! resolved order — which no commit rescores — can no longer be shown:
 //! `with_context` on it panics.

@@ -18,6 +18,9 @@
 //! 2. **Score** — in-cell `(order, vehicle)` pairs get the full insertion
 //!    sweep, grouped vehicle-shard-major into `dpdp-pool` tasks so each
 //!    cell's sweep runs concurrently against its own schedule caches.
+//!    Interchangeable idle vehicles (*idle twins*, see [`crate::batch`])
+//!    are scored once per order and group; classification neither knows
+//!    nor cares — it selects cells per vehicle, as before.
 //! 3. **Merge** — cross-cell pairs go through the deterministic
 //!    escalation rule: the `m` nearest foreign vehicles **in the order's
 //!    parent region** (ranked by anchor→pickup distance under
@@ -75,13 +78,22 @@ pub(crate) struct ShardContext {
 pub struct ShardStats {
     /// Total `(order, vehicle)` cells considered.
     pub cells: usize,
-    /// Cells that ran the full Algorithm 2 insertion sweep.
+    /// Cells classified for evaluation: every cell that is neither pruned
+    /// nor masked, i.e. whose score is a real Algorithm 2 result. Most ran
+    /// the insertion sweep themselves; [`ShardStats::shared`] of them were
+    /// handed an idle twin's result instead.
     pub evaluated: usize,
     /// Cross-shard cells skipped through the exact infeasibility bound.
     pub pruned: usize,
     /// Cross-shard cells evaluated in full (m-nearest escalation, or the
     /// bound could not rule them out).
     pub escalated: usize,
+    /// Evaluated cells of the initial sweep whose score was copied from an
+    /// *idle twin* — another parked vehicle with the same anchor node,
+    /// anchor time and depot, which Algorithm 2 cannot tell apart (see
+    /// [`crate::batch`]) — instead of running the sweep again. A subset of
+    /// `evaluated`; commit deltas rescore one vehicle and never share.
+    pub shared: usize,
 }
 
 impl ShardStats {
@@ -101,7 +113,11 @@ impl ShardStats {
 pub(crate) struct SweepPlan {
     /// `(order_index, vehicle_index)` cells to evaluate in full, grouped
     /// vehicle-shard-major (all of one region's vehicles are contiguous,
-    /// so pool chunks mostly stay inside one shard's caches).
+    /// so pool chunks mostly stay inside one shard's caches) and, inside a
+    /// shard, vehicle-major: each vehicle's cells are one contiguous run in
+    /// ascending order index. The batch keeps the list as its column index
+    /// (which rows store a cell of vehicle `k`), so this layout is a
+    /// contract, not an accident of the loop below.
     pub(crate) work: Vec<(u32, u32)>,
     /// Work accounting for the whole matrix.
     pub(crate) stats: ShardStats,
@@ -120,8 +136,9 @@ pub(crate) struct SweepPlan {
 pub(crate) struct SweepBuffers {
     /// Shard of each vehicle's anchor node.
     vehicle_shard: Vec<u32>,
-    /// Shard of each epoch order's pickup node.
-    order_shard: Vec<u32>,
+    /// Shard of each epoch order's pickup node. Read back by the batch,
+    /// whose commit deltas classify against the same partition.
+    pub(crate) order_shard: Vec<u32>,
     /// Vehicle indices grouped shard-major (counting sort output).
     vehicles_by_shard: Vec<u32>,
     /// Counting-sort bucket offsets (`num_shards + 1` entries).
@@ -144,8 +161,9 @@ pub(crate) struct SweepBuffers {
     leg: Vec<TimeDelta>,
     /// Parent region of each epoch order's shard.
     order_region: Vec<usize>,
-    /// Per-order prune probes (factored deadline bound).
-    probes: Vec<PruneProbe>,
+    /// Per-order prune probes (factored deadline bound). Read back by the
+    /// batch: a commit delta runs the same bound on the same orders.
+    pub(crate) probes: Vec<PruneProbe>,
     /// Escalation marks: `esc[i * m ..]` = order `i`'s escalated vehicles.
     esc: Vec<u32>,
     /// Running top-m selection buffer for the escalation ranking.
@@ -687,5 +705,16 @@ mod tests {
         let mut sorted = shards.clone();
         sorted.sort_unstable();
         assert_eq!(shards, sorted, "work must group by vehicle shard");
+        // Inside a shard the list is vehicle-major: a vehicle's cells are
+        // one run, rows ascending (the batch's column index is this list).
+        let runs: Vec<&[(u32, u32)]> = sweep.work.chunk_by(|a, b| a.1 == b.1).collect();
+        let mut vehicles: Vec<u32> = runs.iter().map(|run| run[0].1).collect();
+        assert_eq!(vehicles.len(), views.len(), "every vehicle has cells here");
+        vehicles.sort_unstable();
+        vehicles.dedup();
+        assert_eq!(vehicles.len(), runs.len(), "one run per vehicle");
+        for run in runs {
+            assert!(run.len() > 1 && run.is_sorted_by(|a, b| a.0 < b.0));
+        }
     }
 }

@@ -1,16 +1,25 @@
-//! Allocation budget of a commit delta on a sharded batch: a warmed-up
-//! acceptance allocates for its commit record — the one materialised plan,
-//! the pre-commit view, the adopted route — and nothing per delta cell,
-//! evaluated or pruned. A cell is a `Copy` score: rescoring one touches no
-//! allocator, and pruned cells stay implicit (they used to be written into
-//! every still-undecided row; evaluated ones used to own a boxed route and
-//! schedule each).
+//! Allocation budgets of a decision epoch.
+//!
+//! A commit delta on a sharded batch: a warmed-up acceptance allocates for
+//! its commit record — the one materialised plan, the pre-commit view, the
+//! adopted route — and nothing per delta cell, evaluated or pruned. A cell
+//! is a `Copy` score: rescoring one touches no allocator, and pruned cells
+//! stay implicit (they used to be written into every still-undecided row;
+//! evaluated ones used to own a boxed route and schedule each).
+//!
+//! The batch build over a fleet of idle twins: grouping the twins, the
+//! per-group score memo and the column index live in the episode's epoch
+//! arena or are moved, not copied, so a warmed-up build allocates no more
+//! than it did when every parked vehicle was scored on its own.
 
 use dpdp_net::{
     FleetConfig, Instance, IntervalGrid, Node, NodeId, Order, OrderId, Point, RoadNetwork,
     TimeDelta, TimePoint, VehicleId,
 };
-use dpdp_sim::{BufferingMode, Decision, DecisionBatch, Dispatcher, ShardConfig, Simulator};
+use dpdp_sim::{
+    BufferingMode, Decision, DecisionBatch, Dispatcher, EpochInfo, ShardConfig, SimObserver,
+    Simulator,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -47,10 +56,14 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
+
 fn allocations_of<R>(f: impl FnOnce() -> R) -> (usize, R) {
-    let before = ALLOCATIONS.with(Cell::get);
+    let before = allocations();
     let result = f();
-    (ALLOCATIONS.with(Cell::get) - before, result)
+    (allocations() - before, result)
 }
 
 /// What one warmed-up acceptance of this fixture allocates, however many
@@ -176,4 +189,119 @@ fn warmed_up_acceptance_allocates_only_its_commit_record() {
         [5, 4, 3, 2, 1, 0],
         "one delta cell per remaining town-A order"
     );
+}
+
+const TWIN_FLEET: usize = 24;
+const EPOCHS: usize = 3;
+const ORDERS_PER_EPOCH: usize = 10;
+
+/// Two towns 300 km apart with a depot each and twelve vehicles per depot;
+/// three hourly epochs of ten ninety-minute orders, five per town. Nobody
+/// is ever assigned, so every epoch sees the same two groups of twelve
+/// idle twins.
+fn twin_instance() -> Instance {
+    let nodes = vec![
+        Node::depot(NodeId(0), Point::new(0.0, 0.0)),
+        Node::depot(NodeId(1), Point::new(300.0, 0.0)),
+        Node::factory(NodeId(2), Point::new(4.0, 0.0)),
+        Node::factory(NodeId(3), Point::new(0.0, 5.0)),
+        Node::factory(NodeId(4), Point::new(304.0, 3.0)),
+        Node::factory(NodeId(5), Point::new(300.0, 4.0)),
+    ];
+    let net = RoadNetwork::euclidean(nodes, 1.0).unwrap();
+    let fleet = FleetConfig::homogeneous(
+        TWIN_FLEET,
+        &[NodeId(0), NodeId(1)],
+        10.0,
+        500.0,
+        2.0,
+        60.0,
+        TimeDelta::from_minutes(2.0),
+    )
+    .unwrap();
+    let orders = (0..EPOCHS * ORDERS_PER_EPOCH)
+        .map(|i| {
+            let created = TimePoint::from_hours(8.5 + (i / ORDERS_PER_EPOCH) as f64);
+            let (pickup, delivery) = if i % 2 == 0 { (2, 3) } else { (4, 5) };
+            Order::new(
+                OrderId(i as u32),
+                NodeId(pickup),
+                NodeId(delivery),
+                1.0,
+                created,
+                created + TimeDelta::from_hours(1.5),
+            )
+            .unwrap()
+        })
+        .collect();
+    Instance::new(net, fleet, IntervalGrid::paper_default(), orders).unwrap()
+}
+
+thread_local! {
+    /// The allocation count when the previous epoch's dispatch returned.
+    static DISPATCH_END: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Declines every order, so the fleet stays parked.
+struct DeclineAll;
+
+impl Dispatcher for DeclineAll {
+    fn dispatch(&mut self, _ctx: &dpdp_sim::DispatchContext<'_>) -> Option<VehicleId> {
+        unreachable!("batch-native")
+    }
+
+    fn dispatch_batch(&mut self, batch: &DecisionBatch<'_>) -> Vec<Decision> {
+        let decisions = (0..batch.len()).map(|i| batch.resolve(i, None)).collect();
+        DISPATCH_END.with(|mark| mark.set(allocations()));
+        decisions
+    }
+}
+
+/// Per epoch, what was allocated between the previous dispatch returning
+/// and this epoch's batch being announced: the engine's bookkeeping for
+/// the epoch boundary plus `DecisionBatch::new`.
+#[derive(Default)]
+struct BuildProbe {
+    builds: Vec<(usize, usize)>,
+}
+
+impl SimObserver for BuildProbe {
+    fn on_epoch(&mut self, epoch: &EpochInfo) {
+        let since = allocations() - DISPATCH_END.with(Cell::get);
+        self.builds.push((since, epoch.shards.shared));
+    }
+}
+
+/// Epoch-boundary allocations of the second and third epoch, flat and
+/// under two shards, measured with this file's probe on the commit before
+/// idle twins were grouped (PR 19): the ceiling the grouped build keeps.
+const FLAT_BUILD_ALLOCATIONS: usize = 19;
+const SHARDED_BUILD_ALLOCATIONS: usize = 37;
+
+#[test]
+fn warmed_up_batch_build_over_idle_twins_allocates_no_more_than_ungrouped() {
+    let inst = twin_instance();
+    for (shards, ceiling) in [(1, FLAT_BUILD_ALLOCATIONS), (2, SHARDED_BUILD_ALLOCATIONS)] {
+        let mut probe = BuildProbe::default();
+        probe.builds.reserve(EPOCHS);
+        let result = Simulator::builder(&inst)
+            .buffering(BufferingMode::FixedInterval(TimeDelta::from_minutes(60.0)))
+            .sharding(ShardConfig::flat(shards).unwrap().escalation(0))
+            .build()
+            .unwrap()
+            .run_observed(&mut DeclineAll, &mut [&mut probe]);
+        assert_eq!(result.metrics.served, 0);
+        assert_eq!(probe.builds.len(), EPOCHS);
+        for &(allocations, shared) in &probe.builds[1..] {
+            if shards > 1 {
+                // Five in-town orders a depot, eleven of twelve cells each.
+                assert_eq!(shared, ORDERS_PER_EPOCH * (TWIN_FLEET / 2 - 1));
+            }
+            assert!(
+                allocations <= ceiling,
+                "epoch boundary allocated {allocations} times at {shards} shard(s), \
+                 {ceiling} before twins were grouped"
+            );
+        }
+    }
 }

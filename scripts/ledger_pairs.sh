@@ -1,0 +1,150 @@
+#!/bin/sh
+# Alternating parent / change pairs of one ledger workload: the protocol of
+# the choosing-metrics guide (section 8) that every perf PR's CHANGES.md
+# entry reports, as one command instead of a hand-rolled loop.
+#
+#   scripts/ledger_pairs.sh PARENT_BIN CHANGE_BIN WORKLOAD \
+#       [--pairs N] [--seed S] [--seconds T]
+#
+# PARENT_BIN and CHANGE_BIN are two builds of the ledger (ledger/Cargo.toml,
+# each commit built into its own CARGO_TARGET_DIR and the binary copied
+# aside). Run from the repository root, like the ledger itself: the serving
+# workloads keep their journals under target/experiments/. Each pair runs
+# both binaries untraced with the same arguments; odd pairs run the parent
+# first, even pairs the change. The binaries are run as they are — this is
+# not a second measuring stick, every number printed is one the ledger
+# reported.
+#
+# A run is refused (exit 1) when its last stdout line is not the ledger's
+# JSON result with "correct": true, and so is a pair whose served_ratio,
+# nuv or total_cost differ between the sides: a speed-up that moves a
+# decision is not a speed-up. Otherwise the script prints, per end-to-end
+# metric of BENCHMARK.json, each side's median and quartiles, the relative
+# change of the medians and the pairs the change won (ties count for
+# neither side), then "result differences: 0".
+set -eu
+
+usage() {
+    echo "usage: $0 PARENT_BIN CHANGE_BIN WORKLOAD [--pairs N] [--seed S] [--seconds T]" >&2
+    exit 2
+}
+
+[ $# -ge 3 ] || usage
+parent=$1
+change=$2
+workload=$3
+shift 3
+pairs=10
+seed=7
+seconds=12
+while [ $# -gt 0 ]; do
+    [ $# -ge 2 ] || usage
+    case $1 in
+        --pairs) pairs=$2 ;;
+        --seed) seed=$2 ;;
+        --seconds) seconds=$2 ;;
+        *) usage ;;
+    esac
+    shift 2
+done
+case $pairs in '' | *[!0-9]* | 0) usage ;; esac
+for bin in "$parent" "$change"; do
+    [ -x "$bin" ] || { echo "$0: $bin is not an executable" >&2; exit 2; }
+done
+bench=$(dirname "$0")/../BENCHMARK.json
+[ -r "$bench" ] || { echo "$0: cannot read $bench" >&2; exit 2; }
+
+out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
+
+run_side() { # side binary pair
+    if ! "$2" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 \
+        >"$out/$1.$3.out" 2>"$out/$1.$3.err"; then
+        echo "$0: pair $3: the $1 run exited non-zero; its stderr:" >&2
+        cat "$out/$1.$3.err" >&2
+        exit 1
+    fi
+    tail -n 1 "$out/$1.$3.out" >"$out/$1.$3.json"
+}
+
+pair=1
+while [ "$pair" -le "$pairs" ]; do
+    if [ $((pair % 2)) -eq 1 ]; then
+        run_side parent "$parent" "$pair"
+        run_side change "$change" "$pair"
+    else
+        run_side change "$change" "$pair"
+        run_side parent "$parent" "$pair"
+    fi
+    echo "pair $pair/$pairs done" >&2
+    pair=$((pair + 1))
+done
+
+python3 - "$out" "$pairs" "$bench" "$workload" "$seed" "$seconds" <<'PY'
+import json
+import statistics
+import sys
+
+out, pairs, bench, workload, seed, seconds = sys.argv[1:7]
+pairs = int(pairs)
+with open(bench) as f:
+    end_to_end = json.load(f)["end_to_end"]
+MUST_NOT_MOVE = ("served_ratio", "nuv", "total_cost")
+
+
+def load(side, pair):
+    with open(f"{out}/{side}.{pair}.json") as f:
+        line = f.read().strip()
+    try:
+        result = json.loads(line)
+    except ValueError:
+        sys.exit(f"pair {pair}: the {side} run's last line is not the JSON result: {line[:120]!r}")
+    if result.get("correct") is not True:
+        sys.exit(f"pair {pair}: the {side} run is not \"correct\": true ({line[:120]})")
+    return {name: m["value"] for name, m in result["metrics"].items()}, result
+
+
+def spread(values):
+    """'median [q1, q3]' of one side's runs, and the median itself."""
+    if len(values) == 1:
+        q1 = med = q3 = values[0]
+    else:
+        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return f"{med:.6g} [{q1:.6g}, {q3:.6g}]", med
+
+
+runs = {"parent": [], "change": []}
+failed = {"parent": 0, "change": 0}
+attempted = {"parent": 0, "change": 0}
+differences = 0
+for pair in range(1, pairs + 1):
+    sides = {}
+    for side in ("parent", "change"):
+        sides[side], result = load(side, pair)
+        runs[side].append(sides[side])
+        failed[side] += result.get("failed", 0)
+        attempted[side] += result.get("attempted", 0)
+    for name in MUST_NOT_MOVE:
+        if sides["parent"][name] != sides["change"][name]:
+            differences += 1
+            print(f"pair {pair}: {name} differs: parent {sides['parent'][name]!r}, "
+                  f"change {sides['change'][name]!r}")
+
+print(f"{workload}, seed {seed}, {pairs} alternating pair(s) of {seconds} s untraced runs")
+print(f"failed operations: parent {failed['parent']}/{attempted['parent']}, "
+      f"change {failed['change']}/{attempted['change']}")
+header = f"{'metric':<18}{'unit':<7}{'parent median [q1, q3]':<42}{'change median [q1, q3]':<42}{'change':>8}  won"
+print(header)
+for metric in end_to_end:
+    name, lower = metric["name"], metric["better"] == "lower"
+    p = [r[name] for r in runs["parent"]]
+    c = [r[name] for r in runs["change"]]
+    (p_text, pm), (c_text, cm) = spread(p), spread(c)
+    wins = sum((b < a) if lower else (b > a) for a, b in zip(p, c))
+    losses = sum((b > a) if lower else (b < a) for a, b in zip(p, c))
+    delta = f"{(cm - pm) / pm * 100:+.1f}%" if pm else "n/a"
+    print(f"{name:<18}{metric['unit']:<7}{p_text:<42}{c_text:<42}{delta:>8}  "
+          f"{wins}/{pairs} (lost {losses})")
+print(f"result differences: {differences}")
+sys.exit(1 if differences else 0)
+PY

@@ -440,6 +440,99 @@ fn hierarchical_megacity_commit_deltas_are_invisible_to_the_baselines() {
     }
 }
 
+/// A *disrupted* episode is layout-invariant too: on the metro preset with
+/// seeded cancellations, breakdowns (stranded pickups re-dispatched) and
+/// recoveries, Baselines 1-3 produce the same decisions, metrics and
+/// disruption trace on the flat scan, under four flat shards and under a
+/// hierarchical 2 x 2 layout, at both thread widths. This is the path
+/// where a broken-down vehicle — route stripped, masked out of the sweep —
+/// is parked among the idle twins whose scores are computed once.
+#[test]
+fn disrupted_episodes_are_bit_identical_across_shard_layouts() {
+    use dpdp_sim::{DisruptionKind, DisruptionRecord, EpochInfo, SimObserver};
+
+    #[derive(Default)]
+    struct Trace {
+        /// The disruptions the episode applied, in order.
+        disruptions: Vec<DisruptionRecord>,
+        /// Cells that took an idle twin's score, over all epochs.
+        shared: usize,
+    }
+    impl SimObserver for Trace {
+        fn on_disruption(&mut self, record: &DisruptionRecord) {
+            self.disruptions.push(record.clone());
+        }
+        fn on_epoch(&mut self, epoch: &EpochInfo) {
+            self.shared += epoch.shards.shared;
+        }
+    }
+
+    let (metro, disruptions) = Presets::metro_disrupted(3);
+    let instance = metro.metro_instance(120, 24, 2);
+    let layouts = [
+        ShardConfig::flat(1).expect("one shard"),
+        ShardConfig::flat(4).expect("four shards"),
+        ShardConfig::hierarchical(2, 2)
+            .expect("positive region and cell counts")
+            .escalation(2),
+    ];
+    let run = |make: fn() -> Box<dyn Dispatcher>, sharding: &ShardConfig, width: usize| {
+        let mut trace = Trace::default();
+        let result = Simulator::builder(&instance)
+            .buffering(BufferingMode::FixedInterval(TimeDelta::from_minutes(10.0)))
+            .disruptions(disruptions.clone())
+            .sharding(sharding.clone())
+            .num_threads(width)
+            .seed(9)
+            .build()
+            .expect("valid disrupted configuration")
+            .run_observed(&mut *make(), &mut [&mut trace]);
+        (result, trace.disruptions, trace.shared)
+    };
+    type MakeDispatcher = fn() -> Box<dyn Dispatcher>;
+    let lineup: [(&str, MakeDispatcher); 3] = [
+        ("Baseline1", || Box::new(Baseline1)),
+        ("Baseline2", || Box::new(Baseline2)),
+        ("Baseline3", || Box::<Baseline3>::default()),
+    ];
+    let mut stranded = 0;
+    for (name, make) in lineup {
+        let (reference, trace, _) = run(make, &layouts[0], 1);
+        // Non-vacuity: every kind of disruption fired.
+        let count =
+            |kind: fn(&DisruptionKind) -> bool| trace.iter().filter(|r| kind(&r.kind)).count();
+        assert!(count(|k| matches!(k, DisruptionKind::OrderCancelled { .. })) > 0);
+        assert!(count(|k| matches!(k, DisruptionKind::VehicleBreakdown { .. })) > 0);
+        assert!(count(|k| matches!(k, DisruptionKind::VehicleRecovered { .. })) > 0);
+        stranded += count(|k| match k {
+            DisruptionKind::VehicleBreakdown { stranded, .. } => !stranded.is_empty(),
+            _ => false,
+        });
+        for sharding in &layouts {
+            for width in [1, parallel_threads()] {
+                let (result, layout_trace, shared) = run(make, sharding, width);
+                assert_eq!(
+                    shared > 0,
+                    sharding.num_shards() > 1,
+                    "{name}: sharded epochs must score idle twins once ({sharding:?})"
+                );
+                assert_eq!(
+                    reference, result,
+                    "{name}: disrupted episode diverged under {sharding:?} at {width} thread(s)"
+                );
+                assert_eq!(
+                    trace, layout_trace,
+                    "{name}: disruption trace diverged under {sharding:?} at {width} thread(s)"
+                );
+            }
+        }
+    }
+    assert!(
+        stranded > 0,
+        "no breakdown sent an accepted order back to dispatch"
+    );
+}
+
 #[test]
 fn dqn_agent_matches_through_both_paths() {
     // Two freshly built agents share every seed, so as long as the batch
