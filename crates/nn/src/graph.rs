@@ -507,10 +507,10 @@ impl Graph {
     // ---- neighbourhood attention --------------------------------------------
 
     /// Registers per-row neighbour lists for [`Graph::neighbor_attention`]
-    /// over as many rows as `lists` has items: row `r` may attend to the
-    /// rows its list names. Lists may arrive unsorted and with repeats;
-    /// the tape keeps each **sorted and de-duplicated**, the form the op's
-    /// accumulation order is defined on. An empty list is a row that
+    /// over as many rows as `lists` has items: row `r` attends to the rows
+    /// its list names. Lists are kept **verbatim**: the order given is the
+    /// op's accumulation order, and a row named twice is attended to —
+    /// and weighted by the softmax — twice. An empty list is a row that
     /// attends to nothing.
     ///
     /// # Panics
@@ -526,24 +526,15 @@ impl Graph {
         let offsets = self.ints.len();
         self.ints.resize(offsets + rows + 1, 0);
         for (r, list) in lists.enumerate() {
-            let start = self.ints.len();
-            self.ints[offsets + r] = start;
+            self.ints[offsets + r] = self.ints.len();
             self.ints.extend(list);
-            self.ints[start..].sort_unstable();
-            let mut end = start;
-            for at in start..self.ints.len() {
-                if end == start || self.ints[at] != self.ints[end - 1] {
-                    self.ints[end] = self.ints[at];
-                    end += 1;
-                }
-            }
-            self.ints.truncate(end);
-            assert!(
-                self.ints[start..].last().is_none_or(|&c| c < rows),
-                "neighbour index out of range"
-            );
         }
-        self.ints[offsets + rows] = self.ints.len();
+        let end = self.ints.len();
+        self.ints[offsets + rows] = end;
+        assert!(
+            self.ints[offsets + rows + 1..end].iter().all(|&c| c < rows),
+            "neighbour index out of range"
+        );
         Neighbors { offsets, rows }
     }
 
@@ -556,17 +547,20 @@ impl Graph {
     /// Multi-head scaled dot-product self-attention over neighbour lists,
     /// fused into one op: for every head `h` (a `d / heads`-wide column
     /// block of `q`, `k`, `v`, all `K x d`) row `i` of the result is
-    /// `Σ_j softmax_j(q_i·k_j / √(d/heads)) · v_j` over the `j` in row
-    /// `i`'s list, the heads side by side (`K x d`). Work and memory are
-    /// `O(K · NE · d)` in forward and backward; no `K x K` matrix exists.
+    /// `Σ_j softmax_j(q_i·k_j / √(d/heads)) · v_j` over the entries `j` of
+    /// row `i`'s list, in list order and once per entry — a row listed
+    /// `n` times carries `n` equal terms of the softmax — the heads side
+    /// by side (`K x d`). Work and memory are `O(K · NE · d)` in forward
+    /// and backward; no `K x K` matrix exists.
     ///
-    /// The result is bit-identical to the dense composition it replaces —
-    /// per head `slice_cols`, `transpose`, `matmul`, `scale`,
+    /// On lists that are **ascending and free of repeats** the result is
+    /// bit-identical to the dense composition it replaces — per head
+    /// `slice_cols`, `transpose`, `matmul`, `scale`,
     /// [`Graph::masked_softmax_rows`] under the lists' adjacency mask,
     /// `matmul`, then `concat_cols` — because every output and gradient
-    /// entry sums the same terms in the same order: neighbours ascending
-    /// (hence the sorted lists), and the entries the mask zeroed are the
-    /// ones [`Tensor::matmul`] skipped.
+    /// entry sums the same terms in the same order: neighbours ascending,
+    /// and the entries the mask zeroed are the ones [`Tensor::matmul`]
+    /// skipped.
     ///
     /// # Panics
     /// Panics on shape mismatch or if `heads` does not divide `d`.
@@ -1156,9 +1150,10 @@ mod tests {
     }
 
     /// Neighbourhood attention against finite differences, through all
-    /// three projections at once. The lists are what a Q-network builds
-    /// when vehicle 2 is infeasible — nobody but itself may list it — and
-    /// cover a self-only row, an unsorted list and a repeated entry.
+    /// three projections at once. The lists reach the op as written: a
+    /// self-only row, an unsorted list, and rows that name a neighbour —
+    /// or themselves — twice, so repeated entries are differentiated as
+    /// the separate softmax terms they are. Nobody but row 2 lists row 2.
     #[test]
     fn grad_neighbor_attention() {
         let proj =
@@ -1166,7 +1161,7 @@ mod tests {
         let (wq, wk, wv) = (proj(0.7), proj(1.3), proj(2.1));
         let weights = Tensor::from_vec(4, 4, (0..16).map(|i| (i as f64 * 0.9).cos()).collect());
         let feasible = [true, true, false, true];
-        let raw: [&[usize]; 4] = [&[2], &[3, 0, 2], &[2, 1, 1], &[0]];
+        let raw: [&[usize]; 4] = [&[2], &[3, 0, 2], &[2, 1, 1], &[0, 3, 0]];
         let input = Tensor::from_vec(4, 4, (0..16).map(|i| (i as f64 * 0.37).sin()).collect());
         grad_check(
             |g, x| {
@@ -1188,12 +1183,12 @@ mod tests {
     }
 
     #[test]
-    fn neighbor_lists_are_sorted_and_deduplicated() {
+    fn neighbor_lists_are_kept_verbatim() {
         let mut g = Graph::new();
         let lists = g.neighbor_lists([vec![2, 0, 2, 1], vec![], vec![1, 1]]);
         let bounds = g.neighbor_bounds(lists).to_vec();
         let rows: Vec<&[usize]> = bounds.windows(2).map(|b| &g.ints[b[0]..b[1]]).collect();
-        assert_eq!(rows, [&[0, 1, 2][..], &[], &[1]]);
+        assert_eq!(rows, [&[2, 0, 2, 1][..], &[], &[1, 1]]);
     }
 
     #[test]

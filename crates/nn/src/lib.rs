@@ -35,13 +35,15 @@
 //! [`MultiHeadAttention::forward_neighbors`]) is self-attention in which
 //! row `i` attends only to the rows in its list, at `O(K · NE)` cost in
 //! forward and backward. The lists are registered with
-//! [`Graph::neighbor_lists`], which accepts them in any order, with
-//! repeats, and keeps them **sorted and de-duplicated**: the op sums over
-//! neighbours in ascending index order, which is what makes it
-//! bit-identical to the dense formulation (`matmul` → `scale` →
+//! [`Graph::neighbor_lists`], which keeps them **verbatim**: the op sums
+//! over a row's entries in the order given, once per entry, so a
+//! neighbour named twice is two terms of the softmax. On ascending lists
+//! without repeats that order is what makes the op bit-identical to the
+//! dense formulation (`matmul` → `scale` →
 //! [`Graph::masked_softmax_rows`] → `matmul` under the adjacency mask) it
-//! is tested against. A row's own index must be in its list for it to
-//! attend to itself; an empty list yields a zero row.
+//! is tested against; a caller that wants that form sorts and
+//! de-duplicates before registering. A row's own index must be in its
+//! list for it to attend to itself; an empty list yields a zero row.
 //!
 //! # Example
 //!

@@ -64,17 +64,18 @@ fn sparse_attention_is_bit_identical_to_the_dense_composition() {
                 rng.tensor(rows, d),
             );
             let weights = rng.tensor(rows, d);
-            // Random adjacency (some rows empty), handed over as unsorted
-            // lists with repeats.
+            // Random adjacency (some rows empty). The tape keeps lists as
+            // given, and a mask can say neither order nor multiplicity, so
+            // the draws are put in the form the mask does describe:
+            // ascending, each neighbour once.
             let mut mask = Tensor::zeros(rows, rows);
             let lists: Vec<Vec<usize>> = (0..rows)
                 .map(|r| {
                     let picks = rng.next() as usize % density;
                     let mut list: Vec<usize> =
                         (0..picks).map(|_| rng.next() as usize % rows).collect();
-                    if let Some(&again) = list.first() {
-                        list.push(again);
-                    }
+                    list.sort_unstable();
+                    list.dedup();
                     for &c in &list {
                         *mask.get_mut(r, c) = 1.0;
                     }

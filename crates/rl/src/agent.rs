@@ -1,7 +1,7 @@
 //! The DQN-family dispatching agent: DQN / DDQN / DGN / DDGN and their
 //! ST-aided variants, trained per Algorithm 3.
 
-use crate::qnet::{best_feasible, QNetwork, QNetworkConfig};
+use crate::qnet::{best_feasible, ForwardStats, Partition, QNetwork, QNetworkConfig};
 use crate::replay::ReplayBuffer;
 use crate::reward::{instant_reward, long_term_reward, RewardParams};
 use crate::schedule::EpsilonSchedule;
@@ -141,7 +141,12 @@ pub struct DqnAgent {
     /// TD targets, training steps), cleared between uses so its buffers
     /// are recycled.
     tape: Graph,
+    /// Scratch of the forward-only evaluations' partitions, kept beside
+    /// the tape for the same reason.
+    partition: Partition,
     replay: ReplayBuffer<Transition>,
+    /// Replay indices of the minibatch being trained on.
+    minibatch: Vec<usize>,
     state_builder: StateBuilder,
     rng: StdRng,
     episode: usize,
@@ -194,7 +199,9 @@ impl DqnAgent {
             target,
             optimizer,
             tape: Graph::new(),
+            partition: Partition::default(),
             replay,
+            minibatch: Vec::new(),
             state_builder,
             rng,
             episode: 0,
@@ -251,6 +258,12 @@ impl DqnAgent {
         self.target.copy_values_from(params);
     }
 
+    /// Lifetime totals of this agent's forward-only evaluations — action
+    /// choices and TD targets; training's dense passes are not counted.
+    pub fn forward_stats(&self) -> ForwardStats {
+        self.partition.stats()
+    }
+
     fn epsilon(&self) -> f64 {
         if self.training {
             self.config.epsilon.at(self.episode)
@@ -271,11 +284,15 @@ impl DqnAgent {
                 .filter(|&i| snap.feasible[i])
                 .nth(pick);
         }
-        let q = self.qnet.q_values_on(&mut self.tape, &self.online, snap);
+        let q = self
+            .qnet
+            .q_values_on(&mut self.tape, &mut self.partition, &self.online, snap);
         best_feasible(&q, &snap.feasible)
     }
 
-    fn td_target(&mut self, t: &Transition) -> f64 {
+    /// The TD target of the replayed transition `replay[at]`.
+    fn td_target(&mut self, at: usize) -> f64 {
+        let t = self.replay.get(at);
         if t.terminal {
             return t.reward;
         }
@@ -283,14 +300,17 @@ impl DqnAgent {
         if !next.any_feasible() {
             return t.reward;
         }
+        let (qnet, tape, part) = (&self.qnet, &mut self.tape, &mut self.partition);
         let (double, _, _) = self.config.kind.flags();
+        // The partition is a property of `next`: both networks share it.
+        qnet.partition(part, next);
         let q_target = if double {
             // DDQN: argmax under the online network, value under the target.
-            let q_online = self.qnet.q_values_on(&mut self.tape, &self.online, next);
+            let q_online = qnet.q_values_of(tape, part, &self.online, next);
             best_feasible(&q_online, &next.feasible)
-                .map(|a_star| self.qnet.q_values_on(&mut self.tape, &self.target, next)[a_star])
+                .map(|a_star| qnet.q_values_of(tape, part, &self.target, next)[a_star])
         } else {
-            let q = self.qnet.q_values_on(&mut self.tape, &self.target, next);
+            let q = qnet.q_values_of(tape, part, &self.target, next);
             best_feasible(&q, &next.feasible).map(|a_star| q[a_star])
         };
         t.reward + self.config.gamma * q_target.unwrap_or(0.0)
@@ -300,17 +320,14 @@ impl DqnAgent {
         if self.replay.is_empty() {
             return None;
         }
-        // Sample indices up front to end the immutable borrow of replay.
-        let batch: Vec<Transition> = self
-            .replay
-            .sample(&mut self.rng, self.config.batch_size)
-            .into_iter()
-            .cloned()
-            .collect();
-        let b = batch.len() as f64;
+        self.replay
+            .sample_indices(&mut self.rng, self.config.batch_size, &mut self.minibatch);
+        let b = self.minibatch.len() as f64;
         let mut total = 0.0;
-        for t in &batch {
-            let y = self.td_target(t);
+        for i in 0..self.minibatch.len() {
+            let at = self.minibatch[i];
+            let y = self.td_target(at);
+            let t = self.replay.get(at);
             let g = &mut self.tape;
             g.clear();
             let q_all = self.qnet.forward(g, &self.online, &t.state);
@@ -548,6 +565,72 @@ mod tests {
         assert!(agent.pending.is_empty() && agent.last.is_none());
         assert_eq!(agent.episodes_completed(), 3);
         assert_eq!(dpdp_nn::serialize::save_params(agent.params()), weights);
+    }
+
+    /// The counters on a fixed day: six vehicles at two depots, eight
+    /// orders, greedy evaluation. Every order is one forward over all six
+    /// vehicles; what is evaluated is one row per class — the first
+    /// order sees two (one per depot).
+    #[test]
+    fn forward_stats_count_rows_offered_and_rows_evaluated() {
+        let nodes = vec![
+            Node::depot(NodeId(0), Point::new(0.0, 0.0)),
+            Node::depot(NodeId(1), Point::new(20.0, 0.0)),
+            Node::factory(NodeId(2), Point::new(5.0, 3.0)),
+            Node::factory(NodeId(3), Point::new(15.0, -3.0)),
+        ];
+        let net = RoadNetwork::euclidean(nodes, 1.0).unwrap();
+        let depots = [NodeId(0), NodeId(1)];
+        let fleet =
+            FleetConfig::homogeneous(6, &depots, 10.0, 300.0, 2.0, 40.0, TimeDelta::ZERO).unwrap();
+        let orders = (0..8u32)
+            .map(|i| {
+                let (p, d) = if i % 2 == 0 { (2, 3) } else { (3, 2) };
+                Order::new(
+                    OrderId(i),
+                    NodeId(p),
+                    NodeId(d),
+                    3.0,
+                    TimePoint::from_hours(8.0 + i as f64 * 0.2),
+                    TimePoint::from_hours(12.0 + i as f64 * 0.2),
+                )
+                .unwrap()
+            })
+            .collect();
+        let inst = Instance::new(net, fleet, IntervalGrid::paper_default(), orders).unwrap();
+        let mut agent = DqnAgent::new(quick_config(ModelKind::Ddgn), 144, None);
+        agent.set_training(false);
+        assert_eq!(agent.forward_stats(), ForwardStats::default());
+
+        struct FirstOrder(DqnAgent, Option<ForwardStats>);
+        impl Dispatcher for FirstOrder {
+            fn dispatch(&mut self, ctx: &DispatchContext<'_>) -> Option<VehicleId> {
+                let choice = self.0.dispatch(ctx);
+                self.1.get_or_insert(self.0.forward_stats());
+                choice
+            }
+        }
+        let mut probe = FirstOrder(agent, None);
+        let result = Simulator::builder(&inst).build().unwrap().run(&mut probe);
+        assert_eq!(result.metrics.served, 8);
+        assert_eq!(
+            probe.1,
+            Some(ForwardStats {
+                forwards: 1,
+                rows: 6,
+                feasible: 6,
+                evaluated: 2
+            })
+        );
+        assert_eq!(
+            probe.0.forward_stats(),
+            ForwardStats {
+                forwards: 8,
+                rows: 48,
+                feasible: 48,
+                evaluated: 23
+            }
+        );
     }
 
     #[test]

@@ -46,17 +46,45 @@ impl<T> ReplayBuffer<T> {
         self.items.is_empty()
     }
 
+    /// The transition stored at `index` (`< len()`).
+    pub(crate) fn get(&self, index: usize) -> &T {
+        &self.items[index]
+    }
+
     /// Uniformly samples `batch` item references **without replacement**
     /// (or everything, if fewer are stored).
     pub fn sample<'a>(&'a self, rng: &mut StdRng, batch: usize) -> Vec<&'a T> {
+        let mut picks = Vec::new();
+        self.sample_indices(rng, batch, &mut picks);
+        picks.iter().map(|&i| &self.items[i]).collect()
+    }
+
+    /// [`ReplayBuffer::sample`] as indices into the buffer, written to
+    /// `picks` (cleared first): the first `batch` entries of a
+    /// Fisher–Yates shuffle of `0..len()` — one `random_range(i..len())`
+    /// draw per pick — without writing out the other `len() - batch`.
+    pub(crate) fn sample_indices(&self, rng: &mut StdRng, batch: usize, picks: &mut Vec<usize>) {
         let n = self.items.len();
         let take = batch.min(n);
-        let mut idx: Vec<usize> = (0..n).collect();
+        picks.clear();
+        picks.extend(0..take);
+        // The shuffled array is the identity except in its first `take`
+        // positions, which are `picks[..take]`, and in the later positions
+        // a swap has reached, kept behind them as (position, value) pairs.
         for i in 0..take {
             let j = rng.random_range(i..n);
-            idx.swap(i, j);
+            if j < take {
+                picks.swap(i, j);
+                continue;
+            }
+            let moved = (take..picks.len()).step_by(2).find(|&at| picks[at] == j);
+            let at = moved.unwrap_or_else(|| {
+                picks.extend([j, j]);
+                picks.len() - 2
+            });
+            picks.swap(i, at + 1);
         }
-        idx[..take].iter().map(|&i| &self.items[i]).collect()
+        picks.truncate(take);
     }
 }
 
@@ -108,6 +136,33 @@ mod tests {
         }
         for c in counts {
             assert!((700..1300).contains(&c), "counts skewed: {counts:?}");
+        }
+    }
+
+    /// `sample_indices` is the textbook partial shuffle — materialise
+    /// `0..len`, swap `take` times — draw for draw: same picks in the same
+    /// order, and the generator left in the same state.
+    #[test]
+    fn sample_indices_match_the_materialised_shuffle() {
+        for (len, batch) in [(1, 1), (5, 32), (33, 32), (40, 8), (1000, 32), (64, 64)] {
+            let mut buf = ReplayBuffer::new(len);
+            (0..len).for_each(|i| buf.push(i));
+            for seed in 0..20 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut idx: Vec<usize> = (0..len).collect();
+                let take = batch.min(len);
+                for i in 0..take {
+                    let j = rng.random_range(i..len);
+                    idx.swap(i, j);
+                }
+                let after: u64 = rng.random_range(0..u64::MAX);
+
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut picks = vec![usize::MAX; 3];
+                buf.sample_indices(&mut rng, batch, &mut picks);
+                assert_eq!(picks, idx[..take], "len {len} batch {batch} seed {seed}");
+                assert_eq!(rng.random_range(0..u64::MAX), after);
+            }
         }
     }
 

@@ -1,7 +1,11 @@
 //! Allocation budget of a decision: a warmed-up `DqnAgent::dispatch` at
 //! K = 100 allocates what it returns to itself — the joint-state snapshot
-//! and one Q-vector — and nothing per tape node, so the tensor churn the
-//! reusable tape removed cannot creep back unnoticed.
+//! and one Q-vector — and nothing per tape node or per class of the
+//! partition, so the tensor churn the reusable tape removed cannot creep
+//! back unnoticed. The tape holds one row per class of interchangeable
+//! vehicles, so "warmed up" means it has seen a decision with at least as
+//! many classes: its buffers grow when a joint state sets a new high, and
+//! at no other time.
 
 use dpdp_net::{
     FleetConfig, Instance, IntervalGrid, Node, NodeId, Order, OrderId, Point, RoadNetwork,
@@ -51,18 +55,20 @@ fn allocations_of<R>(f: impl FnOnce() -> R) -> (usize, R) {
     (ALLOCATIONS.with(Cell::get) - before, result)
 }
 
-/// 100 vehicles on a four-node campus; light orders every vehicle can take.
-fn instance() -> Instance {
+/// 100 vehicles on a five-node campus, parked round-robin at `depots`;
+/// light orders every vehicle can take. The fleet starts as one class of
+/// idle twins per depot and splits as vehicles are put to use.
+fn instance(depots: &[NodeId]) -> Instance {
     let nodes = vec![
         Node::depot(NodeId(0), Point::new(0.0, 0.0)),
         Node::factory(NodeId(1), Point::new(5.0, 0.0)),
         Node::factory(NodeId(2), Point::new(10.0, 0.0)),
         Node::factory(NodeId(3), Point::new(5.0, 5.0)),
+        Node::depot(NodeId(4), Point::new(12.0, 4.0)),
     ];
     let net = RoadNetwork::euclidean(nodes, 1.0).unwrap();
     let fleet =
-        FleetConfig::homogeneous(100, &[NodeId(0)], 10.0, 300.0, 2.0, 40.0, TimeDelta::ZERO)
-            .unwrap();
+        FleetConfig::homogeneous(100, depots, 10.0, 300.0, 2.0, 40.0, TimeDelta::ZERO).unwrap();
     let orders = (0..12u32)
         .map(|i| {
             let (pickup, delivery) = if i % 2 == 0 { (1, 2) } else { (3, 1) };
@@ -80,51 +86,92 @@ fn instance() -> Instance {
     Instance::new(net, fleet, IntervalGrid::paper_default(), orders).unwrap()
 }
 
-/// Forwards to the agent, recording per order what `dispatch` allocated and
-/// what building the same joint state alone allocates.
+/// What one decision allocated, and how many rows its forward held.
+struct Decision {
+    dispatch: usize,
+    /// Building the same joint state alone.
+    snapshot: usize,
+    classes: u64,
+}
+
+/// Forwards to the agent, recording every decision.
 struct Probe {
     agent: DqnAgent,
     builder: StateBuilder,
-    /// `(dispatch, snapshot)` allocation counts, one pair per order.
-    counts: Vec<(usize, usize)>,
+    decisions: Vec<Decision>,
 }
 
 impl Dispatcher for Probe {
     fn dispatch(&mut self, ctx: &DispatchContext<'_>) -> Option<VehicleId> {
         assert_eq!(ctx.views.len(), 100);
         let (snapshot, _) = allocations_of(|| self.builder.build(ctx));
+        let before = self.agent.forward_stats().evaluated;
         let (dispatch, choice) = allocations_of(|| self.agent.dispatch(ctx));
-        self.counts.push((dispatch, snapshot));
+        self.decisions.push(Decision {
+            dispatch,
+            snapshot,
+            classes: self.agent.forward_stats().evaluated - before,
+        });
         choice
     }
 }
 
 #[test]
 fn warmed_up_dispatch_allocates_only_what_it_returns() {
-    let config = AgentConfig::new(ModelKind::Ddgn);
-    let builder = StateBuilder::new(config.dist_scale, 144, config.ne);
-    let mut agent = DqnAgent::new(config, 144, None);
-    agent.set_training(false);
-    let mut probe = Probe {
-        agent,
-        builder,
-        counts: Vec::with_capacity(16),
-    };
-    let inst = instance();
-    let result = Simulator::builder(&inst).build().unwrap().run(&mut probe);
-    assert_eq!(result.metrics.served, 12);
+    for depots in [&[NodeId(0)][..], &[NodeId(0), NodeId(4)]] {
+        let config = AgentConfig::new(ModelKind::Ddgn);
+        let builder = StateBuilder::new(config.dist_scale, 144, config.ne);
+        let mut agent = DqnAgent::new(config, 144, None);
+        agent.set_training(false);
+        let mut probe = Probe {
+            agent,
+            builder,
+            decisions: Vec::with_capacity(32),
+        };
+        let inst = instance(depots);
+        let sim = Simulator::builder(&inst).build().unwrap();
+        for _ in 0..2 {
+            assert_eq!(sim.run(&mut probe).metrics.served, 12);
+        }
+        let (cold, warm) = probe.decisions.split_at(12);
 
-    // The first decision sizes the tape; from then on a decision costs the
-    // snapshot plus the Q-vector, whatever the ~60 nodes of the tape hold.
-    let (first, _) = probe.counts[0];
-    for &(dispatch, snapshot) in &probe.counts[2..] {
+        // The first decision sizes the tape and the partition's scratch.
+        // After it the tape grows only under a joint state with more
+        // classes than any before it; every other decision costs the
+        // snapshot plus the Q-vector, whatever the ~60 tape nodes hold.
+        let mut high = 0;
+        for (at, d) in cold.iter().enumerate() {
+            if at > 0 && d.classes <= high {
+                assert!(
+                    d.dispatch <= d.snapshot + 2,
+                    "decision {at} ({} classes, {high} seen) allocated {} times, \
+                     its snapshot alone {}",
+                    d.classes,
+                    d.dispatch,
+                    d.snapshot
+                );
+            }
+            high = high.max(d.classes);
+        }
         assert!(
-            dispatch <= snapshot + 2,
-            "dispatch allocated {dispatch} times, its snapshot alone {snapshot}"
+            (2..50).contains(&high),
+            "the fleet should split into a few classes, not {high}"
         );
-        assert!(
-            dispatch + 20 < first,
-            "the first decision pays for the tape"
-        );
+
+        // Evaluation repeats its decisions, so the second episode meets
+        // nothing larger than the first did: the budget holds throughout.
+        for (at, d) in warm.iter().enumerate() {
+            assert_eq!(d.classes, cold[at].classes);
+            assert!(
+                d.dispatch <= d.snapshot + 2,
+                "warm decision {at} allocated {} times, its snapshot alone {}",
+                d.dispatch,
+                d.snapshot
+            );
+            assert!(
+                d.dispatch + 20 < cold[0].dispatch,
+                "the first decision pays for the tape"
+            );
+        }
     }
 }

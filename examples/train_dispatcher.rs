@@ -55,4 +55,16 @@ fn main() {
     assert_eq!(a.nuv, b.nuv, "restored policy must act identically");
     assert!((a.total_cost - b.total_cost).abs() < 1e-6);
     println!("restored policy matches the trained one exactly ✓");
+
+    // What the forward-only passes (action choices, TD targets) cost:
+    // interchangeable vehicles share one row of the network.
+    let stats = agent.forward_stats();
+    println!(
+        "forward-only passes: {} over {} vehicle rows, {} feasible, {} evaluated ({:.1} per pass)",
+        stats.forwards,
+        stats.rows,
+        stats.feasible,
+        stats.evaluated,
+        stats.evaluated as f64 / stats.forwards.max(1) as f64
+    );
 }
