@@ -29,13 +29,16 @@ use std::sync::Arc;
 pub struct Var(usize);
 
 /// Handle to per-row neighbour lists held by a [`Graph`]
-/// ([`Graph::neighbor_lists`]).
+/// ([`Graph::neighbor_lists`], [`Graph::neighbor_lists_over`]).
 #[derive(Debug, Clone, Copy)]
 pub struct Neighbors {
     /// Where the `rows + 1` list boundaries start in the tape's index
     /// arena; the boundaries are themselves arena positions.
     offsets: usize,
+    /// Rows that attend: one list each.
     rows: usize,
+    /// Rows attended to: every list entry is below this.
+    keys: usize,
 }
 
 /// A run of the tape's index arena.
@@ -265,6 +268,11 @@ impl Graph {
         let mut copy = self.zeros(value.rows(), value.cols());
         copy.data_mut().copy_from_slice(value.data());
         self.push(copy, Op::Leaf)
+    }
+
+    /// A `1 x 1` constant leaf holding `v`.
+    pub fn constant_scalar(&mut self, v: f64) -> Var {
+        self.scalar(v, Op::Leaf)
     }
 
     /// A parameter leaf: shares the store's current value and records the
@@ -506,16 +514,34 @@ impl Graph {
 
     // ---- neighbourhood attention --------------------------------------------
 
-    /// Registers per-row neighbour lists for [`Graph::neighbor_attention`]
-    /// over as many rows as `lists` has items: row `r` attends to the rows
-    /// its list names. Lists are kept **verbatim**: the order given is the
-    /// op's accumulation order, and a row named twice is attended to —
-    /// and weighted by the softmax — twice. An empty list is a row that
-    /// attends to nothing.
+    /// Registers per-row neighbour lists for self-attention
+    /// ([`Graph::neighbor_attention`] with `q`, `k` and `v` of equal row
+    /// counts) over as many rows as `lists` has items: row `r` attends to
+    /// the rows its list names — [`Graph::neighbor_lists_over`] with the
+    /// attending rows as the attended ones.
     ///
     /// # Panics
     /// Panics if a list names a row that does not exist.
     pub fn neighbor_lists<I, J>(&mut self, lists: I) -> Neighbors
+    where
+        I: IntoIterator<Item = J>,
+        I::IntoIter: ExactSizeIterator,
+        J: IntoIterator<Item = usize>,
+    {
+        let lists = lists.into_iter();
+        self.neighbor_lists_over(lists.len(), lists)
+    }
+
+    /// Registers per-row neighbour lists for [`Graph::neighbor_attention`]:
+    /// `lists` has one item per attending (`q`) row, naming rows of the
+    /// `keys` attended (`k`, `v`) ones. Lists are kept **verbatim**: the
+    /// order given is the op's accumulation order, and a row named twice
+    /// is attended to — and weighted by the softmax — twice. An empty list
+    /// is a row that attends to nothing.
+    ///
+    /// # Panics
+    /// Panics if a list names a row `>= keys`.
+    pub fn neighbor_lists_over<I, J>(&mut self, keys: usize, lists: I) -> Neighbors
     where
         I: IntoIterator<Item = J>,
         I::IntoIter: ExactSizeIterator,
@@ -532,10 +558,14 @@ impl Graph {
         let end = self.ints.len();
         self.ints[offsets + rows] = end;
         assert!(
-            self.ints[offsets + rows + 1..end].iter().all(|&c| c < rows),
+            self.ints[offsets + rows + 1..end].iter().all(|&c| c < keys),
             "neighbour index out of range"
         );
-        Neighbors { offsets, rows }
+        Neighbors {
+            offsets,
+            rows,
+            keys,
+        }
     }
 
     /// The arena boundaries of `lists`: row `i`'s neighbours are
@@ -544,20 +574,26 @@ impl Graph {
         &self.ints[lists.offsets..lists.offsets + lists.rows + 1]
     }
 
-    /// Multi-head scaled dot-product self-attention over neighbour lists,
-    /// fused into one op: for every head `h` (a `d / heads`-wide column
-    /// block of `q`, `k`, `v`, all `K x d`) row `i` of the result is
+    /// Multi-head scaled dot-product attention over neighbour lists, fused
+    /// into one op. `q` is `R x d`, one row per attending row of `lists`;
+    /// `k` and `v` are `N x d`, one row per attended row (`lists`' `keys`)
+    /// — self-attention is `R = N` with all three computed from one input.
+    /// For every head `h` (a `d / heads`-wide column block of `q`, `k`,
+    /// `v`) row `i` of the result is
     /// `Σ_j softmax_j(q_i·k_j / √(d/heads)) · v_j` over the entries `j` of
-    /// row `i`'s list, in list order and once per entry — a row listed
-    /// `n` times carries `n` equal terms of the softmax — the heads side
-    /// by side (`K x d`). Work and memory are `O(K · NE · d)` in forward
-    /// and backward; no `K x K` matrix exists.
+    /// row `i`'s list, which index `k` and `v`, in list order and once per
+    /// entry — a row listed `n` times carries `n` equal terms of the
+    /// softmax — the heads side by side (`R x d`). The gradients of `k` and
+    /// `v` are `N x d`: key row `j` collects from the attending rows in
+    /// ascending order, each in its list's order. Work and memory are
+    /// `O(R · NE · d + N · d)` in forward and backward; no `R x N` matrix
+    /// exists.
     ///
     /// On lists that are **ascending and free of repeats** the result is
     /// bit-identical to the dense composition it replaces — per head
     /// `slice_cols`, `transpose`, `matmul`, `scale`,
-    /// [`Graph::masked_softmax_rows`] under the lists' adjacency mask,
-    /// `matmul`, then `concat_cols` — because every output and gradient
+    /// [`Graph::masked_softmax_rows`] under the lists' `R x N` adjacency
+    /// mask, `matmul`, then `concat_cols` — because every output and gradient
     /// entry sums the same terms in the same order: neighbours ascending,
     /// and the entries the mask zeroed are the ones [`Tensor::matmul`]
     /// skipped.
@@ -573,9 +609,10 @@ impl Graph {
         lists: Neighbors,
     ) -> Var {
         let (rows, d) = self.value(q).shape();
-        assert_eq!(self.value(k).shape(), (rows, d), "attention key shape");
-        assert_eq!(self.value(v).shape(), (rows, d), "attention value shape");
-        assert_eq!(lists.rows, rows, "one neighbour list per row");
+        assert_eq!(lists.rows, rows, "one neighbour list per query row");
+        let keys = (lists.keys, d);
+        assert_eq!(self.value(k).shape(), keys, "attention key shape");
+        assert_eq!(self.value(v).shape(), keys, "attention value shape");
         assert!(heads > 0 && d.is_multiple_of(heads), "heads must divide d");
         let dk = d / heads;
         let scale = 1.0 / (dk as f64).sqrt();
@@ -806,8 +843,8 @@ impl Graph {
                 let scale = 1.0 / (dk as f64).sqrt();
                 let nnz = self.value(probs).cols();
                 let mut dq = self.zeros(rows, d);
-                let mut dkey = self.zeros(rows, d);
-                let mut dv = self.zeros(rows, d);
+                let mut dkey = self.zeros(lists.keys, d);
+                let mut dv = self.zeros(lists.keys, d);
                 let mut ds = self.zeros(1, nnz);
                 let bounds = self.neighbor_bounds(lists);
                 let (qd, kd, vd, pd) = (
@@ -1191,9 +1228,54 @@ mod tests {
         assert_eq!(rows, [&[2, 0, 2, 1][..], &[], &[1, 1]]);
     }
 
+    /// The same op with fewer attending rows than attended ones: three
+    /// query rows — projections of rows 1, 4 and 6 of the input — over all
+    /// seven as keys and values, so the input collects from the query
+    /// gather and from both `7 x d` gradients. Lists as written: unsorted,
+    /// with a repeat, one empty.
+    #[test]
+    fn grad_neighbor_attention_over_more_keys_than_queries() {
+        let proj =
+            |seed: f64| Tensor::from_vec(4, 4, (0..16).map(|i| (i as f64 * seed).sin()).collect());
+        let (wq, wk, wv) = (proj(0.7), proj(1.3), proj(2.1));
+        let weights = Tensor::from_vec(3, 4, (0..12).map(|i| (i as f64 * 0.9).cos()).collect());
+        let raw: [&[usize]; 3] = [&[5, 0, 6, 0], &[], &[3, 6, 2, 1]];
+        let input = Tensor::from_vec(7, 4, (0..28).map(|i| (i as f64 * 0.37).sin()).collect());
+        grad_check(
+            |g, x| {
+                let xv = g.constant(x);
+                let queries = g.gather_rows(xv, &[1, 4, 6]);
+                let (wq, wk, wv) = (g.constant(&wq), g.constant(&wk), g.constant(&wv));
+                let (q, k, v) = (g.matmul(queries, wq), g.matmul(xv, wk), g.matmul(xv, wv));
+                let lists = g.neighbor_lists_over(7, raw.iter().map(|l| l.iter().copied()));
+                let mixed = g.neighbor_attention(q, k, v, 2, lists);
+                assert_eq!(g.value(mixed).shape(), (3, 4));
+                let w = g.constant(&weights);
+                let prod = g.mul(mixed, w);
+                g.sum_all(prod)
+            },
+            &input,
+            1e-5,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "attention key shape")]
+    fn neighbor_attention_rejects_keys_of_another_count() {
+        let mut g = Graph::new();
+        let q = g.constant(Tensor::zeros(2, 4));
+        let kv = g.constant(Tensor::zeros(2, 4));
+        let lists = g.neighbor_lists_over(3, [vec![0], vec![2]]);
+        g.neighbor_attention(q, kv, kv, 2, lists);
+    }
+
     #[test]
     #[should_panic(expected = "neighbour index out of range")]
     fn neighbor_lists_reject_unknown_rows() {
-        Graph::new().neighbor_lists([vec![0, 2], vec![1]]);
+        let square =
+            std::panic::catch_unwind(|| Graph::new().neighbor_lists([vec![0, 2], vec![1]]));
+        assert!(square.is_err(), "row 2 of two");
+        // Row 2 attends, but only rows 0 and 1 are attended to.
+        Graph::new().neighbor_lists_over(2, [vec![0], vec![1], vec![2]]);
     }
 }

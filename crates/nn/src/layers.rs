@@ -150,26 +150,32 @@ impl MultiHeadAttention {
         self.out.forward(g, store, concat)
     }
 
-    /// Neighbourhood **self**-attention over a `K x d_model` batch — the
-    /// paper's neighbourhood attention module: row `i` attends only to the
-    /// rows in its list ([`Graph::neighbor_lists`]; put `i` itself in the
-    /// list for self-inclusive attention). A row with an empty list
-    /// produces zero attention output (only the output layer's bias
-    /// survives).
+    /// Neighbourhood attention — the paper's neighbourhood attention
+    /// module: row `i` of `query` (`R x d_model`) attends only to the rows
+    /// of `context` (`N x d_model`) its list names
+    /// ([`Graph::neighbor_lists_over`]), and the result is `R x d_model`.
+    /// **Self**-attention over a `K x d_model` batch passes it as both
+    /// (lists from [`Graph::neighbor_lists`]; put `i` itself in the list
+    /// for self-inclusive attention); a caller that reads only some rows
+    /// of the result passes those rows of the batch as `query`. A row with
+    /// an empty list produces zero attention output (only the output
+    /// layer's bias survives).
     pub fn forward_neighbors(
         &self,
         g: &mut Graph,
         store: &ParamStore,
-        x: Var,
+        query: Var,
+        context: Var,
         lists: Neighbors,
     ) -> Var {
-        debug_assert_eq!(g.value(x).cols(), self.d_model, "input width");
+        debug_assert_eq!(g.value(query).cols(), self.d_model, "query width");
+        debug_assert_eq!(g.value(context).cols(), self.d_model, "context width");
         let wq = g.param(store, self.wq);
         let wk = g.param(store, self.wk);
         let wv = g.param(store, self.wv);
-        let q = g.matmul(x, wq);
-        let k = g.matmul(x, wk);
-        let v = g.matmul(x, wv);
+        let q = g.matmul(query, wq);
+        let k = g.matmul(context, wk);
+        let v = g.matmul(context, wv);
         let mixed = g.neighbor_attention(q, k, v, self.heads, lists);
         self.out.forward(g, store, mixed)
     }

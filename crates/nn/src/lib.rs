@@ -32,12 +32,19 @@
 //! # Neighbourhood attention
 //!
 //! [`Graph::neighbor_attention`] (wrapped by
-//! [`MultiHeadAttention::forward_neighbors`]) is self-attention in which
-//! row `i` attends only to the rows in its list, at `O(K · NE)` cost in
-//! forward and backward. The lists are registered with
-//! [`Graph::neighbor_lists`], which keeps them **verbatim**: the op sums
-//! over a row's entries in the order given, once per entry, so a
-//! neighbour named twice is two terms of the softmax. On ascending lists
+//! [`MultiHeadAttention::forward_neighbors`]) is attention in which row
+//! `i` attends only to the rows in its list, at `O(K · NE)` cost in
+//! forward and backward. The rows that attend and the rows attended to
+//! need not be the same: `q` has one row per list, `k` and `v` one row per
+//! index a list may name, and their gradients have the shape of `k` and
+//! `v`. Self-attention is the case where all three come from one batch;
+//! a caller that reads only some rows of the result passes those rows'
+//! queries and leaves the rest out. The lists are registered with
+//! [`Graph::neighbor_lists`] (rows attend to each other) or
+//! [`Graph::neighbor_lists_over`] (rows attend to `keys` others), which
+//! keep them **verbatim**: the op sums over a row's entries in the order
+//! given, once per entry, so a neighbour named twice is two terms of the
+//! softmax. On ascending lists
 //! without repeats that order is what makes the op bit-identical to the
 //! dense formulation (`matmul` → `scale` →
 //! [`Graph::masked_softmax_rows`] → `matmul` under the adjacency mask) it

@@ -1,5 +1,6 @@
 //! The fused neighbourhood-attention op against the dense composition it
-//! replaced, and tape reuse against fresh tapes — both bit for bit.
+//! replaced — on all rows and on some rows as queries — and tape reuse
+//! against fresh tapes, all bit for bit.
 
 use dpdp_nn::{Graph, Mlp, MultiHeadAttention, ParamStore, Tensor, Var};
 
@@ -122,6 +123,101 @@ fn sparse_attention_is_bit_identical_to_the_dense_composition() {
     }
 }
 
+/// Fewer attending rows than attended ones: the op on an ascending subset
+/// of the rows as queries is the dense composition under the `R x N` mask,
+/// and it is the all-rows op with the other rows' upstream gradient zero —
+/// the rows it computes, and every gradient it leaves, bit for bit.
+#[test]
+fn attention_from_some_rows_is_the_dense_composition_and_the_square_op() {
+    let mut rng = Lcg(0x5EED_0003);
+    for (rows, d, heads) in [(2, 4, 2), (7, 8, 4), (50, 32, 4)] {
+        for density in [2, 5, 11] {
+            let (xq, kt, vt) = (
+                rng.tensor(rows, d),
+                rng.tensor(rows, d),
+                rng.tensor(rows, d),
+            );
+            let picked: Vec<usize> = (0..rows).filter(|_| rng.next().is_multiple_of(3)).collect();
+            let lists: Vec<Vec<usize>> = (0..rows)
+                .map(|_| {
+                    let picks = rng.next() as usize % density;
+                    let mut list: Vec<usize> =
+                        (0..picks).map(|_| rng.next() as usize % rows).collect();
+                    list.sort_unstable();
+                    list.dedup();
+                    list
+                })
+                .collect();
+            let mut mask = Tensor::zeros(picked.len(), rows);
+            for (at, &r) in picked.iter().enumerate() {
+                for &c in &lists[r] {
+                    *mask.get_mut(at, c) = 1.0;
+                }
+            }
+            // The weights of the picked rows, zero elsewhere: the all-rows
+            // op then sends a zero gradient into every other row.
+            let weights = rng.tensor(picked.len(), d);
+            let mut spread = Tensor::zeros(rows, d);
+            for (at, &r) in picked.iter().enumerate() {
+                spread.data_mut()[r * d..(r + 1) * d].copy_from_slice(weights.row(at));
+            }
+
+            #[derive(Clone, Copy, PartialEq)]
+            enum Pass {
+                Dense,
+                Some,
+                All,
+            }
+            let run = |pass: Pass| {
+                let mut g = Graph::new();
+                let (x, k, v) = (g.constant(&xq), g.constant(&kt), g.constant(&vt));
+                let q = g.gather_rows(x, &picked);
+                let picked_lists = picked.iter().map(|&r| lists[r].iter().copied());
+                let (out, w) = match pass {
+                    Pass::Dense => (dense_attention(&mut g, q, k, v, heads, &mask), &weights),
+                    Pass::Some => {
+                        let lists = g.neighbor_lists_over(rows, picked_lists);
+                        (g.neighbor_attention(q, k, v, heads, lists), &weights)
+                    }
+                    Pass::All => {
+                        let lists = g.neighbor_lists(lists.iter().map(|l| l.iter().copied()));
+                        (g.neighbor_attention(x, k, v, heads, lists), &spread)
+                    }
+                };
+                let w = g.constant(w);
+                let prod = g.mul(out, w);
+                let loss = g.sum_all(prod);
+                g.backward_graph_only(loss);
+                let grads = [x, k, v].map(|x| match g.grad(x) {
+                    Some(grad) => grad.clone(),
+                    None => Tensor::zeros(rows, d),
+                });
+                let out = match pass {
+                    Pass::All => {
+                        let out = g.gather_rows(out, &picked);
+                        g.value(out).clone()
+                    }
+                    _ => g.value(out).clone(),
+                };
+                (out, g.value(loss).item(), grads)
+            };
+            let case = format!("K={rows} d={d} heads={heads} queries={picked:?}");
+            let (some_out, some_loss, some_grads) = run(Pass::Some);
+            let (dense_out, dense_loss, dense_grads) = run(Pass::Dense);
+            assert_eq!(bits(&dense_out), bits(&some_out), "forward, {case}");
+            assert_eq!(dense_loss.to_bits(), some_loss.to_bits(), "loss, {case}");
+            for (dense, some) in dense_grads.iter().zip(&some_grads) {
+                assert!(dense.data() == some.data(), "backward, {case}");
+            }
+            let (all_out, _, all_grads) = run(Pass::All);
+            assert_eq!(bits(&all_out), bits(&some_out), "forward, {case}");
+            for (all, some) in all_grads.iter().zip(&some_grads) {
+                assert_eq!(bits(all), bits(some), "backward, {case}");
+            }
+        }
+    }
+}
+
 /// One training-shaped pass of a small attention network: values of the
 /// output and the gradient of every parameter, as bit patterns.
 fn network_pass(
@@ -136,7 +232,7 @@ fn network_pass(
     let xv = g.constant(x);
     let h0 = embed.forward(g, &store, xv);
     let lists = g.neighbor_lists(lists.iter().map(|l| l.iter().copied()));
-    let mixed = attention.forward_neighbors(g, &store, h0, lists);
+    let mixed = attention.forward_neighbors(g, &store, h0, h0, lists);
     let top = g.relu(mixed);
     let both = g.concat_cols(&[h0, top]);
     let out = head.forward(g, &store, both);

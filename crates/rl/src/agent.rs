@@ -1,18 +1,21 @@
 //! The DQN-family dispatching agent: DQN / DDQN / DGN / DDGN and their
 //! ST-aided variants, trained per Algorithm 3.
 
-use crate::qnet::{best_feasible, ForwardStats, Partition, QNetwork, QNetworkConfig};
+use crate::qnet::{
+    best_feasible, first_max, ForwardStats, Partition, QNetwork, QNetworkConfig, TrainStats,
+};
 use crate::replay::ReplayBuffer;
 use crate::reward::{instant_reward, long_term_reward, RewardParams};
 use crate::schedule::EpsilonSchedule;
 use crate::state::{StateBuilder, StateSnapshot};
 use dpdp_data::{StScorer, StdMatrix};
 use dpdp_net::{Instance, VehicleId};
-use dpdp_nn::{Adam, Graph, Optimizer, ParamStore, Tensor};
+use dpdp_nn::{Adam, Graph, Optimizer, ParamStore};
 use dpdp_sim::{DispatchContext, Dispatcher};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// The model family of the paper's experiments and ablations (Table II).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -120,13 +123,14 @@ impl AgentConfig {
     }
 }
 
-/// One stored MDP transition.
+/// One stored MDP transition. A joint state is held once: `next` is the
+/// following transition's `state`.
 #[derive(Debug, Clone)]
 struct Transition {
-    state: StateSnapshot,
+    state: Arc<StateSnapshot>,
     action: usize,
     reward: f64,
-    next: Option<StateSnapshot>,
+    next: Option<Arc<StateSnapshot>>,
     terminal: bool,
 }
 
@@ -141,9 +145,10 @@ pub struct DqnAgent {
     /// TD targets, training steps), cleared between uses so its buffers
     /// are recycled.
     tape: Graph,
-    /// Scratch of the forward-only evaluations' partitions, kept beside
-    /// the tape for the same reason.
+    /// Scratch of every forward's partition and receptive field, kept
+    /// beside the tape for the same reason.
     partition: Partition,
+    train_stats: TrainStats,
     replay: ReplayBuffer<Transition>,
     /// Replay indices of the minibatch being trained on.
     minibatch: Vec<usize>,
@@ -153,7 +158,7 @@ pub struct DqnAgent {
     training: bool,
     reward_params: RewardParams,
     // Per-episode bookkeeping.
-    last: Option<(StateSnapshot, usize, f64, usize)>, // state, action, r, interval
+    last: Option<(Arc<StateSnapshot>, usize, f64, usize)>, // state, action, r, interval
     pending: Vec<Transition>,
     episode_instant_rewards: Vec<f64>,
     last_losses: Vec<f64>,
@@ -200,6 +205,7 @@ impl DqnAgent {
             optimizer,
             tape: Graph::new(),
             partition: Partition::default(),
+            train_stats: TrainStats::default(),
             replay,
             minibatch: Vec::new(),
             state_builder,
@@ -259,9 +265,16 @@ impl DqnAgent {
     }
 
     /// Lifetime totals of this agent's forward-only evaluations — action
-    /// choices and TD targets; training's dense passes are not counted.
+    /// choices and TD targets; the passes gradients are taken of are
+    /// counted by [`DqnAgent::train_stats`].
     pub fn forward_stats(&self) -> ForwardStats {
         self.partition.stats()
+    }
+
+    /// Lifetime totals of this agent's training passes: the rows replayed
+    /// joint states held against the rows `Q(s, a)` read.
+    pub fn train_stats(&self) -> TrainStats {
+        self.train_stats
     }
 
     fn epsilon(&self) -> f64 {
@@ -302,18 +315,22 @@ impl DqnAgent {
         }
         let (qnet, tape, part) = (&self.qnet, &mut self.tape, &mut self.partition);
         let (double, _, _) = self.config.kind.flags();
-        // The partition is a property of `next`: both networks share it.
+        // The partition is a property of `next`: both networks share it,
+        // and the best vehicle's value is its class's.
         qnet.partition(part, next);
+        let every_class = if double { &self.online } else { &self.target };
+        let q = qnet.forward_classes(tape, part, every_class, next, None);
+        let values = tape.value(q).data();
+        let best = first_max(values.iter().copied().enumerate()).expect("a feasible vehicle");
         let q_target = if double {
-            // DDQN: argmax under the online network, value under the target.
-            let q_online = qnet.q_values_of(tape, part, &self.online, next);
-            best_feasible(&q_online, &next.feasible)
-                .map(|a_star| qnet.q_values_of(tape, part, &self.target, next)[a_star])
+            // DDQN: argmax under the online network, value under the
+            // target — which is asked for that one class.
+            let q = qnet.forward_classes(tape, part, &self.target, next, Some(&[best]));
+            tape.value(q).item()
         } else {
-            let q = qnet.q_values_of(tape, part, &self.target, next);
-            best_feasible(&q, &next.feasible).map(|a_star| q[a_star])
+            values[best]
         };
-        t.reward + self.config.gamma * q_target.unwrap_or(0.0)
+        t.reward + self.config.gamma * q_target
     }
 
     fn train_step(&mut self) -> Option<f64> {
@@ -328,11 +345,14 @@ impl DqnAgent {
             let at = self.minibatch[i];
             let y = self.td_target(at);
             let t = self.replay.get(at);
-            let g = &mut self.tape;
+            let (qnet, g, part) = (&self.qnet, &mut self.tape, &mut self.partition);
             g.clear();
-            let q_all = self.qnet.forward(g, &self.online, &t.state);
-            let q_sa = g.gather_rows(q_all, &[t.action]);
-            let target = g.constant(Tensor::scalar(y));
+            // `Q(s, a)` on the rows it reads: the dense pass's gradients.
+            let q_sa = qnet.forward_on(g, part, &self.online, &t.state, Some(&[t.action]));
+            self.train_stats.samples += 1;
+            self.train_stats.rows += t.state.num_vehicles() as u64;
+            self.train_stats.field_rows += part.field_rows() as u64;
+            let target = g.constant_scalar(y);
             let err = g.mse(q_sa, target);
             total += g.value(err).item();
             let scaled = g.scale(err, 1.0 / b);
@@ -346,12 +366,12 @@ impl DqnAgent {
     }
 
     /// Finishes the open transition (if any) with the given successor.
-    fn close_last(&mut self, next: Option<(&StateSnapshot, usize)>) {
+    fn close_last(&mut self, next: Option<(&Arc<StateSnapshot>, usize)>) {
         if let Some((state, action, r, interval)) = self.last.take() {
             // Algorithm 3 marks the last order of each time interval
             // terminal, bounding bootstrapping within intervals.
             let (next_snap, terminal) = match next {
-                Some((snap, next_interval)) => (Some(snap.clone()), next_interval != interval),
+                Some((snap, next_interval)) => (Some(Arc::clone(snap)), next_interval != interval),
                 None => (None, true),
             };
             self.pending.push(Transition {
@@ -385,6 +405,7 @@ impl Dispatcher for DqnAgent {
         let snap = self.state_builder.build(ctx);
         let action = self.choose_action(&snap)?;
         if self.training {
+            let snap = Arc::new(snap);
             let delta = ctx.plans[action]
                 .incremental_length()
                 .expect("chosen action is feasible");
@@ -631,6 +652,23 @@ mod tests {
                 evaluated: 23
             }
         );
+    }
+
+    /// Replay holds each joint state once: a transition's successor is the
+    /// very snapshot the following transition starts from.
+    #[test]
+    fn successor_state_is_shared_with_the_following_transition() {
+        let inst = tiny_instance(6);
+        let mut agent = DqnAgent::new(quick_config(ModelKind::Ddgn), 144, None);
+        let sim = Simulator::builder(&inst).build().unwrap();
+        sim.run(&mut agent);
+        assert_eq!(agent.replay.len(), 6);
+        for at in 0..5 {
+            let next = agent.replay.get(at).next.as_ref().expect("a later order");
+            assert!(Arc::ptr_eq(next, &agent.replay.get(at + 1).state), "{at}");
+        }
+        let last = agent.replay.get(5);
+        assert!(last.next.is_none() && last.terminal);
     }
 
     #[test]

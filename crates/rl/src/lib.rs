@@ -59,14 +59,55 @@
 //! Cost follows the classes, not the fleet: `O(R · NE)` attention on the
 //! agent's reusable tape for `R` classes. A [`DqnAgent`] whose tape has
 //! seen a joint state with at least as many classes allocates only the
-//! snapshot and the Q-vector it hands back. Both TD-target forwards of a
-//! replayed transition go the same way and share one partition.
-//! **Training differentiates the dense pass**: [`QNetwork::forward`] on
-//! all `K` rows is the node `train_step` takes gradients of — on the
-//! classes the values would be equal, but a representative's gradient
-//! would add its members' contributions in another order. In evaluation
-//! mode ([`DqnAgent::set_training`]) nothing is recorded and nothing is
+//! snapshot and the Q-vector it hands back. In evaluation mode
+//! ([`DqnAgent::set_training`]) nothing is recorded and nothing is
 //! learned.
+//!
+//! # How a transition is learned from
+//!
+//! Algorithm 3's loss reads one entry of the network's output per replayed
+//! transition, `Q(s, a)`, against a TD target.
+//!
+//! * **The field.** The value of vehicle `a` is a function of `a` and the
+//!   vehicles it attends to, two attention levels deep: with
+//!   `need[L] = {a}` and `need[l-1] = need[l] ∪ lists(need[l])` over the
+//!   canonical neighbour lists, `Q(s, a)` reads the level-`l`
+//!   representation of the rows `need[l]` and of no other. `train_step`
+//!   records [`QNetwork::forward`] on exactly those rows — the embedding
+//!   on `need[0]`, each level's queries and output layer on `need[l]` with
+//!   keys and values on `need[l-1]`, the head on `a` — on the agent's tape
+//!   and partition scratch, so a sample costs its receptive field, not
+//!   `K`. There is no dense training path beside it: a fleet whose field
+//!   is the whole fleet simply records every row.
+//!   [`DqnAgent::train_stats`] counts the rows replayed joint states held
+//!   and the rows embedded.
+//! * **Its gradient is the dense gradient, bit for bit.** In the dense
+//!   pass the rows outside the field receive an upstream gradient of
+//!   exactly zero. Every gradient accumulator on the tape starts at `+0.0`
+//!   and only adds, so it is never `-0.0`, and adding the `±0.0` terms of
+//!   those rows — or leaving them out — changes none of its bits. What is
+//!   left are the field's terms, and they arrive in the dense order: every
+//!   `need[l]` is ascending, so each `Xᵀ·dY`, bias sum and per-key
+//!   accumulation visits the kept rows in the dense pass's order, and the
+//!   row gathers are recorded where each node with several consumers (a
+//!   level's input: its `q`, `k`, `v` products; the embedding: the first
+//!   level and the head) still collects their contributions in the dense
+//!   order. Three training episodes leave the weights and losses of the
+//!   dense pass (`tests/forward_parity.rs`), and a property holds the two
+//!   to each other on random fleets for every action.
+//! * **The target.** Both TD-target forwards of a replayed transition run
+//!   on the successor's classes and share one partition. Choosing `a*`
+//!   needs every class under the online network; its value under the
+//!   target network (DDQN) is then asked for the one class of `a*`, on
+//!   that class's field *in class space*.
+//! * **Classes are not trained on.** On the classes the values would be
+//!   equal, but a representative stands for several rows of the dense
+//!   pass, and its gradient adds its members' contributions in another
+//!   order than the dense pass adds them: equal up to rounding, not bit
+//!   for bit, and training would drift from the reference. The two
+//!   reductions are different observations — classes say many rows are
+//!   *equal*, which forward values can use; the field says most rows are
+//!   *unread*, which gradients can use too.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -85,7 +126,7 @@ pub mod trainer;
 pub use ac::{ActorCriticAgent, ActorCriticConfig};
 pub use adjacency::nearest_neighbors;
 pub use agent::{AgentConfig, DqnAgent, ModelKind};
-pub use qnet::{ForwardStats, QNetwork, QNetworkConfig};
+pub use qnet::{ForwardStats, QNetwork, QNetworkConfig, TrainStats};
 pub use recorder::CapacityRecorder;
 pub use replay::ReplayBuffer;
 pub use reward::{instant_reward, RewardParams};

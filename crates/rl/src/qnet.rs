@@ -78,38 +78,70 @@ impl QNetwork {
         self.config
     }
 
-    /// The network on the rows of `x` (`R x 5`), row `r` attending to the
-    /// rows `lists` names for it, in that order: an `R x 1` node. This is
-    /// the one definition of the network — the dense pass training
-    /// differentiates ([`QNetwork::forward`]) and the pass over a joint
-    /// state's classes that every forward-only caller runs
-    /// ([`QNetwork::q_values`]) both record it. Without the graph pathway
-    /// `lists` is not read.
-    fn forward_rows<I, J>(&self, g: &mut Graph, store: &ParamStore, x: Var, lists: I) -> Var
-    where
-        I: IntoIterator<Item = J>,
-        I::IntoIter: ExactSizeIterator,
-        J: IntoIterator<Item = usize>,
-    {
+    /// The network on the rows `want` of `x` (`R x 5`; `None` wants every
+    /// row), row `r` attending to the rows `lists(r)` names, in that
+    /// order: a node with one Q-value per wanted row. This is the one
+    /// definition of the network — the dense pass ([`QNetwork::forward`]),
+    /// the pass over a joint state's classes that every forward-only
+    /// caller runs ([`QNetwork::q_values`]) and the pass a replayed
+    /// transition is learned from all record it.
+    ///
+    /// Only the wanted rows' receptive field is recorded: with
+    /// `need[L] = want` at the top level and
+    /// `need[l-1] = need[l] ∪ lists(need[l])` below it (kept in `field`,
+    /// each ascending), the embedding runs on `need[0]`, level `l` takes
+    /// its queries and its output layer on `need[l]` with keys and values
+    /// on `need[l-1]`, and the head runs on `want`. A level that reads
+    /// every row of the one below records no gather, so a pass that wants
+    /// every row is the plain network, node for node. The row gathers sit
+    /// where each node with several consumers still collects their
+    /// gradients in the dense pass's order: a level's query gather before
+    /// its `q`, `k`, `v` products, the head's gather of the embedding after
+    /// the last level. Without the graph pathway `lists` is not read.
+    fn forward_rows<J: IntoIterator<Item = usize>>(
+        &self,
+        g: &mut Graph,
+        store: &ParamStore,
+        field: &mut Field,
+        x: Var,
+        lists: impl Fn(usize) -> J,
+        want: Option<&[usize]>,
+    ) -> Var {
+        let rows = g.value(x).rows();
+        field.derive(self.attention.len(), rows, want, &lists);
+        let Field { need, picks } = field;
+        let embedded = &need[0];
+        let x = if embedded.len() == rows {
+            x
+        } else {
+            g.gather_rows(x, embedded)
+        };
         let h0 = self.initial.forward(g, store, x);
         if !self.config.graph {
             return self.head.forward(g, store, h0);
         }
-        let lists = g.neighbor_lists(lists);
         let mut top = h0;
-        for attn in &self.attention {
-            let out = attn.forward_neighbors(g, store, top, lists);
+        for (attn, level) in self.attention.iter().zip(need.windows(2)) {
+            let (keys, queries) = (&level[0], &level[1]);
+            let at = |row: usize| position(keys, rows, row);
+            let query = rows_among(g, picks, top, keys, queries, rows);
+            let local = queries.iter().map(|&row| lists(row).into_iter().map(at));
+            let local = g.neighbor_lists_over(keys.len(), local);
+            let out = attn.forward_neighbors(g, store, query, top, local);
             top = g.relu(out);
         }
+        let h0 = rows_among(g, picks, h0, embedded, &need[need.len() - 1], rows);
         let head_in = g.concat_cols(&[h0, top]);
         self.head.forward(g, store, head_in)
     }
 
     /// The dense forward pass on the tape: all `K` rows, a `K x 1` Q-value
-    /// node. This is the pass training differentiates; forward-only
-    /// callers go through [`QNetwork::q_values`], which records the same
-    /// network on one row per class of interchangeable vehicles and reads
-    /// the same bits.
+    /// node. This is the reference: forward-only callers go through
+    /// [`QNetwork::q_values`], which records the same network on one row
+    /// per class of interchangeable vehicles and reads the same bits, and
+    /// training records it on the rows its one Q-value reads and leaves
+    /// the same gradients (see the
+    /// [crate docs](crate#how-a-transition-is-learned-from)).
     ///
     /// Each vehicle attends to itself and to the *feasible* vehicles among
     /// its `snap.neighbors` (the constraint embedding: infeasible vehicles
@@ -121,13 +153,33 @@ impl QNetwork {
     /// Output rows of infeasible vehicles are meaningless — callers must
     /// mask them.
     pub fn forward(&self, g: &mut Graph, store: &ParamStore, snap: &StateSnapshot) -> Var {
-        let mut part = Partition::default();
+        self.forward_on(g, &mut Partition::default(), store, snap, None)
+    }
+
+    /// [`QNetwork::forward`] on the vehicles `want` (ascending; `None`
+    /// wants all `K`), recorded after what `g` already holds, with `part`
+    /// as the scratch: one Q-value per wanted vehicle, values and
+    /// gradients bit for bit the dense pass's.
+    pub(crate) fn forward_on(
+        &self,
+        g: &mut Graph,
+        part: &mut Partition,
+        store: &ParamStore,
+        snap: &StateSnapshot,
+        want: Option<&[usize]>,
+    ) -> Var {
         if self.config.graph {
             part.canonical_lists(snap);
         }
         let x = g.constant(&snap.features);
-        let rows = 0..snap.num_vehicles();
-        self.forward_rows(g, store, x, rows.map(|v| part.list(v).iter().copied()))
+        let Partition {
+            bounds,
+            flat,
+            field,
+            ..
+        } = part;
+        let list = |v: usize| list_of(bounds, flat, v).iter().copied();
+        self.forward_rows(g, store, field, x, list, want)
     }
 
     /// Q-values of one joint state as a plain vector (infeasible entries
@@ -180,22 +232,7 @@ impl QNetwork {
         store: &ParamStore,
         snap: &StateSnapshot,
     ) -> Vec<f64> {
-        tape.clear();
-        let all = tape.constant(&snap.features);
-        let x = tape.gather_rows(all, &part.reps);
-        // A representative's canonical list with every vehicle replaced by
-        // its class: same length, same order, twins as repeated entries,
-        // so each sum over neighbours has the dense pass's terms in the
-        // dense pass's order.
-        let lists = part.reps.iter().map(|&rep| {
-            let list = part.list(rep).iter();
-            list.map(|&neighbor| part.class[neighbor])
-        });
-        let q = self.forward_rows(tape, store, x, lists);
-        part.stats.forwards += 1;
-        part.stats.rows += snap.num_vehicles() as u64;
-        part.stats.feasible += snap.feasible.iter().filter(|&&f| f).count() as u64;
-        part.stats.evaluated += part.reps.len() as u64;
+        let q = self.forward_classes(tape, part, store, snap, None);
         let values = tape.value(q).data();
         snap.feasible
             .iter()
@@ -208,6 +245,47 @@ impl QNetwork {
                 }
             })
             .collect()
+    }
+
+    /// The network under `store` on the classes `want` of `snap`'s
+    /// partition in `part` (ascending; `None` wants every class), recorded
+    /// on `tape`, which is cleared first: one Q-value per wanted class —
+    /// the value of each of its members — from one representative row per
+    /// class in the wanted ones' receptive field.
+    pub(crate) fn forward_classes(
+        &self,
+        tape: &mut Graph,
+        part: &mut Partition,
+        store: &ParamStore,
+        snap: &StateSnapshot,
+        want: Option<&[usize]>,
+    ) -> Var {
+        tape.clear();
+        let all = tape.constant(&snap.features);
+        let x = tape.gather_rows(all, &part.reps);
+        let Partition {
+            bounds,
+            flat,
+            class,
+            reps,
+            field,
+            stats,
+            ..
+        } = part;
+        // A representative's canonical list with every vehicle replaced by
+        // its class: same length, same order, twins as repeated entries,
+        // so each sum over neighbours has the dense pass's terms in the
+        // dense pass's order.
+        let list = |c: usize| {
+            let list = list_of(bounds, flat, reps[c]).iter();
+            list.map(|&neighbor| class[neighbor])
+        };
+        let q = self.forward_rows(tape, store, field, x, list, want);
+        stats.forwards += 1;
+        stats.rows += snap.num_vehicles() as u64;
+        stats.feasible += snap.feasible.iter().filter(|&&f| f).count() as u64;
+        stats.evaluated += field.need[0].len() as u64;
+        q
     }
 
     /// Q-values of many joint states, one vector per snapshot, in order:
@@ -233,9 +311,17 @@ impl QNetwork {
 
 /// Index of the first feasible entry holding the highest value, if any.
 pub(crate) fn best_feasible(q: &[f64], feasible: &[bool]) -> Option<usize> {
+    first_max(q.iter().copied().enumerate().filter(|&(i, _)| feasible[i]))
+}
+
+/// Index of the first entry holding the highest value, if any. Over the
+/// values of a pass on every class this is the class of the vehicle
+/// [`best_feasible`] picks from the Q-vector: classes are numbered by
+/// their lowest member.
+pub(crate) fn first_max(values: impl IntoIterator<Item = (usize, f64)>) -> Option<usize> {
     let mut best: Option<(usize, f64)> = None;
-    for (i, &v) in q.iter().enumerate() {
-        if feasible[i] && best.is_none_or(|(_, b)| v > b) {
+    for (i, v) in values {
+        if best.is_none_or(|(_, b)| v > b) {
             best = Some((i, v));
         }
     }
@@ -253,8 +339,96 @@ pub struct ForwardStats {
     pub rows: u64,
     /// Of `rows`, the feasible ones — the rows whose Q-value is read.
     pub feasible: u64,
-    /// Rows put on the tape: one representative per class.
+    /// Rows put on the tape: one representative per class the pass reads
+    /// — every class, or the field of the one class a target value is
+    /// asked of.
     pub evaluated: u64,
+}
+
+/// Lifetime totals of an agent's training passes: how many rows the
+/// replayed joint states held and how many the network was recorded on.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TrainStats {
+    /// Replayed transitions a gradient was taken of.
+    pub samples: u64,
+    /// Vehicles in their joint states (`K` per sample).
+    pub rows: u64,
+    /// Of `rows`, the ones embedded: the receptive field of `Q(s, a)`.
+    pub field_rows: u64,
+}
+
+/// The receptive field of a pass's wanted rows, and the scratch its row
+/// gathers are written in.
+#[derive(Debug, Default)]
+struct Field {
+    /// `need[l]`: the rows whose level-`l` representation the wanted rows
+    /// read, ascending — `need[0]` is embedded, the last set is wanted.
+    need: Vec<Vec<usize>>,
+    picks: Vec<usize>,
+}
+
+impl Field {
+    /// Derives `need` for `want` (ascending; `None` wants all `rows` rows)
+    /// under `levels` attention levels: a level reads, of the one below,
+    /// its own rows and the rows their lists name.
+    fn derive<J: IntoIterator<Item = usize>>(
+        &mut self,
+        levels: usize,
+        rows: usize,
+        want: Option<&[usize]>,
+        lists: impl Fn(usize) -> J,
+    ) {
+        self.need.resize_with(levels + 1, Vec::new);
+        let wanted = &mut self.need[levels];
+        wanted.clear();
+        match want {
+            Some(want) => {
+                assert!(want.is_sorted_by(|a, b| a < b), "wanted rows ascend");
+                wanted.extend_from_slice(want);
+            }
+            None => wanted.extend(0..rows),
+        }
+        for level in (0..levels).rev() {
+            let (below, above) = self.need.split_at_mut(level + 1);
+            let (below, above) = (&mut below[level], &above[0]);
+            below.clone_from(above);
+            // Every row reads every row below it at most.
+            if above.len() < rows {
+                below.extend(above.iter().flat_map(|&row| lists(row)));
+                below.sort_unstable();
+                below.dedup();
+            }
+        }
+    }
+}
+
+/// Where `row` sits in `set`, an ascending set of some of `rows` rows that
+/// holds it.
+fn position(set: &[usize], rows: usize, row: usize) -> usize {
+    if set.len() == rows {
+        return row;
+    }
+    set.binary_search(&row)
+        .expect("a level's set holds every row the level above reads")
+}
+
+/// The rows `some` of `x`, which holds the rows `held` (`some` among them):
+/// `x` itself when that is all of them, a gather — its indices written in
+/// `picks` — otherwise.
+fn rows_among(
+    g: &mut Graph,
+    picks: &mut Vec<usize>,
+    x: Var,
+    held: &[usize],
+    some: &[usize],
+    rows: usize,
+) -> Var {
+    if some.len() == held.len() {
+        return x;
+    }
+    picks.clear();
+    picks.extend(some.iter().map(|&row| position(held, rows, row)));
+    g.gather_rows(x, picks)
 }
 
 /// Marks an unused slot of [`Partition::slots`].
@@ -299,18 +473,20 @@ pub(crate) struct Partition {
     reps: Vec<usize>,
     /// Open-addressing table of the classes found so far in a round.
     slots: Vec<usize>,
+    /// The receptive field of the last pass recorded through this scratch.
+    field: Field,
     stats: ForwardStats,
 }
 
 impl Partition {
-    /// Totals over every [`QNetwork::q_values_of`] this scratch served.
+    /// Totals over every [`QNetwork::forward_classes`] this scratch served.
     pub(crate) fn stats(&self) -> ForwardStats {
         self.stats
     }
 
-    /// Vehicle `v`'s canonical neighbour list.
-    fn list(&self, v: usize) -> &[usize] {
-        &self.flat[self.bounds[v]..self.bounds[v + 1]]
+    /// Rows the last pass through this scratch embedded.
+    pub(crate) fn field_rows(&self) -> usize {
+        self.field.need[0].len()
     }
 
     /// Builds every vehicle's canonical list: itself and the feasible
@@ -372,8 +548,8 @@ impl Partition {
         self.class.resize(self.prev.len(), EMPTY);
         let (bounds, flat, prev) = (&self.bounds, &self.flat, &self.prev);
         let key = |v: usize| {
-            let list = &flat[bounds[v]..bounds[v + 1]];
-            std::iter::once(prev[v]).chain(list.iter().map(|&n| prev[n]))
+            let list = list_of(bounds, flat, v).iter();
+            std::iter::once(prev[v]).chain(list.map(|&n| prev[n]))
         };
         group(
             &snap.feasible,
@@ -385,6 +561,11 @@ impl Partition {
         );
         self.reps.len() != before
     }
+}
+
+/// Vehicle `v`'s canonical neighbour list in [`Partition`]'s flat layout.
+fn list_of<'a>(bounds: &[usize], flat: &'a [usize], v: usize) -> &'a [usize] {
+    &flat[bounds[v]..bounds[v + 1]]
 }
 
 /// Groups the feasible vehicles by a key given as its hash and its
@@ -600,7 +781,9 @@ mod tests {
         );
         let mut part = Partition::default();
         part.canonical_lists(&snap);
-        let lists: Vec<&[usize]> = (0..4).map(|v| part.list(v)).collect();
+        let lists: Vec<&[usize]> = (0..4)
+            .map(|v| list_of(&part.bounds, &part.flat, v))
+            .collect();
         assert_eq!(lists, [&[0, 1, 2][..], &[1], &[1, 2], &[0, 3]]);
     }
 
@@ -782,6 +965,139 @@ mod tests {
             prop_assert!(stats.evaluated <= stats.feasible, "seed {seed}: {stats:?}");
             SPARED.fetch_add(stats.feasible - stats.evaluated, Ordering::Relaxed);
         }
+    }
+
+    /// The loss bits and every parameter's gradient bits after one
+    /// training-shaped backward from the `1 x 1` node `record` leaves.
+    fn loss_and_gradients(
+        store: &ParamStore,
+        record: impl FnOnce(&mut Graph, &ParamStore) -> Var,
+    ) -> (u64, Vec<Vec<u64>>) {
+        let mut store = store.clone();
+        let mut g = Graph::new();
+        let q_sa = record(&mut g, &store);
+        let target = g.constant_scalar(0.25);
+        let err = g.mse(q_sa, target);
+        let loss = g.scale(err, 1.0 / 8.0);
+        g.backward(loss, &mut store);
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect();
+        let grads = (0..store.len()).map(|i| bits(store.grad(dpdp_nn::ParamId(i))));
+        (g.value(loss).item().to_bits(), grads.collect())
+    }
+
+    /// `Q(s, a)` recorded on `a`'s receptive field leaves the loss and the
+    /// gradients of the dense pass, bit for bit, for every feasible `a`.
+    /// Returns the rows embedded, summed over the actions.
+    fn assert_gradient_parity(
+        net: &QNetwork,
+        store: &ParamStore,
+        snap: &StateSnapshot,
+        case: &str,
+    ) -> usize {
+        let mut part = Partition::default();
+        let mut embedded = 0;
+        for a in (0..snap.num_vehicles()).filter(|&a| snap.feasible[a]) {
+            let dense = loss_and_gradients(store, |g, store| {
+                let q_all = net.forward(g, store, snap);
+                g.gather_rows(q_all, &[a])
+            });
+            let field = loss_and_gradients(store, |g, store| {
+                net.forward_on(g, &mut part, store, snap, Some(&[a]))
+            });
+            assert!(dense.0 == field.0, "{case}, action {a}: loss\n{snap:?}");
+            for (id, (dense, field)) in dense.1.iter().zip(&field.1).enumerate() {
+                assert!(
+                    dense == field,
+                    "{case}, action {a}: parameter {id}\n{snap:?}"
+                );
+            }
+            assert!(
+                dense.1.iter().flatten().any(|&g| g != 0),
+                "{case}: no gradient"
+            );
+            embedded += part.field_rows();
+        }
+        embedded
+    }
+
+    /// Graph pathway off, and on at zero to three levels.
+    fn shapes(seed: u64, heads: usize) -> Vec<(QNetwork, ParamStore)> {
+        let config = |graph, levels| QNetworkConfig {
+            hidden: 12,
+            heads,
+            levels,
+            graph,
+        };
+        let configs = std::iter::once(config(false, 2)).chain((0..=3).map(|l| config(true, l)));
+        configs
+            .map(|config| {
+                let mut store = ParamStore::new(seed);
+                (QNetwork::new(&mut store, config), store)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn field_gradients_are_the_dense_gradients_on_edge_cases() {
+        // Infeasible neighbours, self-listed and repeated ones, unsorted.
+        let messy = state(
+            &[A, B, C, A, B, C],
+            &[true, true, false, true, true, true],
+            &[&[2, 0, 1, 1], &[2, 3, 3], &[0], &[4, 4, 3], &[0], &[]],
+        );
+        // A chain: vehicle 0 reads the whole fleet at two levels or more.
+        let chain = state(&[A, B, C], &[true; 3], &[&[1], &[2], &[]]);
+        let alone = state(&[B], &[true], &[&[]]);
+        for (net, store) in &shapes(21, 2) {
+            let case = format!("{:?}", net.config());
+            assert_gradient_parity(net, store, &messy, &case);
+            assert_gradient_parity(net, store, &alone, &case);
+            assert_gradient_parity(net, store, &chain, &case);
+            let mut part = Partition::default();
+            net.forward_on(&mut Graph::new(), &mut part, store, &chain, Some(&[0]));
+            let reach = match net.config() {
+                QNetworkConfig { graph: false, .. } => 1,
+                QNetworkConfig { levels, .. } => (levels + 1).min(3),
+            };
+            assert_eq!(part.field_rows(), reach, "{case}");
+        }
+    }
+
+    /// Rows the fleets of the property below held and rows their fields
+    /// embedded, summed over every action.
+    static OFFERED: AtomicU64 = AtomicU64::new(0);
+    static EMBEDDED: AtomicU64 = AtomicU64::new(0);
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Run by `field_gradients_are_the_dense_gradients_on_random_fleets`.
+        fn random_field_case(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let heads = rng.random_range(1..=4usize);
+            let snap = random_fleet(&mut rng);
+            let actions = snap.feasible.iter().filter(|&&f| f).count();
+            for (net, store) in &shapes(seed, heads) {
+                let case = format!("seed {seed}, {:?}", net.config());
+                let embedded = assert_gradient_parity(net, store, &snap, &case);
+                OFFERED.fetch_add((actions * snap.num_vehicles()) as u64, Ordering::Relaxed);
+                EMBEDDED.fetch_add(embedded as u64, Ordering::Relaxed);
+            }
+        }
+    }
+
+    #[test]
+    fn field_gradients_are_the_dense_gradients_on_random_fleets() {
+        random_field_case();
+        // Non-vacuous: most passes were recorded on a part of the fleet.
+        let (offered, embedded) = (
+            OFFERED.load(Ordering::Relaxed),
+            EMBEDDED.load(Ordering::Relaxed),
+        );
+        assert!(
+            2 * embedded < offered,
+            "{embedded} of {offered} rows embedded"
+        );
     }
 
     #[test]

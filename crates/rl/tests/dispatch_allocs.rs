@@ -1,4 +1,5 @@
-//! Allocation budget of a decision: a warmed-up `DqnAgent::dispatch` at
+//! Allocation budgets. Of a training step: none of its own once warm (the
+//! last test). Of a decision: a warmed-up `DqnAgent::dispatch` at
 //! K = 100 allocates what it returns to itself — the joint-state snapshot
 //! and one Q-vector — and nothing per tape node or per class of the
 //! partition, so the tensor churn the reusable tape removed cannot creep
@@ -55,10 +56,10 @@ fn allocations_of<R>(f: impl FnOnce() -> R) -> (usize, R) {
     (ALLOCATIONS.with(Cell::get) - before, result)
 }
 
-/// 100 vehicles on a five-node campus, parked round-robin at `depots`;
+/// `vehicles` vehicles on a five-node campus, parked round-robin at `depots`;
 /// light orders every vehicle can take. The fleet starts as one class of
 /// idle twins per depot and splits as vehicles are put to use.
-fn instance(depots: &[NodeId]) -> Instance {
+fn instance(vehicles: usize, depots: &[NodeId]) -> Instance {
     let nodes = vec![
         Node::depot(NodeId(0), Point::new(0.0, 0.0)),
         Node::factory(NodeId(1), Point::new(5.0, 0.0)),
@@ -67,8 +68,8 @@ fn instance(depots: &[NodeId]) -> Instance {
         Node::depot(NodeId(4), Point::new(12.0, 4.0)),
     ];
     let net = RoadNetwork::euclidean(nodes, 1.0).unwrap();
-    let fleet =
-        FleetConfig::homogeneous(100, depots, 10.0, 300.0, 2.0, 40.0, TimeDelta::ZERO).unwrap();
+    let fleet = FleetConfig::homogeneous(vehicles, depots, 10.0, 300.0, 2.0, 40.0, TimeDelta::ZERO)
+        .unwrap();
     let orders = (0..12u32)
         .map(|i| {
             let (pickup, delivery) = if i % 2 == 0 { (1, 2) } else { (3, 1) };
@@ -128,7 +129,7 @@ fn warmed_up_dispatch_allocates_only_what_it_returns() {
             builder,
             decisions: Vec::with_capacity(32),
         };
-        let inst = instance(depots);
+        let inst = instance(100, depots);
         let sim = Simulator::builder(&inst).build().unwrap();
         for _ in 0..2 {
             assert_eq!(sim.run(&mut probe).metrics.served, 12);
@@ -173,5 +174,72 @@ fn warmed_up_dispatch_allocates_only_what_it_returns() {
                 "the first decision pays for the tape"
             );
         }
+    }
+}
+
+/// Forwards to a training agent, recording what each `end_episode` — the
+/// episode's training steps — allocated.
+struct TrainProbe {
+    agent: DqnAgent,
+    episodes: Vec<usize>,
+}
+
+impl Dispatcher for TrainProbe {
+    fn begin_episode(&mut self, instance: &Instance) {
+        self.agent.begin_episode(instance);
+    }
+
+    fn dispatch(&mut self, ctx: &DispatchContext<'_>) -> Option<VehicleId> {
+        self.agent.dispatch(ctx)
+    }
+
+    fn end_episode(&mut self) {
+        let (allocations, ()) = allocations_of(|| self.agent.end_episode());
+        self.episodes.push(allocations);
+    }
+}
+
+/// Training on a replayed transition records the network on the agent's
+/// tape and partition scratch and nothing else: once those have met
+/// fields as large as the day's, an episode's training steps allocate
+/// nothing — whatever the fleet size and the minibatch size — except in
+/// the episode after a target sync, whose first optimizer step un-shares
+/// each parameter tensor from the target network it was synced to.
+#[test]
+fn warmed_up_training_allocates_nothing_per_sample() {
+    for (vehicles, batch_size) in [(50, 8), (100, 8), (100, 16)] {
+        let mut config = AgentConfig::new(ModelKind::Ddgn);
+        config.batch_size = batch_size;
+        // Widths change no count, only how long the test takes.
+        (config.hidden, config.heads) = (8, 2);
+        let sync = config.target_sync_period;
+        let mut probe = TrainProbe {
+            agent: DqnAgent::new(config, 144, None),
+            episodes: Vec::with_capacity(32),
+        };
+        let inst = instance(vehicles, &[NodeId(0), NodeId(4)]);
+        let sim = Simulator::builder(&inst).build().unwrap();
+        for _ in 0..30 {
+            assert_eq!(sim.run(&mut probe).metrics.served, 12);
+        }
+        // A copied tensor is two allocations: its buffer and its `Arc`.
+        let parameters = probe.agent.params().len();
+        assert_eq!(parameters, 18);
+        for (episode, &allocations) in probe.episodes.iter().enumerate().skip(20) {
+            let copied = if episode % sync == 0 {
+                2 * parameters
+            } else {
+                0
+            };
+            assert_eq!(
+                allocations, copied,
+                "K = {vehicles}, minibatches of {batch_size}: episode {episode} \
+                 allocated {allocations} times while training"
+            );
+        }
+        // Non-vacuous: every episode trained, on fields well under the fleet.
+        let stats = probe.agent.train_stats();
+        assert_eq!(stats.rows, stats.samples * vehicles as u64);
+        assert!(stats.samples >= 30 * 8 * 8 && 2 * stats.field_rows <= stats.rows);
     }
 }

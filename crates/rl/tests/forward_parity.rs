@@ -1,7 +1,8 @@
 //! The agent around the partitioned forward did not move: an evaluation
 //! episode audited decision by decision against the dense pass, and a
 //! digest of three training episodes pinned at the commit before the
-//! partition existed.
+//! partition existed — when training still differentiated the dense pass
+//! — beside the count of the rows those episodes' gradients were taken on.
 
 use dpdp_data::{FactoryIndex, StScorer, StdMatrix};
 use dpdp_net::{
@@ -10,7 +11,9 @@ use dpdp_net::{
 };
 use dpdp_nn::serialize::save_params;
 use dpdp_nn::{Graph, ParamStore};
-use dpdp_rl::{AgentConfig, DqnAgent, ModelKind, QNetwork, QNetworkConfig, StateBuilder};
+use dpdp_rl::{
+    AgentConfig, DqnAgent, ModelKind, QNetwork, QNetworkConfig, StateBuilder, TrainStats,
+};
 use dpdp_sim::{DispatchContext, Dispatcher, Simulator};
 
 const FACTORIES: [NodeId; 4] = [NodeId(2), NodeId(3), NodeId(4), NodeId(5)];
@@ -187,12 +190,8 @@ fn digest(agent: &DqnAgent, losses: &[f64]) -> u64 {
         })
 }
 
-/// Three training episodes of ST-DDGN leave the weights and the loss
-/// sequence they left at the parent of the partition change (the constant
-/// was computed there, on this file minus the audit above): the gradient
-/// path, the replay draws and the exploration stream are untouched.
-#[test]
-fn training_digest_is_the_parents() {
+/// Three training episodes of ST-DDGN: the agent and each episode's loss.
+fn three_training_episodes() -> (DqnAgent, Vec<f64>) {
     let instance = two_depot_instance();
     let sim = Simulator::builder(&instance).build().unwrap();
     let mut agent = st_ddgn(&instance);
@@ -202,7 +201,35 @@ fn training_digest_is_the_parents() {
         assert_eq!(result.metrics.served, 16);
         losses.push(agent.last_loss().expect("every episode trains"));
     }
+    (agent, losses)
+}
+
+/// Three training episodes of ST-DDGN leave the weights and the loss
+/// sequence they left at the parent of the partition change (the constant
+/// was computed there, on this file minus the audit above): the gradient
+/// path, the replay draws and the exploration stream are untouched.
+#[test]
+fn training_digest_is_the_parents() {
+    let (agent, losses) = three_training_episodes();
     assert_eq!(digest(&agent, &losses), PARENT_DIGEST, "losses {losses:?}");
+}
+
+/// What those gradients were taken on: four updates of eight transitions
+/// per episode, each a joint state of 24 vehicles, recorded on the rows its
+/// one Q-value reads — at most a depot's twelve and whoever of the other
+/// depot's is on the road nearby.
+#[test]
+fn training_records_the_field_of_each_sample() {
+    let (agent, _) = three_training_episodes();
+    let stats = agent.train_stats();
+    let counted = TrainStats {
+        samples: 96,
+        rows: 96 * 24,
+        field_rows: 925,
+    };
+    assert_eq!(stats, counted);
+    // Non-vacuous: a field is well under the fleet.
+    assert!(2 * stats.field_rows <= stats.rows, "{stats:?}");
 }
 
 const PARENT_DIGEST: u64 = 14_541_465_741_671_711_526;

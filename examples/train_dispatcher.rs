@@ -67,4 +67,13 @@ fn main() {
         stats.evaluated,
         stats.evaluated as f64 / stats.forwards.max(1) as f64
     );
+    // What a gradient costs: the rows `Q(s, a)` reads, not the fleet.
+    let stats = agent.train_stats();
+    println!(
+        "training passes: {} over {} vehicle rows, {} in the field ({:.1} per pass)",
+        stats.samples,
+        stats.rows,
+        stats.field_rows,
+        stats.field_rows as f64 / stats.samples.max(1) as f64
+    );
 }
