@@ -68,12 +68,13 @@ use crate::state::VehicleState;
 use crate::sweep::{plan_sweep, ShardContext, ShardStats, SweepBuffers};
 use dpdp_net::{FleetConfig, Order, OrderId, RoadNetwork, TimePoint, VehicleId};
 use dpdp_pool::ThreadPool;
-use dpdp_routing::{
-    PlanScore, PlannerOutput, PruneProbe, RoutePlanner, ScheduleCache, VehicleView,
-};
+use dpdp_routing::{PlanScore, PlannerOutput, RoutePlanner, ScheduleCache, VehicleView};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::sync::Arc;
+use store::{Column, DeltaRow, PlanStore};
+
+mod store;
 
 /// Why a [`Decision`] turned out the way it did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -412,146 +413,6 @@ impl EpochScratch {
     }
 }
 
-/// The epoch's `B x K` plan matrix: candidate rows over a per-vehicle
-/// fallback. A cell is a [`PlanScore`] — scalars and insertion positions,
-/// `Copy`, no heap — so the store owns no route and dropping it frees
-/// only its row and index vectors.
-///
-/// A row stores the cells some sweep evaluated, sorted by vehicle index;
-/// every absent cell reads as `columns[k].fallback`, the vehicle's pruned
-/// score (`best: None` plus its `d_{t,k}`) — identical for every row. The
-/// flat scan evaluates every cell, so its rows are complete and the
-/// fallback is never read. The sharded sweep stores only the survivors of
-/// the geometric bound, which is what lets the hierarchical megacity
-/// episode scale with the *work* of the epoch instead of `O(B x K)` memory
-/// traffic on cells whose content is known in advance. Either way every
-/// cell query of a still-undecided row answers with bit-identical values.
-/// Idle twins share a *computation*, not storage: a row still stores one
-/// cell per member, so nothing that reads a row can tell.
-///
-/// Pruned cells stay implicit through commits too: an acceptance on
-/// vehicle `k` refreshes `k`'s fallback once and touches a row only where
-/// the column replan evaluated a cell or a stored cell went stale, so a
-/// row grows by at most one entry per *evaluated* delta cell. A cell that
-/// was ever evaluated stays stored (overwritten with the fallback if a
-/// later commit prunes it), so a feasible cell is always present.
-///
-/// **The column index** answers "which rows store a cell of vehicle `k`"
-/// without searching them — what a commit delta needs to find the stored
-/// cells it just made stale among thousands of rows that hold nothing of
-/// `k`. It is the sharded sweep's own work list, kept instead of dropped:
-/// the list is vehicle-major (see [`crate::sweep`]), so a column is one
-/// `(start, end)` into it and nothing is built. Cells a later delta
-/// inserts go to `inserted`. The invariant: every stored cell `(i, k)` of
-/// a sharded batch is in `k`'s run of `swept` or in `inserted` — rows
-/// never drop a cell, so the index only grows. (`inserted` is rarely what
-/// finds a cell: an accepting vehicle leaves with a leg to drive, so its
-/// anchor — all the bound reads — is fixed for the rest of the epoch, a
-/// second acceptance on it re-evaluates exactly the cells the first one
-/// inserted, and an evaluated cell is stored through its own search. The
-/// list makes the index complete by construction instead of by that
-/// argument, which zero-length legs at zero service time would break.) A
-/// flat batch stores every cell and prunes nothing: it has no stale cell
-/// to look for, and both lists stay empty.
-#[derive(Debug)]
-struct PlanStore {
-    /// `rows[i]`: the stored `(vehicle, score)` cells of epoch order `i`.
-    rows: Vec<Vec<(u32, PlanScore)>>,
-    /// Per vehicle: its fallback score and its run of `swept`.
-    columns: Vec<Column>,
-    /// The `(row, vehicle)` cells the sharded sweep stored: each vehicle's
-    /// are one contiguous run in ascending row order.
-    swept: Vec<(u32, u32)>,
-    /// The `(row, vehicle)` cells commit deltas inserted, in insertion
-    /// order. Short (an absent cell is only evaluated once its vehicle's
-    /// anchor has moved into reach of the row's order), so an acceptance
-    /// scans it whole.
-    inserted: Vec<(u32, u32)>,
-}
-
-/// Vehicle `k`'s side of a [`PlanStore`].
-#[derive(Debug)]
-struct Column {
-    /// What a cell of this vehicle no row stores reads as.
-    fallback: PlanScore,
-    /// This vehicle's `(start, end)` run of [`PlanStore::swept`].
-    stored: (u32, u32),
-}
-
-impl PlanStore {
-    /// The score of cell `(i, k)`; `None` for a vehicle outside the fleet.
-    fn cell(&self, i: usize, k: usize) -> Option<PlanScore> {
-        let row = &self.rows[i];
-        match row.binary_search_by_key(&(k as u32), |e| e.0) {
-            Ok(p) => Some(row[p].1),
-            Err(_) => self.columns.get(k).map(|c| c.fallback),
-        }
-    }
-
-    /// Stores the freshly evaluated score of commit-delta cell `(i, k)`,
-    /// inserting the cell (and indexing it) if the row did not hold it.
-    fn store(&mut self, i: usize, k: usize, score: PlanScore) {
-        let row = &mut self.rows[i];
-        match row.binary_search_by_key(&(k as u32), |e| e.0) {
-            Ok(p) => row[p].1 = score,
-            Err(p) => {
-                row.insert(p, (k as u32, score));
-                self.inserted.push((i as u32, k as u32));
-            }
-        }
-    }
-
-    /// Overwrites the stored cell `(i, k)` — one [`PlanStore::stored_rows`]
-    /// listed — with `k`'s fallback (which the caller refreshed first): a
-    /// commit delta pruned it.
-    fn prune_stored(&mut self, i: usize, k: usize) {
-        let row = &mut self.rows[i];
-        let p = row
-            .binary_search_by_key(&(k as u32), |e| e.0)
-            .expect("the column index lists stored cells only");
-        row[p].1 = self.columns[k].fallback;
-    }
-
-    /// The rows of a sharded batch that store a cell of vehicle `k`.
-    fn stored_rows(&self, k: usize) -> impl Iterator<Item = usize> + '_ {
-        let (start, end) = self.columns[k].stored;
-        let inserted = self.inserted.iter().filter(move |c| c.1 as usize == k);
-        self.swept[start as usize..end as usize]
-            .iter()
-            .chain(inserted)
-            .map(|c| c.0 as usize)
-    }
-
-    /// Whether any vehicle currently has a feasible plan for row `i`.
-    /// Fallback cells are `best: None` by construction, so scanning the
-    /// stored cells is exhaustive.
-    fn row_feasible(&self, i: usize) -> bool {
-        self.rows[i].iter().any(|(_, p)| p.feasible())
-    }
-
-    /// Row `i` materialised as the dense `K`-slice [`DispatchContext`]
-    /// exposes: every feasible cell's route and schedule are built against
-    /// its vehicle's current view, so the row must be an undecided one
-    /// (see [`DecisionBatch::with_context`]).
-    fn row_materialised(
-        &self,
-        i: usize,
-        planner: &RoutePlanner<'_>,
-        views: &[VehicleView],
-        order: &Order,
-    ) -> Vec<PlannerOutput> {
-        let mut stored = self.rows[i].iter().peekable();
-        let cells = self.columns.iter().enumerate().map(|(k, column)| {
-            let score = match stored.next_if(|e| e.0 as usize == k) {
-                Some(e) => &e.1,
-                None => &column.fallback,
-            };
-            planner.materialise(score, &views[k], order)
-        });
-        cells.collect()
-    }
-}
-
 /// Interior state of a batch: evolves as decisions are committed.
 #[derive(Debug)]
 struct BatchInner {
@@ -582,21 +443,6 @@ struct BatchInner {
     /// Commit scratch: the accepting vehicle's schedule cache, rebuilt in
     /// place per acceptance.
     column_cache: ScheduleCache,
-}
-
-/// One epoch order as a commit delta sees it: the order-only half of the
-/// exact bound and the order's shard are fixed for the epoch (the sweep's
-/// classification computed both; see [`SweepBuffers`]), so a delta cell
-/// costs the accepting vehicle's anchor → pickup leg and a comparison.
-#[derive(Debug)]
-struct DeltaRow {
-    /// [`RoutePlanner::prune_probe`] of the order.
-    probe: PruneProbe,
-    /// Shard of the order's pickup node under the epoch's partition.
-    shard: u32,
-    /// Stamp of the latest acceptance whose vehicle this row stores a cell
-    /// of (see [`PlanStore::stored_rows`]); 0 = none yet.
-    holds: u32,
 }
 
 /// All orders flushed at one decision epoch, sharing one fleet snapshot.
