@@ -1,8 +1,14 @@
 //! The three greedy insertion baselines (Section V-A).
 //!
-//! Each baseline is an argmin over the vehicles with a feasible insertion,
-//! scanned in ascending vehicle order with a strict comparison (ties go to
-//! the lower vehicle id). Its key is a function of a [`PlanScore`] — the
+//! Each baseline is an argmin over the vehicles with a feasible insertion
+//! under a strict comparison, ties going to the lower vehicle id. The
+//! tie-break is explicit — a candidate whose key neither beats nor loses to
+//! the incumbent's wins on the lower id — because a batch's candidate row
+//! is not visited in ascending vehicle order (an idle-twin group is one
+//! column, its members visited together; see
+//! [`DecisionBatch::fold_candidates`]); for a strict weak order it picks
+//! what an ascending first-wins scan picks, whatever the visit order. Its
+//! key is a function of a [`PlanScore`] — the
 //! scalars Algorithm 2 scores for an `(order, vehicle)` pair; no baseline
 //! looks inside a route. The per-order [`Dispatcher::dispatch`] scans the
 //! scores of the dense `K`-slice of its [`DispatchContext`]; the
@@ -31,7 +37,9 @@ use dpdp_sim::{Decision, DecisionBatch, DispatchContext, Dispatcher};
 
 /// One step of a greedy scan: `best` is the running `(vehicle, key)`
 /// winner, `key` the candidate's (`None` = infeasible, never wins), and
-/// `better(candidate, incumbent)` the policy's strict comparison.
+/// `better(candidate, incumbent)` the policy's strict comparison. Equal
+/// keys — neither better than the other — go to the lower vehicle id, so
+/// the winner does not depend on the order the candidates come in.
 fn keep_better<K: Copy>(
     best: Option<(VehicleId, K)>,
     k: VehicleId,
@@ -40,7 +48,7 @@ fn keep_better<K: Copy>(
 ) -> Option<(VehicleId, K)> {
     match (key, best) {
         (None, _) => best,
-        (Some(v), Some((_, b))) if !better(v, b) => best,
+        (Some(v), Some((bk, b))) if !(better(v, b) || (k < bk && !better(b, v))) => best,
         (Some(v), _) => Some((k, v)),
     }
 }
@@ -61,7 +69,8 @@ fn scan_context<K: Copy>(
         .map(|(k, _)| k)
 }
 
-/// Folds [`keep_better`] over the `i`-th order's candidate row.
+/// Folds [`keep_better`] over the `i`-th order's candidate row (visited by
+/// column, not in ascending vehicle order).
 fn scan_candidates<K: Copy>(
     batch: &DecisionBatch<'_>,
     i: usize,
@@ -355,6 +364,90 @@ mod tests {
         // Baseline 2 favours short *total* routes, so it spreads orders over
         // fresh (empty) vehicles whenever that keeps routes short.
         assert!(r.metrics.nuv >= 2);
+    }
+
+    /// Any visit order gives the ascending first-wins scan's winner: random
+    /// keys drawn from a handful of values (so most of them tie), for the
+    /// lowest-score baselines and for Baseline 3's `(accepted, delta)`
+    /// pairs — twins share a delta but not necessarily a count — visited in
+    /// a shuffled order.
+    mod visit_order {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+
+        /// The reference: ascending vehicle order, a candidate replaces the
+        /// incumbent only when strictly better.
+        fn ascending<K: Copy>(keys: &[Option<K>], better: impl Fn(K, K) -> bool) -> Option<usize> {
+            let mut best: Option<(usize, K)> = None;
+            for (k, key) in keys.iter().enumerate() {
+                if let Some(v) = *key {
+                    if best.is_none_or(|(_, b)| better(v, b)) {
+                        best = Some((k, v));
+                    }
+                }
+            }
+            best.map(|(k, _)| k)
+        }
+
+        /// [`keep_better`] over `keys` in the order `visit` names them.
+        fn visited<K: Copy>(
+            keys: &[Option<K>],
+            visit: &[usize],
+            better: impl Fn(K, K) -> bool,
+        ) -> Option<usize> {
+            let scan = visit.iter().fold(None, |best, &k| {
+                keep_better(best, VehicleId::from_index(k), keys[k], &better)
+            });
+            scan.map(|(k, _)| k.index())
+        }
+
+        fn shuffled(rng: &mut StdRng, n: usize) -> Vec<usize> {
+            let mut visit: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                visit.swap(i, rng.random_range(0..=i));
+            }
+            visit
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn the_winner_does_not_depend_on_the_visit_order(seed in 0u64..u64::MAX) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let n = rng.random_range(1..24usize);
+                // Lowest score: a third infeasible, the rest on four values.
+                let scores: Vec<Option<f64>> = (0..n)
+                    .map(|_| (rng.random_range(0..3u8) > 0).then(|| f64::from(rng.random_range(0..4u8))))
+                    .collect();
+                // Baseline 3: groups of twins share a delta, not a count.
+                let mut pairs: Vec<Option<(usize, f64)>> = Vec::with_capacity(n);
+                while pairs.len() < n {
+                    let delta = f64::from(rng.random_range(0..3u8));
+                    for _ in 0..rng.random_range(1..5u8) {
+                        let feasible = rng.random_range(0..5u8) > 0;
+                        pairs.push(feasible.then(|| (rng.random_range(0..3usize), delta)));
+                    }
+                }
+                pairs.truncate(n);
+                for round in 0..4 {
+                    let visit = shuffled(&mut rng, n);
+                    let lower = |v: f64, b: f64| v < b;
+                    prop_assert_eq!(
+                        visited(&scores, &visit, lower),
+                        ascending(&scores, lower),
+                        "seed {}, round {}: {:?} visited as {:?}", seed, round, scores, visit
+                    );
+                    prop_assert_eq!(
+                        visited(&pairs, &visit, Baseline3::better),
+                        ascending(&pairs, Baseline3::better),
+                        "seed {}, round {}: {:?} visited as {:?}", seed, round, pairs, visit
+                    );
+                }
+            }
+        }
     }
 
     #[test]

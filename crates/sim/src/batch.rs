@@ -3,8 +3,8 @@
 //! The paper's Algorithm 1 frames dispatch as a sequence of *decision
 //! epochs*: every order whose decision time lands on the same instant is
 //! decided against one shared fleet snapshot. A [`DecisionBatch`] carries
-//! that snapshot — one [`VehicleView`] per vehicle and one [`PlanScore`]
-//! per `(order, vehicle)` pair — and maintains it *incrementally* as
+//! that snapshot — one [`VehicleView`] per vehicle and a [`PlanScore`] for
+//! every `(order, vehicle)` pair — and maintains it *incrementally* as
 //! decisions are committed: accepting an order rescores only the chosen
 //! vehicle's entries for the still-undecided orders (a per-order plan
 //! delta), so a batch of `B` orders over `K` vehicles costs one full
@@ -23,18 +23,24 @@
 //! capacity, speed and service time are fleet-wide ([`FleetConfig`]), the
 //! route and the cargo stack are empty by definition, and neither the
 //! schedule cache nor the insertion sweep nor the oracle walk reads
-//! `view.vehicle` or `view.used`. The initial sweep therefore groups the
-//! twins (`EpochScratch::group_twins`), builds one [`ScheduleCache`] per
-//! group and scores each `(order, group)` once
+//! `view.vehicle` or `view.used`. The batch build therefore groups the
+//! twins into the epoch's **column map** (`EpochScratch::group_twins`): a
+//! group of two or more is *one column* of the plan matrix, everybody else
+//! their own. The sharded sweep classifies a group once, the epoch builds
+//! one [`ScheduleCache`] per column and scores each `(order, column)` once
 //! (`EpochScratch::score_cells`, the one scoring path of both the flat and
-//! the sharded arm); every member's cell still gets its own copy of the
-//! 40 bytes, so rows, folds and contexts are what they were. A masked
-//! (broken-down) vehicle, whose stripped route only *looks* idle, is never
-//! grouped. Commit deltas are one vehicle's column and share nothing —
-//! but they do keep the sweep's vehicle-major work list as a **column
-//! index**, so an acceptance touches only the rows that hold a cell of its
-//! vehicle instead of searching every undecided row for one (see
-//! `PlanStore`).
+//! the sharded arm), and a row stores that one cell — so classification,
+//! scoring, storage and the searches of commit deltas cost the epoch's
+//! distinct vehicles, not its fleet. Readers expand a group cell to its
+//! members: [`DecisionBatch::fold_candidates`] hands each current member
+//! the group's score, [`DecisionBatch::with_context`] materialises it on
+//! each member's own view. A masked (broken-down) vehicle, whose stripped
+//! route only *looks* idle, is never grouped. A member that accepts an
+//! order stops being a twin: it leaves its group for its own column, and
+//! its commit deltas are one vehicle's column like any other's. Deltas
+//! keep the sweep's column-major work list as a **column index**, so an
+//! acceptance touches only the rows that hold a cell of its column instead
+//! of searching every undecided row for one (see `PlanStore`).
 //!
 //! **A cell is positions, a route is for a winner.** Algorithm 2 hands a
 //! policy a few scalars per pair and one route, the one the chosen
@@ -72,6 +78,7 @@ use dpdp_routing::{PlanScore, PlannerOutput, RoutePlanner, ScheduleCache, Vehicl
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::sync::Arc;
+pub(crate) use store::ColumnMap;
 use store::{Column, DeltaRow, PlanStore};
 
 mod store;
@@ -176,7 +183,8 @@ const NONE: u32 = u32::MAX;
 /// `EpochScratch` owned by the loop and threaded into `new` keeps all of
 /// that storage alive across epochs: buffers are cleared, never freed, so
 /// steady-state epochs allocate only when the fleet or epoch outgrows
-/// every previous one.
+/// every previous one. The column map is lent to the batch for the length
+/// of the epoch and handed back by [`DecisionBatch::into_parts`].
 ///
 /// Reuse is invisible in the output: cache rebuilds run the identical
 /// passes over cleared vectors (see `ScheduleCache::rebuild`), the sweep
@@ -192,54 +200,40 @@ pub(crate) struct EpochScratch {
     /// One schedule cache slot per vehicle, rebuilt in place each epoch.
     caches: Vec<ScheduleCache>,
     /// `cache_live[k]`: whether `caches[k]` was rebuilt for this epoch —
-    /// `k` stands for itself or for a twin group and some cell of theirs is
-    /// scored. Dead slots keep stale storage for later epochs but are
-    /// never read.
+    /// `k` is the lowest member of a column some cell of which is scored.
+    /// Dead slots keep stale storage for later epochs but are never read.
     cache_live: Vec<bool>,
-    /// `twin_rep[k]`: the vehicle whose schedule cache and scores stand
-    /// for vehicle `k` this epoch — the lowest-numbered member of `k`'s
-    /// idle-twin group, `k` itself for everybody else.
+    /// The epoch's column map, built by [`EpochScratch::group_twins`].
+    column_map: ColumnMap,
+    /// `twin_rep[k]`: the lowest-numbered member of `k`'s idle-twin group,
+    /// `k` itself for everybody else.
     twin_rep: Vec<u32>,
-    /// `twin_slot[r]`: the memo slot of the group representative `r`
-    /// leads, [`NONE`] unless the group has at least two members.
-    twin_slot: Vec<u32>,
-    /// Number of twin groups with at least two members (memo slots).
-    twin_groups: usize,
     /// Grouping scratch: the latest representative anchored at each node.
     /// All [`NONE`] between epochs (reset per anchor, not per node).
     node_rep: Vec<u32>,
     /// Grouping scratch: `next_rep[r]` chains the representatives that
     /// share `r`'s anchor node but not its anchor time or depot.
     next_rep: Vec<u32>,
-    /// `memo[slot * B + i]`: which score is order `i`'s for the group in
-    /// `slot`, [`NONE`] until the scan meets a cell asking for it.
-    memo: Vec<u32>,
-    /// `scorers[s]`: the cell that computes distinct score `s`.
-    scorers: Vec<u32>,
-    /// `score_of[w]`: cell `w`'s score, as an index into what
-    /// [`EpochScratch::score_cells`] returned.
-    score_of: Vec<u32>,
+    /// Flat-scan scratch: the columns some vehicle reads, ascending.
+    read_columns: Vec<u32>,
     /// Sharded rows-build scratch: stored cells per row.
     row_len: Vec<usize>,
 }
 
 impl EpochScratch {
-    /// Groups this epoch's **idle twins**: unmasked vehicles with an empty
+    /// Groups this epoch's **idle twins** — unmasked vehicles with an empty
     /// remaining route and nothing on board that share anchor node, anchor
-    /// time (bit for bit) and depot. One pass in ascending vehicle order
-    /// over a node-indexed table of short chains, so the representative is
-    /// the group's lowest vehicle id, the cost is `O(K)` and the result
-    /// depends on nothing but the views. See the module docs for why the
-    /// key is complete.
+    /// time (bit for bit) and depot — into the epoch's [`ColumnMap`]. One
+    /// pass in ascending vehicle order over a node-indexed table of short
+    /// chains, so a group's representative is its lowest vehicle id, the
+    /// cost is `O(K)` and the result depends on nothing but the views. See
+    /// the module docs for why the key is complete.
     fn group_twins(&mut self, views: &[VehicleView], active: Option<&[bool]>, num_nodes: usize) {
         let k_n = views.len();
         self.twin_rep.clear();
         self.twin_rep.extend(0..k_n as u32);
-        self.twin_slot.clear();
-        self.twin_slot.resize(k_n, NONE);
         self.next_rep.clear();
         self.next_rep.resize(k_n, NONE);
-        self.twin_groups = 0;
         if self.node_rep.len() < num_nodes {
             self.node_rep.resize(num_nodes, NONE);
         }
@@ -263,35 +257,27 @@ impl EpochScratch {
                 // First of its kind at this node: a new representative.
                 self.next_rep[k] = head;
                 self.node_rep[v.anchor_node.index()] = k as u32;
-                continue;
-            }
-            self.twin_rep[k] = r;
-            if self.twin_slot[r as usize] == NONE {
-                self.twin_slot[r as usize] = self.twin_groups as u32;
-                self.twin_groups += 1;
+            } else {
+                self.twin_rep[k] = r;
             }
         }
         for v in views {
             self.node_rep[v.anchor_node.index()] = NONE;
         }
+        self.column_map.group(&self.twin_rep);
     }
 
     /// The initial sweep's one scoring path, shared by the flat and the
     /// sharded arm of [`DecisionBatch::new`]: scores the `n` cells
-    /// `cell(w) = (order index, vehicle index)` and returns the epoch's
-    /// *distinct* [`PlanScore`]s; cell `w`'s is the one at
-    /// `self.score_of[w]`. `n` minus the returned length is how many cells
-    /// were handed an idle twin's score instead of running the sweep.
+    /// `cell(w) = (order index, column)` of the epoch's column map, cell
+    /// `w`'s score into slot `w` of the result. The cells are distinct, so
+    /// nothing is scored twice: a twin group is one column, and its one
+    /// cell per order is every member's score (see the module docs).
     ///
-    /// Groups the fleet's idle twins, rebuilds one [`ScheduleCache`] per
-    /// vehicle that stands for some cell (itself or its group — a masked
-    /// vehicle gets none and scores as pruned), and runs
-    /// [`RoutePlanner::score_cached`] once per `(order, group)`: the first
-    /// cell of a group to ask for an order computes it, whichever member
-    /// it belongs to, and every later one points at the result. The scan
-    /// that decides who computes is serial and reads only `cell`, so the
-    /// result is the same at any thread count; the scoring itself fans out
-    /// across `pool`.
+    /// Rebuilds one [`ScheduleCache`] per column that has a cell — in its
+    /// lowest member's slot; a masked vehicle gets none and scores as
+    /// pruned — and runs [`RoutePlanner::score_cached`] once per cell on
+    /// that member's view, fanned out across `pool`.
     #[allow(clippy::too_many_arguments)] // one call site per arm of `new`
     fn score_cells(
         &mut self,
@@ -301,48 +287,25 @@ impl EpochScratch {
         active: Option<&[bool]>,
         pool: &ThreadPool,
         n: usize,
-        cell: impl Fn(usize) -> (usize, usize) + Sync,
+        cell: impl Fn(usize) -> (usize, u32) + Sync,
     ) -> Vec<PlanScore> {
-        assert!(n < NONE as usize, "epoch matrix outgrew its u32 indices");
-        self.group_twins(views, active, planner.network().nodes().len());
         self.caches.resize_with(views.len(), ScheduleCache::default);
         self.cache_live.clear();
         self.cache_live.resize(views.len(), false);
-        let b = epoch.len();
-        self.memo.clear();
-        self.memo.resize(self.twin_groups * b, NONE);
-        self.scorers.clear();
-        self.score_of.clear();
         for w in 0..n {
-            let (i, k) = cell(w);
-            let rep = self.twin_rep[k] as usize;
-            let fresh = self.scorers.len() as u32;
-            let score = match self.twin_slot[rep] {
-                NONE => fresh,
-                slot => {
-                    // The first cell to ask scores for the whole group.
-                    let first = &mut self.memo[slot as usize * b + i];
-                    if *first == NONE {
-                        *first = fresh;
-                    }
-                    *first
-                }
-            };
-            if score == fresh {
-                self.scorers.push(w as u32);
-                self.cache_live[rep] = active.is_none_or(|a| a[k]);
-            }
-            self.score_of.push(score);
+            let rep = self.column_map.members(&cell(w).1)[0] as usize;
+            self.cache_live[rep] = active.is_none_or(|a| a[rep]);
         }
         self.rebuild_caches(planner, views, pool);
         let scr = &*self;
-        pool.par_map(scr.scorers.len(), |s| {
-            let (i, k) = cell(scr.scorers[s] as usize);
-            match scr.cache(scr.twin_rep[k] as usize) {
+        pool.par_map(n, |w| {
+            let (i, c) = cell(w);
+            let rep = scr.column_map.members(&c)[0] as usize;
+            match scr.cache(rep) {
                 Some(cache) => {
-                    planner.score_cached(cache, &views[k], &planner.orders()[epoch[i].index()])
+                    planner.score_cached(cache, &views[rep], &planner.orders()[epoch[i].index()])
                 }
-                None => planner.pruned_score(None, &views[k]),
+                None => planner.pruned_score(None, &views[rep]),
             }
         })
     }
@@ -391,12 +354,13 @@ impl EpochScratch {
         self.cache_live[k].then(|| &self.caches[k])
     }
 
-    /// The per-vehicle side of the epoch just scored: each vehicle's pruned
+    /// The per-column side of the epoch just scored: each column's pruned
     /// score (`best: None` plus its `d_{t,k}`), computed once per twin
-    /// group — a member's is its representative's, the same anchor-to-depot
-    /// leg — over a still empty column index.
+    /// group — a member's own column and the group's take the
+    /// representative's, the same anchor-to-depot leg — over a still empty
+    /// column index.
     fn columns(&self, planner: &RoutePlanner<'_>, views: &[VehicleView]) -> Vec<Column> {
-        let mut columns: Vec<Column> = Vec::with_capacity(views.len());
+        let mut columns: Vec<Column> = Vec::with_capacity(self.column_map.num_columns());
         for (k, view) in views.iter().enumerate() {
             let rep = self.twin_rep[k] as usize;
             let fallback = if rep < k {
@@ -404,10 +368,11 @@ impl EpochScratch {
             } else {
                 planner.pruned_score(self.cache(k), view)
             };
-            columns.push(Column {
-                fallback,
-                stored: (0, 0),
-            });
+            columns.push(Column::new(fallback));
+        }
+        for c in views.len() as u32..self.column_map.num_columns() as u32 {
+            let rep = self.column_map.members(&c)[0] as usize;
+            columns.push(Column::new(columns[rep].fallback));
         }
         columns
     }
@@ -490,23 +455,22 @@ impl<'a> DecisionBatch<'a> {
     /// vehicle states by move (there is no second copy of the fleet;
     /// [`DecisionBatch::into_parts`] returns them). The initial
     /// `B x K` Algorithm 2 sweep is scored across `pool`'s threads, each
-    /// `(order, vehicle)` score landing in its pre-indexed matrix slot —
+    /// `(order, column)` score landing in its pre-indexed matrix slot —
     /// bit-identical to the serial sweep for any thread count. No route is
     /// built here.
     ///
-    /// Each vehicle's [`ScheduleCache`] — prefix/suffix schedule passes and
-    /// the current route length `d_{t,k}` — is built **once** here and
-    /// shared by every order of the batch, instead of being recomputed per
-    /// `(order, vehicle)` cell, and idle twins (see the module docs) share
-    /// one cache and one evaluation per order between them: the sweep
-    /// costs one cache build per vehicle *or twin group* that has a cell to
-    /// score, plus one O(n²) incremental evaluation per distinct
-    /// `(order, vehicle-or-group)` among the cells classification kept.
-    /// Both arms below hand their cells to the same
-    /// `EpochScratch::score_cells`; they differ in which cells exist
-    /// (all of them, row-major / the sharded sweep's survivors,
-    /// vehicle-major) and in keeping the survivors' list as the store's
-    /// column index.
+    /// The fleet's idle twins are grouped first (see the module docs): a
+    /// group is one column of the matrix, so classification, scoring and
+    /// storage see one `(order, group)` cell where there used to be one
+    /// per member. Each column's [`ScheduleCache`] — prefix/suffix
+    /// schedule passes and the current route length `d_{t,k}` — is built
+    /// **once** here and shared by every order of the batch: the sweep
+    /// costs one cache build per column that has a cell to score, plus one
+    /// O(n²) incremental evaluation per cell classification kept. Both
+    /// arms below hand their cells to the same `EpochScratch::score_cells`;
+    /// they differ in which cells exist (every column's, row-major / the
+    /// sharded sweep's survivors, column-major) and in keeping the
+    /// survivors' list as the store's column index.
     #[allow(clippy::too_many_arguments)] // crate-private; mirrors the fields
     pub(crate) fn new(
         now: TimePoint,
@@ -525,44 +489,47 @@ impl<'a> DecisionBatch<'a> {
         let planner = RoutePlanner::new(net, fleet, orders);
         let epoch = &epoch_orders;
         let active_ref = active.as_deref();
-        let k_n = views.len();
+        scratch.group_twins(&views, active_ref, net.nodes().len());
         let mut stats = ShardStats::default();
         let (rows, swept, delta_rows) = match shards.as_ref().filter(|c| c.map.num_shards() > 1) {
             None => {
-                // Every cell, row-major. A masked vehicle has no schedule
+                // Every column, row-major. A masked vehicle has no schedule
                 // cache and scores as pruned — `best: None` with its exact
                 // route length — so the mask is value-identical everywhere
                 // it is applied (flat or sharded, any thread count).
-                let cell = |idx: usize| (idx / k_n, idx % k_n);
+                let mut read = std::mem::take(&mut scratch.read_columns);
+                read.clear();
+                read.extend(scratch.column_map.read_columns());
+                let n_c = read.len();
                 let scores = scratch.score_cells(
                     &planner,
                     &views,
                     epoch,
                     active_ref,
                     &pool,
-                    epoch.len() * k_n,
-                    cell,
+                    epoch.len() * n_c,
+                    |w| (w / n_c, read[w % n_c]),
                 );
-                let mut score_of = scratch.score_of.iter();
                 let rows = (0..epoch.len())
-                    .map(|_| {
-                        let row = (0..k_n as u32).zip(score_of.by_ref());
-                        row.map(|(k, &s)| (k, scores[s as usize])).collect()
+                    .map(|i| {
+                        let row = &scores[i * n_c..(i + 1) * n_c];
+                        read.iter().copied().zip(row.iter().copied()).collect()
                     })
                     .collect();
+                scratch.read_columns = read;
                 (rows, Vec::new(), Vec::new())
             }
             Some(ctx) => {
                 // Sharded sweep: classify every cell, score the surviving
                 // cells shard-grouped across the pool, and store them as
-                // candidate-sparse rows over the per-vehicle pruned
+                // candidate-sparse rows over the per-column pruned
                 // fallback. Every pruned cell's output is bit-identical to
                 // what its full evaluation would have produced (see
                 // crate::sweep), so queries cannot tell the difference. A
-                // vehicle whose whole column pruned gets no schedule cache
-                // (its `d_{t,k}` comes from `Route::length`, which
-                // accumulates the same legs in the same order as the
-                // cache's forward pass).
+                // column that pruned whole gets no schedule cache (its
+                // `d_{t,k}` comes from `Route::length`, which accumulates
+                // the same legs in the same order as the cache's forward
+                // pass).
                 let epoch_refs: Vec<&Order> = epoch.iter().map(|id| &orders[id.index()]).collect();
                 let sweep = plan_sweep(
                     ctx,
@@ -570,12 +537,12 @@ impl<'a> DecisionBatch<'a> {
                     &views,
                     &epoch_refs,
                     active_ref,
+                    &scratch.column_map,
                     &pool,
                     &mut scratch.sweep,
                 );
                 stats = sweep.stats;
                 let work = sweep.work;
-                let cell = |w: usize| (work[w].0 as usize, work[w].1 as usize);
                 let scores = scratch.score_cells(
                     &planner,
                     &views,
@@ -583,10 +550,10 @@ impl<'a> DecisionBatch<'a> {
                     active_ref,
                     &pool,
                     work.len(),
-                    cell,
+                    |w| (work[w].0 as usize, work[w].1),
                 );
-                stats.shared = work.len() - scores.len();
-                // `work` is vehicle-major, so a row's cells arrive
+                stats.shared = stats.evaluated - work.len();
+                // `work` is column-major, so a row's cells arrive
                 // scattered: count them first and size every row exactly.
                 let row_len = &mut scratch.row_len;
                 row_len.clear();
@@ -596,8 +563,8 @@ impl<'a> DecisionBatch<'a> {
                 }
                 let mut rows: Vec<Vec<(u32, PlanScore)>> =
                     row_len.iter().map(|&n| Vec::with_capacity(n)).collect();
-                for (&(i, k), &s) in work.iter().zip(&scratch.score_of) {
-                    rows[i as usize].push((k, scores[s as usize]));
+                for (&(i, c), &score) in work.iter().zip(&scores) {
+                    rows[i as usize].push((c, score));
                 }
                 for row in &mut rows {
                     row.sort_unstable_by_key(|e| e.0);
@@ -615,21 +582,10 @@ impl<'a> DecisionBatch<'a> {
                 (rows, work, delta_rows)
             }
         };
-        let mut columns = scratch.columns(&planner, &views);
-        // The column index is the work list itself, moved: each vehicle's
-        // cells are one run of it, found by walking it once.
-        let mut start = 0;
-        for run in swept.chunk_by(|a, b| a.1 == b.1) {
-            let end = start + run.len() as u32;
-            columns[run[0].1 as usize].stored = (start, end);
-            start = end;
-        }
-        let plans = PlanStore {
-            rows,
-            columns,
-            swept,
-            inserted: Vec::new(),
-        };
+        // The column index is the work list itself, moved.
+        let columns = scratch.columns(&planner, &views);
+        let map = std::mem::take(&mut scratch.column_map);
+        let plans = PlanStore::new(rows, map, columns, swept);
         let undecided = (0..epoch_orders.len() as u32).collect();
         let commits = (0..epoch_orders.len()).map(|_| None).collect();
         DecisionBatch {
@@ -665,23 +621,31 @@ impl<'a> DecisionBatch<'a> {
     }
 
     /// Folds `f` over the `i`-th order's **candidate row** of the current
-    /// snapshot, in ascending vehicle order — the one read primitive
-    /// batch-native policies pick a vehicle with, called at decision time so
-    /// there is no policy-side copy of the matrix to keep in sync. A cell is
-    /// a [`PlanScore`]: the scalars an argmin ranks on. Nothing is
+    /// snapshot, one call per vehicle — the one read primitive batch-native
+    /// policies pick a vehicle with, called at decision time so there is no
+    /// policy-side copy of the matrix to keep in sync. A cell is a
+    /// [`PlanScore`]: the scalars an argmin ranks on. Nothing is
     /// materialised here; the route of the cell the policy picks is built
     /// once, by [`DecisionBatch::resolve`].
+    ///
+    /// The row is stored per column (see the module docs): the vehicles
+    /// that stand for themselves come first, in ascending order, then each
+    /// idle-twin group's current members, consecutive and ascending, all
+    /// handed the group's one score. The visit order is therefore not
+    /// ascending overall: a policy that breaks ties toward the lower
+    /// vehicle id must compare ids, not keep the first of equal keys.
     ///
     /// On a flat (unsharded) batch the row holds all `K` vehicles. Under
     /// sharding it holds the cells the initial sweep or a later commit
     /// delta actually evaluated; every vehicle it omits is provably
     /// infeasible for this order (`best: None`), so an argmin over feasible
-    /// plans sees the same winner and the same tie-breaks as a dense scan.
-    /// A row changes only when [`DecisionBatch::resolve`] commits an
-    /// acceptance: the accepting vehicle's cell is rescored for every
+    /// plans sees the same winner as a dense scan. A row changes only when
+    /// [`DecisionBatch::resolve`] commits an acceptance: the accepting
+    /// vehicle leaves its group, if any, and its cell is rescored for every
     /// still-undecided order. The row of an already resolved order is not
-    /// maintained — folding over it is allowed and reads scores that may
-    /// be stale.
+    /// maintained — folding over it is allowed, reads scores that may be
+    /// stale and omits the vehicles that left a group after it was
+    /// resolved.
     ///
     /// # Panics
     /// Panics if `i >= len()`, or when called while the snapshot is mutably
@@ -690,13 +654,9 @@ impl<'a> DecisionBatch<'a> {
         &self,
         i: usize,
         init: A,
-        mut f: impl FnMut(A, VehicleId, &PlanScore) -> A,
+        f: impl FnMut(A, VehicleId, &PlanScore) -> A,
     ) -> A {
-        self.inner.borrow().plans.rows[i]
-            .iter()
-            .fold(init, |acc, (k, p)| {
-                f(acc, VehicleId::from_index(*k as usize), p)
-            })
+        self.inner.borrow().plans.fold(i, init, f)
     }
 
     /// The decision [`DecisionBatch::resolve`] committed for the `i`-th
@@ -707,9 +667,14 @@ impl<'a> DecisionBatch<'a> {
 
     /// Tears the batch down into its per-order commit records (`None` for
     /// an order nobody resolved) and the vehicle states it was built from,
-    /// every committed acceptance applied.
-    pub(crate) fn into_parts(self) -> (Vec<Option<CommitRecord>>, Vec<VehicleState>) {
+    /// every committed acceptance applied; the column map's storage goes
+    /// back to `scratch` for the next epoch.
+    pub(crate) fn into_parts(
+        self,
+        scratch: &mut EpochScratch,
+    ) -> (Vec<Option<CommitRecord>>, Vec<VehicleState>) {
         let inner = self.inner.into_inner();
+        scratch.column_map = inner.plans.map;
         (inner.commits, inner.states)
     }
 
@@ -941,6 +906,9 @@ impl<'a> DecisionBatch<'a> {
         state.accept(best.candidate.route.clone());
         state.advance_to(batch.now, batch.net, batch.fleet, batch.orders);
         views[k.index()] = state.view.clone();
+        // A twin no longer: `k` reads its own column from here on, and the
+        // cells of the group it leaves stay right for the members left.
+        plans.map.split(k.index());
         // The plan delta: only the accepting vehicle's column changes, and
         // only for the still-undecided orders — replanned in parallel, each
         // result landing back in its own row, all sharing one schedule

@@ -482,7 +482,7 @@ impl<'a> Simulator<'a> {
             }
         }
 
-        let (commits, fleet_states) = batch.into_parts();
+        let (commits, fleet_states) = batch.into_parts(scratch);
         *states = fleet_states;
         for commit in commits {
             let commit = commit.expect("every epoch order was resolved above");

@@ -88,20 +88,24 @@
 //! the cells some sweep actually evaluated — every cell it omits was
 //! proven infeasible by the exact bound and reads as the vehicle's
 //! `best: None` fallback, so it could never win an argmin and a policy
-//! stays `O(work)` instead of `O(K)` per order. Filling the rows costs the
-//! epoch's *distinct* work: idle vehicles that share anchor node, anchor
-//! time and depot are one input to Algorithm 2, so each such group is
-//! scored once per order and the score copied into every member's cell
-//! (still one stored cell per member — readers cannot tell; the count is
-//! [`ShardStats::shared`]). A row changes only when an acceptance commits:
-//! the accepting vehicle's cell is rescored for every still-undecided
-//! order, and cells the bound prunes again stay implicit (the vehicle's
-//! fallback is refreshed once; a sharded batch keeps a per-vehicle column
-//! index, so only the rows that hold a cell of that vehicle are touched,
-//! not every row searched). Positions only mean
-//! something against the view they were scored on, so the row of a
-//! resolved order — which no commit rescores — can no longer be shown:
-//! `with_context` on it panics.
+//! stays `O(work)` instead of `O(K)` per order. The matrix costs the
+//! epoch's *distinct* vehicles: idle vehicles that share anchor node,
+//! anchor time and depot are one input to Algorithm 2, so each such group
+//! is one *column* — classified, scored and stored once per order, one
+//! cell per `(order, group)` (the member cells this saves are
+//! [`ShardStats::shared`]). Readers see every member: the candidate row
+//! hands each current member the group's score (the ungrouped vehicles
+//! ascending first, then each group's members together, so a tie-break
+//! toward the lower id must compare ids), and `with_context` materialises
+//! it on each member's own view. A row changes only when an acceptance
+//! commits: the accepting vehicle leaves its group, if any, for a column
+//! of its own, that column is rescored for every still-undecided order,
+//! and cells the bound prunes again stay implicit (the column's fallback
+//! is refreshed once; a sharded batch keeps a per-column index, so only
+//! the rows that hold a cell of that column are touched, not every row
+//! searched). Positions only mean something against the view they were
+//! scored on, so the row of a resolved order — which no commit rescores —
+//! can no longer be shown: `with_context` on it panics.
 //!
 //! # Region-sharded dispatch: partition → score → merge
 //!

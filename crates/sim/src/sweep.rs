@@ -19,8 +19,13 @@
 //!    sweep, grouped vehicle-shard-major into `dpdp-pool` tasks so each
 //!    cell's sweep runs concurrently against its own schedule caches.
 //!    Interchangeable idle vehicles (*idle twins*, see [`crate::batch`])
-//!    are scored once per order and group; classification neither knows
-//!    nor cares — it selects cells per vehicle, as before.
+//!    are one column of the plan matrix, and classification works per
+//!    column: a group shares anchor node and anchor time, so the bound
+//!    answers once for all its members, and the group is evaluated — one
+//!    cell per order — if it is in-shard, if the bound keeps it, or if
+//!    escalation (below) picked any of its members. [`ShardStats`] still
+//!    counts `(order, vehicle)` pairs: a group cell counts each member it
+//!    is evaluated for.
 //! 3. **Merge** — cross-cell pairs go through the deterministic
 //!    escalation rule: the `m` nearest foreign vehicles **in the order's
 //!    parent region** (ranked by anchor→pickup distance under
@@ -50,6 +55,7 @@
 //! [`ShardConfig::hierarchical`]: crate::sharding::ShardConfig::hierarchical
 //! [`RoutePlanner::provably_infeasible`]: dpdp_routing::RoutePlanner::provably_infeasible
 
+use crate::batch::ColumnMap;
 use dpdp_net::{NodeId, Order, ShardMap, TimeDelta, TimePoint};
 use dpdp_pool::ThreadPool;
 use dpdp_routing::{PruneProbe, RoutePlanner, VehicleView};
@@ -80,19 +86,21 @@ pub struct ShardStats {
     pub cells: usize,
     /// Cells classified for evaluation: every cell that is neither pruned
     /// nor masked, i.e. whose score is a real Algorithm 2 result. Most ran
-    /// the insertion sweep themselves; [`ShardStats::shared`] of them were
-    /// handed an idle twin's result instead.
+    /// the insertion sweep themselves; [`ShardStats::shared`] of them are
+    /// members of an idle-twin group whose one cell was scored instead.
     pub evaluated: usize,
     /// Cross-shard cells skipped through the exact infeasibility bound.
     pub pruned: usize,
     /// Cross-shard cells evaluated in full (m-nearest escalation, or the
     /// bound could not rule them out).
     pub escalated: usize,
-    /// Evaluated cells of the initial sweep whose score was copied from an
-    /// *idle twin* — another parked vehicle with the same anchor node,
-    /// anchor time and depot, which Algorithm 2 cannot tell apart (see
-    /// [`crate::batch`]) — instead of running the sweep again. A subset of
-    /// `evaluated`; commit deltas rescore one vehicle and never share.
+    /// Evaluated cells of the initial sweep that ran no sweep of their own
+    /// because an *idle twin* — another parked vehicle with the same anchor
+    /// node, anchor time and depot, which Algorithm 2 cannot tell apart
+    /// (see [`crate::batch`]) — shares their group's one cell: the
+    /// evaluated `(order, vehicle)` pairs minus the `(order, column)` cells
+    /// scored and stored. A subset of `evaluated`; commit deltas rescore
+    /// one vehicle and never share.
     pub shared: usize,
 }
 
@@ -111,12 +119,13 @@ impl ShardStats {
 /// insertion sweep (vehicle-shard-major, pre-indexed) and which are pruned.
 #[derive(Debug)]
 pub(crate) struct SweepPlan {
-    /// `(order_index, vehicle_index)` cells to evaluate in full, grouped
-    /// vehicle-shard-major (all of one region's vehicles are contiguous,
-    /// so pool chunks mostly stay inside one shard's caches) and, inside a
-    /// shard, vehicle-major: each vehicle's cells are one contiguous run in
-    /// ascending order index. The batch keeps the list as its column index
-    /// (which rows store a cell of vehicle `k`), so this layout is a
+    /// `(order_index, column)` cells to evaluate in full, one per order and
+    /// column of the epoch's [`ColumnMap`], grouped vehicle-shard-major (all
+    /// of one region's columns are contiguous, so pool chunks mostly stay
+    /// inside one shard's caches) and, inside a shard, column-major: each
+    /// column's cells are one contiguous run in ascending order index. The
+    /// batch stores these cells and keeps the list as its column index
+    /// (which rows store a cell of column `c`), so this layout is a
     /// contract, not an accident of the loop below.
     pub(crate) work: Vec<(u32, u32)>,
     /// Work accounting for the whole matrix.
@@ -176,7 +185,10 @@ pub(crate) struct SweepBuffers {
     slot_listed: Vec<bool>,
 }
 
-/// Classifies every `(order, vehicle)` cell of an epoch.
+/// Classifies every `(order, vehicle)` cell of an epoch, column by column
+/// of `columns`, the epoch's idle-twin grouping: a group is decided once
+/// for all its members (they share anchor node and anchor time, all the
+/// bound reads), and the work list names columns.
 ///
 /// Runs serially before the parallel sweep (distance lookups only, no
 /// planning); the result depends solely on the epoch snapshot and the
@@ -187,12 +199,14 @@ pub(crate) struct SweepBuffers {
 /// survive classification (counted as pruned), and masked vehicles are
 /// skipped by the escalation ranking so an order never "escalates" to a
 /// dead truck.
+#[allow(clippy::too_many_arguments)] // one caller, the batch build
 pub(crate) fn plan_sweep(
     ctx: &ShardContext,
     planner: &RoutePlanner<'_>,
     views: &[VehicleView],
     epoch_orders: &[&Order],
     active: Option<&[bool]>,
+    columns: &ColumnMap,
     pool: &ThreadPool,
     scr: &mut SweepBuffers,
 ) -> SweepPlan {
@@ -418,24 +432,40 @@ pub(crate) fn plan_sweep(
         }
         for &k in run {
             let ku = k as usize;
-            if !is_active(ku) {
+            // A group is classified once, at its lowest member; every
+            // member shares its shard, anchor slot and anchor time.
+            let c = columns.column_of(ku).expect("every vehicle reads a column");
+            let members = columns.members(&c);
+            if members[0] != k || !is_active(ku) {
                 continue;
             }
             let anchor_time = views[ku].anchor_time;
             let slot = vehicle_slot[ku] as usize;
             for &iu in &live {
                 let i = iu as usize;
-                if vehicle_shard[ku] == order_shard[i] {
-                    evaluated += 1;
-                } else if esc[i * m..(i + 1) * m].contains(&k)
-                    || !probes[i].prunes(anchor_time, leg[slot * b + i])
-                {
-                    evaluated += 1;
-                    escalated += 1;
+                // The counters keep their per-`(order, vehicle)` meaning:
+                // an evaluated group cell counts each member it stands for.
+                let cells = if vehicle_shard[ku] == order_shard[i] {
+                    members.len()
                 } else {
-                    continue;
+                    let foreign = if !probes[i].prunes(anchor_time, leg[slot * b + i]) {
+                        members.len()
+                    } else {
+                        // Pruned, but for the members escalation picked
+                        // (twins are equidistant: a group's lowest ones).
+                        let picks = esc[i * m..(i + 1) * m].iter();
+                        let picked = picks.filter(|&&e| {
+                            e != u32::MAX && columns.column_of(e as usize) == Some(c)
+                        });
+                        picked.count()
+                    };
+                    escalated += foreign;
+                    foreign
+                };
+                if cells > 0 {
+                    evaluated += cells;
+                    work.push((iu, c));
                 }
-                work.push((iu, k));
             }
         }
         (work, evaluated, escalated)
@@ -546,6 +576,7 @@ mod tests {
             &views,
             &epoch,
             None,
+            &ColumnMap::ungrouped(views.len()),
             &ThreadPool::new(1),
             &mut SweepBuffers::default(),
         );
@@ -566,6 +597,7 @@ mod tests {
             &views,
             &epoch,
             None,
+            &ColumnMap::ungrouped(views.len()),
             &ThreadPool::new(1),
             &mut SweepBuffers::default(),
         );
@@ -591,6 +623,7 @@ mod tests {
             &views,
             &epoch,
             None,
+            &ColumnMap::ungrouped(views.len()),
             &ThreadPool::new(1),
             &mut SweepBuffers::default(),
         );
@@ -668,6 +701,7 @@ mod tests {
             &views,
             &epoch,
             None,
+            &ColumnMap::ungrouped(views.len()),
             &ThreadPool::new(1),
             &mut SweepBuffers::default(),
         );
@@ -698,6 +732,7 @@ mod tests {
             &views,
             &epoch,
             None,
+            &ColumnMap::ungrouped(views.len()),
             &ThreadPool::new(1),
             &mut SweepBuffers::default(),
         );
@@ -705,7 +740,7 @@ mod tests {
         let mut sorted = shards.clone();
         sorted.sort_unstable();
         assert_eq!(shards, sorted, "work must group by vehicle shard");
-        // Inside a shard the list is vehicle-major: a vehicle's cells are
+        // Inside a shard the list is column-major: a column's cells are
         // one run, rows ascending (the batch's column index is this list).
         let runs: Vec<&[(u32, u32)]> = sweep.work.chunk_by(|a, b| a.1 == b.1).collect();
         let mut vehicles: Vec<u32> = runs.iter().map(|run| run[0].1).collect();

@@ -7,10 +7,16 @@
 //! stay implicit (they used to be written into every still-undecided row;
 //! evaluated ones used to own a boxed route and schedule each).
 //!
-//! The batch build over a fleet of idle twins: grouping the twins, the
-//! per-group score memo and the column index live in the episode's epoch
-//! arena or are moved, not copied, so a warmed-up build allocates no more
-//! than it did when every parked vehicle was scored on its own.
+//! A commit delta on a vehicle that was an idle twin: it leaves its group
+//! for a column of its own, so its delta cells are inserted into rows that
+//! held only the group's cell. On top of the commit record it allocates
+//! only when a row (or the column index) outgrows its capacity.
+//!
+//! The batch build over a fleet of idle twins: grouping the twins into the
+//! column map, the column index and the rows, one cell per `(order,
+//! group)`, live in the episode's epoch arena or are moved, not copied, so
+//! a warmed-up build allocates no more than it did when every parked
+//! vehicle was scored and stored on its own.
 
 use dpdp_net::{
     FleetConfig, Instance, IntervalGrid, Node, NodeId, Order, OrderId, Point, RoadNetwork,
@@ -70,25 +76,38 @@ fn allocations_of<R>(f: impl FnOnce() -> R) -> (usize, R) {
 /// cells it rescores (with a boxed route per evaluated cell it was
 /// `7 + 5 * evaluated`).
 const ACCEPTANCE_ALLOCATIONS: usize = 7;
+/// What one warmed-up acceptance by a member of an idle-twin group
+/// allocates at most here: the commit record plus the growth of the rows
+/// its split column inserts into, and of the column index's chain of
+/// inserted cells (measured: 8, 7, 9, 7, 7 — the first grows the chain,
+/// the third two rows).
+const SPLIT_ACCEPTANCE_ALLOCATIONS: usize = 9;
 const TOWN_A_ORDERS: usize = 6;
 const TOWN_B_ORDERS: usize = 40;
 
-/// Two towns 300 km apart. Six vehicles idle in town A; six loose town-A
-/// orders head the epoch, forty town-B orders with ninety minutes of slack follow
-/// (no vehicle can reach them: every one of their cells is pruned, before
-/// and after each commit).
-fn instance() -> Instance {
-    let nodes = vec![
-        Node::depot(NodeId(0), Point::new(0.0, 0.0)),
-        Node::factory(NodeId(1), Point::new(4.0, 0.0)),
-        Node::factory(NodeId(2), Point::new(0.0, 5.0)),
-        Node::factory(NodeId(3), Point::new(300.0, 0.0)),
-        Node::factory(NodeId(4), Point::new(304.0, 3.0)),
-    ];
+/// Two towns 300 km apart. Six vehicles idle in town A, each at a depot of
+/// its own or, with `twins`, all at one (one idle-twin group); six loose
+/// town-A orders head the epoch, forty town-B orders with ninety minutes of
+/// slack follow (no vehicle can reach them: every one of their cells is
+/// pruned, before and after each commit).
+fn instance(twins: bool) -> Instance {
+    let mut nodes: Vec<Node> = (0..TOWN_A_ORDERS)
+        .map(|d| Node::depot(NodeId::from_index(d), Point::new(0.0, d as f64)))
+        .collect();
+    let factories = [(4.0, 0.0), (0.0, 5.0), (300.0, 0.0), (304.0, 3.0)];
+    for (x, y) in factories {
+        nodes.push(Node::factory(
+            NodeId::from_index(nodes.len()),
+            Point::new(x, y),
+        ));
+    }
+    let depots: Vec<NodeId> = (0..if twins { 1 } else { TOWN_A_ORDERS })
+        .map(NodeId::from_index)
+        .collect();
     let net = RoadNetwork::euclidean(nodes, 1.0).unwrap();
     let fleet = FleetConfig::homogeneous(
         TOWN_A_ORDERS,
-        &[NodeId(0)],
+        &depots,
         10.0,
         500.0,
         2.0,
@@ -97,12 +116,13 @@ fn instance() -> Instance {
     )
     .unwrap();
     let created = TimePoint::from_hours(8.5);
+    let factory = |f: usize| TOWN_A_ORDERS as u32 + f as u32;
     let orders = (0..TOWN_A_ORDERS + TOWN_B_ORDERS)
         .map(|i| {
             let (pickup, delivery, slack_h) = if i < TOWN_A_ORDERS {
-                (1, 2, 12.0)
+                (factory(0), factory(1), 12.0)
             } else {
-                (3, 4, 1.5)
+                (factory(2), factory(3), 1.5)
             };
             Order::new(
                 OrderId(i as u32),
@@ -156,9 +176,9 @@ impl Dispatcher for Probe {
     }
 }
 
-#[test]
-fn warmed_up_acceptance_allocates_only_its_commit_record() {
-    let inst = instance();
+/// The six acceptances of the fixture's one epoch.
+fn acceptances(twins: bool) -> Vec<(usize, usize, usize)> {
+    let inst = instance(twins);
     let mut probe = Probe::default();
     let result = Simulator::builder(&inst)
         .buffering(BufferingMode::FixedInterval(TimeDelta::from_minutes(60.0)))
@@ -168,6 +188,18 @@ fn warmed_up_acceptance_allocates_only_its_commit_record() {
         .run(&mut probe);
     assert_eq!(result.metrics.served, TOWN_A_ORDERS);
     assert_eq!(probe.acceptances.len(), TOWN_A_ORDERS);
+    let evaluated: Vec<usize> = probe.acceptances.iter().map(|a| a.1).collect();
+    assert_eq!(
+        evaluated,
+        [5, 4, 3, 2, 1, 0],
+        "one delta cell per remaining town-A order"
+    );
+    probe.acceptances
+}
+
+#[test]
+fn warmed_up_acceptance_allocates_only_its_commit_record() {
+    let acceptances = acceptances(false);
 
     // The first acceptance sizes the batch's commit scratch (undecided
     // list, column schedule cache, the oracle walk's stack). From then on
@@ -175,7 +207,7 @@ fn warmed_up_acceptance_allocates_only_its_commit_record() {
     // timings and box, the adopted route and the vehicle's refreshed
     // snapshot — whether it goes on to rescore five delta cells or none;
     // the forty pruned town-B cells cost nothing either.
-    for &(allocations, evaluated, pruned) in &probe.acceptances[1..] {
+    for &(allocations, evaluated, pruned) in &acceptances[1..] {
         assert_eq!(pruned, TOWN_B_ORDERS);
         assert!(
             allocations <= ACCEPTANCE_ALLOCATIONS,
@@ -183,12 +215,21 @@ fn warmed_up_acceptance_allocates_only_its_commit_record() {
              and {pruned} pruned delta cells"
         );
     }
-    let evaluated: Vec<usize> = probe.acceptances.iter().map(|a| a.1).collect();
-    assert_eq!(
-        evaluated,
-        [5, 4, 3, 2, 1, 0],
-        "one delta cell per remaining town-A order"
-    );
+}
+
+/// The same epoch over six idle twins: every acceptance is a member leaving
+/// the group, and each of its evaluated delta cells is inserted into a row
+/// that stored only the group's cell until then.
+#[test]
+fn warmed_up_acceptance_by_a_grouped_member_allocates_its_record_and_row_growth() {
+    let acceptances = acceptances(true);
+    for &(allocations, evaluated, pruned) in &acceptances[1..] {
+        assert_eq!(pruned, TOWN_B_ORDERS);
+        assert!(
+            allocations <= SPLIT_ACCEPTANCE_ALLOCATIONS,
+            "acceptance allocated {allocations} times inserting {evaluated} delta cells"
+        );
+    }
 }
 
 const TWIN_FLEET: usize = 24;
