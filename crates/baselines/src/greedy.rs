@@ -11,7 +11,7 @@
 //! key is a function of a [`PlanScore`] — the
 //! scalars Algorithm 2 scores for an `(order, vehicle)` pair; no baseline
 //! looks inside a route. The per-order [`Dispatcher::dispatch`] scans the
-//! scores of the dense `K`-slice of its [`DispatchContext`]; the
+//! score of every vehicle's plan in its [`DispatchContext`]; the
 //! batch-native [`Dispatcher::dispatch_batch`] commits the epoch's orders
 //! in creation order and, for each, folds the same comparison over the
 //! batch's own candidate row at decision time
@@ -53,18 +53,17 @@ fn keep_better<K: Copy>(
     }
 }
 
-/// Scans the scores of a per-order context's dense plan slice with
-/// [`keep_better`].
+/// Scans the scores of a per-order context's plans, vehicle by vehicle in
+/// ascending order, with [`keep_better`].
 fn scan_context<K: Copy>(
     ctx: &DispatchContext<'_>,
     key: impl Fn(VehicleId, &PlanScore) -> Option<K>,
     better: impl Fn(K, K) -> bool,
 ) -> Option<VehicleId> {
-    let vehicles = (0..ctx.plans.len()).map(VehicleId::from_index);
-    vehicles
-        .zip(ctx.plans)
-        .fold(None, |best, (k, p)| {
-            keep_better(best, k, key(k, &p.score()), &better)
+    (0..ctx.num_vehicles())
+        .map(VehicleId::from_index)
+        .fold(None, |best, k| {
+            keep_better(best, k, key(k, &ctx.plan(k.index()).score()), &better)
         })
         .map(|(k, _)| k)
 }
@@ -180,7 +179,7 @@ impl Dispatcher for Baseline3 {
     }
 
     fn dispatch(&mut self, ctx: &DispatchContext<'_>) -> Option<VehicleId> {
-        self.ensure_counts(ctx.plans.len());
+        self.ensure_counts(ctx.num_vehicles());
         let k = scan_context(ctx, |k, p| self.key(k, p), Self::better)?;
         self.accepted[k.index()] += 1;
         Some(k)

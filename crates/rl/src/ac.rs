@@ -177,7 +177,8 @@ impl ActorCriticAgent {
                 .expect("non-empty");
             feasible[best]
         };
-        let delta = ctx.plans[action]
+        let delta = ctx
+            .plan(action)
             .incremental_length()
             .expect("chosen action is feasible");
         let reward = instant_reward(&self.reward_params, ctx.views[action].used, delta);

@@ -406,7 +406,8 @@ impl Dispatcher for DqnAgent {
         let action = self.choose_action(&snap)?;
         if self.training {
             let snap = Arc::new(snap);
-            let delta = ctx.plans[action]
+            let delta = ctx
+                .plan(action)
                 .incremental_length()
                 .expect("chosen action is feasible");
             let r = instant_reward(&self.reward_params, ctx.views[action].used, delta);

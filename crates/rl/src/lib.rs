@@ -28,7 +28,11 @@
 //!
 //! * **The snapshot.** [`StateBuilder::build`] writes the joint state — a
 //!   `K x 5` feature matrix, the feasibility mask, and each vehicle's `NE`
-//!   nearest vehicles (a distance row per occupied node).
+//!   nearest vehicles (a distance row per occupied node). The context
+//!   holds one plan per column of the batch's plan matrix (an idle-twin
+//!   group is one column), so the route lengths and the ST Score are
+//!   computed once per column and copied to its members, each of which
+//!   writes its own used flag ([`state`]).
 //! * **The partition.** Most of a fleet is interchangeable — the paper's
 //!   objective keeps most vehicles parked at a handful of depots — and
 //!   the network is the same function on every row, so the feasible

@@ -7,10 +7,24 @@
 //! temporary route, used flag, and the time-interval index. Infeasible
 //! vehicles get the paper's `-1` sentinel features and are masked out of
 //! inference ("constraint embedding").
+//!
+//! **A column's features are computed once.** A [`DispatchContext`] holds
+//! one plan per column — an idle-twin group of the batch is one column,
+//! every other vehicle its own — and the members of a column are the same
+//! input to everything features 0–2 read: their one plan gives `d` and
+//! `d'`, and ξ reads the plan's schedule and the view's load on board,
+//! which is zero for every member (a twin carries nothing). So
+//! [`StateBuilder::build`] computes `(d, d', ξ)` on a column's first
+//! member and copies them to the others, and every vehicle writes its own
+//! `f_{t,k}` — members need not agree on it: a used vehicle parked beside
+//! never-used ones shares their column — and `t`. The snapshot keeps one
+//! row per vehicle, bit for bit the rows a per-vehicle build writes
+//! (`state/tests.rs` checks both on random fleets).
 
 use crate::adjacency::nearest_neighbors;
 use dpdp_data::{StScorer, StdMatrix};
 use dpdp_nn::Tensor;
+use dpdp_routing::PlannerOutput;
 use dpdp_sim::DispatchContext;
 use serde::{Deserialize, Serialize};
 
@@ -86,41 +100,40 @@ impl StateBuilder {
         self.scorer.is_some() && self.predicted.is_some()
     }
 
-    /// Builds the joint state for one dispatch decision.
+    /// Builds the joint state for one dispatch decision: one feature row
+    /// per vehicle, features 0–2 once per column of the context (see the
+    /// module docs), then each vehicle's own `f_{t,k}` and `t`.
+    ///
+    /// # Panics
+    /// Panics if the context's columns are not numbered by first member
+    /// (see [`DispatchContext::column_plans`]).
     pub fn build(&self, ctx: &DispatchContext<'_>) -> StateSnapshot {
-        let k = ctx.views.len();
+        let k = ctx.num_vehicles();
         let mut features = Tensor::zeros(k, STATE_DIM);
         let mut feasible = vec![false; k];
         let t_feat = ctx.interval as f64 / self.interval_scale;
-        for (i, plan) in ctx.plans.iter().enumerate() {
-            let row = i;
-            match &plan.best {
-                Some(best) => {
-                    feasible[i] = true;
-                    let xi = match (&self.scorer, &self.predicted) {
-                        (Some(scorer), Some(pred)) => scorer.score(
-                            &ctx.views[i],
-                            &best.candidate.schedule,
-                            pred,
-                            ctx.fleet.capacity,
-                        ),
-                        _ => 0.0,
-                    };
-                    *features.get_mut(row, 0) = plan.current_length / self.dist_scale;
-                    *features.get_mut(row, 1) = best.length() / self.dist_scale;
-                    *features.get_mut(row, 2) = xi;
-                    *features.get_mut(row, 3) = if ctx.views[i].used { 1.0 } else { 0.0 };
-                    *features.get_mut(row, 4) = t_feat;
-                }
-                None => {
-                    // The paper's Algorithm 2 sentinel values for infeasible
-                    // vehicles; they are masked out of inference anyway.
-                    for c in 0..4 {
-                        *features.get_mut(row, c) = -1.0;
-                    }
-                    *features.get_mut(row, 4) = t_feat;
-                }
+        // The row each column's features 0–2 were written in.
+        let mut first_row: Vec<usize> = Vec::with_capacity(ctx.column_plans.len());
+        let data = features.data_mut();
+        for (v, &c) in ctx.column_of.iter().enumerate() {
+            let (c, row) = (c as usize, v * STATE_DIM);
+            let plan = &ctx.column_plans[c];
+            if let Some(&first) = first_row.get(c) {
+                let from = first * STATE_DIM;
+                data.copy_within(from..from + 3, row);
+            } else {
+                assert_eq!(c, first_row.len(), "columns are numbered by first member");
+                first_row.push(v);
+                data[row..row + 3].copy_from_slice(&self.column_features(ctx, v, plan));
             }
+            feasible[v] = plan.feasible();
+            // The paper's Algorithm 2 sentinel values for infeasible
+            // vehicles; they are masked out of inference anyway.
+            data[row + 3] = match (feasible[v], ctx.views[v].used) {
+                (false, _) => -1.0,
+                (true, used) => f64::from(u8::from(used)),
+            };
+            data[row + 4] = t_feat;
         }
         let neighbors = nearest_neighbors(ctx.views, ctx.net, self.ne);
         StateSnapshot {
@@ -129,132 +142,35 @@ impl StateBuilder {
             neighbors,
         }
     }
+
+    /// Features 0–2 — `d_{t,k}`, `d^i_{t,k}` and ξ — of a column whose
+    /// plan is `plan`, computed on its first member `v`'s view (`-1` each
+    /// for an infeasible column).
+    fn column_features(
+        &self,
+        ctx: &DispatchContext<'_>,
+        v: usize,
+        plan: &PlannerOutput,
+    ) -> [f64; 3] {
+        let Some(best) = &plan.best else {
+            return [-1.0; 3];
+        };
+        let xi = match (&self.scorer, &self.predicted) {
+            (Some(scorer), Some(pred)) => scorer.score(
+                &ctx.views[v],
+                &best.candidate.schedule,
+                pred,
+                ctx.fleet.capacity,
+            ),
+            _ => 0.0,
+        };
+        [
+            plan.current_length / self.dist_scale,
+            best.length() / self.dist_scale,
+            xi,
+        ]
+    }
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use dpdp_data::FactoryIndex;
-    use dpdp_net::{
-        FleetConfig, IntervalGrid, Node, NodeId, Order, OrderId, Point, RoadNetwork, TimeDelta,
-        TimePoint, VehicleId,
-    };
-    use dpdp_routing::{RoutePlanner, VehicleView};
-
-    fn fixture() -> (RoadNetwork, FleetConfig, Vec<Order>) {
-        let nodes = vec![
-            Node::depot(NodeId(0), Point::new(0.0, 0.0)),
-            Node::factory(NodeId(1), Point::new(10.0, 0.0)),
-            Node::factory(NodeId(2), Point::new(20.0, 0.0)),
-        ];
-        let net = RoadNetwork::euclidean(nodes, 1.0).unwrap();
-        let fleet =
-            FleetConfig::homogeneous(2, &[NodeId(0)], 10.0, 500.0, 2.0, 60.0, TimeDelta::ZERO)
-                .unwrap();
-        let orders = vec![Order::new(
-            OrderId(0),
-            NodeId(1),
-            NodeId(2),
-            5.0,
-            TimePoint::from_hours(10.0),
-            TimePoint::from_hours(20.0),
-        )
-        .unwrap()];
-        (net, fleet, orders)
-    }
-
-    #[test]
-    fn build_fills_features_and_mask() {
-        let (net, fleet, orders) = fixture();
-        let views = vec![VehicleView::idle_at_depot(VehicleId(0), NodeId(0)), {
-            let mut v = VehicleView::idle_at_depot(VehicleId(1), NodeId(0));
-            v.used = true;
-            v
-        }];
-        let planner = RoutePlanner::new(&net, &fleet, &orders);
-        let plans: Vec<_> = views.iter().map(|v| planner.plan(v, &orders[0])).collect();
-        let grid = IntervalGrid::paper_default();
-        let ctx = DispatchContext {
-            order: &orders[0],
-            now: orders[0].created,
-            interval: grid.interval_of(orders[0].created),
-            views: &views,
-            plans: &plans,
-            net: &net,
-            fleet: &fleet,
-            orders: &orders,
-        };
-        let builder = StateBuilder::new(100.0, 144, 4);
-        let snap = builder.build(&ctx);
-        assert_eq!(snap.features.shape(), (2, 5));
-        assert!(snap.feasible.iter().all(|&f| f));
-        assert!(snap.any_feasible());
-        // d = 0 (idle at depot), d' = 40 km / 100.
-        assert_eq!(snap.features.get(0, 0), 0.0);
-        assert!((snap.features.get(0, 1) - 0.4).abs() < 1e-9);
-        // Used flags.
-        assert_eq!(snap.features.get(0, 3), 0.0);
-        assert_eq!(snap.features.get(1, 3), 1.0);
-        // 10:00 -> interval 60 of 144.
-        assert!((snap.features.get(0, 4) - 60.0 / 144.0).abs() < 1e-9);
-        assert_eq!(snap.neighbors.len(), 2);
-    }
-
-    #[test]
-    fn infeasible_vehicle_gets_sentinels() {
-        let (net, fleet, mut orders) = fixture();
-        orders[0].deadline = TimePoint::from_hours(10.001); // impossible
-        let views = vec![VehicleView::idle_at_depot(VehicleId(0), NodeId(0))];
-        let planner = RoutePlanner::new(&net, &fleet, &orders);
-        let plans: Vec<_> = views.iter().map(|v| planner.plan(v, &orders[0])).collect();
-        let ctx = DispatchContext {
-            order: &orders[0],
-            now: orders[0].created,
-            interval: 60,
-            views: &views,
-            plans: &plans,
-            net: &net,
-            fleet: &fleet,
-            orders: &orders,
-        };
-        let snap = StateBuilder::new(100.0, 144, 4).build(&ctx);
-        assert!(!snap.any_feasible());
-        for c in 0..4 {
-            assert_eq!(snap.features.get(0, c), -1.0);
-        }
-    }
-
-    #[test]
-    fn st_feature_requires_scorer_and_prediction() {
-        let (net, fleet, orders) = fixture();
-        let views = vec![VehicleView::idle_at_depot(VehicleId(0), NodeId(0))];
-        let planner = RoutePlanner::new(&net, &fleet, &orders);
-        let plans: Vec<_> = views.iter().map(|v| planner.plan(v, &orders[0])).collect();
-        let grid = IntervalGrid::paper_default();
-        let ctx = DispatchContext {
-            order: &orders[0],
-            now: orders[0].created,
-            interval: 60,
-            views: &views,
-            plans: &plans,
-            net: &net,
-            fleet: &fleet,
-            orders: &orders,
-        };
-        // Without prediction the feature stays 0 even with a scorer.
-        let index = FactoryIndex::new(&[NodeId(1), NodeId(2)]);
-        let builder =
-            StateBuilder::new(100.0, 144, 4).with_scorer(StScorer::new(grid, index.clone()));
-        assert!(!builder.st_active());
-        let snap = builder.build(&ctx);
-        assert_eq!(snap.features.get(0, 2), 0.0);
-        // With a prediction concentrated away from the route, score > 0.
-        let mut b2 = StateBuilder::new(100.0, 144, 4).with_scorer(StScorer::new(grid, index));
-        let mut pred = StdMatrix::zeros(2, 144);
-        *pred.get_mut(1, 143) = 50.0;
-        b2.set_prediction(Some(pred));
-        assert!(b2.st_active());
-        let snap2 = b2.build(&ctx);
-        assert!(snap2.features.get(0, 2) > 0.0);
-    }
-}
+mod tests;

@@ -33,12 +33,12 @@
 //! scoring, storage and the searches of commit deltas cost the epoch's
 //! distinct vehicles, not its fleet. Readers expand a group cell to its
 //! members: [`DecisionBatch::fold_candidates`] hands each current member
-//! the group's score, [`DecisionBatch::with_context`] materialises it on
-//! each member's own view. A masked (broken-down) vehicle, whose stripped
+//! the group's score, and [`DecisionBatch::with_context`] materialises it
+//! once for all of them. A masked (broken-down) vehicle, whose stripped
 //! route only *looks* idle, is never grouped. A member that accepts an
 //! order stops being a twin: it leaves its group for its own column, and
-//! its commit deltas are one vehicle's column like any other's. Deltas
-//! keep the sweep's column-major work list as a **column index**, so an
+//! its commit deltas are one vehicle's column like any other's. Deltas keep
+//! the sweep's column-major work list as a **column index**, so an
 //! acceptance touches only the rows that hold a cell of its column instead
 //! of searching every undecided row for one (see `PlanStore`).
 //!
@@ -58,7 +58,7 @@
 //! of a resolved order is left behind and is never materialised again.
 //!
 //! The batch is the matrix's only writer and policies keep no copy of it.
-//! They read an order's row when they decide it — densely and materialised
+//! They read an order's row when they decide it — materialised per column
 //! through [`DecisionBatch::with_context`], or as the candidate row of
 //! scores [`DecisionBatch::fold_candidates`] folds over.
 //!
@@ -778,9 +778,9 @@ impl<'a> DecisionBatch<'a> {
     /// Runs `f` with the `i`-th order's [`DispatchContext`], built from the
     /// batch's *current* (delta-updated) snapshot. This is the joint state
     /// `S^i_t` a legacy per-order policy would have seen at this point of
-    /// the sequential commit order. The context's `plans` are materialised
-    /// for this call — one route and schedule per feasible vehicle, built
-    /// from the row's scores against the current views — and dropped when
+    /// the sequential commit order. The context's plans are materialised
+    /// for this call — one route and schedule per feasible column of the
+    /// plan matrix, on its lowest member's current view — and dropped when
     /// it returns.
     ///
     /// # Panics
@@ -800,15 +800,15 @@ impl<'a> DecisionBatch<'a> {
         );
         let planner = RoutePlanner::new(self.net, self.fleet, self.orders);
         let order = self.order(i);
-        let row = inner
-            .plans
-            .row_materialised(i, &planner, &inner.views, order);
+        let views = &inner.views;
+        let (column_plans, column_of) = inner.plans.row_materialised(i, &planner, views, order);
         let ctx = DispatchContext {
             order,
             now: self.now,
             interval: self.interval,
-            views: &inner.views,
-            plans: &row,
+            views,
+            column_plans: &column_plans,
+            column_of: &column_of,
             net: self.net,
             fleet: self.fleet,
             orders: self.orders,

@@ -318,23 +318,54 @@ impl PlanStore {
             .any(|(c, p)| p.feasible() && !self.map.members(c).is_empty())
     }
 
-    /// Row `i` materialised as the dense `K`-slice [`DispatchContext`]
-    /// exposes: every feasible cell's route and schedule are built against
-    /// its vehicle's own current view, so the row must be an undecided one
-    /// (see [`DecisionBatch::with_context`]).
+    /// Row `i` materialised as [`DispatchContext`] exposes it: one plan per
+    /// column some vehicle reads, numbered by first member, and each
+    /// vehicle's index into them (`(column_plans, column_of)`). A feasible
+    /// cell's route and schedule are built once per column, on its lowest
+    /// member's current view, so the row must be an undecided one (see
+    /// [`DecisionBatch::with_context`]). That view stands for every member
+    /// because [`RoutePlanner::materialise`] reads neither `view.vehicle`
+    /// nor `view.used`, and the members agree on everything else it reads
+    /// — in debug builds this is asserted member by member.
     pub(super) fn row_materialised(
         &self,
         i: usize,
         planner: &RoutePlanner<'_>,
         views: &[VehicleView],
         order: &Order,
-    ) -> Vec<PlannerOutput> {
+    ) -> (Vec<PlannerOutput>, Vec<u32>) {
         let row = &self.rows[i];
-        let cells = views.iter().zip(&self.map.column_of);
-        cells
-            .map(|(view, &c)| planner.materialise(self.score(row, c), view, order))
-            .collect()
+        let mut plans = Vec::with_capacity(views.len());
+        let mut column_of: Vec<u32> = Vec::with_capacity(views.len());
+        for (k, &c) in self.map.column_of.iter().enumerate() {
+            let first = self.map.members(&c)[0] as usize;
+            if first == k {
+                column_of.push(plans.len() as u32);
+                plans.push(planner.materialise(self.score(row, c), &views[k], order));
+            } else {
+                debug_assert!(
+                    interchangeable(&views[first], &views[k]),
+                    "vehicles {first} and {k} share column {c} but differ as Algorithm 2 input"
+                );
+                column_of.push(column_of[first]);
+            }
+        }
+        (plans, column_of)
     }
+}
+
+/// Whether `b` is the same Algorithm 2 and ST Score input as `a`, its
+/// column's first member: both are parked — empty route, nothing on board
+/// — at one anchor node and anchor time (bit for bit), with one depot.
+/// What the twin key of `EpochScratch::group_twins` promises, checked
+/// where a member's plan is taken from the first member's view.
+fn interchangeable(a: &VehicleView, b: &VehicleView) -> bool {
+    let parked = |v: &VehicleView| v.route.is_empty() && v.onboard.is_empty();
+    parked(a)
+        && parked(b)
+        && a.anchor_node == b.anchor_node
+        && a.anchor_time.seconds().to_bits() == b.anchor_time.seconds().to_bits()
+        && a.depot == b.depot
 }
 
 /// One epoch order as a commit delta sees it: the order-only half of the

@@ -99,9 +99,7 @@ fn batch_of<'a>(
 fn dirty_epoch_scratch_is_bit_identical_to_fresh() {
     let inst = instance();
     let snapshot = |b: &DecisionBatch<'_>| -> Vec<Vec<PlannerOutput>> {
-        (0..b.len())
-            .map(|i| b.with_context(i, |ctx| ctx.plans.to_vec()))
-            .collect()
+        (0..b.len()).map(|i| dense_row(b, i)).collect()
     };
     let fresh = snapshot(&batch(&inst));
     let mut scratch = EpochScratch::default();
@@ -118,12 +116,12 @@ fn resolve_updates_plan_deltas_for_later_orders() {
     assert_eq!(b.len(), 2);
     assert!(b.any_feasible(0) && b.any_feasible(1));
     // Before any commit both orders see an idle vehicle 0.
-    let d0_before = b.with_context(1, |ctx| ctx.plans[0].incremental_length().unwrap());
+    let d0_before = b.with_context(1, |ctx| ctx.plan(0).incremental_length().unwrap());
     let d = b.resolve(0, Some(VehicleId(0)));
     assert_eq!(d, Decision::assigned(OrderId(0), VehicleId(0)));
     // Vehicle 0 is now loaded with 9 of 10 capacity: order 1 (quantity
     // 9) no longer fits on it, so its plan flipped infeasible.
-    let feasible_now = b.with_context(1, |ctx| ctx.plans[0].feasible());
+    let feasible_now = b.with_context(1, |ctx| ctx.plan(0).feasible());
     assert!(!feasible_now, "capacity should exclude vehicle 0");
     assert!(d0_before.is_finite());
     // Vehicle 1 remains available.
@@ -140,7 +138,7 @@ fn resolve_classifies_rejections() {
     // Choosing an infeasible vehicle: make vehicle 0 full first.
     let b2 = batch(&inst);
     b2.resolve(0, Some(VehicleId(0)));
-    let d = b2.with_context(1, |ctx| ctx.plans[0].feasible());
+    let d = b2.with_context(1, |ctx| ctx.plan(0).feasible());
     assert!(!d);
     assert_eq!(
         b2.resolve(1, Some(VehicleId(0))).reason,
@@ -175,7 +173,7 @@ fn with_context_on_a_resolved_order_panics() {
     let inst = instance();
     let b = batch(&inst);
     b.resolve(0, Some(VehicleId(0)));
-    b.with_context(0, |ctx| ctx.plans.len());
+    b.with_context(0, |ctx| ctx.num_vehicles());
 }
 
 /// One epoch order of the two-town fixture: pickup town (`true` = B),
@@ -259,8 +257,40 @@ fn column_map(b: &DecisionBatch<'_>) -> (Vec<u32>, Vec<Vec<u32>>) {
     (column_of.collect(), members.collect())
 }
 
+/// Row `i` of the context as one plan per vehicle: each vehicle's column's.
 fn dense_row(b: &DecisionBatch<'_>, i: usize) -> Vec<PlannerOutput> {
-    b.with_context(i, |ctx| ctx.plans.to_vec())
+    b.with_context(i, |ctx| {
+        (0..ctx.num_vehicles())
+            .map(|k| ctx.plan(k).clone())
+            .collect()
+    })
+}
+
+/// The context's `column_of`, with `column_plans.len()` beside it.
+fn context_columns(b: &DecisionBatch<'_>, i: usize) -> (Vec<u32>, usize) {
+    b.with_context(i, |ctx| (ctx.column_of.to_vec(), ctx.column_plans.len()))
+}
+
+/// A context has one plan per column the row reads, numbered by first
+/// member: the mixed fleet's two groups are one plan each, every
+/// look-alike its own, and a member that accepts an order reads a new
+/// column of its own in every later context.
+#[test]
+fn a_context_materialises_each_column_once() {
+    let inst = mixed_instance();
+    for sharded in [false, true] {
+        let (b, _) = mixed_batch(&inst, sharded);
+        for i in 0..b.len() {
+            let (column_of, plans) = context_columns(&b, i);
+            assert_eq!(column_of, [0, 1, 0, 2, 0, 2, 3, 4, 5, 2, 0]);
+            assert_eq!(plans, 6);
+        }
+        b.resolve(1, Some(VehicleId(2)));
+        let (column_of, plans) = context_columns(&b, 0);
+        assert_eq!(column_of, [0, 1, 2, 3, 0, 3, 4, 5, 6, 3, 0]);
+        assert_eq!(plans, 7);
+        assert_undecided_rows_are_own_plans(&b);
+    }
 }
 
 /// The mixed fleet: idle twins plus one of every vehicle that looks like a
@@ -727,7 +757,7 @@ proptest! {
                 2 => Some(VehicleId(3)),
                 _ => {
                     let feasible: Vec<usize> = flat.with_context(i, |ctx| {
-                        (0..ctx.plans.len()).filter(|&k| ctx.plans[k].feasible()).collect()
+                        (0..ctx.num_vehicles()).filter(|&k| ctx.plan(k).feasible()).collect()
                     });
                     feasible.get(picks.next().expect("one pick per order") % (feasible.len() + 1)).map(|&k| VehicleId::from_index(k))
                 }
@@ -851,8 +881,8 @@ fn shard_stats_count_commit_deltas_as_before() {
             Some(VehicleId(0))
         } else {
             batch.with_context(i, |ctx| {
-                (0..ctx.plans.len())
-                    .find(|&k| ctx.plans[k].feasible())
+                (0..ctx.num_vehicles())
+                    .find(|&k| ctx.plan(k).feasible())
                     .map(VehicleId::from_index)
             })
         };

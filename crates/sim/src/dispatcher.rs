@@ -9,6 +9,18 @@ use dpdp_routing::{PlannerOutput, VehicleView};
 /// This is the joint state `S^i_t` of the paper's MDP in raw form: one
 /// [`VehicleView`] and one [`PlannerOutput`] (Algorithm 2 result) per
 /// vehicle, plus the decision time and its interval index.
+///
+/// **One plan per column.** Vehicles that are the same input to
+/// Algorithm 2 have the same plan, so the plans are stored once per
+/// *column* of the row ([`DispatchContext::column_plans`]) and each vehicle
+/// names its column ([`DispatchContext::column_of`]); [`DispatchContext::plan`]
+/// reads vehicle `k`'s. A [`DecisionBatch`] context's columns are the
+/// plan matrix's: each idle-twin group is one column (see
+/// [`crate::batch`]), every other vehicle its own. Members of one column
+/// share everything Algorithm 2 and the ST Score read — anchor node and
+/// time, depot, an empty route, nothing on board — but not `view.used`,
+/// which a policy still reads per vehicle off [`DispatchContext::views`].
+/// A context built by hand may give every vehicle a column of its own.
 #[derive(Debug)]
 pub struct DispatchContext<'a> {
     /// The order being assigned.
@@ -19,12 +31,17 @@ pub struct DispatchContext<'a> {
     pub interval: usize,
     /// Per-vehicle snapshots, dense by vehicle id.
     pub views: &'a [VehicleView],
-    /// Per-vehicle Algorithm 2 outputs, dense by vehicle id. A
-    /// [`DecisionBatch`] keeps scores, not routes: it materialises this
-    /// slice — the best route and schedule of every feasible vehicle — for
-    /// each [`DecisionBatch::with_context`] call, against the snapshot as
-    /// it stands then.
-    pub plans: &'a [PlannerOutput],
+    /// One Algorithm 2 output per column some vehicle reads, columns
+    /// numbered by their lowest member: column 0 is vehicle 0's, and each
+    /// vehicle that reads no earlier vehicle's column opens the next one.
+    /// A [`DecisionBatch`] keeps scores, not routes: it materialises these
+    /// plans — the best route and schedule of every feasible column, on
+    /// its lowest member's view — for each [`DecisionBatch::with_context`]
+    /// call, against the snapshot as it stands then.
+    pub column_plans: &'a [PlannerOutput],
+    /// `column_of[k]`: vehicle `k`'s index into
+    /// [`DispatchContext::column_plans`], dense by vehicle id.
+    pub column_of: &'a [u32],
     /// The road network.
     pub net: &'a RoadNetwork,
     /// The fleet configuration.
@@ -34,18 +51,31 @@ pub struct DispatchContext<'a> {
 }
 
 impl<'a> DispatchContext<'a> {
+    /// Vehicle `k`'s Algorithm 2 output: its column's plan.
+    ///
+    /// # Panics
+    /// Panics if `k >= num_vehicles()`.
+    #[inline]
+    pub fn plan(&self, k: usize) -> &PlannerOutput {
+        &self.column_plans[self.column_of[k] as usize]
+    }
+
+    /// Number of vehicles `K` in the snapshot.
+    #[inline]
+    pub fn num_vehicles(&self) -> usize {
+        self.column_of.len()
+    }
+
     /// Ids of vehicles that can feasibly take the order.
     pub fn feasible_vehicles(&self) -> impl Iterator<Item = VehicleId> + '_ {
-        self.plans
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.feasible())
-            .map(|(k, _)| VehicleId::from_index(k))
+        (0..self.num_vehicles())
+            .filter(|&k| self.plan(k).feasible())
+            .map(VehicleId::from_index)
     }
 
     /// Whether any vehicle can take the order.
     pub fn any_feasible(&self) -> bool {
-        self.plans.iter().any(|p| p.feasible())
+        self.column_plans.iter().any(|p| p.feasible())
     }
 }
 

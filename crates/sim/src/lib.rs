@@ -77,10 +77,10 @@
 //! positions — `Copy`, no route. Policies read the matrix one order at a
 //! time: batch-native policies by folding over the order's *candidate
 //! row* of scores at decision time ([`DecisionBatch::fold_candidates`]),
-//! per-order policies through the dense `K`-slice of
+//! per-order policies through the [`DispatchContext`] of
 //! [`DecisionBatch::with_context`], whose
 //! [`PlannerOutput`](dpdp_routing::PlannerOutput)s — route and schedule
-//! per feasible vehicle — are materialised for that call and dropped
+//! per feasible column — are materialised for that call and dropped
 //! after it. Whoever looks inside a route pays for building it: a
 //! per-order policy pays for its row, a batch-native one for nothing, and
 //! [`DecisionBatch::resolve`] builds the one route an accepted order's
@@ -97,7 +97,8 @@
 //! hands each current member the group's score (the ungrouped vehicles
 //! ascending first, then each group's members together, so a tie-break
 //! toward the lower id must compare ids), and `with_context` materialises
-//! it on each member's own view. A row changes only when an acceptance
+//! it once, on its lowest member's view, as the plan every member's
+//! [`DispatchContext::plan`] returns. A row changes only when an acceptance
 //! commits: the accepting vehicle leaves its group, if any, for a column
 //! of its own, that column is rescored for every still-undecided order,
 //! and cells the bound prunes again stay implicit (the column's fallback

@@ -127,10 +127,12 @@ fn buffered_baseline1_actually_forms_multi_order_batches() {
     );
 }
 
-/// Per-order wrapper that checks every cell of every context row it is
-/// shown against the Algorithm 2 oracle before delegating: the winner (and
-/// its bookkeeping counts) must equal `best_insertion_naive`'s, and
-/// `d_{t,k}` must be the bit pattern `Route::length` folds. Going through
+/// Per-order wrapper that checks every vehicle's plan in every context it
+/// is shown against the Algorithm 2 oracle before delegating: the winner
+/// (and its bookkeeping counts) must equal `best_insertion_naive`'s on the
+/// vehicle's own view, and `d_{t,k}` must be the bit pattern
+/// `Route::length` folds — so a plan an idle-twin column shares is checked
+/// once per member. `cells` counts vehicles, not columns. Going through
 /// the per-order adapter, it sees each order's row as it stands when the
 /// order is decided — commit deltas and the sparse store's implicit pruned
 /// cells included.
@@ -141,7 +143,8 @@ struct OracleChecked {
 
 impl Dispatcher for OracleChecked {
     fn dispatch(&mut self, ctx: &DispatchContext<'_>) -> Option<VehicleId> {
-        for (view, plan) in ctx.views.iter().zip(ctx.plans) {
+        for (k, view) in ctx.views.iter().enumerate() {
+            let plan = ctx.plan(k);
             let oracle = best_insertion_naive(view, ctx.order, ctx.net, ctx.fleet, ctx.orders);
             assert_eq!(
                 plan.best.as_deref(),
@@ -160,7 +163,7 @@ impl Dispatcher for OracleChecked {
                 view.vehicle
             );
         }
-        self.cells += ctx.plans.len();
+        self.cells += ctx.num_vehicles();
         self.inner.dispatch(ctx)
     }
 
