@@ -39,7 +39,7 @@ fn main() {
         if let Some(mean) = mean_row(&rows) {
             println!(
                 "  {:<10} NUV {:>5}  TC {:>10.1}  TTL {:>8.1} km  served {:>4}  \
-                 rejected {:>3} (no-feasible {}, policy {}, commit {}, horizon {})",
+                 rejected {:>3} (no-feasible {}, policy {}, commit {})",
                 mean.algo,
                 mean.nuv,
                 mean.total_cost,
@@ -49,7 +49,6 @@ fn main() {
                 mean.rejections.no_feasible_vehicle,
                 mean.rejections.policy_rejected,
                 mean.rejections.infeasible_choice,
-                mean.rejections.horizon_exceeded,
             );
             all_rows.push(mean);
         }

@@ -397,8 +397,8 @@ impl BenchRecord {
     }
 }
 
-/// Renders a benchmark run as JSON (hand-rolled — the offline serde shim
-/// has no serializer), recording the perf trajectory across PRs: wall time
+/// Renders a benchmark run as JSON (hand-rolled — the workspace has no
+/// JSON dependency), recording the perf trajectory across PRs: wall time
 /// per policy, the thread count it ran with, and epoch counts. The header
 /// also records the `--scenario` family (which labels the run's
 /// scenario-specific rows — the fixed campus rows are present in every
@@ -439,75 +439,6 @@ pub fn bench_json(bench: &str, cli: &Cli, records: &[BenchRecord]) -> String {
         cli.quick,
         rows.join(",\n")
     )
-}
-
-/// Deterministic fixture for insertion-sweep microbenchmarks: a ring of
-/// factories with deliberately loose constraints (large capacity, 24 h
-/// deadlines) and one vehicle already carrying `orders_on_route` orders —
-/// i.e. a route of `2 * orders_on_route` stops — plus a probe order (the
-/// instance's last) left off the route.
-///
-/// Looseness is the point: every greedy insertion stays feasible, so the
-/// route length is exactly `2 * orders_on_route` and a benchmark over it
-/// measures the evaluator, not the instance.
-pub fn insertion_fixture(orders_on_route: usize) -> (Instance, dpdp_routing::VehicleView) {
-    use dpdp_net::{
-        FleetConfig, IntervalGrid, Node, NodeId, Order, OrderId, Point, RoadNetwork, TimeDelta,
-        TimePoint,
-    };
-    const FACTORIES: usize = 12;
-    let mut nodes = vec![Node::depot(NodeId(0), Point::new(0.0, 0.0))];
-    for f in 0..FACTORIES {
-        let angle = f as f64 / FACTORIES as f64 * std::f64::consts::TAU;
-        nodes.push(Node::factory(
-            NodeId::from_index(f + 1),
-            Point::new(25.0 * angle.cos(), 25.0 * angle.sin()),
-        ));
-    }
-    let net = RoadNetwork::euclidean(nodes, 1.0).expect("valid ring network");
-    let fleet = FleetConfig::homogeneous(
-        1,
-        &[NodeId(0)],
-        1000.0,
-        300.0,
-        2.0,
-        60.0,
-        TimeDelta::from_minutes(2.0),
-    )
-    .expect("valid fleet");
-    let orders: Vec<Order> = (0..=orders_on_route)
-        .map(|i| {
-            Order::new(
-                OrderId(i as u32),
-                NodeId::from_index(1 + (i % FACTORIES)),
-                NodeId::from_index(1 + ((i + 3) % FACTORIES)),
-                1.0,
-                TimePoint::ZERO,
-                TimePoint::from_hours(24.0),
-            )
-            .expect("valid order")
-        })
-        .collect();
-    let instance =
-        Instance::new(net, fleet, IntervalGrid::paper_default(), orders).expect("valid instance");
-    let conf = &instance.fleet.vehicles[0];
-    let mut view = dpdp_routing::VehicleView::idle_at_depot(conf.id, conf.depot);
-    let planner =
-        dpdp_routing::RoutePlanner::new(&instance.network, &instance.fleet, instance.orders());
-    for order in instance.orders().iter().take(orders_on_route) {
-        let best = planner
-            .plan(&view, order)
-            .best
-            .expect("loose fixture keeps every insertion feasible");
-        view.route = best.candidate.route;
-        view.used = true;
-    }
-    assert_eq!(
-        view.route.len(),
-        2 * orders_on_route,
-        "fixture must produce the requested route length"
-    );
-    (instance, view)
 }
 
 #[cfg(test)]
@@ -665,22 +596,6 @@ mod tests {
             assert_eq!(m.dispatcher().name(), spec.name());
             m.set_prediction(Some(presets.train_prediction(2)));
             m.set_training(false);
-        }
-    }
-
-    #[test]
-    fn insertion_fixture_has_requested_route_length() {
-        for orders_on_route in [0usize, 4, 8] {
-            let (instance, view) = insertion_fixture(orders_on_route);
-            assert_eq!(view.route.len(), 2 * orders_on_route);
-            assert_eq!(instance.num_orders(), orders_on_route + 1);
-            // The probe order is not on the route.
-            let probe = instance.orders().last().unwrap();
-            assert!(view
-                .route
-                .stops()
-                .iter()
-                .all(|s| s.action.order() != probe.id));
         }
     }
 }

@@ -13,12 +13,11 @@ use dpdp_sim::{
     CancelOutcome, DecisionRecord, Dispatcher, DisruptionKind, DisruptionRecord, EpochInfo,
     MetricsOptions, RejectionCounts, SimObserver, Simulator,
 };
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// One row of a comparison table: a dispatcher's metrics on one instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalRow {
     /// Dispatcher name.
     pub algo: String,
@@ -202,7 +201,6 @@ pub fn mean_row(rows: &[EvalRow]) -> Option<EvalRow> {
         no_feasible_vehicle: mean_count(|r| r.no_feasible_vehicle),
         policy_rejected: mean_count(|r| r.policy_rejected),
         infeasible_choice: mean_count(|r| r.infeasible_choice),
-        horizon_exceeded: mean_count(|r| r.horizon_exceeded),
         cancelled: mean_count(|r| r.cancelled),
         vehicle_lost: mean_count(|r| r.vehicle_lost),
     };
@@ -220,7 +218,7 @@ pub fn mean_row(rows: &[EvalRow]) -> Option<EvalRow> {
 }
 
 /// Mean and standard deviation of a metric across repeated runs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeanStd {
     /// Sample mean.
     pub mean: f64,
@@ -241,7 +239,7 @@ fn mean_std(values: &[f64]) -> MeanStd {
 /// Aggregate of the paper's repeated-training protocol ("the policy
 /// learning of DRL methods are conducted five times on each testing
 /// instance"): per-metric mean ± std across seeds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SeededEval {
     /// Dispatcher name.
     pub algo: String,

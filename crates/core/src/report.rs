@@ -27,12 +27,12 @@ pub fn render_table(title: &str, rows: &[EvalRow]) -> String {
 pub fn rows_to_csv(rows: &[EvalRow]) -> String {
     let mut out = String::from(
         "algo,nuv,total_cost,ttl_km,served,rejected,\
-         rej_no_feasible,rej_policy,rej_infeasible_choice,rej_horizon,\
-         rej_cancelled,rej_vehicle_lost,wall_secs\n",
+         rej_no_feasible,rej_policy,rej_infeasible_choice,rej_cancelled,\
+         rej_vehicle_lost,wall_secs\n",
     );
     for r in rows {
         out.push_str(&format!(
-            "{},{},{:.3},{:.3},{},{},{},{},{},{},{},{},{:.6}\n",
+            "{},{},{:.3},{:.3},{},{},{},{},{},{},{},{:.6}\n",
             r.algo,
             r.nuv,
             r.total_cost,
@@ -42,7 +42,6 @@ pub fn rows_to_csv(rows: &[EvalRow]) -> String {
             r.rejections.no_feasible_vehicle,
             r.rejections.policy_rejected,
             r.rejections.infeasible_choice,
-            r.rejections.horizon_exceeded,
             r.rejections.cancelled,
             r.rejections.vehicle_lost,
             r.wall_secs

@@ -3,10 +3,9 @@
 use dpdp_net::{Node, NodeId, Point, RoadNetwork};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a synthetic campus.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CampusConfig {
     /// Number of depots (the paper's `{w_i}`; vehicles start here).
     pub num_depots: usize,

@@ -12,11 +12,10 @@ use crate::std_matrix::{FactoryIndex, StdMatrix};
 use dpdp_net::{FleetConfig, Instance, IntervalGrid, Order, OrderId, TimeDelta};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// Full dataset configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DatasetConfig {
     /// Campus layout parameters.
     pub campus: CampusConfig,

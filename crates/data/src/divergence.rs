@@ -6,13 +6,11 @@
 //! divergence. Vectors are normalised to probability distributions first
 //! (with additive smoothing so empty components stay finite).
 
-use serde::{Deserialize, Serialize};
-
 /// Smoothing constant added to every component before normalisation.
 const EPS: f64 = 1e-9;
 
 /// Which divergence to use inside the ST Score.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DivergenceKind {
     /// Jensen–Shannon divergence (the paper's choice; symmetric, bounded by
     /// `ln 2`).

@@ -12,7 +12,6 @@ use crate::campus::Campus;
 use dpdp_net::{NodeId, Order, OrderId, TimeDelta, TimePoint};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Standard normal sample via Box–Muller (rand_distr is not a dependency).
 fn sample_normal(rng: &mut StdRng) -> f64 {
@@ -37,7 +36,7 @@ fn sample_weighted(rng: &mut StdRng, weights: &[f64]) -> usize {
 
 /// The stationary part of the demand pattern: per-factory base weights and
 /// the intra-day intensity profile.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DemandProfile {
     /// Unnormalised pickup intensity per factory (row order of the campus'
     /// factory list). A heavy-tailed mix: a few hot factories dominate.
@@ -146,7 +145,7 @@ impl DemandProfile {
 }
 
 /// Order-generation parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OrderGeneratorConfig {
     /// Mean number of orders per day.
     pub orders_per_day: usize,

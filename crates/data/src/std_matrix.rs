@@ -2,10 +2,9 @@
 //! Definition 1 of the paper.
 
 use dpdp_net::{IntervalGrid, NodeId, Order};
-use serde::{Deserialize, Serialize};
 
 /// Maps factory node ids to dense STD-matrix row indices.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FactoryIndex {
     rows: Vec<Option<usize>>,
     factories: Vec<NodeId>,
@@ -50,7 +49,7 @@ impl FactoryIndex {
 
 /// The STD matrix `E = [e_{i,j}] ∈ R^{n x T}`: total cargo quantity created
 /// at factory `i` within time interval `j` (Definition 1, Eqs. (1)–(2)).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StdMatrix {
     n: usize,
     t: usize,

@@ -6,7 +6,6 @@ use crate::network::RoadNetwork;
 use crate::order::Order;
 use crate::time::IntervalGrid;
 use crate::vehicle::FleetConfig;
-use serde::{Deserialize, Serialize};
 
 /// A DPDP instance: the road network, the fleet configuration, the interval
 /// grid for spatial-temporal features, and the day's delivery orders sorted
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// at its creation time; the simulator enforces that. Solvers for the
 /// *static* relaxation (the exact baseline) are allowed to read all orders up
 /// front.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Instance {
     /// The road network.
     pub network: RoadNetwork,

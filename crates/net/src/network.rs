@@ -4,10 +4,9 @@
 use crate::error::NetError;
 use crate::ids::NodeId;
 use crate::node::{Node, NodeKind};
-use serde::{Deserialize, Serialize};
 
 /// A planar point; coordinates are in kilometres.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Point {
     /// Easting, km.
     pub x: f64,
@@ -33,7 +32,7 @@ impl Point {
 
 /// A complete directed road network `G = (N, A)` with non-negative arc
 /// distances `d_{i,j}` stored as a dense row-major matrix.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RoadNetwork {
     nodes: Vec<Node>,
     /// Row-major `n x n` distance matrix in kilometres.

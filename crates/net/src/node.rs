@@ -2,10 +2,9 @@
 
 use crate::ids::NodeId;
 use crate::network::Point;
-use serde::{Deserialize, Serialize};
 
 /// Whether a node is a vehicle depot or a factory/warehouse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// A depot where vehicles start and end their routes.
     Depot,
@@ -14,7 +13,7 @@ pub enum NodeKind {
 }
 
 /// A node in the road network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// Identifier; equals the node's index in [`crate::RoadNetwork`].
     pub id: NodeId,

@@ -4,12 +4,11 @@ use crate::error::NetError;
 use crate::ids::{NodeId, OrderId};
 use crate::network::RoadNetwork;
 use crate::time::{TimePoint, TimeWindow};
-use serde::{Deserialize, Serialize};
 
 /// A delivery order `o_i = (F_p, F_d, q, t_c, t_l)`: pick up `quantity`
 /// units of cargo at `pickup` no earlier than `created`, and deliver them to
 /// `delivery` no later than `deadline`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Order {
     /// Identifier; equals the order's index within its instance.
     pub id: OrderId,

@@ -36,10 +36,9 @@
 
 use crate::ids::NodeId;
 use crate::network::{Point, RoadNetwork};
-use serde::{Deserialize, Serialize};
 
 /// How a [`ShardMap`] assigns nodes to regions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ShardPolicy {
     /// K-means-style clustering of node coordinates: the seed picks the
     /// first centroid, the remaining `S - 1` start farthest-point from the
@@ -78,7 +77,7 @@ impl Default for ShardPolicy {
 /// anchor node, orders to the shard of their pickup node. Mid-episode
 /// re-partitioning swaps in a fresh map built by
 /// [`ShardMap::build_weighted`] at an epoch boundary.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ShardMap {
     /// Shard (cell) index per node, dense by node id.
     assignment: Vec<usize>,

@@ -6,7 +6,6 @@
 //! into `T` equal-duration intervals exactly as Definition 1 of the paper
 //! (144 ten-minute intervals for a day).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
@@ -14,11 +13,11 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 pub const SECONDS_PER_DAY: f64 = 86_400.0;
 
 /// An absolute instant, in seconds since the start of the episode.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct TimePoint(f64);
 
 /// A signed duration, in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct TimeDelta(f64);
 
 impl TimePoint {
@@ -197,7 +196,7 @@ impl fmt::Display for TimeDelta {
 
 /// A half-open service window `[earliest, latest)` for an order: the earliest
 /// pickup time and the latest delivery time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeWindow {
     /// Earliest time a vehicle may pick up the cargo (order creation time).
     pub earliest: TimePoint,
@@ -233,7 +232,7 @@ impl TimeWindow {
 /// Discretisation of the episode horizon into `T` equal-duration intervals
 /// (Definition 1 of the paper; the paper uses `T = 144` ten-minute intervals
 /// over a 24-hour day).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IntervalGrid {
     horizon: f64,
     num_intervals: usize,

@@ -4,12 +4,11 @@ use crate::error::NetError;
 use crate::ids::{NodeId, VehicleId};
 use crate::network::RoadNetwork;
 use crate::time::TimeDelta;
-use serde::{Deserialize, Serialize};
 
 /// Per-vehicle configuration `conf_k = (w_k, Q, mu, delta)` restricted to the
 /// per-vehicle parts: the starting depot. Capacity and costs are fleet-wide
 /// because the fleet is homogeneous (Section III).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VehicleConfig {
     /// Identifier; equals the vehicle's index within the fleet.
     pub id: VehicleId,
@@ -18,7 +17,7 @@ pub struct VehicleConfig {
 }
 
 /// Configuration of the homogeneous fleet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// One entry per vehicle, ids dense `0..K`.
     pub vehicles: Vec<VehicleConfig>,

@@ -3,11 +3,12 @@
 //!
 //! Format (little-endian): magic `b"DPNN"`, version u32, count u32, then per
 //! parameter: rows u32, cols u32, `rows*cols` f64 values. Only values are
-//! stored; gradients and optimizer moments reset on load.
+//! stored; gradients and optimizer moments reset on load. The checkpoint is
+//! a plain `Vec<u8>` written with `to_le_bytes` and read back with
+//! `from_le_bytes`.
 
 use crate::params::ParamStore;
 use crate::tensor::Tensor;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 const MAGIC: &[u8; 4] = b"DPNN";
 const VERSION: u32 = 1;
@@ -44,20 +45,30 @@ impl std::fmt::Display for SerializeError {
 impl std::error::Error for SerializeError {}
 
 /// Serialises every parameter value into a byte buffer.
-pub fn save_params(store: &ParamStore) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u32_le(store.len() as u32);
+pub fn save_params(store: &ParamStore) -> Vec<u8> {
+    let mut buf = Vec::new();
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&(store.len() as u32).to_le_bytes());
     for i in 0..store.len() {
         let t = store.value(crate::params::ParamId(i));
-        buf.put_u32_le(t.rows() as u32);
-        buf.put_u32_le(t.cols() as u32);
+        buf.extend_from_slice(&(t.rows() as u32).to_le_bytes());
+        buf.extend_from_slice(&(t.cols() as u32).to_le_bytes());
         for &v in t.data() {
-            buf.put_f64_le(v);
+            buf.extend_from_slice(&v.to_le_bytes());
         }
     }
-    buf.freeze()
+    buf
+}
+
+/// Splits the next `N` bytes off the front of `buf`. Every caller has
+/// checked the remaining length first.
+fn take<const N: usize>(buf: &mut &[u8]) -> [u8; N] {
+    let (head, rest) = buf
+        .split_first_chunk::<N>()
+        .expect("length checked by the caller");
+    *buf = rest;
+    *head
 }
 
 /// Loads parameter values into an existing store with the same layout
@@ -67,38 +78,36 @@ pub fn save_params(store: &ParamStore) -> Bytes {
 /// Returns a [`SerializeError`] on malformed input or layout mismatch.
 pub fn load_params(store: &mut ParamStore, bytes: &[u8]) -> Result<(), SerializeError> {
     let mut buf = bytes;
-    if buf.remaining() < 12 {
+    if buf.len() < 12 {
         return Err(SerializeError::Truncated);
     }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    if &take::<4>(&mut buf) != MAGIC {
         return Err(SerializeError::BadMagic);
     }
-    let version = buf.get_u32_le();
+    let version = u32::from_le_bytes(take(&mut buf));
     if version != VERSION {
         return Err(SerializeError::BadVersion(version));
     }
-    let count = buf.get_u32_le() as usize;
+    let count = u32::from_le_bytes(take(&mut buf)) as usize;
     if count != store.len() {
         return Err(SerializeError::LayoutMismatch { index: 0 });
     }
     for i in 0..count {
-        if buf.remaining() < 8 {
+        if buf.len() < 8 {
             return Err(SerializeError::Truncated);
         }
-        let rows = buf.get_u32_le() as usize;
-        let cols = buf.get_u32_le() as usize;
+        let rows = u32::from_le_bytes(take(&mut buf)) as usize;
+        let cols = u32::from_le_bytes(take(&mut buf)) as usize;
         let id = crate::params::ParamId(i);
         if store.value(id).shape() != (rows, cols) {
             return Err(SerializeError::LayoutMismatch { index: i });
         }
-        if buf.remaining() < rows * cols * 8 {
+        if buf.len() < rows * cols * 8 {
             return Err(SerializeError::Truncated);
         }
         let mut t = Tensor::zeros(rows, cols);
         for v in t.data_mut() {
-            *v = buf.get_f64_le();
+            *v = f64::from_le_bytes(take(&mut buf));
         }
         store.set_value(id, t);
     }

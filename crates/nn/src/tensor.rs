@@ -1,11 +1,10 @@
 //! Dense row-major 2-D tensors.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense row-major matrix of `f64`. Vectors are `1 x n` or `n x 1`
 /// tensors; scalars are `1 x 1`.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Tensor {
     rows: usize,
     cols: usize,

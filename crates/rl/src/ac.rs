@@ -13,10 +13,9 @@ use dpdp_nn::{Adam, Graph, Mlp, Optimizer, ParamStore, Tensor};
 use dpdp_sim::{DispatchContext, Dispatcher};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Actor-Critic hyper-parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActorCriticConfig {
     /// Hidden width of both networks.
     pub hidden: usize,

@@ -14,11 +14,10 @@ use dpdp_nn::{Adam, Graph, Optimizer, ParamStore};
 use dpdp_sim::{DispatchContext, Dispatcher};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// The model family of the paper's experiments and ablations (Table II).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelKind {
     /// Vanilla DQN: single network target, no graph, no ST Score.
     Dqn,
@@ -66,7 +65,7 @@ impl ModelKind {
 }
 
 /// Hyper-parameters of a DQN-family agent.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AgentConfig {
     /// Which family member this is.
     pub kind: ModelKind,

@@ -12,13 +12,12 @@ use dpdp_nn::{Graph, Mlp, MultiHeadAttention, ParamStore, Var};
 use dpdp_pool::ThreadPool;
 pub(crate) use partition::Partition;
 use partition::{list_of, Field};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 mod partition;
 
 /// Q-network architecture parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QNetworkConfig {
     /// Embedding width of the per-vehicle representation.
     pub hidden: usize,

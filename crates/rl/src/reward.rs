@@ -1,9 +1,7 @@
 //! Rewards: Eq. (6)–(8) of the paper.
 
-use serde::{Deserialize, Serialize};
-
 /// Reward parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RewardParams {
     /// Reward scaling factor `alpha`.
     pub alpha: f64,

@@ -1,9 +1,7 @@
 //! Exploration schedules.
 
-use serde::{Deserialize, Serialize};
-
 /// Linearly decaying epsilon for ε-greedy exploration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpsilonSchedule {
     /// Initial epsilon (episode 0).
     pub start: f64,

@@ -26,14 +26,13 @@ use dpdp_data::{StScorer, StdMatrix};
 use dpdp_nn::Tensor;
 use dpdp_routing::PlannerOutput;
 use dpdp_sim::DispatchContext;
-use serde::{Deserialize, Serialize};
 
 /// Number of per-vehicle features.
 pub const STATE_DIM: usize = 5;
 
 /// A self-contained snapshot of one joint state: everything a Q-network
 /// needs to (re)evaluate it later from the replay buffer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StateSnapshot {
     /// `K x 5` feature matrix.
     pub features: Tensor,

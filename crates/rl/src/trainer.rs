@@ -15,7 +15,6 @@ use crate::recorder::CapacityRecorder;
 use dpdp_data::{FactoryIndex, StdMatrix};
 use dpdp_net::Instance;
 use dpdp_sim::{Dispatcher, SimObserver, Simulator};
-use serde::{Deserialize, Serialize};
 
 /// Trainer configuration.
 #[derive(Debug, Clone)]
@@ -42,7 +41,7 @@ impl TrainerConfig {
 }
 
 /// One point of a convergence curve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpisodePoint {
     /// Episode index.
     pub episode: usize,

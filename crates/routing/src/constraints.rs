@@ -1,7 +1,6 @@
 //! Constraint violations reported by the schedule simulator.
 
 use dpdp_net::{OrderId, TimePoint};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Why a candidate route is infeasible.
@@ -10,7 +9,7 @@ use std::fmt;
 /// LIFO loading and back-to-depot (the latter is structural — see
 /// [`crate::Route`] — so it appears here only as [`Violation::IncompleteRoute`],
 /// i.e. returning to the depot while still loaded).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Violation {
     /// A delivery would arrive after the order's latest delivery time.
     TimeWindow {

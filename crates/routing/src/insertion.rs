@@ -31,10 +31,9 @@ use crate::schedule::{simulate_schedule, Schedule};
 use crate::stop::Stop;
 use crate::view::VehicleView;
 use dpdp_net::{FleetConfig, Order, RoadNetwork};
-use serde::{Deserialize, Serialize};
 
 /// One feasible insertion candidate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InsertionCandidate {
     /// Index (in the original stop list) where the pickup was inserted.
     pub pickup_pos: usize,
@@ -56,7 +55,7 @@ impl InsertionCandidate {
 }
 
 /// The shortest feasible insertion (step 9 of Algorithm 2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BestInsertion {
     /// The winning candidate.
     pub candidate: InsertionCandidate,

@@ -4,7 +4,6 @@ use crate::incremental::{score_insertion_cached, ScheduleCache};
 use crate::insertion::{BestInsertion, InsertionScore};
 use crate::view::VehicleView;
 use dpdp_net::{FleetConfig, NodeId, Order, RoadNetwork, TimeDelta, TimePoint};
-use serde::{Deserialize, Serialize};
 
 /// Safety margin (seconds) the geographic infeasibility prune keeps between
 /// its lower bound and an order's deadline. The bound's arithmetic differs
@@ -116,7 +115,7 @@ impl PlanScore {
 ///
 /// This is a [`PlanScore`] with its winner materialised
 /// ([`RoutePlanner::materialise`]); [`PlannerOutput::score`] goes back.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlannerOutput {
     /// Length of the vehicle's current remaining route, `d_{t,k}` (km).
     pub current_length: f64,

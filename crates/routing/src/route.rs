@@ -2,7 +2,6 @@
 
 use crate::stop::{Stop, StopAction};
 use dpdp_net::{NodeId, OrderId, RoadNetwork};
-use serde::{Deserialize, Serialize};
 
 /// The remaining stop sequence of a vehicle. The route starts wherever the
 /// vehicle currently is (its *anchor*, tracked separately by
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// advancing is O(1) rather than the O(n) `Vec::remove(0)` shift. Equality
 /// and cloning always operate on the *remaining* stops (a clone trims the
 /// consumed prefix), so the representation is invisible to callers.
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Default)]
 pub struct Route {
     stops: Vec<Stop>,
     /// Index of the first remaining stop; everything before it has been

@@ -26,11 +26,10 @@ use crate::route::Route;
 use crate::stop::{Stop, StopAction};
 use crate::view::VehicleView;
 use dpdp_net::{FleetConfig, Order, OrderId, RoadNetwork, TimePoint};
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
 /// Timing of one stop in a simulated schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StopTiming {
     /// The stop.
     pub stop: Stop,
@@ -46,7 +45,7 @@ pub struct StopTiming {
 }
 
 /// A feasible simulated schedule for a remaining route.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
     /// Per-stop timings, in visit order.
     pub timings: Vec<StopTiming>,

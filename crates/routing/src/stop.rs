@@ -1,11 +1,10 @@
 //! Route stops: a node plus a pickup or delivery action.
 
 use dpdp_net::{NodeId, OrderId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// What a vehicle does at a stop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StopAction {
     /// Load the cargo of the given order (`↑` in the paper's Fig. 1).
     Pickup(OrderId),
@@ -30,7 +29,7 @@ impl StopAction {
 }
 
 /// One stop of a route: visit `node` and perform `action` there.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Stop {
     /// Node to visit.
     pub node: NodeId,

@@ -2,7 +2,6 @@
 
 use crate::route::Route;
 use dpdp_net::{NodeId, OrderId, TimePoint, VehicleId};
-use serde::{Deserialize, Serialize};
 
 /// Everything the route planner needs to know about one vehicle at decision
 /// time.
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// vehicle it is the destination of the leg currently being driven, at the
 /// arrival time. This encodes the paper's "no interference with in-service
 /// vehicles" rule — insertions can only alter the route from the anchor on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VehicleView {
     /// Which vehicle this is.
     pub vehicle: VehicleId,

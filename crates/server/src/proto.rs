@@ -306,7 +306,6 @@ pub fn reason_name(reason: DecisionReason) -> &'static str {
         DecisionReason::NoFeasibleVehicle => "no_feasible_vehicle",
         DecisionReason::PolicyRejected => "policy_rejected",
         DecisionReason::InfeasibleChoice => "infeasible_choice",
-        DecisionReason::HorizonExceeded => "horizon_exceeded",
         DecisionReason::Cancelled => "cancelled",
         DecisionReason::VehicleLost => "vehicle_lost",
     }
@@ -319,7 +318,6 @@ pub fn parse_reason(tok: &str) -> Option<DecisionReason> {
         "no_feasible_vehicle" => DecisionReason::NoFeasibleVehicle,
         "policy_rejected" => DecisionReason::PolicyRejected,
         "infeasible_choice" => DecisionReason::InfeasibleChoice,
-        "horizon_exceeded" => DecisionReason::HorizonExceeded,
         "cancelled" => DecisionReason::Cancelled,
         "vehicle_lost" => DecisionReason::VehicleLost,
         _ => return None,
@@ -448,8 +446,8 @@ fn parse_stats(args: &[&str]) -> Result<StatsSnapshot, ProtoError> {
 pub fn format_metrics(m: &EpisodeMetrics) -> String {
     format!(
         "METRICS served={} rejected={} nuv={} ttl={} total_cost={} avg_response_s={} \
-         rej_no_feasible={} rej_policy={} rej_infeasible={} rej_horizon={} \
-         rej_cancelled={} rej_vehicle_lost={}",
+         rej_no_feasible={} rej_policy={} rej_infeasible={} rej_cancelled={} \
+         rej_vehicle_lost={}",
         m.served,
         m.rejected,
         m.nuv,
@@ -459,7 +457,6 @@ pub fn format_metrics(m: &EpisodeMetrics) -> String {
         m.rejections.no_feasible_vehicle,
         m.rejections.policy_rejected,
         m.rejections.infeasible_choice,
-        m.rejections.horizon_exceeded,
         m.rejections.cancelled,
         m.rejections.vehicle_lost,
     )
@@ -528,7 +525,6 @@ fn parse_metrics(args: &[&str]) -> Result<EpisodeMetrics, ProtoError> {
             no_feasible_vehicle: count("rej_no_feasible")?,
             policy_rejected: count("rej_policy")?,
             infeasible_choice: count("rej_infeasible")?,
-            horizon_exceeded: count("rej_horizon")?,
             cancelled: count("rej_cancelled")?,
             vehicle_lost: count("rej_vehicle_lost")?,
         },
@@ -721,14 +717,14 @@ mod tests {
             ttl: 123.45600000000002,
             total_cost: 1746.912,
             served: 9,
-            rejected: 4,
+            rejected: 15,
+            // Distinct per reason, so swapping two `rej_*` keys fails.
             rejections: RejectionCounts {
                 no_feasible_vehicle: 1,
-                policy_rejected: 0,
-                infeasible_choice: 0,
-                horizon_exceeded: 0,
-                cancelled: 2,
-                vehicle_lost: 1,
+                policy_rejected: 2,
+                infeasible_choice: 3,
+                cancelled: 4,
+                vehicle_lost: 5,
             },
             avg_response_secs: 300.5,
         };
@@ -790,7 +786,6 @@ mod tests {
             DecisionReason::NoFeasibleVehicle,
             DecisionReason::PolicyRejected,
             DecisionReason::InfeasibleChoice,
-            DecisionReason::HorizonExceeded,
             DecisionReason::Cancelled,
             DecisionReason::VehicleLost,
         ] {

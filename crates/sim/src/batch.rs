@@ -75,7 +75,6 @@ use crate::sweep::{plan_sweep, ShardContext, ShardStats, SweepBuffers};
 use dpdp_net::{FleetConfig, Order, OrderId, RoadNetwork, TimePoint, VehicleId};
 use dpdp_pool::ThreadPool;
 use dpdp_routing::{PlanScore, PlannerOutput, RoutePlanner, ScheduleCache, VehicleView};
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::sync::Arc;
 pub(crate) use store::ColumnMap;
@@ -84,7 +83,7 @@ use store::{Column, DeltaRow, PlanStore};
 mod store;
 
 /// Why a [`Decision`] turned out the way it did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecisionReason {
     /// The order was assigned to a feasible vehicle.
     Assigned,
@@ -94,8 +93,6 @@ pub enum DecisionReason {
     PolicyRejected,
     /// The policy chose a vehicle whose plan was infeasible at commit time.
     InfeasibleChoice,
-    /// The order's decision epoch fell beyond the simulation horizon.
-    HorizonExceeded,
     /// The order was cancelled by an [`OrderCancelled`] event — either
     /// before it reached a dispatcher, or after assignment while its pickup
     /// was still undriven (the assignment is revoked by route surgery).
@@ -112,7 +109,7 @@ pub enum DecisionReason {
 /// One dispatch outcome produced by [`Dispatcher::dispatch_batch`].
 ///
 /// [`Dispatcher::dispatch_batch`]: crate::dispatcher::Dispatcher::dispatch_batch
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Decision {
     /// The order decided.
     pub order: OrderId,

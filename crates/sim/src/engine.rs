@@ -374,8 +374,8 @@ impl<'a> Simulator<'a> {
 
     /// Flushes one decision epoch — the crate's one epoch body, shared by
     /// the event loop above and the [`Simulator::run_reference`] scan:
-    /// horizon arm, fleet advance to `now`, re-partition, [`DecisionBatch`]
-    /// (broken vehicles masked out), dispatch, commit.
+    /// fleet advance to `now`, re-partition, [`DecisionBatch`] (broken
+    /// vehicles masked out), dispatch, commit.
     ///
     /// [`DecisionBatch::resolve`] is the commit and the batch owns the
     /// fleet for the length of the epoch. What the dispatcher returns is
@@ -402,17 +402,6 @@ impl<'a> Simulator<'a> {
         let net = &instance.network;
         let fleet = &instance.fleet;
         let interval = instance.grid.interval_of(now);
-
-        if self.horizon.is_some_and(|h| now > h) {
-            // Beyond the horizon: never dispatched, only logged.
-            for &oid in &epoch_ids {
-                let decision = Decision::rejected(oid, DecisionReason::HorizonExceeded);
-                let record =
-                    AssignmentRecord::rejected(oid, DecisionReason::HorizonExceeded, now, interval);
-                sink.decision(&decision, record, None, None);
-            }
-            return;
-        }
 
         for s in states.iter_mut() {
             s.advance_to(now, net, fleet, table);

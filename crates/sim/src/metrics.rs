@@ -3,10 +3,9 @@
 use crate::batch::DecisionReason;
 use crate::state::VehicleState;
 use dpdp_net::{FleetConfig, OrderId, RoadNetwork, TimePoint, VehicleId};
-use serde::{Deserialize, Serialize};
 
 /// One dispatch decision recorded by the simulator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AssignmentRecord {
     /// The order assigned (or rejected).
     pub order: OrderId,
@@ -91,7 +90,7 @@ impl AssignmentRecord {
 /// Rejection *reasons* are part of the decision stream, so these counts are
 /// bit-identical across thread counts and shard counts — the batch-parity
 /// suite compares them as part of [`EpisodeMetrics`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RejectionCounts {
     /// No vehicle had a feasible insertion
     /// ([`DecisionReason::NoFeasibleVehicle`]).
@@ -102,9 +101,6 @@ pub struct RejectionCounts {
     /// The policy chose a vehicle whose plan failed commit-time validation
     /// ([`DecisionReason::InfeasibleChoice`]).
     pub infeasible_choice: usize,
-    /// The order's decision epoch fell beyond the simulation horizon
-    /// ([`DecisionReason::HorizonExceeded`]).
-    pub horizon_exceeded: usize,
     /// The order was cancelled by a disruption event, before dispatch or by
     /// revoking its assignment while the pickup was still undriven
     /// ([`DecisionReason::Cancelled`]).
@@ -121,7 +117,6 @@ impl RejectionCounts {
         self.no_feasible_vehicle
             + self.policy_rejected
             + self.infeasible_choice
-            + self.horizon_exceeded
             + self.cancelled
             + self.vehicle_lost
     }
@@ -136,7 +131,6 @@ impl RejectionCounts {
             DecisionReason::NoFeasibleVehicle => self.no_feasible_vehicle += 1,
             DecisionReason::PolicyRejected => self.policy_rejected += 1,
             DecisionReason::InfeasibleChoice => self.infeasible_choice += 1,
-            DecisionReason::HorizonExceeded => self.horizon_exceeded += 1,
             DecisionReason::Cancelled => self.cancelled += 1,
             DecisionReason::VehicleLost => self.vehicle_lost += 1,
         }
@@ -144,7 +138,7 @@ impl RejectionCounts {
 }
 
 /// Aggregate metrics of one episode.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpisodeMetrics {
     /// Number of Used Vehicles.
     pub nuv: usize,
@@ -166,7 +160,7 @@ pub struct EpisodeMetrics {
 }
 
 /// Per-vehicle end-of-episode statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VehicleStats {
     /// The vehicle.
     pub vehicle: VehicleId,
@@ -179,7 +173,7 @@ pub struct VehicleStats {
 }
 
 /// Full outcome of one simulated episode.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpisodeResult {
     /// Aggregate metrics.
     pub metrics: EpisodeMetrics,
@@ -256,9 +250,9 @@ impl MetricsAccumulator {
         }
     }
 
-    /// Accounts one decision. `response_secs` is `None` for orders the
-    /// simulator never dispatched (beyond the horizon), which are excluded
-    /// from the response-time average.
+    /// Accounts one decision. `response_secs` is `None` only for an order
+    /// cancelled before its dispatch epoch, which is excluded from the
+    /// response-time average.
     pub(crate) fn record(&mut self, record: AssignmentRecord, response_secs: Option<f64>) {
         if record.vehicle.is_some() {
             self.served += 1;
@@ -378,7 +372,7 @@ mod tests {
             Some(0.0),
         );
         acc.record(
-            AssignmentRecord::rejected(OrderId(2), DecisionReason::HorizonExceeded, t, 0),
+            AssignmentRecord::rejected(OrderId(2), DecisionReason::Cancelled, t, 0),
             None,
         );
         acc.record(
@@ -401,7 +395,7 @@ mod tests {
         let r = result.metrics.rejections;
         assert_eq!(r.no_feasible_vehicle, 1);
         assert_eq!(r.policy_rejected, 1);
-        assert_eq!(r.horizon_exceeded, 1);
+        assert_eq!(r.cancelled, 1);
         assert_eq!(r.infeasible_choice, 1);
         assert_eq!(r.total(), result.metrics.rejected);
     }

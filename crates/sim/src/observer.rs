@@ -13,7 +13,7 @@
 //! ```text
 //! on_episode_begin
 //!   (on_epoch  on_decision*        // one on_epoch per dispatch_batch call
-//!    | on_decision                 // horizon-dropped / cancelled-pending
+//!    | on_decision                 // cancelled before dispatch
 //!    | on_disruption)*             // cancellations, breakdowns, recoveries
 //! on_episode_end
 //! ```
@@ -142,8 +142,7 @@ pub trait SimObserver {
     fn on_episode_begin(&mut self, _instance: &Instance) {}
 
     /// Called when a decision epoch opens, immediately before the epoch's
-    /// single `dispatch_batch` call. Horizon-dropped epochs (no dispatch)
-    /// do not produce this event.
+    /// single `dispatch_batch` call.
     fn on_epoch(&mut self, _epoch: &EpochInfo) {}
 
     /// Called after each decision is validated and committed.

@@ -29,7 +29,6 @@
 use crate::simulator::{SimBuildError, DEFAULT_SHARD_ESCALATION};
 use crate::sweep::ShardContext;
 use dpdp_net::{Order, RoadNetwork, ShardMap, ShardPolicy};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// When (if ever) an episode re-seeds its shard map from live demand.
@@ -37,7 +36,7 @@ use std::sync::Arc;
 /// Re-partitioning only ever happens **at flush boundaries** and is a pure
 /// function of the demand stream decided so far, so a fixed seed stays
 /// bit-identical across thread counts and escalation widths.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum RepartitionPolicy {
     /// Keep the initial (geometry-seeded) partition for the whole episode.
     #[default]
@@ -71,7 +70,7 @@ impl RepartitionPolicy {
 /// A validated sharding configuration for
 /// [`SimulatorBuilder::sharding`](crate::simulator::SimulatorBuilder::sharding):
 /// partition shape, escalation width and re-partition cadence in one value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardConfig {
     policy: ShardPolicy,
     num_shards: usize,

@@ -105,7 +105,6 @@ impl std::error::Error for SimBuildError {}
 pub struct SimulatorBuilder<'a> {
     instance: &'a Instance,
     buffering: BufferingMode,
-    horizon: Option<TimePoint>,
     metrics: MetricsOptions,
     seed: u64,
     num_threads: usize,
@@ -115,13 +114,12 @@ pub struct SimulatorBuilder<'a> {
 }
 
 impl<'a> SimulatorBuilder<'a> {
-    /// Starts from the defaults: immediate service, no horizon, full
-    /// metrics, seed 0, single-threaded scoring, unsharded dispatch.
+    /// Starts from the defaults: immediate service, full metrics, seed 0,
+    /// single-threaded scoring, unsharded dispatch.
     pub fn new(instance: &'a Instance) -> Self {
         SimulatorBuilder {
             instance,
             buffering: BufferingMode::Immediate,
-            horizon: None,
             metrics: MetricsOptions::default(),
             seed: 0,
             num_threads: 1,
@@ -134,18 +132,6 @@ impl<'a> SimulatorBuilder<'a> {
     /// Sets the buffering strategy.
     pub fn buffering(mut self, buffering: BufferingMode) -> Self {
         self.buffering = buffering;
-        self
-    }
-
-    /// Stops dispatching at `horizon`: orders whose decision time falls
-    /// strictly after it are recorded as rejected with
-    /// [`DecisionReason::HorizonExceeded`] and excluded from the
-    /// response-time average.
-    ///
-    /// [`DecisionReason::HorizonExceeded`]:
-    ///     crate::batch::DecisionReason::HorizonExceeded
-    pub fn horizon(mut self, horizon: TimePoint) -> Self {
-        self.horizon = Some(horizon);
         self
     }
 
@@ -263,7 +249,6 @@ impl<'a> SimulatorBuilder<'a> {
         Ok(Simulator {
             instance: self.instance,
             buffering: self.buffering,
-            horizon: self.horizon,
             metrics: self.metrics,
             seed: self.seed,
             pool,
@@ -281,7 +266,7 @@ pub const DEFAULT_SHARD_ESCALATION: usize = 2;
 
 /// Fans every episode event out to the observers and feeds decisions into
 /// the metrics accumulator — the single place a decision is recorded, so
-/// the horizon, commit and disruption paths cannot drift apart.
+/// the commit and disruption paths cannot drift apart.
 pub(crate) struct EpisodeSink<'run, 'obs, 'world> {
     pub(crate) observers: &'run mut [&'obs mut dyn SimObserver],
     pub(crate) acc: MetricsAccumulator,
@@ -349,7 +334,6 @@ impl EpisodeSink<'_, '_, '_> {
 pub struct Simulator<'a> {
     pub(crate) instance: &'a Instance,
     pub(crate) buffering: BufferingMode,
-    pub(crate) horizon: Option<TimePoint>,
     pub(crate) metrics: MetricsOptions,
     pub(crate) seed: u64,
     pub(crate) pool: Arc<ThreadPool>,
@@ -500,10 +484,10 @@ impl<'a> Simulator<'a> {
 
     /// The scan reference: groups the creation-sorted order table into
     /// maximal runs sharing one decision time and flushes each through the
-    /// same crate-private epoch body as the event engine (horizon arm,
-    /// advance, re-partition, batch, dispatch, commit — one code, not a
-    /// copy). What `tests/event_parity.rs`, `tests/repartition.rs` and the
-    /// engine's unit test prove by comparing the two **bit for bit** is
+    /// same crate-private epoch body as the event engine (advance,
+    /// re-partition, batch, dispatch, commit — one code, not a copy). What
+    /// `tests/event_parity.rs`, `tests/repartition.rs` and the engine's
+    /// unit test prove by comparing the two **bit for bit** is
     /// therefore how epochs come to exist — event merge, flush timing, the
     /// engine's growable order table — not what a commit does
     /// (`tests/batch_parity.rs` and the routing oracle cover that).

@@ -224,30 +224,6 @@ fn non_positive_period_is_a_build_error() {
 }
 
 #[test]
-fn horizon_drops_late_orders_as_rejections() {
-    let inst = instance(
-        2,
-        vec![
-            order(0, 1, 2, 2.0, 8.0, 20.0),
-            order(1, 2, 3, 2.0, 15.0, 23.0),
-        ],
-    );
-    let result = Simulator::builder(&inst)
-        .horizon(TimePoint::from_hours(12.0))
-        .build()
-        .unwrap()
-        .run(&mut FirstFeasible);
-    assert_eq!(result.metrics.served, 1);
-    assert_eq!(result.metrics.rejected, 1);
-    assert_eq!(
-        result.assignments[1].reason,
-        DecisionReason::HorizonExceeded
-    );
-    // Dropped orders do not distort the response-time average.
-    assert_eq!(result.metrics.avg_response_secs, 0.0);
-}
-
-#[test]
 fn metrics_options_suppress_logs_without_changing_aggregates() {
     let orders = vec![
         order(0, 1, 2, 2.0, 8.0, 20.0),

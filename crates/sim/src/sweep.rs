@@ -59,7 +59,6 @@ use crate::batch::ColumnMap;
 use dpdp_net::{NodeId, Order, ShardMap, TimeDelta, TimePoint};
 use dpdp_pool::ThreadPool;
 use dpdp_routing::{PruneProbe, RoutePlanner, VehicleView};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Sharding parameters a [`Simulator`](crate::simulator::Simulator) hands
@@ -80,7 +79,7 @@ pub(crate) struct ShardContext {
 ///
 /// These counters describe *work*, not outcomes: they vary with the shard
 /// count and escalation width while the episode's decisions do not.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Total `(order, vehicle)` cells considered.
     pub cells: usize,
