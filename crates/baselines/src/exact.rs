@@ -2,8 +2,8 @@
 //!
 //! The paper compares its DRL dispatchers with the optimum of a three-index
 //! MIP solved by Gurobi under the ideal assumption that all orders are known
-//! a priori (Table I). This module is the repo's stand-in (DESIGN.md §2): a
-//! depth-first branch-and-bound that assigns orders one by one, branching
+//! a priori (Table I). Gurobi is commercial and not a dependency, so this
+//! module stands in for it: a depth-first branch-and-bound that assigns orders one by one, branching
 //! over **every vehicle and every feasible insertion position pair**, with
 //!
 //! * an incumbent initialised by a best-insertion greedy pass,

@@ -7,7 +7,8 @@
 //! * [`Baseline3`] — dispatch to the vehicle with the most accepted orders
 //!   (minimising the number of used vehicles);
 //! * [`ExactSolver`] — a branch-and-bound exact solver for the static PDP
-//!   relaxation, standing in for the paper's Gurobi MIP (see DESIGN.md §2).
+//!   relaxation, standing in for the paper's MIP solved by Gurobi, a
+//!   commercial solver this repo does not depend on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

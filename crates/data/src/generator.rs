@@ -1,12 +1,13 @@
 //! Synthetic delivery-order generation with a recurring spatial-temporal
 //! pattern.
 //!
-//! The generator is the repo's substitute for the paper's proprietary data
-//! (DESIGN.md §2). It reproduces the structure visible in the paper's
-//! Fig. 2: (a) a few "hot" factories generate most demand on every day,
-//! (b) demand concentrates in two intra-day peaks (10–12 a.m., 2–5 p.m.),
-//! and (c) consecutive days are more alike than distant ones — modelled by
-//! an AR(1) multiplicative drift on per-factory weights.
+//! The generator is the repo's substitute for the paper's four months of
+//! campus orders, which were never released. It reproduces the structure
+//! visible in the paper's Fig. 2: (a) a few "hot" factories generate most
+//! demand on every day, (b) demand concentrates in two intra-day peaks
+//! (10–12 a.m., 2–5 p.m.), and (c) consecutive days are more alike than
+//! distant ones — modelled by an AR(1) multiplicative drift on per-factory
+//! weights.
 
 use crate::campus::Campus;
 use dpdp_net::{NodeId, Order, OrderId, TimeDelta, TimePoint};
@@ -20,9 +21,10 @@ fn sample_normal(rng: &mut StdRng) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
-/// Samples an index from unnormalised non-negative weights.
-fn sample_weighted(rng: &mut StdRng, weights: &[f64]) -> usize {
-    let total: f64 = weights.iter().sum();
+/// Samples an index from unnormalised non-negative weights; `total` is
+/// `weights.iter().sum()`, which callers compute once per weight vector
+/// rather than once per draw.
+fn sample_weighted(rng: &mut StdRng, weights: &[f64], total: f64) -> usize {
     debug_assert!(total > 0.0, "weights must not be all zero");
     let mut target = rng.random_range(0.0..total);
     for (i, w) in weights.iter().enumerate() {
@@ -262,12 +264,20 @@ impl OrderGenerator {
         let weights = self
             .profile
             .weights_for_day(day, cfg.day_drift, cfg.seed ^ 0xD1F7);
+        let weights_total: f64 = weights.iter().sum();
+        let hourly_total: f64 = self.profile.hourly_weights.iter().sum();
+        let factory_hour_totals: Vec<f64> = self
+            .profile
+            .factory_hours
+            .iter()
+            .map(|hours| hours.iter().sum())
+            .collect();
         // Day-level volume noise: +-15%.
         let count_f = cfg.orders_per_day as f64 * rng.random_range(0.85..1.15);
         let count = count_f.round().max(1.0) as usize;
         let mut orders = Vec::with_capacity(count);
         for i in 0..count {
-            let pickup_row = sample_weighted(&mut rng, &weights);
+            let pickup_row = sample_weighted(&mut rng, &weights, weights_total);
             // Delivery factory: biased toward the pickup's own hotspot on
             // clustered campuses, uniform over the others otherwise. The
             // extra RNG draw only happens when the bias is active, so
@@ -283,12 +293,11 @@ impl OrderGenerator {
             // Creation time: sample an hour by weight — the pickup
             // factory's own curve when per-hotspot profiles are active —
             // then uniform within the hour.
-            let hours = self
-                .profile
-                .factory_hours
-                .get(pickup_row)
-                .unwrap_or(&self.profile.hourly_weights);
-            let hour = sample_weighted(&mut rng, hours);
+            let (hours, hours_total) = match self.profile.factory_hours.get(pickup_row) {
+                Some(hours) => (hours, factory_hour_totals[pickup_row]),
+                None => (&self.profile.hourly_weights, hourly_total),
+            };
+            let hour = sample_weighted(&mut rng, hours, hours_total);
             let created = TimePoint::from_hours(hour as f64 + rng.random_range(0.0..1.0));
             // Quantity: log-normal with mean quantity_mean, capped.
             let mu = cfg.quantity_mean.ln() - cfg.quantity_sigma * cfg.quantity_sigma / 2.0;
@@ -538,7 +547,7 @@ mod tests {
         let weights = [0.0, 5.0, 0.0, 1.0];
         let mut counts = [0usize; 4];
         for _ in 0..6000 {
-            counts[sample_weighted(&mut rng, &weights)] += 1;
+            counts[sample_weighted(&mut rng, &weights, 6.0)] += 1;
         }
         assert_eq!(counts[0], 0);
         assert_eq!(counts[2], 0);

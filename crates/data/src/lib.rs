@@ -3,7 +3,7 @@
 //! The paper trains and evaluates on four months of proprietary delivery
 //! orders from a 27-factory manufacturing campus. This crate replaces that
 //! data with a **seeded synthetic generator** that reproduces the structure
-//! the method exploits (see DESIGN.md): persistent factory-level demand
+//! the method exploits (see [`generator`]): persistent factory-level demand
 //! heterogeneity and a two-peak intra-day profile, drifting slowly from day
 //! to day.
 //!

@@ -43,10 +43,18 @@ pub struct RoadNetwork {
 }
 
 /// Slack allowed when classifying a network as metric: a triple may violate
-/// the triangle inequality by at most this many kilometres. Consumers that
-/// prune work based on [`RoadNetwork::is_metric`] must absorb this slack in
-/// their own safety margins (see `dpdp-routing`'s escalation bound).
+/// the triangle inequality by at most this many kilometres.
+/// [`RoadNetwork::with_matrix`] tests every triple against it in an `O(n³)`
+/// scan; [`RoadNetwork::euclidean`] proves the flag from rounding bounds
+/// when every distance is at most 1e5 km and runs the same scan otherwise.
+/// Consumers that prune work based on [`RoadNetwork::is_metric`] must absorb
+/// this slack in their own safety margins (see `dpdp-routing`'s escalation
+/// bound).
 pub const METRIC_TOLERANCE_KM: f64 = 1e-9;
+
+/// Largest Euclidean distance, km, up to which [`RoadNetwork::euclidean`]
+/// proves the metric flag instead of scanning for it (see its doc).
+const EUCLIDEAN_PROOF_MAX_KM: f64 = 1e5;
 
 /// Triangle-inequality check over all node triples, `O(n³)` — run once at
 /// construction so [`RoadNetwork::is_metric`] is a free lookup afterwards.
@@ -69,6 +77,23 @@ impl RoadNetwork {
     /// `detour_factor` (>= 1.0 models the fact that road distance exceeds
     /// straight-line distance).
     ///
+    /// The metric flag is proved rather than scanned when every distance is
+    /// at most 1e5 km, and [`RoadNetwork::is_metric`] then has the value the
+    /// `O(n³)` scan of [`RoadNetwork::with_matrix`] would give:
+    ///
+    /// - each entry `f·‖pᵢ−pⱼ‖` is within about 4u relative error of its
+    ///   exact value, u = 2⁻⁵³ (the subtraction, square, sum, root and
+    ///   detour product each add at most u; the root halves what came
+    ///   before it), and the exact values obey the triangle inequality;
+    /// - so a computed `d_ij` exceeds the computed `d_ik + d_kj` by at most
+    ///   10u·(d_ik + d_kj), and the scan's test
+    ///   `d_ij > (d_ik + d_kj) + 1e-9` can only fire when that exceeds
+    ///   [`METRIC_TOLERANCE_KM`], which needs entries above ≈ 4.5e5 km.
+    ///   Underflow in the square adds at most ≈ 1e-161 km per entry.
+    ///
+    /// Above the bound, or on a non-finite entry, this constructor runs the
+    /// scan.
+    ///
     /// # Errors
     /// Returns an error if node ids are not dense `0..n` or the detour factor
     /// is invalid.
@@ -88,10 +113,11 @@ impl RoadNetwork {
                 }
             }
         }
-        // Euclidean-by-construction distances satisfy the triangle
-        // inequality up to float rounding; record it through the same
-        // checker the matrix path uses so the flag's semantics are uniform.
-        let metric = matrix_is_metric(&dist, n);
+        // The rounding bound in the doc above proves the flag for entries up
+        // to EUCLIDEAN_PROOF_MAX_KM; `<=` is false on NaN, so a non-finite
+        // entry is scanned like a large one.
+        let metric =
+            dist.iter().all(|&d| d <= EUCLIDEAN_PROOF_MAX_KM) || matrix_is_metric(&dist, n);
         Ok(RoadNetwork {
             nodes,
             dist,
@@ -273,8 +299,10 @@ impl RoadNetwork {
     }
 
     /// Whether the distance matrix satisfies the triangle inequality
-    /// (within [`METRIC_TOLERANCE_KM`]). Euclidean-built networks are
-    /// metric; explicit matrices may not be. Geometric shortcut reasoning —
+    /// (within [`METRIC_TOLERANCE_KM`]). [`RoadNetwork::with_matrix`] scans
+    /// every triple for it; [`RoadNetwork::euclidean`] proves it when every
+    /// distance is at most 1e5 km and scans otherwise, so both constructors
+    /// agree with the scan on every network. Geometric shortcut reasoning —
     /// e.g. the cross-shard infeasibility bound in `dpdp-routing` — is only
     /// sound on metric networks, so consumers gate on this flag.
     #[inline]

@@ -22,6 +22,86 @@ fn network_from(points: &[(f64, f64)], detour: f64) -> RoadNetwork {
     RoadNetwork::euclidean(nodes, detour).unwrap()
 }
 
+/// SplitMix64: the seeded stream [`euclidean_flag_is_the_scan`] builds each
+/// network from, so a failing seed replays alone.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `[0, 1)`.
+    fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// One seeded network of 2–24 points: random, near-collinear (on a line
+/// up to a perpendicular jitter of at most 1e-9 of the extent) or with
+/// about half the points duplicating earlier ones; extent log-uniform in
+/// 1e-3..1e8 km around a random offset, detour factor in [1, 1.5].
+fn seeded_points(seed: u64) -> (Vec<Node>, f64) {
+    let mut rng = SplitMix(seed);
+    let n = 2 + (rng.next() % 23) as usize;
+    let extent = 10f64.powf(-3.0 + 11.0 * rng.unit());
+    let detour = 1.0 + 0.5 * rng.unit();
+    let shape = rng.next() % 3;
+    let (ox, oy) = (extent * rng.unit(), extent * rng.unit());
+    let angle = std::f64::consts::TAU * rng.unit();
+    let jitter = extent * 1e-9 * rng.unit();
+    let mut points: Vec<(f64, f64)> = Vec::with_capacity(n);
+    for i in 0..n {
+        let point = if shape == 1 {
+            let t = extent * rng.unit();
+            let h = jitter * (2.0 * rng.unit() - 1.0);
+            (
+                ox + t * angle.cos() - h * angle.sin(),
+                oy + t * angle.sin() + h * angle.cos(),
+            )
+        } else if shape == 2 && i > 0 && rng.next().is_multiple_of(2) {
+            points[(rng.next() % i as u64) as usize]
+        } else {
+            (ox + extent * rng.unit(), oy + extent * rng.unit())
+        };
+        points.push(point);
+    }
+    let nodes = points
+        .iter()
+        .enumerate()
+        .map(|(i, &(x, y))| Node::factory(NodeId::from_index(i), Point::new(x, y)))
+        .collect();
+    (nodes, detour)
+}
+
+/// `euclidean` proves the metric flag up to 1e5 km and scans above it;
+/// either way the flag is the verdict `with_matrix`'s scan gives on the
+/// same distances — and both verdicts occur, so the comparison is live on
+/// both sides of the bound.
+#[test]
+fn euclidean_flag_is_the_scan() {
+    let mut verdicts = [0usize; 2];
+    for seed in 0..3000u64 {
+        let (nodes, detour) = seeded_points(seed);
+        let net = RoadNetwork::euclidean(nodes.clone(), detour).unwrap();
+        let n = net.num_nodes();
+        let dist: Vec<f64> = (0..n * n)
+            .map(|e| net.distance(NodeId::from_index(e / n), NodeId::from_index(e % n)))
+            .collect();
+        let scanned = RoadNetwork::with_matrix(nodes, dist).unwrap().is_metric();
+        assert_eq!(net.is_metric(), scanned, "seed {seed}");
+        verdicts[usize::from(scanned)] += 1;
+    }
+    assert!(
+        verdicts[0] > 0 && verdicts[1] > 0,
+        "verdicts (non-metric, metric): {verdicts:?}"
+    );
+}
+
 proptest! {
     /// Euclidean networks satisfy metric axioms: zero diagonal, symmetry,
     /// triangle inequality (all scaled by the same detour factor).

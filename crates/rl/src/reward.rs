@@ -32,8 +32,8 @@ impl RewardParams {
 /// vehicle) and the paper's stated goal of reducing NUV. We implement the
 /// evidently intended semantics: the fixed cost is charged exactly when a
 /// previously unused vehicle is activated (`1 - f`). This matches how the
-/// baselines and the TC metric account for `mu` and is recorded in
-/// DESIGN.md.
+/// baselines and the TC metric account for `mu`; the unit test
+/// `fresh_vehicle_pays_fixed_cost` pins it.
 pub fn instant_reward(params: &RewardParams, vehicle_was_used: bool, incremental_km: f64) -> f64 {
     let activation = if vehicle_was_used {
         0.0

@@ -168,7 +168,8 @@ fn finish_line(mut buf: Vec<u8>) -> String {
 
 /// Writes one frame; returns `false` once the client is unreachable.
 fn send_line(writer: &Mutex<TcpStream>, line: &str) -> bool {
-    let mut guard = writer.lock().expect("wire writer lock");
+    // A writer poisoned by a panicking holder still owns a usable socket.
+    let mut guard = writer.lock().unwrap_or_else(|p| p.into_inner());
     let mut frame = String::with_capacity(line.len() + 1);
     frame.push_str(line);
     frame.push('\n');
@@ -250,6 +251,7 @@ fn resolve_spec(spec: &SessionSpec) -> Result<(BufferingMode, ShardConfig), Prot
         ));
     }
     let sharding = match spec.shards {
+        // Invariant: PRESET_NAMES checked above; see every_advertised_preset_registers_a_shard_config.
         None => shard_config(&spec.preset).expect("advertised presets register a shard layout"),
         Some(n) if n > MAX_WIRE_SHARDS => {
             return Err(ProtoError::new(
@@ -305,7 +307,11 @@ fn open_hello(cmd: Command, ctx: &SessionContext) -> Result<Opening, ProtoError>
     };
     let (buffering, sharding) = resolve_spec(&spec)?;
     let journal = ctx.journals.open(spec.clone())?;
-    let token = journal.lock().expect("fresh journal lock").token.clone();
+    let token = journal
+        .lock()
+        .unwrap_or_else(|p| p.into_inner())
+        .token
+        .clone();
     Ok(Opening {
         spec,
         buffering,
@@ -435,6 +441,7 @@ pub(crate) fn run_session(stream: TcpStream, ctx: &SessionContext) {
     if resumed {
         ctx.stats.resumed.fetch_add(1, Ordering::AcqRel);
     }
+    // Invariant: resolve_spec checked PRESET_NAMES; see every_advertised_preset_builds_with_*.
     let instance = build_instance(&opening.spec.preset).expect("preset validated at opening");
     let greeting = if resumed {
         format!(
@@ -472,8 +479,10 @@ pub(crate) fn run_session(stream: TcpStream, ctx: &SessionContext) {
     let (tx, rx) = sync_channel::<StreamCommand>(ctx.queue_depth.max(1));
     let end = std::thread::scope(|scope| {
         let sim_thread = scope.spawn(|| {
+            // Invariant: resolve_spec checked POLICY_NAMES; see every_advertised_policy_builds.
             let mut policy =
                 build_policy(&opening.spec.policy).expect("policy validated at opening");
+            // Invariant: period > 0 (resolve_spec), ≥ 1 thread (ThreadPool::new), no disruptions.
             let sim = Simulator::builder(&instance)
                 .buffering(opening.buffering)
                 .sharding(opening.sharding.clone())
@@ -698,5 +707,34 @@ fn read_commands(
                 return StreamEnd::Interrupted;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// A session thread that panicked while holding the wire writer leaves
+    /// it poisoned; the farewell frames after it still reach the client.
+    #[test]
+    fn send_line_writes_through_a_poisoned_writer() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (server_side, _) = listener.accept().expect("accept");
+        let writer = Mutex::new(server_side);
+        let holder = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = writer.lock();
+                panic!("a session panics while writing");
+            })
+            .join()
+        });
+        assert!(holder.is_err() && writer.is_poisoned());
+
+        assert!(send_line(&writer, "BYE"));
+        let mut line = String::new();
+        BufReader::new(client).read_line(&mut line).expect("read");
+        assert_eq!(line, "BYE\n");
     }
 }

@@ -20,8 +20,22 @@
 # nuv or total_cost differ between the sides: a speed-up that moves a
 # decision is not a speed-up. Otherwise the script prints, per end-to-end
 # metric of BENCHMARK.json, each side's median and quartiles, the relative
-# change of the medians and the pairs the change won (ties count for
-# neither side), then "result differences: 0".
+# change of the medians, the pairs the change won (ties count for neither
+# side), each side's quartile distance (q3 - q1) and a verdict, then
+# "result differences: 0". The verdict is the first of these that holds:
+#
+#   gain              at least 10 pairs, at least 9 in 10 won, and the
+#                     medians further apart than the parent's quartile
+#                     distance, in the better direction;
+#   unresolved        either side's quartile distance, relative to its
+#                     median, is wider than the metric's bound, and not
+#                     every change run reads better than every parent run;
+#   worse than bound  the change's median is worse than the parent's by
+#                     more than the bound (relative);
+#   within bound      otherwise.
+#
+# The bound is the metric's "bound" in BENCHMARK.json. Verdicts inform; only
+# a refused run or a result difference makes the exit status non-zero.
 set -eu
 
 usage() {
@@ -104,13 +118,33 @@ def load(side, pair):
     return {name: m["value"] for name, m in result["metrics"].items()}, result
 
 
-def spread(values):
-    """'median [q1, q3]' of one side's runs, and the median itself."""
+def quartiles(values):
+    """(q1, median, q3) of one side's runs."""
     if len(values) == 1:
-        q1 = med = q3 = values[0]
-    else:
-        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return f"{med:.6g} [{q1:.6g}, {q3:.6g}]", med
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
+def relative(x, base):
+    """x as a fraction of |base|; 0 / 0 is 0 and x / 0 is infinite."""
+    if base:
+        return x / abs(base)
+    return 0.0 if x == 0 else float("inf")
+
+
+def verdict(p, c, lower, bound, wins):
+    """The rule in this script's header, for one metric."""
+    (pq1, pm, pq3), (cq1, cm, cq3) = quartiles(p), quartiles(c)
+    better_by = pm - cm if lower else cm - pm
+    if pairs >= 10 and 10 * wins >= 9 * pairs and better_by > pq3 - pq1:
+        return "gain"
+    all_better = max(c) < min(p) if lower else min(c) > max(p)
+    wide = relative(pq3 - pq1, pm) > bound or relative(cq3 - cq1, cm) > bound
+    if wide and not all_better:
+        return "unresolved"
+    if relative(-better_by, pm) > bound:
+        return "worse than bound"
+    return "within bound"
 
 
 runs = {"parent": [], "change": []}
@@ -133,18 +167,25 @@ for pair in range(1, pairs + 1):
 print(f"{workload}, seed {seed}, {pairs} alternating pair(s) of {seconds} s untraced runs")
 print(f"failed operations: parent {failed['parent']}/{attempted['parent']}, "
       f"change {failed['change']}/{attempted['change']}")
-header = f"{'metric':<18}{'unit':<7}{'parent median [q1, q3]':<42}{'change median [q1, q3]':<42}{'change':>8}  won"
+header = (f"{'metric':<18}{'unit':<7}{'parent median [q1, q3]':<42}"
+          f"{'change median [q1, q3]':<42}{'change':>8}  {'won':<16}"
+          f"{'q3 - q1 parent / change':<30}verdict (bound)")
 print(header)
 for metric in end_to_end:
     name, lower = metric["name"], metric["better"] == "lower"
     p = [r[name] for r in runs["parent"]]
     c = [r[name] for r in runs["change"]]
-    (p_text, pm), (c_text, cm) = spread(p), spread(c)
+    (pq1, pm, pq3), (cq1, cm, cq3) = quartiles(p), quartiles(c)
+    p_text = f"{pm:.6g} [{pq1:.6g}, {pq3:.6g}]"
+    c_text = f"{cm:.6g} [{cq1:.6g}, {cq3:.6g}]"
     wins = sum((b < a) if lower else (b > a) for a, b in zip(p, c))
     losses = sum((b > a) if lower else (b < a) for a, b in zip(p, c))
     delta = f"{(cm - pm) / pm * 100:+.1f}%" if pm else "n/a"
-    print(f"{name:<18}{metric['unit']:<7}{p_text:<42}{c_text:<42}{delta:>8}  "
-          f"{wins}/{pairs} (lost {losses})")
+    won = f"{wins}/{pairs} (lost {losses})"
+    iqr = f"{pq3 - pq1:.3g} / {cq3 - cq1:.3g}"
+    judged = verdict(p, c, lower, metric["bound"], wins)
+    print(f"{name:<18}{metric['unit']:<7}{p_text:<42}{c_text:<42}{delta:>8}  {won:<16}"
+          f"{iqr:<30}{judged} ({metric['bound']:.0%})")
 print(f"result differences: {differences}")
 sys.exit(1 if differences else 0)
 PY
