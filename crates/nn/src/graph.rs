@@ -104,6 +104,11 @@ pub struct Graph {
     /// Buffers of cleared nodes and finished backward temporaries, handed
     /// to later nodes.
     free: Vec<Vec<f64>>,
+    /// The attention forward's repeat memo: per key, the list position
+    /// that last claimed to be its first in a row (stale across rows; see
+    /// [`Graph::neighbor_attention`]). Kept across passes, so a warm tape
+    /// does not allocate it.
+    first_seen: Vec<usize>,
 }
 
 /// `Σ a[c]·b[c]` with `c` ascending and exact-zero `a[c]` skipped: one
@@ -589,6 +594,15 @@ impl Graph {
     /// `O(R · NE · d + N · d)` in forward and backward; no `R x N` matrix
     /// exists.
     ///
+    /// The forward computes one score and one `exp` per **distinct** key
+    /// of a row: an entry that repeats an earlier key of its list copies
+    /// that entry's score and weight, which are the same inputs through
+    /// the same arithmetic, so the bits are the same. The softmax sum, the
+    /// division and the value sum still take every entry in list order. A
+    /// per-key slot on the tape finds a key's first entry in `O(1)`
+    /// without being cleared between rows: a slot is trusted only when it
+    /// points at an earlier entry of the row that names the same key.
+    ///
     /// On lists that are **ascending and free of repeats** the result is
     /// bit-identical to the dense composition it replaces — per head
     /// `slice_cols`, `transpose`, `matmul`, `scale`,
@@ -619,6 +633,10 @@ impl Graph {
         let nnz = self.ints[lists.offsets + rows] - self.ints[lists.offsets];
         let mut probs = self.zeros(heads, nnz);
         let mut out = self.zeros(rows, d);
+        let mut first = std::mem::take(&mut self.first_seen);
+        if first.len() < lists.keys {
+            first.resize(lists.keys, 0);
+        }
         let bounds = self.neighbor_bounds(lists);
         let (qd, kd, vd) = (
             self.value(q).data(),
@@ -633,18 +651,27 @@ impl Graph {
                 let qh = &qd[i * d..][block.clone()];
                 let p = &mut probs.data_mut()[h * nnz + at..][..cols.len()];
                 let mut max = f64::NEG_INFINITY;
-                for (s, &j) in p.iter_mut().zip(cols) {
-                    *s = dot_skip(qh, &kd[j * d..][block.clone()]) * scale;
-                    max = max.max(*s);
+                for (e, &j) in cols.iter().enumerate() {
+                    // A stale slot points past `e` or at another key.
+                    let f = first[j];
+                    p[e] = if f < e && cols[f] == j {
+                        p[f]
+                    } else {
+                        first[j] = e;
+                        dot_skip(qh, &kd[j * d..][block.clone()]) * scale
+                    };
+                    max = max.max(p[e]);
                 }
                 if max == f64::NEG_INFINITY {
                     p.fill(0.0); // attends to nothing
                     continue;
                 }
+                // Every key of the row now holds its first position.
                 let mut sum = 0.0;
-                for s in p.iter_mut() {
-                    *s = (*s - max).exp();
-                    sum += *s;
+                for (e, &j) in cols.iter().enumerate() {
+                    let f = first[j];
+                    p[e] = if f < e { p[f] } else { (p[e] - max).exp() };
+                    sum += p[e];
                 }
                 let oh = &mut out.data_mut()[i * d..][block.clone()];
                 for (s, &j) in p.iter_mut().zip(cols) {
@@ -655,6 +682,7 @@ impl Graph {
                 }
             }
         }
+        self.first_seen = first;
         let probs = self.push(probs, Op::Leaf);
         self.push(
             out,

@@ -44,13 +44,50 @@
 //! [`Graph::neighbor_lists_over`] (rows attend to `keys` others), which
 //! keep them **verbatim**: the op sums over a row's entries in the order
 //! given, once per entry, so a neighbour named twice is two terms of the
-//! softmax. On ascending lists
+//! softmax (scored once: the repeat copies the first entry's score and
+//! weight). On ascending lists
 //! without repeats that order is what makes the op bit-identical to the
 //! dense formulation (`matmul` → `scale` →
 //! [`Graph::masked_softmax_rows`] → `matmul` under the adjacency mask) it
 //! is tested against; a caller that wants that form sorts and
 //! de-duplicates before registering. A row's own index must be in its
 //! list for it to attend to itself; an empty list yields a zero row.
+//!
+//! # Kernels
+//!
+//! Every matrix product — [`Tensor::matmul`], each matmul on a tape and
+//! both products of its backward — runs one kernel, whose contract is the
+//! **accumulation order**: output element `(i, c)` is
+//! `((0 + a[i,t₁]·b[t₁,c]) + a[i,t₂]·b[t₂,c]) + …` over `t` ascending,
+//! with every exact-zero `a[i,t]` (either sign) skipped, and each product
+//! rounded before it is added. Skipping zeros keeps `0 · ∞` out of a sum,
+//! and the neighbourhood-attention op scores and sums term for term in
+//! the same order, which is what makes it bit-identical to the dense
+//! composition.
+//!
+//! The kernel holds sixteen output columns of a row in registers across
+//! the whole `t` loop (then 8, 4, 2 and 1 for the rest of the row) and
+//! updates them with vector multiplies and adds. **Blocking over output
+//! columns cannot move a bit:** each vector lane is one output element,
+//! lanes do not mix, and every element still meets the same operations in
+//! the same order as in the plain triple loop; the blocking only decides
+//! which elements share an instruction. What would move bits is splitting
+//! the `t` sum into partial sums or fusing the multiply into the add (FMA
+//! rounds once, not twice). The kernel does neither, and Rust never fuses
+//! `a * b + c` on its own.
+//!
+//! **One source, compiled twice.** The loop is an `#[inline(always)]`
+//! function called from two wrappers: one built for the baseline target
+//! (SSE2 on x86-64, two `f64` to a vector) and one built under
+//! `#[target_feature(enable = "avx2")]` (four to a vector). Each product
+//! asks `is_x86_feature_detected!("avx2")`, a cached load, and runs the
+//! AVX2 build where the CPU has it. No option selects it, and both builds
+//! are tested bit-equal to a triple-loop reference.
+//!
+//! **The one `unsafe`.** Running AVX2 instructions on a CPU without them is
+//! undefined behaviour, so calling the AVX2 wrapper is `unsafe`. The crate
+//! is `deny(unsafe_code)`, and that call, directly after the detection it
+//! relies on, is its only `#[allow(unsafe_code)]`.
 //!
 //! # Example
 //!
@@ -71,7 +108,8 @@
 //! }
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
 pub mod graph;

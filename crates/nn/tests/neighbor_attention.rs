@@ -218,6 +218,85 @@ fn attention_from_some_rows_is_the_dense_composition_and_the_square_op() {
     }
 }
 
+/// The forward scores a repeated key once per row and copies the score
+/// and its `exp` to the repeats. That must be invisible: lists that name a
+/// key several times give, bit for bit in the forward and in `dq`, what
+/// the op gives when each repeat names a copy of the key's `k` and `v`
+/// rows instead. Adjacent repeats, repeats apart, one key nine times, and
+/// random lists that repeat keys across many rows — run on one tape, so
+/// the memo meets slots left by other rows and by the previous pass.
+#[test]
+fn repeated_keys_are_indistinguishable_from_copied_rows() {
+    let mut rng = Lcg(0x5EED_0004);
+    let mut tape = Graph::new();
+    for (keys, d, heads) in [(8, 4, 1), (8, 8, 2), (30, 32, 4)] {
+        let mut lists: Vec<Vec<usize>> = vec![
+            vec![2, 2, 5, 7, 7, 7],
+            vec![3, 5, 3, 1, 5, 3],
+            vec![4; 9],
+            vec![6, 0, 6, 6, 1, 0],
+            vec![],
+            vec![1, 0],
+        ];
+        for _ in 0..20 {
+            let picks = rng.next() as usize % 12;
+            let spread = 1 + rng.next() as usize % keys;
+            lists.push((0..picks).map(|_| rng.next() as usize % spread).collect());
+        }
+        let rows = lists.len();
+        let (qt, kt, vt) = (
+            rng.tensor(rows, d),
+            rng.tensor(keys, d),
+            rng.tensor(keys, d),
+        );
+        let weights = rng.tensor(rows, d);
+
+        // Each repeat renamed to a fresh copy of its key's rows.
+        let (mut kc, mut vc) = (kt.data().to_vec(), vt.data().to_vec());
+        let mut copies = keys;
+        let renamed: Vec<Vec<usize>> = lists
+            .iter()
+            .map(|list| {
+                list.iter()
+                    .enumerate()
+                    .map(|(e, &j)| {
+                        if !list[..e].contains(&j) {
+                            return j;
+                        }
+                        kc.extend_from_slice(kt.row(j));
+                        vc.extend_from_slice(vt.row(j));
+                        copies += 1;
+                        copies - 1
+                    })
+                    .collect()
+            })
+            .collect();
+        let (kc, vc) = (
+            Tensor::from_vec(copies, d, kc),
+            Tensor::from_vec(copies, d, vc),
+        );
+
+        let mut run = |lists: &[Vec<usize>], kt: &Tensor, vt: &Tensor| {
+            tape.clear();
+            let g = &mut tape;
+            let (q, k, v) = (g.constant(&qt), g.constant(kt), g.constant(vt));
+            let lists = g.neighbor_lists_over(kt.rows(), lists.iter().map(|l| l.iter().copied()));
+            let out = g.neighbor_attention(q, k, v, heads, lists);
+            let w = g.constant(&weights);
+            let prod = g.mul(out, w);
+            let loss = g.sum_all(prod);
+            g.backward_graph_only(loss);
+            let dq = g.grad(q).expect("a gradient reaches q").clone();
+            (bits(g.value(out)), bits(&dq))
+        };
+        let copied = run(&renamed, &kc, &vc);
+        let repeated = run(&lists, &kt, &vt);
+        assert!(copies > keys + 20, "the lists repeat keys");
+        assert_eq!(repeated.0, copied.0, "forward, keys={keys} d={d}");
+        assert_eq!(repeated.1, copied.1, "dq, keys={keys} d={d}");
+    }
+}
+
 /// One training-shaped pass of a small attention network: values of the
 /// output and the gradient of every parameter, as bit patterns.
 fn network_pass(
