@@ -22,14 +22,16 @@
 //! accepting vehicle's column itself on every acceptance, and the next
 //! order's fold simply reads the refreshed row.
 //!
-//! Under sharded dispatch (`SimulatorBuilder::sharding`) a candidate row
-//! carries only the cells the shard-local sweeps and commit deltas actually
-//! evaluated: cross-shard pairs the exact geometric bound proves infeasible
-//! never appear, and since an absent cell is `best: None` it could never
-//! win an argmin anyway — same argmins, same episodes as the per-order
-//! path, with per-order policy work proportional to the candidate count
-//! instead of `K` (`tests/batch_parity.rs` asserts both the per-order
-//! parity and the shard-count invariance for all three baselines).
+//! A candidate row carries only the cells the shard-local sweeps and
+//! commit deltas of the layout (`SimulatorBuilder::sharding`) actually
+//! evaluated: masked vehicles and cross-shard pairs the exact geometric
+//! bound proves infeasible never appear, and since an absent cell is
+//! `best: None` it could never win an argmin anyway — same argmins, same
+//! episodes as the per-order path, with per-order policy work
+//! proportional to the candidate count instead of `K`. Under the default
+//! one-cell layout the row is every active vehicle (`tests/batch_parity.rs`
+//! asserts both the per-order parity and the shard-count invariance for
+//! all three baselines).
 
 use dpdp_net::{Instance, VehicleId};
 use dpdp_routing::PlanScore;

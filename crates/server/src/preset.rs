@@ -106,9 +106,10 @@ pub fn build_instance(name: &str) -> Option<Instance> {
 /// Sharding never changes decisions — the pruned evaluation is
 /// bit-identical to the full sweep — so the registry only tunes how much
 /// scoring work each preset's epochs parallelise. The tiny line and grid
-/// cities run unsharded; the ring is wide enough to exercise the
-/// hierarchical two-level layout, which also keeps the socket-parity
-/// suite honest about sharded ≡ unsharded over the wire. A `HELLO` frame
+/// cities run on one cell, the default layout, which prunes nothing; the
+/// ring is wide enough to exercise the hierarchical two-level layout,
+/// which also keeps the socket-parity suite honest about sharded ≡ one
+/// cell over the wire. A `HELLO` frame
 /// may override the registered layout with a flat shard count.
 pub fn shard_config(name: &str) -> Option<ShardConfig> {
     match name {
@@ -163,7 +164,7 @@ mod tests {
         // The ring showcases the two-level layout: 2 regions × 2 cells.
         let ring = shard_config("ring12").expect("registered");
         assert_eq!(ring.num_shards(), 4);
-        // The tiny cities stay unsharded.
+        // The tiny cities stay on one cell.
         assert_eq!(shard_config("line4").expect("registered").num_shards(), 1);
     }
 }

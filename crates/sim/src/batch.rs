@@ -9,9 +9,11 @@
 //! vehicle's entries for the still-undecided orders (a per-order plan
 //! delta), so a batch of `B` orders over `K` vehicles costs one full
 //! `B x K` scoring sweep plus at most `B` single-vehicle rescorings,
-//! instead of `B` full sweeps. Under sharding both the sweep and the
-//! deltas skip the cells the exact bound rules out, and the matrix never
-//! stores them: a delta costs what it evaluates.
+//! instead of `B` full sweeps. Both the sweep and the deltas skip the
+//! cells the shard layout's exact bound rules out, and the matrix never
+//! stores them: a delta costs what it evaluates. An unsharded epoch is the
+//! one-cell layout, whose bound rules out nothing: it runs the same build
+//! and the same commit, and stores every active vehicle's cell.
 //!
 //! **An epoch costs its distinct work.** Half of the objective is the
 //! number of used vehicles, so a good policy leaves most of a large fleet
@@ -26,12 +28,11 @@
 //! `view.vehicle` or `view.used`. The batch build therefore groups the
 //! twins into the epoch's **column map** (`EpochScratch::group_twins`): a
 //! group of two or more is *one column* of the plan matrix, everybody else
-//! their own. The sharded sweep classifies a group once, the epoch builds
-//! one [`ScheduleCache`] per column and scores each `(order, column)` once
-//! (`EpochScratch::score_cells`, the one scoring path of both the flat and
-//! the sharded arm), and a row stores that one cell — so classification,
-//! scoring, storage and the searches of commit deltas cost the epoch's
-//! distinct vehicles, not its fleet. Readers expand a group cell to its
+//! their own. The sweep classifies a group once, the epoch builds one
+//! [`ScheduleCache`] per column and scores each `(order, column)` once
+//! (`EpochScratch::score_cells`), and a row stores that one cell — so
+//! classification, scoring, storage and the searches of commit deltas cost
+//! the epoch's distinct vehicles, not its fleet. Readers expand a group cell to its
 //! members: [`DecisionBatch::fold_candidates`] hands each current member
 //! the group's score, and [`DecisionBatch::with_context`] materialises it
 //! once for all of them. A masked (broken-down) vehicle, whose stripped
@@ -180,8 +181,9 @@ const NONE: u32 = u32::MAX;
 /// `EpochScratch` owned by the loop and threaded into `new` keeps all of
 /// that storage alive across epochs: buffers are cleared, never freed, so
 /// steady-state epochs allocate only when the fleet or epoch outgrows
-/// every previous one. The column map is lent to the batch for the length
-/// of the epoch and handed back by [`DecisionBatch::into_parts`].
+/// every previous one. The column map, the work list and the commit-delta
+/// rows are lent to the batch for the length of the epoch and handed back
+/// by [`DecisionBatch::into_parts`].
 ///
 /// Reuse is invisible in the output: cache rebuilds run the identical
 /// passes over cleared vectors (see `ScheduleCache::rebuild`), the sweep
@@ -211,10 +213,10 @@ pub(crate) struct EpochScratch {
     /// Grouping scratch: `next_rep[r]` chains the representatives that
     /// share `r`'s anchor node but not its anchor time or depot.
     next_rep: Vec<u32>,
-    /// Flat-scan scratch: the columns some vehicle reads, ascending.
-    read_columns: Vec<u32>,
-    /// Sharded rows-build scratch: stored cells per row.
+    /// Rows-build scratch: stored cells per row.
     row_len: Vec<usize>,
+    /// The storage of the previous epoch's commit-delta rows.
+    delta_rows: Vec<DeltaRow>,
 }
 
 impl EpochScratch {
@@ -264,46 +266,38 @@ impl EpochScratch {
         self.column_map.group(&self.twin_rep);
     }
 
-    /// The initial sweep's one scoring path, shared by the flat and the
-    /// sharded arm of [`DecisionBatch::new`]: scores the `n` cells
-    /// `cell(w) = (order index, column)` of the epoch's column map, cell
-    /// `w`'s score into slot `w` of the result. The cells are distinct, so
-    /// nothing is scored twice: a twin group is one column, and its one
-    /// cell per order is every member's score (see the module docs).
+    /// The initial sweep's scoring: scores the `(order index, column)`
+    /// cells of `work`, the classified work list of the epoch's column map,
+    /// cell `w`'s score into slot `w` of the result. The cells are
+    /// distinct, so nothing is scored twice: a twin group is one column,
+    /// and its one cell per order is every member's score (see the module
+    /// docs).
     ///
     /// Rebuilds one [`ScheduleCache`] per column that has a cell — in its
-    /// lowest member's slot; a masked vehicle gets none and scores as
-    /// pruned — and runs [`RoutePlanner::score_cached`] once per cell on
-    /// that member's view, fanned out across `pool`.
-    #[allow(clippy::too_many_arguments)] // one call site per arm of `new`
+    /// lowest member's slot; classification keeps no cell of a masked
+    /// vehicle, so it gets none — and runs [`RoutePlanner::score_cached`]
+    /// once per cell on that member's view, fanned out across `pool`.
     fn score_cells(
         &mut self,
         planner: &RoutePlanner<'_>,
         views: &[VehicleView],
         epoch: &[OrderId],
-        active: Option<&[bool]>,
         pool: &ThreadPool,
-        n: usize,
-        cell: impl Fn(usize) -> (usize, u32) + Sync,
+        work: &[(u32, u32)],
     ) -> Vec<PlanScore> {
         self.caches.resize_with(views.len(), ScheduleCache::default);
         self.cache_live.clear();
         self.cache_live.resize(views.len(), false);
-        for w in 0..n {
-            let rep = self.column_map.members(&cell(w).1)[0] as usize;
-            self.cache_live[rep] = active.is_none_or(|a| a[rep]);
+        for (_, c) in work {
+            self.cache_live[self.column_map.members(c)[0] as usize] = true;
         }
         self.rebuild_caches(planner, views, pool);
         let scr = &*self;
-        pool.par_map(n, |w| {
-            let (i, c) = cell(w);
+        pool.par_map(work.len(), |w| {
+            let (i, c) = work[w];
             let rep = scr.column_map.members(&c)[0] as usize;
-            match scr.cache(rep) {
-                Some(cache) => {
-                    planner.score_cached(cache, &views[rep], &planner.orders()[epoch[i].index()])
-                }
-                None => planner.pruned_score(None, &views[rep]),
-            }
+            let order = &planner.orders()[epoch[i as usize].index()];
+            planner.score_cached(&scr.caches[rep], &views[rep], order)
         })
     }
 
@@ -385,19 +379,17 @@ struct BatchInner {
     /// `states[k].view` clones, dense by vehicle, kept in sync on commit
     /// (the contiguous slice [`DispatchContext`] wants).
     views: Vec<VehicleView>,
-    /// The epoch's plan matrix (complete rows for the flat scan,
-    /// candidate-sparse under sharding).
+    /// The epoch's plan matrix: candidate-sparse rows, complete but for
+    /// masked vehicles under one cell.
     plans: PlanStore,
     /// The epoch orders nobody resolved yet, ascending: the rows commit
     /// deltas maintain. [`DecisionBatch::resolve`] removes its order.
     undecided: Vec<u32>,
     /// Per-order commit records, filled by `resolve`.
     commits: Vec<Option<CommitRecord>>,
-    /// Sharded-sweep work accounting (initial matrix plus commit deltas);
-    /// zero cells when the batch runs unsharded.
+    /// Sweep work accounting (initial matrix plus commit deltas).
     stats: ShardStats,
-    /// Sharded batches only: per epoch order, what a commit delta
-    /// classifies its cell with (empty when the batch runs unsharded).
+    /// Per epoch order, what a commit delta classifies its cell with.
     delta_rows: Vec<DeltaRow>,
     /// Acceptances committed so far: the stamp [`DeltaRow::holds`] is
     /// compared against.
@@ -419,12 +411,14 @@ struct BatchInner {
 /// resolved is not maintained: `with_context` on it panics, and
 /// `fold_candidates` reads whatever scores it held when it was resolved.
 ///
-/// Under [`SimulatorBuilder::sharding`] the batch is assembled as a
-/// *merge of shard-local batches*: in-shard `(order, vehicle)` pairs run
-/// the full insertion sweep as shard-grouped pool tasks, cross-shard pairs
-/// go through the deterministic escalation/prune rule of [`crate::sweep`],
-/// and the resulting plan matrix is **bit-identical** to the unsharded
-/// one — policies cannot tell the difference, only wall time moves.
+/// The batch is assembled as a *merge of shard-local batches* under the
+/// layout of [`SimulatorBuilder::sharding`]: in-shard `(order, vehicle)`
+/// pairs run the full insertion sweep as shard-grouped pool tasks,
+/// cross-shard pairs go through the deterministic escalation/prune rule of
+/// [`crate::sweep`], and the resulting plan matrix is **bit-identical**
+/// under every layout — policies cannot tell the difference, only wall
+/// time moves. The unsharded default is the one-cell layout: every pair
+/// is in-shard.
 ///
 /// [`Simulator`]: crate::simulator::Simulator
 /// [`SimulatorBuilder::sharding`]: crate::simulator::SimulatorBuilder::sharding
@@ -438,7 +432,7 @@ pub struct DecisionBatch<'a> {
     orders: &'a [Order],
     epoch_orders: Vec<OrderId>,
     pool: Arc<ThreadPool>,
-    shards: Option<ShardContext>,
+    shards: ShardContext,
     /// Per-vehicle availability mask (`None` = every vehicle available).
     /// Masked vehicles — e.g. broken down mid-episode — keep their dense
     /// slot in the snapshot but are excluded from the insertion sweep:
@@ -463,11 +457,10 @@ impl<'a> DecisionBatch<'a> {
     /// schedule passes and the current route length `d_{t,k}` — is built
     /// **once** here and shared by every order of the batch: the sweep
     /// costs one cache build per column that has a cell to score, plus one
-    /// O(n²) incremental evaluation per cell classification kept. Both
-    /// arms below hand their cells to the same `EpochScratch::score_cells`;
-    /// they differ in which cells exist (every column's, row-major / the
-    /// sharded sweep's survivors, column-major) and in keeping the
-    /// survivors' list as the store's column index.
+    /// O(n²) incremental evaluation per cell classification kept. The
+    /// classification's column-major work list says which cells exist (a
+    /// one-cell layout keeps every active column's), and it is kept as the
+    /// store's column index.
     #[allow(clippy::too_many_arguments)] // crate-private; mirrors the fields
     pub(crate) fn new(
         now: TimePoint,
@@ -478,7 +471,7 @@ impl<'a> DecisionBatch<'a> {
         epoch_orders: Vec<OrderId>,
         states: Vec<VehicleState>,
         pool: Arc<ThreadPool>,
-        shards: Option<ShardContext>,
+        shards: ShardContext,
         active: Option<Vec<bool>>,
         scratch: &mut EpochScratch,
     ) -> Self {
@@ -487,102 +480,61 @@ impl<'a> DecisionBatch<'a> {
         let epoch = &epoch_orders;
         let active_ref = active.as_deref();
         scratch.group_twins(&views, active_ref, net.nodes().len());
-        let mut stats = ShardStats::default();
-        let (rows, swept, delta_rows) = match shards.as_ref().filter(|c| c.map.num_shards() > 1) {
-            None => {
-                // Every column, row-major. A masked vehicle has no schedule
-                // cache and scores as pruned — `best: None` with its exact
-                // route length — so the mask is value-identical everywhere
-                // it is applied (flat or sharded, any thread count).
-                let mut read = std::mem::take(&mut scratch.read_columns);
-                read.clear();
-                read.extend(scratch.column_map.read_columns());
-                let n_c = read.len();
-                let scores = scratch.score_cells(
-                    &planner,
-                    &views,
-                    epoch,
-                    active_ref,
-                    &pool,
-                    epoch.len() * n_c,
-                    |w| (w / n_c, read[w % n_c]),
-                );
-                let rows = (0..epoch.len())
-                    .map(|i| {
-                        let row = &scores[i * n_c..(i + 1) * n_c];
-                        read.iter().copied().zip(row.iter().copied()).collect()
-                    })
-                    .collect();
-                scratch.read_columns = read;
-                (rows, Vec::new(), Vec::new())
-            }
-            Some(ctx) => {
-                // Sharded sweep: classify every cell, score the surviving
-                // cells shard-grouped across the pool, and store them as
-                // candidate-sparse rows over the per-column pruned
-                // fallback. Every pruned cell's output is bit-identical to
-                // what its full evaluation would have produced (see
-                // crate::sweep), so queries cannot tell the difference. A
-                // column that pruned whole gets no schedule cache (its
-                // `d_{t,k}` comes from `Route::length`, which accumulates
-                // the same legs in the same order as the cache's forward
-                // pass).
-                let epoch_refs: Vec<&Order> = epoch.iter().map(|id| &orders[id.index()]).collect();
-                let sweep = plan_sweep(
-                    ctx,
-                    &planner,
-                    &views,
-                    &epoch_refs,
-                    active_ref,
-                    &scratch.column_map,
-                    &pool,
-                    &mut scratch.sweep,
-                );
-                stats = sweep.stats;
-                let work = sweep.work;
-                let scores = scratch.score_cells(
-                    &planner,
-                    &views,
-                    epoch,
-                    active_ref,
-                    &pool,
-                    work.len(),
-                    |w| (work[w].0 as usize, work[w].1),
-                );
-                stats.shared = stats.evaluated - work.len();
-                // `work` is column-major, so a row's cells arrive
-                // scattered: count them first and size every row exactly.
-                let row_len = &mut scratch.row_len;
-                row_len.clear();
-                row_len.resize(epoch.len(), 0);
-                for &(i, _) in &work {
-                    row_len[i as usize] += 1;
-                }
-                let mut rows: Vec<Vec<(u32, PlanScore)>> =
-                    row_len.iter().map(|&n| Vec::with_capacity(n)).collect();
-                for (&(i, c), &score) in work.iter().zip(&scores) {
-                    rows[i as usize].push((c, score));
-                }
-                for row in &mut rows {
-                    row.sort_unstable_by_key(|e| e.0);
-                }
-                // What the classification computed per order, kept for the
-                // commit deltas to classify with.
-                let sweep = &scratch.sweep;
-                let delta_rows = (sweep.probes.iter().zip(&sweep.order_shard))
-                    .map(|(&probe, &shard)| DeltaRow {
-                        probe,
-                        shard,
-                        holds: 0,
-                    })
-                    .collect();
-                (rows, work, delta_rows)
-            }
-        };
+        // Classify every cell, score the surviving cells shard-grouped
+        // across the pool, and store them as candidate-sparse rows over the
+        // per-column pruned fallback. Every pruned cell's output is
+        // bit-identical to what its full evaluation would have produced
+        // (see crate::sweep), so queries cannot tell the difference. A
+        // masked vehicle, or a column that pruned whole, gets no schedule
+        // cache (its `d_{t,k}` comes from `Route::length`, which
+        // accumulates the same legs in the same order as the cache's
+        // forward pass).
+        let mut stats = plan_sweep(
+            &shards,
+            &planner,
+            &views,
+            epoch,
+            active_ref,
+            &scratch.column_map,
+            &pool,
+            &mut scratch.sweep,
+        );
+        let work = std::mem::take(&mut scratch.sweep.work);
+        let scores = scratch.score_cells(&planner, &views, epoch, &pool, &work);
+        stats.shared = stats.evaluated - work.len();
+        // `work` is column-major, so a row's cells arrive scattered: count
+        // them first and size every row exactly.
+        let row_len = &mut scratch.row_len;
+        row_len.clear();
+        row_len.resize(epoch.len(), 0);
+        for &(i, _) in &work {
+            row_len[i as usize] += 1;
+        }
+        let mut rows: Vec<Vec<(u32, PlanScore)>> =
+            row_len.iter().map(|&n| Vec::with_capacity(n)).collect();
+        for (&(i, c), &score) in work.iter().zip(&scores) {
+            rows[i as usize].push((c, score));
+        }
+        for row in &mut rows {
+            row.sort_unstable_by_key(|e| e.0);
+        }
+        // What the classification computed per order, kept for the commit
+        // deltas to classify with.
+        let sweep = &scratch.sweep;
+        let mut delta_rows = std::mem::take(&mut scratch.delta_rows);
+        delta_rows.clear();
+        delta_rows.reserve_exact(epoch.len());
+        delta_rows.extend(
+            (sweep.probes.iter().zip(&sweep.order_shard)).map(|(&probe, &shard)| DeltaRow {
+                probe,
+                shard,
+                holds: 0,
+            }),
+        );
         // The column index is the work list itself, moved.
         let columns = scratch.columns(&planner, &views);
         let map = std::mem::take(&mut scratch.column_map);
-        let plans = PlanStore::new(rows, map, columns, swept);
+        let plans = PlanStore::new(rows, map, columns, work);
         let undecided = (0..epoch_orders.len() as u32).collect();
         let commits = (0..epoch_orders.len()).map(|_| None).collect();
         DecisionBatch {
@@ -632,11 +584,11 @@ impl<'a> DecisionBatch<'a> {
     /// ascending overall: a policy that breaks ties toward the lower
     /// vehicle id must compare ids, not keep the first of equal keys.
     ///
-    /// On a flat (unsharded) batch the row holds all `K` vehicles. Under
-    /// sharding it holds the cells the initial sweep or a later commit
-    /// delta actually evaluated; every vehicle it omits is provably
+    /// The row holds the cells the initial sweep or a later commit delta
+    /// actually evaluated; every vehicle it omits is masked or provably
     /// infeasible for this order (`best: None`), so an argmin over feasible
-    /// plans sees the same winner as a dense scan. A row changes only when
+    /// plans sees the same winner as a dense scan. A one-cell row holds
+    /// every active vehicle. A row changes only when
     /// [`DecisionBatch::resolve`] commits an acceptance: the accepting
     /// vehicle leaves its group, if any, and its cell is rescored for every
     /// still-undecided order. The row of an already resolved order is not
@@ -664,14 +616,16 @@ impl<'a> DecisionBatch<'a> {
 
     /// Tears the batch down into its per-order commit records (`None` for
     /// an order nobody resolved) and the vehicle states it was built from,
-    /// every committed acceptance applied; the column map's storage goes
-    /// back to `scratch` for the next epoch.
+    /// every committed acceptance applied; the storage the batch borrowed
+    /// from `scratch` goes back to it for the next epoch.
     pub(crate) fn into_parts(
         self,
         scratch: &mut EpochScratch,
     ) -> (Vec<Option<CommitRecord>>, Vec<VehicleState>) {
         let inner = self.inner.into_inner();
         scratch.column_map = inner.plans.map;
+        scratch.sweep.work = inner.plans.swept;
+        scratch.delta_rows = inner.delta_rows;
         (inner.commits, inner.states)
     }
 
@@ -715,42 +669,38 @@ impl<'a> DecisionBatch<'a> {
         self.active.as_ref().is_none_or(|a| a[k.index()])
     }
 
-    /// Number of geographic shards the epoch was scored with (1 when
-    /// sharding is off).
+    /// Number of geographic shards (cells) the epoch was scored with; 1
+    /// for the default, unsharded layout.
     pub fn num_shards(&self) -> usize {
-        self.shards.as_ref().map_or(1, |ctx| ctx.map.num_shards())
+        self.shards.map.num_shards()
     }
 
-    /// Work accounting of the sharded sweep so far: the initial `B x K`
-    /// matrix plus every commit delta already applied. All counters are
-    /// zero when the batch runs unsharded. The counters describe *work*
-    /// saved by the partition — decisions are bit-identical regardless.
+    /// Work accounting of the sweep so far: the initial `B x K` matrix
+    /// plus every commit delta already applied. The counters describe
+    /// *work* — what the partition pruned and what the idle twins shared
+    /// — and decisions are bit-identical regardless.
     pub fn shard_stats(&self) -> ShardStats {
         self.inner.borrow().stats
     }
 
-    /// The shard owning the `i`-th order (its pickup node's region), or 0
-    /// when sharding is off.
+    /// The shard owning the `i`-th order (its pickup node's region); 0 for
+    /// every order of a one-cell layout.
     ///
     /// # Panics
     /// Panics if `i >= len()`.
     pub fn shard_of_order(&self, i: usize) -> usize {
-        self.shards
-            .as_ref()
-            .map_or(0, |ctx| ctx.map.shard_of(self.order(i).pickup))
+        self.shards.map.shard_of(self.order(i).pickup)
     }
 
     /// The shard a vehicle currently belongs to (its anchor node's region,
-    /// which moves as commits advance the vehicle), or 0 when sharding is
-    /// off.
+    /// which moves as commits advance the vehicle); 0 for every vehicle of
+    /// a one-cell layout.
     ///
     /// # Panics
     /// Panics if `k` is out of range.
     pub fn shard_of_vehicle(&self, k: VehicleId) -> usize {
-        self.shards.as_ref().map_or(0, |ctx| {
-            ctx.map
-                .shard_of(self.inner.borrow().views[k.index()].anchor_node)
-        })
+        let anchor = self.inner.borrow().views[k.index()].anchor_node;
+        self.shards.map.shard_of(anchor)
     }
 
     /// Ids of the orders flushed at this epoch, in creation order.
@@ -909,8 +859,8 @@ impl<'a> DecisionBatch<'a> {
         // The plan delta: only the accepting vehicle's column changes, and
         // only for the still-undecided orders — replanned in parallel, each
         // result landing back in its own row, all sharing one schedule
-        // cache rebuilt for the vehicle's new route. Under sharding the
-        // column gets the same exact prune as the initial sweep (foreign
+        // cache rebuilt for the vehicle's new route. The column gets the
+        // same exact prune as the initial sweep (foreign
         // orders the bound rules out skip the sweep; no m-nearest
         // escalation here — a single column has no ranking to run), which
         // is bit-identical to replanning every cell. A pruned cell's value
@@ -921,14 +871,11 @@ impl<'a> DecisionBatch<'a> {
         planner.cache_into(column_cache, view);
         let cache = &*column_cache;
         plans.columns[k.index()].fallback = planner.pruned_score(Some(cache), view);
-        let sharded = batch.shards.as_ref().filter(|c| c.map.num_shards() > 1);
-        let vehicle_shard = sharded.map(|c| c.map.shard_of(view.anchor_node) as u32);
+        let vehicle_shard = batch.shards.map.shard_of(view.anchor_node) as u32;
         *acceptances += 1;
         let stamp = *acceptances;
-        if vehicle_shard.is_some() {
-            for j in plans.stored_rows(k.index()) {
-                delta_rows[j].holds = stamp;
-            }
+        for j in plans.stored_rows(k.index()) {
+            delta_rows[j].holds = stamp;
         }
         let delta_rows = &*delta_rows;
         let (orders, epoch) = (batch.orders, &batch.epoch_orders);
@@ -937,8 +884,7 @@ impl<'a> DecisionBatch<'a> {
         // would (see `PruneProbe::prunes`).
         let replan = |j: usize| {
             let order = &orders[epoch[j].index()];
-            // (`delta_rows` is empty, and unread, when the batch is flat.)
-            let foreign = vehicle_shard.is_some_and(|vs| delta_rows[j].shard != vs);
+            let foreign = delta_rows[j].shard != vehicle_shard;
             let pruned = foreign && {
                 let to_pickup = planner.leg_time(view.anchor_node, order.pickup);
                 delta_rows[j].probe.prunes(view.anchor_time, to_pickup)
@@ -949,20 +895,19 @@ impl<'a> DecisionBatch<'a> {
             (Some(planner.score_cached(cache, view, order)), foreign)
         };
         let mut record = |j: usize, (score, foreign): (Option<PlanScore>, bool)| {
-            if vehicle_shard.is_some() {
-                stats.cells += 1;
-                match score {
-                    None => stats.pruned += 1,
-                    Some(_) => {
-                        stats.evaluated += 1;
-                        stats.escalated += usize::from(foreign);
+            stats.cells += 1;
+            match score {
+                Some(score) => {
+                    stats.evaluated += 1;
+                    stats.escalated += usize::from(foreign);
+                    plans.store(j, k.index(), score);
+                }
+                None => {
+                    stats.pruned += 1;
+                    if delta_rows[j].holds == stamp {
+                        plans.prune_stored(j, k.index());
                     }
                 }
-            }
-            match score {
-                Some(score) => plans.store(j, k.index(), score),
-                None if delta_rows[j].holds == stamp => plans.prune_stored(j, k.index()),
-                None => {}
             }
         };
         // Columns are usually short next to the pool's wake/join latency;

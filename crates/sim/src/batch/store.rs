@@ -105,13 +105,6 @@ impl ColumnMap {
         self.column_of.len() + self.groups.len()
     }
 
-    /// The columns some vehicle reads, ascending: the own columns of the
-    /// ungrouped vehicles, then the groups.
-    pub(crate) fn read_columns(&self) -> impl Iterator<Item = u32> + '_ {
-        let own = (0..self.column_of.len() as u32).filter(|&k| self.column_of[k as usize] == k);
-        own.chain(self.column_of.len() as u32..self.num_columns() as u32)
-    }
-
     /// Vehicle `k` leaves its group, if it is in one, for its own column,
     /// which holds no cell yet.
     pub(super) fn split(&mut self, k: usize) {
@@ -147,13 +140,13 @@ impl ColumnMap {
 ///
 /// Every absent cell reads as its column's fallback, the pruned score
 /// (`best: None` plus the column's `d_{t,k}`) — identical for every row.
-/// The flat scan evaluates every column, so its rows start complete and
-/// the fallback is read only for columns an acceptance split off. The
-/// sharded sweep stores only the survivors of the geometric bound, which
+/// A row stores only the survivors of the sweep's classification, which
 /// is what lets the hierarchical megacity episode scale with the *work*
 /// of the epoch instead of `O(B x K)` memory traffic on cells whose
-/// content is known in advance. Either way every cell query of a
-/// still-undecided row answers with bit-identical values.
+/// content is known in advance. A one-cell row holds every active
+/// vehicle's column, so there the fallback is read only for a masked
+/// vehicle and for the columns an acceptance split off. Either way every
+/// cell query of a still-undecided row answers with bit-identical values.
 ///
 /// Pruned cells stay implicit through commits too: an acceptance on
 /// vehicle `k` first moves `k` to its own column (a grouped `k` leaves
@@ -167,11 +160,11 @@ impl ColumnMap {
 /// **The column index** answers "which rows store a cell of column `c`"
 /// without searching them — what a commit delta needs to find the stored
 /// cells it just made stale among thousands of rows that hold nothing of
-/// `c`. It is the sharded sweep's own work list, kept instead of dropped:
+/// `c`. It is the sweep's own work list, kept instead of dropped:
 /// the list is column-major (see [`crate::sweep`]), so a column is one
 /// `(start, end)` into it and nothing is built. Cells a later delta
 /// inserts are chained per column through `inserted`. The invariant:
-/// every stored cell `(i, c)` of a sharded batch is in `c`'s run of
+/// every stored cell `(i, c)` is in `c`'s run of
 /// `swept` or in `c`'s chain — rows never drop a cell, so the index only
 /// grows. Every column a member splits off starts with no run and fills
 /// through its chain, so the chain is per column: one shared list scanned
@@ -186,9 +179,9 @@ pub(super) struct PlanStore {
     /// Per column id: its fallback score, its run of `swept` and the head
     /// of its chain of inserted cells.
     pub(super) columns: Vec<Column>,
-    /// The `(row, column)` cells the sharded sweep stored: each column's
-    /// are one contiguous run in ascending row order.
-    swept: Vec<(u32, u32)>,
+    /// The `(row, column)` cells the sweep stored: each column's are one
+    /// contiguous run in ascending row order.
+    pub(super) swept: Vec<(u32, u32)>,
     /// `(row, next)`: a cell a commit delta inserted, and the one its
     /// column inserted before it ([`NONE`] ends the chain).
     inserted: Vec<(u32, u32)>,
@@ -219,7 +212,7 @@ impl Column {
 
 impl PlanStore {
     /// The store over `rows`, indexing each column's run of `swept` (the
-    /// sweep's column-major work list, empty for a flat batch).
+    /// sweep's column-major work list).
     pub(super) fn new(
         rows: Vec<Vec<(u32, PlanScore)>>,
         map: ColumnMap,
@@ -295,7 +288,7 @@ impl PlanStore {
         row[p].1 = self.columns[c].fallback;
     }
 
-    /// The rows of a sharded batch that store a cell of column `c`.
+    /// The rows that store a cell of column `c`.
     pub(super) fn stored_rows(&self, c: usize) -> impl Iterator<Item = usize> + '_ {
         let (start, end) = self.columns[c].stored;
         let mut next = self.columns[c].inserted;

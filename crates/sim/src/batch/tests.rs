@@ -44,14 +44,14 @@ fn instance() -> Instance {
 }
 
 fn batch(inst: &Instance) -> DecisionBatch<'_> {
-    batch_with(inst, None, &mut EpochScratch::default())
+    batch_with(inst, town_shards(inst, false), &mut EpochScratch::default())
 }
 
 /// The 08:00 epoch over every order of `inst`, on a serial pool, every
 /// vehicle idle at its depot.
 fn batch_with<'a>(
     inst: &'a Instance,
-    shards: Option<ShardContext>,
+    shards: ShardContext,
     scratch: &mut EpochScratch,
 ) -> DecisionBatch<'a> {
     batch_of(inst, idle_fleet(inst), None, shards, scratch)
@@ -73,7 +73,7 @@ fn batch_of<'a>(
     inst: &'a Instance,
     states: Vec<VehicleState>,
     active: Option<Vec<bool>>,
-    shards: Option<ShardContext>,
+    shards: ShardContext,
     scratch: &mut EpochScratch,
 ) -> DecisionBatch<'a> {
     let now = TimePoint::from_hours(NOW_H);
@@ -103,8 +103,9 @@ fn dirty_epoch_scratch_is_bit_identical_to_fresh() {
     };
     let fresh = snapshot(&batch(&inst));
     let mut scratch = EpochScratch::default();
-    let first = snapshot(&batch_with(&inst, None, &mut scratch));
-    let second = snapshot(&batch_with(&inst, None, &mut scratch));
+    let one_cell = || town_shards(&inst, false);
+    let first = snapshot(&batch_with(&inst, one_cell(), &mut scratch));
+    let second = snapshot(&batch_with(&inst, one_cell(), &mut scratch));
     assert_eq!(fresh, first);
     assert_eq!(fresh, second);
 }
@@ -228,15 +229,22 @@ fn two_towns(num_vehicles: usize, specs: &[OrderSpec]) -> Instance {
 }
 
 /// The two-shard map of a two-town instance (escalation 0, so foreign
-/// cells survive on the bound alone), or `None` for the flat scan.
-fn town_shards(inst: &Instance, sharded: bool) -> Option<ShardContext> {
-    sharded.then(|| ShardContext {
-        map: Arc::new(ShardMap::build(&inst.network, 2, ShardPolicy::default(), 7)),
+/// cells survive on the bound alone), or the one-cell map of the unsharded
+/// default.
+fn town_shards(inst: &Instance, sharded: bool) -> ShardContext {
+    let cells = if sharded { 2 } else { 1 };
+    ShardContext {
+        map: Arc::new(ShardMap::build(
+            &inst.network,
+            cells,
+            ShardPolicy::default(),
+            7,
+        )),
         escalation: 0,
-    })
+    }
 }
 
-/// The epoch over every order of `inst`, flat or under the two-shard map.
+/// The epoch over every order of `inst`, under one cell or two shards.
 fn town_batch(inst: &Instance, sharded: bool) -> DecisionBatch<'_> {
     let shards = town_shards(inst, sharded);
     batch_with(inst, shards, &mut EpochScratch::default())
@@ -355,7 +363,7 @@ fn own_plan(b: &DecisionBatch<'_>, i: usize, k: usize) -> PlannerOutput {
 /// Row `i` as both readers see it is Algorithm 2 on every vehicle's own
 /// view: the dense context cell for cell, and the candidate row, which
 /// names every vehicle at most once, each with its own plan's score, and
-/// omits none that can take the order (a flat row omits nobody).
+/// omits none that can take the order.
 fn assert_row_is_own_plans(b: &DecisionBatch<'_>, i: usize) {
     let own: Vec<PlannerOutput> = (0..b.num_vehicles()).map(|k| own_plan(b, i, k)).collect();
     for (k, plan) in dense_row(b, i).into_iter().enumerate() {
@@ -368,9 +376,8 @@ fn assert_row_is_own_plans(b: &DecisionBatch<'_>, i: usize) {
         assert_eq!(*score, own[k.index()].score(), "order {i}, candidate {k}");
     });
     for (k, seen) in seen.into_iter().enumerate() {
-        let flat = b.num_shards() == 1;
         assert!(
-            seen || !(flat || own[k].feasible()),
+            seen || !own[k].feasible(),
             "order {i}: vehicle {k} not visited"
         );
     }
@@ -575,10 +582,11 @@ fn a_group_whose_members_all_left_stands_for_nobody() {
     }
 }
 
-/// A row stores one cell per `(order, column)` it holds: a flat row every
-/// column some vehicle reads once, a sharded row exactly the columns with a
-/// member the per-vehicle classification rule evaluates — a group once,
-/// however many of its members that is.
+/// A row stores one cell per `(order, column)` it holds: exactly the
+/// columns with a member the per-vehicle classification rule evaluates — a
+/// group once, however many of its members that is. Under one cell that is
+/// every active vehicle's column; the masked vehicle's is absent and reads
+/// as its fallback.
 #[test]
 fn a_twin_group_is_stored_once_per_row() {
     let inst = mixed_instance();
@@ -592,12 +600,11 @@ fn a_twin_group_is_stored_once_per_row() {
                 let v = VehicleId::from_index(k);
                 let view = b.inner.borrow().views[k].clone();
                 b.vehicle_active(v)
-                    && (!sharded
-                        || b.shard_of_order(i) == b.shard_of_vehicle(v)
+                    && (b.shard_of_order(i) == b.shard_of_vehicle(v)
                         || !planner.provably_infeasible(&view, b.order(i)))
             };
             let mut expect: Vec<u32> = (0..b.num_vehicles())
-                .filter(|&k| !sharded || evaluated(k))
+                .filter(|&k| evaluated(k))
                 .map(|k| column_of[k])
                 .collect();
             expect.sort_unstable();
@@ -608,11 +615,7 @@ fn a_twin_group_is_stored_once_per_row() {
             stored_cells += stored.len();
         }
         let stats = b.shard_stats();
-        if sharded {
-            assert_eq!(stored_cells, stats.evaluated - stats.shared);
-        } else {
-            assert_eq!(stored_cells, b.len() * (MIXED_FLEET - 7 + 2));
-        }
+        assert_eq!(stored_cells, stats.evaluated - stats.shared);
     }
 }
 
@@ -628,13 +631,13 @@ fn shard_stats_count_the_escalated_members_of_a_group() {
     let (states, active) = mixed_fleet(&inst);
     let shards = ShardContext {
         escalation: 1,
-        ..town_shards(&inst, true).unwrap()
+        ..town_shards(&inst, true)
     };
     let b = batch_of(
         &inst,
         states,
         Some(active),
-        Some(shards),
+        shards,
         &mut EpochScratch::default(),
     );
     let (column_of, _) = column_map(&b);
@@ -690,7 +693,35 @@ fn shared_counts_the_cells_copied_from_a_twin() {
     let b_rows = 2; // orders 0, 2
     assert_eq!(stats.shared, a_rows * 3 + b_rows * 2);
     assert!(stats.shared < stats.evaluated);
-    assert_eq!(town_batch(&inst, false).shard_stats().shared, 0);
+}
+
+/// A one-cell epoch counts its work like any other layout: every `(order,
+/// vehicle)` cell, the masked vehicle's pruned, nothing escalated, and the
+/// cells the idle twins share — after the sweep, and after every
+/// acceptance, whose delta cells are all evaluated.
+#[test]
+fn a_one_cell_batch_counts_every_cell() {
+    let inst = mixed_instance();
+    let (b, _) = mixed_batch(&inst, false);
+    assert_eq!(b.num_shards(), 1);
+    let (n, k_n, masked) = (b.len(), b.num_vehicles(), 1);
+    // Every order reads both groups: four members in town A, three in B.
+    let mut expect = ShardStats {
+        cells: n * k_n,
+        evaluated: n * (k_n - masked),
+        pruned: n * masked,
+        escalated: 0,
+        shared: n * (3 + 2),
+    };
+    assert_eq!(b.shard_stats(), expect);
+    let acceptances = [(1, 0), (2, 3), (3, 2), (0, 5)];
+    for (accepted, &(i, k)) in acceptances.iter().enumerate() {
+        assert!(b.resolve(i, Some(VehicleId(k))).is_assigned());
+        let undecided = n - accepted - 1;
+        expect.cells += undecided;
+        expect.evaluated += undecided;
+        assert_eq!(b.shard_stats(), expect, "after accepting order {i}");
+    }
 }
 
 /// The hook (a loose town-B order a town-A vehicle accepts first, which
@@ -813,7 +844,7 @@ proptest! {
 /// acceptance on vehicle 2 prunes it again and has to find it — through
 /// column 2's chain of inserted cells — to overwrite it with the refreshed
 /// fallback. Without the chain the stale score would stay and the row
-/// would no longer read as the flat scan's.
+/// would no longer read as the one-cell batch's.
 #[test]
 fn a_cell_a_delta_inserted_is_overwritten_by_the_next_acceptance_on_its_vehicle() {
     let inst = two_towns(4, &epoch_specs(vec![(false, 3, 2, 20.0)]));

@@ -84,13 +84,13 @@
 //! after it. Whoever looks inside a route pays for building it: a
 //! per-order policy pays for its row, a batch-native one for nothing, and
 //! [`DecisionBatch::resolve`] builds the one route an accepted order's
-//! vehicle adopts. Unsharded, a row is all `K` vehicles. Sharded, it is
-//! the cells some sweep actually evaluated — every cell it omits was
-//! proven infeasible by the exact bound and reads as the vehicle's
-//! `best: None` fallback, so it could never win an argmin and a policy
-//! stays `O(work)` instead of `O(K)` per order. The matrix costs the
-//! epoch's *distinct* vehicles: idle vehicles that share anchor node,
-//! anchor time and depot are one input to Algorithm 2, so each such group
+//! vehicle adopts. A row is the cells some sweep actually evaluated —
+//! every cell it omits is a masked vehicle's or was proven infeasible by
+//! the exact bound, and reads as the vehicle's `best: None` fallback, so
+//! it could never win an argmin and a policy stays `O(work)` instead of
+//! `O(K)` per order; unsharded, that is every active vehicle. The matrix
+//! costs the epoch's *distinct* vehicles: idle vehicles that share anchor
+//! node, anchor time and depot are one input to Algorithm 2, so each such group
 //! is one *column* — classified, scored and stored once per order, one
 //! cell per `(order, group)` (the member cells this saves are
 //! [`ShardStats::shared`]). Readers see every member: the candidate row
@@ -102,8 +102,8 @@
 //! commits: the accepting vehicle leaves its group, if any, for a column
 //! of its own, that column is rescored for every still-undecided order,
 //! and cells the bound prunes again stay implicit (the column's fallback
-//! is refreshed once; a sharded batch keeps a per-column index, so only
-//! the rows that hold a cell of that column are touched, not every row
+//! is refreshed once; the batch keeps a per-column index, so only the
+//! rows that hold a cell of that column are touched, not every row
 //! searched). Positions only mean something against the view they were
 //! scored on, so the row of a resolved order — which no commit rescores —
 //! can no longer be shown: `with_context` on it panics.
@@ -111,7 +111,10 @@
 //! # Region-sharded dispatch: partition → score → merge
 //!
 //! [`SimulatorBuilder::sharding`] takes a validated [`ShardConfig`] and
-//! turns every decision epoch into a merge of cell-local batches:
+//! turns every decision epoch into a merge of cell-local batches. One cell
+//! — the default, unsharded layout — is the degenerate partition: every
+//! pair is in-cell, so nothing is pruned, and the epoch runs the same
+//! classification, scoring, storage and commit as any other layout.
 //!
 //! * **Flat** ([`ShardConfig::flat`]) — one level of k-means cells.
 //!   In-cell `(order, vehicle)` pairs run the full insertion sweep

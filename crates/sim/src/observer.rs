@@ -40,19 +40,18 @@ pub struct EpochInfo {
     /// Number of orders flushed at this epoch.
     pub num_orders: usize,
     /// Number of geographic shards the epoch is scored with (1 when the
-    /// simulator runs unsharded).
+    /// simulator runs unsharded, the one-cell layout).
     pub num_shards: usize,
-    /// Work accounting of the epoch's initial sharded `B x K` sweep (all
-    /// zero when unsharded; commit deltas applied *during* the dispatch
-    /// call are visible through `DecisionBatch::shard_stats` instead).
-    /// These counters vary with the shard configuration while the epoch's
-    /// decisions do not.
+    /// Work accounting of the epoch's initial `B x K` sweep under its shard
+    /// layout (commit deltas applied *during* the dispatch call are visible
+    /// through `DecisionBatch::shard_stats` instead). These counters vary
+    /// with the shard configuration while the epoch's decisions do not.
     pub shards: ShardStats,
     /// Whether the shard map was re-seeded from accumulated demand at this
-    /// flush boundary (see `RepartitionPolicy`; always `false` when
-    /// unsharded or under `RepartitionPolicy::Never`). Like the work
-    /// counters, this varies with the shard configuration while the
-    /// epoch's decisions do not.
+    /// flush boundary (see `RepartitionPolicy`; always `false` under
+    /// `RepartitionPolicy::Never`, and under one cell, which re-seeding
+    /// cannot change). Like the work counters, this varies with the shard
+    /// configuration while the epoch's decisions do not.
     pub repartitioned: bool,
 }
 

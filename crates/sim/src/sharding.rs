@@ -79,7 +79,8 @@ pub struct ShardConfig {
 }
 
 impl Default for ShardConfig {
-    /// Unsharded: one flat cell, i.e. the plain fleet scan.
+    /// Unsharded: one flat cell, the degenerate partition every pair of
+    /// which is in-cell.
     fn default() -> Self {
         ShardConfig {
             policy: ShardPolicy::default(),
@@ -91,8 +92,8 @@ impl Default for ShardConfig {
 }
 
 impl ShardConfig {
-    /// A flat partition into `num_shards` seeded k-means cells (1 =
-    /// unsharded fleet scan).
+    /// A flat partition into `num_shards` seeded k-means cells (1 = one
+    /// cell, unsharded).
     ///
     /// # Errors
     /// [`SimBuildError::ZeroShards`] when `num_shards == 0`.
@@ -184,13 +185,13 @@ impl ShardConfig {
         self.repartition
     }
 
-    /// Builds the initial [`ShardContext`] for an episode, or `None` for
-    /// the unsharded single-cell config.
-    pub(crate) fn initial_context(&self, net: &RoadNetwork, seed: u64) -> Option<ShardContext> {
-        (self.num_shards > 1).then(|| ShardContext {
+    /// Builds the initial [`ShardContext`] for an episode: a one-cell map
+    /// for the unsharded default.
+    pub(crate) fn initial_context(&self, net: &RoadNetwork, seed: u64) -> ShardContext {
+        ShardContext {
             map: Arc::new(ShardMap::build(net, self.num_shards, self.policy, seed)),
             escalation: self.escalation,
-        })
+        }
     }
 }
 
@@ -203,7 +204,7 @@ impl ShardConfig {
 /// bit-identical across thread counts, escalation widths and shard
 /// layouts, so is every re-seeded map — the partition stays a work detail.
 pub(crate) struct ShardRuntime {
-    ctx: Option<ShardContext>,
+    ctx: ShardContext,
     config: ShardConfig,
     seed: u64,
     /// Quantity-weighted pickup demand per node since the last re-seed.
@@ -216,14 +217,15 @@ pub(crate) struct ShardRuntime {
 impl ShardRuntime {
     pub(crate) fn new(
         config: &ShardConfig,
-        initial: Option<&ShardContext>,
+        initial: &ShardContext,
         seed: u64,
         num_nodes: usize,
     ) -> ShardRuntime {
+        // Re-seeding one cell cannot change the map.
         let track_demand =
-            initial.is_some() && !matches!(config.repartition, RepartitionPolicy::Never);
+            config.num_shards > 1 && !matches!(config.repartition, RepartitionPolicy::Never);
         ShardRuntime {
-            ctx: initial.cloned(),
+            ctx: initial.clone(),
             config: config.clone(),
             seed,
             demand: if track_demand {
@@ -239,7 +241,7 @@ impl ShardRuntime {
 
     /// The context the next [`DecisionBatch`](crate::batch::DecisionBatch)
     /// should score under.
-    pub(crate) fn context(&self) -> Option<ShardContext> {
+    pub(crate) fn context(&self) -> ShardContext {
         self.ctx.clone()
     }
 
@@ -273,13 +275,12 @@ impl ShardRuntime {
         if self.epochs_since < every_epochs || self.orders_seen < min_orders.max(1) {
             return false;
         }
-        let ctx = self.ctx.as_mut().expect("demand tracked only when sharded");
         // Derive a fresh deterministic seed per re-seed so consecutive
         // re-partitions explore different initialisations.
         let derived = self
             .seed
             .wrapping_add((self.repartitions as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        ctx.map = Arc::new(ShardMap::build_weighted(
+        self.ctx.map = Arc::new(ShardMap::build_weighted(
             net,
             self.config.num_shards,
             self.config.policy,
@@ -342,11 +343,28 @@ mod tests {
     }
 
     #[test]
-    fn default_config_is_unsharded() {
+    fn the_default_is_one_cell() {
+        let net = two_cluster_net();
         let cfg = ShardConfig::default();
         assert_eq!(cfg.num_shards(), 1);
-        assert!(cfg.initial_context(&two_cluster_net(), 7).is_none());
+        let map = cfg.initial_context(&net, 7).map;
+        assert_eq!(map.num_shards(), 1);
+        assert!(net.nodes().iter().all(|n| map.shard_of(n.id) == 0));
         assert_eq!(cfg, ShardConfig::flat(1).unwrap());
+    }
+
+    /// An order of the two-cluster network picked up at `pickup` (1 or 3)
+    /// and delivered in the other cluster.
+    fn order(pickup: u32) -> Order {
+        Order::new(
+            OrderId(0),
+            NodeId(pickup),
+            NodeId(if pickup == 1 { 3 } else { 1 }),
+            1.0,
+            TimePoint::from_hours(8.0),
+            TimePoint::from_hours(12.0),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -360,18 +378,7 @@ mod tests {
             })
             .unwrap();
         let ctx = cfg.initial_context(&net, 7);
-        let mut rt = ShardRuntime::new(&cfg, ctx.as_ref(), 7, net.nodes().len());
-        let order = |pickup: u32| {
-            Order::new(
-                OrderId(0),
-                NodeId(pickup),
-                NodeId(if pickup == 1 { 3 } else { 1 }),
-                1.0,
-                TimePoint::from_hours(8.0),
-                TimePoint::from_hours(12.0),
-            )
-            .unwrap()
-        };
+        let mut rt = ShardRuntime::new(&cfg, &ctx, 7, net.nodes().len());
         // Epoch 1: cadence not yet met.
         rt.observe(&order(1));
         rt.observe(&order(3));
@@ -380,7 +387,7 @@ mod tests {
         rt.observe(&order(1));
         assert!(rt.maybe_repartition(&net));
         assert_eq!(rt.repartitions(), 1);
-        assert!(rt.context().is_some());
+        assert!(!Arc::ptr_eq(&rt.context().map, &ctx.map));
         // Counters reset: two quiet epochs do not fire (no demand).
         assert!(!rt.maybe_repartition(&net));
         assert!(!rt.maybe_repartition(&net));
@@ -392,8 +399,28 @@ mod tests {
         let net = two_cluster_net();
         for cfg in [ShardConfig::flat(1).unwrap(), ShardConfig::flat(2).unwrap()] {
             let ctx = cfg.initial_context(&net, 7);
-            let mut rt = ShardRuntime::new(&cfg, ctx.as_ref(), 7, net.nodes().len());
+            let mut rt = ShardRuntime::new(&cfg, &ctx, 7, net.nodes().len());
             assert!(!rt.maybe_repartition(&net));
         }
+    }
+
+    /// Re-seeding one cell cannot change the map, so a one-cell runtime
+    /// tracks no demand and never fires, however eager its cadence.
+    #[test]
+    fn a_one_cell_runtime_never_repartitions() {
+        let net = two_cluster_net();
+        let eager = RepartitionPolicy::Periodic {
+            every_epochs: 1,
+            min_orders: 0,
+        };
+        let cfg = ShardConfig::flat(1).unwrap().repartition(eager).unwrap();
+        let ctx = cfg.initial_context(&net, 7);
+        let mut rt = ShardRuntime::new(&cfg, &ctx, 7, net.nodes().len());
+        for pickup in [1, 3, 1, 3] {
+            rt.observe(&order(pickup));
+            assert!(!rt.maybe_repartition(&net));
+        }
+        assert_eq!(rt.repartitions(), 0);
+        assert!(Arc::ptr_eq(&rt.context().map, &ctx.map));
     }
 }

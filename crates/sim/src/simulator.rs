@@ -115,7 +115,7 @@ pub struct SimulatorBuilder<'a> {
 
 impl<'a> SimulatorBuilder<'a> {
     /// Starts from the defaults: immediate service, full metrics, seed 0,
-    /// single-threaded scoring, unsharded dispatch.
+    /// single-threaded scoring, unsharded (one-cell) dispatch.
     pub fn new(instance: &'a Instance) -> Self {
         SimulatorBuilder {
             instance,
@@ -183,14 +183,15 @@ impl<'a> SimulatorBuilder<'a> {
     /// partitioned geographically (the region-sharded dispatch pipeline;
     /// see [`crate::sweep`] and [`crate::sharding`]).
     ///
-    /// The default [`ShardConfig::default`] (one flat cell) is the plain
-    /// fleet scan. Any multi-cell config builds a [`ShardMap`] over the
-    /// instance's node coordinates at [`SimulatorBuilder::build`] time and
-    /// scores every epoch as a merge of cell-local batches: in-cell
-    /// `(order, vehicle)` pairs run the full insertion sweep
-    /// shard-concurrently, cross-cell pairs are either escalated within
-    /// the parent region (see [`ShardConfig::escalation`]) or skipped
-    /// through an exact geometric infeasibility bound. A
+    /// Every config builds a [`ShardMap`] over the instance's node
+    /// coordinates at [`SimulatorBuilder::build`] time and scores every
+    /// epoch as a merge of cell-local batches: in-cell `(order, vehicle)`
+    /// pairs run the full insertion sweep shard-concurrently, cross-cell
+    /// pairs are either escalated within the parent region (see
+    /// [`ShardConfig::escalation`]) or skipped through an exact geometric
+    /// infeasibility bound. The default [`ShardConfig::default`] is the
+    /// degenerate partition, one cell: every pair is in-cell, so every
+    /// vehicle is scored for every order, through the same path. A
     /// [`RepartitionPolicy`](crate::sharding::RepartitionPolicy) can
     /// additionally re-seed the partition from live demand at flush
     /// boundaries. **Episode results are bit-identical for every shard
@@ -338,7 +339,7 @@ pub struct Simulator<'a> {
     pub(crate) seed: u64,
     pub(crate) pool: Arc<ThreadPool>,
     pub(crate) sharding: ShardConfig,
-    pub(crate) shards: Option<ShardContext>,
+    pub(crate) shards: ShardContext,
     pub(crate) disruptions: Option<DisruptionConfig>,
 }
 
@@ -370,9 +371,9 @@ impl<'a> Simulator<'a> {
     }
 
     /// Number of geographic shards (cells) epochs are scored with (see
-    /// [`SimulatorBuilder::sharding`]; 1 = flat scan).
+    /// [`SimulatorBuilder::sharding`]; 1 = unsharded).
     pub fn num_shards(&self) -> usize {
-        self.shards.as_ref().map_or(1, |c| c.map.num_shards())
+        self.shards.map.num_shards()
     }
 
     /// The sharding configuration in effect (see
@@ -381,11 +382,11 @@ impl<'a> Simulator<'a> {
         &self.sharding
     }
 
-    /// The *initial* region partition, when sharding is on. Episodes under
-    /// a re-partition policy evolve their own episode-local copy; this is
-    /// the geometry-seeded map every episode starts from.
-    pub fn shard_map(&self) -> Option<&ShardMap> {
-        self.shards.as_ref().map(|c| &*c.map)
+    /// The *initial* region partition — one cell when unsharded. Episodes
+    /// under a re-partition policy evolve their own episode-local copy;
+    /// this is the geometry-seeded map every episode starts from.
+    pub fn shard_map(&self) -> &ShardMap {
+        &self.shards.map
     }
 
     /// Builds the episode-local sharding runtime — one per episode so
@@ -393,7 +394,7 @@ impl<'a> Simulator<'a> {
     pub(crate) fn shard_runtime(&self) -> ShardRuntime {
         ShardRuntime::new(
             &self.sharding,
-            self.shards.as_ref(),
+            &self.shards,
             self.seed,
             self.instance.network.nodes().len(),
         )

@@ -351,9 +351,9 @@ fn episode_results_are_shard_count_invariant() {
             .build()
             .unwrap();
         assert_eq!(s.num_shards(), expect_shards);
-        assert!(s.shard_map().is_some());
+        assert_eq!(s.shard_map().num_shards(), expect_shards);
         let sharded = s.run(&mut FirstFeasible);
-        assert_eq!(flat, sharded, "{config:?} diverged from the flat scan");
+        assert_eq!(flat, sharded, "{config:?} diverged from one cell");
     }
 }
 

@@ -41,6 +41,15 @@
 //!    slots — they rely on the exact bound alone, which is what makes the
 //!    sweep scale with cell size instead of fleet size.
 //!
+//! **One cell is the degenerate partition.** An unsharded epoch
+//! ([`ShardConfig::default`], `flat(1)`) runs this same pipeline over a
+//! one-cell map: no pair is foreign, so classification keeps every active
+//! column for every order and `plan_sweep` returns that list at once,
+//! without the distance memo, the escalation ranking or the cell
+//! aggregates. Scoring, storage and commit deltas do not know the cell
+//! count, and [`ShardStats`] describes every epoch: a one-cell epoch
+//! prunes only its masked vehicles and escalates nothing.
+//!
 //! **Determinism guarantee.** A pruned pair's output is *bit-identical* to
 //! what the full sweep would have produced (the bound is conservative and
 //! gated on metric networks), every evaluated cell lands in a pre-indexed
@@ -52,11 +61,12 @@
 //!
 //! [`SimulatorBuilder::sharding`]: crate::simulator::SimulatorBuilder::sharding
 //! [`ShardConfig::flat`]: crate::sharding::ShardConfig::flat
+//! [`ShardConfig::default`]: crate::sharding::ShardConfig::default
 //! [`ShardConfig::hierarchical`]: crate::sharding::ShardConfig::hierarchical
 //! [`RoutePlanner::provably_infeasible`]: dpdp_routing::RoutePlanner::provably_infeasible
 
 use crate::batch::ColumnMap;
-use dpdp_net::{NodeId, Order, ShardMap, TimeDelta, TimePoint};
+use dpdp_net::{NodeId, OrderId, ShardMap, TimeDelta, TimePoint};
 use dpdp_pool::ThreadPool;
 use dpdp_routing::{PruneProbe, RoutePlanner, VehicleView};
 use std::sync::Arc;
@@ -72,8 +82,9 @@ pub(crate) struct ShardContext {
     pub(crate) escalation: usize,
 }
 
-/// Work accounting of one epoch's sharded sweep (initial `B x K` matrix
-/// plus any per-commit column deltas), surfaced through
+/// Work accounting of one epoch's sweep under its shard layout, one cell
+/// included (initial `B x K` matrix plus any per-commit column deltas),
+/// surfaced through
 /// [`EpochInfo`](crate::observer::EpochInfo) and
 /// [`DecisionBatch::shard_stats`](crate::batch::DecisionBatch::shard_stats).
 ///
@@ -88,7 +99,8 @@ pub struct ShardStats {
     /// the insertion sweep themselves; [`ShardStats::shared`] of them are
     /// members of an idle-twin group whose one cell was scored instead.
     pub evaluated: usize,
-    /// Cross-shard cells skipped through the exact infeasibility bound.
+    /// Cells that ran no evaluation: cross-shard cells skipped through the
+    /// exact infeasibility bound, and every cell of a masked vehicle.
     pub pruned: usize,
     /// Cross-shard cells evaluated in full (m-nearest escalation, or the
     /// bound could not rule them out).
@@ -112,23 +124,6 @@ impl ShardStats {
             self.pruned as f64 / self.cells as f64
         }
     }
-}
-
-/// The classified `B x K` sweep of one epoch: which cells need the full
-/// insertion sweep (vehicle-shard-major, pre-indexed) and which are pruned.
-#[derive(Debug)]
-pub(crate) struct SweepPlan {
-    /// `(order_index, column)` cells to evaluate in full, one per order and
-    /// column of the epoch's [`ColumnMap`], grouped vehicle-shard-major (all
-    /// of one region's columns are contiguous, so pool chunks mostly stay
-    /// inside one shard's caches) and, inside a shard, column-major: each
-    /// column's cells are one contiguous run in ascending order index. The
-    /// batch stores these cells and keeps the list as its column index
-    /// (which rows store a cell of column `c`), so this layout is a
-    /// contract, not an accident of the loop below.
-    pub(crate) work: Vec<(u32, u32)>,
-    /// Work accounting for the whole matrix.
-    pub(crate) stats: ShardStats,
 }
 
 /// Reusable classification buffers for [`plan_sweep`] — part of the
@@ -182,6 +177,16 @@ pub(crate) struct SweepBuffers {
     slots_by_cell: Vec<Vec<u32>>,
     /// Slot-dedup mask for `slots_by_cell`.
     slot_listed: Vec<bool>,
+    /// The classified sweep: the `(order_index, column)` cells to evaluate
+    /// in full, one per order and column of the epoch's [`ColumnMap`],
+    /// grouped vehicle-shard-major (all of one region's columns are
+    /// contiguous, so pool chunks mostly stay inside one shard's caches)
+    /// and, inside a shard, column-major: each column's cells are one
+    /// contiguous run in ascending order index. The batch takes the list as
+    /// its column index (which rows store a cell of column `c`) and hands
+    /// its storage back after the epoch, so this layout is a contract, not
+    /// an accident of the loop in [`plan_sweep`].
+    pub(crate) work: Vec<(u32, u32)>,
 }
 
 /// Classifies every `(order, vehicle)` cell of an epoch, column by column
@@ -198,29 +203,40 @@ pub(crate) struct SweepBuffers {
 /// survive classification (counted as pruned), and masked vehicles are
 /// skipped by the escalation ranking so an order never "escalates" to a
 /// dead truck.
+///
+/// The epoch's orders are `epoch` ids into the planner's order table.
+/// Returns the work accounting of the whole matrix; the cells to evaluate
+/// land in [`SweepBuffers::work`].
 #[allow(clippy::too_many_arguments)] // one caller, the batch build
 pub(crate) fn plan_sweep(
     ctx: &ShardContext,
     planner: &RoutePlanner<'_>,
     views: &[VehicleView],
-    epoch_orders: &[&Order],
+    epoch: &[OrderId],
     active: Option<&[bool]>,
     columns: &ColumnMap,
     pool: &ThreadPool,
     scr: &mut SweepBuffers,
-) -> SweepPlan {
+) -> ShardStats {
     let map = &*ctx.map;
     let net = planner.network();
     let fleet = planner.fleet();
     let k_n = views.len();
-    let b = epoch_orders.len();
+    let b = epoch.len();
+    let epoch_orders = || epoch.iter().map(|id| &planner.orders()[id.index()]);
     let is_active = |k: usize| active.is_none_or(|a| a[k]);
+    scr.order_shard.clear();
+    scr.order_shard
+        .extend(epoch_orders().map(|o| map.shard_of(o.pickup) as u32));
+    scr.probes.clear();
+    scr.probes
+        .extend(epoch_orders().map(|o| planner.prune_probe(o)));
+    if map.num_shards() == 1 {
+        return one_cell(b, k_n, columns, is_active, &mut scr.work);
+    }
     scr.vehicle_shard.clear();
     scr.vehicle_shard
         .extend(views.iter().map(|v| map.shard_of(v.anchor_node) as u32));
-    scr.order_shard.clear();
-    scr.order_shard
-        .extend(epoch_orders.iter().map(|o| map.shard_of(o.pickup) as u32));
 
     // Vehicle-shard-major work list: regions become contiguous runs of the
     // flat list, so the pool's chunked tasks are (mostly) shard-local.
@@ -281,7 +297,7 @@ pub(crate) fn plan_sweep(
     }
     let ns = scr.anchors.len();
     scr.pickups.clear();
-    scr.pickups.extend(epoch_orders.iter().map(|o| o.pickup));
+    scr.pickups.extend(epoch_orders().map(|o| o.pickup));
     scr.dist.clear();
     scr.dist.resize(ns * b, 0.0);
     scr.leg.clear();
@@ -294,9 +310,6 @@ pub(crate) fn plan_sweep(
     scr.order_region.clear();
     scr.order_region
         .extend(scr.order_shard.iter().map(|&s| map.region_of(s as usize)));
-    scr.probes.clear();
-    scr.probes
-        .extend(epoch_orders.iter().map(|o| planner.prune_probe(o)));
 
     // Escalation marks: per order, the m nearest foreign vehicles *within
     // the order's parent region* by anchor→pickup distance (total_cmp,
@@ -469,9 +482,13 @@ pub(crate) fn plan_sweep(
         }
         (work, evaluated, escalated)
     });
-    let mut work = Vec::with_capacity(tasks.iter().map(|t| t.0.len()).sum());
+    // Reserved exactly: the list's storage is kept from epoch to epoch, and
+    // amortised growth would keep up to twice the largest epoch's list.
+    scr.work.clear();
+    scr.work
+        .reserve_exact(tasks.iter().map(|t| t.0.len()).sum());
     for (cell_work, evaluated, escalated) in tasks {
-        work.extend(cell_work);
+        scr.work.extend(cell_work);
         stats.evaluated += evaluated;
         stats.escalated += escalated;
     }
@@ -483,7 +500,38 @@ pub(crate) fn plan_sweep(
     for &a in &scr.anchors {
         scr.node_slot[a.index()] = u32::MAX;
     }
-    SweepPlan { work, stats }
+    stats
+}
+
+/// The classification of a one-cell layout: no pair is foreign, so every
+/// active column is evaluated for every order and nothing is escalated —
+/// the list the general pass would emit, without its distance memo, its
+/// escalation ranking or its cell aggregates. Columns come in the order of
+/// their lowest members, each one run over the epoch's orders.
+fn one_cell(
+    b: usize,
+    k_n: usize,
+    columns: &ColumnMap,
+    is_active: impl Fn(usize) -> bool,
+    work: &mut Vec<(u32, u32)>,
+) -> ShardStats {
+    work.clear();
+    let mut members = 0;
+    for k in (0..k_n).filter(|&k| is_active(k)) {
+        let c = columns.column_of(k).expect("every vehicle reads a column");
+        let group = columns.members(&c);
+        if group[0] as usize == k {
+            members += group.len();
+            work.extend((0..b as u32).map(|i| (i, c)));
+        }
+    }
+    let cells = b * k_n;
+    ShardStats {
+        cells,
+        evaluated: b * members,
+        pruned: cells - b * members,
+        ..ShardStats::default()
+    }
 }
 
 #[cfg(test)]
@@ -540,6 +588,21 @@ mod tests {
         (net, fleet, orders)
     }
 
+    /// Classifies `epoch` over an ungrouped fleet on a serial pool: the
+    /// work accounting and the work list.
+    fn classify(
+        ctx: &ShardContext,
+        planner: &RoutePlanner<'_>,
+        views: &[VehicleView],
+        epoch: &[OrderId],
+    ) -> (ShardStats, Vec<(u32, u32)>) {
+        let mut scr = SweepBuffers::default();
+        let columns = ColumnMap::ungrouped(views.len());
+        let pool = ThreadPool::new(1);
+        let stats = plan_sweep(ctx, planner, views, epoch, None, &columns, &pool, &mut scr);
+        (stats, scr.work)
+    }
+
     /// Epoch-time views: the simulator advances every vehicle to the
     /// decision instant before a batch forms, so anchor times sit at `now`
     /// (a vehicle anchored in the past could pre-position and the bound
@@ -562,47 +625,29 @@ mod tests {
         let planner = RoutePlanner::new(&net, &fleet, &orders);
         let views = views_at(&fleet, TimePoint::from_hours(8.0));
         let map = Arc::new(ShardMap::build(&net, 2, ShardPolicy::default(), 7));
-        let epoch: Vec<&Order> = orders.iter().collect();
+        let epoch: Vec<OrderId> = orders.iter().map(|o| o.id).collect();
 
         // No escalation: both cross-cluster cells prune.
         let ctx = ShardContext {
             map: Arc::clone(&map),
             escalation: 0,
         };
-        let sweep = plan_sweep(
-            &ctx,
-            &planner,
-            &views,
-            &epoch,
-            None,
-            &ColumnMap::ungrouped(views.len()),
-            &ThreadPool::new(1),
-            &mut SweepBuffers::default(),
-        );
-        assert_eq!(sweep.stats.cells, 4);
-        assert_eq!(sweep.stats.pruned, 2);
-        assert_eq!(sweep.stats.evaluated, 2);
-        assert_eq!(sweep.stats.escalated, 0);
-        assert_eq!(sweep.work.len(), 2);
+        let (stats, work) = classify(&ctx, &planner, &views, &epoch);
+        assert_eq!(stats.cells, 4);
+        assert_eq!(stats.pruned, 2);
+        assert_eq!(stats.evaluated, 2);
+        assert_eq!(stats.escalated, 0);
+        assert_eq!(work.len(), 2);
         // Exactly the in-shard diagonal survives.
-        assert!(sweep.work.contains(&(0, 0)));
-        assert!(sweep.work.contains(&(1, 1)));
+        assert!(work.contains(&(0, 0)));
+        assert!(work.contains(&(1, 1)));
 
         // Escalation m = 1 forces the nearest foreign vehicle back in.
         let ctx = ShardContext { map, escalation: 1 };
-        let sweep = plan_sweep(
-            &ctx,
-            &planner,
-            &views,
-            &epoch,
-            None,
-            &ColumnMap::ungrouped(views.len()),
-            &ThreadPool::new(1),
-            &mut SweepBuffers::default(),
-        );
-        assert_eq!(sweep.stats.pruned, 0);
-        assert_eq!(sweep.stats.escalated, 2);
-        assert_eq!(sweep.work.len(), 4);
+        let (stats, work) = classify(&ctx, &planner, &views, &epoch);
+        assert_eq!(stats.pruned, 0);
+        assert_eq!(stats.escalated, 2);
+        assert_eq!(work.len(), 4);
     }
 
     #[test]
@@ -615,21 +660,12 @@ mod tests {
         let views = views_at(&fleet, TimePoint::from_hours(8.0));
         let map = Arc::new(ShardMap::build(&net, 2, ShardPolicy::default(), 7));
         let ctx = ShardContext { map, escalation: 0 };
-        let epoch: Vec<&Order> = orders.iter().collect();
-        let sweep = plan_sweep(
-            &ctx,
-            &planner,
-            &views,
-            &epoch,
-            None,
-            &ColumnMap::ungrouped(views.len()),
-            &ThreadPool::new(1),
-            &mut SweepBuffers::default(),
-        );
-        assert_eq!(sweep.stats.pruned, 0);
-        assert_eq!(sweep.stats.evaluated, 4);
-        assert_eq!(sweep.stats.escalated, 2);
-        assert_eq!(sweep.stats.pruned_fraction(), 0.0);
+        let epoch: Vec<OrderId> = orders.iter().map(|o| o.id).collect();
+        let (stats, _) = classify(&ctx, &planner, &views, &epoch);
+        assert_eq!(stats.pruned, 0);
+        assert_eq!(stats.evaluated, 4);
+        assert_eq!(stats.escalated, 2);
+        assert_eq!(stats.pruned_fraction(), 0.0);
     }
 
     #[test]
@@ -684,7 +720,7 @@ mod tests {
             7,
         ));
         assert_eq!(map.num_regions(), 2);
-        let epoch: Vec<&Order> = orders.iter().collect();
+        let epoch: Vec<OrderId> = orders.iter().map(|o| o.id).collect();
 
         // m = 3 would reach every foreign vehicle under a flat map; under
         // the hierarchical map only the same-region foreign vehicle (A2)
@@ -694,21 +730,12 @@ mod tests {
             map: Arc::clone(&map),
             escalation: 3,
         };
-        let sweep = plan_sweep(
-            &ctx,
-            &planner,
-            &views,
-            &epoch,
-            None,
-            &ColumnMap::ungrouped(views.len()),
-            &ThreadPool::new(1),
-            &mut SweepBuffers::default(),
-        );
-        assert_eq!(sweep.stats.cells, 4);
-        assert_eq!(sweep.stats.evaluated, 2, "in-cell + same-region escalation");
-        assert_eq!(sweep.stats.escalated, 1);
+        let (stats, _) = classify(&ctx, &planner, &views, &epoch);
+        assert_eq!(stats.cells, 4);
+        assert_eq!(stats.evaluated, 2, "in-cell + same-region escalation");
+        assert_eq!(stats.escalated, 1);
         assert_eq!(
-            sweep.stats.pruned, 2,
+            stats.pruned, 2,
             "cross-region vehicles must not consume escalation slots"
         );
     }
@@ -718,37 +745,31 @@ mod tests {
         let (net, fleet, orders) = setup();
         let planner = RoutePlanner::new(&net, &fleet, &orders);
         let views = views_at(&fleet, TimePoint::from_hours(8.0));
-        let map = Arc::new(ShardMap::build(&net, 2, ShardPolicy::default(), 7));
-        let shard_of = |k: u32| map.shard_of(views[k as usize].anchor_node);
-        let ctx = ShardContext {
-            map: Arc::clone(&map),
-            escalation: 2,
-        };
-        let epoch: Vec<&Order> = orders.iter().collect();
-        let sweep = plan_sweep(
-            &ctx,
-            &planner,
-            &views,
-            &epoch,
-            None,
-            &ColumnMap::ungrouped(views.len()),
-            &ThreadPool::new(1),
-            &mut SweepBuffers::default(),
-        );
-        let shards: Vec<usize> = sweep.work.iter().map(|&(_, k)| shard_of(k)).collect();
-        let mut sorted = shards.clone();
-        sorted.sort_unstable();
-        assert_eq!(shards, sorted, "work must group by vehicle shard");
-        // Inside a shard the list is column-major: a column's cells are
-        // one run, rows ascending (the batch's column index is this list).
-        let runs: Vec<&[(u32, u32)]> = sweep.work.chunk_by(|a, b| a.1 == b.1).collect();
-        let mut vehicles: Vec<u32> = runs.iter().map(|run| run[0].1).collect();
-        assert_eq!(vehicles.len(), views.len(), "every vehicle has cells here");
-        vehicles.sort_unstable();
-        vehicles.dedup();
-        assert_eq!(vehicles.len(), runs.len(), "one run per vehicle");
-        for run in runs {
-            assert!(run.len() > 1 && run.is_sorted_by(|a, b| a.0 < b.0));
+        let epoch: Vec<OrderId> = orders.iter().map(|o| o.id).collect();
+        // Two shards, and the one cell of the unsharded default.
+        for cells in [2, 1] {
+            let map = Arc::new(ShardMap::build(&net, cells, ShardPolicy::default(), 7));
+            let shard_of = |k: u32| map.shard_of(views[k as usize].anchor_node);
+            let ctx = ShardContext {
+                map: Arc::clone(&map),
+                escalation: 2,
+            };
+            let (_, work) = classify(&ctx, &planner, &views, &epoch);
+            let shards: Vec<usize> = work.iter().map(|&(_, k)| shard_of(k)).collect();
+            let mut sorted = shards.clone();
+            sorted.sort_unstable();
+            assert_eq!(shards, sorted, "work must group by vehicle shard");
+            // Inside a shard the list is column-major: a column's cells are
+            // one run, rows ascending (the batch's column index is this list).
+            let runs: Vec<&[(u32, u32)]> = work.chunk_by(|a, b| a.1 == b.1).collect();
+            let mut vehicles: Vec<u32> = runs.iter().map(|run| run[0].1).collect();
+            assert_eq!(vehicles.len(), views.len(), "every vehicle has cells here");
+            vehicles.sort_unstable();
+            vehicles.dedup();
+            assert_eq!(vehicles.len(), runs.len(), "one run per vehicle");
+            for run in runs {
+                assert!(run.len() > 1 && run.is_sorted_by(|a, b| a.0 < b.0));
+            }
         }
     }
 }

@@ -1,10 +1,14 @@
 #!/bin/sh
-# Alternating parent / change pairs of one ledger workload: the protocol of
+# Alternating parent / change pairs of ledger workloads: the protocol of
 # the choosing-metrics guide (section 8) that every perf PR's CHANGES.md
 # entry reports, as one command instead of a hand-rolled loop.
 #
-#   scripts/ledger_pairs.sh PARENT_BIN CHANGE_BIN WORKLOAD \
+#   scripts/ledger_pairs.sh PARENT_BIN CHANGE_BIN WORKLOAD[,WORKLOAD...] \
 #       [--pairs N] [--seed S] [--seconds T]
+#
+# WORKLOAD is one ledger workload or a comma-separated list of them; the
+# workloads run one after another, each with its own pairs and its own
+# table.
 #
 # PARENT_BIN and CHANGE_BIN are two builds of the ledger (ledger/Cargo.toml,
 # each commit built into its own CARGO_TARGET_DIR and the binary copied
@@ -15,10 +19,12 @@
 # not a second measuring stick, every number printed is one the ledger
 # reported.
 #
-# A run is refused (exit 1) when its last stdout line is not the ledger's
-# JSON result with "correct": true, and so is a pair whose served_ratio,
-# nuv or total_cost differ between the sides: a speed-up that moves a
-# decision is not a speed-up. Otherwise the script prints, per end-to-end
+# A run is refused when its last stdout line is not the ledger's JSON
+# result with "correct": true; a refused run ends its workload's pairs,
+# and the script goes on to the next workload. A pair whose served_ratio,
+# nuv or total_cost differ between the sides is a result difference: a
+# speed-up that moves a decision is not a speed-up. Per workload the
+# script prints, per end-to-end
 # metric of BENCHMARK.json, each side's median and quartiles, the relative
 # change of the medians, the pairs the change won (ties count for neither
 # side), each side's quartile distance (q3 - q1) and a verdict, then
@@ -35,18 +41,19 @@
 #   within bound      otherwise.
 #
 # The bound is the metric's "bound" in BENCHMARK.json. Verdicts inform; only
-# a refused run or a result difference makes the exit status non-zero.
+# a refused run or a result difference, on any of the workloads, makes the
+# exit status non-zero (1, after every workload has run).
 set -eu
 
 usage() {
-    echo "usage: $0 PARENT_BIN CHANGE_BIN WORKLOAD [--pairs N] [--seed S] [--seconds T]" >&2
+    echo "usage: $0 PARENT_BIN CHANGE_BIN WORKLOAD[,WORKLOAD...] [--pairs N] [--seed S] [--seconds T]" >&2
     exit 2
 }
 
 [ $# -ge 3 ] || usage
 parent=$1
 change=$2
-workload=$3
+workloads=$3
 shift 3
 pairs=10
 seed=7
@@ -62,6 +69,7 @@ while [ $# -gt 0 ]; do
     shift 2
 done
 case $pairs in '' | *[!0-9]* | 0) usage ;; esac
+case $workloads in '' | ,* | *, | *,,*) usage ;; esac
 for bin in "$parent" "$change"; do
     [ -x "$bin" ] || { echo "$0: $bin is not an executable" >&2; exit 2; }
 done
@@ -71,30 +79,35 @@ bench=$(dirname "$0")/../BENCHMARK.json
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
-run_side() { # side binary pair
-    if ! "$2" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 \
-        >"$out/$1.$3.out" 2>"$out/$1.$3.err"; then
-        echo "$0: pair $3: the $1 run exited non-zero; its stderr:" >&2
-        cat "$out/$1.$3.err" >&2
-        exit 1
+run_side() { # workload side binary pair
+    if ! "$3" --workload "$1" --seed "$seed" --seconds "$seconds" --trace 0 \
+        >"$out/$1/$2.$4.out" 2>"$out/$1/$2.$4.err"; then
+        echo "$0: $1 pair $4: the $2 run exited non-zero; its stderr:" >&2
+        cat "$out/$1/$2.$4.err" >&2
+        return 1
     fi
-    tail -n 1 "$out/$1.$3.out" >"$out/$1.$3.json"
+    tail -n 1 "$out/$1/$2.$4.out" >"$out/$1/$2.$4.json"
 }
 
-pair=1
-while [ "$pair" -le "$pairs" ]; do
-    if [ $((pair % 2)) -eq 1 ]; then
-        run_side parent "$parent" "$pair"
-        run_side change "$change" "$pair"
-    else
-        run_side change "$change" "$pair"
-        run_side parent "$parent" "$pair"
-    fi
-    echo "pair $pair/$pairs done" >&2
-    pair=$((pair + 1))
-done
+run_pairs() { # workload
+    mkdir "$out/$1"
+    pair=1
+    while [ "$pair" -le "$pairs" ]; do
+        if [ $((pair % 2)) -eq 1 ]; then
+            run_side "$1" parent "$parent" "$pair" || return 1
+            run_side "$1" change "$change" "$pair" || return 1
+        else
+            run_side "$1" change "$change" "$pair" || return 1
+            run_side "$1" parent "$parent" "$pair" || return 1
+        fi
+        echo "$1: pair $pair/$pairs done" >&2
+        pair=$((pair + 1))
+    done
+    report "$1"
+}
 
-python3 - "$out" "$pairs" "$bench" "$workload" "$seed" "$seconds" <<'PY'
+report() { # workload
+python3 - "$out/$1" "$pairs" "$bench" "$1" "$seed" "$seconds" <<'PY'
 import json
 import statistics
 import sys
@@ -112,9 +125,10 @@ def load(side, pair):
     try:
         result = json.loads(line)
     except ValueError:
-        sys.exit(f"pair {pair}: the {side} run's last line is not the JSON result: {line[:120]!r}")
+        sys.exit(f"{workload} pair {pair}: the {side} run's last line is not the JSON result: "
+                 f"{line[:120]!r}")
     if result.get("correct") is not True:
-        sys.exit(f"pair {pair}: the {side} run is not \"correct\": true ({line[:120]})")
+        sys.exit(f"{workload} pair {pair}: the {side} run is not \"correct\": true ({line[:120]})")
     return {name: m["value"] for name, m in result["metrics"].items()}, result
 
 
@@ -161,7 +175,7 @@ for pair in range(1, pairs + 1):
     for name in MUST_NOT_MOVE:
         if sides["parent"][name] != sides["change"][name]:
             differences += 1
-            print(f"pair {pair}: {name} differs: parent {sides['parent'][name]!r}, "
+            print(f"{workload} pair {pair}: {name} differs: parent {sides['parent'][name]!r}, "
                   f"change {sides['change'][name]!r}")
 
 print(f"{workload}, seed {seed}, {pairs} alternating pair(s) of {seconds} s untraced runs")
@@ -187,5 +201,13 @@ for metric in end_to_end:
     print(f"{name:<18}{metric['unit']:<7}{p_text:<42}{c_text:<42}{delta:>8}  {won:<16}"
           f"{iqr:<30}{judged} ({metric['bound']:.0%})")
 print(f"result differences: {differences}")
+print()
 sys.exit(1 if differences else 0)
 PY
+}
+
+status=0
+for workload in $(echo "$workloads" | tr ',' ' '); do
+    run_pairs "$workload" || status=1
+done
+exit "$status"
