@@ -71,6 +71,7 @@
 //! [`Dispatcher`]: crate::dispatcher::Dispatcher
 
 use crate::dispatcher::DispatchContext;
+use crate::profile::{self, Stage, StageClock};
 use crate::state::VehicleState;
 use crate::sweep::{plan_sweep, ShardContext, ShardStats, SweepBuffers};
 use dpdp_net::{FleetConfig, Order, OrderId, RoadNetwork, TimePoint, VehicleId};
@@ -78,6 +79,7 @@ use dpdp_pool::ThreadPool;
 use dpdp_routing::{PlanScore, PlannerOutput, RoutePlanner, ScheduleCache, VehicleView};
 use std::cell::RefCell;
 use std::sync::Arc;
+use std::time::Instant;
 pub(crate) use store::ColumnMap;
 use store::{Column, DeltaRow, PlanStore};
 
@@ -439,6 +441,9 @@ pub struct DecisionBatch<'a> {
     /// their plans arrive as `best: None`, so no policy can choose them.
     active: Option<Vec<bool>>,
     inner: RefCell<BatchInner>,
+    /// The epoch's profile clock, when the epoch is profiled (see
+    /// [`crate::profile`]).
+    clock: Option<RefCell<StageClock>>,
 }
 
 impl<'a> DecisionBatch<'a> {
@@ -461,6 +466,11 @@ impl<'a> DecisionBatch<'a> {
     /// classification's column-major work list says which cells exist (a
     /// one-cell layout keeps every active column's), and it is kept as the
     /// store's column index.
+    ///
+    /// A profiled epoch's `clock` is charged the build's three stages —
+    /// [`Stage::Classify`], [`Stage::Score`], [`Stage::Store`] — and,
+    /// afterwards, every row [`DecisionBatch::with_context`] materialises
+    /// and every [`DecisionBatch::resolve`].
     #[allow(clippy::too_many_arguments)] // crate-private; mirrors the fields
     pub(crate) fn new(
         now: TimePoint,
@@ -473,6 +483,7 @@ impl<'a> DecisionBatch<'a> {
         pool: Arc<ThreadPool>,
         shards: ShardContext,
         active: Option<Vec<bool>>,
+        mut clock: Option<StageClock>,
         scratch: &mut EpochScratch,
     ) -> Self {
         let views: Vec<VehicleView> = states.iter().map(|s| s.view.clone()).collect();
@@ -499,8 +510,10 @@ impl<'a> DecisionBatch<'a> {
             &pool,
             &mut scratch.sweep,
         );
+        profile::lap(&mut clock, Stage::Classify);
         let work = std::mem::take(&mut scratch.sweep.work);
         let scores = scratch.score_cells(&planner, &views, epoch, &pool, &work);
+        profile::lap(&mut clock, Stage::Score);
         stats.shared = stats.evaluated - work.len();
         // `work` is column-major, so a row's cells arrive scattered: count
         // them first and size every row exactly.
@@ -537,6 +550,7 @@ impl<'a> DecisionBatch<'a> {
         let plans = PlanStore::new(rows, map, columns, work);
         let undecided = (0..epoch_orders.len() as u32).collect();
         let commits = (0..epoch_orders.len()).map(|_| None).collect();
+        profile::lap(&mut clock, Stage::Store);
         DecisionBatch {
             now,
             interval,
@@ -558,6 +572,26 @@ impl<'a> DecisionBatch<'a> {
                 acceptances: 0,
                 column_cache: ScheduleCache::default(),
             }),
+            clock: clock.map(RefCell::new),
+        }
+    }
+
+    /// Runs `f`, charged to `stage` as one call nested in the running
+    /// stage when the epoch is profiled.
+    fn timed<R>(&self, stage: Stage, f: impl FnOnce() -> R) -> R {
+        let Some(clock) = &self.clock else {
+            return f();
+        };
+        let since = Instant::now();
+        let out = f();
+        clock.borrow_mut().charge(stage, since);
+        out
+    }
+
+    /// Ends the running stage of a profiled epoch as `stage`.
+    pub(crate) fn lap(&self, stage: Stage) {
+        if let Some(clock) = &self.clock {
+            clock.borrow_mut().lap(stage);
         }
     }
 
@@ -615,18 +649,24 @@ impl<'a> DecisionBatch<'a> {
     }
 
     /// Tears the batch down into its per-order commit records (`None` for
-    /// an order nobody resolved) and the vehicle states it was built from,
-    /// every committed acceptance applied; the storage the batch borrowed
-    /// from `scratch` goes back to it for the next epoch.
+    /// an order nobody resolved), the vehicle states it was built from,
+    /// every committed acceptance applied, and a profiled epoch's clock;
+    /// the storage the batch borrowed from `scratch` goes back to it for
+    /// the next epoch.
     pub(crate) fn into_parts(
         self,
         scratch: &mut EpochScratch,
-    ) -> (Vec<Option<CommitRecord>>, Vec<VehicleState>) {
+    ) -> (
+        Vec<Option<CommitRecord>>,
+        Vec<VehicleState>,
+        Option<StageClock>,
+    ) {
         let inner = self.inner.into_inner();
         scratch.column_map = inner.plans.map;
         scratch.sweep.work = inner.plans.swept;
         scratch.delta_rows = inner.delta_rows;
-        (inner.commits, inner.states)
+        let clock = self.clock.map(RefCell::into_inner);
+        (inner.commits, inner.states, clock)
     }
 
     /// Number of orders in the batch.
@@ -748,7 +788,9 @@ impl<'a> DecisionBatch<'a> {
         let planner = RoutePlanner::new(self.net, self.fleet, self.orders);
         let order = self.order(i);
         let views = &inner.views;
-        let (column_plans, column_of) = inner.plans.row_materialised(i, &planner, views, order);
+        let (column_plans, column_of) = self.timed(Stage::Materialise, || {
+            inner.plans.row_materialised(i, &planner, views, order)
+        });
         let ctx = DispatchContext {
             order,
             now: self.now,
@@ -781,24 +823,26 @@ impl<'a> DecisionBatch<'a> {
     /// be called from inside a [`DecisionBatch::with_context`] closure
     /// (the shared snapshot is still borrowed there).
     pub fn resolve(&self, i: usize, choice: Option<VehicleId>) -> Decision {
-        let mut inner = self.inner.borrow_mut();
-        assert!(
-            inner.commits[i].is_none(),
-            "order {} resolved twice in one batch",
-            self.epoch_orders[i]
-        );
-        let at = inner
-            .undecided
-            .binary_search(&(i as u32))
-            .expect("an order without a commit record is undecided");
-        inner.undecided.remove(at);
-        let oid = self.epoch_orders[i];
-        let (decision, assignment) = Self::commit(&mut inner, self, i, oid, choice);
-        inner.commits[i] = Some(CommitRecord {
-            decision,
-            assignment,
-        });
-        decision
+        self.timed(Stage::Resolve, || {
+            let mut inner = self.inner.borrow_mut();
+            assert!(
+                inner.commits[i].is_none(),
+                "order {} resolved twice in one batch",
+                self.epoch_orders[i]
+            );
+            let at = inner
+                .undecided
+                .binary_search(&(i as u32))
+                .expect("an order without a commit record is undecided");
+            inner.undecided.remove(at);
+            let oid = self.epoch_orders[i];
+            let (decision, assignment) = Self::commit(&mut inner, self, i, oid, choice);
+            inner.commits[i] = Some(CommitRecord {
+                decision,
+                assignment,
+            });
+            decision
+        })
     }
 
     /// The body of [`DecisionBatch::resolve`]: classifies the choice and,

@@ -88,6 +88,7 @@ fn batch_of<'a>(
         Arc::new(ThreadPool::serial()),
         shards,
         active,
+        None,
         scratch,
     )
 }

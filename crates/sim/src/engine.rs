@@ -39,6 +39,7 @@ use crate::dispatcher::Dispatcher;
 use crate::event::{EventMux, EventSource, SimEvent, StreamCommand, StreamSource};
 use crate::metrics::{AssignmentRecord, EpisodeResult, MetricsAccumulator};
 use crate::observer::{CancelOutcome, DisruptionKind, DisruptionRecord, EpochInfo, SimObserver};
+use crate::profile::{self, Stage, StageClock};
 use crate::sharding::ShardRuntime;
 use crate::simulator::{EpisodeSink, Simulator};
 use crate::state::VehicleState;
@@ -384,6 +385,10 @@ impl<'a> Simulator<'a> {
     /// the same call, with the vehicle it claimed — so an untrusted claim
     /// degrades to [`DecisionReason::InfeasibleChoice`], never to a
     /// corrupt route.
+    ///
+    /// When an observer wants the epoch profiled, a [`StageClock`] is
+    /// lapped at each stage boundary (see [`crate::profile`]) and the
+    /// profile is handed over after the last `on_decision`.
     #[allow(clippy::too_many_arguments)] // engine-internal plumbing
     pub(crate) fn run_epoch(
         &self,
@@ -402,6 +407,7 @@ impl<'a> Simulator<'a> {
         let net = &instance.network;
         let fleet = &instance.fleet;
         let interval = instance.grid.interval_of(now);
+        let mut clock = sink.wants_profile().then(StageClock::start);
 
         for s in states.iter_mut() {
             s.advance_to(now, net, fleet, table);
@@ -418,6 +424,7 @@ impl<'a> Simulator<'a> {
             shard_rt.observe(&table[oid.index()]);
         }
         let repartitioned = shard_rt.maybe_repartition(net);
+        profile::lap(&mut clock, Stage::Advance);
         let batch = DecisionBatch::new(
             now,
             interval,
@@ -429,6 +436,7 @@ impl<'a> Simulator<'a> {
             Arc::clone(&self.pool),
             shard_rt.context(),
             active,
+            clock,
             scratch,
         );
         sink.epoch(&EpochInfo {
@@ -471,7 +479,8 @@ impl<'a> Simulator<'a> {
             }
         }
 
-        let (commits, fleet_states) = batch.into_parts(scratch);
+        batch.lap(Stage::Policy);
+        let (commits, fleet_states, mut clock) = batch.into_parts(scratch);
         *states = fleet_states;
         for commit in commits {
             let commit = commit.expect("every epoch order was resolved above");
@@ -495,6 +504,10 @@ impl<'a> Simulator<'a> {
             };
             let committed = assignment.as_ref().map(|a| (&a.pre_view, &a.plan));
             sink.decision(&decision, record, committed, Some(response));
+        }
+        if let Some(clock) = &mut clock {
+            clock.lap(Stage::Record);
+            sink.epoch_profile(&clock.profile);
         }
         *epoch_index += 1;
     }

@@ -159,6 +159,7 @@ pub mod engine;
 pub mod event;
 pub mod metrics;
 pub mod observer;
+pub mod profile;
 pub mod sharding;
 pub mod simulator;
 pub mod state;
@@ -178,6 +179,7 @@ pub use observer::{
     CancelOutcome, DecisionRecord, DisruptionKind, DisruptionRecord, EpochInfo, EventCounter,
     SimObserver,
 };
+pub use profile::{EpochProfile, Stage};
 pub use sharding::{RepartitionPolicy, ShardConfig};
 pub use simulator::{
     BufferingMode, SimBuildError, Simulator, SimulatorBuilder, DEFAULT_SHARD_ESCALATION,

@@ -13,6 +13,7 @@
 //! ```text
 //! on_episode_begin
 //!   (on_epoch  on_decision*        // one on_epoch per dispatch_batch call
+//!      on_epoch_profile?           // iff wants_profile() said so for the epoch
 //!    | on_decision                 // cancelled before dispatch
 //!    | on_disruption)*             // cancellations, breakdowns, recoveries
 //! on_episode_end
@@ -24,6 +25,7 @@
 
 use crate::batch::Decision;
 use crate::metrics::{AssignmentRecord, EpisodeResult};
+use crate::profile::EpochProfile;
 use crate::sweep::ShardStats;
 use dpdp_net::{FleetConfig, Instance, OrderId, RoadNetwork, TimePoint, VehicleId};
 use dpdp_routing::{PlannerOutput, VehicleView};
@@ -146,6 +148,19 @@ pub trait SimObserver {
 
     /// Called after each decision is validated and committed.
     fn on_decision(&mut self, _record: &DecisionRecord<'_>) {}
+
+    /// Whether this observer wants the next epoch profiled. Asked once as
+    /// each epoch begins, before its fleet advance; an epoch is profiled
+    /// when any observer says yes. Profiling only reads the clock, so the
+    /// answer never changes a decision.
+    fn wants_profile(&self) -> bool {
+        false
+    }
+
+    /// Called with a profiled epoch's [`EpochProfile`], after the epoch's
+    /// last `on_decision` — and only on the observers whose
+    /// [`wants_profile`](SimObserver::wants_profile) said yes.
+    fn on_epoch_profile(&mut self, _profile: &EpochProfile) {}
 
     /// Called after a disruption event (cancellation, breakdown, recovery)
     /// is applied, in simulation-time order relative to epochs.

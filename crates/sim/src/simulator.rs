@@ -6,6 +6,7 @@ use crate::dispatcher::Dispatcher;
 use crate::event::DisruptionConfig;
 use crate::metrics::{AssignmentRecord, EpisodeResult, MetricsAccumulator, MetricsOptions};
 use crate::observer::{DecisionRecord, EpochInfo, SimObserver};
+use crate::profile::EpochProfile;
 use crate::sharding::{ShardConfig, ShardRuntime};
 use crate::state::VehicleState;
 use crate::sweep::ShardContext;
@@ -285,6 +286,20 @@ impl EpisodeSink<'_, '_, '_> {
     pub(crate) fn epoch(&mut self, info: &EpochInfo) {
         for obs in self.observers.iter_mut() {
             obs.on_epoch(info);
+        }
+    }
+
+    /// Whether any observer wants the epoch about to run profiled.
+    pub(crate) fn wants_profile(&self) -> bool {
+        self.observers.iter().any(|obs| obs.wants_profile())
+    }
+
+    /// Hands a profiled epoch's profile to the observers that want it.
+    pub(crate) fn epoch_profile(&mut self, profile: &EpochProfile) {
+        for obs in self.observers.iter_mut() {
+            if obs.wants_profile() {
+                obs.on_epoch_profile(profile);
+            }
         }
     }
 

@@ -1,7 +1,8 @@
 //! Protocol tests for the observer/epoch seam: one `dispatch_batch` call
 //! per decision epoch, and the guaranteed observer call order
 //! (`on_episode_begin`, then `on_epoch` followed by that epoch's
-//! `on_decision`s, then `on_episode_end`).
+//! `on_decision`s and, for an observer that asked, its
+//! `on_epoch_profile`, then `on_episode_end`).
 
 use dpdp_net::{
     FleetConfig, Instance, IntervalGrid, Node, NodeId, Order, OrderId, Point, RoadNetwork,
@@ -9,7 +10,7 @@ use dpdp_net::{
 };
 use dpdp_sim::{
     BufferingMode, Decision, DecisionBatch, DecisionRecord, DispatchContext, Dispatcher,
-    EpisodeResult, EpochInfo, FirstFeasible, SimObserver, Simulator,
+    EpisodeResult, EpochInfo, EpochProfile, FirstFeasible, SimObserver, Simulator, Stage,
 };
 
 fn instance(orders: Vec<Order>) -> Instance {
@@ -79,6 +80,7 @@ enum Event {
     Begin,
     Epoch { index: usize, num_orders: usize },
     Decision(OrderId),
+    Profile,
     End,
 }
 
@@ -193,6 +195,7 @@ fn observer_sees_every_decision_between_epoch_and_end() {
             Event::End => {
                 assert_eq!(remaining_in_epoch, 0, "episode ended mid-epoch");
             }
+            Event::Profile => unreachable!("EventLog does not ask for profiles"),
         }
     }
     assert_eq!(decisions, inst.num_orders());
@@ -208,4 +211,202 @@ fn observer_sees_every_decision_between_epoch_and_end() {
         })
         .collect();
     assert_eq!(indices, vec![0, 1, 2]);
+}
+
+/// Logs the protocol like [`EventLog`], plus every profile it is handed.
+struct ProfileLog {
+    wants: bool,
+    events: Vec<Event>,
+    profiles: Vec<EpochProfile>,
+}
+
+impl ProfileLog {
+    fn new(wants: bool) -> Self {
+        ProfileLog {
+            wants,
+            events: Vec::new(),
+            profiles: Vec::new(),
+        }
+    }
+}
+
+impl SimObserver for ProfileLog {
+    fn on_epoch(&mut self, epoch: &EpochInfo) {
+        self.events.push(Event::Epoch {
+            index: epoch.index,
+            num_orders: epoch.num_orders,
+        });
+    }
+
+    fn on_decision(&mut self, record: &DecisionRecord<'_>) {
+        self.events.push(Event::Decision(record.assignment.order));
+    }
+
+    fn on_episode_end(&mut self, _result: &EpisodeResult) {
+        self.events.push(Event::End);
+    }
+
+    fn wants_profile(&self) -> bool {
+        self.wants
+    }
+
+    fn on_epoch_profile(&mut self, profile: &EpochProfile) {
+        self.events.push(Event::Profile);
+        self.profiles.push(*profile);
+    }
+}
+
+/// Baseline 1's shape: batch-native, each order's cheapest insertion off
+/// its candidate row, no row materialised.
+struct CheapestInsertion;
+
+impl Dispatcher for CheapestInsertion {
+    fn dispatch(&mut self, _ctx: &DispatchContext<'_>) -> Option<VehicleId> {
+        unreachable!("batch-native: every order goes through dispatch_batch")
+    }
+
+    fn dispatch_batch(&mut self, batch: &DecisionBatch<'_>) -> Vec<Decision> {
+        (0..batch.len())
+            .map(|i| {
+                let best = batch.fold_candidates(i, None, |best, k, score| {
+                    match (score.incremental_length(), best) {
+                        (Some(d), Some((b, bk))) if (d, k) < (b, bk) => Some((d, k)),
+                        (Some(d), None) => Some((d, k)),
+                        _ => best,
+                    }
+                });
+                batch.resolve(i, best.map(|(_, k)| k))
+            })
+            .collect()
+    }
+}
+
+/// Twelve orders over five hours, several sharing a 30-minute flush.
+fn busy_instance() -> Instance {
+    instance(
+        (0..12)
+            .map(|i| order(i, 8.0 + f64::from(i) * 0.4))
+            .collect(),
+    )
+}
+
+fn simulator(inst: &Instance, threads: usize) -> Simulator<'_> {
+    Simulator::builder(inst)
+        .buffering(BufferingMode::FixedInterval(TimeDelta::from_minutes(30.0)))
+        .num_threads(threads)
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn a_profile_follows_its_epochs_decisions_and_only_where_wanted() {
+    let inst = busy_instance();
+    let sim = simulator(&inst, 1);
+    let (mut wants, mut declines) = (ProfileLog::new(true), ProfileLog::new(false));
+    sim.run_observed(&mut FirstFeasible, &mut [&mut wants, &mut declines]);
+
+    assert!(declines.profiles.is_empty() && !declines.events.contains(&Event::Profile));
+    // Every epoch's decisions, then its profile, before the next epoch.
+    let mut expect_profile = false;
+    let mut remaining = 0;
+    for event in &wants.events {
+        match event {
+            Event::Epoch { num_orders, .. } => {
+                assert!(!expect_profile, "an epoch opened before the last profile");
+                remaining = *num_orders;
+                expect_profile = true;
+            }
+            Event::Profile => {
+                assert!(
+                    expect_profile && remaining == 0,
+                    "profile before a decision"
+                );
+                expect_profile = false;
+            }
+            Event::Decision(_) => remaining -= 1,
+            _ => assert!(!expect_profile, "the episode ended before a profile"),
+        }
+    }
+    let epochs: Vec<usize> = wants
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            Event::Epoch { num_orders, .. } => Some(*num_orders),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(wants.profiles.len(), epochs.len());
+    assert!(
+        epochs.iter().any(|&n| n > 1),
+        "some epoch holds several orders"
+    );
+}
+
+#[test]
+fn a_profile_counts_one_resolve_per_order_and_a_row_per_order_shown() {
+    let inst = busy_instance();
+    let sim = simulator(&inst, 1);
+    for per_order in [true, false] {
+        let mut log = ProfileLog::new(true);
+        let mut policy: Box<dyn Dispatcher> = if per_order {
+            Box::new(FirstFeasible)
+        } else {
+            Box::new(CheapestInsertion)
+        };
+        let result = sim.run_observed(policy.as_mut(), &mut [&mut log]);
+        assert_eq!(result.metrics.served, inst.num_orders());
+        let orders = log.events.iter().filter_map(|e| match e {
+            Event::Epoch { num_orders, .. } => Some(*num_orders as u64),
+            _ => None,
+        });
+        for (profile, orders) in log.profiles.iter().zip(orders) {
+            assert_eq!(profile.calls(Stage::Resolve), orders);
+            let rows = if per_order { orders } else { 0 };
+            assert_eq!(profile.calls(Stage::Materialise), rows);
+            for stage in [
+                Stage::Advance,
+                Stage::Classify,
+                Stage::Score,
+                Stage::Store,
+                Stage::Policy,
+                Stage::Record,
+            ] {
+                assert_eq!(profile.calls(stage), 1, "{}", stage.name());
+            }
+            assert!(profile.total_nanos() > 0);
+        }
+    }
+}
+
+/// Parallel width for the thread leg: `DPDP_TEST_THREADS`, or 4.
+fn test_threads() -> usize {
+    std::env::var("DPDP_TEST_THREADS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(4)
+}
+
+#[test]
+fn a_profiled_episode_is_bit_identical_to_an_unprofiled_one() {
+    let inst = busy_instance();
+    for threads in [1, test_threads()] {
+        let sim = simulator(&inst, threads);
+        for per_order in [true, false] {
+            let run = |log: &mut ProfileLog| {
+                let mut policy: Box<dyn Dispatcher> = if per_order {
+                    Box::new(FirstFeasible)
+                } else {
+                    Box::new(CheapestInsertion)
+                };
+                sim.run_observed(policy.as_mut(), &mut [log])
+            };
+            let (mut on, mut off) = (ProfileLog::new(true), ProfileLog::new(false));
+            let profiled = run(&mut on);
+            assert!(!on.profiles.is_empty());
+            assert_eq!(profiled, run(&mut off), "{threads} threads");
+            let decisions =
+                |log: &ProfileLog| log.events.iter().filter(|e| **e != Event::Profile).count();
+            assert_eq!(decisions(&on), decisions(&off));
+        }
+    }
 }
