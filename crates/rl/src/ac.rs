@@ -360,7 +360,7 @@ mod tests {
         let snap = StateSnapshot {
             features: Tensor::zeros(2, STATE_DIM),
             feasible: vec![true, true],
-            neighbors: vec![vec![0, 1], vec![1, 0]],
+            neighbors: [vec![0, 1], vec![1, 0]].into_iter().collect(),
         };
         let (feasible, probs) = agent.policy(&snap);
         assert_eq!(feasible, vec![0, 1]);

@@ -3,9 +3,75 @@
 //! The paper measures spatial proximity between vehicles by Euclidean
 //! distance and selects the `NE` nearest vehicles as each vehicle's
 //! neighbours (Section IV-C, "Neighborhood attention").
+//!
+//! A joint state's lists live in one flat [`Neighbors`] table — `K + 1`
+//! offsets into one buffer of vehicle indices — not one `Vec` per vehicle.
+//! [`nearest_neighbors`] fills it without ranking the fleet once per
+//! vehicle, or even once per occupied node: vehicles anchored on one node
+//! share their distances to everyone, so it ranks the occupied nodes and
+//! reads each node's vehicles off in index order.
 
-use dpdp_net::RoadNetwork;
+use dpdp_net::{NodeId, RoadNetwork};
 use dpdp_routing::VehicleView;
+
+/// Every vehicle's neighbour list in one flat table: vehicle `v`'s list
+/// is `flat[bounds[v]..bounds[v + 1]]`, so a joint state's `K` lists cost
+/// two allocations, not `K + 1`.
+///
+/// [`nearest_neighbors`] writes it directly; any other list of lists —
+/// ragged, unsorted, repeating — collects into it from its `Vec<usize>`
+/// lists (`lists.into_iter().collect()`), and reads back list for list.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Neighbors {
+    /// `K + 1` offsets into `flat`, from 0 to `flat.len()`.
+    bounds: Vec<usize>,
+    flat: Vec<usize>,
+}
+
+impl Neighbors {
+    /// Number of lists `K`.
+    pub fn len(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    /// Whether the table holds no list.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Vehicle `v`'s list.
+    ///
+    /// # Panics
+    /// Panics if `v >= len()`.
+    pub fn list(&self, v: usize) -> &[usize] {
+        &self.flat[self.bounds[v]..self.bounds[v + 1]]
+    }
+
+    /// The lists in vehicle order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[usize]> + '_ {
+        self.bounds.windows(2).map(|b| &self.flat[b[0]..b[1]])
+    }
+}
+
+impl FromIterator<Vec<usize>> for Neighbors {
+    fn from_iter<I: IntoIterator<Item = Vec<usize>>>(lists: I) -> Self {
+        let mut table = Neighbors {
+            bounds: vec![0],
+            flat: Vec::new(),
+        };
+        for list in lists {
+            table.flat.extend_from_slice(&list);
+            table.bounds.push(table.flat.len());
+        }
+        table
+    }
+}
+
+impl std::fmt::Debug for Neighbors {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
 
 /// For each vehicle, the indices of its `ne` nearest vehicles (by Euclidean
 /// distance between anchor-node positions), **including itself first**;
@@ -13,46 +79,95 @@ use dpdp_routing::VehicleView;
 /// `min(ne, K)`.
 ///
 /// Vehicles anchored on one node see the same fleet at the same distances,
-/// so the fleet is ranked once per occupied node: one row of distances and
-/// a top-`ne` insertion (one comparison per vehicle once the list has
-/// settled), never a sort of the fleet.
-pub fn nearest_neighbors(views: &[VehicleView], net: &RoadNetwork, ne: usize) -> Vec<Vec<usize>> {
+/// so only the *occupied* nodes are ranked, once per occupied node: a
+/// counting sort lists each node's vehicles in ascending order, an
+/// anchor's occupied nodes are sorted by distance, and its ranking reads
+/// their vehicles off in that order — one node's vehicles ascending, the
+/// vehicles of nodes at equal distance merged by index — until `min(ne, K)`
+/// are in hand. Each of the anchor's vehicles then writes itself and the
+/// ranking's others into its slice of the table. The cost is `O(K + N)`
+/// for the sort over the network's `N` nodes plus `O(M log M + ne)` per
+/// occupied node of `M`, and a fixed number of allocations whatever `K`
+/// and `M` are.
+pub fn nearest_neighbors(views: &[VehicleView], net: &RoadNetwork, ne: usize) -> Neighbors {
     let k = views.len();
     let take = ne.min(k);
-    let positions: Vec<_> = views.iter().map(|v| net.node(v.anchor_node).pos).collect();
-    let mut dist = vec![0.0; k];
-    // Per node, the `take` vehicles nearest to it, by distance then index.
-    let mut ranked: Vec<Option<Vec<usize>>> = vec![None; net.num_nodes()];
-    (0..k)
-        .map(|i| {
-            let nearest = ranked[views[i].anchor_node.index()].get_or_insert_with(|| {
-                for (d, p) in dist.iter_mut().zip(&positions) {
-                    *d = positions[i].distance(p);
-                }
-                let mut nearest: Vec<usize> = Vec::with_capacity(take);
-                for a in 0..k {
-                    // Candidates come in index order, so among equal
-                    // distances the lower index already sits ahead: `a`
-                    // goes in front of the strictly farther ones only.
-                    let mut slot = nearest.len();
-                    while slot > 0 && dist[nearest[slot - 1]].total_cmp(&dist[a]).is_gt() {
-                        slot -= 1;
-                    }
-                    if slot < take {
-                        nearest.truncate(take - 1);
-                        nearest.insert(slot, a);
-                    }
-                }
-                nearest
-            });
-            // `i` is among its own node's nearest unless `take` others
-            // share the node; either way it goes first and `take` remain.
-            let others = nearest.iter().copied().filter(|&a| a != i);
-            let mut list = Vec::with_capacity(take);
-            list.extend(std::iter::once(i).chain(others).take(take));
-            list
-        })
-        .collect()
+    let node = |v: usize| views[v].anchor_node.index();
+    // Counting sort: `by_node[head[n]..head[n + 1]]` are the vehicles
+    // anchored on node `n`, ascending.
+    let mut head = vec![0usize; net.num_nodes() + 1];
+    for v in 0..k {
+        head[node(v) + 1] += 1;
+    }
+    let occupied = head.iter().filter(|&&n| n > 0).count();
+    for n in 1..head.len() {
+        head[n] += head[n - 1];
+    }
+    let mut by_node = vec![0usize; k];
+    for v in 0..k {
+        let at = &mut head[node(v)];
+        by_node[*at] = v;
+        *at += 1;
+    }
+    // Placing shifted every start to its node's end: node `n`'s vehicles
+    // now end at `head[n]` and start where node `n - 1`'s end. One group
+    // per occupied node, in node order: its vehicles and its position.
+    let mut groups = Vec::with_capacity(occupied);
+    let mut begin = 0;
+    for (n, &end) in head[..net.num_nodes()].iter().enumerate() {
+        if end > begin {
+            groups.push((begin..end, net.node(NodeId::from_index(n)).pos));
+        }
+        begin = end;
+    }
+
+    let mut bounds = Vec::with_capacity(k + 1);
+    bounds.extend((0..=k).map(|v| v * take));
+    let mut flat = vec![0usize; k * take];
+    if take == 0 {
+        return Neighbors { bounds, flat };
+    }
+    // Per anchor node: the occupied nodes by distance (the order within a
+    // run at one distance does not matter, the run is merged below).
+    let mut nearest: Vec<(f64, usize)> = Vec::with_capacity(occupied);
+    // Per anchor node: its `take` first vehicles by distance, then index
+    // (room for a whole fleet while a tie is merged).
+    let mut ranked: Vec<usize> = Vec::with_capacity(k);
+    for (members, from) in &groups {
+        nearest.clear();
+        let distances = groups.iter().map(|(_, to)| from.distance(to));
+        nearest.extend(distances.zip(0..));
+        nearest.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        ranked.clear();
+        let mut at = 0;
+        while ranked.len() < take {
+            // The run of nodes at the next distance: their vehicles, merged
+            // by index.
+            let run = nearest[at..]
+                .iter()
+                .take_while(|n| n.0.total_cmp(&nearest[at].0).is_eq())
+                .count();
+            let start = ranked.len();
+            for &(_, g) in &nearest[at..at + run] {
+                ranked.extend_from_slice(&by_node[groups[g].0.clone()]);
+            }
+            if run > 1 {
+                ranked[start..].sort_unstable();
+            }
+            at += run;
+        }
+        for &i in &by_node[members.clone()] {
+            // `i` is in its node's ranking unless `take` others come
+            // before it; either way it goes first and `take` remain.
+            let list = &mut flat[i * take..(i + 1) * take];
+            list[0] = i;
+            let others = ranked.iter().copied().filter(|&a| a != i);
+            for (slot, a) in list[1..].iter_mut().zip(others) {
+                *slot = a;
+            }
+        }
+    }
+    Neighbors { bounds, flat }
 }
 
 #[cfg(test)]
@@ -81,9 +196,9 @@ mod tests {
         let net = net();
         let views = vec![view_at(0, 0), view_at(1, 1), view_at(2, 3)];
         let adj = nearest_neighbors(&views, &net, 2);
-        assert_eq!(adj[0][0], 0);
-        assert_eq!(adj[1][0], 1);
-        assert_eq!(adj[2][0], 2);
+        assert_eq!(adj.list(0)[0], 0);
+        assert_eq!(adj.list(1)[0], 1);
+        assert_eq!(adj.list(2)[0], 2);
     }
 
     #[test]
@@ -92,9 +207,9 @@ mod tests {
         let views = vec![view_at(0, 0), view_at(1, 1), view_at(2, 2), view_at(3, 3)];
         let adj = nearest_neighbors(&views, &net, 3);
         // Vehicle 0 at x=0: nearest others are x=1 then x=2.
-        assert_eq!(adj[0], vec![0, 1, 2]);
+        assert_eq!(adj.list(0), vec![0, 1, 2]);
         // Vehicle 3 at x=10: nearest others are x=2 then x=1.
-        assert_eq!(adj[3], vec![3, 2, 1]);
+        assert_eq!(adj.list(3), vec![3, 2, 1]);
     }
 
     #[test]
@@ -102,8 +217,8 @@ mod tests {
         let net = net();
         let views = vec![view_at(0, 0), view_at(1, 1)];
         let adj = nearest_neighbors(&views, &net, 10);
-        assert_eq!(adj[0].len(), 2);
-        assert_eq!(adj[1].len(), 2);
+        assert_eq!(adj.list(0).len(), 2);
+        assert_eq!(adj.list(1).len(), 2);
     }
 
     #[test]
@@ -111,6 +226,6 @@ mod tests {
         let net = net();
         let views = vec![view_at(0, 1), view_at(1, 1), view_at(2, 1)];
         let adj = nearest_neighbors(&views, &net, 3);
-        assert_eq!(adj[1], vec![1, 0, 2]);
+        assert_eq!(adj.list(1), vec![1, 0, 2]);
     }
 }

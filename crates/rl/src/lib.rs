@@ -128,7 +128,7 @@ pub mod state;
 pub mod trainer;
 
 pub use ac::{ActorCriticAgent, ActorCriticConfig};
-pub use adjacency::nearest_neighbors;
+pub use adjacency::{nearest_neighbors, Neighbors};
 pub use agent::{AgentConfig, DqnAgent, ModelKind};
 pub use qnet::{ForwardStats, QNetwork, QNetworkConfig, TrainStats};
 pub use recorder::CapacityRecorder;

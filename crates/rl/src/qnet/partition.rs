@@ -118,7 +118,7 @@ impl Partition {
         self.flat.clear();
         self.bounds.reserve(k + 1);
         self.flat
-            .reserve(k + snap.neighbors.iter().map(Vec::len).sum::<usize>());
+            .reserve(k + snap.neighbors.iter().map(<[usize]>::len).sum::<usize>());
         for (v, neighbors) in snap.neighbors.iter().enumerate() {
             let start = self.flat.len();
             self.bounds.push(start);

@@ -313,7 +313,7 @@ fn random_fleet(rng: &mut StdRng) -> StateSnapshot {
     StateSnapshot {
         features: Tensor::from_vec(k, STATE_DIM, features),
         feasible: (0..k).map(|_| rng.random_range(0..10usize) != 0).collect(),
-        neighbors,
+        neighbors: neighbors.into_iter().collect(),
     }
 }
 

@@ -21,7 +21,7 @@
 //! row per vehicle, bit for bit the rows a per-vehicle build writes
 //! (`state/tests.rs` checks both on random fleets).
 
-use crate::adjacency::nearest_neighbors;
+use crate::adjacency::{nearest_neighbors, Neighbors};
 use dpdp_data::{StScorer, StdMatrix};
 use dpdp_nn::Tensor;
 use dpdp_routing::PlannerOutput;
@@ -38,8 +38,11 @@ pub struct StateSnapshot {
     pub features: Tensor,
     /// Per-vehicle feasibility mask (the constraint embedding).
     pub feasible: Vec<bool>,
-    /// Per-vehicle neighbour lists for the graph layers.
-    pub neighbors: Vec<Vec<usize>>,
+    /// Per-vehicle neighbour lists for the graph layers, all `K` in one
+    /// flat table: vehicle `v`'s list is [`Neighbors::list`]`(v)`, a slice
+    /// of the table's one buffer. [`StateBuilder::build`] fills it with
+    /// [`nearest_neighbors`]; any `Vec<Vec<usize>>` collects into it.
+    pub neighbors: Neighbors,
 }
 
 impl StateSnapshot {

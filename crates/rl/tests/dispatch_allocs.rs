@@ -1,9 +1,10 @@
 //! Allocation budgets. Of a training step: none of its own once warm (the
 //! last test). Of a decision: a warmed-up `DqnAgent::dispatch` at
-//! K = 100 allocates what it returns to itself — the joint-state snapshot
+//! K = 100 or 200 allocates what it returns to itself — the joint-state snapshot
 //! and one Q-vector — and nothing per tape node or per class of the
 //! partition, so the tensor churn the reusable tape removed cannot creep
-//! back unnoticed. The tape holds one row per class of interchangeable
+//! back unnoticed. The snapshot itself costs a fixed number of
+//! allocations: nothing per vehicle and nothing per occupied node. The tape holds one row per class of interchangeable
 //! vehicles, so "warmed up" means it has seen a decision with at least as
 //! many classes: its buffers grow when a joint state sets a new high, and
 //! at no other time.
@@ -97,6 +98,7 @@ struct Decision {
 
 /// Forwards to the agent, recording every decision.
 struct Probe {
+    vehicles: usize,
     agent: DqnAgent,
     builder: StateBuilder,
     decisions: Vec<Decision>,
@@ -104,7 +106,7 @@ struct Probe {
 
 impl Dispatcher for Probe {
     fn dispatch(&mut self, ctx: &DispatchContext<'_>) -> Option<VehicleId> {
-        assert_eq!(ctx.views.len(), 100);
+        assert_eq!(ctx.views.len(), self.vehicles);
         let (snapshot, _) = allocations_of(|| self.builder.build(ctx));
         let before = self.agent.forward_stats().evaluated;
         let (dispatch, choice) = allocations_of(|| self.agent.dispatch(ctx));
@@ -119,17 +121,21 @@ impl Dispatcher for Probe {
 
 #[test]
 fn warmed_up_dispatch_allocates_only_what_it_returns() {
-    for depots in [&[NodeId(0)][..], &[NodeId(0), NodeId(4)]] {
+    // Allocations of every snapshot built, over every fleet below.
+    let mut snapshots = Vec::new();
+    let fleets = [100, 200].map(|k| [(k, &[NodeId(0)][..]), (k, &[NodeId(0), NodeId(4)])]);
+    for (vehicles, depots) in fleets.into_iter().flatten() {
         let config = AgentConfig::new(ModelKind::Ddgn);
         let builder = StateBuilder::new(config.dist_scale, 144, config.ne);
         let mut agent = DqnAgent::new(config, 144, None);
         agent.set_training(false);
         let mut probe = Probe {
+            vehicles,
             agent,
             builder,
             decisions: Vec::with_capacity(32),
         };
-        let inst = instance(100, depots);
+        let inst = instance(vehicles, depots);
         let sim = Simulator::builder(&inst).build().unwrap();
         for _ in 0..2 {
             assert_eq!(sim.run(&mut probe).metrics.served, 12);
@@ -174,7 +180,16 @@ fn warmed_up_dispatch_allocates_only_what_it_returns() {
                 "the first decision pays for the tape"
             );
         }
+        snapshots.extend(probe.decisions.iter().map(|d| d.snapshot));
     }
+    // The vehicles sit on one or two depots and up to three more nodes as
+    // they are put to use: the count moves with neither K nor the number
+    // of occupied nodes.
+    assert_eq!(snapshots.len(), 4 * 24);
+    assert!(
+        snapshots.iter().all(|&n| n == snapshots[0]),
+        "snapshot allocations vary: {snapshots:?}"
+    );
 }
 
 /// Forwards to a training agent, recording what each `end_episode` — the

@@ -3,7 +3,7 @@
 //! machine checks the same committed sequence).
 
 use dpdp_net::{Node, NodeId, Point, RoadNetwork, VehicleId};
-use dpdp_rl::nearest_neighbors;
+use dpdp_rl::{nearest_neighbors, Neighbors};
 use dpdp_routing::VehicleView;
 use proptest::prelude::*;
 
@@ -57,7 +57,7 @@ fn check(nodes: &[(f64, f64)], anchors: &[usize], ne: usize) -> Result<(), Strin
         nearest_neighbors(&views, &net, ne),
         full_sort_reference(&positions, ne),
     );
-    if got == want {
+    if got.len() == want.len() && got.iter().eq(want.iter().map(Vec::as_slice)) {
         Ok(())
     } else {
         Err(format!("selection {got:?} != full sort {want:?}"))
@@ -90,4 +90,37 @@ proptest! {
         let anchors: Vec<usize> = anchors.iter().map(|a| a % nodes.len()).collect();
         check(&nodes, &anchors, ne).map_err(TestCaseError::fail)?;
     }
+
+    /// A large fleet crowded onto at most six lattice nodes with long
+    /// lists: a ranking runs through several nodes and crosses groups of
+    /// nodes at one distance (on a 3 x 3 lattice a node has up to four
+    /// neighbours at 1 and four at sqrt 2), whose vehicles interleave by
+    /// index.
+    #[test]
+    fn selection_matches_full_sort_across_equidistant_nodes(
+        lattice in proptest::collection::vec((0usize..3, 0usize..3), 1..7),
+        anchors in proptest::collection::vec(0usize..6, 1..301),
+        ne in 0usize..41,
+    ) {
+        let nodes: Vec<(f64, f64)> = lattice.iter().map(|&(x, y)| (x as f64, y as f64)).collect();
+        let anchors: Vec<usize> = anchors.iter().map(|a| a % nodes.len()).collect();
+        check(&nodes, &anchors, ne).map_err(TestCaseError::fail)?;
+    }
+}
+
+/// The form the lists take outside the builder — one `Vec` per vehicle,
+/// ragged, unsorted, repeating, some empty — collects into the flat table
+/// and reads back list for list.
+#[test]
+fn lists_collected_into_the_table_read_back_unchanged() {
+    let lists: Vec<Vec<usize>> = vec![vec![2, 0, 2], vec![], vec![1], vec![3, 1, 0, 2, 3]];
+    let table: Neighbors = lists.iter().cloned().collect();
+    assert_eq!(table.len(), lists.len());
+    for (v, list) in lists.iter().enumerate() {
+        assert_eq!(table.list(v), list.as_slice());
+    }
+    assert!(table.iter().eq(lists.iter().map(Vec::as_slice)));
+    assert_eq!(format!("{table:?}"), format!("{lists:?}"));
+    let empty: Neighbors = std::iter::empty().collect();
+    assert!(empty.is_empty() && empty.iter().next().is_none());
 }
