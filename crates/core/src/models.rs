@@ -92,15 +92,6 @@ pub fn dqn_agent(kind: ModelKind, dataset: &Dataset, seed: u64) -> DqnAgent {
     DqnAgent::new(config, dataset.grid().num_intervals(), scorer)
 }
 
-/// Builds a DQN-family agent with explicit hyper-parameters.
-pub fn dqn_agent_with_config(config: AgentConfig, dataset: &Dataset) -> DqnAgent {
-    let scorer = config
-        .kind
-        .uses_st()
-        .then(|| StScorer::new(dataset.grid(), dataset.factory_index()));
-    DqnAgent::new(config, dataset.grid().num_intervals(), scorer)
-}
-
 /// Builds the Actor-Critic baseline.
 pub fn actor_critic(dataset: &Dataset, seed: u64) -> ActorCriticAgent {
     let config = ActorCriticConfig {

@@ -329,11 +329,6 @@ impl OrderGenerator {
         orders
     }
 
-    /// Generates a range of days.
-    pub fn generate_days(&self, days: std::ops::Range<u64>) -> Vec<Vec<Order>> {
-        days.map(|d| self.generate_day(d)).collect()
-    }
-
     /// Uniform delivery factory over everything except the pickup (one
     /// draw over `n - 1` rows, skipping the pickup's slot).
     fn sample_other_factory(&self, rng: &mut StdRng, pickup_row: usize) -> usize {

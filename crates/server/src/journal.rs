@@ -25,6 +25,14 @@
 //! so a journal file is literally a replayable session transcript (times
 //! use shortest round-trip `f64` printing and parse back bit-identically).
 //!
+//! **Durability, precisely.** [`Journal::append`] writes each line to the
+//! operating system and no further: the `File::flush` after the write is a
+//! no-op (a [`std::fs::File`] has no user-space buffer to flush), and
+//! nothing calls `sync_data` or `sync_all`. An appended command is in the
+//! kernel's page cache when `append` returns, so it survives the server
+//! process dying, but not a kernel crash or a power loss that comes before
+//! the kernel writes the page back.
+//!
 //! Lifecycle: `HELLO` opens a journal (issuing its token), every accepted
 //! command appends, an explicit `DRAIN` finishes it (removed — the episode
 //! completed and nothing is left to recover), while EOF, a connection
@@ -142,8 +150,9 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Appends one accepted command (and mirrors it to the backing file,
-    /// flushed, when one exists). File write failures degrade to
+    /// Appends one accepted command, and mirrors it to the backing file
+    /// when one exists — written to the operating system, not synced to
+    /// the disk (see the module docs). File write failures degrade to
     /// memory-only journaling — serving beats persistence.
     pub fn append(&mut self, cmd: StreamCommand) {
         if let Some(file) = &mut self.file {

@@ -108,7 +108,8 @@
 //!   `token=` credential. Journals live in an in-memory registry by
 //!   default; `--journal-dir` mirrors them to disk as replayable wire
 //!   transcripts (`TOKEN` line, `HELLO` header, one command per line)
-//!   that survive a server restart.
+//!   that survive a server process restart, not a power loss: the files
+//!   are written to the operating system, never synced (see [`journal`]).
 //! - **Deterministic resume.** `RESUME <tenant> <token> [ack]` replays
 //!   the journal through a fresh engine. `ack` is the count of episode
 //!   frames (`EPOCH` + `DECISION` + `DISRUPT`, in emission order) the

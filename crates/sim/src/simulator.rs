@@ -415,12 +415,6 @@ impl<'a> Simulator<'a> {
         )
     }
 
-    /// The armed disruption config, if any (see
-    /// [`SimulatorBuilder::disruptions`]).
-    pub fn disruption_config(&self) -> Option<&DisruptionConfig> {
-        self.disruptions.as_ref()
-    }
-
     /// The wall-clock time at which an order created at `created` is
     /// decided.
     ///
