@@ -213,7 +213,7 @@ mod tests {
         FleetConfig, Instance, IntervalGrid, Node, NodeId, Order, OrderId, Point, RoadNetwork,
         TimeDelta, TimePoint,
     };
-    use dpdp_sim::Simulator;
+    use dpdp_sim::{EpochProfile, SimObserver, Simulator, Stage};
 
     /// Two far-apart lanes: orders alternate between them. Baseline 3
     /// crams everything onto one vehicle (fewest vehicles, long detours),
@@ -285,6 +285,32 @@ mod tests {
                 a.order,
                 a.incremental_length()
             );
+        }
+    }
+
+    /// Baseline 1 reads candidate rows and has no row of routes built: a
+    /// profiled epoch charges `Materialise` nothing and `Resolve` once per
+    /// order.
+    #[test]
+    fn baseline1_materialises_no_row() {
+        struct Profiles(Vec<EpochProfile>);
+        impl SimObserver for Profiles {
+            fn wants_profile(&self) -> bool {
+                true
+            }
+            fn on_epoch_profile(&mut self, profile: &EpochProfile) {
+                self.0.push(*profile);
+            }
+        }
+        let inst = instance();
+        let mut profiles = Profiles(Vec::new());
+        let sim = Simulator::builder(&inst).build().unwrap();
+        sim.run_observed(&mut Baseline1, &mut [&mut profiles]);
+        // Three orders at three instants: three one-order epochs.
+        assert_eq!(profiles.0.len(), 3);
+        for profile in &profiles.0 {
+            assert_eq!(profile.calls(Stage::Materialise), 0);
+            assert_eq!(profile.calls(Stage::Resolve), 1);
         }
     }
 

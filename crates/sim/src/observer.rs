@@ -158,8 +158,9 @@ pub trait SimObserver {
     }
 
     /// Called with a profiled epoch's [`EpochProfile`], after the epoch's
-    /// last `on_decision` — and only on the observers whose
-    /// [`wants_profile`](SimObserver::wants_profile) said yes.
+    /// last `on_decision`, on each observer whose
+    /// [`wants_profile`](SimObserver::wants_profile) says yes at that
+    /// point.
     fn on_epoch_profile(&mut self, _profile: &EpochProfile) {}
 
     /// Called after a disruption event (cancellation, breakdown, recovery)

@@ -22,7 +22,7 @@ use std::time::Instant;
 /// fleet advance and the return of the last `on_decision` is charged to
 /// exactly one of them. `Materialise` and `Resolve` run inside the policy's
 /// `dispatch_batch` and are not charged to `Policy` a second time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
     /// Every vehicle advanced to the epoch instant, the breakdown mask,
     /// demand accounting and re-partitioning.
@@ -82,8 +82,8 @@ impl Stage {
     }
 }
 
-/// Per-stage wall-clock nanoseconds and call counts of one decision epoch
-/// (or, after [`EpochProfile::add`], of several).
+/// Per-stage wall-clock nanoseconds and call counts of one decision
+/// epoch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EpochProfile {
     nanos: [u64; Stage::ALL.len()],
@@ -101,19 +101,6 @@ impl EpochProfile {
     /// `Resolve`.
     pub fn calls(&self, stage: Stage) -> u64 {
         self.calls[stage as usize]
-    }
-
-    /// Nanoseconds over every stage: the profiled epochs' wall time.
-    pub fn total_nanos(&self) -> u64 {
-        self.nanos.iter().sum()
-    }
-
-    /// Accumulates `other` into `self`, stage by stage.
-    pub fn add(&mut self, other: &EpochProfile) {
-        for s in 0..Stage::ALL.len() {
-            self.nanos[s] += other.nanos[s];
-            self.calls[s] += other.calls[s];
-        }
     }
 
     fn charge(&mut self, stage: Stage, nanos: u64) {
@@ -189,18 +176,5 @@ mod tests {
         assert!(p.nanos(Stage::Resolve) >= 10_000_000);
         assert!(p.nanos(Stage::Policy) < p.nanos(Stage::Resolve));
         assert_eq!((p.calls(Stage::Resolve), p.calls(Stage::Policy)), (1, 1));
-    }
-
-    #[test]
-    fn profiles_add_stage_by_stage() {
-        let mut a = EpochProfile::default();
-        a.charge(Stage::Score, 5);
-        let mut b = EpochProfile::default();
-        b.charge(Stage::Score, 7);
-        b.charge(Stage::Record, 1);
-        a.add(&b);
-        assert_eq!((a.nanos(Stage::Score), a.calls(Stage::Score)), (12, 2));
-        assert_eq!(a.total_nanos(), 13);
-        assert_eq!(Stage::ALL.map(Stage::name)[4], "Materialise");
     }
 }

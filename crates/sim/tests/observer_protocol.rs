@@ -373,7 +373,7 @@ fn a_profile_counts_one_resolve_per_order_and_a_row_per_order_shown() {
             ] {
                 assert_eq!(profile.calls(stage), 1, "{}", stage.name());
             }
-            assert!(profile.total_nanos() > 0);
+            assert!(Stage::ALL.iter().any(|&stage| profile.nanos(stage) > 0));
         }
     }
 }
