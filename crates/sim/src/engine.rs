@@ -206,6 +206,7 @@ impl<'a> Simulator<'a> {
                             vehicle,
                         },
                     });
+                    sink.fleet(time, &states, &table);
                 }
                 SimEvent::VehicleBreakdown(v) => {
                     if v.index() >= states.len() || states[v.index()].broken {
@@ -244,6 +245,7 @@ impl<'a> Simulator<'a> {
                             lost: outcome.lost,
                         },
                     });
+                    sink.fleet(time, &states, &table);
                 }
                 SimEvent::VehicleRecovered(v) => {
                     if v.index() >= states.len() || !states[v.index()].broken {
@@ -256,6 +258,7 @@ impl<'a> Simulator<'a> {
                         time,
                         kind: DisruptionKind::VehicleRecovered { vehicle: v },
                     });
+                    sink.fleet(time, &states, &table);
                 }
                 // A pure heartbeat: consuming it advanced the clock's
                 // knowledge, which is all it is for.
@@ -509,6 +512,7 @@ impl<'a> Simulator<'a> {
             clock.lap(Stage::Record);
             sink.epoch_profile(&clock.profile);
         }
+        sink.fleet(now, states, table);
         *epoch_index += 1;
     }
 }

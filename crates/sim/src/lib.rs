@@ -153,6 +153,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod audit;
 pub mod batch;
 pub mod dispatcher;
 pub mod engine;
@@ -165,6 +166,7 @@ pub mod simulator;
 pub mod state;
 pub mod sweep;
 
+pub use audit::InvariantAuditor;
 pub use batch::{Decision, DecisionBatch, DecisionReason};
 pub use dispatcher::{DispatchContext, Dispatcher, FirstFeasible, PerOrder};
 pub use dpdp_net::{ShardMap, ShardPolicy};
@@ -177,7 +179,7 @@ pub use metrics::{
 };
 pub use observer::{
     CancelOutcome, DecisionRecord, DisruptionKind, DisruptionRecord, EpochInfo, EventCounter,
-    SimObserver,
+    FleetRecord, SimObserver,
 };
 pub use profile::{EpochProfile, Stage};
 pub use sharding::{RepartitionPolicy, ShardConfig};

@@ -14,8 +14,9 @@
 //! on_episode_begin
 //!   (on_epoch  on_decision*        // one on_epoch per dispatch_batch call
 //!      on_epoch_profile?           // iff wants_profile() said so for the epoch
+//!      on_fleet                    // the fleet the epoch's commits left
 //!    | on_decision                 // cancelled before dispatch
-//!    | on_disruption)*             // cancellations, breakdowns, recoveries
+//!    | on_disruption  on_fleet)*   // cancellations, breakdowns, recoveries
 //! on_episode_end
 //! ```
 //!
@@ -27,7 +28,7 @@ use crate::batch::Decision;
 use crate::metrics::{AssignmentRecord, EpisodeResult};
 use crate::profile::EpochProfile;
 use crate::sweep::ShardStats;
-use dpdp_net::{FleetConfig, Instance, OrderId, RoadNetwork, TimePoint, VehicleId};
+use dpdp_net::{FleetConfig, Instance, Order, OrderId, RoadNetwork, TimePoint, VehicleId};
 use dpdp_routing::{PlannerOutput, VehicleView};
 
 /// One decision epoch, as announced to observers before its decisions.
@@ -70,6 +71,23 @@ pub struct DecisionRecord<'a> {
     /// The validated Algorithm 2 output the assignment committed, when
     /// assigned.
     pub plan: Option<&'a PlannerOutput>,
+    /// The fleet configuration.
+    pub fleet: &'a FleetConfig,
+    /// The road network.
+    pub net: &'a RoadNetwork,
+}
+
+/// The whole fleet as it stands after an epoch's commits or after an
+/// applied disruption, as handed to [`SimObserver::on_fleet`]: read-only,
+/// one view per vehicle, dense by vehicle id.
+#[derive(Debug)]
+pub struct FleetRecord<'a> {
+    /// The epoch instant, or the time the disruption was applied at.
+    pub time: TimePoint,
+    /// Every vehicle's view: anchor, cargo on board, remaining route.
+    pub views: &'a [VehicleView],
+    /// The episode's order table, dense by id (streamed orders included).
+    pub orders: &'a [Order],
     /// The fleet configuration.
     pub fleet: &'a FleetConfig,
     /// The road network.
@@ -173,6 +191,13 @@ pub trait SimObserver {
     /// un-counts one served order, whose replacement decision arrives
     /// through `on_decision` when the order is re-dispatched.
     fn on_disruption(&mut self, _record: &DisruptionRecord) {}
+
+    /// Called with the whole fleet after every epoch — once its commits are
+    /// recorded, after its last `on_decision` and any `on_epoch_profile` —
+    /// and after every `on_disruption`, so an observer sees each route the
+    /// engine holds, disruption surgery included (see
+    /// [`InvariantAuditor`](crate::audit::InvariantAuditor)).
+    fn on_fleet(&mut self, _record: &FleetRecord<'_>) {}
 
     /// Called once with the finished episode result.
     fn on_episode_end(&mut self, _result: &EpisodeResult) {}

@@ -5,12 +5,12 @@ use crate::batch::{Decision, EpochScratch};
 use crate::dispatcher::Dispatcher;
 use crate::event::DisruptionConfig;
 use crate::metrics::{AssignmentRecord, EpisodeResult, MetricsAccumulator, MetricsOptions};
-use crate::observer::{DecisionRecord, EpochInfo, SimObserver};
+use crate::observer::{DecisionRecord, EpochInfo, FleetRecord, SimObserver};
 use crate::profile::EpochProfile;
 use crate::sharding::{ShardConfig, ShardRuntime};
 use crate::state::VehicleState;
 use crate::sweep::ShardContext;
-use dpdp_net::{Instance, ShardMap, TimeDelta, TimePoint};
+use dpdp_net::{Instance, Order, ShardMap, TimeDelta, TimePoint};
 use dpdp_pool::ThreadPool;
 use dpdp_routing::{PlannerOutput, VehicleView};
 use std::sync::Arc;
@@ -307,6 +307,23 @@ impl EpisodeSink<'_, '_, '_> {
     pub(crate) fn disruption(&mut self, record: &crate::observer::DisruptionRecord) {
         for obs in self.observers.iter_mut() {
             obs.on_disruption(record);
+        }
+    }
+
+    /// Hands the fleet as it stands at `time` to the observers.
+    pub(crate) fn fleet(&mut self, time: TimePoint, states: &[VehicleState], orders: &[Order]) {
+        if self.observers.is_empty() {
+            return;
+        }
+        let views: Vec<VehicleView> = states.iter().map(|s| s.view.clone()).collect();
+        for obs in self.observers.iter_mut() {
+            obs.on_fleet(&FleetRecord {
+                time,
+                views: &views,
+                orders,
+                fleet: self.fleet,
+                net: self.net,
+            });
         }
     }
 

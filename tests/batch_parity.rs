@@ -23,14 +23,17 @@
 //!
 //! Finally, parity says two runs agree, not that either is right: the
 //! `OracleChecked` wrapper compares every plan cell a policy is shown —
-//! under all of the above — against the naive Algorithm 2 oracle.
+//! under all of the above — against the naive Algorithm 2 oracle, and
+//! every episode here runs with an `InvariantAuditor` switched on, which
+//! re-checks every route the engine holds after each epoch and disruption.
 
 use dpdp_core::prelude::*;
 use dpdp_net::{TimeDelta, VehicleId};
 use dpdp_rl::ActorCriticConfig;
 use dpdp_routing::best_insertion_naive;
 use dpdp_sim::{
-    BufferingMode, DispatchContext, EpisodeResult, PerOrder, RepartitionPolicy, ShardConfig,
+    BufferingMode, DispatchContext, EpisodeResult, InvariantAuditor, PerOrder, RepartitionPolicy,
+    ShardConfig,
 };
 
 fn presets() -> Presets {
@@ -67,7 +70,7 @@ fn run_threads(
         .num_threads(num_threads)
         .build()
         .expect("valid configuration")
-        .run(dispatcher)
+        .run_observed(dispatcher, &mut [&mut InvariantAuditor::default()])
 }
 
 fn modes() -> [BufferingMode; 3] {
@@ -119,7 +122,10 @@ fn buffered_baseline1_actually_forms_multi_order_batches() {
         .buffering(BufferingMode::FixedInterval(TimeDelta::from_minutes(60.0)))
         .build()
         .unwrap()
-        .run_observed(&mut Baseline1, &mut [&mut probe]);
+        .run_observed(
+            &mut Baseline1,
+            &mut [&mut probe, &mut InvariantAuditor::default()],
+        );
     assert!(
         probe.0 >= 2,
         "expected at least one multi-order flush epoch, largest was {}",
@@ -223,8 +229,8 @@ fn every_cell_a_policy_reads_matches_the_naive_oracle() {
                     cells: 0,
                 };
                 assert_eq!(
-                    sim.run(&mut checked),
-                    sim.run(&mut *make()),
+                    sim.run_observed(&mut checked, &mut [&mut InvariantAuditor::default()]),
+                    sim.run_observed(&mut *make(), &mut [&mut InvariantAuditor::default()]),
                     "{name}: oracle-checked episode diverged under {mode:?} / \
                      {sharding:?} at {width} thread(s)"
                 );
@@ -261,7 +267,7 @@ fn every_policy_is_bit_identical_across_shard_counts() {
             .num_threads(num_threads)
             .build()
             .expect("valid configuration")
-            .run(dispatcher)
+            .run_observed(dispatcher, &mut [&mut InvariantAuditor::default()])
     };
     let buffer_modes = [
         BufferingMode::Immediate,
@@ -331,7 +337,10 @@ fn sharded_metro_epochs_actually_prune() {
         .sharding(ShardConfig::flat(4).unwrap())
         .build()
         .unwrap()
-        .run_observed(&mut Baseline1, &mut [&mut tally]);
+        .run_observed(
+            &mut Baseline1,
+            &mut [&mut tally, &mut InvariantAuditor::default()],
+        );
     let stats = tally.0;
     assert_eq!(stats.cells, stats.evaluated + stats.pruned);
     assert!(
@@ -400,7 +409,7 @@ fn hierarchical_megacity_commit_deltas_are_invisible_to_the_baselines() {
         let result = builder
             .build()
             .expect("valid configuration")
-            .run(&mut tally);
+            .run_observed(&mut tally, &mut [&mut InvariantAuditor::default()]);
         (result, tally.deltas)
     };
     type MakeDispatcher = fn() -> Box<dyn Dispatcher>;
@@ -490,7 +499,10 @@ fn disrupted_episodes_are_bit_identical_across_shard_layouts() {
             .seed(9)
             .build()
             .expect("valid disrupted configuration")
-            .run_observed(&mut *make(), &mut [&mut trace]);
+            .run_observed(
+                &mut *make(),
+                &mut [&mut trace, &mut InvariantAuditor::default()],
+            );
         (result, trace.disruptions, trace.shared)
     };
     type MakeDispatcher = fn() -> Box<dyn Dispatcher>;

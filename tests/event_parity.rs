@@ -22,7 +22,9 @@ use dpdp_net::{
     TimePoint,
 };
 use dpdp_rl::ActorCriticConfig;
-use dpdp_sim::{BufferingMode, DisruptionRecord, EpisodeResult, EpochInfo, ShardConfig};
+use dpdp_sim::{
+    BufferingMode, DisruptionRecord, EpisodeResult, EpochInfo, InvariantAuditor, ShardConfig,
+};
 
 /// Parallel width for the thread-parity legs: `DPDP_TEST_THREADS`, or 4.
 fn parallel_threads() -> usize {
@@ -57,8 +59,8 @@ fn assert_parity(
     label: &str,
 ) {
     let sim = build_sim(instance, buffering, shards, threads);
-    let engine = sim.run_observed(&mut *make(), &mut []);
-    let reference = sim.run_reference(&mut *make(), &mut []);
+    let engine = sim.run_observed(&mut *make(), &mut [&mut InvariantAuditor::default()]);
+    let reference = sim.run_reference(&mut *make(), &mut [&mut InvariantAuditor::default()]);
     assert_eq!(
         engine, reference,
         "{label} diverged between the event engine and the reference loop \
@@ -123,11 +125,11 @@ fn replay_parity_covers_the_campus_preset_and_actor_critic() {
             };
             let engine = {
                 let mut agent = ActorCriticAgent::new(ac_cfg.clone(), 144);
-                sim.run_observed(&mut agent, &mut [])
+                sim.run_observed(&mut agent, &mut [&mut InvariantAuditor::default()])
             };
             let reference = {
                 let mut agent = ActorCriticAgent::new(ac_cfg.clone(), 144);
-                sim.run_reference(&mut agent, &mut [])
+                sim.run_reference(&mut agent, &mut [&mut InvariantAuditor::default()])
             };
             assert_eq!(
                 engine, reference,
@@ -153,11 +155,11 @@ fn replay_parity_holds_for_dqn_training_episodes() {
                 let sim = build_sim(&instance, mode, shards, width);
                 let engine = {
                     let mut agent = models::dqn_agent(ModelKind::Dgn, metro.dataset(), 5);
-                    sim.run_observed(&mut agent, &mut [])
+                    sim.run_observed(&mut agent, &mut [&mut InvariantAuditor::default()])
                 };
                 let reference = {
                     let mut agent = models::dqn_agent(ModelKind::Dgn, metro.dataset(), 5);
-                    sim.run_reference(&mut agent, &mut [])
+                    sim.run_reference(&mut agent, &mut [&mut InvariantAuditor::default()])
                 };
                 assert_eq!(
                     engine, reference,
@@ -191,7 +193,10 @@ fn seeded_disruptions_are_deterministic_and_seed_sensitive() {
             .seed(seed)
             .build()
             .expect("valid disrupted configuration")
-            .run_observed(&mut Baseline1, &mut [&mut trace]);
+            .run_observed(
+                &mut Baseline1,
+                &mut [&mut trace, &mut InvariantAuditor::default()],
+            );
         (result, trace.0)
     };
     let (a, trace_a) = run(11);
@@ -269,7 +274,11 @@ fn orders_pushed_from_a_second_thread_land_in_their_flush_epoch() {
         .unwrap();
     let mut epochs = EpochTrace::default();
     let mut b1 = Baseline1;
-    let result = sim.serve_observed(rx, &mut b1, &mut [&mut epochs]);
+    let result = sim.serve_observed(
+        rx,
+        &mut b1,
+        &mut [&mut epochs, &mut InvariantAuditor::default()],
+    );
     producer.join().expect("producer thread");
 
     assert_eq!(result.metrics.served, 3);

@@ -4,7 +4,8 @@
 use dpdp_core::models;
 use dpdp_core::prelude::*;
 use dpdp_data::{CampusConfig, DivergenceKind};
-use dpdp_net::TimeDelta;
+use dpdp_net::{TimeDelta, TimePoint};
+use dpdp_sim::{DisruptionConfig, InvariantAuditor};
 use proptest::prelude::*;
 
 fn arb_dataset_config() -> impl Strategy<Value = DatasetConfig> {
@@ -117,6 +118,47 @@ proptest! {
         }
     }
 
+    /// Every route the engine holds is valid after every epoch and every
+    /// disruption — capacity, LIFO, pickup before delivery, deadlines, no
+    /// route on a broken-down vehicle — and every order ends served or
+    /// rejected, for Baselines 1–3 on random instances with cancellations
+    /// (before dispatch and by route surgery), breakdowns and recoveries.
+    #[test]
+    fn disrupted_episodes_keep_every_route_valid(
+        cfg in arb_dataset_config(),
+        seed in 0u64..50,
+        buffered in proptest::bool::ANY,
+    ) {
+        let ds = Dataset::new(cfg);
+        let orders = ds.day_orders(0).len().min(30);
+        prop_assume!(orders >= 5);
+        let instance = ds.sampled_instance(0..1, orders, 6, seed);
+        let disruptions = DisruptionConfig {
+            cancellation_prob: 0.3,
+            cancellation_delay: TimeDelta::from_minutes(60.0),
+            breakdown_prob: 0.4,
+            breakdown_window: (TimePoint::from_hours(8.0), TimePoint::from_hours(18.0)),
+            recovery_delay: Some((TimeDelta::from_minutes(20.0), TimeDelta::from_minutes(90.0))),
+        };
+        let buffering = if buffered {
+            dpdp_sim::BufferingMode::FixedInterval(TimeDelta::from_minutes(20.0))
+        } else {
+            dpdp_sim::BufferingMode::Immediate
+        };
+        let sim = Simulator::builder(&instance)
+            .buffering(buffering)
+            .disruptions(disruptions)
+            .seed(seed)
+            .build()
+            .unwrap();
+        for mut d in [models::baseline1(), models::baseline2(), models::baseline3()] {
+            let mut auditor = InvariantAuditor::default();
+            sim.run_observed(&mut *d, &mut [&mut auditor]);
+            prop_assert_eq!(auditor.episodes, 1);
+            prop_assert!(auditor.fleets > 0);
+        }
+    }
+
     /// Buffering can only delay decisions: the average response time is
     /// non-decreasing in the buffer period, and immediate service has zero
     /// response time.
@@ -137,7 +179,7 @@ proptest! {
                 .buffering(buffering)
                 .build()
                 .unwrap()
-                .run(&mut *b1);
+                .run_observed(&mut *b1, &mut [&mut InvariantAuditor::default()]);
             responses.push(r.metrics.avg_response_secs);
         }
         prop_assert_eq!(responses[0], 0.0);

@@ -15,7 +15,7 @@
 
 use dpdp_core::prelude::*;
 use dpdp_net::TimeDelta;
-use dpdp_sim::{BufferingMode, EpochInfo, RepartitionPolicy, ShardConfig};
+use dpdp_sim::{BufferingMode, EpochInfo, InvariantAuditor, RepartitionPolicy, ShardConfig};
 
 /// Parallel width for the thread-parity legs: `DPDP_TEST_THREADS`, or 4.
 fn parallel_threads() -> usize {
@@ -60,7 +60,7 @@ fn repartitioned_episodes_match_the_unsharded_run_bit_for_bit() {
         .buffering(buffering)
         .build()
         .expect("valid unsharded configuration")
-        .run_observed(&mut Baseline1, &mut []);
+        .run_observed(&mut Baseline1, &mut [&mut InvariantAuditor::default()]);
 
     let mut fire_counts = Vec::new();
     for escalation in [0usize, 2, 3] {
@@ -72,7 +72,10 @@ fn repartitioned_episodes_match_the_unsharded_run_bit_for_bit() {
                 .num_threads(threads)
                 .build()
                 .expect("valid sharded configuration")
-                .run_observed(&mut Baseline1, &mut [&mut fired]);
+                .run_observed(
+                    &mut Baseline1,
+                    &mut [&mut fired, &mut InvariantAuditor::default()],
+                );
             assert_eq!(
                 result, baseline,
                 "episode diverged at escalation {escalation} / {threads} thread(s)"
@@ -104,9 +107,15 @@ fn engine_and_reference_loop_repartition_in_lockstep() {
             .build()
             .expect("valid sharded configuration");
         let mut engine_fired = RepartitionCounter::default();
-        let engine = sim.run_observed(&mut Baseline1, &mut [&mut engine_fired]);
+        let engine = sim.run_observed(
+            &mut Baseline1,
+            &mut [&mut engine_fired, &mut InvariantAuditor::default()],
+        );
         let mut reference_fired = RepartitionCounter::default();
-        let reference = sim.run_reference(&mut Baseline1, &mut [&mut reference_fired]);
+        let reference = sim.run_reference(
+            &mut Baseline1,
+            &mut [&mut reference_fired, &mut InvariantAuditor::default()],
+        );
         assert_eq!(
             engine, reference,
             "engine vs reference diverged at {threads} thread(s)"
@@ -129,7 +138,10 @@ fn the_never_policy_keeps_the_initial_partition() {
         .sharding(ShardConfig::hierarchical(2, 2).expect("positive region/cell counts"))
         .build()
         .expect("valid sharded configuration")
-        .run_observed(&mut Baseline1, &mut [&mut fired]);
+        .run_observed(
+            &mut Baseline1,
+            &mut [&mut fired, &mut InvariantAuditor::default()],
+        );
     assert_eq!(fired.0, 0, "Never must not re-seed");
     assert!(result.metrics.served > 0, "episode must do real work");
 }
