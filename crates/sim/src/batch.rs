@@ -374,13 +374,15 @@ impl EpochScratch {
 /// Interior state of a batch: evolves as decisions are committed.
 #[derive(Debug)]
 struct BatchInner {
-    /// The episode's vehicle states, owned by the batch for the length of
-    /// the epoch: a committed acceptance is applied here and nowhere else
+    /// The episode's fleet — its view column, dense by vehicle — owned by
+    /// the batch for the length of the epoch: the slice every
+    /// [`DispatchContext`] reads, and the views a committed acceptance
+    /// mutates in place, here and nowhere else
     /// ([`DecisionBatch::into_parts`] hands them back).
-    states: Vec<VehicleState>,
-    /// `states[k].view` clones, dense by vehicle, kept in sync on commit
-    /// (the contiguous slice [`DispatchContext`] wants).
     views: Vec<VehicleView>,
+    /// The fleet's other column, each vehicle's [`VehicleState`], moved in
+    /// and out with the views.
+    states: Vec<VehicleState>,
     /// The epoch's plan matrix: candidate-sparse rows, complete but for
     /// masked vehicles under one cell.
     plans: PlanStore,
@@ -448,8 +450,9 @@ pub struct DecisionBatch<'a> {
 
 impl<'a> DecisionBatch<'a> {
     /// Builds a batch over the given epoch orders, taking the episode's
-    /// vehicle states by move (there is no second copy of the fleet;
-    /// [`DecisionBatch::into_parts`] returns them). The initial
+    /// fleet — its views and states — by move (there is no second copy of
+    /// the fleet, and no view is cloned: [`DecisionBatch::into_parts`]
+    /// returns them). The initial
     /// `B x K` Algorithm 2 sweep is scored across `pool`'s threads, each
     /// `(order, column)` score landing in its pre-indexed matrix slot —
     /// bit-identical to the serial sweep for any thread count. No route is
@@ -479,6 +482,7 @@ impl<'a> DecisionBatch<'a> {
         fleet: &'a FleetConfig,
         orders: &'a [Order],
         epoch_orders: Vec<OrderId>,
+        views: Vec<VehicleView>,
         states: Vec<VehicleState>,
         pool: Arc<ThreadPool>,
         shards: ShardContext,
@@ -486,7 +490,6 @@ impl<'a> DecisionBatch<'a> {
         mut clock: Option<StageClock>,
         scratch: &mut EpochScratch,
     ) -> Self {
-        let views: Vec<VehicleView> = states.iter().map(|s| s.view.clone()).collect();
         let planner = RoutePlanner::new(net, fleet, orders);
         let epoch = &epoch_orders;
         let active_ref = active.as_deref();
@@ -562,8 +565,8 @@ impl<'a> DecisionBatch<'a> {
             shards,
             active,
             inner: RefCell::new(BatchInner {
-                states,
                 views,
+                states,
                 plans,
                 undecided,
                 commits,
@@ -649,24 +652,23 @@ impl<'a> DecisionBatch<'a> {
     }
 
     /// Tears the batch down into its per-order commit records (`None` for
-    /// an order nobody resolved), the vehicle states it was built from,
-    /// every committed acceptance applied, and a profiled epoch's clock;
-    /// the storage the batch borrowed from `scratch` goes back to it for
-    /// the next epoch.
+    /// an order nobody resolved) and a profiled epoch's clock. The fleet it
+    /// was built from, every committed acceptance applied, moves back into
+    /// `views` and `states`, and the storage the batch borrowed from
+    /// `scratch` goes back to it for the next epoch.
     pub(crate) fn into_parts(
         self,
         scratch: &mut EpochScratch,
-    ) -> (
-        Vec<Option<CommitRecord>>,
-        Vec<VehicleState>,
-        Option<StageClock>,
-    ) {
+        views: &mut Vec<VehicleView>,
+        states: &mut Vec<VehicleState>,
+    ) -> (Vec<Option<CommitRecord>>, Option<StageClock>) {
         let inner = self.inner.into_inner();
         scratch.column_map = inner.plans.map;
         scratch.sweep.work = inner.plans.swept;
         scratch.delta_rows = inner.delta_rows;
-        let clock = self.clock.map(RefCell::into_inner);
-        (inner.commits, inner.states, clock)
+        *views = inner.views;
+        *states = inner.states;
+        (inner.commits, self.clock.map(RefCell::into_inner))
     }
 
     /// Number of orders in the batch.
@@ -864,8 +866,8 @@ impl<'a> DecisionBatch<'a> {
             return (Decision::rejected(oid, reason), None);
         };
         let BatchInner {
-            states,
             views,
+            states,
             plans,
             undecided,
             stats,
@@ -886,17 +888,18 @@ impl<'a> DecisionBatch<'a> {
         // built: its positions were scored against the vehicle's current
         // view (every earlier acceptance on `k` rescored this row).
         let planner = RoutePlanner::new(batch.net, batch.fleet, batch.orders);
-        let state = &mut states[k.index()];
-        let plan = planner.materialise(&score, &state.view, &batch.orders[oid.index()]);
+        let view = &mut views[k.index()];
+        let plan = planner.materialise(&score, view, &batch.orders[oid.index()]);
         let best = plan.best.as_ref().expect("a feasible score materialises");
         // Accept the route, then advance through legs that depart at the
         // epoch instant, so later orders in the batch see the post-commit
-        // anchor (no-interference rule).
-        let pre_view = state.view.clone();
-        let vehicle_was_used = state.used();
-        state.accept(best.candidate.route.clone());
-        state.advance_to(batch.now, batch.net, batch.fleet, batch.orders);
-        views[k.index()] = state.view.clone();
+        // anchor (no-interference rule). The view changes in place: it is
+        // the one every later context of the epoch reads.
+        let pre_view = view.clone();
+        let vehicle_was_used = view.used;
+        let state = &mut states[k.index()];
+        state.accept(view, best.candidate.route.clone());
+        state.advance_to(view, batch.now, batch.net, batch.fleet, batch.orders);
         // A twin no longer: `k` reads its own column from here on, and the
         // cells of the group it leaves stay right for the members left.
         plans.map.split(k.index());

@@ -57,21 +57,24 @@ fn batch_with<'a>(
     batch_of(inst, idle_fleet(inst), None, shards, scratch)
 }
 
+/// A fleet as the engine owns it: the view column and the state column.
+type Fleet = (Vec<VehicleView>, Vec<VehicleState>);
+
 /// `inst`'s fleet at 08:00, nothing accepted yet.
-fn idle_fleet(inst: &Instance) -> Vec<VehicleState> {
+fn idle_fleet(inst: &Instance) -> Fleet {
     let now = TimePoint::from_hours(NOW_H);
-    let mut states: Vec<VehicleState> = inst.fleet.vehicles.iter().map(VehicleState::new).collect();
-    for s in &mut states {
-        s.advance_to(now, &inst.network, &inst.fleet, inst.orders());
+    let (mut views, mut states) = crate::state::fresh_fleet(&inst.fleet);
+    for (s, v) in states.iter_mut().zip(&mut views) {
+        s.advance_to(v, now, &inst.network, &inst.fleet, inst.orders());
     }
-    states
+    (views, states)
 }
 
-/// The 08:00 epoch over every order of `inst` for the given vehicle states
-/// and availability mask, on a serial pool.
+/// The 08:00 epoch over every order of `inst` for the given fleet and
+/// availability mask, on a serial pool.
 fn batch_of<'a>(
     inst: &'a Instance,
-    states: Vec<VehicleState>,
+    (views, states): Fleet,
     active: Option<Vec<bool>>,
     shards: ShardContext,
     scratch: &mut EpochScratch,
@@ -84,6 +87,7 @@ fn batch_of<'a>(
         &inst.fleet,
         inst.orders(),
         inst.orders().iter().map(|o| o.id).collect(),
+        views,
         states,
         Arc::new(ThreadPool::serial()),
         shards,
@@ -321,18 +325,18 @@ const LOADED: usize = 8;
 /// `used` and the odometer.
 const RETURNED: usize = 10;
 
-fn mixed_fleet(inst: &Instance) -> (Vec<VehicleState>, Vec<bool>) {
+fn mixed_fleet(inst: &Instance) -> (Fleet, Vec<bool>) {
     assert!(inst.fleet.vehicles.len() >= MIXED_FLEET);
-    let mut states = idle_fleet(inst);
+    let (mut views, mut states) = idle_fleet(inst);
     let mut active = vec![true; states.len()];
     states[MASKED].broken = true;
     active[MASKED] = false;
-    states[LATE].view.anchor_time = TimePoint::from_hours(NOW_H + 0.75);
-    states[FAR_HOME].view.anchor_node = NodeId(0);
-    states[LOADED].view.onboard.push((OrderId(1), 1.0));
-    states[RETURNED].view.used = true;
+    views[LATE].anchor_time = TimePoint::from_hours(NOW_H + 0.75);
+    views[FAR_HOME].anchor_node = NodeId(0);
+    views[LOADED].onboard.push((OrderId(1), 1.0));
+    views[RETURNED].used = true;
     states[RETURNED].traveled = 30.0;
-    (states, active)
+    ((views, states), active)
 }
 
 /// The hook's epoch plus a half-hour town-A order only a vehicle free at
@@ -342,10 +346,10 @@ fn mixed_instance() -> Instance {
 }
 
 fn mixed_batch(inst: &Instance, sharded: bool) -> (DecisionBatch<'_>, EpochScratch) {
-    let (states, active) = mixed_fleet(inst);
+    let (fleet, active) = mixed_fleet(inst);
     let mut scratch = EpochScratch::default();
     let shards = town_shards(inst, sharded);
-    let batch = batch_of(inst, states, Some(active), shards, &mut scratch);
+    let batch = batch_of(inst, fleet, Some(active), shards, &mut scratch);
     (batch, scratch)
 }
 
@@ -629,14 +633,14 @@ fn a_twin_group_is_stored_once_per_row() {
 fn shard_stats_count_the_escalated_members_of_a_group() {
     let inst = mixed_instance();
     let planner = RoutePlanner::new(&inst.network, &inst.fleet, inst.orders());
-    let (states, active) = mixed_fleet(&inst);
+    let (fleet, active) = mixed_fleet(&inst);
     let shards = ShardContext {
         escalation: 1,
         ..town_shards(&inst, true)
     };
     let b = batch_of(
         &inst,
-        states,
+        fleet,
         Some(active),
         shards,
         &mut EpochScratch::default(),

@@ -42,9 +42,9 @@ use crate::observer::{CancelOutcome, DisruptionKind, DisruptionRecord, EpochInfo
 use crate::profile::{self, Stage, StageClock};
 use crate::sharding::ShardRuntime;
 use crate::simulator::{EpisodeSink, Simulator};
-use crate::state::VehicleState;
+use crate::state::{fresh_fleet, VehicleState};
 use dpdp_net::{Order, OrderId, TimePoint, VehicleId};
-use dpdp_routing::StopAction;
+use dpdp_routing::{StopAction, VehicleView};
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 
@@ -88,7 +88,9 @@ impl<'a> Simulator<'a> {
         };
         sink.begin(instance);
 
-        let mut states: Vec<VehicleState> = fleet.vehicles.iter().map(VehicleState::new).collect();
+        // The fleet, as two vehicle-indexed columns moved into each epoch's
+        // batch and back (see `VehicleState`).
+        let (mut views, mut states) = fresh_fleet(fleet);
         // The engine-owned order table, pre-seeded with the instance's
         // table so replayed orders keep their dense ids no matter how
         // stream arrivals interleave in time; streamed orders append
@@ -138,6 +140,7 @@ impl<'a> Simulator<'a> {
                 });
                 self.run_epoch(
                     &mut sink,
+                    &mut views,
                     &mut states,
                     &table,
                     epoch_ids,
@@ -185,6 +188,7 @@ impl<'a> Simulator<'a> {
                     }
                     let outcome = self.apply_cancellation(
                         &mut sink,
+                        &mut views,
                         &mut states,
                         &table,
                         &mut pending,
@@ -206,15 +210,15 @@ impl<'a> Simulator<'a> {
                             vehicle,
                         },
                     });
-                    sink.fleet(time, &states, &table);
+                    sink.fleet(time, &views, &table);
                 }
                 SimEvent::VehicleBreakdown(v) => {
                     if v.index() >= states.len() || states[v.index()].broken {
                         continue;
                     }
-                    let state = &mut states[v.index()];
-                    state.advance_to(time, net, fleet, &table);
-                    let outcome = state.break_down();
+                    let (view, state) = (&mut views[v.index()], &mut states[v.index()]);
+                    state.advance_to(view, time, net, fleet, &table);
+                    let outcome = state.break_down(view);
                     let interval = instance.grid.interval_of(time);
                     for &oid in &outcome.stranded {
                         // Back into the queue: the earlier assignment — its
@@ -245,20 +249,20 @@ impl<'a> Simulator<'a> {
                             lost: outcome.lost,
                         },
                     });
-                    sink.fleet(time, &states, &table);
+                    sink.fleet(time, &views, &table);
                 }
                 SimEvent::VehicleRecovered(v) => {
                     if v.index() >= states.len() || !states[v.index()].broken {
                         continue;
                     }
                     let state = &mut states[v.index()];
-                    state.advance_to(time, net, fleet, &table);
+                    state.advance_to(&mut views[v.index()], time, net, fleet, &table);
                     state.recover();
                     sink.disruption(&DisruptionRecord {
                         time,
                         kind: DisruptionKind::VehicleRecovered { vehicle: v },
                     });
-                    sink.fleet(time, &states, &table);
+                    sink.fleet(time, &views, &table);
                 }
                 // A pure heartbeat: consuming it advanced the clock's
                 // knowledge, which is all it is for.
@@ -267,7 +271,7 @@ impl<'a> Simulator<'a> {
         }
 
         dispatcher.end_episode();
-        sink.finish(&states)
+        sink.finish(&views, &states)
     }
 
     /// Serves a live episode: the instance's order table replays while a
@@ -342,6 +346,7 @@ impl<'a> Simulator<'a> {
     fn apply_cancellation(
         &self,
         sink: &mut EpisodeSink<'_, '_, '_>,
+        views: &mut [VehicleView],
         states: &mut [VehicleState],
         table: &[Order],
         pending: &mut Vec<PendingOrder>,
@@ -359,15 +364,20 @@ impl<'a> Simulator<'a> {
             return CancelOutcome::BeforeDispatch;
         }
         if let Some((k, _)) = assigned_to[oid.index()] {
-            let state = &mut states[k.index()];
-            state.advance_to(time, &self.instance.network, &self.instance.fleet, table);
-            let pickup_undriven = state
-                .view
+            let (view, state) = (&mut views[k.index()], &mut states[k.index()]);
+            state.advance_to(
+                view,
+                time,
+                &self.instance.network,
+                &self.instance.fleet,
+                table,
+            );
+            let pickup_undriven = view
                 .route
                 .stops()
                 .iter()
                 .any(|s| matches!(s.action, StopAction::Pickup(o) if o == oid));
-            if pickup_undriven && state.cancel_order(oid) {
+            if pickup_undriven && state.cancel_order(view, oid) {
                 sink.acc
                     .revoke_to_rejection(oid, DecisionReason::Cancelled, time, interval);
                 return CancelOutcome::AfterAssignment;
@@ -396,6 +406,7 @@ impl<'a> Simulator<'a> {
     pub(crate) fn run_epoch(
         &self,
         sink: &mut EpisodeSink<'_, '_, '_>,
+        views: &mut Vec<VehicleView>,
         states: &mut Vec<VehicleState>,
         table: &[Order],
         epoch_ids: Vec<OrderId>,
@@ -412,8 +423,8 @@ impl<'a> Simulator<'a> {
         let interval = instance.grid.interval_of(now);
         let mut clock = sink.wants_profile().then(StageClock::start);
 
-        for s in states.iter_mut() {
-            s.advance_to(now, net, fleet, table);
+        for (state, view) in states.iter_mut().zip(views.iter_mut()) {
+            state.advance_to(view, now, net, fleet, table);
         }
         // Broken vehicles keep their dense snapshot slot but are masked
         // out of the sweep; with no breakdown in effect the mask is absent.
@@ -435,6 +446,7 @@ impl<'a> Simulator<'a> {
             fleet,
             table,
             epoch_ids,
+            std::mem::take(views),
             std::mem::take(states),
             Arc::clone(&self.pool),
             shard_rt.context(),
@@ -483,8 +495,7 @@ impl<'a> Simulator<'a> {
         }
 
         batch.lap(Stage::Policy);
-        let (commits, fleet_states, mut clock) = batch.into_parts(scratch);
-        *states = fleet_states;
+        let (commits, mut clock) = batch.into_parts(scratch, views, states);
         for commit in commits {
             let commit = commit.expect("every epoch order was resolved above");
             let (decision, assignment) = (commit.decision, commit.assignment);
@@ -512,7 +523,7 @@ impl<'a> Simulator<'a> {
             clock.lap(Stage::Record);
             sink.epoch_profile(&clock.profile);
         }
-        sink.fleet(now, states, table);
+        sink.fleet(now, views, table);
         *epoch_index += 1;
     }
 }

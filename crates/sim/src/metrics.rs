@@ -3,6 +3,7 @@
 use crate::batch::DecisionReason;
 use crate::state::VehicleState;
 use dpdp_net::{FleetConfig, OrderId, RoadNetwork, TimePoint, VehicleId};
+use dpdp_routing::VehicleView;
 
 /// One dispatch decision recorded by the simulator.
 #[derive(Debug, Clone, PartialEq)]
@@ -313,20 +314,24 @@ impl MetricsAccumulator {
 
     pub(crate) fn finish(
         self,
+        views: &[VehicleView],
         states: &[VehicleState],
         net: &RoadNetwork,
         fleet: &FleetConfig,
     ) -> EpisodeResult {
-        let nuv = states.iter().filter(|s| s.used()).count();
-        let lengths: Vec<f64> = states.iter().map(|s| s.final_travel_length(net)).collect();
+        let nuv = views.iter().filter(|v| v.used).count();
+        let lengths: Vec<f64> = states
+            .iter()
+            .zip(views)
+            .map(|(s, v)| s.final_travel_length(v, net))
+            .collect();
         let ttl: f64 = lengths.iter().sum();
         let vehicles = if self.options.record_vehicle_stats {
-            states
-                .iter()
+            (views.iter().zip(states))
                 .zip(&lengths)
-                .map(|(s, &travel_km)| VehicleStats {
-                    vehicle: s.view.vehicle,
-                    used: s.used(),
+                .map(|((v, s), &travel_km)| VehicleStats {
+                    vehicle: v.vehicle,
+                    used: v.used,
                     travel_km,
                     orders_accepted: s.orders_accepted,
                 })
@@ -379,7 +384,7 @@ mod tests {
             AssignmentRecord::rejected(OrderId(3), DecisionReason::InfeasibleChoice, t, 0),
             Some(0.0),
         );
-        let result = acc.finish(&[], &RoadNetwork::euclidean(vec![], 1.0).unwrap(), {
+        let result = acc.finish(&[], &[], &RoadNetwork::euclidean(vec![], 1.0).unwrap(), {
             // A fleet is only read for total_cost; a minimal one suffices.
             &FleetConfig::homogeneous(
                 1,
@@ -443,7 +448,7 @@ mod tests {
         acc.revoke_to_rejection(OrderId(2), DecisionReason::VehicleLost, t, 0);
         acc.withdraw_assignment(OrderId(3), 0.0);
         acc.record(assigned(3), Some(5.0));
-        let result = acc.finish(&[], &net, &fleet);
+        let result = acc.finish(&[], &[], &net, &fleet);
         let m = &result.metrics;
         assert_eq!(m.served, 2);
         assert_eq!(m.rejected, 3);

@@ -8,7 +8,7 @@ use crate::metrics::{AssignmentRecord, EpisodeResult, MetricsAccumulator, Metric
 use crate::observer::{DecisionRecord, EpochInfo, FleetRecord, SimObserver};
 use crate::profile::EpochProfile;
 use crate::sharding::{ShardConfig, ShardRuntime};
-use crate::state::VehicleState;
+use crate::state::{fresh_fleet, VehicleState};
 use crate::sweep::ShardContext;
 use dpdp_net::{Instance, Order, ShardMap, TimeDelta, TimePoint};
 use dpdp_pool::ThreadPool;
@@ -311,15 +311,11 @@ impl EpisodeSink<'_, '_, '_> {
     }
 
     /// Hands the fleet as it stands at `time` to the observers.
-    pub(crate) fn fleet(&mut self, time: TimePoint, states: &[VehicleState], orders: &[Order]) {
-        if self.observers.is_empty() {
-            return;
-        }
-        let views: Vec<VehicleView> = states.iter().map(|s| s.view.clone()).collect();
+    pub(crate) fn fleet(&mut self, time: TimePoint, views: &[VehicleView], orders: &[Order]) {
         for obs in self.observers.iter_mut() {
             obs.on_fleet(&FleetRecord {
                 time,
-                views: &views,
+                views,
                 orders,
                 fleet: self.fleet,
                 net: self.net,
@@ -350,8 +346,8 @@ impl EpisodeSink<'_, '_, '_> {
         self.acc.record(record, response_secs);
     }
 
-    pub(crate) fn finish(self, states: &[VehicleState]) -> EpisodeResult {
-        let result = self.acc.finish(states, self.net, self.fleet);
+    pub(crate) fn finish(self, views: &[VehicleView], states: &[VehicleState]) -> EpisodeResult {
+        let result = self.acc.finish(views, states, self.net, self.fleet);
         for obs in self.observers.iter_mut() {
             obs.on_episode_end(&result);
         }
@@ -542,7 +538,7 @@ impl<'a> Simulator<'a> {
         };
         sink.begin(instance);
 
-        let mut states: Vec<VehicleState> = fleet.vehicles.iter().map(VehicleState::new).collect();
+        let (mut views, mut states) = fresh_fleet(fleet);
         // Assignee bookkeeping the epoch body keeps for cancellations and
         // breakdowns; nothing reads it here.
         let mut assigned_to = vec![None; orders.len()];
@@ -558,6 +554,7 @@ impl<'a> Simulator<'a> {
             }
             self.run_epoch(
                 &mut sink,
+                &mut views,
                 &mut states,
                 orders,
                 orders[start..end].iter().map(|o| o.id).collect(),
@@ -572,7 +569,7 @@ impl<'a> Simulator<'a> {
         }
 
         dispatcher.end_episode();
-        sink.finish(&states)
+        sink.finish(&views, &states)
     }
 }
 

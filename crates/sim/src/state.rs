@@ -1,20 +1,25 @@
-//! Runtime state of one vehicle during an episode.
+//! Runtime state of one vehicle during an episode, beside its view.
 
-use dpdp_net::{FleetConfig, Order, OrderId, RoadNetwork, TimePoint, VehicleConfig};
+use dpdp_net::{FleetConfig, Order, OrderId, RoadNetwork, TimePoint};
 use dpdp_routing::{Route, StopAction, VehicleView};
 
-/// The evolving state of a vehicle: a [`VehicleView`] snapshot (anchor, cargo
-/// stack, remaining route) plus the distance already driven.
+/// What the episode keeps about a vehicle besides its [`VehicleView`]: the
+/// distance already driven, the orders it holds, whether it is broken down.
+///
+/// The engine owns the fleet as two vehicle-indexed columns, the views and
+/// these states, and moves both into each epoch's
+/// [`DecisionBatch`](crate::batch::DecisionBatch) and back, so the view a
+/// policy reads is the one the commit mutates — there is no second copy to
+/// keep in sync. Every method that changes the vehicle takes the view it
+/// acts on.
 ///
 /// The *anchor* invariant: `view.anchor_node` / `view.anchor_time` always
 /// describe the next point in space-time where the vehicle is free to change
 /// plans. While a leg is being driven the anchor is that leg's destination —
 /// this is how the paper's "no interference with in-service vehicles" rule is
 /// enforced: route edits only touch stops after the anchor.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct VehicleState {
-    /// The planner-facing snapshot.
-    pub view: VehicleView,
     /// Kilometres of already-committed driving (executed legs).
     pub traveled: f64,
     /// Number of orders this vehicle has accepted (and not had revoked by
@@ -38,19 +43,20 @@ pub struct BreakdownOutcome {
     pub lost: Vec<OrderId>,
 }
 
-impl VehicleState {
-    /// Fresh state for a vehicle idling at its depot at time zero.
-    pub fn new(config: &VehicleConfig) -> Self {
-        VehicleState {
-            view: VehicleView::idle_at_depot(config.id, config.depot),
-            traveled: 0.0,
-            orders_accepted: 0,
-            broken: false,
-        }
-    }
+/// A fleet at time zero: every vehicle idle at its depot, as the two
+/// columns the engine owns (views, states), dense by vehicle id.
+pub(crate) fn fresh_fleet(fleet: &FleetConfig) -> (Vec<VehicleView>, Vec<VehicleState>) {
+    let views = fleet
+        .vehicles
+        .iter()
+        .map(|v| VehicleView::idle_at_depot(v.id, v.depot))
+        .collect();
+    (views, vec![VehicleState::default(); fleet.vehicles.len()])
+}
 
+impl VehicleState {
     /// Advances the vehicle to wall-clock time `now`, committing every route
-    /// leg whose departure has already happened.
+    /// leg of `view` whose departure has already happened.
     ///
     /// A vehicle departs toward its next stop the moment it becomes free, so
     /// a leg is committed (distance accrued, cargo stack updated, anchor
@@ -58,66 +64,63 @@ impl VehicleState {
     /// the loop, an idle vehicle's anchor time is brought forward to `now`.
     pub fn advance_to(
         &mut self,
+        view: &mut VehicleView,
         now: TimePoint,
         net: &RoadNetwork,
         fleet: &FleetConfig,
         orders: &[Order],
     ) {
         loop {
-            if self.view.route.is_empty() {
+            if view.route.is_empty() {
                 break;
             }
-            if self.view.anchor_time > now {
+            if view.anchor_time > now {
                 // Still executing the previous leg; destination is locked.
                 break;
             }
-            let stop = self
-                .view
-                .route
-                .pop_front()
-                .expect("route checked non-empty");
-            let leg = net.distance(self.view.anchor_node, stop.node);
+            let stop = view.route.pop_front().expect("route checked non-empty");
+            let leg = net.distance(view.anchor_node, stop.node);
             self.traveled += leg;
-            let arrival = self.view.anchor_time + fleet.travel_time(leg);
+            let arrival = view.anchor_time + fleet.travel_time(leg);
             let order = &orders[stop.action.order().index()];
             let service_start = match stop.action {
                 StopAction::Pickup(id) => {
-                    self.view.onboard.push((id, order.quantity));
+                    view.onboard.push((id, order.quantity));
                     arrival.max(order.created)
                 }
                 StopAction::Delivery(id) => {
                     debug_assert_eq!(
-                        self.view.onboard.last().map(|&(o, _)| o),
+                        view.onboard.last().map(|&(o, _)| o),
                         Some(id),
                         "simulator executed a LIFO-violating route"
                     );
-                    self.view.onboard.pop();
+                    view.onboard.pop();
                     arrival
                 }
             };
-            self.view.anchor_node = stop.node;
-            self.view.anchor_time = service_start + fleet.service_time;
+            view.anchor_node = stop.node;
+            view.anchor_time = service_start + fleet.service_time;
         }
-        if self.view.route.is_empty() && self.view.anchor_time < now {
-            self.view.anchor_time = now;
+        if view.route.is_empty() && view.anchor_time < now {
+            view.anchor_time = now;
         }
     }
 
-    /// Commits an assignment: replaces the remaining route and marks the
-    /// vehicle used.
-    pub fn accept(&mut self, route: Route) {
-        self.view.route = route;
-        self.view.used = true;
+    /// Commits an assignment: replaces `view`'s remaining route and marks
+    /// the vehicle used.
+    pub fn accept(&mut self, view: &mut VehicleView, route: Route) {
+        view.route = route;
+        view.used = true;
         self.orders_accepted += 1;
     }
 
-    /// Removes a cancelled order's remaining stops from the route (both
-    /// pickup and delivery; the caller must have advanced the state to the
-    /// cancellation instant first so "remaining" is wall-clock honest).
-    /// Returns `true` when the order was actually still on the route, in
-    /// which case the acceptance is also un-counted.
-    pub fn cancel_order(&mut self, order: OrderId) -> bool {
-        let removed = self.view.route.remove_order(order) > 0;
+    /// Removes a cancelled order's remaining stops from `view`'s route
+    /// (both pickup and delivery; the caller must have advanced the vehicle
+    /// to the cancellation instant first so "remaining" is wall-clock
+    /// honest). Returns `true` when the order was actually still on the
+    /// route, in which case the acceptance is also un-counted.
+    pub fn cancel_order(&mut self, view: &mut VehicleView, order: OrderId) -> bool {
+        let removed = view.route.remove_order(order) > 0;
         if removed {
             self.orders_accepted = self.orders_accepted.saturating_sub(1);
         }
@@ -125,16 +128,16 @@ impl VehicleState {
     }
 
     /// Breaks the vehicle down at its current anchor (the caller advances
-    /// to the breakdown instant first): the remaining route is stripped,
-    /// undriven pickups come back as re-dispatchable *stranded* orders,
-    /// onboard cargo is written off as *lost*, and the vehicle is masked
-    /// out of dispatch until [`VehicleState::recover`]. Executed kilometres
-    /// and the used flag are kept — the truck did drive.
-    pub fn break_down(&mut self) -> BreakdownOutcome {
-        let stranded = self.view.route.pending_pickups();
-        let lost: Vec<OrderId> = self.view.onboard.iter().map(|&(o, _)| o).collect();
-        self.view.route = Route::empty();
-        self.view.onboard.clear();
+    /// to the breakdown instant first): `view`'s remaining route is
+    /// stripped, undriven pickups come back as re-dispatchable *stranded*
+    /// orders, onboard cargo is written off as *lost*, and the vehicle is
+    /// masked out of dispatch until [`VehicleState::recover`]. Executed
+    /// kilometres and the used flag are kept — the truck did drive.
+    pub fn break_down(&mut self, view: &mut VehicleView) -> BreakdownOutcome {
+        let stranded = view.route.pending_pickups();
+        let lost: Vec<OrderId> = view.onboard.iter().map(|&(o, _)| o).collect();
+        view.route = Route::empty();
+        view.onboard.clear();
         self.orders_accepted = self
             .orders_accepted
             .saturating_sub(stranded.len() + lost.len());
@@ -143,29 +146,19 @@ impl VehicleState {
     }
 
     /// Clears the breakdown flag: the vehicle is available again at its
-    /// current anchor, with an empty route.
+    /// view's current anchor, with an empty route.
     pub fn recover(&mut self) {
         self.broken = false;
     }
 
-    /// Whether the vehicle has served (or accepted) any order.
-    #[inline]
-    pub fn used(&self) -> bool {
-        self.view.used
-    }
-
-    /// Total travel length if the vehicle finished its remaining route now:
-    /// executed kilometres plus remaining route (anchor through stops, home
-    /// to depot). Unused vehicles report 0.
-    pub fn final_travel_length(&self, net: &RoadNetwork) -> f64 {
-        if !self.used() {
+    /// Total travel length if the vehicle finished `view`'s remaining route
+    /// now: executed kilometres plus remaining route (anchor through stops,
+    /// home to depot). Unused vehicles report 0.
+    pub fn final_travel_length(&self, view: &VehicleView, net: &RoadNetwork) -> f64 {
+        if !view.used {
             return 0.0;
         }
-        self.traveled
-            + self
-                .view
-                .route
-                .length(net, self.view.anchor_node, self.view.depot)
+        self.traveled + view.route.length(net, view.anchor_node, view.depot)
     }
 }
 
@@ -204,63 +197,83 @@ mod tests {
         (net, fleet, orders)
     }
 
-    fn state(fleet: &FleetConfig) -> VehicleState {
-        VehicleState::new(fleet.vehicle(VehicleId(0)))
+    fn vehicle(fleet: &FleetConfig) -> (VehicleView, VehicleState) {
+        let config = fleet.vehicle(VehicleId(0));
+        let view = VehicleView::idle_at_depot(config.id, config.depot);
+        (view, VehicleState::default())
     }
 
     #[test]
     fn advance_commits_departed_legs_only() {
         let (net, fleet, orders) = setup();
-        let mut s = state(&fleet);
-        s.accept(dpdp_routing::Route::from_stops(vec![
-            Stop::pickup(NodeId(1), OrderId(0)),
-            Stop::delivery(NodeId(2), OrderId(0)),
-        ]));
+        let (mut v, mut s) = vehicle(&fleet);
+        s.accept(
+            &mut v,
+            dpdp_routing::Route::from_stops(vec![
+                Stop::pickup(NodeId(1), OrderId(0)),
+                Stop::delivery(NodeId(2), OrderId(0)),
+            ]),
+        );
         // At t = 0 the vehicle departs immediately: first leg is committed,
         // anchor moves to node 1 at (10 min travel + 5 min service) = 15 min.
-        s.advance_to(TimePoint::ZERO, &net, &fleet, &orders);
-        assert_eq!(s.view.anchor_node, NodeId(1));
-        assert!((s.view.anchor_time.seconds() - 900.0).abs() < 1e-6);
-        assert_eq!(s.view.route.len(), 1);
+        s.advance_to(&mut v, TimePoint::ZERO, &net, &fleet, &orders);
+        assert_eq!(v.anchor_node, NodeId(1));
+        assert!((v.anchor_time.seconds() - 900.0).abs() < 1e-6);
+        assert_eq!(v.route.len(), 1);
         assert!((s.traveled - 10.0).abs() < 1e-12);
-        assert_eq!(s.view.onboard.len(), 1);
+        assert_eq!(v.onboard.len(), 1);
 
         // At 10 minutes, still servicing at node 1; nothing more commits.
-        s.advance_to(TimePoint::from_seconds(600.0), &net, &fleet, &orders);
-        assert_eq!(s.view.route.len(), 1);
+        s.advance_to(
+            &mut v,
+            TimePoint::from_seconds(600.0),
+            &net,
+            &fleet,
+            &orders,
+        );
+        assert_eq!(v.route.len(), 1);
 
         // At 15 minutes it departs the delivery leg.
-        s.advance_to(TimePoint::from_seconds(900.0), &net, &fleet, &orders);
-        assert_eq!(s.view.anchor_node, NodeId(2));
-        assert!(s.view.route.is_empty());
-        assert!(s.view.onboard.is_empty());
+        s.advance_to(
+            &mut v,
+            TimePoint::from_seconds(900.0),
+            &net,
+            &fleet,
+            &orders,
+        );
+        assert_eq!(v.anchor_node, NodeId(2));
+        assert!(v.route.is_empty());
+        assert!(v.onboard.is_empty());
         assert!((s.traveled - 20.0).abs() < 1e-12);
     }
 
     #[test]
     fn idle_vehicle_anchor_time_tracks_now() {
         let (net, fleet, orders) = setup();
-        let mut s = state(&fleet);
-        s.advance_to(TimePoint::from_hours(3.0), &net, &fleet, &orders);
-        assert_eq!(s.view.anchor_time, TimePoint::from_hours(3.0));
-        assert_eq!(s.view.anchor_node, NodeId(0));
-        assert!(!s.used());
+        let (mut v, mut s) = vehicle(&fleet);
+        s.advance_to(&mut v, TimePoint::from_hours(3.0), &net, &fleet, &orders);
+        assert_eq!(v.anchor_time, TimePoint::from_hours(3.0));
+        assert_eq!(v.anchor_node, NodeId(0));
+        assert!(!v.used);
     }
 
     #[test]
     fn final_travel_length_includes_remaining_and_home() {
         let (net, fleet, orders) = setup();
-        let mut s = state(&fleet);
-        assert_eq!(s.final_travel_length(&net), 0.0);
-        s.accept(dpdp_routing::Route::from_stops(vec![
-            Stop::pickup(NodeId(1), OrderId(0)),
-            Stop::delivery(NodeId(2), OrderId(0)),
-        ]));
+        let (mut v, mut s) = vehicle(&fleet);
+        assert_eq!(s.final_travel_length(&v, &net), 0.0);
+        s.accept(
+            &mut v,
+            dpdp_routing::Route::from_stops(vec![
+                Stop::pickup(NodeId(1), OrderId(0)),
+                Stop::delivery(NodeId(2), OrderId(0)),
+            ]),
+        );
         // Nothing executed yet: full route from depot = 10 + 10 + 20 = 40.
-        assert!((s.final_travel_length(&net) - 40.0).abs() < 1e-9);
+        assert!((s.final_travel_length(&v, &net) - 40.0).abs() < 1e-9);
         // After full execution the remaining part is just home from node 2.
-        s.advance_to(TimePoint::from_hours(1.0), &net, &fleet, &orders);
-        assert!((s.final_travel_length(&net) - 40.0).abs() < 1e-9);
+        s.advance_to(&mut v, TimePoint::from_hours(1.0), &net, &fleet, &orders);
+        assert!((s.final_travel_length(&v, &net) - 40.0).abs() < 1e-9);
         assert!((s.traveled - 20.0).abs() < 1e-12);
     }
 
@@ -288,25 +301,28 @@ mod tests {
             )
             .unwrap(),
         ];
-        let mut s = state(&fleet);
-        s.accept(dpdp_routing::Route::from_stops(vec![
-            Stop::pickup(NodeId(1), OrderId(0)),
-            Stop::delivery(NodeId(2), OrderId(0)),
-            Stop::pickup(NodeId(2), OrderId(1)),
-            Stop::delivery(NodeId(1), OrderId(1)),
-        ]));
+        let (mut v, mut s) = vehicle(&fleet);
+        s.accept(
+            &mut v,
+            dpdp_routing::Route::from_stops(vec![
+                Stop::pickup(NodeId(1), OrderId(0)),
+                Stop::delivery(NodeId(2), OrderId(0)),
+                Stop::pickup(NodeId(2), OrderId(1)),
+                Stop::delivery(NodeId(1), OrderId(1)),
+            ]),
+        );
         s.orders_accepted = 2;
         // At t = 0 the first leg departs: order 0 is onboard, order 1 not.
-        s.advance_to(TimePoint::ZERO, &net, &fleet, &orders);
-        assert_eq!(s.view.onboard.len(), 1);
-        let outcome = s.break_down();
+        s.advance_to(&mut v, TimePoint::ZERO, &net, &fleet, &orders);
+        assert_eq!(v.onboard.len(), 1);
+        let outcome = s.break_down(&mut v);
         assert_eq!(outcome.lost, vec![OrderId(0)]);
         assert_eq!(outcome.stranded, vec![OrderId(1)]);
         assert!(s.broken);
-        assert!(s.view.route.is_empty());
-        assert!(s.view.onboard.is_empty());
+        assert!(v.route.is_empty());
+        assert!(v.onboard.is_empty());
         assert_eq!(s.orders_accepted, 0);
-        assert!(s.used(), "the truck drove; it stays used");
+        assert!(v.used, "the truck drove; it stays used");
         assert!(s.traveled > 0.0);
         s.recover();
         assert!(!s.broken);
@@ -315,16 +331,19 @@ mod tests {
     #[test]
     fn cancel_order_only_touches_undriven_stops() {
         let (net, fleet, orders) = setup();
-        let mut s = state(&fleet);
-        s.accept(dpdp_routing::Route::from_stops(vec![
-            Stop::pickup(NodeId(1), OrderId(0)),
-            Stop::delivery(NodeId(2), OrderId(0)),
-        ]));
-        assert!(s.cancel_order(OrderId(0)));
-        assert!(s.view.route.is_empty());
+        let (mut v, mut s) = vehicle(&fleet);
+        s.accept(
+            &mut v,
+            dpdp_routing::Route::from_stops(vec![
+                Stop::pickup(NodeId(1), OrderId(0)),
+                Stop::delivery(NodeId(2), OrderId(0)),
+            ]),
+        );
+        assert!(s.cancel_order(&mut v, OrderId(0)));
+        assert!(v.route.is_empty());
         assert_eq!(s.orders_accepted, 0);
         // Cancelling an order that is not on the route is a no-op.
-        assert!(!s.cancel_order(OrderId(0)));
+        assert!(!s.cancel_order(&mut v, OrderId(0)));
         let _ = (&net, &orders);
     }
 
@@ -340,14 +359,17 @@ mod tests {
             TimePoint::from_hours(24.0),
         )
         .unwrap()];
-        let mut s = state(&fleet);
-        s.accept(dpdp_routing::Route::from_stops(vec![
-            Stop::pickup(NodeId(1), OrderId(0)),
-            Stop::delivery(NodeId(2), OrderId(0)),
-        ]));
-        s.advance_to(TimePoint::ZERO, &net, &fleet, &orders);
+        let (mut v, mut s) = vehicle(&fleet);
+        s.accept(
+            &mut v,
+            dpdp_routing::Route::from_stops(vec![
+                Stop::pickup(NodeId(1), OrderId(0)),
+                Stop::delivery(NodeId(2), OrderId(0)),
+            ]),
+        );
+        s.advance_to(&mut v, TimePoint::ZERO, &net, &fleet, &orders);
         // Arrives at 10 min but waits until 2 h for the cargo; departs 2h05.
-        assert_eq!(s.view.anchor_node, NodeId(1));
-        assert!((s.view.anchor_time.seconds() - (7200.0 + 300.0)).abs() < 1e-6);
+        assert_eq!(v.anchor_node, NodeId(1));
+        assert!((v.anchor_time.seconds() - (7200.0 + 300.0)).abs() < 1e-6);
     }
 }
