@@ -74,6 +74,7 @@ use crate::dispatcher::DispatchContext;
 use crate::profile::{self, Stage, StageClock};
 use crate::state::VehicleState;
 use crate::sweep::{plan_sweep, ShardContext, ShardStats, SweepBuffers};
+use caches::CacheSlot;
 use dpdp_net::{FleetConfig, Order, OrderId, RoadNetwork, TimePoint, VehicleId};
 use dpdp_pool::ThreadPool;
 use dpdp_routing::{PlanScore, PlannerOutput, RoutePlanner, ScheduleCache, VehicleView};
@@ -83,6 +84,7 @@ use std::time::Instant;
 pub(crate) use store::ColumnMap;
 use store::{Column, DeltaRow, PlanStore};
 
+mod caches;
 mod store;
 
 /// Why a [`Decision`] turned out the way it did.
@@ -174,7 +176,8 @@ pub(crate) struct CommitAssignment {
 /// "No entry" in the scratch index tables below.
 const NONE: u32 = u32::MAX;
 
-/// Reusable per-epoch scratch arena for [`DecisionBatch::new`].
+/// Reusable per-epoch scratch arena for [`DecisionBatch::new`], kept for
+/// one episode.
 ///
 /// The driver loops (simulator episodes, server engine sessions) build one
 /// `DecisionBatch` per decision epoch; without an arena every epoch pays
@@ -183,26 +186,34 @@ const NONE: u32 = u32::MAX;
 /// `EpochScratch` owned by the loop and threaded into `new` keeps all of
 /// that storage alive across epochs: buffers are cleared, never freed, so
 /// steady-state epochs allocate only when the fleet or epoch outgrows
-/// every previous one. The column map, the work list and the commit-delta
-/// rows are lent to the batch for the length of the epoch and handed back
-/// by [`DecisionBatch::into_parts`].
+/// every previous one. The schedule caches keep more than storage: each
+/// slot keeps the cache it last built and the view it built it from, and
+/// is rebuilt only when that view changed (see `caches`). The column map,
+/// the work list, the cache slots and the commit-delta rows are lent to
+/// the batch for the length of the epoch and handed back by
+/// [`DecisionBatch::into_parts`].
 ///
-/// Reuse is invisible in the output: cache rebuilds run the identical
-/// passes over cleared vectors (see `ScheduleCache::rebuild`), the sweep
-/// and grouping buffers are overwritten before use, and the per-vehicle
-/// rebuild fan-out writes disjoint slots whose values do not depend on
-/// scheduling — so a dirty scratch produces bit-identical plans to a fresh
-/// one at any thread count (`dirty_epoch_scratch_is_bit_identical_to_fresh`
-/// below).
+/// Reuse is invisible in the output: a cache is kept only for a view equal
+/// to its own in every field the build reads, cache rebuilds run the
+/// identical passes over cleared vectors (see `ScheduleCache::rebuild`),
+/// the sweep and grouping buffers are overwritten before use, and the
+/// per-vehicle refresh fan-out writes disjoint slots whose values do not
+/// depend on scheduling — so a dirty scratch produces bit-identical plans
+/// to a fresh one at any thread count
+/// (`dirty_epoch_scratch_is_bit_identical_to_fresh` below).
 #[derive(Debug, Default)]
 pub(crate) struct EpochScratch {
     /// Sharded-sweep classification buffers (see [`SweepBuffers`]).
     pub(crate) sweep: SweepBuffers,
-    /// One schedule cache slot per vehicle, rebuilt in place each epoch.
-    caches: Vec<ScheduleCache>,
-    /// `cache_live[k]`: whether `caches[k]` was rebuilt for this epoch —
-    /// `k` is the lowest member of a column some cell of which is scored.
-    /// Dead slots keep stale storage for later epochs but are never read.
+    /// One schedule cache slot per vehicle, kept for the episode: a live
+    /// slot is rebuilt in place only when its vehicle's view no longer
+    /// matches the key it was built from, and an acceptance rebuilds and
+    /// re-keys the accepting vehicle's own slot.
+    caches: Vec<CacheSlot>,
+    /// `cache_live[k]`: whether `caches[k]` is read this epoch — `k` is the
+    /// lowest member of a column some cell of which is scored — and so is
+    /// brought up to date with `k`'s view. Dead slots keep their cache and
+    /// key for later epochs but are not read in this one.
     cache_live: Vec<bool>,
     /// The epoch's column map, built by [`EpochScratch::group_twins`].
     column_map: ColumnMap,
@@ -275,10 +286,13 @@ impl EpochScratch {
     /// and its one cell per order is every member's score (see the module
     /// docs).
     ///
-    /// Rebuilds one [`ScheduleCache`] per column that has a cell — in its
-    /// lowest member's slot; classification keeps no cell of a masked
-    /// vehicle, so it gets none — and runs [`RoutePlanner::score_cached`]
-    /// once per cell on that member's view, fanned out across `pool`.
+    /// Brings one [`ScheduleCache`] per column that has a cell up to date —
+    /// in its lowest member's slot, rebuilt only if that member's view
+    /// changed since the slot was built; classification keeps no cell of a
+    /// masked vehicle, so it gets none — and runs
+    /// [`RoutePlanner::score_cached`] once per cell on that member's view,
+    /// fanned out across `pool`. Returns the scores and the number of
+    /// caches rebuilt.
     fn score_cells(
         &mut self,
         planner: &RoutePlanner<'_>,
@@ -286,65 +300,28 @@ impl EpochScratch {
         epoch: &[OrderId],
         pool: &ThreadPool,
         work: &[(u32, u32)],
-    ) -> Vec<PlanScore> {
-        self.caches.resize_with(views.len(), ScheduleCache::default);
+    ) -> (Vec<PlanScore>, usize) {
+        self.caches.resize_with(views.len(), CacheSlot::default);
         self.cache_live.clear();
         self.cache_live.resize(views.len(), false);
         for (_, c) in work {
             self.cache_live[self.column_map.members(c)[0] as usize] = true;
         }
-        self.rebuild_caches(planner, views, pool);
+        let built = caches::refresh(&mut self.caches, &self.cache_live, planner, views, pool);
         let scr = &*self;
-        pool.par_map(work.len(), |w| {
+        let scores = pool.par_map(work.len(), |w| {
             let (i, c) = work[w];
             let rep = scr.column_map.members(&c)[0] as usize;
             let order = &planner.orders()[epoch[i as usize].index()];
-            planner.score_cached(&scr.caches[rep], &views[rep], order)
-        })
-    }
-
-    /// Rebuilds, in place, the schedule cache of every vehicle
-    /// `cache_live` selects, fanning the builds out across `pool` in fixed
-    /// chunks. Each task owns a disjoint `chunks_mut` slice and every
-    /// cache's content depends only on its own vehicle view, so the result
-    /// is independent of task scheduling — bit-identical at any thread
-    /// count, dirty or fresh.
-    fn rebuild_caches(
-        &mut self,
-        planner: &RoutePlanner<'_>,
-        views: &[VehicleView],
-        pool: &ThreadPool,
-    ) {
-        let k_n = views.len();
-        let live = &self.cache_live;
-        if !pool.is_parallel() || k_n == 0 {
-            for (k, cache) in self.caches.iter_mut().enumerate() {
-                if live[k] {
-                    planner.cache_into(cache, &views[k]);
-                }
-            }
-            return;
-        }
-        let chunk = k_n.div_ceil((pool.threads() * 4).min(k_n));
-        pool.scope(|scope| {
-            for (c, caches) in self.caches.chunks_mut(chunk).enumerate() {
-                let start = c * chunk;
-                scope.spawn(move || {
-                    for (off, cache) in caches.iter_mut().enumerate() {
-                        let k = start + off;
-                        if live[k] {
-                            planner.cache_into(cache, &views[k]);
-                        }
-                    }
-                });
-            }
+            planner.score_cached(scr.caches[rep].cache(), &views[rep], order)
         });
+        (scores, built)
     }
 
-    /// The cache rebuilt for vehicle `k` this epoch, if any.
+    /// The cache read for vehicle `k` this epoch, if any.
     #[inline]
     fn cache(&self, k: usize) -> Option<&ScheduleCache> {
-        self.cache_live[k].then(|| &self.caches[k])
+        self.cache_live[k].then(|| self.caches[k].cache())
     }
 
     /// The per-column side of the epoch just scored: each column's pruned
@@ -398,9 +375,11 @@ struct BatchInner {
     /// Acceptances committed so far: the stamp [`DeltaRow::holds`] is
     /// compared against.
     acceptances: u32,
-    /// Commit scratch: the accepting vehicle's schedule cache, rebuilt in
-    /// place per acceptance.
-    column_cache: ScheduleCache,
+    /// The episode's cache slots, one per vehicle, lent by the scratch:
+    /// an acceptance rebuilds and re-keys the accepting vehicle's own slot
+    /// for its new route, which its commit delta scores against and a later
+    /// epoch may keep.
+    caches: Vec<CacheSlot>,
 }
 
 /// All orders flushed at one decision epoch, sharing one fleet snapshot.
@@ -515,9 +494,10 @@ impl<'a> DecisionBatch<'a> {
         );
         profile::lap(&mut clock, Stage::Classify);
         let work = std::mem::take(&mut scratch.sweep.work);
-        let scores = scratch.score_cells(&planner, &views, epoch, &pool, &work);
+        let (scores, built) = scratch.score_cells(&planner, &views, epoch, &pool, &work);
         profile::lap(&mut clock, Stage::Score);
         stats.shared = stats.evaluated - work.len();
+        stats.caches_built = built;
         // `work` is column-major, so a row's cells arrive scattered: count
         // them first and size every row exactly.
         let row_len = &mut scratch.row_len;
@@ -549,6 +529,7 @@ impl<'a> DecisionBatch<'a> {
         );
         // The column index is the work list itself, moved.
         let columns = scratch.columns(&planner, &views);
+        let caches = std::mem::take(&mut scratch.caches);
         let map = std::mem::take(&mut scratch.column_map);
         let plans = PlanStore::new(rows, map, columns, work);
         let undecided = (0..epoch_orders.len() as u32).collect();
@@ -573,7 +554,7 @@ impl<'a> DecisionBatch<'a> {
                 stats,
                 delta_rows,
                 acceptances: 0,
-                column_cache: ScheduleCache::default(),
+                caches,
             }),
             clock: clock.map(RefCell::new),
         }
@@ -666,6 +647,7 @@ impl<'a> DecisionBatch<'a> {
         scratch.column_map = inner.plans.map;
         scratch.sweep.work = inner.plans.swept;
         scratch.delta_rows = inner.delta_rows;
+        scratch.caches = inner.caches;
         *views = inner.views;
         *states = inner.states;
         (inner.commits, self.clock.map(RefCell::into_inner))
@@ -873,7 +855,7 @@ impl<'a> DecisionBatch<'a> {
             stats,
             delta_rows,
             acceptances,
-            column_cache,
+            caches,
             ..
         } = inner;
         // An id outside the fleet has no cell (untrusted input: the engine
@@ -914,9 +896,14 @@ impl<'a> DecisionBatch<'a> {
         // is the vehicle's new fallback, written once below, so a pruned
         // delta cell costs its bound check and — unless the column index
         // says the row stores a now stale cell of `k` — touches no row.
+        // The cache is built in `k`'s own slot and keyed with its new view:
+        // nothing else reads the slot this epoch, and the next epoch keeps
+        // it if the view has not moved by then.
         let view = &views[k.index()];
-        planner.cache_into(column_cache, view);
-        let cache = &*column_cache;
+        let slot = &mut caches[k.index()];
+        slot.rebuild(&planner, view);
+        stats.caches_built += 1;
+        let cache = slot.cache();
         plans.columns[k.index()].fallback = planner.pruned_score(Some(cache), view);
         let vehicle_shard = batch.shards.map.shard_of(view.anchor_node) as u32;
         *acceptances += 1;

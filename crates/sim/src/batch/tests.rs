@@ -115,6 +115,41 @@ fn dirty_epoch_scratch_is_bit_identical_to_fresh() {
     assert_eq!(fresh, second);
 }
 
+/// A schedule cache is kept into the next epoch only for a view equal to
+/// the one it was built from. Vehicle 0 is still driving to the depot when
+/// it accepts order 0 — its anchor does not move — and the order is then
+/// cancelled by route surgery, so the next epoch finds the view the first
+/// epoch's sweep built its cache from. The accepting commit rebuilt that
+/// cache for the route with the order on it, and re-keyed it: the next
+/// epoch must rebuild it again and score order 1 (which no longer fits
+/// beside order 0) as feasible, exactly as a fresh scratch does.
+#[test]
+fn a_kept_cache_belongs_to_the_view_it_was_last_built_from() {
+    let inst = instance();
+    let now = TimePoint::from_hours(NOW_H);
+    let one_cell = || town_shards(&inst, false);
+    let (mut views, mut states) = idle_fleet(&inst);
+    views[0].anchor_time = now + TimeDelta::from_minutes(0.2);
+    let mut scratch = EpochScratch::default();
+    let first = batch_of(&inst, (views, states), None, one_cell(), &mut scratch);
+    assert_eq!(first.shard_stats().caches_built, 2);
+    assert!(first.resolve(0, Some(VehicleId(0))).is_assigned());
+    (views, states) = (Vec::new(), Vec::new());
+    let _ = first.into_parts(&mut scratch, &mut views, &mut states);
+    assert_eq!(views[0].anchor_time, now + TimeDelta::from_minutes(0.2));
+    assert!(states[0].cancel_order(&mut views[0], OrderId(0)));
+    let fleet = (views.clone(), states.clone());
+    let fresh = batch_of(&inst, fleet, None, one_cell(), &mut EpochScratch::default());
+    let kept = batch_of(&inst, (views, states), None, one_cell(), &mut scratch);
+    assert!(fresh.with_context(1, |ctx| ctx.plan(0).feasible()));
+    for i in 0..kept.len() {
+        assert_eq!(dense_row(&kept, i), dense_row(&fresh, i), "row {i}");
+    }
+    // Both epochs are at 08:00, so idle vehicle 1 is where it was and
+    // keeps its cache; vehicle 0's is rebuilt.
+    assert_eq!(kept.shard_stats().caches_built, 1);
+}
+
 #[test]
 fn resolve_updates_plan_deltas_for_later_orders() {
     let inst = instance();
@@ -682,6 +717,11 @@ fn shard_stats_count_the_escalated_members_of_a_group() {
     cells.dedup();
     expect.pruned = expect.cells - expect.evaluated;
     expect.shared = expect.evaluated - cells.len();
+    // One cache per column with a cell, in a fresh scratch.
+    let mut columns: Vec<u32> = cells.iter().map(|&(_, c)| c).collect();
+    columns.sort_unstable();
+    columns.dedup();
+    expect.caches_built = columns.len();
     assert_eq!(b.shard_stats(), expect);
 }
 
@@ -711,12 +751,15 @@ fn a_one_cell_batch_counts_every_cell() {
     assert_eq!(b.num_shards(), 1);
     let (n, k_n, masked) = (b.len(), b.num_vehicles(), 1);
     // Every order reads both groups: four members in town A, three in B.
+    // A fresh scratch builds one cache per active column, and every
+    // acceptance one more.
     let mut expect = ShardStats {
         cells: n * k_n,
         evaluated: n * (k_n - masked),
         pruned: n * masked,
         escalated: 0,
         shared: n * (3 + 2),
+        caches_built: k_n - masked - (3 + 2),
     };
     assert_eq!(b.shard_stats(), expect);
     let acceptances = [(1, 0), (2, 3), (3, 2), (0, 5)];
@@ -725,6 +768,7 @@ fn a_one_cell_batch_counts_every_cell() {
         let undecided = n - accepted - 1;
         expect.cells += undecided;
         expect.evaluated += undecided;
+        expect.caches_built += 1;
         assert_eq!(b.shard_stats(), expect, "after accepting order {i}");
     }
 }
@@ -809,6 +853,8 @@ proptest! {
                 prop_assert_eq!(sharded.shard_stats(), expect);
                 continue;
             };
+            // An acceptance builds the accepting vehicle's cache.
+            expect.caches_built += 1;
             let view = sharded.inner.borrow().views[k.index()].clone();
             for j in i + 1..b {
                 let foreign = sharded.shard_of_order(j) != sharded.shard_of_vehicle(k);
@@ -904,14 +950,15 @@ fn shard_stats_count_commit_deltas_as_before() {
     ];
     let inst = two_towns(6, &epoch_specs(extra));
     let batch = town_batch(&inst, true);
-    let stats = |cells, evaluated, pruned, escalated, shared| ShardStats {
+    let stats = |cells, evaluated, pruned, escalated, shared, caches_built| ShardStats {
         cells,
         evaluated,
         pruned,
         escalated,
         shared,
+        caches_built,
     };
-    assert_eq!(batch.shard_stats(), stats(48, 27, 21, 3, 18));
+    assert_eq!(batch.shard_stats(), stats(48, 27, 21, 3, 18, 2));
     for i in 0..batch.len() {
         let choice = if i == 0 {
             Some(VehicleId(0))
@@ -924,5 +971,5 @@ fn shard_stats_count_commit_deltas_as_before() {
         };
         batch.resolve(i, choice);
     }
-    assert_eq!(batch.shard_stats(), stats(76, 39, 37, 3, 18));
+    assert_eq!(batch.shard_stats(), stats(76, 39, 37, 3, 18, 10));
 }

@@ -113,6 +113,14 @@ pub struct ShardStats {
     /// scored and stored. A subset of `evaluated`; commit deltas rescore
     /// one vehicle and never share.
     pub shared: usize,
+    /// Schedule caches built: one per column of the initial sweep whose
+    /// lowest member's view changed since its slot was last built — a
+    /// slot is kept across epochs, so a vehicle still driving the leg it
+    /// was driving at its last build is scored on the cache it has (see
+    /// [`crate::batch`]) — plus one per acceptance, for the accepting
+    /// vehicle's new route. Like `shared`, it counts work saved by
+    /// reuse: the scores are the same either way.
+    pub caches_built: usize,
 }
 
 impl ShardStats {

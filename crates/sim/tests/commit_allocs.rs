@@ -5,7 +5,10 @@
 //! adopted route — and nothing per delta cell, evaluated or pruned. A cell
 //! is a `Copy` score: rescoring one touches no allocator, and pruned cells
 //! stay implicit (they used to be written into every still-undecided row;
-//! evaluated ones used to own a boxed route and schedule each).
+//! evaluated ones used to own a boxed route and schedule each). The
+//! accepting vehicle's view changes in place, and its schedule cache is
+//! rebuilt in its own slot of the episode's arena, which allocates only
+//! the first time that vehicle holds a route that long.
 //!
 //! A commit delta on a vehicle that was an idle twin: it leaves its group
 //! for a column of its own, so its delta cells are inserted into rows that
@@ -17,14 +20,19 @@
 //! group)`, live in the episode's epoch arena or are moved, not copied, so
 //! a warmed-up build allocates no more than it did when every parked
 //! vehicle was scored and stored on its own.
+//!
+//! The batch build over a busy fleet, where every vehicle has stops to
+//! drive and cargo on board: the fleet moves into the batch and back, no
+//! view is copied, so a warmed-up build allocates the same at `K` vehicles
+//! and at `2K`.
 
 use dpdp_net::{
     FleetConfig, Instance, IntervalGrid, Node, NodeId, Order, OrderId, Point, RoadNetwork,
     TimeDelta, TimePoint, VehicleId,
 };
 use dpdp_sim::{
-    BufferingMode, Decision, DecisionBatch, Dispatcher, EpochInfo, ShardConfig, SimObserver,
-    Simulator,
+    BufferingMode, Decision, DecisionBatch, Dispatcher, EpochInfo, FleetRecord, MetricsOptions,
+    ShardConfig, SimObserver, Simulator,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -74,22 +82,28 @@ fn allocations_of<R>(f: impl FnOnce() -> R) -> (usize, R) {
 
 /// What one warmed-up acceptance of this fixture allocates, however many
 /// cells it rescores (with a boxed route per evaluated cell it was
-/// `7 + 5 * evaluated`).
-const ACCEPTANCE_ALLOCATIONS: usize = 7;
+/// `7 + 5 * evaluated`; 7 while the commit copied the vehicle's new view
+/// into the batch's view mirror).
+const ACCEPTANCE_ALLOCATIONS: usize = 4;
 /// What one warmed-up acceptance by a member of an idle-twin group
 /// allocates at most here: the commit record plus the growth of the rows
-/// its split column inserts into, and of the column index's chain of
-/// inserted cells (measured: 8, 7, 9, 7, 7 — the first grows the chain,
-/// the third two rows).
-const SPLIT_ACCEPTANCE_ALLOCATIONS: usize = 9;
+/// its split column inserts into (measured: 5, 4, 6, 4, 4 — the first and
+/// third grow rows; 9 while the commit copied the vehicle's new view).
+const SPLIT_ACCEPTANCE_ALLOCATIONS: usize = 6;
 const TOWN_A_ORDERS: usize = 6;
 const TOWN_B_ORDERS: usize = 40;
+/// Epochs of the acceptance fixture: the first warms up, the second is
+/// measured.
+const ACCEPTANCE_EPOCHS: usize = 2;
 
 /// Two towns 300 km apart. Six vehicles idle in town A, each at a depot of
-/// its own or, with `twins`, all at one (one idle-twin group); six loose
-/// town-A orders head the epoch, forty town-B orders with ninety minutes of
-/// slack follow (no vehicle can reach them: every one of their cells is
-/// pruned, before and after each commit).
+/// its own or, with `twins`, all at one (one idle-twin group). Two epochs
+/// two hours apart, each the same: six loose town-A orders head it, forty
+/// town-B orders with ninety minutes of slack follow (no vehicle can reach
+/// them: every one of their cells is pruned, before and after each
+/// commit). Every vehicle has long finished its first order when the
+/// second epoch opens, so it is idle again — with the same neighbours, and
+/// in the same idle-twin group.
 fn instance(twins: bool) -> Instance {
     let mut nodes: Vec<Node> = (0..TOWN_A_ORDERS)
         .map(|d| Node::depot(NodeId::from_index(d), Point::new(0.0, d as f64)))
@@ -115,17 +129,19 @@ fn instance(twins: bool) -> Instance {
         TimeDelta::from_minutes(2.0),
     )
     .unwrap();
-    let created = TimePoint::from_hours(8.5);
     let factory = |f: usize| TOWN_A_ORDERS as u32 + f as u32;
-    let orders = (0..TOWN_A_ORDERS + TOWN_B_ORDERS)
-        .map(|i| {
+    let per_epoch = TOWN_A_ORDERS + TOWN_B_ORDERS;
+    let orders = (0..ACCEPTANCE_EPOCHS * per_epoch)
+        .map(|id| {
+            let (epoch, i) = (id / per_epoch, id % per_epoch);
+            let created = TimePoint::from_hours(8.5 + 2.0 * epoch as f64);
             let (pickup, delivery, slack_h) = if i < TOWN_A_ORDERS {
                 (factory(0), factory(1), 12.0)
             } else {
                 (factory(2), factory(3), 1.5)
             };
             Order::new(
-                OrderId(i as u32),
+                OrderId(id as u32),
                 NodeId(pickup),
                 NodeId(delivery),
                 1.0,
@@ -138,7 +154,7 @@ fn instance(twins: bool) -> Instance {
     Instance::new(net, fleet, IntervalGrid::paper_default(), orders).unwrap()
 }
 
-/// Gives town-A order `i` to vehicle `i` (a fresh idle vehicle each time,
+/// Gives town-A order `i` of each epoch to vehicle `i` (a fresh idle vehicle each time,
 /// so every acceptance replans a column no row stores yet) and records,
 /// per acceptance, what `resolve` allocated and how many delta cells it
 /// evaluated.
@@ -176,7 +192,7 @@ impl Dispatcher for Probe {
     }
 }
 
-/// The six acceptances of the fixture's one epoch.
+/// The twelve acceptances of the fixture's two epochs.
 fn acceptances(twins: bool) -> Vec<(usize, usize, usize)> {
     let inst = instance(twins);
     let mut probe = Probe::default();
@@ -186,12 +202,12 @@ fn acceptances(twins: bool) -> Vec<(usize, usize, usize)> {
         .build()
         .unwrap()
         .run(&mut probe);
-    assert_eq!(result.metrics.served, TOWN_A_ORDERS);
-    assert_eq!(probe.acceptances.len(), TOWN_A_ORDERS);
+    assert_eq!(result.metrics.served, ACCEPTANCE_EPOCHS * TOWN_A_ORDERS);
+    assert_eq!(probe.acceptances.len(), ACCEPTANCE_EPOCHS * TOWN_A_ORDERS);
     let evaluated: Vec<usize> = probe.acceptances.iter().map(|a| a.1).collect();
     assert_eq!(
         evaluated,
-        [5, 4, 3, 2, 1, 0],
+        [5, 4, 3, 2, 1, 0].repeat(ACCEPTANCE_EPOCHS),
         "one delta cell per remaining town-A order"
     );
     probe.acceptances
@@ -201,13 +217,14 @@ fn acceptances(twins: bool) -> Vec<(usize, usize, usize)> {
 fn warmed_up_acceptance_allocates_only_its_commit_record() {
     let acceptances = acceptances(false);
 
-    // The first acceptance sizes the batch's commit scratch (undecided
-    // list, column schedule cache, the oracle walk's stack). From then on
-    // an acceptance costs its commit record — the accepted cell's route,
-    // timings and box, the adopted route and the vehicle's refreshed
-    // snapshot — whether it goes on to rescore five delta cells or none;
-    // the forty pruned town-B cells cost nothing either.
-    for &(allocations, evaluated, pruned) in &acceptances[1..] {
+    // The first epoch sizes each vehicle's cache slot for a route of two
+    // stops, and the oracle walk's stack. In the second an acceptance
+    // costs its commit record — the accepted cell's route, timings and
+    // box, and the adopted route (the pre-commit view of an idle vehicle
+    // holds nothing on the heap) — whether it goes on to rescore five
+    // delta cells or none; the forty pruned town-B cells cost nothing
+    // either.
+    for &(allocations, evaluated, pruned) in &acceptances[TOWN_A_ORDERS..] {
         assert_eq!(pruned, TOWN_B_ORDERS);
         assert!(
             allocations <= ACCEPTANCE_ALLOCATIONS,
@@ -217,13 +234,15 @@ fn warmed_up_acceptance_allocates_only_its_commit_record() {
     }
 }
 
-/// The same epoch over six idle twins: every acceptance is a member leaving
-/// the group, and each of its evaluated delta cells is inserted into a row
-/// that stored only the group's cell until then.
+/// The same epochs over six idle twins: every acceptance is a member
+/// leaving the group, and each of its evaluated delta cells is inserted
+/// into a row that stored only the group's cell until then. The first
+/// acceptance of an epoch also starts the column index's chain of inserted
+/// cells, which the batch does not keep across epochs.
 #[test]
 fn warmed_up_acceptance_by_a_grouped_member_allocates_its_record_and_row_growth() {
     let acceptances = acceptances(true);
-    for &(allocations, evaluated, pruned) in &acceptances[1..] {
+    for &(allocations, evaluated, pruned) in &acceptances[TOWN_A_ORDERS + 1..] {
         assert_eq!(pruned, TOWN_B_ORDERS);
         assert!(
             allocations <= SPLIT_ACCEPTANCE_ALLOCATIONS,
@@ -304,12 +323,20 @@ impl Dispatcher for DeclineAll {
 #[derive(Default)]
 struct BuildProbe {
     builds: Vec<(usize, usize)>,
+    /// Per epoch, the vehicles it left with both stops and cargo.
+    busy: Vec<usize>,
 }
 
 impl SimObserver for BuildProbe {
     fn on_epoch(&mut self, epoch: &EpochInfo) {
         let since = allocations() - DISPATCH_END.with(Cell::get);
         self.builds.push((since, epoch.shards.shared));
+    }
+
+    fn on_fleet(&mut self, fleet: &FleetRecord<'_>) {
+        let busy = fleet.views.iter();
+        let busy = busy.filter(|v| !v.route.is_empty() && !v.onboard.is_empty());
+        self.busy.push(busy.count());
     }
 }
 
@@ -325,6 +352,7 @@ fn warmed_up_batch_build_over_idle_twins_allocates_no_more_than_ungrouped() {
     for (shards, ceiling) in [(1, FLAT_BUILD_ALLOCATIONS), (2, SHARDED_BUILD_ALLOCATIONS)] {
         let mut probe = BuildProbe::default();
         probe.builds.reserve(EPOCHS);
+        probe.busy.reserve(EPOCHS);
         let result = Simulator::builder(&inst)
             .buffering(BufferingMode::FixedInterval(TimeDelta::from_minutes(60.0)))
             .sharding(ShardConfig::flat(shards).unwrap().escalation(0))
@@ -345,4 +373,99 @@ fn warmed_up_batch_build_over_idle_twins_allocates_no_more_than_ungrouped() {
             );
         }
     }
+}
+
+const BUSY_EPOCHS: usize = 4;
+const ORDERS_PER_BUSY_EPOCH: usize = 2;
+
+/// A home town and a far town 300 km apart, `k` vehicles at the home
+/// depot. At 08:00 every vehicle takes one far-town order and sets off
+/// for its pickup, five hours away: from then on each one drives with
+/// the order on board and its delivery left on its route. Three more
+/// hourly epochs of two home-town orders follow, which nobody takes.
+fn busy_instance(k: usize) -> Instance {
+    let nodes = vec![
+        Node::depot(NodeId(0), Point::new(0.0, 0.0)),
+        Node::factory(NodeId(1), Point::new(4.0, 0.0)),
+        Node::factory(NodeId(2), Point::new(0.0, 5.0)),
+        Node::factory(NodeId(3), Point::new(300.0, 0.0)),
+        Node::factory(NodeId(4), Point::new(304.0, 3.0)),
+    ];
+    let net = RoadNetwork::euclidean(nodes, 1.0).unwrap();
+    let fleet = FleetConfig::homogeneous(
+        k,
+        &[NodeId(0)],
+        10.0,
+        500.0,
+        2.0,
+        60.0,
+        TimeDelta::from_minutes(2.0),
+    )
+    .unwrap();
+    let far = (0..k).map(|_| (7.5, 3, 4));
+    let home = (1..BUSY_EPOCHS)
+        .flat_map(|e| (0..ORDERS_PER_BUSY_EPOCH).map(move |_| (7.5 + e as f64, 1, 2)));
+    let orders = far
+        .chain(home)
+        .enumerate()
+        .map(|(id, (created_h, pickup, delivery))| {
+            let created = TimePoint::from_hours(created_h);
+            Order::new(
+                OrderId(id as u32),
+                NodeId(pickup),
+                NodeId(delivery),
+                1.0,
+                created,
+                created + TimeDelta::from_hours(24.0),
+            )
+            .unwrap()
+        })
+        .collect();
+    Instance::new(net, fleet, IntervalGrid::paper_default(), orders).unwrap()
+}
+
+/// Gives order `i` of the first epoch to vehicle `i` and declines every
+/// later order, marking when each dispatch returned.
+struct SendEveryVehicleAway;
+
+impl Dispatcher for SendEveryVehicleAway {
+    fn dispatch(&mut self, _ctx: &dpdp_sim::DispatchContext<'_>) -> Option<VehicleId> {
+        unreachable!("batch-native")
+    }
+
+    fn dispatch_batch(&mut self, batch: &DecisionBatch<'_>) -> Vec<Decision> {
+        let first = batch.len() == batch.num_vehicles();
+        let decisions = (0..batch.len())
+            .map(|i| batch.resolve(i, first.then(|| VehicleId::from_index(i))))
+            .collect();
+        DISPATCH_END.with(|mark| mark.set(allocations()));
+        decisions
+    }
+}
+
+/// Epoch-boundary allocations of the last two busy epochs, at `k`
+/// vehicles.
+fn busy_builds(k: usize) -> Vec<usize> {
+    let inst = busy_instance(k);
+    let mut probe = BuildProbe::default();
+    probe.builds.reserve(BUSY_EPOCHS);
+    probe.busy.reserve(BUSY_EPOCHS);
+    let result = Simulator::builder(&inst)
+        .buffering(BufferingMode::FixedInterval(TimeDelta::from_minutes(60.0)))
+        .metrics(MetricsOptions {
+            record_assignments: false,
+            record_vehicle_stats: false,
+        })
+        .build()
+        .unwrap()
+        .run_observed(&mut SendEveryVehicleAway, &mut [&mut probe]);
+    assert_eq!(result.metrics.served, k);
+    assert_eq!(probe.busy, [k; BUSY_EPOCHS]);
+    probe.builds[2..].iter().map(|&(n, _)| n).collect()
+}
+
+#[test]
+fn warmed_up_batch_build_over_a_busy_fleet_allocates_nothing_per_vehicle() {
+    let (k, twice) = (busy_builds(8), busy_builds(16));
+    assert_eq!(k, twice, "a batch build copies something per vehicle");
 }

@@ -12,7 +12,10 @@
 //! of the next: per epoch and stage the table keeps the fastest episode's
 //! time — the perf ledger's "quiet" rule, which discards the time a busy
 //! host steals — and prints each stage's sum over the day in microseconds
-//! per order and as a share of the whole.
+//! per order and as a share of the whole. Under the table, `caches_built`
+//! counts the schedule caches one episode built: those its sweeps rebuilt
+//! because a vehicle's view had changed, plus one per acceptance
+//! (`dpdp_sim::ShardStats::caches_built`).
 //!
 //! ```text
 //! cargo run --release --example epoch_profile
@@ -21,22 +24,33 @@
 use dpdp_core::models;
 use dpdp_core::prelude::*;
 use dpdp_net::TimeDelta;
-use dpdp_sim::{EpochProfile, Stage};
+use dpdp_sim::{DecisionRecord, EpochInfo, EpochProfile, Stage};
 
 /// The ledger's world seed and `--seed 7`.
 const SEED: u64 = 7;
 /// Profiled episodes per day, after one warm-up episode.
 const EPISODES: usize = 20;
 
-/// Keeps the profile of every epoch of an episode.
+/// Keeps the profile of every epoch of an episode, and counts the
+/// schedule caches it built.
 #[derive(Default)]
 struct Profiler {
     epochs: Vec<EpochProfile>,
+    caches_built: usize,
 }
 
 impl SimObserver for Profiler {
     fn wants_profile(&self) -> bool {
         true
+    }
+
+    fn on_epoch(&mut self, epoch: &EpochInfo) {
+        self.caches_built += epoch.shards.caches_built;
+    }
+
+    fn on_decision(&mut self, record: &DecisionRecord<'_>) {
+        // An acceptance builds the accepting vehicle's cache.
+        self.caches_built += usize::from(record.decision.is_assigned());
     }
 
     fn on_epoch_profile(&mut self, profile: &EpochProfile) {
@@ -47,11 +61,13 @@ impl SimObserver for Profiler {
 fn profile_day(title: &str, sim: &Simulator<'_>, policy: &mut dyn Dispatcher) {
     let orders = sim.instance().num_orders();
     let warm = sim.run(policy);
+    let mut caches_built = 0;
     let episodes: Vec<Vec<EpochProfile>> = (0..EPISODES)
         .map(|_| {
             let mut profiler = Profiler::default();
             let result = sim.run_observed(policy, &mut [&mut profiler]);
             assert_eq!(result, warm, "evaluation episodes repeat bit for bit");
+            caches_built = profiler.caches_built;
             profiler.epochs
         })
         .collect();
@@ -72,12 +88,8 @@ fn profile_day(title: &str, sim: &Simulator<'_>, policy: &mut dyn Dispatcher) {
             per_order(nanos)
         );
     }
-    println!(
-        "{:<12} {:>10.2} {:>6.1}%\n",
-        "total",
-        per_order(total),
-        100.0
-    );
+    println!("{:<12} {:>10.2} {:>6.1}%", "total", per_order(total), 100.0);
+    println!("{:<12} {caches_built:>10} per episode\n", "caches_built");
 }
 
 fn main() {

@@ -32,8 +32,8 @@ use dpdp_net::{TimeDelta, VehicleId};
 use dpdp_rl::ActorCriticConfig;
 use dpdp_routing::best_insertion_naive;
 use dpdp_sim::{
-    BufferingMode, DispatchContext, EpisodeResult, InvariantAuditor, PerOrder, RepartitionPolicy,
-    ShardConfig,
+    BufferingMode, Decision, DecisionBatch, DispatchContext, DisruptionConfig, EpisodeResult,
+    EpochInfo, InvariantAuditor, PerOrder, RepartitionPolicy, ShardConfig, SimObserver,
 };
 
 fn presets() -> Presets {
@@ -105,7 +105,6 @@ fn greedy_baselines_match_through_both_paths() {
 fn buffered_baseline1_actually_forms_multi_order_batches() {
     // Guard against the parity test going vacuous: under the coarse buffer
     // the episode must contain at least one epoch with several orders.
-    use dpdp_sim::{EpochInfo, SimObserver};
 
     #[derive(Default)]
     struct MaxBatch(usize);
@@ -136,22 +135,40 @@ fn buffered_baseline1_actually_forms_multi_order_batches() {
 /// Per-order wrapper that checks every vehicle's plan in every context it
 /// is shown against the Algorithm 2 oracle before delegating: the winner
 /// (and its bookkeeping counts) must equal `best_insertion_naive`'s on the
-/// vehicle's own view, and `d_{t,k}` must be the bit pattern
-/// `Route::length` folds — so a plan an idle-twin column shares is checked
-/// once per member. `cells` counts vehicles, not columns. Going through
-/// the per-order adapter, it sees each order's row as it stands when the
-/// order is decided — commit deltas and the sparse store's implicit pruned
-/// cells included.
+/// vehicle's own view — none for a vehicle the epoch masks out (broken
+/// down) — and `d_{t,k}` must be the bit pattern `Route::length` folds — so
+/// a plan an idle-twin column shares is checked once per member. `cells`
+/// counts vehicles, not columns. Going through the per-order adapter's
+/// loop, it sees each order's row as it stands when the order is decided —
+/// commit deltas and the sparse store's implicit pruned cells included.
 struct OracleChecked {
     inner: Box<dyn Dispatcher>,
     cells: usize,
+    /// The epoch's availability mask.
+    active: Vec<bool>,
 }
 
 impl Dispatcher for OracleChecked {
+    /// The default per-order adapter, after reading the epoch's mask.
+    fn dispatch_batch(&mut self, batch: &DecisionBatch<'_>) -> Vec<Decision> {
+        self.active.clear();
+        let vehicles = (0..batch.num_vehicles()).map(VehicleId::from_index);
+        self.active
+            .extend(vehicles.map(|k| batch.vehicle_active(k)));
+        (0..batch.len())
+            .map(|i| {
+                let choice = batch.with_context(i, |ctx| self.dispatch(ctx));
+                batch.resolve(i, choice)
+            })
+            .collect()
+    }
+
     fn dispatch(&mut self, ctx: &DispatchContext<'_>) -> Option<VehicleId> {
         for (k, view) in ctx.views.iter().enumerate() {
             let plan = ctx.plan(k);
-            let oracle = best_insertion_naive(view, ctx.order, ctx.net, ctx.fleet, ctx.orders);
+            let oracle = self.active[k]
+                .then(|| best_insertion_naive(view, ctx.order, ctx.net, ctx.fleet, ctx.orders))
+                .flatten();
             assert_eq!(
                 plan.best.as_deref(),
                 oracle.as_ref(),
@@ -182,12 +199,34 @@ impl Dispatcher for OracleChecked {
     }
 }
 
+/// Counts, over an episode's initial sweeps, the schedule caches built and
+/// the live columns — the columns with a cell, whose caches a sweep reads.
+/// On one cell every active column has a cell for every order, so an
+/// epoch's live columns are its `(order, column)` cells over its orders.
+#[derive(Default)]
+struct CacheTally {
+    built: usize,
+    live: usize,
+}
+
+impl SimObserver for CacheTally {
+    fn on_epoch(&mut self, epoch: &EpochInfo) {
+        self.built += epoch.shards.caches_built;
+        self.live += (epoch.shards.evaluated - epoch.shards.shared) / epoch.num_orders;
+    }
+}
+
 /// Every cell a policy can read equals the naive Algorithm 2 oracle, and
 /// checking changes nothing: for Baselines 1–3 the oracle-checked episode
 /// is the unwrapped native-batch episode — on the campus instance under
-/// every buffering mode at both thread widths, and on the metro instance
+/// every buffering mode at both thread widths, on the metro instance
 /// flat, sharded (where pruned cells are never evaluated) and under a
-/// hierarchical layout that re-partitions mid-episode.
+/// hierarchical layout that re-partitions mid-episode, and on a disrupted
+/// metro day under immediate dispatch. There, cancellations, breakdowns
+/// with stranded re-dispatch and recoveries rewrite routes between epochs,
+/// and a schedule cache is kept from one epoch to the next whenever its
+/// vehicle's view did not change: the episode must build fewer caches than
+/// its sweeps read, or the reuse went unchecked.
 #[test]
 fn every_cell_a_policy_reads_matches_the_naive_oracle() {
     type MakeDispatcher = fn() -> Box<dyn Dispatcher>;
@@ -198,6 +237,8 @@ fn every_cell_a_policy_reads_matches_the_naive_oracle() {
     ];
     let campus = presets().dataset().sampled_instance(0..3, 30, 8, 21);
     let metro = Presets::metro(7).metro_instance(60, 32, 5);
+    let (disrupted_metro, disruptions) = Presets::metro_disrupted(3);
+    let disrupted = disrupted_metro.metro_instance(120, 24, 2);
     let hourly = BufferingMode::FixedInterval(TimeDelta::from_minutes(60.0));
     let unsharded = ShardConfig::flat(1).expect("one shard");
     let repartitioned = ShardConfig::hierarchical(2, 2)
@@ -208,32 +249,64 @@ fn every_cell_a_policy_reads_matches_the_naive_oracle() {
             min_orders: 1,
         })
         .expect("positive epoch period");
-    let mut configs: Vec<(&Instance, BufferingMode, ShardConfig)> = modes()
+    let mut configs: Vec<(
+        &Instance,
+        BufferingMode,
+        ShardConfig,
+        Option<DisruptionConfig>,
+    )> = modes()
         .into_iter()
-        .map(|mode| (&campus, mode, unsharded.clone()))
+        .map(|mode| (&campus, mode, unsharded.clone(), None))
         .collect();
-    configs.push((&metro, hourly, unsharded.clone()));
-    configs.push((&metro, hourly, ShardConfig::flat(4).expect("four shards")));
-    configs.push((&metro, hourly, repartitioned));
-    for (instance, mode, sharding) in configs {
+    configs.push((&metro, hourly, unsharded.clone(), None));
+    configs.push((
+        &metro,
+        hourly,
+        ShardConfig::flat(4).expect("four shards"),
+        None,
+    ));
+    configs.push((&metro, hourly, repartitioned, None));
+    configs.push((
+        &disrupted,
+        BufferingMode::Immediate,
+        unsharded.clone(),
+        Some(disruptions),
+    ));
+    for (instance, mode, sharding, disruptions) in configs {
         for width in [1, parallel_threads()] {
-            let sim = Simulator::builder(instance)
+            let mut builder = Simulator::builder(instance)
                 .buffering(mode)
                 .sharding(sharding.clone())
-                .num_threads(width)
-                .build()
-                .expect("valid configuration");
+                .num_threads(width);
+            if let Some(disruptions) = &disruptions {
+                builder = builder.disruptions(disruptions.clone()).seed(9);
+            }
+            let sim = builder.build().expect("valid configuration");
             for (name, make) in lineup {
                 let mut checked = OracleChecked {
                     inner: make(),
                     cells: 0,
+                    active: Vec::new(),
                 };
+                let mut caches = CacheTally::default();
                 assert_eq!(
-                    sim.run_observed(&mut checked, &mut [&mut InvariantAuditor::default()]),
+                    sim.run_observed(
+                        &mut checked,
+                        &mut [&mut caches, &mut InvariantAuditor::default()]
+                    ),
                     sim.run_observed(&mut *make(), &mut [&mut InvariantAuditor::default()]),
                     "{name}: oracle-checked episode diverged under {mode:?} / \
                      {sharding:?} at {width} thread(s)"
                 );
+                if disruptions.is_some() {
+                    assert!(
+                        caches.built < caches.live,
+                        "{name}: {} caches built for {} live columns: none was reused",
+                        caches.built,
+                        caches.live
+                    );
+                    continue;
+                }
                 assert_eq!(
                     checked.cells,
                     instance.num_orders() * instance.fleet.vehicles.len(),
@@ -317,7 +390,7 @@ fn every_policy_is_bit_identical_across_shard_counts() {
 /// trivially because every cell ran the full sweep anyway.
 #[test]
 fn sharded_metro_epochs_actually_prune() {
-    use dpdp_sim::{EpochInfo, ShardStats, SimObserver};
+    use dpdp_sim::ShardStats;
 
     #[derive(Default)]
     struct Tally(ShardStats);
@@ -361,7 +434,7 @@ fn sharded_metro_epochs_actually_prune() {
 /// sharded batch — and the commit deltas must actually prune.
 #[test]
 fn hierarchical_megacity_commit_deltas_are_invisible_to_the_baselines() {
-    use dpdp_sim::{Decision, DecisionBatch, DispatchContext, ShardStats};
+    use dpdp_sim::ShardStats;
 
     /// Forwards to `inner`, tallying the work its commits added on top of
     /// each epoch's initial sweep.
@@ -462,7 +535,7 @@ fn hierarchical_megacity_commit_deltas_are_invisible_to_the_baselines() {
 /// twins whose scores are computed once.
 #[test]
 fn disrupted_episodes_are_bit_identical_across_shard_layouts() {
-    use dpdp_sim::{DisruptionKind, DisruptionRecord, EpochInfo, SimObserver};
+    use dpdp_sim::{DisruptionKind, DisruptionRecord};
 
     #[derive(Default)]
     struct Trace {
