@@ -10,6 +10,12 @@
 //! vehicle, or even once per occupied node: vehicles anchored on one node
 //! share their distances to everyone, so it ranks the occupied nodes and
 //! reads each node's vehicles off in index order.
+//!
+//! A policy that decides order after order mostly sees the fleet standing
+//! where it stood for the previous order: a vehicle's anchor moves only
+//! when it reaches a stop or takes an order. `NeighborMemo` keeps the
+//! last table with what it was computed from and hands out copies until
+//! an anchor moves.
 
 use dpdp_net::{NodeId, RoadNetwork};
 use dpdp_routing::VehicleView;
@@ -21,11 +27,27 @@ use dpdp_routing::VehicleView;
 /// [`nearest_neighbors`] writes it directly; any other list of lists —
 /// ragged, unsorted, repeating — collects into it from its `Vec<usize>`
 /// lists (`lists.into_iter().collect()`), and reads back list for list.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(PartialEq, Eq)]
 pub struct Neighbors {
     /// `K + 1` offsets into `flat`, from 0 to `flat.len()`.
     bounds: Vec<usize>,
     flat: Vec<usize>,
+}
+
+impl Clone for Neighbors {
+    fn clone(&self) -> Self {
+        Neighbors {
+            bounds: self.bounds.clone(),
+            flat: self.flat.clone(),
+        }
+    }
+
+    /// Copies `source` into this table's own buffers, allocating only if
+    /// they are too small.
+    fn clone_from(&mut self, source: &Self) {
+        self.bounds.clone_from(&source.bounds);
+        self.flat.clone_from(&source.flat);
+    }
 }
 
 impl Neighbors {
@@ -168,6 +190,56 @@ pub fn nearest_neighbors(views: &[VehicleView], net: &RoadNetwork, ne: usize) ->
         }
     }
     Neighbors { bounds, flat }
+}
+
+/// The last neighbour table a policy computed, with what it was computed
+/// from: `NE` and, per vehicle, its anchor node and that node's position
+/// bits. [`nearest_neighbors`] reads nothing else — not the routes, the
+/// cargo or the clock — so an equal key means an equal table, bit for bit,
+/// and the memo hands out a copy instead. The positions are part of the
+/// key because one memo serves every instance a policy is run on, and two
+/// networks can number their nodes alike.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NeighborMemo {
+    ne: usize,
+    /// Per vehicle: anchor node, position `x` and `y` bits.
+    anchors: Vec<(NodeId, u64, u64)>,
+    /// The table for `anchors`, `None` until the first call.
+    table: Option<Neighbors>,
+}
+
+impl NeighborMemo {
+    /// `nearest_neighbors(views, net, ne)`: a copy of the memo when no
+    /// anchor moved since it was filled, else computed and copied into the
+    /// memo's buffers.
+    pub(crate) fn neighbors(
+        &mut self,
+        views: &[VehicleView],
+        net: &RoadNetwork,
+        ne: usize,
+    ) -> Neighbors {
+        let anchor = |v: &VehicleView| {
+            let at = net.node(v.anchor_node).pos;
+            (v.anchor_node, at.x.to_bits(), at.y.to_bits())
+        };
+        let same = |anchors: &[(NodeId, u64, u64)]| {
+            anchors.len() == views.len() && anchors.iter().zip(views).all(|(a, v)| *a == anchor(v))
+        };
+        if let Some(table) = &self.table {
+            if self.ne == ne && same(&self.anchors) {
+                return table.clone();
+            }
+        }
+        let table = nearest_neighbors(views, net, ne);
+        self.ne = ne;
+        self.anchors.clear();
+        self.anchors.extend(views.iter().map(anchor));
+        match &mut self.table {
+            Some(memo) => memo.clone_from(&table),
+            None => self.table = Some(table.clone()),
+        }
+        table
+    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! The DQN-family dispatching agent: DQN / DDQN / DGN / DDGN and their
 //! ST-aided variants, trained per Algorithm 3.
 
+use crate::adjacency::NeighborMemo;
 use crate::qnet::{
     best_feasible, first_max, ForwardStats, Partition, QNetwork, QNetworkConfig, TrainStats,
 };
@@ -152,6 +153,8 @@ pub struct DqnAgent {
     /// Replay indices of the minibatch being trained on.
     minibatch: Vec<usize>,
     state_builder: StateBuilder,
+    /// The neighbour table of the last joint state this agent built.
+    neighbors: NeighborMemo,
     rng: StdRng,
     episode: usize,
     training: bool,
@@ -208,6 +211,7 @@ impl DqnAgent {
             replay,
             minibatch: Vec::new(),
             state_builder,
+            neighbors: NeighborMemo::default(),
             rng,
             episode: 0,
             training: true,
@@ -401,7 +405,7 @@ impl Dispatcher for DqnAgent {
     /// each order of the epoch against the state the earlier assignments
     /// left behind, so no order is ever scored against a stale fleet.
     fn dispatch(&mut self, ctx: &DispatchContext<'_>) -> Option<VehicleId> {
-        let snap = self.state_builder.build(ctx);
+        let snap = self.state_builder.build_memoised(ctx, &mut self.neighbors);
         let action = self.choose_action(&snap)?;
         if self.training {
             let snap = Arc::new(snap);
@@ -455,6 +459,7 @@ mod tests {
         FleetConfig, IntervalGrid, Node, NodeId, Order, OrderId, Point, RoadNetwork, TimeDelta,
         TimePoint,
     };
+    use dpdp_routing::VehicleView;
     use dpdp_sim::Simulator;
 
     fn tiny_instance(orders: usize) -> Instance {
@@ -514,6 +519,138 @@ mod tests {
             assert_eq!(agent.episodes_completed(), 1);
             assert!(agent.last_loss().is_some());
         }
+    }
+
+    /// Hands each context to the agent after checking that the agent's
+    /// own snapshot of it — its neighbour table from the memo — is the one
+    /// `StateBuilder::build` computes from scratch, bit for bit. Counts the
+    /// contexts whose anchors had all stayed put since the previous one
+    /// (a memo hit) and those where one moved.
+    struct SameSnapshots<'a> {
+        agent: &'a mut DqnAgent,
+        builder: StateBuilder,
+        last: Vec<NodeId>,
+        kept: usize,
+        moved: usize,
+    }
+
+    impl Dispatcher for SameSnapshots<'_> {
+        fn dispatch(&mut self, ctx: &DispatchContext<'_>) -> Option<VehicleId> {
+            let anchors: Vec<NodeId> = ctx.views.iter().map(|v| v.anchor_node).collect();
+            if anchors == self.last {
+                self.kept += 1;
+            } else {
+                self.moved += 1;
+            }
+            self.last = anchors;
+            let agent = &mut *self.agent;
+            let memoised = agent
+                .state_builder
+                .build_memoised(ctx, &mut agent.neighbors);
+            assert_eq!(memoised, self.builder.build(ctx), "{}", ctx.order.id);
+            agent.dispatch(ctx)
+        }
+    }
+
+    /// Reusing the last neighbour table is invisible: across an evaluation
+    /// episode, where most orders find every anchor where the previous
+    /// order left it, every snapshot the agent builds equals a fresh build.
+    #[test]
+    fn memoised_neighbour_tables_are_the_built_ones() {
+        // Orders two minutes apart, so most find the fleet mid-leg.
+        let tiny = tiny_instance(0);
+        let orders = (0..16)
+            .map(|i| {
+                let created = TimePoint::from_hours(8.0) + TimeDelta::from_minutes(2.0 * i as f64);
+                let (p, d) = [(1, 2), (3, 1), (2, 3)][i % 3];
+                let id = OrderId(i as u32);
+                let deadline = created + TimeDelta::from_hours(6.0);
+                Order::new(id, NodeId(p), NodeId(d), 1.0, created, deadline).unwrap()
+            })
+            .collect();
+        let (net, fleet) = (tiny.network.clone(), tiny.fleet.clone());
+        let inst = Instance::new(net, fleet, IntervalGrid::paper_default(), orders).unwrap();
+        let mut config = quick_config(ModelKind::Dgn);
+        config.ne = 2;
+        let mut agent = DqnAgent::new(config.clone(), 144, None);
+        agent.set_training(false);
+        let sim = Simulator::builder(&inst).build().unwrap();
+        let reference = sim.run(&mut agent);
+        let mut probe = SameSnapshots {
+            agent: &mut agent,
+            builder: StateBuilder::new(config.dist_scale, 144, config.ne),
+            last: Vec::new(),
+            kept: 0,
+            moved: 0,
+        };
+        assert_eq!(sim.run(&mut probe), reference);
+        assert!(
+            probe.kept > 0 && probe.moved > 0,
+            "{} / {}",
+            probe.kept,
+            probe.moved
+        );
+    }
+
+    /// One memo serves every instance an agent runs on, and node ids alone
+    /// do not name a place: two networks that number their depots alike
+    /// but place them differently give the same anchors different
+    /// neighbours. Three vehicles at three depots on a line; vehicle 0's
+    /// nearest other is vehicle 1 on the first network and vehicle 2 on
+    /// the second.
+    #[test]
+    fn a_memo_misses_when_the_anchor_nodes_moved() {
+        let instance = |x: [f64; 3]| {
+            let mut nodes: Vec<Node> = (0..3)
+                .map(|d| Node::depot(NodeId(d), Point::new(x[d as usize], 0.0)))
+                .collect();
+            nodes.push(Node::factory(NodeId(3), Point::new(5.0, 5.0)));
+            nodes.push(Node::factory(NodeId(4), Point::new(6.0, 5.0)));
+            let net = RoadNetwork::euclidean(nodes, 1.0).unwrap();
+            let depots = [NodeId(0), NodeId(1), NodeId(2)];
+            let fleet =
+                FleetConfig::homogeneous(3, &depots, 10.0, 300.0, 2.0, 40.0, TimeDelta::ZERO)
+                    .unwrap();
+            let order = Order::new(
+                OrderId(0),
+                NodeId(3),
+                NodeId(4),
+                1.0,
+                TimePoint::from_hours(8.0),
+                TimePoint::from_hours(14.0),
+            )
+            .unwrap();
+            Instance::new(net, fleet, IntervalGrid::paper_default(), vec![order]).unwrap()
+        };
+        let (near_one, near_two) = (instance([0.0, 1.0, 3.0]), instance([0.0, 3.0, 1.0]));
+        let mut config = quick_config(ModelKind::Dgn);
+        config.ne = 2;
+        let mut agent = DqnAgent::new(config.clone(), 144, None);
+        agent.set_training(false);
+        for inst in [&near_one, &near_two] {
+            let mut probe = SameSnapshots {
+                agent: &mut agent,
+                builder: StateBuilder::new(config.dist_scale, 144, config.ne),
+                last: Vec::new(),
+                kept: 0,
+                moved: 0,
+            };
+            Simulator::builder(inst).build().unwrap().run(&mut probe);
+            assert_eq!(probe.moved, 1, "one context, after the other instance's");
+        }
+        // The two networks do give the same anchors different neighbours.
+        let first = agent.neighbors.neighbors(
+            &[0, 1, 2].map(|d| VehicleView::idle_at_depot(VehicleId(d), NodeId(d))),
+            &near_one.network,
+            2,
+        );
+        assert_eq!(first.list(0), [0, 1]);
+        let second = agent.neighbors.neighbors(
+            &[0, 1, 2].map(|d| VehicleView::idle_at_depot(VehicleId(d), NodeId(d))),
+            &near_two.network,
+            2,
+        );
+        assert_eq!(second.list(0), [0, 2]);
     }
 
     #[test]

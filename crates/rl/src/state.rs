@@ -21,7 +21,7 @@
 //! row per vehicle, bit for bit the rows a per-vehicle build writes
 //! (`state/tests.rs` checks both on random fleets).
 
-use crate::adjacency::{nearest_neighbors, Neighbors};
+use crate::adjacency::{nearest_neighbors, NeighborMemo, Neighbors};
 use dpdp_data::{StScorer, StdMatrix};
 use dpdp_nn::Tensor;
 use dpdp_routing::PlannerOutput;
@@ -110,6 +110,22 @@ impl StateBuilder {
     /// Panics if the context's columns are not numbered by first member
     /// (see [`DispatchContext::column_plans`]).
     pub fn build(&self, ctx: &DispatchContext<'_>) -> StateSnapshot {
+        self.build_with(ctx, nearest_neighbors(ctx.views, ctx.net, self.ne))
+    }
+
+    /// [`StateBuilder::build`], with the neighbour table taken from `memo`
+    /// — a copy of the last one when no vehicle's anchor moved since (see
+    /// [`NeighborMemo`]). Bit for bit the snapshot `build` returns.
+    pub(crate) fn build_memoised(
+        &self,
+        ctx: &DispatchContext<'_>,
+        memo: &mut NeighborMemo,
+    ) -> StateSnapshot {
+        self.build_with(ctx, memo.neighbors(ctx.views, ctx.net, self.ne))
+    }
+
+    /// The snapshot of `ctx` with `neighbors` as its neighbour table.
+    fn build_with(&self, ctx: &DispatchContext<'_>, neighbors: Neighbors) -> StateSnapshot {
         let k = ctx.num_vehicles();
         let mut features = Tensor::zeros(k, STATE_DIM);
         let mut feasible = vec![false; k];
@@ -137,7 +153,6 @@ impl StateBuilder {
             };
             data[row + 4] = t_feat;
         }
-        let neighbors = nearest_neighbors(ctx.views, ctx.net, self.ne);
         StateSnapshot {
             features,
             feasible,
