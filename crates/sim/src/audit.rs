@@ -40,8 +40,6 @@ pub struct InvariantAuditor {
     orders: usize,
     /// Stack replay scratch.
     stack: Vec<OrderId>,
-    /// Fleet records audited, over every episode.
-    pub fleets: usize,
     /// Non-empty routes (or cargo stacks) re-checked, over every episode.
     pub routes: usize,
     /// Episodes whose order accounting was checked.
@@ -102,7 +100,6 @@ impl SimObserver for InvariantAuditor {
     }
 
     fn on_fleet(&mut self, record: &FleetRecord<'_>) {
-        self.fleets += 1;
         self.orders = self.orders.max(record.orders.len());
         for (k, view) in record.views.iter().enumerate() {
             let idle = view.route.is_empty() && view.onboard.is_empty();

@@ -28,7 +28,7 @@
 //! `view.vehicle` or `view.used`. The batch build therefore groups the
 //! twins into the epoch's **column map** (`EpochScratch::group_twins`): a
 //! group of two or more is *one column* of the plan matrix, everybody else
-//! their own. The sweep classifies a group once, the epoch builds one
+//! their own. The sweep classifies a group once, the epoch reads one
 //! [`ScheduleCache`] per column and scores each `(order, column)` once
 //! (`EpochScratch::score_cells`), and a row stores that one cell — so
 //! classification, scoring, storage and the searches of commit deltas cost
@@ -441,10 +441,13 @@ impl<'a> DecisionBatch<'a> {
     /// group is one column of the matrix, so classification, scoring and
     /// storage see one `(order, group)` cell where there used to be one
     /// per member. Each column's [`ScheduleCache`] — prefix/suffix
-    /// schedule passes and the current route length `d_{t,k}` — is built
-    /// **once** here and shared by every order of the batch: the sweep
-    /// costs one cache build per column that has a cell to score, plus one
-    /// O(n²) incremental evaluation per cell classification kept. The
+    /// schedule passes and the current route length `d_{t,k}` — is shared
+    /// by every order of the batch, and is built here only if its lowest
+    /// member's view changed since that vehicle's slot of `scratch` was last
+    /// built (by an earlier sweep, or by the commit of its last acceptance):
+    /// the sweep costs at most one cache build per column that has a cell
+    /// to score ([`ShardStats::caches_built`] counts them), plus one O(n²)
+    /// incremental evaluation per cell classification kept. The
     /// classification's column-major work list says which cells exist (a
     /// one-cell layout keeps every active column's), and it is kept as the
     /// store's column index.

@@ -116,6 +116,7 @@ pub(super) fn refresh(
         for (c, run) in slots.chunks_mut(chunk).enumerate() {
             let (built, refresh_run) = (&built, &refresh_run);
             scope.spawn(move || {
+                // A count, read only after the scope has joined every task.
                 built.fetch_add(refresh_run(c * chunk, run), Ordering::Relaxed);
             });
         }

@@ -202,15 +202,18 @@ impl<'a> Simulator<'a> {
                         }
                         _ => None,
                     };
-                    sink.disruption(&DisruptionRecord {
-                        time,
-                        kind: DisruptionKind::OrderCancelled {
-                            order: oid,
-                            outcome,
-                            vehicle,
+                    sink.disruption(
+                        &DisruptionRecord {
+                            time,
+                            kind: DisruptionKind::OrderCancelled {
+                                order: oid,
+                                outcome,
+                                vehicle,
+                            },
                         },
-                    });
-                    sink.fleet(time, &views, &table);
+                        &views,
+                        &table,
+                    );
                 }
                 SimEvent::VehicleBreakdown(v) => {
                     if v.index() >= states.len() || states[v.index()].broken {
@@ -241,15 +244,18 @@ impl<'a> Simulator<'a> {
                         );
                         assigned_to[oid.index()] = None;
                     }
-                    sink.disruption(&DisruptionRecord {
-                        time,
-                        kind: DisruptionKind::VehicleBreakdown {
-                            vehicle: v,
-                            stranded: outcome.stranded,
-                            lost: outcome.lost,
+                    sink.disruption(
+                        &DisruptionRecord {
+                            time,
+                            kind: DisruptionKind::VehicleBreakdown {
+                                vehicle: v,
+                                stranded: outcome.stranded,
+                                lost: outcome.lost,
+                            },
                         },
-                    });
-                    sink.fleet(time, &views, &table);
+                        &views,
+                        &table,
+                    );
                 }
                 SimEvent::VehicleRecovered(v) => {
                     if v.index() >= states.len() || !states[v.index()].broken {
@@ -258,11 +264,14 @@ impl<'a> Simulator<'a> {
                     let state = &mut states[v.index()];
                     state.advance_to(&mut views[v.index()], time, net, fleet, &table);
                     state.recover();
-                    sink.disruption(&DisruptionRecord {
-                        time,
-                        kind: DisruptionKind::VehicleRecovered { vehicle: v },
-                    });
-                    sink.fleet(time, &views, &table);
+                    sink.disruption(
+                        &DisruptionRecord {
+                            time,
+                            kind: DisruptionKind::VehicleRecovered { vehicle: v },
+                        },
+                        &views,
+                        &table,
+                    );
                 }
                 // A pure heartbeat: consuming it advanced the clock's
                 // knowledge, which is all it is for.

@@ -50,16 +50,34 @@
 //! decided through a single [`Dispatcher::dispatch_batch`] call over a
 //! [`DecisionBatch`]: one shared set of vehicle snapshots and Algorithm 2
 //! scores, delta-updated as decisions commit. There is one commit —
-//! [`DecisionBatch::resolve`] — and one fleet: the batch holds the
-//! episode's vehicle states for the length of the epoch, a policy resolves
-//! each order (the engine resolves, with the claimed vehicle, any order a
-//! policy returns unresolved), and the engine records what `resolve`
-//! recorded. Per-order policies implement [`Dispatcher::dispatch`] and
+//! [`DecisionBatch::resolve`] — and one fleet: the engine owns it as two
+//! vehicle-indexed columns, the [`dpdp_routing::VehicleView`]s policies
+//! read and the [`VehicleState`]s beside them, and moves both into the
+//! batch for the length of the epoch and back out, so no epoch copies a
+//! view and a commit changes the accepting vehicle's view in place. A
+//! policy resolves each order (the engine resolves, with the claimed
+//! vehicle, any order a policy returns unresolved), and the engine records
+//! what `resolve` recorded. Per-order policies implement [`Dispatcher::dispatch`] and
 //! ride the default adapter; batch-native policies (like
 //! `dpdp-baselines`' greedy baselines) read the batch's rows directly.
 //! Stranded orders from breakdowns re-enter here as re-dispatchable
 //! arrivals; broken vehicles keep their dense snapshot slot but every
 //! plan of theirs arrives as `best: None`.
+//!
+//! **Schedule caches outlive the epoch.** Each vehicle has a slot in the
+//! episode's arena holding the [`dpdp_routing::ScheduleCache`] it last
+//! built and the view fields it was built from. An epoch rebuilds a
+//! column's cache only when that view changed — a vehicle still driving
+//! the leg it was driving last epoch is scored on the cache it has — and
+//! an acceptance rebuilds the accepting vehicle's own slot;
+//! [`ShardStats::caches_built`] counts the builds.
+//!
+//! **Validity, not just parity.** [`SimObserver::on_fleet`] hands
+//! observers the whole fleet after every epoch and every disruption, and
+//! the [`InvariantAuditor`] re-checks every route on it: LIFO, pickup
+//! before delivery, capacity, deadlines, nothing on a broken-down vehicle,
+//! and `served + rejected == orders` at the end. The integration suites
+//! run with it switched on.
 //!
 //! # Parallel epoch scoring
 //!

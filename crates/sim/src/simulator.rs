@@ -303,11 +303,18 @@ impl EpisodeSink<'_, '_, '_> {
         }
     }
 
-    /// Fans a disruption record out to the observers.
-    pub(crate) fn disruption(&mut self, record: &crate::observer::DisruptionRecord) {
+    /// Fans a disruption record out to the observers, then the fleet it
+    /// left.
+    pub(crate) fn disruption(
+        &mut self,
+        record: &crate::observer::DisruptionRecord,
+        views: &[VehicleView],
+        orders: &[Order],
+    ) {
         for obs in self.observers.iter_mut() {
             obs.on_disruption(record);
         }
+        self.fleet(record.time, views, orders);
     }
 
     /// Hands the fleet as it stands at `time` to the observers.

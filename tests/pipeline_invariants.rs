@@ -155,7 +155,7 @@ proptest! {
             let mut auditor = InvariantAuditor::default();
             sim.run_observed(&mut *d, &mut [&mut auditor]);
             prop_assert_eq!(auditor.episodes, 1);
-            prop_assert!(auditor.fleets > 0);
+            prop_assert!(auditor.routes > 0, "no route was audited");
         }
     }
 
