@@ -65,29 +65,45 @@
 //! the same order, which is what makes it bit-identical to the dense
 //! composition.
 //!
-//! The kernel holds sixteen output columns of a row in registers across
-//! the whole `t` loop (then 8, 4, 2 and 1 for the rest of the row) and
-//! updates them with vector multiplies and adds. **Blocking over output
-//! columns cannot move a bit:** each vector lane is one output element,
-//! lanes do not mix, and every element still meets the same operations in
-//! the same order as in the plain triple loop; the blocking only decides
-//! which elements share an instruction. What would move bits is splitting
-//! the `t` sum into partial sums or fusing the multiply into the add (FMA
-//! rounds once, not twice). The kernel does neither, and Rust never fuses
-//! `a * b + c` on its own.
+//! The kernel holds a block of output columns of a row in registers
+//! across the whole `t` loop (then narrower blocks for the rest of the
+//! row) and updates them with vector multiplies and adds. **Blocking over
+//! output columns cannot move a bit:** each vector lane is one output
+//! element, lanes do not mix, and every element still meets the same
+//! operations in the same order as in the plain triple loop; the blocking
+//! only decides which elements share an instruction. What would move bits
+//! is splitting the `t` sum into partial sums or fusing the multiply into
+//! the add (FMA rounds once, not twice). The kernel does neither, and Rust
+//! never fuses `a * b + c` on its own.
 //!
-//! **One source, compiled twice.** The loop is an `#[inline(always)]`
-//! function called from two wrappers: one built for the baseline target
-//! (SSE2 on x86-64, two `f64` to a vector) and one built under
-//! `#[target_feature(enable = "avx2")]` (four to a vector). Each product
-//! asks `is_x86_feature_detected!("avx2")`, a cached load, and runs the
-//! AVX2 build where the CPU has it. No option selects it, and both builds
-//! are tested bit-equal to a triple-loop reference.
+//! **One source, compiled three times.** The loop is an
+//! `#[inline(always)]` function whose block width is a const parameter,
+//! called from three wrappers:
 //!
-//! **The one `unsafe`.** Running AVX2 instructions on a CPU without them is
-//! undefined behaviour, so calling the AVX2 wrapper is `unsafe`. The crate
-//! is `deny(unsafe_code)`, and that call, directly after the detection it
-//! relies on, is its only `#[allow(unsafe_code)]`.
+//! * `avx512f`, built under `#[target_feature(enable = "avx512f")]`: eight
+//!   `f64` to a vector, 32 columns to a block in four zmm accumulators, so
+//!   one block covers a whole hidden-width (32) row of the Q-network; then
+//!   16, 8, 4, 2 and 1 for the rest of a row;
+//! * `avx2`, built under `#[target_feature(enable = "avx2")]`: four `f64`
+//!   to a vector, 16 columns to a block in four ymm accumulators; then 8,
+//!   4, 2 and 1;
+//! * `portable`, built for the baseline target (SSE2 on x86-64, two `f64`
+//!   to a vector): the AVX2 build's widths, in eight xmm accumulators.
+//!
+//! Why these widths: four accumulators keep the vector units busy without
+//! spilling, and under AVX-512F four of them hold 32 columns, the
+//! Q-network's hidden width, so a hidden-width output row is one block
+//! that reads (and zero-tests) each left-hand entry once instead of
+//! twice. Each product runs the widest build the CPU has, as
+//! [`matmul_kernel`] names it: `is_x86_feature_detected!`, a cached load,
+//! decides. No option selects it, and every build is tested bit-equal to
+//! a triple-loop reference.
+//!
+//! **The two `unsafe`s.** Running AVX-512F or AVX2 instructions on a CPU
+//! without them is undefined behaviour, so calling either vector wrapper
+//! is `unsafe`. The crate is `deny(unsafe_code)`, and those two calls,
+//! each directly after the detection it relies on, are its only two
+//! `#[allow(unsafe_code)]` sites.
 //!
 //! # Example
 //!
@@ -124,4 +140,4 @@ pub use graph::{Graph, Neighbors, Var};
 pub use layers::{Linear, Mlp, MultiHeadAttention};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use params::{ParamId, ParamStore};
-pub use tensor::Tensor;
+pub use tensor::{matmul_kernel, Tensor};

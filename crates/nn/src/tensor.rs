@@ -152,7 +152,10 @@ impl Tensor {
     /// entries skipped, multiply and add rounded separately — which the
     /// sparse neighbourhood-attention op reproduces entry by entry. The
     /// loop is the register-blocked kernel of the crate docs'
-    /// [Kernels](crate#kernels) section.
+    /// [Kernels](crate#kernels) section, run by the widest of its three
+    /// builds the CPU has ([`matmul_kernel`]): 32 columns to a block under
+    /// AVX-512F, 16 under AVX2 and on the baseline target, every one bit
+    /// for bit the same sums.
     ///
     /// # Panics
     /// Panics if inner dimensions or the length of `out` disagree.
@@ -165,7 +168,7 @@ impl Tensor {
             other.shape()
         );
         assert_eq!(out.len(), self.rows * other.cols, "matmul output length");
-        gemm(&self.data, self.cols, 1, other, out);
+        gemm(matmul_kernel(), &self.data, self.cols, 1, other, out);
     }
 
     /// Accumulates `selfᵀ @ other` into `out` (a zeroed
@@ -177,7 +180,7 @@ impl Tensor {
     pub(crate) fn matmul_tn_into(&self, other: &Tensor, out: &mut [f64]) {
         assert_eq!(self.rows, other.rows, "matmul_tn shape mismatch");
         assert_eq!(out.len(), self.cols * other.cols, "matmul_tn output length");
-        gemm(&self.data, 1, self.cols, other, out);
+        gemm(matmul_kernel(), &self.data, 1, self.cols, other, out);
     }
 
     /// Writes the transpose of `self` into `out` (`self.cols x self.rows`,
@@ -244,41 +247,93 @@ impl Tensor {
     }
 }
 
-/// Output columns one accumulator block holds: sixteen `f64`, four AVX2
-/// registers or eight SSE2 ones.
-const BLOCK: usize = 16;
-
-/// `out[i, c] += Σ_t lhs[i·row_step + t·t_step] · rhs[t, c]`, the one
-/// matmul kernel, run by the widest vector build this CPU has (see the
-/// [crate docs](crate#kernels)).
-fn gemm(lhs: &[f64], row_step: usize, t_step: usize, rhs: &Tensor, out: &mut [f64]) {
+/// The build of the one matmul kernel that this CPU runs: `"avx512f"`,
+/// `"avx2"` or `"portable"`, the widest it has (see the
+/// [crate docs](crate#kernels)). Every product dispatches on this name,
+/// so a report that prints it names the build that ran.
+pub fn matmul_kernel() -> &'static str {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: `gemm_avx2` requires AVX2 and nothing else, and the line
-        // above detected AVX2 on this CPU.
-        #[allow(unsafe_code)]
-        return unsafe { gemm_avx2(lhs, row_step, t_step, rhs, out) };
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            return "avx512f";
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return "avx2";
+        }
     }
-    gemm_portable(lhs, row_step, t_step, rhs, out)
+    "portable"
 }
 
-/// [`gemm_body`] built for the baseline target.
+/// `out[i, c] += Σ_t lhs[i·row_step + t·t_step] · rhs[t, c]`, the one
+/// matmul kernel, run by the build named `build` (the products pass
+/// [`matmul_kernel`]).
+///
+/// # Panics
+/// Panics if `build` is not a build [`matmul_kernel`] can name, or this
+/// CPU lacks its instructions.
+fn gemm(build: &str, lhs: &[f64], row_step: usize, t_step: usize, rhs: &Tensor, out: &mut [f64]) {
+    match build {
+        #[cfg(target_arch = "x86_64")]
+        "avx512f" => {
+            assert!(
+                std::arch::is_x86_feature_detected!("avx512f"),
+                "no AVX-512F"
+            );
+            // SAFETY: `gemm_avx512f` requires AVX-512F and nothing else,
+            // and the line above detected AVX-512F on this CPU.
+            #[allow(unsafe_code)]
+            unsafe {
+                gemm_avx512f(lhs, row_step, t_step, rhs, out)
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        "avx2" => {
+            assert!(std::arch::is_x86_feature_detected!("avx2"), "no AVX2");
+            // SAFETY: `gemm_avx2` requires AVX2 and nothing else, and the
+            // line above detected AVX2 on this CPU.
+            #[allow(unsafe_code)]
+            unsafe {
+                gemm_avx2(lhs, row_step, t_step, rhs, out)
+            }
+        }
+        "portable" => gemm_portable(lhs, row_step, t_step, rhs, out),
+        _ => panic!("no matmul kernel build {build:?}"),
+    }
+}
+
+/// [`gemm_body`] built for the baseline target: sixteen columns to a
+/// block, eight SSE2 registers on x86-64.
 fn gemm_portable(lhs: &[f64], row_step: usize, t_step: usize, rhs: &Tensor, out: &mut [f64]) {
-    gemm_body(lhs, row_step, t_step, rhs, out)
+    gemm_body::<16>(lhs, row_step, t_step, rhs, out)
 }
 
 /// [`gemm_body`] built with AVX2 enabled: the same source, four `f64` to a
-/// vector.
+/// vector, sixteen columns to a block in four ymm registers.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn gemm_avx2(lhs: &[f64], row_step: usize, t_step: usize, rhs: &Tensor, out: &mut [f64]) {
-    gemm_body(lhs, row_step, t_step, rhs, out)
+    gemm_body::<16>(lhs, row_step, t_step, rhs, out)
+}
+
+/// [`gemm_body`] built with AVX-512F enabled: eight `f64` to a vector,
+/// thirty-two columns to a block in four zmm registers — one block covers
+/// a whole hidden-width row of the Q-network.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn gemm_avx512f(lhs: &[f64], row_step: usize, t_step: usize, rhs: &Tensor, out: &mut [f64]) {
+    gemm_body::<32>(lhs, row_step, t_step, rhs, out)
 }
 
 /// The matmul loop: per output row, the columns in register blocks of
-/// [`BLOCK`], then 8, 4, 2 and 1 for the rest.
+/// `BLOCK`, then 16 (below a 32-wide block), 8, 4, 2 and 1 for the rest.
 #[inline(always)]
-fn gemm_body(lhs: &[f64], row_step: usize, t_step: usize, rhs: &Tensor, out: &mut [f64]) {
+fn gemm_body<const BLOCK: usize>(
+    lhs: &[f64],
+    row_step: usize,
+    t_step: usize,
+    rhs: &Tensor,
+    out: &mut [f64],
+) {
     let n = rhs.cols;
     if n == 0 || rhs.rows == 0 {
         return;
@@ -289,6 +344,10 @@ fn gemm_body(lhs: &[f64], row_step: usize, t_step: usize, rhs: &Tensor, out: &mu
         while c + BLOCK <= n {
             block::<BLOCK>(lhs, t_step, rhs, c, &mut row_o[c..c + BLOCK]);
             c += BLOCK;
+        }
+        if BLOCK > 16 && c + 16 <= n {
+            block::<16>(lhs, t_step, rhs, c, &mut row_o[c..c + 16]);
+            c += 16;
         }
         if c + 8 <= n {
             block::<8>(lhs, t_step, rhs, c, &mut row_o[c..c + 8]);
@@ -440,29 +499,36 @@ mod tests {
             .collect()
     }
 
-    #[cfg(target_arch = "x86_64")]
-    fn has_avx2() -> bool {
-        std::arch::is_x86_feature_detected!("avx2")
+    /// Every build of the kernel, each with whether this CPU can run it.
+    fn builds() -> [(&'static str, bool); 3] {
+        #[cfg(target_arch = "x86_64")]
+        let (avx2, avx512f) = (
+            std::arch::is_x86_feature_detected!("avx2"),
+            std::arch::is_x86_feature_detected!("avx512f"),
+        );
+        #[cfg(not(target_arch = "x86_64"))]
+        let (avx2, avx512f) = (false, false);
+        [("portable", true), ("avx2", avx2), ("avx512f", avx512f)]
     }
 
-    #[cfg(not(target_arch = "x86_64"))]
-    fn has_avx2() -> bool {
-        false
-    }
-
-    /// Both products, through the portable build of the kernel and
-    /// through the dispatched one (the AVX2 build where the CPU has it),
-    /// equal the triple loop bit for bit — on every block width and tail,
-    /// with signed zeros, subnormals, infinities and NaNs among the
-    /// entries, where only the zero-skip keeps `0 · inf` out of a sum.
+    /// Both products, through every build of the kernel this CPU has,
+    /// each called directly, and through the dispatched entry points
+    /// (`matmul_into`, `matmul_tn_into`), equal the triple loop bit for
+    /// bit — on every block width (32 and 16) and tail, with signed
+    /// zeros, subnormals, infinities and NaNs among the entries, where
+    /// only the zero-skip keeps `0 · inf` out of a sum.
     #[test]
     fn blocked_kernels_are_the_triple_loop_bit_for_bit() {
-        let dispatched = has_avx2();
-        if !dispatched {
-            eprintln!("no AVX2 on this CPU: checking the portable kernel only");
+        let mut run = vec![];
+        for (build, has) in builds() {
+            if has {
+                run.push(build);
+            } else {
+                eprintln!("this CPU cannot run the {build} build: skipped");
+            }
         }
         let mut seed = 0x5EED_0029;
-        for n in [1, 5, 15, 16, 17, 33, 64] {
+        for n in [1, 5, 15, 16, 17, 31, 32, 33, 47, 48, 63, 64, 65, 96] {
             for rows in [1, 5, 17] {
                 for depth in [1, 16, 33] {
                     let case = format!("n={n} rows={rows} depth={depth}");
@@ -471,24 +537,24 @@ mod tests {
                     let b = awkward(&mut seed, depth, n, 3);
 
                     let want = bits(&triple_loop(|i, t| a.get(i, t), &b, rows));
-                    let mut out = vec![0.0; rows * n];
-                    gemm_portable(&a.data, depth, 1, &b, &mut out);
-                    assert_eq!(bits(&out), want, "portable matmul, {case}");
-                    if dispatched {
+                    for &build in &run {
                         let mut out = vec![0.0; rows * n];
-                        a.matmul_into(&b, &mut out);
-                        assert_eq!(bits(&out), want, "dispatched matmul, {case}");
+                        gemm(build, &a.data, depth, 1, &b, &mut out);
+                        assert_eq!(bits(&out), want, "{build} matmul, {case}");
                     }
+                    let mut out = vec![0.0; rows * n];
+                    a.matmul_into(&b, &mut out);
+                    assert_eq!(bits(&out), want, "dispatched matmul, {case}");
 
                     let want = bits(&triple_loop(|i, t| at.get(t, i), &b, rows));
-                    let mut out = vec![0.0; rows * n];
-                    gemm_portable(&at.data, 1, rows, &b, &mut out);
-                    assert_eq!(bits(&out), want, "portable matmul_tn, {case}");
-                    if dispatched {
+                    for &build in &run {
                         let mut out = vec![0.0; rows * n];
-                        at.matmul_tn_into(&b, &mut out);
-                        assert_eq!(bits(&out), want, "dispatched matmul_tn, {case}");
+                        gemm(build, &at.data, 1, rows, &b, &mut out);
+                        assert_eq!(bits(&out), want, "{build} matmul_tn, {case}");
                     }
+                    let mut out = vec![0.0; rows * n];
+                    at.matmul_tn_into(&b, &mut out);
+                    assert_eq!(bits(&out), want, "dispatched matmul_tn, {case}");
                 }
             }
         }
