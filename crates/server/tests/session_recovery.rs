@@ -10,7 +10,9 @@ use dpdp_server::{
     token_from_ok_detail, ClientError, DecisionServer, DrainOutcome, ServeClient, ServerConfig,
     ServerMsg, WireDecision,
 };
-use dpdp_sim::{BufferingMode, EpisodeResult, EventSource, ReplaySource, Simulator};
+use dpdp_sim::{
+    BufferingMode, EpisodeResult, EventSource, InvariantAuditor, ReplaySource, Simulator,
+};
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
@@ -40,6 +42,8 @@ fn trace(n: usize) -> Vec<Order> {
         .collect()
 }
 
+/// The uninterrupted in-process reference episode, with the
+/// `InvariantAuditor` checking every route it commits.
 fn run_in_process(policy_name: &str, seed: u64, orders: &[Order]) -> EpisodeResult {
     let instance = dpdp_server::preset::build_instance("ring12").expect("ring12 preset");
     let mut policy = dpdp_server::preset::build_policy(policy_name).expect("known policy");
@@ -49,7 +53,13 @@ fn run_in_process(policy_name: &str, seed: u64, orders: &[Order]) -> EpisodeResu
         .build()
         .expect("valid simulator");
     let sources: Vec<Box<dyn EventSource + '_>> = vec![Box::new(ReplaySource::from_orders(orders))];
-    sim.run_events(sources, policy.as_mut(), &mut [])
+    let mut auditor = InvariantAuditor::default();
+    let result = sim.run_events(sources, policy.as_mut(), &mut [&mut auditor]);
+    assert!(
+        auditor.episodes > 0 && auditor.routes > 0,
+        "the auditor checked nothing"
+    );
+    result
 }
 
 fn send_orders(client: &mut ServeClient, orders: &[Order]) {

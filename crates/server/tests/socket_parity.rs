@@ -7,7 +7,9 @@
 use dpdp_net::TimeDelta;
 use dpdp_net::{NodeId, Order, OrderId, TimePoint};
 use dpdp_server::{DecisionServer, ServeClient, ServerConfig, WireDecision};
-use dpdp_sim::{BufferingMode, EpisodeResult, EventSource, ReplaySource, Simulator};
+use dpdp_sim::{
+    BufferingMode, EpisodeResult, EventSource, InvariantAuditor, ReplaySource, Simulator,
+};
 
 /// A deterministic trace over the `ring12` preset's factories (ids
 /// `1..=12`), with dense ids `0..n` — the ids the engine assigns streamed
@@ -38,7 +40,9 @@ fn trace(n: usize) -> Vec<Order> {
 }
 
 /// Replays the trace in-process through the event engine — the reference
-/// episode the TCP runs must match bit-for-bit.
+/// episode the TCP runs must match bit-for-bit — with the
+/// `InvariantAuditor` checking every route it commits, so the bit-identical
+/// TCP episodes are audited too.
 fn run_in_process(
     policy_name: &str,
     buffering: BufferingMode,
@@ -53,7 +57,13 @@ fn run_in_process(
         .build()
         .expect("valid simulator");
     let sources: Vec<Box<dyn EventSource + '_>> = vec![Box::new(ReplaySource::from_orders(orders))];
-    sim.run_events(sources, policy.as_mut(), &mut [])
+    let mut auditor = InvariantAuditor::default();
+    let result = sim.run_events(sources, policy.as_mut(), &mut [&mut auditor]);
+    assert!(
+        auditor.episodes > 0 && auditor.routes > 0,
+        "the auditor checked nothing"
+    );
+    result
 }
 
 /// Streams the trace over TCP and drains the episode.
@@ -420,7 +430,12 @@ fn disruptions_ride_the_wire_deterministically() {
         }
     }
     let mut collect = Collect::default();
-    let reference = sim.serve_observed(rx, policy.as_mut(), &mut [&mut collect]);
+    let mut auditor = InvariantAuditor::default();
+    let reference = sim.serve_observed(rx, policy.as_mut(), &mut [&mut collect, &mut auditor]);
+    assert!(
+        auditor.episodes > 0 && auditor.routes > 0,
+        "the auditor checked nothing"
+    );
 
     let server = DecisionServer::bind("127.0.0.1:0", ServerConfig::default())
         .expect("bind")
