@@ -15,7 +15,10 @@
 //! per order and as a share of the whole. Under the table, `caches_built`
 //! counts the schedule caches one episode built: those its sweeps rebuilt
 //! because a vehicle's view had changed, plus one per acceptance
-//! (`dpdp_sim::ShardStats::caches_built`).
+//! (`dpdp_sim::ShardStats::caches_built`). The first line names the
+//! build of the Q-network's matmul kernel this CPU ran
+//! (`dpdp_nn::matmul_kernel`): profiles from hosts that ran different
+//! builds do not compare.
 //!
 //! ```text
 //! cargo run --release --example epoch_profile
@@ -93,6 +96,7 @@ fn profile_day(title: &str, sim: &Simulator<'_>, policy: &mut dyn Dispatcher) {
 }
 
 fn main() {
+    println!("{:<12} {}\n", "matmul_kernel", dpdp_nn::matmul_kernel());
     let presets = Presets::paper();
     let dataset = presets.dataset();
     let test_days = dataset.config().test_days.clone();
