@@ -12,7 +12,7 @@ use crate::state::{StateBuilder, StateSnapshot};
 use dpdp_data::{StScorer, StdMatrix};
 use dpdp_net::{Instance, VehicleId};
 use dpdp_nn::{Adam, Graph, Optimizer, ParamStore};
-use dpdp_sim::{DispatchContext, Dispatcher};
+use dpdp_sim::{DispatchContext, Dispatcher, Stage, StageTimer};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::sync::Arc;
@@ -288,8 +288,9 @@ impl DqnAgent {
         }
     }
 
-    /// Epsilon-greedy action choice.
-    fn choose_action(&mut self, snap: &StateSnapshot) -> Option<usize> {
+    /// Epsilon-greedy action choice; a greedy one charges its partition
+    /// and its forward to `timer`.
+    fn choose_action(&mut self, snap: &StateSnapshot, timer: StageTimer<'_>) -> Option<usize> {
         let feasible = snap.feasible.iter().filter(|&&f| f).count();
         if feasible == 0 {
             return None;
@@ -300,9 +301,11 @@ impl DqnAgent {
                 .filter(|&i| snap.feasible[i])
                 .nth(pick);
         }
-        let q = self
-            .qnet
-            .q_values_on(&mut self.tape, &mut self.partition, &self.online, snap);
+        let (qnet, tape, part) = (&self.qnet, &mut self.tape, &mut self.partition);
+        timer.time(Stage::Partition, || qnet.partition(part, snap));
+        let q = timer.time(Stage::Forward, || {
+            qnet.q_values_of(tape, part, &self.online, snap)
+        });
         best_feasible(&q, &snap.feasible)
     }
 
@@ -405,8 +408,11 @@ impl Dispatcher for DqnAgent {
     /// each order of the epoch against the state the earlier assignments
     /// left behind, so no order is ever scored against a stale fleet.
     fn dispatch(&mut self, ctx: &DispatchContext<'_>) -> Option<VehicleId> {
-        let snap = self.state_builder.build_memoised(ctx, &mut self.neighbors);
-        let action = self.choose_action(&snap)?;
+        let (builder, memo) = (&self.state_builder, &mut self.neighbors);
+        let snap = ctx
+            .timer
+            .time(Stage::Snapshot, || builder.build_memoised(ctx, memo));
+        let action = self.choose_action(&snap, ctx.timer)?;
         if self.training {
             let snap = Arc::new(snap);
             let delta = ctx

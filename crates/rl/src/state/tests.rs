@@ -5,6 +5,7 @@ use dpdp_net::{
     TimePoint, VehicleId,
 };
 use dpdp_routing::{RoutePlanner, VehicleView};
+use dpdp_sim::StageTimer;
 
 fn fixture() -> (RoadNetwork, FleetConfig, Vec<Order>) {
     let nodes = vec![
@@ -40,6 +41,7 @@ fn build_fills_features_and_mask() {
     let grid = IntervalGrid::paper_default();
     let ctx = DispatchContext {
         order: &orders[0],
+        timer: StageTimer::default(),
         now: orders[0].created,
         interval: grid.interval_of(orders[0].created),
         views: &views,
@@ -74,6 +76,7 @@ fn infeasible_vehicle_gets_sentinels() {
     let plans: Vec<_> = views.iter().map(|v| planner.plan(v, &orders[0])).collect();
     let ctx = DispatchContext {
         order: &orders[0],
+        timer: StageTimer::default(),
         now: orders[0].created,
         interval: 60,
         views: &views,
@@ -99,6 +102,7 @@ fn st_feature_requires_scorer_and_prediction() {
     let grid = IntervalGrid::paper_default();
     let ctx = DispatchContext {
         order: &orders[0],
+        timer: StageTimer::default(),
         now: orders[0].created,
         interval: 60,
         views: &views,
@@ -140,6 +144,7 @@ fn a_shared_column_keeps_each_members_used_flag() {
     let plans = vec![planner.plan(&views[0], &orders[0])];
     let ctx = DispatchContext {
         order: &orders[0],
+        timer: StageTimer::default(),
         now: orders[0].created,
         interval: 60,
         views: &views,
@@ -175,6 +180,7 @@ fn columns_out_of_first_member_order_panic() {
     let plans: Vec<_> = views.iter().map(|v| planner.plan(v, &orders[0])).collect();
     let ctx = DispatchContext {
         order: &orders[0],
+        timer: StageTimer::default(),
         now: orders[0].created,
         interval: 60,
         views: &views,

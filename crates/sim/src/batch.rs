@@ -71,7 +71,7 @@
 //! [`Dispatcher`]: crate::dispatcher::Dispatcher
 
 use crate::dispatcher::DispatchContext;
-use crate::profile::{self, Stage, StageClock};
+use crate::profile::{self, Stage, StageClock, StageTimer};
 use crate::state::VehicleState;
 use crate::sweep::{plan_sweep, ShardContext, ShardStats, SweepBuffers};
 use caches::CacheSlot;
@@ -80,7 +80,6 @@ use dpdp_pool::ThreadPool;
 use dpdp_routing::{PlanScore, PlannerOutput, RoutePlanner, ScheduleCache, VehicleView};
 use std::cell::RefCell;
 use std::sync::Arc;
-use std::time::Instant;
 pub(crate) use store::ColumnMap;
 use store::{Column, DeltaRow, PlanStore};
 
@@ -563,16 +562,9 @@ impl<'a> DecisionBatch<'a> {
         }
     }
 
-    /// Runs `f`, charged to `stage` as one call nested in the running
-    /// stage when the epoch is profiled.
-    fn timed<R>(&self, stage: Stage, f: impl FnOnce() -> R) -> R {
-        let Some(clock) = &self.clock else {
-            return f();
-        };
-        let since = Instant::now();
-        let out = f();
-        clock.borrow_mut().charge(stage, since);
-        out
+    /// The handle work nested in the running stage is charged through.
+    fn timer(&self) -> StageTimer<'_> {
+        StageTimer::new(self.clock.as_ref())
     }
 
     /// Ends the running stage of a profiled epoch as `stage`.
@@ -775,11 +767,12 @@ impl<'a> DecisionBatch<'a> {
         let planner = RoutePlanner::new(self.net, self.fleet, self.orders);
         let order = self.order(i);
         let views = &inner.views;
-        let (column_plans, column_of) = self.timed(Stage::Materialise, || {
+        let (column_plans, column_of) = self.timer().time(Stage::Materialise, || {
             inner.plans.row_materialised(i, &planner, views, order)
         });
         let ctx = DispatchContext {
             order,
+            timer: self.timer(),
             now: self.now,
             interval: self.interval,
             views,
@@ -810,7 +803,7 @@ impl<'a> DecisionBatch<'a> {
     /// be called from inside a [`DecisionBatch::with_context`] closure
     /// (the shared snapshot is still borrowed there).
     pub fn resolve(&self, i: usize, choice: Option<VehicleId>) -> Decision {
-        self.timed(Stage::Resolve, || {
+        self.timer().time(Stage::Resolve, || {
             let mut inner = self.inner.borrow_mut();
             assert!(
                 inner.commits[i].is_none(),

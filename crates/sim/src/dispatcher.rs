@@ -1,6 +1,7 @@
 //! The dispatcher abstraction: who serves each order of a decision epoch?
 
 use crate::batch::{Decision, DecisionBatch};
+use crate::profile::StageTimer;
 use dpdp_net::{FleetConfig, Instance, Order, RoadNetwork, TimePoint, VehicleId};
 use dpdp_routing::{PlannerOutput, VehicleView};
 
@@ -25,6 +26,16 @@ use dpdp_routing::{PlannerOutput, VehicleView};
 pub struct DispatchContext<'a> {
     /// The order being assigned.
     pub order: &'a Order,
+    /// The handle a policy charges its own parts through — its joint
+    /// state, partition and forward pass ([`Stage::Snapshot`],
+    /// [`Stage::Partition`], [`Stage::Forward`]) — when the epoch is
+    /// profiled; one branch per call when it is not. A context built by
+    /// hand takes [`StageTimer::default`], which charges nothing.
+    ///
+    /// [`Stage::Snapshot`]: crate::profile::Stage::Snapshot
+    /// [`Stage::Partition`]: crate::profile::Stage::Partition
+    /// [`Stage::Forward`]: crate::profile::Stage::Forward
+    pub timer: StageTimer<'a>,
     /// Wall-clock decision time (order creation, or the buffer flush time).
     pub now: TimePoint,
     /// Index of the current time interval `t` on the instance grid.

@@ -199,7 +199,7 @@ pub use observer::{
     CancelOutcome, DecisionRecord, DisruptionKind, DisruptionRecord, EpochInfo, EventCounter,
     FleetRecord, SimObserver,
 };
-pub use profile::{EpochProfile, Stage};
+pub use profile::{EpochProfile, Stage, StageTimer};
 pub use sharding::{RepartitionPolicy, ShardConfig};
 pub use simulator::{
     BufferingMode, SimBuildError, Simulator, SimulatorBuilder, DEFAULT_SHARD_ESCALATION,

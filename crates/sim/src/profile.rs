@@ -6,22 +6,27 @@
 //! is recorded. The clock is read at the boundaries between stages and
 //! once around each [`DecisionBatch::with_context`] row and each
 //! [`DecisionBatch::resolve`], never per cell; an epoch nobody profiles
-//! pays one branch per stage. Profiling reads the clock and nothing else,
+//! pays one branch per stage. A policy times its own parts through the
+//! [`StageTimer`] its [`DispatchContext`] carries: one branch per call when
+//! nobody profiles the epoch. Profiling reads the clock and nothing else,
 //! so a profiled episode is bit-identical to an unprofiled one.
 //!
 //! [`SimObserver::wants_profile`]: crate::observer::SimObserver::wants_profile
 //! [`SimObserver::on_epoch_profile`]: crate::observer::SimObserver::on_epoch_profile
 //! [`DecisionBatch::with_context`]: crate::batch::DecisionBatch::with_context
 //! [`DecisionBatch::resolve`]: crate::batch::DecisionBatch::resolve
+//! [`DispatchContext`]: crate::dispatcher::DispatchContext
 
+use std::cell::RefCell;
 use std::time::Instant;
 
 /// One stage of a decision epoch, in the order an epoch runs them.
 ///
 /// The stages tile the epoch: every nanosecond between the start of the
 /// fleet advance and the return of the last `on_decision` is charged to
-/// exactly one of them. `Materialise` and `Resolve` run inside the policy's
-/// `dispatch_batch` and are not charged to `Policy` a second time.
+/// exactly one of them. `Materialise`, `Snapshot`, `Partition`, `Forward`
+/// and `Resolve` run inside the policy's `dispatch_batch` and are not
+/// charged to `Policy` a second time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
     /// Every vehicle advanced to the epoch instant, the breakdown mask,
@@ -40,9 +45,22 @@ pub enum Stage {
     ///
     /// [`DecisionBatch::with_context`]: crate::batch::DecisionBatch::with_context
     Materialise,
+    /// A Q-policy's joint state of one order: the feature matrix, the
+    /// feasibility mask and the neighbour table (`dpdp-rl`'s
+    /// `StateBuilder`), charged by the policy through its
+    /// [`StageTimer`]. Zero for a policy that builds none.
+    Snapshot,
+    /// A Q-policy's partition of a joint state's feasible vehicles into
+    /// the classes its network cannot tell apart, charged through the
+    /// [`StageTimer`] once per greedy decision.
+    Partition,
+    /// A Q-policy's forward pass over those classes and the Q-vector read
+    /// off it, charged through the [`StageTimer`] once per greedy
+    /// decision.
+    Forward,
     /// The policy: `on_epoch`, the `dispatch_batch` call and the engine's
-    /// check of what it returned, less the `Materialise` and `Resolve`
-    /// time spent inside them.
+    /// check of what it returned, less the `Materialise`, `Snapshot`,
+    /// `Partition`, `Forward` and `Resolve` time spent inside them.
     Policy,
     /// Every [`DecisionBatch::resolve`], the policy's and the engine's
     /// (one call per order of the epoch).
@@ -56,12 +74,15 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in epoch order.
-    pub const ALL: [Stage; 8] = [
+    pub const ALL: [Stage; 11] = [
         Stage::Advance,
         Stage::Classify,
         Stage::Score,
         Stage::Store,
         Stage::Materialise,
+        Stage::Snapshot,
+        Stage::Partition,
+        Stage::Forward,
         Stage::Policy,
         Stage::Resolve,
         Stage::Record,
@@ -75,6 +96,9 @@ impl Stage {
             Stage::Score => "Score",
             Stage::Store => "Store",
             Stage::Materialise => "Materialise",
+            Stage::Snapshot => "Snapshot",
+            Stage::Partition => "Partition",
+            Stage::Forward => "Forward",
             Stage::Policy => "Policy",
             Stage::Resolve => "Resolve",
             Stage::Record => "Record",
@@ -98,7 +122,8 @@ impl EpochProfile {
 
     /// Times `stage` was timed: once per epoch for the stages the engine
     /// runs itself, once per row or per order for `Materialise` and
-    /// `Resolve`.
+    /// `Resolve`, once per call the policy timed for `Snapshot`,
+    /// `Partition` and `Forward`.
     pub fn calls(&self, stage: Stage) -> u64 {
         self.calls[stage as usize]
     }
@@ -146,6 +171,41 @@ impl StageClock {
         let nanos = nanos_between(since, Instant::now());
         self.profile.charge(stage, nanos);
         self.nested += nanos;
+    }
+}
+
+/// The handle through which work nested in the running stage is charged
+/// to a stage of its own: the engine's `Materialise` and `Resolve` calls,
+/// and a policy's `Snapshot`, `Partition` and `Forward` (the handle a
+/// [`DispatchContext`] carries as [`DispatchContext::timer`]). On an epoch
+/// nobody profiles — or a context built by hand, whose timer is
+/// [`StageTimer::default`] — [`StageTimer::time`] runs its closure and
+/// nothing else.
+///
+/// [`DispatchContext`]: crate::dispatcher::DispatchContext
+/// [`DispatchContext::timer`]: crate::dispatcher::DispatchContext::timer
+#[derive(Debug, Clone, Copy, Default)]
+pub struct StageTimer<'a> {
+    clock: Option<&'a RefCell<StageClock>>,
+}
+
+impl<'a> StageTimer<'a> {
+    /// A timer charging `clock`, or nothing when it is `None`.
+    pub(crate) fn new(clock: Option<&'a RefCell<StageClock>>) -> Self {
+        StageTimer { clock }
+    }
+
+    /// Runs `f`, charged to `stage` as one call nested in the running
+    /// stage when the epoch is profiled.
+    #[inline]
+    pub fn time<R>(&self, stage: Stage, f: impl FnOnce() -> R) -> R {
+        let Some(clock) = self.clock else {
+            return f();
+        };
+        let since = Instant::now();
+        let out = f();
+        clock.borrow_mut().charge(stage, since);
+        out
     }
 }
 

@@ -15,7 +15,12 @@
 //! per order and as a share of the whole. Under the table, `caches_built`
 //! counts the schedule caches one episode built: those its sweeps rebuilt
 //! because a vehicle's view had changed, plus one per acceptance
-//! (`dpdp_sim::ShardStats::caches_built`). The first line names the
+//! (`dpdp_sim::ShardStats::caches_built`). `Snapshot`, `Partition` and
+//! `Forward` are the parts of `Policy` the ST-DDGN agent times itself
+//! (zero under Baseline 1), and under the campus table `forward_stats`
+//! reads the agent's `ForwardStats` per episode: forwards, rows offered,
+//! feasible rows, and rows evaluated — one per class of interchangeable
+//! vehicles — per forward. The first line names the
 //! build of the Q-network's matmul kernel this CPU ran
 //! (`dpdp_nn::matmul_kernel`): profiles from hosts that ran different
 //! builds do not compare.
@@ -105,7 +110,22 @@ fn main() {
     agent.set_training(false);
     agent.set_prediction(Some(presets.test_prediction(0, 4)));
     let sim = Simulator::builder(&campus).seed(SEED).build().unwrap();
+    let before = agent.forward_stats();
     profile_day("campus_infer (ST-DDGN, immediate)", &sim, &mut agent);
+    let after = agent.forward_stats();
+    // The warm-up episode and the profiled ones.
+    let episodes = (EPISODES + 1) as f64;
+    let forwards = (after.forwards - before.forwards) as f64;
+    let per_episode = |n: u64| n as f64 / episodes;
+    println!(
+        "{:<12} {:.0} forwards per episode, {:.0} rows, {:.0} feasible, \
+         {:.1} rows evaluated per forward\n",
+        "forward_stats",
+        forwards / episodes,
+        per_episode(after.rows - before.rows),
+        per_episode(after.feasible - before.feasible),
+        (after.evaluated - before.evaluated) as f64 / forwards,
+    );
 
     let metro = Presets::metro(SEED).metro_instance(1600, 256, SEED);
     let sim = Simulator::builder(&metro)
