@@ -275,6 +275,18 @@ impl Graph {
         self.push(copy, Op::Leaf)
     }
 
+    /// A constant leaf holding the rows `rows` of `value`, in that order
+    /// (rows may repeat): [`Graph::constant`] of those rows alone, without
+    /// the whole of `value` on the tape first.
+    pub fn constant_rows(&mut self, value: &Tensor, rows: &[usize]) -> Var {
+        let n = value.cols();
+        let mut copy = self.zeros(rows.len(), n);
+        for (i, &row) in rows.iter().enumerate() {
+            copy.data_mut()[i * n..(i + 1) * n].copy_from_slice(value.row(row));
+        }
+        self.push(copy, Op::Leaf)
+    }
+
     /// A `1 x 1` constant leaf holding `v`.
     pub fn constant_scalar(&mut self, v: f64) -> Var {
         self.scalar(v, Op::Leaf)

@@ -24,15 +24,21 @@
 //! and under buffering alike. Every order is scored exactly once, at the
 //! moment it is decided, against the joint state the epoch's earlier
 //! assignments left behind. For a [`DqnAgent`] one decision is one
-//! snapshot, one partition and one forward over the partition's classes:
+//! snapshot, one partition and one forward over the partition's classes
+//! — the `Snapshot`, `Partition` and `Forward` stages of a profiled
+//! epoch ([`dpdp_sim::Stage`]), which the agent charges through the
+//! context's [`StageTimer`](dpdp_sim::StageTimer):
 //!
 //! * **The snapshot.** [`StateBuilder::build`] writes the joint state — a
 //!   `K x 5` feature matrix, the feasibility mask, and each vehicle's `NE`
-//!   nearest vehicles (a distance row per occupied node). The context
-//!   holds one plan per column of the batch's plan matrix (an idle-twin
-//!   group is one column), so the route lengths and the ST Score are
-//!   computed once per column and copied to its members, each of which
-//!   writes its own used flag ([`state`]).
+//!   nearest vehicles. The context holds one plan per column of the
+//!   batch's plan matrix (an idle-twin group is one column), so the route
+//!   lengths and the ST Score are computed once per column and copied to
+//!   its members, each of which writes its own used flag ([`state`]). The
+//!   neighbour table is kept per occupied node, not per vehicle: a node's
+//!   ranking of the fleet once, and per vehicle its node and whether it is
+//!   on that ranking — every vehicle's list is one of two lists of its
+//!   node ([`Neighbors`]).
 //! * **The partition.** Most of a fleet is interchangeable — the paper's
 //!   objective keeps most vehicles parked at a handful of depots — and
 //!   the network is the same function on every row, so the feasible
@@ -50,8 +56,15 @@
 //!   member, which represents them; the partition is a function of the
 //!   snapshot alone (no thread count, no hash seed enters it). Infeasible
 //!   vehicles are in no class: nobody attends to them and their Q-value
-//!   is `-inf` whatever the network says.
-//! * **The forward.** The network is recorded once, on one row per class,
+//!   is `-inf` whatever the network says. The canonical lists follow the
+//!   neighbour table: at most two per node, built once, each vehicle
+//!   reading one of them with itself appended or not. So a refinement
+//!   round hashes each list's class sequence once and each vehicle in
+//!   `O(1)` — that hash mixed with the vehicle's own class — and a vehicle
+//!   that reads the list of its class's representative is told apart by
+//!   its own class alone. Round zero, the feature bits, stays per vehicle.
+//! * **The forward.** The network is recorded once, on one row per class
+//!   — only the representatives' feature rows go on the tape —
 //!   each representative attending to its canonical list with every
 //!   vehicle replaced by its class — same length, same order, nine parked
 //!   twins as nine equal entries — so every dot product, softmax sum and

@@ -10,8 +10,8 @@
 use crate::state::{StateSnapshot, STATE_DIM};
 use dpdp_nn::{Graph, Mlp, MultiHeadAttention, ParamStore, Var};
 use dpdp_pool::ThreadPool;
+use partition::Field;
 pub(crate) use partition::Partition;
-use partition::{list_of, Field};
 use std::sync::Arc;
 
 mod partition;
@@ -175,14 +175,8 @@ impl QNetwork {
             part.canonical_lists(snap);
         }
         let x = g.constant(&snap.features);
-        let Partition {
-            bounds,
-            flat,
-            field,
-            ..
-        } = part;
-        let list = |v: usize| list_of(bounds, flat, v).iter().copied();
-        self.forward_rows(g, store, field, x, list, want)
+        let Partition { lists, field, .. } = part;
+        self.forward_rows(g, store, field, x, |v| lists.list(v), want)
     }
 
     /// Q-values of one joint state as a plain vector (infeasible entries
@@ -264,11 +258,11 @@ impl QNetwork {
         want: Option<&[usize]>,
     ) -> Var {
         tape.clear();
-        let all = tape.constant(&snap.features);
-        let x = tape.gather_rows(all, &part.reps);
+        // Only the representatives' rows go on the tape: a constant has no
+        // gradient path to keep.
+        let x = tape.constant_rows(&snap.features, &part.reps);
         let Partition {
-            bounds,
-            flat,
+            lists,
             class,
             reps,
             field,
@@ -279,10 +273,7 @@ impl QNetwork {
         // its class: same length, same order, twins as repeated entries,
         // so each sum over neighbours has the dense pass's terms in the
         // dense pass's order.
-        let list = |c: usize| {
-            let list = list_of(bounds, flat, reps[c]).iter();
-            list.map(|&neighbor| class[neighbor])
-        };
+        let list = |c: usize| lists.list(reps[c]).map(|neighbor| class[neighbor]);
         let q = self.forward_rows(tape, store, field, x, list, want);
         stats.forwards += 1;
         stats.rows += snap.num_vehicles() as u64;
@@ -304,11 +295,6 @@ impl QNetwork {
         pool: &Arc<ThreadPool>,
     ) -> Vec<Vec<f64>> {
         pool.par_map(snaps.len(), |i| self.q_values(store, &snaps[i]))
-    }
-
-    /// Index of the feasible vehicle with the highest Q-value, if any.
-    pub fn greedy_action(&self, store: &ParamStore, snap: &StateSnapshot) -> Option<usize> {
-        best_feasible(&self.q_values(store, snap), &snap.feasible)
     }
 }
 

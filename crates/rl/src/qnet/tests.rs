@@ -52,8 +52,9 @@ fn infeasible_vehicles_masked_in_q_values() {
     assert_eq!(q.len(), 3);
     assert_eq!(q[1], f64::NEG_INFINITY);
     assert!(q[0].is_finite() && q[2].is_finite());
-    let a = net.greedy_action(&store, &snap).unwrap();
+    let a = best_feasible(&q, &snap.feasible).unwrap();
     assert_ne!(a, 1);
+    assert_eq!(q[a], q[0].max(q[2]));
 }
 
 #[test]
@@ -61,7 +62,9 @@ fn no_feasible_vehicle_yields_no_action() {
     let mut store = ParamStore::new(2);
     let net = QNetwork::new(&mut store, QNetworkConfig::default());
     let snap = snapshot(2, vec![false, false]);
-    assert_eq!(net.greedy_action(&store, &snap), None);
+    let q = net.q_values(&store, &snap);
+    assert_eq!(q, [f64::NEG_INFINITY; 2]);
+    assert_eq!(best_feasible(&q, &snap.feasible), None);
 }
 
 #[test]
@@ -170,9 +173,7 @@ fn canonical_lists_are_sorted_and_deduplicated() {
     );
     let mut part = Partition::default();
     part.canonical_lists(&snap);
-    let lists: Vec<&[usize]> = (0..4)
-        .map(|v| list_of(&part.bounds, &part.flat, v))
-        .collect();
+    let lists: Vec<Vec<usize>> = (0..4).map(|v| part.lists.list(v).collect()).collect();
     assert_eq!(lists, [&[0, 1, 2][..], &[1], &[1, 2], &[0, 3]]);
 }
 
@@ -495,4 +496,80 @@ fn partitioned_forward_is_the_dense_forward_on_random_fleets() {
     // Non-vacuous: the fleets had twins, and the partition found them.
     let spared = SPARED.load(Ordering::Relaxed);
     assert!(spared > 1000, "only {spared} rows spared over 300 fleets");
+}
+
+/// The ranked neighbour table of a random fleet crowded onto a few nodes
+/// — nodes 0 and 1 at one position, so rankings merge equal-distance
+/// nodes — and the snapshot of the same lists collected into a plain
+/// table: features from a few prototypes, about one vehicle in five
+/// infeasible, `NE` one of {0, 1, 2, 8, K, K + 3}.
+fn ranked_and_plain(rng: &mut StdRng) -> (StateSnapshot, StateSnapshot, usize) {
+    use dpdp_net::{Node, NodeId, Point, RoadNetwork, VehicleId};
+    use dpdp_routing::VehicleView;
+
+    let positions = rng.random_range(2..=6usize);
+    let mut nodes = vec![Node::depot(NodeId(0), Point::new(1.0, 1.0))];
+    for n in 1..positions {
+        let at = match n {
+            1 => Point::new(1.0, 1.0),
+            _ => Point::new(
+                rng.random_range(0..4usize) as f64,
+                rng.random_range(0..4usize) as f64,
+            ),
+        };
+        nodes.push(Node::factory(NodeId(n as u32), at));
+    }
+    let net = RoadNetwork::euclidean(nodes, 1.0).expect("valid network");
+    let k = rng.random_range(1..=60usize);
+    let views: Vec<VehicleView> = (0..k)
+        .map(|v| {
+            let mut view = VehicleView::idle_at_depot(VehicleId(v as u32), NodeId(0));
+            view.anchor_node = NodeId(rng.random_range(0..positions) as u32);
+            view
+        })
+        .collect();
+    let ne = [0, 1, 2, 8, k, k + 3][rng.random_range(0..6usize)];
+    let rows: Vec<[f64; STATE_DIM]> = (0..rng.random_range(1..=4usize))
+        .map(|_| std::array::from_fn(|_| rng.random_range(0..=8usize) as f64 / 4.0))
+        .collect();
+    let features: Vec<f64> = (0..k)
+        .flat_map(|_| rows[rng.random_range(0..rows.len())])
+        .collect();
+    let features = Tensor::from_vec(k, STATE_DIM, features);
+    let feasible: Vec<bool> = (0..k).map(|_| rng.random_range(0..5usize) != 0).collect();
+    let ranked = crate::nearest_neighbors(&views, &net, ne);
+    let plain: crate::Neighbors = ranked.iter().collect();
+    let snapshot = |neighbors| StateSnapshot {
+        features: features.clone(),
+        feasible: feasible.clone(),
+        neighbors,
+    };
+    (snapshot(ranked), snapshot(plain), ne)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// The partition read off the per-node table is the one the same lists
+    /// give collected one per vehicle: the classes, their representatives
+    /// and every vehicle's canonical list.
+    #[test]
+    fn per_node_partition_is_the_plain_tables(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (ranked, plain, ne) = ranked_and_plain(&mut rng);
+        let (net, _) = graph_net(seed, rng.random_range(0..=3usize));
+        let (mut by_node, mut by_vehicle) = (Partition::default(), Partition::default());
+        net.partition(&mut by_node, &ranked);
+        net.partition(&mut by_vehicle, &plain);
+        let case = format!("seed {seed}, NE {ne}, K {}", ranked.num_vehicles());
+        prop_assert!(by_node.class == by_vehicle.class, "{case}: classes differ");
+        prop_assert!(by_node.reps == by_vehicle.reps, "{case}: representatives differ");
+        for v in 0..ranked.num_vehicles() {
+            let (node, vehicle): (Vec<usize>, Vec<usize>) = (
+                by_node.lists.list(v).collect(),
+                by_vehicle.lists.list(v).collect(),
+            );
+            prop_assert!(node == vehicle, "{case}, vehicle {v}: {node:?} != {vehicle:?}");
+        }
+    }
 }

@@ -39,9 +39,10 @@ pub struct StateSnapshot {
     /// Per-vehicle feasibility mask (the constraint embedding).
     pub feasible: Vec<bool>,
     /// Per-vehicle neighbour lists for the graph layers, all `K` in one
-    /// flat table: vehicle `v`'s list is [`Neighbors::list`]`(v)`, a slice
-    /// of the table's one buffer. [`StateBuilder::build`] fills it with
-    /// [`nearest_neighbors`]; any `Vec<Vec<usize>>` collects into it.
+    /// table: vehicle `v`'s list is [`Neighbors::list`]`(v)`.
+    /// [`StateBuilder::build`] fills it with [`nearest_neighbors`], which
+    /// keeps one ranking per occupied node; any `Vec<Vec<usize>>` collects
+    /// into it.
     pub neighbors: Neighbors,
 }
 
@@ -95,11 +96,6 @@ impl StateBuilder {
     /// Sets the predicted STD matrix for the upcoming episode.
     pub fn set_prediction(&mut self, predicted: Option<StdMatrix>) {
         self.predicted = predicted;
-    }
-
-    /// Whether ST scoring is active (scorer and prediction both present).
-    pub fn st_active(&self) -> bool {
-        self.scorer.is_some() && self.predicted.is_some()
     }
 
     /// Builds the joint state for one dispatch decision: one feature row

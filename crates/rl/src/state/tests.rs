@@ -112,20 +112,23 @@ fn st_feature_requires_scorer_and_prediction() {
         fleet: &fleet,
         orders: &orders,
     };
+    // A prediction concentrated away from the route.
+    let mut pred = StdMatrix::zeros(2, 144);
+    *pred.get_mut(1, 143) = 50.0;
     // Without prediction the feature stays 0 even with a scorer.
     let index = FactoryIndex::new(&[NodeId(1), NodeId(2)]);
     let builder = StateBuilder::new(100.0, 144, 4).with_scorer(StScorer::new(grid, index.clone()));
-    assert!(!builder.st_active());
-    let snap = builder.build(&ctx);
-    assert_eq!(snap.features.get(0, 2), 0.0);
-    // With a prediction concentrated away from the route, score > 0.
+    assert_eq!(builder.build(&ctx).features.get(0, 2), 0.0);
+    // Without a scorer a prediction changes nothing either.
+    let mut unscored = StateBuilder::new(100.0, 144, 4);
+    unscored.set_prediction(Some(pred.clone()));
+    assert_eq!(unscored.build(&ctx).features.get(0, 2), 0.0);
+    // With both, score > 0; taking the prediction away again clears it.
     let mut b2 = StateBuilder::new(100.0, 144, 4).with_scorer(StScorer::new(grid, index));
-    let mut pred = StdMatrix::zeros(2, 144);
-    *pred.get_mut(1, 143) = 50.0;
     b2.set_prediction(Some(pred));
-    assert!(b2.st_active());
-    let snap2 = b2.build(&ctx);
-    assert!(snap2.features.get(0, 2) > 0.0);
+    assert!(b2.build(&ctx).features.get(0, 2) > 0.0);
+    b2.set_prediction(None);
+    assert_eq!(b2.build(&ctx).features.get(0, 2), 0.0);
 }
 
 /// Two vehicles parked at one depot are one column, one plan; the

@@ -109,7 +109,7 @@ proptest! {
 }
 
 /// The form the lists take outside the builder — one `Vec` per vehicle,
-/// ragged, unsorted, repeating, some empty — collects into the flat table
+/// ragged, unsorted, repeating, some empty — collects into the table
 /// and reads back list for list.
 #[test]
 fn lists_collected_into_the_table_read_back_unchanged() {
