@@ -204,9 +204,10 @@ impl QNetwork {
 
     /// Splits `snap`'s feasible vehicles into the classes this network
     /// cannot tell apart: equal feature bits, then one refinement round
-    /// per attention level by the classes of the vehicles attended to. The
-    /// result depends on the snapshot and the architecture only, so
-    /// evaluations of one snapshot under different weights share it.
+    /// per attention level by the classes of the vehicles attended to —
+    /// and the lists the classes attend along. The result depends on the
+    /// snapshot and the architecture only, so evaluations of one snapshot
+    /// under different weights share it.
     pub(crate) fn partition(&self, part: &mut Partition, snap: &StateSnapshot) {
         part.group_by_features(snap);
         if self.config.graph {
@@ -216,6 +217,7 @@ impl QNetwork {
                     break;
                 }
             }
+            part.class_lists();
         }
     }
 
@@ -262,18 +264,17 @@ impl QNetwork {
         // gradient path to keep.
         let x = tape.constant_rows(&snap.features, &part.reps);
         let Partition {
-            lists,
-            class,
-            reps,
+            class_bounds,
+            class_flat,
             field,
             stats,
             ..
         } = part;
-        // A representative's canonical list with every vehicle replaced by
-        // its class: same length, same order, twins as repeated entries,
-        // so each sum over neighbours has the dense pass's terms in the
-        // dense pass's order.
-        let list = |c: usize| lists.list(reps[c]).map(|neighbor| class[neighbor]);
+        let list = |c: usize| {
+            class_flat[class_bounds[c]..class_bounds[c + 1]]
+                .iter()
+                .copied()
+        };
         let q = self.forward_rows(tape, store, field, x, list, want);
         stats.forwards += 1;
         stats.rows += snap.num_vehicles() as u64;

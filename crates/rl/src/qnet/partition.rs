@@ -97,6 +97,9 @@ pub(super) struct CanonicalLists {
     /// vehicles on the group's list and for those off it ([`EMPTY`] until
     /// a vehicle reads it).
     built: Vec<[usize; 2]>,
+    /// The most entries the vehicles' lists can hold, whichever of them
+    /// are built: `K` lists of a group list and a vehicle.
+    room: usize,
 }
 
 impl CanonicalLists {
@@ -111,12 +114,13 @@ impl CanonicalLists {
             .map(|g| table.group_list(g).len())
             .max()
             .unwrap_or(0);
+        self.room = k * (longest + 1);
         self.bounds.clear();
         self.flat.clear();
         self.of.clear();
         self.built.clear();
         self.bounds.reserve(k + 1);
-        self.flat.reserve(k * (longest + 1));
+        self.flat.reserve(self.room);
         self.of.reserve(k);
         self.built.reserve(k);
         self.bounds.push(0);
@@ -221,6 +225,10 @@ pub(crate) struct Partition {
     matched: Vec<usize>,
     /// Open-addressing table of the classes found so far in a round.
     slots: Vec<usize>,
+    /// Each class's list in class space, flat: class `c` attends along
+    /// `class_flat[class_bounds[c]..class_bounds[c + 1]]`.
+    pub(super) class_bounds: Vec<usize>,
+    pub(super) class_flat: Vec<usize>,
     /// The receptive field of the last pass recorded through this scratch.
     pub(super) field: Field,
     pub(super) stats: ForwardStats,
@@ -240,6 +248,26 @@ impl Partition {
     /// Builds every vehicle's canonical list (see [`CanonicalLists`]).
     pub(super) fn canonical_lists(&mut self, snap: &StateSnapshot) {
         self.lists.build(snap);
+    }
+
+    /// Writes each class's list in class space: its representative's
+    /// canonical list with every vehicle replaced by its class — same
+    /// length, same order, twins as repeated entries, so each sum over
+    /// neighbours has the dense pass's terms in the dense pass's order. A
+    /// pass over the classes reads it at every level, so it is written
+    /// out once.
+    pub(super) fn class_lists(&mut self) {
+        let k = self.class.len();
+        self.class_bounds.clear();
+        self.class_flat.clear();
+        self.class_bounds.reserve(k + 1);
+        self.class_flat.reserve(self.lists.room);
+        self.class_bounds.push(0);
+        for &rep in &self.reps {
+            let list = self.lists.list(rep).map(|n| self.class[n]);
+            self.class_flat.extend(list);
+            self.class_bounds.push(self.class_flat.len());
+        }
     }
 
     /// Round zero: feasible vehicles with equal feature bits share a
