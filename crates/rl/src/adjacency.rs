@@ -121,9 +121,10 @@ impl Neighbors {
         &self.flat[self.bounds[g]..self.bounds[g + 1]]
     }
 
-    /// Vehicle `v`'s group, and whether `v` is on the group's list: then
-    /// `v`'s list is `{v}` and the group's list, else `{v}` and all of the
-    /// group's list but its last entry, every one of them below `v`.
+    /// Vehicle `v`'s group, and whether `v` is counted on the group's
+    /// list. As a set, `v` and its list are then `v` and the group's list;
+    /// otherwise they are `v` and all of the group's list but its last
+    /// entry, every one of them below `v`.
     pub(crate) fn member(&self, v: usize) -> (usize, bool) {
         let (group, listed) = self.member[v];
         (group as usize, listed)

@@ -131,14 +131,14 @@ impl CanonicalLists {
             if *slot == EMPTY {
                 *slot = self.bounds.len() - 1;
                 let list = table.group_list(group);
-                let kept = if listed {
+                let prefix = if listed {
                     list
                 } else {
                     &list[..list.len() - 1]
                 };
                 let start = self.flat.len();
                 self.flat
-                    .extend(kept.iter().copied().filter(|&n| feasible[n]));
+                    .extend(prefix.iter().copied().filter(|&n| feasible[n]));
                 // A ranked list holds its feasible vehicles already; a
                 // collected one need not hold its one vehicle.
                 if listed && feasible[v] {
@@ -168,7 +168,7 @@ impl CanonicalLists {
     }
 
     /// Vehicle `v`'s canonical list.
-    pub(super) fn list(&self, v: usize) -> impl Iterator<Item = usize> + Clone + '_ {
+    pub(super) fn list(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
         let (l, at) = self.of[v];
         let list = self.shared(l as usize);
         let (head, tail) = list.split_at((at as usize).min(list.len()));
@@ -345,7 +345,7 @@ fn sequence_hash(list: &[usize], prev: &[usize]) -> u64 {
 /// mixed in when it goes at the end — mixed with its own class. A
 /// function of the round's key alone, and `O(1)`: a feasible vehicle is
 /// on its list or goes at its end (see [`CanonicalLists`]).
-pub(super) fn refine_hash(lists: &CanonicalLists, hashes: &[u64], prev: &[usize], v: usize) -> u64 {
+fn refine_hash(lists: &CanonicalLists, hashes: &[u64], prev: &[usize], v: usize) -> u64 {
     let (l, at) = lists.of[v];
     let own = prev[v] as u64;
     let sequence = if at == ON_LIST {
