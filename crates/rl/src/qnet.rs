@@ -172,7 +172,7 @@ impl QNetwork {
         want: Option<&[usize]>,
     ) -> Var {
         if self.config.graph {
-            part.canonical_lists(snap);
+            part.lists.build(snap);
         }
         let x = g.constant(&snap.features);
         let Partition { lists, field, .. } = part;
@@ -211,7 +211,7 @@ impl QNetwork {
     pub(crate) fn partition(&self, part: &mut Partition, snap: &StateSnapshot) {
         part.group_by_features(snap);
         if self.config.graph {
-            part.canonical_lists(snap);
+            part.lists.build(snap);
             for _ in 0..self.attention.len() {
                 if !part.refine(snap) {
                     break;

@@ -245,11 +245,6 @@ impl Partition {
         self.field.need[0].len()
     }
 
-    /// Builds every vehicle's canonical list (see [`CanonicalLists`]).
-    pub(super) fn canonical_lists(&mut self, snap: &StateSnapshot) {
-        self.lists.build(snap);
-    }
-
     /// Writes each class's list in class space: its representative's
     /// canonical list with every vehicle replaced by its class — same
     /// length, same order, twins as repeated entries, so each sum over
@@ -420,7 +415,7 @@ mod tests {
         };
         let mut part = Partition::default();
         part.group_by_features(&snap);
-        part.canonical_lists(&snap);
+        part.lists.build(&snap);
         let (lists, prev) = (&part.lists, &part.class);
         assert_eq!(lists.len(), 2, "one node, two variants");
         let hashes: Vec<u64> = (0..lists.len())

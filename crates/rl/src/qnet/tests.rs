@@ -172,7 +172,7 @@ fn canonical_lists_are_sorted_and_deduplicated() {
         &[&[2, 0, 3, 2, 1], &[], &[1, 1, 3], &[0, 0]],
     );
     let mut part = Partition::default();
-    part.canonical_lists(&snap);
+    part.lists.build(&snap);
     let lists: Vec<Vec<usize>> = (0..4).map(|v| part.lists.list(v).collect()).collect();
     assert_eq!(lists, [&[0, 1, 2][..], &[1], &[1, 2], &[0, 3]]);
 }
