@@ -72,26 +72,48 @@ fn run_with_events(
 #[test]
 fn engine_matches_reference_loop_without_disruptions() {
     use crate::simulator::BufferingMode;
+    // Order 2 is created half a second after orders 0 and 1; under
+    // immediate dispatch it is decided in an epoch of its own.
+    let mut half_second_later = order(2, 1, 3, 1.0, 8.0, 20.0);
+    half_second_later.created = TimePoint::from_seconds(8.0 * 3600.0 + 0.5);
     let inst = instance(
         3,
         vec![
             order(0, 1, 2, 9.0, 8.0, 8.34),
             order(1, 1, 2, 9.0, 8.0, 8.34),
-            order(2, 2, 3, 4.0, 9.0, 20.0),
-            order(3, 3, 1, 4.0, 9.0, 20.0),
+            half_second_later,
+            order(3, 2, 3, 4.0, 9.0, 20.0),
+            order(4, 3, 1, 4.0, 9.0, 20.0),
         ],
     );
-    for buffering in [
-        BufferingMode::Immediate,
-        BufferingMode::FixedInterval(TimeDelta::from_minutes(30.0)),
-    ] {
+    // Under half-hourly buffering order 2 waits for the 8:30 flush.
+    let half_hourly = BufferingMode::FixedInterval(TimeDelta::from_minutes(30.0));
+    for (buffering, order_2_at) in [(BufferingMode::Immediate, 0.5), (half_hourly, 1800.0)] {
         let sim = Simulator::builder(&inst)
             .buffering(buffering)
             .build()
             .unwrap();
-        let engine = sim.run_observed(&mut FirstFeasible, &mut []);
+        let engine = sim.run(&mut FirstFeasible);
         let reference = sim.run_reference(&mut FirstFeasible, &mut []);
         assert_eq!(engine, reference, "diverged under {buffering:?}");
+        // (order, vehicle, reason, decision time in seconds after 8:00).
+        let decisions: Vec<_> = engine
+            .assignments
+            .iter()
+            .map(|r| {
+                let after_eight = r.time.seconds() - 8.0 * 3600.0;
+                (r.order.0, r.vehicle.map(|k| k.0), r.reason, after_eight)
+            })
+            .collect();
+        use DecisionReason::Assigned;
+        let expected = [
+            (0, Some(0), Assigned, 0.0),
+            (1, Some(1), Assigned, 0.0),
+            (2, Some(0), Assigned, order_2_at),
+            (3, Some(0), Assigned, 3600.0),
+            (4, Some(0), Assigned, 3600.0),
+        ];
+        assert_eq!(decisions, expected, "under {buffering:?}");
     }
 }
 
@@ -179,27 +201,29 @@ fn cancelling_a_driven_pickup_is_too_late() {
 
 #[test]
 fn breakdown_strands_undriven_orders_and_loses_onboard_cargo() {
+    let created_1 = 8.0 + 5.0 / 60.0;
     let inst = instance(
         2,
         vec![
             order(0, 1, 2, 2.0, 8.0, 20.0),
-            order(1, 2, 3, 2.0, 8.0 + 5.0 / 60.0, 20.0),
+            order(1, 2, 3, 2.0, created_1, 20.0),
         ],
     );
+    let breakdown = TimePoint::from_hours(created_1 + 0.5 / 3600.0);
     let mut counter = EventCounter::default();
     let result = run_with_events(
         &inst,
         crate::simulator::BufferingMode::Immediate,
         vec![TimedEvent {
-            time: TimePoint::from_hours(8.1),
+            time: breakdown,
             event: SimEvent::VehicleBreakdown(VehicleId(0)),
         }],
         &mut counter,
     );
-    // First-feasible put both orders on vehicle 0. At the 8:06
-    // breakdown order 0 is onboard (lost) and order 1's pickup is
-    // undriven (stranded); the stranded order re-dispatches to
-    // vehicle 1 at the breakdown instant.
+    // First-feasible put both orders on vehicle 0; order 1's epoch
+    // commits before the breakdown half a second later. Then order 0 is
+    // onboard (lost) and order 1's pickup is undriven (stranded); the
+    // stranded order re-dispatches to vehicle 1 at the breakdown instant.
     assert_eq!(counter.breakdowns, 1);
     assert_eq!(result.metrics.served, 1);
     assert_eq!(result.metrics.rejected, 1);
@@ -216,10 +240,7 @@ fn breakdown_strands_undriven_orders_and_loses_onboard_cargo() {
         .find(|r| r.order == OrderId(1))
         .unwrap();
     assert_eq!(rec1.vehicle, Some(VehicleId(1)));
-    assert!(
-        (rec1.time.hours() - 8.1).abs() < 1e-9,
-        "re-dispatched at the breakdown instant"
-    );
+    assert_eq!(rec1.time, breakdown, "re-dispatched at the breakdown");
     // One final record per order; totals invariant holds.
     assert_eq!(result.assignments.len(), 2);
     assert_eq!(
@@ -230,6 +251,31 @@ fn breakdown_strands_undriven_orders_and_loses_onboard_cargo() {
     assert!(result.vehicles[0].used);
     assert!(result.vehicles[0].travel_km > 0.0);
     assert_eq!(result.vehicles[0].orders_accepted, 0);
+}
+
+#[test]
+fn a_stranded_order_waits_for_the_next_flush() {
+    // Both orders go to vehicle 0 at 8:00; its 8:06 breakdown strands
+    // order 1, which half-hourly buffering re-dispatches at 8:30.
+    let inst = instance(
+        2,
+        vec![
+            order(0, 1, 2, 2.0, 8.0, 20.0),
+            order(1, 2, 3, 2.0, 8.0, 20.0),
+        ],
+    );
+    let breakdown = TimedEvent {
+        time: TimePoint::from_hours(8.1),
+        event: SimEvent::VehicleBreakdown(VehicleId(0)),
+    };
+    let half_hourly = crate::simulator::BufferingMode::FixedInterval(TimeDelta::from_minutes(30.0));
+    let mut counter = EventCounter::default();
+    let result = run_with_events(&inst, half_hourly, vec![breakdown], &mut counter);
+    let stranded = &result.assignments[1];
+    assert_eq!(
+        (stranded.order, stranded.vehicle, stranded.time),
+        (OrderId(1), Some(VehicleId(1)), TimePoint::from_hours(8.5))
+    );
 }
 
 #[test]

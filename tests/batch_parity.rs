@@ -27,6 +27,8 @@
 //! every episode here runs with an `InvariantAuditor` switched on, which
 //! re-checks every route the engine holds after each epoch and disruption.
 
+mod golden;
+
 use dpdp_core::prelude::*;
 use dpdp_net::{TimeDelta, VehicleId};
 use dpdp_rl::ActorCriticConfig;
@@ -35,20 +37,12 @@ use dpdp_sim::{
     BufferingMode, Decision, DecisionBatch, DispatchContext, DisruptionConfig, EpisodeResult,
     EpochInfo, InvariantAuditor, PerOrder, RepartitionPolicy, ShardConfig, SimObserver,
 };
+use golden::parallel_threads;
 
 fn presets() -> Presets {
     let mut cfg = DatasetConfig::default();
     cfg.generator.orders_per_day = 60;
     Presets::with_config(cfg)
-}
-
-/// Parallel width for the thread-parity runs: `DPDP_TEST_THREADS`, or 4.
-fn parallel_threads() -> usize {
-    std::env::var("DPDP_TEST_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(4)
 }
 
 fn run(

@@ -5,169 +5,81 @@
 //!    merged with nothing else); `Simulator::run_reference` is the plain
 //!    scan over the sorted order table, flushing through the same epoch
 //!    body — so what is compared is how epochs come to exist (event
-//!    merge, flush timing, order-table handling). For Baselines 1–3 and DQN,
-//!    across shard counts {1, 4} × thread widths {1, N} and both
-//!    buffering strategies, the two must produce **bit-identical**
-//!    `EpisodeResult`s.
+//!    merge, flush timing, order-table handling). For Baselines 1–3, AC
+//!    and DGN training, across shard counts {1, 4} × thread widths {1, N}
+//!    and both buffering strategies, the two must produce
+//!    **bit-identical** `EpisodeResult`s, each equal to its case's
+//!    committed digest (`tests/golden`).
 //! 2. **Seeded-disruption determinism** — with a `DisruptionConfig`
-//!    armed, the same seed reproduces the identical episode *and* the
-//!    identical disruption trace; a different seed moves the trace.
+//!    armed, the same seed reproduces the identical, committed episode
+//!    *and* the identical disruption trace; a different seed moves the
+//!    trace.
 //! 3. **Stream serving** — a second thread pushes orders into a live
 //!    episode (`Simulator::serve`) and each pushed order is decided at
 //!    exactly the flush epoch its creation time maps to.
+
+mod golden;
 
 use dpdp_core::prelude::*;
 use dpdp_net::{
     FleetConfig, IntervalGrid, Node, NodeId, Order, OrderId, Point, RoadNetwork, TimeDelta,
     TimePoint,
 };
-use dpdp_rl::ActorCriticConfig;
-use dpdp_sim::{
-    BufferingMode, DisruptionRecord, EpisodeResult, EpochInfo, InvariantAuditor, ShardConfig,
-};
+use dpdp_sim::{DisruptionRecord, EpisodeResult, EpochInfo, InvariantAuditor};
+use golden::{parallel_threads, Case};
 
-/// Parallel width for the thread-parity legs: `DPDP_TEST_THREADS`, or 4.
-fn parallel_threads() -> usize {
-    std::env::var("DPDP_TEST_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(4)
-}
-
-fn build_sim<'a>(
-    instance: &'a Instance,
-    buffering: BufferingMode,
-    shards: usize,
-    threads: usize,
-) -> Simulator<'a> {
-    Simulator::builder(instance)
-        .buffering(buffering)
-        .sharding(ShardConfig::flat(shards).expect("positive shard count"))
-        .num_threads(threads)
-        .build()
-        .expect("valid configuration")
-}
-
-/// The engine and the reference scan loop, same configuration, compared.
-fn assert_parity(
-    instance: &Instance,
-    buffering: BufferingMode,
-    shards: usize,
-    threads: usize,
-    make: &dyn Fn() -> Box<dyn Dispatcher>,
-    label: &str,
-) {
-    let sim = build_sim(instance, buffering, shards, threads);
-    let engine = sim.run_observed(&mut *make(), &mut [&mut InvariantAuditor::default()]);
-    let reference = sim.run_reference(&mut *make(), &mut [&mut InvariantAuditor::default()]);
-    assert_eq!(
-        engine, reference,
-        "{label} diverged between the event engine and the reference loop \
-         at {shards} shard(s) / {threads} thread(s) under {buffering:?}"
-    );
+/// `case` against its digest at the given shard counts × widths {1, N},
+/// and the engine against the reference scan in each cell.
+fn assert_cells(case: &Case, shard_counts: &[usize]) {
+    for &shards in shard_counts {
+        for threads in [1, parallel_threads()] {
+            let sharding = ShardConfig::flat(shards).expect("positive shard count");
+            let result = case.run(sharding.clone(), threads, &mut []);
+            let reference = case
+                .builder()
+                .sharding(sharding)
+                .num_threads(threads)
+                .build()
+                .expect("valid configuration")
+                .run_reference(&mut *case.policy(), &mut [&mut InvariantAuditor::default()]);
+            assert_eq!(
+                result, reference,
+                "case {} diverged from the reference scan at {shards} shard(s) / {threads} thread(s)",
+                case.name
+            );
+            case.assert_digest(&result, &format!("{shards} shard(s) / {threads} thread(s)"));
+        }
+    }
 }
 
 #[test]
 fn replay_source_is_bit_identical_to_the_reference_loop() {
-    let metro = Presets::metro(7);
-    let instance = metro.metro_instance(60, 32, 5);
-    let threads = parallel_threads();
-    type MakeDispatcher = fn() -> Box<dyn Dispatcher>;
-    let heuristics: [(&str, MakeDispatcher); 3] = [
-        ("Baseline1", || Box::new(Baseline1)),
-        ("Baseline2", || Box::new(Baseline2)),
-        ("Baseline3", || Box::<Baseline3>::default()),
-    ];
-    let modes = [
-        BufferingMode::Immediate,
-        BufferingMode::FixedInterval(TimeDelta::from_minutes(60.0)),
-    ];
-    for mode in modes {
-        for (name, make) in heuristics {
-            for shards in [1usize, 4] {
-                for &width in &[1usize, threads] {
-                    assert_parity(&instance, mode, shards, width, &|| make(), name);
-                }
-            }
-        }
+    for case in golden::cases("metro_baseline") {
+        assert_cells(&case, &[1, 4]);
     }
 }
 
 #[test]
 fn replay_parity_covers_the_campus_preset_and_actor_critic() {
-    // The quick-campus workload batch_parity runs on, plus the one policy
-    // the metro matrix above leaves out: identically seeded AC agents on
-    // each side of the engine/reference comparison.
-    let mut cfg = DatasetConfig::default();
-    cfg.generator.orders_per_day = 60;
-    let presets = Presets::with_config(cfg);
-    let instance = presets.dataset().sampled_instance(0..3, 30, 8, 21);
-    let rl_instance = presets.dataset().sampled_instance(0..3, 20, 6, 13);
-    let threads = parallel_threads();
-    for mode in [
-        BufferingMode::Immediate,
-        BufferingMode::FixedInterval(TimeDelta::from_minutes(10.0)),
-    ] {
-        for &width in &[1usize, threads] {
-            assert_parity(
-                &instance,
-                mode,
-                1,
-                width,
-                &|| Box::new(Baseline1),
-                "Baseline1",
-            );
-            let sim = build_sim(&rl_instance, mode, 1, width);
-            let ac_cfg = ActorCriticConfig {
-                seed: 3,
-                ..ActorCriticConfig::default()
-            };
-            let engine = {
-                let mut agent = ActorCriticAgent::new(ac_cfg.clone(), 144);
-                sim.run_observed(&mut agent, &mut [&mut InvariantAuditor::default()])
-            };
-            let reference = {
-                let mut agent = ActorCriticAgent::new(ac_cfg.clone(), 144);
-                sim.run_reference(&mut agent, &mut [&mut InvariantAuditor::default()])
-            };
-            assert_eq!(
-                engine, reference,
-                "AC diverged at {width} thread(s) under {mode:?}"
-            );
-        }
+    // batch_parity's quick campus, and actor-critic agents.
+    for case in golden::cases("campus_") {
+        assert_cells(&case, &[1]);
     }
 }
 
 #[test]
 fn replay_parity_holds_for_dqn_training_episodes() {
-    // Identically seeded agents on each side: the whole training episode
-    // (exploration RNG included) must match decision for decision.
-    let metro = Presets::metro(7);
-    let instance = metro.metro_instance(24, 12, 9);
-    let threads = parallel_threads();
-    for mode in [
-        BufferingMode::Immediate,
-        BufferingMode::FixedInterval(TimeDelta::from_minutes(60.0)),
-    ] {
-        for shards in [1usize, 4] {
-            for &width in &[1usize, threads] {
-                let sim = build_sim(&instance, mode, shards, width);
-                let engine = {
-                    let mut agent = models::dqn_agent(ModelKind::Dgn, metro.dataset(), 5);
-                    sim.run_observed(&mut agent, &mut [&mut InvariantAuditor::default()])
-                };
-                let reference = {
-                    let mut agent = models::dqn_agent(ModelKind::Dgn, metro.dataset(), 5);
-                    sim.run_reference(&mut agent, &mut [&mut InvariantAuditor::default()])
-                };
-                assert_eq!(
-                    engine, reference,
-                    "DQN diverged at {shards} shard(s) / {width} thread(s) under {mode:?}"
-                );
-            }
-        }
+    // The whole training episode, exploration RNG included.
+    for case in golden::cases("metro_dgn_training") {
+        assert_cells(&case, &[1, 4]);
     }
+}
+
+/// Rewrites `tests/golden/episodes.digest` (see `tests/golden/mod.rs`).
+#[test]
+#[ignore]
+fn rewrite_the_committed_digests() {
+    golden::rewrite();
 }
 
 /// Records a comparable rendering of every disruption the episode applied.
@@ -183,18 +95,18 @@ impl SimObserver for DisruptionTrace {
 
 #[test]
 fn seeded_disruptions_are_deterministic_and_seed_sensitive() {
-    let (metro, disruptions) = Presets::metro_disrupted(3);
-    let instance = metro.metro_instance(80, 16, 2);
+    let case = golden::cases("metro_disrupted")
+        .pop()
+        .expect("the disrupted case");
     let run = |seed: u64| -> (EpisodeResult, Vec<String>) {
         let mut trace = DisruptionTrace::default();
-        let result = Simulator::builder(&instance)
-            .buffering(BufferingMode::FixedInterval(TimeDelta::from_minutes(10.0)))
-            .disruptions(disruptions.clone())
+        let result = case
+            .builder()
             .seed(seed)
             .build()
             .expect("valid disrupted configuration")
             .run_observed(
-                &mut Baseline1,
+                &mut *case.policy(),
                 &mut [&mut trace, &mut InvariantAuditor::default()],
             );
         (result, trace.0)
@@ -202,6 +114,7 @@ fn seeded_disruptions_are_deterministic_and_seed_sensitive() {
     let (a, trace_a) = run(11);
     let (b, trace_b) = run(11);
     assert_eq!(a, b, "same seed must reproduce the episode bit for bit");
+    case.assert_digest(&a, "seed 11");
     assert_eq!(trace_a, trace_b, "and the same disruption trace");
     assert!(
         !trace_a.is_empty(),
@@ -213,7 +126,7 @@ fn seeded_disruptions_are_deterministic_and_seed_sensitive() {
     // with a reason (stranded orders re-dispatched or accounted for).
     assert_eq!(
         a.metrics.served + a.metrics.rejections.total(),
-        instance.num_orders()
+        case.instance.num_orders()
     );
     assert_eq!(a.metrics.rejections.total(), a.metrics.rejected);
 }

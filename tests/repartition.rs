@@ -4,8 +4,9 @@
 //! boundaries — a pure work optimisation. These tests pin the contract:
 //!
 //! 1. **Layout invariance** — a hierarchical, periodically re-partitioned
-//!    episode is **bit-identical** to the plain unsharded one, across
-//!    thread widths {1, N} × escalation widths {0, 2, 3}.
+//!    episode is the committed digest of the plain unsharded one
+//!    (`tests/golden`), across thread widths {1, N} × escalation widths
+//!    {0, 2, 3}.
 //! 2. **Non-vacuity** — the suite is only meaningful if re-partitions
 //!    actually fire, so every sharded leg asserts ≥ 1 `repartitioned`
 //!    epoch, and the *count* of them is itself invariant.
@@ -13,18 +14,12 @@
 //!    `run_reference` (scan loop) re-partition in lockstep.
 //! 4. **Inertness** — `RepartitionPolicy::Never` never sets the flag.
 
+mod golden;
+
 use dpdp_core::prelude::*;
 use dpdp_net::TimeDelta;
 use dpdp_sim::{BufferingMode, EpochInfo, InvariantAuditor, RepartitionPolicy, ShardConfig};
-
-/// Parallel width for the thread-parity legs: `DPDP_TEST_THREADS`, or 4.
-fn parallel_threads() -> usize {
-    std::env::var("DPDP_TEST_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(4)
-}
+use golden::parallel_threads;
 
 /// Counts epochs whose shard map was re-seeded.
 #[derive(Default)]
@@ -53,32 +48,21 @@ fn repartitioning_config(escalation: usize) -> ShardConfig {
 
 #[test]
 fn repartitioned_episodes_match_the_unsharded_run_bit_for_bit() {
-    let metro = Presets::metro(7);
-    let instance = metro.metro_instance(60, 32, 5);
-    let buffering = BufferingMode::FixedInterval(TimeDelta::from_minutes(60.0));
-    let baseline = Simulator::builder(&instance)
-        .buffering(buffering)
-        .build()
-        .expect("valid unsharded configuration")
-        .run_observed(&mut Baseline1, &mut [&mut InvariantAuditor::default()]);
-
+    let case = golden::cases("metro_baseline1_60min")
+        .pop()
+        .expect("the unsharded episode, committed as a metro case");
     let mut fire_counts = Vec::new();
     for escalation in [0usize, 2, 3] {
         for threads in [1usize, parallel_threads()] {
             let mut fired = RepartitionCounter::default();
-            let result = Simulator::builder(&instance)
-                .buffering(buffering)
-                .sharding(repartitioning_config(escalation))
-                .num_threads(threads)
-                .build()
-                .expect("valid sharded configuration")
-                .run_observed(
-                    &mut Baseline1,
-                    &mut [&mut fired, &mut InvariantAuditor::default()],
-                );
-            assert_eq!(
-                result, baseline,
-                "episode diverged at escalation {escalation} / {threads} thread(s)"
+            let result = case.run(
+                repartitioning_config(escalation),
+                threads,
+                &mut [&mut fired],
+            );
+            case.assert_digest(
+                &result,
+                &format!("escalation {escalation} / {threads} thread(s)"),
             );
             assert!(
                 fired.0 >= 1,
