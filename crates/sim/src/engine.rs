@@ -17,15 +17,13 @@
 //! }
 //! ```
 //!
-//! With a lone [`ReplaySource`](crate::event::ReplaySource) this grouping
-//! is provably the plain scan's — arrivals are creation-sorted and
-//! decision times are monotone, so an epoch closes exactly when the next
-//! order's decision time differs — and `tests/event_parity.rs` asserts the
-//! resulting episodes are bit-identical to the [`Simulator::run_reference`]
-//! scan for every policy, shard count and thread count. Both flush through
-//! the one epoch body at the bottom of this file, so the comparison is
-//! about how epochs come to exist (merge order, flush timing, the growable
-//! order table), not about what a commit does.
+//! With a lone [`ReplaySource`](crate::event::ReplaySource) arrivals come
+//! creation-sorted and decision times are monotone, so the epochs are the
+//! maximal runs of the order table sharing one decision time.
+//! `tests/event_parity.rs` pins the resulting episodes to committed
+//! decision digests (`tests/golden`) in every shard × thread cell; the
+//! unit tests pin literal decision lists and when an epoch commits
+//! relative to the events around it.
 //!
 //! Disruption events mutate the authoritative vehicle states *between*
 //! epochs: cancellations drop buffered orders or shorten a committed route
@@ -105,7 +103,9 @@ impl<'a> Simulator<'a> {
         let mut assigned_to: Vec<Option<(VehicleId, f64)>> = vec![None; table.len()];
         let mut pending: Vec<PendingOrder> = Vec::new();
         let mut mux = EventMux::new(sources);
-        let mut shard_rt = self.shard_runtime();
+        // Episode-local: re-partitioning never leaks across runs.
+        let mut shard_rt =
+            ShardRuntime::new(&self.sharding, &self.shards, self.seed, net.nodes().len());
         let mut epoch_index = 0usize;
         let mut clock = TimePoint::ZERO;
         // Per-epoch planning arena, reused across the whole session:
@@ -395,10 +395,9 @@ impl<'a> Simulator<'a> {
         CancelOutcome::TooLate
     }
 
-    /// Flushes one decision epoch — the crate's one epoch body, shared by
-    /// the event loop above and the [`Simulator::run_reference`] scan:
-    /// fleet advance to `now`, re-partition, [`DecisionBatch`] (broken
-    /// vehicles masked out), dispatch, commit.
+    /// Flushes one decision epoch of the event loop above: fleet advance to
+    /// `now`, re-partition, [`DecisionBatch`] (broken vehicles masked out),
+    /// dispatch, commit.
     ///
     /// [`DecisionBatch::resolve`] is the commit and the batch owns the
     /// fleet for the length of the epoch. What the dispatcher returns is

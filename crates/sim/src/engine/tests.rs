@@ -70,7 +70,7 @@ fn run_with_events(
 }
 
 #[test]
-fn engine_matches_reference_loop_without_disruptions() {
+fn replayed_orders_are_decided_at_their_decision_times() {
     use crate::simulator::BufferingMode;
     // Order 2 is created half a second after orders 0 and 1; under
     // immediate dispatch it is decided in an epoch of its own.
@@ -93,11 +93,9 @@ fn engine_matches_reference_loop_without_disruptions() {
             .buffering(buffering)
             .build()
             .unwrap();
-        let engine = sim.run(&mut FirstFeasible);
-        let reference = sim.run_reference(&mut FirstFeasible, &mut []);
-        assert_eq!(engine, reference, "diverged under {buffering:?}");
         // (order, vehicle, reason, decision time in seconds after 8:00).
-        let decisions: Vec<_> = engine
+        let decisions: Vec<_> = sim
+            .run(&mut FirstFeasible)
             .assignments
             .iter()
             .map(|r| {

@@ -5,8 +5,9 @@
 //! [`EventSource`]s. Three sources ship with the crate:
 //!
 //! * [`ReplaySource`] — wraps an instance's order table as a stream of
-//!   [`SimEvent::OrderArrival`]s, reproducing the classic replay loop
-//!   **bit-identically** (asserted by `tests/event_parity.rs`);
+//!   [`SimEvent::OrderArrival`]s, one epoch per run of orders sharing a
+//!   decision time (episodes pinned to committed digests by
+//!   `tests/event_parity.rs`);
 //! * [`StreamSource`] — a channel-backed push source: another thread feeds
 //!   [`StreamCommand`]s into a live episode (`Simulator::serve`), turning
 //!   the simulator into a serving loop;
@@ -99,9 +100,9 @@ pub trait EventSource {
 }
 
 /// Replays a fixed order table as a stream of arrivals — the classic
-/// simulator input. Feeding the engine from a `ReplaySource` alone is
-/// bit-identical to the pre-event scan loop for every scenario, policy,
-/// shard count and thread count (`tests/event_parity.rs`).
+/// simulator input. The episodes of an engine fed from a `ReplaySource`
+/// alone are pinned to committed decision digests in every shard × thread
+/// cell of `tests/event_parity.rs`.
 #[derive(Debug, Clone)]
 pub struct ReplaySource<'a> {
     orders: &'a [Order],

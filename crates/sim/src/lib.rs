@@ -19,11 +19,9 @@
 //! (time, then a fixed event-class rank, then source position):
 //!
 //! * [`ReplaySource`] — the instance's order table; feeding the engine
-//!   from it alone forms exactly the epochs a plain scan of the sorted
-//!   table does ([`Simulator::run_reference`], which shares the engine's
-//!   epoch body and differs only in how epochs come to exist), so the two
-//!   episodes are **bit-identical** for every scenario, policy, shard
-//!   count and thread count — `tests/event_parity.rs` asserts it.
+//!   from it alone forms one epoch per run of orders sharing a decision
+//!   time. `tests/event_parity.rs` pins the resulting episodes, in every
+//!   shard × thread cell it runs, to committed decision digests.
 //! * [`StreamSource`] — a channel of [`StreamCommand`]s pushed by another
 //!   thread ([`Simulator::serve`]): the simulator as a serving loop for
 //!   live traffic.

@@ -1,14 +1,14 @@
 //! The episode simulator (paper Algorithm 1), organised around batched
 //! decision epochs.
 
-use crate::batch::{Decision, EpochScratch};
+use crate::batch::Decision;
 use crate::dispatcher::Dispatcher;
 use crate::event::DisruptionConfig;
 use crate::metrics::{AssignmentRecord, EpisodeResult, MetricsAccumulator, MetricsOptions};
 use crate::observer::{DecisionRecord, EpochInfo, FleetRecord, SimObserver};
 use crate::profile::EpochProfile;
-use crate::sharding::{ShardConfig, ShardRuntime};
-use crate::state::{fresh_fleet, VehicleState};
+use crate::sharding::ShardConfig;
+use crate::state::VehicleState;
 use crate::sweep::ShardContext;
 use dpdp_net::{Instance, Order, ShardMap, TimeDelta, TimePoint};
 use dpdp_pool::ThreadPool;
@@ -424,17 +424,6 @@ impl<'a> Simulator<'a> {
         &self.shards.map
     }
 
-    /// Builds the episode-local sharding runtime — one per episode so
-    /// mid-episode re-partitioning never leaks across runs.
-    pub(crate) fn shard_runtime(&self) -> ShardRuntime {
-        ShardRuntime::new(
-            &self.sharding,
-            &self.shards,
-            self.seed,
-            self.instance.network.nodes().len(),
-        )
-    }
-
     /// The wall-clock time at which an order created at `created` is
     /// decided.
     ///
@@ -473,9 +462,8 @@ impl<'a> Simulator<'a> {
     ///
     /// This is the event-driven engine (see [`crate::event`] and
     /// [`Simulator::run_events`]): the instance's order table replays
-    /// through a [`ReplaySource`](crate::event::ReplaySource) — grouped
-    /// into the same epochs as the plain scan kept as
-    /// [`Simulator::run_reference`] — and, when
+    /// through a [`ReplaySource`](crate::event::ReplaySource) — arrivals
+    /// sharing one decision time form one epoch — and, when
     /// [`SimulatorBuilder::disruptions`] armed a config, a seeded
     /// [`DisruptionSource`](crate::event::DisruptionSource) rides along.
     ///
@@ -510,73 +498,6 @@ impl<'a> Simulator<'a> {
             )));
         }
         self.run_events(sources, dispatcher, observers)
-    }
-
-    /// The scan reference: groups the creation-sorted order table into
-    /// maximal runs sharing one decision time and flushes each through the
-    /// same crate-private epoch body as the event engine (advance,
-    /// re-partition, batch, dispatch, commit — one code, not a copy). What
-    /// `tests/event_parity.rs`, `tests/repartition.rs` and the engine's
-    /// unit test prove by comparing the two **bit for bit** is
-    /// therefore how epochs come to exist — event merge, flush timing, the
-    /// engine's growable order table — not what a commit does
-    /// (`tests/batch_parity.rs` and the routing oracle cover that).
-    ///
-    /// Event-only features do not exist here: any
-    /// [`SimulatorBuilder::disruptions`] config is ignored and nothing can
-    /// arrive mid-episode.
-    ///
-    /// # Panics
-    /// Panics if the dispatcher violates the `dispatch_batch` contract.
-    pub fn run_reference(
-        &self,
-        dispatcher: &mut dyn Dispatcher,
-        observers: &mut [&mut dyn SimObserver],
-    ) -> EpisodeResult {
-        let instance = self.instance;
-        let fleet = &instance.fleet;
-        let orders = instance.orders();
-        dispatcher.begin_episode(instance);
-        let mut sink = EpisodeSink {
-            observers,
-            acc: MetricsAccumulator::new(self.metrics, orders.len()),
-            fleet,
-            net: &instance.network,
-        };
-        sink.begin(instance);
-
-        let (mut views, mut states) = fresh_fleet(fleet);
-        // Assignee bookkeeping the epoch body keeps for cancellations and
-        // breakdowns; nothing reads it here.
-        let mut assigned_to = vec![None; orders.len()];
-        let mut shard_rt = self.shard_runtime();
-        let mut scratch = EpochScratch::default();
-        let mut epoch_index = 0;
-        let mut start = 0;
-        while start < orders.len() {
-            let now = self.decision_time(orders[start].created);
-            let mut end = start + 1;
-            while end < orders.len() && self.decision_time(orders[end].created) == now {
-                end += 1;
-            }
-            self.run_epoch(
-                &mut sink,
-                &mut views,
-                &mut states,
-                orders,
-                orders[start..end].iter().map(|o| o.id).collect(),
-                now,
-                &mut epoch_index,
-                &mut assigned_to,
-                &mut shard_rt,
-                &mut scratch,
-                dispatcher,
-            );
-            start = end;
-        }
-
-        dispatcher.end_episode();
-        sink.finish(&views, &states)
     }
 }
 

@@ -10,9 +10,7 @@
 //! 2. **Non-vacuity** — the suite is only meaningful if re-partitions
 //!    actually fire, so every sharded leg asserts ≥ 1 `repartitioned`
 //!    epoch, and the *count* of them is itself invariant.
-//! 3. **Engine parity** — `run_observed` (event engine) and
-//!    `run_reference` (scan loop) re-partition in lockstep.
-//! 4. **Inertness** — `RepartitionPolicy::Never` never sets the flag.
+//! 3. **Inertness** — `RepartitionPolicy::Never` never sets the flag.
 
 mod golden;
 
@@ -77,39 +75,6 @@ fn repartitioned_episodes_match_the_unsharded_run_bit_for_bit() {
         "re-partition cadence must be a pure function of the demand \
          stream, got {fire_counts:?}"
     );
-}
-
-#[test]
-fn engine_and_reference_loop_repartition_in_lockstep() {
-    let metro = Presets::metro(7);
-    let instance = metro.metro_instance(48, 24, 9);
-    for threads in [1usize, parallel_threads()] {
-        let sim = Simulator::builder(&instance)
-            .buffering(BufferingMode::FixedInterval(TimeDelta::from_minutes(60.0)))
-            .sharding(repartitioning_config(2))
-            .num_threads(threads)
-            .build()
-            .expect("valid sharded configuration");
-        let mut engine_fired = RepartitionCounter::default();
-        let engine = sim.run_observed(
-            &mut Baseline1,
-            &mut [&mut engine_fired, &mut InvariantAuditor::default()],
-        );
-        let mut reference_fired = RepartitionCounter::default();
-        let reference = sim.run_reference(
-            &mut Baseline1,
-            &mut [&mut reference_fired, &mut InvariantAuditor::default()],
-        );
-        assert_eq!(
-            engine, reference,
-            "engine vs reference diverged at {threads} thread(s)"
-        );
-        assert_eq!(
-            engine_fired.0, reference_fired.0,
-            "the two loops must re-seed at the same epochs"
-        );
-        assert!(engine_fired.0 >= 1, "vacuous parity run");
-    }
 }
 
 #[test]
