@@ -30,7 +30,7 @@ type Policy = fn() -> Box<dyn Dispatcher>;
 
 /// One committed episode; a suite picks each cell's layout and width.
 pub struct Case {
-    pub name: String,
+    name: String,
     pub instance: Instance,
     buffering: BufferingMode,
     /// The disruptions armed and their seed.
@@ -75,9 +75,10 @@ impl Case {
     /// Asserts that `result`, the case's episode in `cell`, is the
     /// committed one.
     pub fn assert_digest(&self, result: &EpisodeResult, cell: &str) {
+        let prefix = format!("{} ", self.name);
         let committed = include_str!("episodes.digest")
             .lines()
-            .find_map(|line| line.strip_prefix(&format!("{} ", self.name)))
+            .find_map(|line| line.strip_prefix(&prefix))
             .unwrap_or_else(|| panic!("no committed digest for case {}", self.name));
         let digest = format!("{:016x}", digest(result));
         assert_eq!(digest, committed, "case {} moved in {cell}", self.name);
@@ -86,7 +87,7 @@ impl Case {
 
 /// Every case, in file order: each family immediate and buffered, then
 /// Baseline 1 on the disrupted metro preset.
-pub fn all_cases() -> Vec<Case> {
+fn all_cases() -> Vec<Case> {
     let metro = Presets::metro(7);
     let metro_60 = metro.metro_instance(60, 32, 5);
     let metro_24 = metro.metro_instance(24, 12, 9);
