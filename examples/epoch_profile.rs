@@ -1,10 +1,13 @@
-//! Where a decision epoch's time goes, stage by stage, on two days the
+//! Where a decision epoch's time goes, stage by stage, on three days the
 //! perf ledger also runs:
 //!
 //! * the `campus_infer` day — 593 held-out campus orders, 100 vehicles,
 //!   ST-DDGN in evaluation mode, immediate dispatch (one order per epoch);
 //! * the `metro_b1` day — 1600 metro orders, 256 vehicles, Baseline 1,
-//!   `flat(4)` region shards, 10-minute buffering.
+//!   `flat(4)` region shards, 10-minute buffering;
+//! * the `megacity_b1` day — 20000 megacity orders, 10000 vehicles,
+//!   Baseline 1, `hierarchical(64, 2)` shards with escalation 2,
+//!   re-partitioned every fourth flush, 30-minute buffering.
 //!
 //! Each day runs once to warm up and then `EPISODES` times with an
 //! observer that asks for every epoch's [`EpochProfile`]. Episodes repeat
@@ -136,6 +139,24 @@ fn main() {
         .unwrap();
     profile_day(
         "metro_b1 (Baseline 1, flat(4), 10-minute buffering)",
+        &sim,
+        &mut Baseline1,
+    );
+
+    let megacity = Presets::megacity(SEED).megacity_instance(20_000, 10_000, SEED);
+    let sharding = ShardConfig::hierarchical(64, 2)
+        .unwrap()
+        .escalation(2)
+        .repartition(RepartitionPolicy::periodic(4))
+        .unwrap();
+    let sim = Simulator::builder(&megacity)
+        .buffering(BufferingMode::FixedInterval(TimeDelta::from_minutes(30.0)))
+        .sharding(sharding)
+        .seed(SEED)
+        .build()
+        .unwrap();
+    profile_day(
+        "megacity_b1 (Baseline 1, hierarchical(64, 2), 30-minute buffering)",
         &sim,
         &mut Baseline1,
     );
