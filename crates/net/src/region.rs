@@ -33,9 +33,33 @@
 //! weights (e.g. recent order pickups): Lloyd means become weighted means,
 //! pulling centroids toward live demand — the primitive behind
 //! mid-episode re-partitioning in `dpdp-sim`.
+//!
+//! **Cell-pair gaps.** Every map, re-derived ones included, carries one
+//! conservative lower bound per ordered pair of cells on the road distance
+//! from any node of the first to any node of the second
+//! ([`ShardMap::gap_km`]). Each cell has a *reference node* — the member
+//! nearest its centroid — an *out-radius* `r_out[u] = max d(ref_u, a)` and
+//! an *in-radius* `r_in[u] = max d(a, ref_u)` over its members `a`. On a
+//! metric network (each triangle inequality holding up to
+//! [`METRIC_TOLERANCE_KM`]), for `a ∈ u` and `p ∈ s`:
+//!
+//! - `d(ref_u, ref_s) ≤ d(ref_u, a) + d(a, ref_s) + tol`, and
+//! - `d(a, ref_s) ≤ d(a, p) + d(p, ref_s) + tol`,
+//!
+//! so `d(a, p) ≥ d(ref_u, ref_s) − r_out[u] − r_in[s] − 2·tol`. The table
+//! stores that, less a rounding margin, clamped at 0, and stores 0 on a
+//! network that is not metric. It lets `dpdp-sim` dismiss a whole
+//! `(vehicle cell, order cell)` block of an epoch with one bound check.
 
 use crate::ids::NodeId;
-use crate::network::{Point, RoadNetwork};
+use crate::network::{Point, RoadNetwork, METRIC_TOLERANCE_KM};
+
+/// Fixed part of the margin [`ShardMap::gap_km`] keeps below the exact
+/// cell-pair bound. The rounding of the two triangle checks and of the
+/// bound's own subtractions is under 10 ulps of the distances involved; the
+/// margin takes 16 machine epsilons of them plus this, so it covers the
+/// rounding at any distance and costs the bound nothing at road scale.
+const GAP_ROUNDING_KM: f64 = 1e-6;
 
 /// How a [`ShardMap`] assigns nodes to regions.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,6 +101,11 @@ impl Default for ShardPolicy {
 /// anchor node, orders to the shard of their pickup node. Mid-episode
 /// re-partitioning swaps in a fresh map built by
 /// [`ShardMap::build_weighted`] at an epoch boundary.
+///
+/// Every build also derives the cell-pair distance bound
+/// [`ShardMap::gap_km`] from the network (see the module docs): `S²`
+/// entries, each from one reference-to-reference distance and two radii,
+/// so it costs `O(n + S²)` on top of the partition.
 #[derive(Debug, Clone)]
 pub struct ShardMap {
     /// Shard (cell) index per node, dense by node id.
@@ -89,6 +118,8 @@ pub struct ShardMap {
     policy: ShardPolicy,
     num_shards: usize,
     num_regions: usize,
+    /// `gap[u * num_shards + s]`: [`ShardMap::gap_km`]`(u, s)`.
+    gap: Vec<f64>,
 }
 
 impl ShardMap {
@@ -180,6 +211,7 @@ impl ShardMap {
                 }
             }
         };
+        let gap = gap_table(net, &assignment, &centroids);
         ShardMap {
             assignment,
             centroids,
@@ -187,6 +219,7 @@ impl ShardMap {
             policy,
             num_shards,
             num_regions,
+            gap,
         }
     }
 
@@ -229,12 +262,24 @@ impl ShardMap {
     }
 
     /// The parent region owning `node` (via its cell).
+    #[cfg(test)]
+    fn region_of_node(&self, node: NodeId) -> usize {
+        self.region_of(self.shard_of(node))
+    }
+
+    /// A lower bound, km, on the distance from any node of cell `from` to
+    /// any node of cell `to`: `gap_km(u, s) ≤ d(a, p)` for every `a` with
+    /// `shard_of(a) == u` and `p` with `shard_of(p) == s` (derivation in
+    /// the module docs). 0 when the network is not metric, for an empty
+    /// cell, and whenever the cells' reference nodes are no farther apart
+    /// than their radii.
     ///
     /// # Panics
-    /// Panics if the id is out of range for the map's network.
+    /// Panics if either cell is `>= num_shards()`.
     #[inline]
-    pub fn region_of_node(&self, node: NodeId) -> usize {
-        self.region_of(self.shard_of(node))
+    pub fn gap_km(&self, from: usize, to: usize) -> f64 {
+        assert!(to < self.num_shards, "cell out of range");
+        self.gap[from * self.num_shards + to]
     }
 
     /// Representative point of a shard (its final centroid).
@@ -256,9 +301,47 @@ impl ShardMap {
     }
 
     /// Number of non-empty shards.
-    pub fn occupied_shards(&self) -> usize {
+    #[cfg(test)]
+    fn occupied_shards(&self) -> usize {
         self.shard_sizes().iter().filter(|&&n| n > 0).count()
     }
+}
+
+/// The cell-pair bound table of [`ShardMap::gap_km`], row-major by the
+/// `from` cell: reference nodes (the member nearest the cell's centroid,
+/// ties toward the lower node id), their out- and in-radii, then one
+/// entry per pair (see the module docs for the two triangle inequalities).
+/// All zeros on a network that is not metric and for a one-cell map.
+fn gap_table(net: &RoadNetwork, assignment: &[usize], centroids: &[Point]) -> Vec<f64> {
+    let cells = centroids.len();
+    let mut gap = vec![0.0; cells * cells];
+    if cells == 1 || !net.is_metric() {
+        return gap;
+    }
+    let mut reference: Vec<Option<(NodeId, f64)>> = vec![None; cells];
+    for (node, &s) in net.nodes().iter().zip(assignment) {
+        let d = dist2(node.pos, centroids[s]);
+        if reference[s].is_none_or(|(_, best)| d < best) {
+            reference[s] = Some((node.id, d));
+        }
+    }
+    let (mut r_out, mut r_in) = (vec![0.0f64; cells], vec![0.0f64; cells]);
+    for (node, &s) in net.nodes().iter().zip(assignment) {
+        let (r, _) = reference[s].expect("a node's cell has a reference node");
+        r_out[s] = r_out[s].max(net.distance(r, node.id));
+        r_in[s] = r_in[s].max(net.distance(node.id, r));
+    }
+    for (u, ref_u) in reference.iter().enumerate() {
+        let Some((ref_u, _)) = *ref_u else { continue };
+        for (s, ref_s) in reference.iter().enumerate() {
+            let Some((ref_s, _)) = *ref_s else { continue };
+            let d = net.distance(ref_u, ref_s);
+            let bound = d - r_out[u] - r_in[s] - 2.0 * METRIC_TOLERANCE_KM;
+            let margin = GAP_ROUNDING_KM + 16.0 * f64::EPSILON * (d + r_out[u] + r_in[s]);
+            gap[u * cells + s] = (bound - margin).max(0.0);
+        }
+    }
+    gap
 }
 
 fn mean_point(points: &[Point]) -> Point {
@@ -647,6 +730,63 @@ mod tests {
         let plain = ShardMap::build(&net, 2, ShardPolicy::default(), 7);
         for n in net.nodes() {
             assert_eq!(uniform.shard_of(n.id), plain.shard_of(n.id));
+        }
+    }
+
+    /// The quadrants are 100 km apart and a few km wide: every pair of
+    /// cells in different quadrants gets a bound within a few km of the
+    /// closest pair of their nodes, the same for the demand-weighted
+    /// rebuild, and a cell's bound to itself is 0.
+    #[test]
+    fn the_gap_table_bounds_cells_in_different_quadrants() {
+        let net = quadrant_net();
+        let policy = ShardPolicy::Hierarchical {
+            regions: 4,
+            cells_per_region: 2,
+            iterations: 8,
+        };
+        let weights: Vec<f64> = (0..12).map(|i| (i % 5) as f64).collect();
+        for map in [
+            ShardMap::build(&net, 8, policy, 11),
+            ShardMap::build_weighted(&net, 8, policy, 11, &weights),
+        ] {
+            for u in 0..8 {
+                assert_eq!(map.gap_km(u, u), 0.0);
+                for s in 0..8 {
+                    let closest = net
+                        .nodes()
+                        .iter()
+                        .filter(|a| map.shard_of(a.id) == u)
+                        .flat_map(|a| {
+                            let to_s = net.nodes().iter().filter(|p| map.shard_of(p.id) == s);
+                            to_s.map(|p| net.distance(a.id, p.id))
+                        })
+                        .fold(f64::INFINITY, f64::min);
+                    let gap = map.gap_km(u, s);
+                    assert!(gap <= closest, "gap_km({u}, {s}) = {gap} > {closest}");
+                    if map.region_of(u) != map.region_of(s) {
+                        assert!(gap > closest - 10.0, "gap_km({u}, {s}) = {gap}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// On a network that is not metric the bound has no footing: 0.
+    #[test]
+    fn a_network_that_is_not_metric_has_no_gaps() {
+        let net = quadrant_net();
+        let n = net.num_nodes();
+        let mut dist: Vec<f64> = (0..n * n)
+            .map(|e| net.distance(NodeId::from_index(e / n), NodeId::from_index(e % n)))
+            .collect();
+        dist[1] = 1e4;
+        let crooked = RoadNetwork::with_matrix(net.nodes().to_vec(), dist).unwrap();
+        assert!(!crooked.is_metric());
+        let map = ShardMap::build(&crooked, 4, ShardPolicy::default(), 11);
+        assert_eq!(map.occupied_shards(), 4);
+        for u in 0..4 {
+            assert!((0..4).all(|s| map.gap_km(u, s) == 0.0));
         }
     }
 

@@ -229,3 +229,134 @@ proptest! {
         }
     }
 }
+
+/// One seeded metric network of 2–40 nodes for the cell-pair bound: the
+/// points scatter around up to five hotspots, about a quarter of them
+/// duplicating an earlier point (co-located nodes, distance 0 both ways).
+/// Half the networks are Euclidean with a detour factor; the other half
+/// scale every directed arc by its own factor in [1, 3) and close the
+/// matrix under shortest paths, which keeps it metric and makes it
+/// asymmetric.
+fn seeded_metric_network(rng: &mut SplitMix) -> RoadNetwork {
+    let n = 2 + (rng.next() % 39) as usize;
+    let hotspots = 1 + (rng.next() % 5) as usize;
+    let centres: Vec<(f64, f64)> = (0..hotspots)
+        .map(|_| (500.0 * rng.unit(), 500.0 * rng.unit()))
+        .collect();
+    let mut points: Vec<(f64, f64)> = Vec::with_capacity(n);
+    for i in 0..n {
+        let point = if i > 0 && rng.next().is_multiple_of(4) {
+            points[(rng.next() % i as u64) as usize]
+        } else {
+            let (cx, cy) = centres[(rng.next() % hotspots as u64) as usize];
+            (cx + 10.0 * rng.unit(), cy + 10.0 * rng.unit())
+        };
+        points.push(point);
+    }
+    let nodes: Vec<Node> = points
+        .iter()
+        .enumerate()
+        .map(|(i, &(x, y))| Node::factory(NodeId::from_index(i), Point::new(x, y)))
+        .collect();
+    let detour = 1.0 + 0.5 * rng.unit();
+    if rng.next().is_multiple_of(2) {
+        return RoadNetwork::euclidean(nodes, detour).unwrap();
+    }
+    let mut dist = vec![0.0; n * n];
+    for i in 0..n {
+        for j in 0..n {
+            let p = nodes[i].pos.distance(&nodes[j].pos);
+            dist[i * n + j] = p * (1.0 + 2.0 * rng.unit());
+        }
+    }
+    for k in 0..n {
+        for i in 0..n {
+            for j in 0..n {
+                let via = dist[i * n + k] + dist[k * n + j];
+                if via < dist[i * n + j] {
+                    dist[i * n + j] = via;
+                }
+            }
+        }
+    }
+    RoadNetwork::with_matrix(nodes, dist).unwrap()
+}
+
+/// The map [`gap_property`] checks for `seed`: flat or hierarchical,
+/// plain or demand-weighted, over [`seeded_metric_network`].
+fn seeded_map(seed: u64) -> (RoadNetwork, ShardMap) {
+    let mut rng = SplitMix(seed);
+    let net = seeded_metric_network(&mut rng);
+    let (cells, policy) = if rng.next().is_multiple_of(2) {
+        let cells = 1 + (rng.next() % 8) as usize;
+        (cells, ShardPolicy::KMeans { iterations: 8 })
+    } else {
+        let regions = 1 + (rng.next() % 4) as usize;
+        let cells_per_region = 1 + (rng.next() % 3) as usize;
+        let policy = ShardPolicy::Hierarchical {
+            regions,
+            cells_per_region,
+            iterations: 8,
+        };
+        (regions * cells_per_region, policy)
+    };
+    let map = if rng.next().is_multiple_of(3) {
+        let weights: Vec<f64> = (0..net.num_nodes()).map(|_| rng.unit()).collect();
+        ShardMap::build_weighted(&net, cells, policy, seed, &weights)
+    } else {
+        ShardMap::build(&net, cells, policy, seed)
+    };
+    (net, map)
+}
+
+/// Checks `gap_km(u, s) <= d(a, p)` for every `a` in `u` and `p` in `s` on
+/// the case `seed` builds; a failure names the seed. Returns the smallest
+/// slack `d(a, p) - gap_km` over the positive bounds (infinite if none).
+fn gap_property(seed: u64) -> Result<f64, String> {
+    let (net, map) = seeded_map(seed);
+    if !net.is_metric() {
+        return Err(format!("seed {seed}: the network must be metric"));
+    }
+    let mut slack = f64::INFINITY;
+    for a in net.nodes() {
+        for p in net.nodes() {
+            let (u, s) = (map.shard_of(a.id), map.shard_of(p.id));
+            let (gap, d) = (map.gap_km(u, s), net.distance(a.id, p.id));
+            if gap > d {
+                return Err(format!(
+                    "seed {seed}: gap_km({u}, {s}) = {gap} > d({}, {}) = {d}",
+                    a.id, p.id
+                ));
+            }
+            if gap > 0.0 {
+                slack = slack.min(d - gap);
+            }
+        }
+    }
+    Ok(slack)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `ShardMap::gap_km(u, s)` is at most the distance from every node of
+    /// cell `u` to every node of cell `s`, on symmetric and asymmetric
+    /// metric networks with co-located nodes, under flat, hierarchical and
+    /// demand-weighted maps. A failure prints the seed that built the case.
+    #[test]
+    fn the_cell_pair_gap_never_exceeds_a_distance(seed in 0u64..u64::MAX) {
+        let checked = gap_property(seed);
+        prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+    }
+}
+
+/// The property above is not met by a table of zeros: over 200 seeded
+/// cases some bound is positive, and the tightest is within 20 km of the
+/// distance it bounds.
+#[test]
+fn the_cell_pair_gap_is_positive_and_tight_somewhere() {
+    let slack = (0..200u64)
+        .map(|seed| gap_property(seed).unwrap())
+        .fold(f64::INFINITY, f64::min);
+    assert!(slack < 20.0, "tightest slack {slack} km");
+}

@@ -68,6 +68,33 @@ impl PruneProbe {
         let pickup_service = (anchor_time + to_pickup).max(self.created);
         (pickup_service + self.service + self.tail).seconds() > self.cutoff_secs
     }
+
+    /// The weakest of two probes: the earliest creation, the shortest
+    /// service and pickup→delivery tail, the latest cutoff, and metric only
+    /// if both are. Merging is associative and commutative, so a cell's
+    /// orders fold into one probe in any order.
+    ///
+    /// **Lemma.** If `merged.prunes(t, l)`, every probe `p` merged into it
+    /// prunes at any `t' ≥ t` and `l' ≥ l`: `p.prunes(t', l')`. Every step
+    /// of [`PruneProbe::prunes`] is monotone — float addition, `max` and
+    /// the final comparison — and each of `p`'s fields is on the pruning
+    /// side of the merged one's, so `p`'s expression is at least the merged
+    /// one's and its cutoff at most. With
+    /// [`FleetConfig::travel_time`](dpdp_net::FleetConfig::travel_time)
+    /// monotone in the distance, a merged probe checked at a lower bound on
+    /// the anchor times and a lower bound on the anchor→pickup distances
+    /// of a block of pairs dismisses the whole block — every pair of which
+    /// the per-pair bound would prune.
+    pub fn merge(self, other: PruneProbe) -> PruneProbe {
+        let shorter = |a: TimeDelta, b: TimeDelta| if b < a { b } else { a };
+        PruneProbe {
+            metric: self.metric && other.metric,
+            created: self.created.min(other.created),
+            service: shorter(self.service, other.service),
+            tail: shorter(self.tail, other.tail),
+            cutoff_secs: self.cutoff_secs.max(other.cutoff_secs),
+        }
+    }
 }
 
 /// What Algorithm 2 *scores* for one `(order, vehicle)` pair: the
@@ -490,6 +517,82 @@ mod tests {
             }
         }
         assert!(pruned > 0, "the deadline sweep must exercise the prune");
+    }
+
+    /// The merge lemma: a merged probe that prunes at `(t, l)` has every
+    /// member pruning at every later anchor time and longer leg — checked
+    /// over a deadline sweep folded in prefixes, on a grid of anchor times
+    /// and legs, against members moved later by zero, a rounding step and
+    /// whole seconds. A merge is weaker than its members (some member
+    /// prunes where the merge does not), and one non-metric member turns
+    /// the merge off.
+    #[test]
+    fn a_merged_probe_prunes_only_where_every_member_does() {
+        let (net, fleet, _) = setup();
+        let orders: Vec<Order> = (0..12u32)
+            .map(|i| {
+                let (p, d) = if i % 3 == 0 { (1, 2) } else { (2, 1) };
+                let created = TimePoint::from_hours(8.0 + 0.05 * (i % 4) as f64);
+                Order::new(
+                    OrderId(i),
+                    NodeId(p),
+                    NodeId(d),
+                    1.0,
+                    created,
+                    created + TimeDelta::from_hours(0.2 + 0.07 * i as f64),
+                )
+                .unwrap()
+            })
+            .collect();
+        let planner = RoutePlanner::new(&net, &fleet, &orders);
+        let probes: Vec<PruneProbe> = orders.iter().map(|o| planner.prune_probe(o)).collect();
+        let (mut merged_prunes, mut weaker) = (0, 0);
+        for n in 1..=probes.len() {
+            let members = &probes[..n];
+            let merged = members.iter().skip(1).fold(members[0], |m, &p| m.merge(p));
+            for t_min in (0..40).map(|q| 7.5 + 0.05 * q as f64) {
+                for leg_min in (0..30).map(|q| 2.0 * q as f64) {
+                    let t = TimePoint::from_hours(t_min);
+                    let l = TimeDelta::from_minutes(leg_min);
+                    if !merged.prunes(t, l) {
+                        weaker += usize::from(members.iter().any(|p| p.prunes(t, l)));
+                        continue;
+                    }
+                    merged_prunes += 1;
+                    for later in [0.0, f64::EPSILON * t.seconds(), 1.0, 600.0] {
+                        for longer in [0.0, 1e-9, 30.0] {
+                            let t2 = t + TimeDelta::from_seconds(later);
+                            let l2 = l + TimeDelta::from_seconds(longer);
+                            for (i, p) in members.iter().enumerate() {
+                                assert!(
+                                    p.prunes(t2, l2),
+                                    "member {i} of {n} kept at ({t2:?}, {l2:?})"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(merged_prunes > 0 && weaker > 0, "{merged_prunes}, {weaker}");
+        // A non-metric member: the merge never prunes.
+        let nodes = vec![
+            Node::depot(NodeId(0), Point::new(0.0, 0.0)),
+            Node::factory(NodeId(1), Point::new(1.0, 0.0)),
+            Node::factory(NodeId(2), Point::new(2.0, 0.0)),
+        ];
+        #[rustfmt::skip]
+        let dist = vec![
+            0.0, 1.0, 500.0,
+            1.0, 0.0,   1.0,
+            1.0, 1.0,   0.0,
+        ];
+        let crooked = RoadNetwork::with_matrix(nodes, dist).unwrap();
+        let off = RoutePlanner::new(&crooked, &fleet, &orders).prune_probe(&orders[0]);
+        let far = TimePoint::from_hours(40.0);
+        assert!(probes[0].prunes(far, TimeDelta::ZERO));
+        assert!(!probes[0].merge(off).prunes(far, TimeDelta::ZERO));
+        assert!(!off.merge(probes[0]).prunes(far, TimeDelta::ZERO));
     }
 
     #[test]
