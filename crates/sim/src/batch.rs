@@ -75,6 +75,7 @@ use crate::profile::{self, Stage, StageClock, StageTimer};
 use crate::state::VehicleState;
 use crate::sweep::{plan_sweep, ShardContext, ShardStats, SweepBuffers};
 use caches::CacheSlot;
+use cells::Undecided;
 use dpdp_net::{FleetConfig, Order, OrderId, RoadNetwork, TimePoint, VehicleId};
 use dpdp_pool::ThreadPool;
 use dpdp_routing::{PlanScore, PlannerOutput, RoutePlanner, ScheduleCache, VehicleView};
@@ -84,6 +85,7 @@ pub(crate) use store::ColumnMap;
 use store::{Column, DeltaRow, PlanStore};
 
 mod caches;
+mod cells;
 mod store;
 
 /// Why a [`Decision`] turned out the way it did.
@@ -229,6 +231,8 @@ pub(crate) struct EpochScratch {
     row_len: Vec<usize>,
     /// The storage of the previous epoch's commit-delta rows.
     delta_rows: Vec<DeltaRow>,
+    /// The storage of the previous epoch's undecided orders by cell.
+    undecided: Undecided,
 }
 
 impl EpochScratch {
@@ -362,9 +366,9 @@ struct BatchInner {
     /// The epoch's plan matrix: candidate-sparse rows, complete but for
     /// masked vehicles under one cell.
     plans: PlanStore,
-    /// The epoch orders nobody resolved yet, ascending: the rows commit
+    /// The epoch orders nobody resolved yet, by order cell: the rows commit
     /// deltas maintain. [`DecisionBatch::resolve`] removes its order.
-    undecided: Vec<u32>,
+    undecided: Undecided,
     /// Per-order commit records, filled by `resolve`.
     commits: Vec<Option<CommitRecord>>,
     /// Sweep work accounting (initial matrix plus commit deltas).
@@ -534,7 +538,9 @@ impl<'a> DecisionBatch<'a> {
         let caches = std::mem::take(&mut scratch.caches);
         let map = std::mem::take(&mut scratch.column_map);
         let plans = PlanStore::new(rows, map, columns, work);
-        let undecided = (0..epoch_orders.len() as u32).collect();
+        let mut undecided = std::mem::take(&mut scratch.undecided);
+        let order_cells = std::mem::take(&mut scratch.sweep.order_cells);
+        undecided.reset(order_cells, shards.map.num_shards());
         let commits = (0..epoch_orders.len()).map(|_| None).collect();
         profile::lap(&mut clock, Stage::Store);
         DecisionBatch {
@@ -638,7 +644,9 @@ impl<'a> DecisionBatch<'a> {
         views: &mut Vec<VehicleView>,
         states: &mut Vec<VehicleState>,
     ) -> (Vec<Option<CommitRecord>>, Option<StageClock>) {
-        let inner = self.inner.into_inner();
+        let mut inner = self.inner.into_inner();
+        scratch.sweep.order_cells = inner.undecided.take_cells();
+        scratch.undecided = inner.undecided;
         scratch.column_map = inner.plans.map;
         scratch.sweep.work = inner.plans.swept;
         scratch.delta_rows = inner.delta_rows;
@@ -810,11 +818,12 @@ impl<'a> DecisionBatch<'a> {
                 "order {} resolved twice in one batch",
                 self.epoch_orders[i]
             );
-            let at = inner
-                .undecided
-                .binary_search(&(i as u32))
-                .expect("an order without a commit record is undecided");
-            inner.undecided.remove(at);
+            let cell = inner.delta_rows[i].shard;
+            let was_undecided = inner.undecided.remove(i as u32, cell);
+            assert!(
+                was_undecided,
+                "an order without a commit record is undecided"
+            );
             let oid = self.epoch_orders[i];
             let (decision, assignment) = Self::commit(&mut inner, self, i, oid, choice);
             inner.commits[i] = Some(CommitRecord {
@@ -892,6 +901,10 @@ impl<'a> DecisionBatch<'a> {
         // is the vehicle's new fallback, written once below, so a pruned
         // delta cell costs its bound check and — unless the column index
         // says the row stores a now stale cell of `k` — touches no row.
+        // The block bound goes further: an order cell it dismisses for the
+        // vehicle's cell (see `cells::Undecided`) is pruned whole, its rows
+        // counted and not visited, but for the ones that store a stale
+        // cell of `k`, which the stamp loop below finds and prunes.
         // The cache is built in `k`'s own slot and keyed with its new view:
         // nothing else reads the slot this epoch, and the next epoch keeps
         // it if the view has not moved by then.
@@ -901,11 +914,29 @@ impl<'a> DecisionBatch<'a> {
         stats.caches_built += 1;
         let cache = slot.cache();
         plans.columns[k.index()].fallback = planner.pruned_score(Some(cache), view);
-        let vehicle_shard = batch.shards.map.shard_of(view.anchor_node) as u32;
+        let map = &*batch.shards.map;
+        let vehicle_shard = map.shard_of(view.anchor_node) as u32;
+        let dismissed = undecided.enter(
+            map,
+            &planner,
+            vehicle_shard as usize,
+            view.anchor_time,
+            batch.now,
+        );
+        stats.cells += dismissed;
+        stats.pruned += dismissed;
         *acceptances += 1;
         let stamp = *acceptances;
+        let mut stale = Vec::new();
         for j in plans.stored_rows(k.index()) {
-            delta_rows[j].holds = stamp;
+            if undecided.dismisses(j as u32, delta_rows[j].shard) {
+                stale.push(j);
+            } else {
+                delta_rows[j].holds = stamp;
+            }
+        }
+        for j in stale {
+            plans.prune_stored(j, k.index());
         }
         let delta_rows = &*delta_rows;
         let (orders, epoch) = (batch.orders, &batch.epoch_orders);
@@ -944,15 +975,14 @@ impl<'a> DecisionBatch<'a> {
         // replan them inline below this size (the values are identical
         // either way — `par_map` already matches the serial order).
         const PAR_COLUMN_MIN: usize = 256;
-        if undecided.len() < PAR_COLUMN_MIN {
-            for &j in undecided.iter() {
+        let rows = undecided.rows();
+        if rows.len() < PAR_COLUMN_MIN {
+            for &j in rows {
                 record(j as usize, replan(j as usize));
             }
         } else {
-            let fresh = batch
-                .pool
-                .par_map(undecided.len(), |u| replan(undecided[u] as usize));
-            for (&j, cell) in undecided.iter().zip(fresh) {
+            let fresh = batch.pool.par_map(rows.len(), |u| replan(rows[u] as usize));
+            for (&j, cell) in rows.iter().zip(fresh) {
                 record(j as usize, cell);
             }
         }

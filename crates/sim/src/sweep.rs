@@ -164,17 +164,36 @@ pub(crate) struct SweepBuffers {
     anchors: Vec<NodeId>,
     /// Anchor slot of each vehicle.
     vehicle_slot: Vec<u32>,
-    /// Pickup node of each epoch order (the batched-kernel target list).
+    /// End of each region's run of `order_cells.orders` (`num_regions + 1`
+    /// entries, like `region_end`).
+    region_orders: Vec<usize>,
+    /// `block[s * S + u]`: the offset of order cell `u`'s run in vehicle
+    /// cell `s`'s row layout, `u32::MAX` for a block the bound dismissed.
+    block: Vec<u32>,
+    /// Length of each vehicle cell's row layout.
+    row_len: Vec<usize>,
+    /// The foreign-region order cells each vehicle cell's layout kept,
+    /// cell after cell; `kept_end[s]` ends cell `s`'s list.
+    kept: Vec<u32>,
+    /// End of each vehicle cell's list in `kept`.
+    kept_end: Vec<usize>,
+    /// Pickup node of each epoch order, in `order_cells.orders` order (the
+    /// batched-kernel target list).
     pickups: Vec<NodeId>,
-    /// Anchor-major distance memo: `dist[slot * b + i]` = anchor→pickup km.
+    /// Start of each anchor slot's row in the memo.
+    row_start: Vec<usize>,
+    /// Anchor-major distance memo over the row layouts:
+    /// `dist[row_start[slot] + col]` = anchor→pickup km.
     dist: Vec<f64>,
     /// Travel times of `dist`, same layout.
     leg: Vec<TimeDelta>,
-    /// Parent region of each epoch order's shard.
-    order_region: Vec<usize>,
     /// Per-order prune probes (factored deadline bound). Read back by the
     /// batch: a commit delta runs the same bound on the same orders.
     pub(crate) probes: Vec<PruneProbe>,
+    /// The order-side index: the epoch's orders by cell, and each cell's
+    /// merged probe. Lent to the batch, whose commit deltas dismiss whole
+    /// order cells with it.
+    pub(crate) order_cells: OrderCells,
     /// Escalation marks: `esc[i * m ..]` = order `i`'s escalated vehicles.
     esc: Vec<u32>,
     /// Running top-m selection buffer for the escalation ranking.
@@ -195,6 +214,87 @@ pub(crate) struct SweepBuffers {
     /// its storage back after the epoch, so this layout is a contract, not
     /// an accident of the loop in [`plan_sweep`].
     pub(crate) work: Vec<(u32, u32)>,
+}
+
+/// The epoch's orders bucketed by the cell of their pickup node, ascending
+/// inside each cell, with one merged [`PruneProbe`] per cell: the weakest
+/// of its orders' probes ([`PruneProbe::merge`]). A merged probe that
+/// prunes at a lower bound on a vehicle cell's anchor times and at the
+/// travel time of [`ShardMap::gap_km`] prunes every pair of the block —
+/// the block bound of [`plan_sweep`] and of the batch's commit deltas.
+#[derive(Debug, Default)]
+pub(crate) struct OrderCells {
+    /// Cell `u`'s orders are `orders[start[u]..start[u + 1]]`.
+    start: Vec<u32>,
+    /// Epoch order indices, cell after cell.
+    pub(crate) orders: Vec<u32>,
+    /// Per cell, its orders' merged probe; `None` for a cell without one.
+    probe: Vec<Option<PruneProbe>>,
+    /// The cells that have an order, ascending.
+    occupied: Vec<u32>,
+}
+
+impl OrderCells {
+    /// Buckets the epoch's orders by `order_shard` (a counting sort, so
+    /// each cell's run stays ascending) and merges each cell's probes.
+    fn index(&mut self, order_shard: &[u32], probes: &[PruneProbe], num_shards: usize) {
+        self.start.clear();
+        self.start.resize(num_shards + 1, 0);
+        self.probe.clear();
+        self.probe.resize(num_shards, None);
+        for (&u, &p) in order_shard.iter().zip(probes) {
+            self.start[u as usize + 1] += 1;
+            let merged = &mut self.probe[u as usize];
+            *merged = Some(merged.map_or(p, |m| m.merge(p)));
+        }
+        for u in 0..num_shards {
+            self.start[u + 1] += self.start[u];
+        }
+        self.orders.clear();
+        self.orders.resize(order_shard.len(), 0);
+        // `start[u]` is cell `u`'s write cursor, which ends on `start[u +
+        // 1]`; shifting the table one up restores the starts.
+        for (i, &u) in order_shard.iter().enumerate() {
+            self.orders[self.start[u as usize] as usize] = i as u32;
+            self.start[u as usize] += 1;
+        }
+        self.start.copy_within(..num_shards, 1);
+        self.start[0] = 0;
+        self.occupied.clear();
+        let has_orders = |u: &u32| self.probe[*u as usize].is_some();
+        self.occupied
+            .extend((0..num_shards as u32).filter(has_orders));
+    }
+
+    /// The `(start, end)` run of cell `u` in [`OrderCells::orders`].
+    #[inline]
+    pub(crate) fn run(&self, u: usize) -> (usize, usize) {
+        (self.start[u] as usize, self.start[u + 1] as usize)
+    }
+
+    /// The cells that have an order, ascending.
+    #[inline]
+    pub(crate) fn occupied(&self) -> &[u32] {
+        &self.occupied
+    }
+
+    /// Whether the block of vehicle cell `v`'s pairs with order cell `u`
+    /// is provably infeasible for vehicles anchored at `anchor_time` or
+    /// later: `u`'s merged probe prunes at that time and at the travel
+    /// time of the cells' [`ShardMap::gap_km`]. By [`PruneProbe::merge`]'s
+    /// lemma every order of `u` then prunes for every such vehicle, whose
+    /// anchor→pickup distance is at least the gap.
+    #[inline]
+    pub(crate) fn dismissed(
+        &self,
+        map: &ShardMap,
+        planner: &RoutePlanner<'_>,
+        v: usize,
+        u: usize,
+        anchor_time: TimePoint,
+    ) -> bool {
+        self.probe[u].is_none_or(|p| p.prunes(anchor_time, planner.travel_time(map.gap_km(v, u))))
+    }
 }
 
 /// Classifies every `(order, vehicle)` cell of an epoch, column by column
@@ -239,6 +339,8 @@ pub(crate) fn plan_sweep(
     scr.probes.clear();
     scr.probes
         .extend(epoch_orders().map(|o| planner.prune_probe(o)));
+    scr.order_cells
+        .index(&scr.order_shard, &scr.probes, map.num_shards());
     if map.num_shards() == 1 {
         return one_cell(b, k_n, columns, is_active, &mut scr.work);
     }
@@ -280,16 +382,11 @@ pub(crate) fn plan_sweep(
         scr.region_end[g + 1] = scr.region_end[g + 1].max(scr.region_end[g]);
     }
 
-    // Distance memo: vehicles cluster on far fewer anchor nodes than there
+    // Anchor slots: vehicles cluster on far fewer anchor nodes than there
     // are vehicles (idle trucks share depots), so anchor→pickup legs are
     // looked up once per (order, anchor node) instead of once per cell —
     // on a 10k-vehicle fleet that is the difference between a sweep-bound
-    // and a memo-bound classification pass. `dist` feeds the escalation
-    // ranking (raw km), `leg` the prune probes (travel time). The memo is
-    // anchor-major (`dist[slot * b + i]`): each anchor's row over the
-    // epoch's pickups is one contiguous `distances_from` matrix scan plus
-    // one fused `travel_times` conversion, entry-for-entry bit-identical
-    // to the per-cell scalar lookups it replaces.
+    // and a memo-bound classification pass.
     if scr.node_slot.len() < net.nodes().len() {
         scr.node_slot.resize(net.nodes().len(), u32::MAX);
     }
@@ -304,67 +401,7 @@ pub(crate) fn plan_sweep(
         scr.vehicle_slot.push(*slot);
     }
     let ns = scr.anchors.len();
-    scr.pickups.clear();
-    scr.pickups.extend(epoch_orders().map(|o| o.pickup));
-    scr.dist.clear();
-    scr.dist.resize(ns * b, 0.0);
-    scr.leg.clear();
-    scr.leg.resize(ns * b, TimeDelta::ZERO);
-    for slot in 0..ns {
-        let row = slot * b..(slot + 1) * b;
-        net.distances_from(scr.anchors[slot], &scr.pickups, &mut scr.dist[row.clone()]);
-        fleet.travel_times(&scr.dist[row.clone()], &mut scr.leg[row]);
-    }
-    scr.order_region.clear();
-    scr.order_region
-        .extend(scr.order_shard.iter().map(|&s| map.region_of(s as usize)));
 
-    // Escalation marks: per order, the m nearest foreign vehicles *within
-    // the order's parent region* by anchor→pickup distance (total_cmp,
-    // ties broken on the lower vehicle id — a total order, so the scan
-    // order over the region's run is irrelevant). Flat maps are one
-    // region, so the run is the whole fleet there; hierarchical maps never
-    // spend escalation slots on cross-region vehicles. `m` is small, so a
-    // running top-m scan beats sorting — `esc[i * m ..]` holds order `i`'s
-    // escalated vehicle ids.
-    let m = ctx.escalation.min(k_n);
-    scr.esc.clear();
-    scr.esc.resize(b * m, u32::MAX);
-    if m > 0 {
-        for i in 0..b {
-            scr.topm.clear();
-            let run = &scr.vehicles_by_shard
-                [scr.region_end[scr.order_region[i]]..scr.region_end[scr.order_region[i] + 1]];
-            for &k in run {
-                let ku = k as usize;
-                if scr.vehicle_shard[ku] == scr.order_shard[i] || !is_active(ku) {
-                    continue;
-                }
-                let d = scr.dist[scr.vehicle_slot[ku] as usize * b + i];
-                // Insert into the small sorted top-m buffer; strict
-                // ordering by (distance, id) keeps ties deterministic.
-                let pos = scr
-                    .topm
-                    .iter()
-                    .position(|&(bd, bk)| d.total_cmp(&bd).then(k.cmp(&bk)).is_lt())
-                    .unwrap_or(scr.topm.len());
-                if pos < m {
-                    if scr.topm.len() == m {
-                        scr.topm.pop();
-                    }
-                    scr.topm.insert(pos, (d, k));
-                }
-            }
-            for (slot, &(_, k)) in scr.topm.iter().enumerate() {
-                scr.esc[i * m + slot] = k;
-            }
-        }
-    }
-
-    let mut stats = ShardStats {
-        cells: b * k_n,
-        ..ShardStats::default()
-    };
     // Cell-level aggregates for the group prune below: the earliest anchor
     // time over each cell's active vehicles, and the cell's distinct
     // anchor slots (an anchor node maps to exactly one cell, so the slot
@@ -402,6 +439,143 @@ pub(crate) fn plan_sweep(
             scr.slots_by_cell[s].push(slot);
         }
     }
+
+    // The block bound, one check per `(vehicle cell, order cell)` block of
+    // a foreign region: its order cell's merged probe at the vehicle
+    // cell's earliest anchor time and the travel time of the cells' gap
+    // (`OrderCells::dismissed`). Escalation never leaves an order's region,
+    // so no order of such a block escalated to the vehicle cell, and every
+    // one of its orders would prune at the group corner below: a dismissed
+    // block is a subset of what the per-order check dismisses, and it is
+    // never looked at again. A same-region block keeps the per-order path
+    // — escalation may pick its vehicles. What is left is the *row layout*
+    // of vehicle cell `s`: its region's orders (cells are region-major, so
+    // a region's orders are one run of `order_cells.orders`), then each
+    // foreign cell the bound kept; `block[s * S + u]` is the offset of
+    // order cell `u`'s run in that layout (`u32::MAX` = dismissed).
+    let order_cells = &scr.order_cells;
+    scr.region_orders.clear();
+    scr.region_orders.resize(num_regions + 1, 0);
+    for s in 0..num_shards {
+        scr.region_orders[map.region_of(s) + 1] = order_cells.run(s).1;
+    }
+    for g in 0..num_regions {
+        scr.region_orders[g + 1] = scr.region_orders[g + 1].max(scr.region_orders[g]);
+    }
+    scr.block.clear();
+    scr.block.resize(num_shards * num_shards, u32::MAX);
+    scr.row_len.clear();
+    scr.kept.clear();
+    scr.kept_end.clear();
+    for s in 0..num_shards {
+        let g = map.region_of(s);
+        let (first, last) = (scr.region_orders[g], scr.region_orders[g + 1]);
+        let mut len = last - first;
+        for &u in order_cells.occupied() {
+            let u = u as usize;
+            let (start, end) = order_cells.run(u);
+            let offset = if map.region_of(u) == g {
+                start - first
+            } else if scr.cell_min_time[s]
+                .is_some_and(|t0| !order_cells.dismissed(map, planner, s, u, t0))
+            {
+                scr.kept.push(u as u32);
+                len += end - start;
+                len - (end - start)
+            } else {
+                continue;
+            };
+            scr.block[s * num_shards + u] = offset as u32;
+        }
+        scr.row_len.push(len);
+        scr.kept_end.push(scr.kept.len());
+    }
+
+    // Distance memo over the row layouts: `dist[row_start[slot] + col]` is
+    // the anchor→pickup km of the order at column `col` of its cell's
+    // layout — the region's run is one contiguous `distances_from` matrix
+    // scan plus one fused `travel_times` conversion, each kept foreign
+    // cell one more, entry-for-entry bit-identical to the per-cell scalar
+    // lookups it replaces. `dist` feeds the escalation ranking (raw km),
+    // `leg` the prune probes (travel time). Dismissed blocks cost nothing
+    // here, which on a hierarchical map is most of the `anchors x B` memo.
+    scr.pickups.clear();
+    let pickup = |&i: &u32| planner.orders()[epoch[i as usize].index()].pickup;
+    scr.pickups.extend(order_cells.orders.iter().map(pickup));
+    scr.row_start.clear();
+    let mut memo_len = 0;
+    for &a in &scr.anchors {
+        scr.row_start.push(memo_len);
+        memo_len += scr.row_len[map.shard_of(a)];
+    }
+    scr.dist.clear();
+    scr.dist.resize(memo_len, 0.0);
+    scr.leg.clear();
+    scr.leg.resize(memo_len, TimeDelta::ZERO);
+    for (slot, &a) in scr.anchors.iter().enumerate() {
+        let s = map.shard_of(a);
+        let g = map.region_of(s);
+        let kept = &scr.kept[s.checked_sub(1).map_or(0, |p| scr.kept_end[p])..scr.kept_end[s]];
+        let runs = kept.iter().map(|&u| order_cells.run(u as usize));
+        let region = (scr.region_orders[g], scr.region_orders[g + 1]);
+        let mut col = scr.row_start[slot];
+        for (start, end) in std::iter::once(region).chain(runs) {
+            let row = col..col + (end - start);
+            net.distances_from(a, &scr.pickups[start..end], &mut scr.dist[row.clone()]);
+            fleet.travel_times(&scr.dist[row.clone()], &mut scr.leg[row]);
+            col += end - start;
+        }
+    }
+    // Escalation marks: per order, the m nearest foreign vehicles *within
+    // the order's parent region* by anchor→pickup distance (total_cmp,
+    // ties broken on the lower vehicle id — a total order, so the scan
+    // order over the region's run is irrelevant). Flat maps are one
+    // region, so the run is the whole fleet there; hierarchical maps never
+    // spend escalation slots on cross-region vehicles. `m` is small, so a
+    // running top-m scan beats sorting — `esc[i * m ..]` holds order `i`'s
+    // escalated vehicle ids. A vehicle of the order's region reads the
+    // order's distance in its row's region run.
+    let m = ctx.escalation.min(k_n);
+    scr.esc.clear();
+    scr.esc.resize(b * m, u32::MAX);
+    if m > 0 {
+        for (pos, &iu) in order_cells.orders.iter().enumerate() {
+            let i = iu as usize;
+            let u = scr.order_shard[i] as usize;
+            let g = map.region_of(u);
+            let col = pos - scr.region_orders[g];
+            scr.topm.clear();
+            let run = &scr.vehicles_by_shard[scr.region_end[g]..scr.region_end[g + 1]];
+            for &k in run {
+                let ku = k as usize;
+                if scr.vehicle_shard[ku] == u as u32 || !is_active(ku) {
+                    continue;
+                }
+                let d = scr.dist[scr.row_start[scr.vehicle_slot[ku] as usize] + col];
+                // Insert into the small sorted top-m buffer; strict
+                // ordering by (distance, id) keeps ties deterministic.
+                let rank = scr
+                    .topm
+                    .iter()
+                    .position(|&(bd, bk)| d.total_cmp(&bd).then(k.cmp(&bk)).is_lt())
+                    .unwrap_or(scr.topm.len());
+                if rank < m {
+                    if scr.topm.len() == m {
+                        scr.topm.pop();
+                    }
+                    scr.topm.insert(rank, (d, k));
+                }
+            }
+            for (slot, &(_, k)) in scr.topm.iter().enumerate() {
+                scr.esc[i * m + slot] = k;
+            }
+        }
+    }
+
+    let mut stats = ShardStats {
+        cells: b * k_n,
+        ..ShardStats::default()
+    };
     // Classification is pure per cell (it never reads sweep results), so
     // it fans out one pool task per vehicle cell; concatenating the task
     // outputs in cell order reproduces the serial shard-major work list
@@ -414,42 +588,53 @@ pub(crate) fn plan_sweep(
     let leg = &scr.leg;
     let esc = &scr.esc;
     let probes = &scr.probes;
+    let block = &scr.block;
+    let row_start = &scr.row_start;
     let cell_min_time_ref = &scr.cell_min_time;
     let slots_by_cell_ref = &scr.slots_by_cell;
     let tasks = pool.par_map(num_shards, |s| {
         let run = &vehicles_by_shard[buckets[s] as usize..buckets[s + 1] as usize];
         let mut work = Vec::new();
         let (mut evaluated, mut escalated) = (0usize, 0usize);
-        // Orders the cell-level bound could not dismiss: only these see
-        // the per-vehicle checks (ascending order index, so the emitted
-        // work per vehicle keeps the full pass's order).
-        let mut live: Vec<u32> = Vec::new();
-        for i in 0..b {
-            let group_pruned = order_shard[i] != s as u32
-                && !esc[i * m..(i + 1) * m]
-                    .iter()
-                    .any(|&e| e != u32::MAX && vehicle_shard[e as usize] == s as u32)
-                && match cell_min_time_ref[s] {
-                    Some(t0) => {
-                        let mut min_leg: Option<TimeDelta> = None;
-                        for &slot in &slots_by_cell_ref[s] {
-                            let l = leg[slot as usize * b + i];
-                            if min_leg.is_none_or(|cur| l < cur) {
-                                min_leg = Some(l);
-                            }
-                        }
+        // No active vehicle anchors in this cell: it has no work.
+        let Some(t0) = cell_min_time_ref[s] else {
+            return (work, evaluated, escalated);
+        };
+        // Orders the cell-level bound could not dismiss, with their column
+        // in the cell's row layout: only these see the per-vehicle checks
+        // (ascending order index, so the emitted work per vehicle keeps the
+        // full pass's order).
+        let mut live: Vec<(u32, u32)> = Vec::new();
+        for &u in order_cells.occupied() {
+            let u = u as usize;
+            let offset = block[s * num_shards + u];
+            // A foreign region's block the block bound dismissed.
+            if offset == u32::MAX {
+                continue;
+            }
+            let (start, end) = order_cells.run(u);
+            for (col, &iu) in (offset as usize..).zip(&order_cells.orders[start..end]) {
+                let i = iu as usize;
+                let group_pruned = order_shard[i] != s as u32
+                    && !esc[i * m..(i + 1) * m]
+                        .iter()
+                        .any(|&e| e != u32::MAX && vehicle_shard[e as usize] == s as u32)
+                    && {
                         // `slots_by_cell` is non-empty whenever
                         // `cell_min_time` is set (both fed by the same
                         // active-vehicle scan).
-                        min_leg.map(|l| probes[i].prunes(t0, l)).unwrap_or(true)
-                    }
-                    // No active vehicle anchors in this cell.
-                    None => true,
-                };
-            if !group_pruned {
-                live.push(i as u32);
+                        let slots = slots_by_cell_ref[s].iter();
+                        let min_leg = slots
+                            .map(|&slot| leg[row_start[slot as usize] + col])
+                            .reduce(|best, l| if l < best { l } else { best });
+                        min_leg.is_none_or(|l| probes[i].prunes(t0, l))
+                    };
+                if !group_pruned {
+                    live.push((iu, col as u32));
+                }
             }
         }
+        live.sort_unstable();
         for &k in run {
             let ku = k as usize;
             // A group is classified once, at its lowest member; every
@@ -460,15 +645,15 @@ pub(crate) fn plan_sweep(
                 continue;
             }
             let anchor_time = views[ku].anchor_time;
-            let slot = vehicle_slot[ku] as usize;
-            for &iu in &live {
+            let row = row_start[vehicle_slot[ku] as usize];
+            for &(iu, col) in &live {
                 let i = iu as usize;
                 // The counters keep their per-`(order, vehicle)` meaning:
                 // an evaluated group cell counts each member it stands for.
                 let cells = if vehicle_shard[ku] == order_shard[i] {
                     members.len()
                 } else {
-                    let foreign = if !probes[i].prunes(anchor_time, leg[slot * b + i]) {
+                    let foreign = if !probes[i].prunes(anchor_time, leg[row + col as usize]) {
                         members.len()
                     } else {
                         // Pruned, but for the members escalation picked
