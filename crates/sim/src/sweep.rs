@@ -123,17 +123,6 @@ pub struct ShardStats {
     pub caches_built: usize,
 }
 
-impl ShardStats {
-    /// Fraction of cells pruned (0 when no cells were considered).
-    pub fn pruned_fraction(&self) -> f64 {
-        if self.cells == 0 {
-            0.0
-        } else {
-            self.pruned as f64 / self.cells as f64
-        }
-    }
-}
-
 /// Reusable classification buffers for [`plan_sweep`] — part of the
 /// per-episode [`EpochScratch`](crate::batch::EpochScratch) arena. Every
 /// vector is cleared (capacity retained, never freed) at the start of each
@@ -858,7 +847,6 @@ mod tests {
         assert_eq!(stats.pruned, 0);
         assert_eq!(stats.evaluated, 4);
         assert_eq!(stats.escalated, 2);
-        assert_eq!(stats.pruned_fraction(), 0.0);
     }
 
     #[test]
@@ -931,6 +919,110 @@ mod tests {
             stats.pruned, 2,
             "cross-region vehicles must not consume escalation slots"
         );
+    }
+
+    /// The block bound is live on a hierarchical map and changes nothing:
+    /// four clusters in two regions 1000 km apart, two vehicles per depot,
+    /// tight orders in every cluster and one loose one in region B. Some
+    /// cross-region blocks are dismissed whole, and the loose order's cell
+    /// keeps its block for region A's cells, so both sides of the check
+    /// run — while the work list and the counters are those of the
+    /// per-pair rule, computed here pair by pair: in-cell, escalated (the
+    /// `m` nearest foreign vehicles of the order's region) or not pruned
+    /// by `provably_infeasible`.
+    #[test]
+    fn dismissed_blocks_leave_the_per_pair_classification_unchanged() {
+        let depots = [0.0, 40.0, 1000.0, 1040.0];
+        let mut nodes = Vec::new();
+        for &x in &depots {
+            let id = NodeId::from_index(nodes.len());
+            nodes.push(Node::depot(id, Point::new(x, 0.0)));
+            for dx in [1.0, 3.0] {
+                let id = NodeId::from_index(nodes.len());
+                nodes.push(Node::factory(id, Point::new(x + dx, 1.0)));
+            }
+        }
+        let net = RoadNetwork::euclidean(nodes, 1.0).unwrap();
+        let homes: Vec<NodeId> = (0..4).map(|c| NodeId(3 * c)).collect();
+        let fleet =
+            FleetConfig::homogeneous(8, &homes, 10.0, 500.0, 2.0, 60.0, TimeDelta::ZERO).unwrap();
+        let mut orders = Vec::new();
+        for (c, slack_h) in [(0, 0.5), (1, 0.5), (2, 0.5), (3, 0.5), (0, 0.6), (2, 48.0)] {
+            let id = OrderId(orders.len() as u32);
+            let (pickup, delivery) = (NodeId(3 * c + 1), NodeId(3 * c + 2));
+            let created = TimePoint::from_hours(8.0);
+            let deadline = TimePoint::from_hours(8.0 + slack_h);
+            orders.push(Order::new(id, pickup, delivery, 1.0, created, deadline).unwrap());
+        }
+        let planner = RoutePlanner::new(&net, &fleet, &orders);
+        let views = views_at(&fleet, TimePoint::from_hours(8.0));
+        let policy = ShardPolicy::Hierarchical {
+            regions: 2,
+            cells_per_region: 2,
+            iterations: 8,
+        };
+        let map = Arc::new(ShardMap::build(&net, 4, policy, 7));
+        let epoch: Vec<OrderId> = orders.iter().map(|o| o.id).collect();
+        let shard = |node: NodeId| map.shard_of(node);
+        for m in [0, 1] {
+            let ctx = ShardContext {
+                map: Arc::clone(&map),
+                escalation: m,
+            };
+            let mut scr = SweepBuffers::default();
+            let columns = ColumnMap::ungrouped(views.len());
+            let pool = ThreadPool::new(1);
+            let stats = plan_sweep(
+                &ctx, &planner, &views, &epoch, None, &columns, &pool, &mut scr,
+            );
+            // Which foreign-region blocks the bound dismissed, and kept.
+            let (mut dismissed, mut kept) = (0, 0);
+            for s in 0..4 {
+                for &u in scr.order_cells.occupied() {
+                    if map.region_of(s) != map.region_of(u as usize) {
+                        let block = scr.block[s * 4 + u as usize];
+                        dismissed += usize::from(block == u32::MAX);
+                        kept += usize::from(block != u32::MAX);
+                    }
+                }
+            }
+            assert!(
+                dismissed > 0 && kept > 0,
+                "m {m}: {dismissed} dismissed, {kept} kept"
+            );
+            // The per-pair rule.
+            let mut expect = ShardStats {
+                cells: orders.len() * views.len(),
+                ..ShardStats::default()
+            };
+            let mut work = Vec::new();
+            let mut by_shard: Vec<usize> = (0..views.len()).collect();
+            by_shard.sort_by_key(|&k| (shard(views[k].anchor_node), k));
+            for &k in &by_shard {
+                let vs = shard(views[k].anchor_node);
+                for (i, order) in orders.iter().enumerate() {
+                    let os = shard(order.pickup);
+                    let d = |k: usize| net.distance(views[k].anchor_node, order.pickup);
+                    let mut rivals: Vec<usize> = (0..views.len())
+                        .filter(|&r| {
+                            let rs = shard(views[r].anchor_node);
+                            rs != os && map.region_of(rs) == map.region_of(os)
+                        })
+                        .collect();
+                    rivals.sort_by(|&x, &y| d(x).total_cmp(&d(y)).then(x.cmp(&y)));
+                    let escalated = rivals[..m.min(rivals.len())].contains(&k);
+                    let foreign = vs != os;
+                    if !foreign || escalated || !planner.provably_infeasible(&views[k], order) {
+                        expect.evaluated += 1;
+                        expect.escalated += usize::from(foreign);
+                        work.push((i as u32, k as u32));
+                    }
+                }
+            }
+            expect.pruned = expect.cells - expect.evaluated;
+            assert_eq!(stats, expect, "m {m}");
+            assert_eq!(scr.work, work, "m {m}");
+        }
     }
 
     #[test]
