@@ -521,7 +521,8 @@ mod tests {
 
     /// The merge lemma: a merged probe that prunes at `(t, l)` has every
     /// member pruning at every later anchor time and longer leg — checked
-    /// over a deadline sweep folded in prefixes, on a grid of anchor times
+    /// over a sweep of creation times, deadlines and two tail lengths,
+    /// folded in prefixes, on a grid of anchor times
     /// and legs, against members moved later by zero, a rounding step and
     /// whole seconds. A merge is weaker than its members (some member
     /// prunes where the merge does not), and one non-metric member turns
@@ -531,7 +532,8 @@ mod tests {
         let (net, fleet, _) = setup();
         let orders: Vec<Order> = (0..12u32)
             .map(|i| {
-                let (p, d) = if i % 3 == 0 { (1, 2) } else { (2, 1) };
+                // Pickup→delivery tails of 10 and 20 km.
+                let (p, d) = if i % 3 == 0 { (1, 2) } else { (2, 0) };
                 let created = TimePoint::from_hours(8.0 + 0.05 * (i % 4) as f64);
                 Order::new(
                     OrderId(i),
