@@ -1,9 +1,12 @@
 #!/bin/sh
-# Epoch-formation mutants: each tests/mutants/*.patch breaks how the event
-# engine turns arrivals into decision epochs (due times, flush order,
-# which events join an epoch). This applies each patch in turn to a
-# scratch copy of HEAD, runs `cargo test -q` there and prints the tests
-# that failed — the ones that catch the mutant.
+# Committed mutants: each tests/mutants/*.patch breaks one thing tier-1
+# must notice — how the event engine turns arrivals into decision epochs
+# (due times, flush order, which events join an epoch), or the bounds that
+# let the sweep and commit deltas skip work (the cell-pair gap, the merged
+# prune probe, which blocks may be dismissed, the stale cells of a
+# dismissed row). This applies each patch in turn to a scratch copy of
+# HEAD, runs `cargo test -q` there and prints the tests that failed — the
+# ones that catch the mutant.
 #
 #   scripts/mutants.sh [WORKDIR]
 #
