@@ -15,6 +15,18 @@
 //! one-cell layout, whose bound rules out nothing: it runs the same build
 //! and the same commit, and stores every active vehicle's cell.
 //!
+//! **An acceptance costs its own region.** The undecided orders are kept
+//! by order cell, and the block bound of [`crate::sweep`] dismisses an
+//! order cell whole for every vehicle of a vehicle cell anchored at the
+//! epoch instant or later. Which order cells each vehicle cell's
+//! acceptances still have to visit — its *live cells* — is worked out
+//! once per vehicle cell and epoch. An acceptance visits only the rows of
+//! its live cells and counts the rest as pruned without touching them,
+//! but for a row that stores a now stale cell of the accepting vehicle,
+//! which the column index finds and which gets the new fallback like any
+//! pruned stored cell. Deltas never escalate, so a foreign cell of the
+//! vehicle's own region is dismissed like any other.
+//!
 //! **An epoch costs its distinct work.** Half of the objective is the
 //! number of used vehicles, so a good policy leaves most of a large fleet
 //! parked, and every parked truck at one depot is the same input to

@@ -105,15 +105,12 @@ impl Undecided {
             }
             self.current = Some(self.memo[v]);
         }
-        self.rows.clear();
-        let live = match self.current {
-            Some((start, end)) => &self.live[start as usize..end as usize],
-            None => self.cells.occupied(),
-        };
-        for &u in live {
-            let (start, end) = (self.cells.run(u as usize).0, self.end[u as usize] as usize);
-            self.rows.extend_from_slice(&self.cells.orders[start..end]);
+        let mut rows = std::mem::take(&mut self.rows);
+        rows.clear();
+        for &u in self.live_cells() {
+            rows.extend_from_slice(self.of_cell(u as usize));
         }
+        self.rows = rows;
         self.len - self.rows.len()
     }
 

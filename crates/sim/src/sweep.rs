@@ -41,6 +41,22 @@
 //!    slots — they rely on the exact bound alone, which is what makes the
 //!    sweep scale with cell size instead of fleet size.
 //!
+//!    **The block bound.** Cross-region pairs come in blocks: a vehicle
+//!    cell against an order cell of another region. The epoch's orders
+//!    are bucketed by cell, each cell with one merged prune probe — the
+//!    weakest of its orders' ([`PruneProbe::merge`]) — and the map holds a
+//!    lower bound on the distance between any two nodes of two cells
+//!    ([`ShardMap::gap_km`]). A block whose merged probe prunes at the
+//!    vehicle cell's earliest anchor time and the travel time of the gap
+//!    is dismissed with that one check: by the merge lemma every order of
+//!    the block prunes for every vehicle of the cell at its own anchor
+//!    time and its own, longer, anchor→pickup leg, and no order of another
+//!    region escalates into the cell. So the block bound dismisses a
+//!    *subset* of the pairs the per-pair bound prunes — never a pair it
+//!    would keep — and a dismissed block costs no distance lookup either.
+//!    A same-region block keeps the per-order path, because escalation
+//!    may pick its vehicles.
+//!
 //! **One cell is the degenerate partition.** An unsharded epoch
 //! ([`ShardConfig::default`], `flat(1)`) runs this same pipeline over a
 //! one-cell map: no pair is foreign, so classification keeps every active
@@ -64,6 +80,8 @@
 //! [`ShardConfig::default`]: crate::sharding::ShardConfig::default
 //! [`ShardConfig::hierarchical`]: crate::sharding::ShardConfig::hierarchical
 //! [`RoutePlanner::provably_infeasible`]: dpdp_routing::RoutePlanner::provably_infeasible
+//! [`PruneProbe::merge`]: dpdp_routing::PruneProbe::merge
+//! [`ShardMap::gap_km`]: dpdp_net::ShardMap::gap_km
 
 use crate::batch::ColumnMap;
 use dpdp_net::{NodeId, OrderId, ShardMap, TimeDelta, TimePoint};
@@ -469,8 +487,9 @@ pub(crate) fn plan_sweep(
                 .is_some_and(|t0| !order_cells.dismissed(map, planner, s, u, t0))
             {
                 scr.kept.push(u as u32);
+                let offset = len;
                 len += end - start;
-                len - (end - start)
+                offset
             } else {
                 continue;
             };
