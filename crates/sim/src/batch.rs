@@ -722,22 +722,6 @@ impl<'a> DecisionBatch<'a> {
         self.inner.borrow().stats
     }
 
-    /// The shard owning the `i`-th order (its pickup node's region); 0 for
-    /// every order of a one-cell layout.
-    #[cfg(test)]
-    fn shard_of_order(&self, i: usize) -> usize {
-        self.shards.map.shard_of(self.order(i).pickup)
-    }
-
-    /// The shard a vehicle currently belongs to (its anchor node's region,
-    /// which moves as commits advance the vehicle); 0 for every vehicle of
-    /// a one-cell layout.
-    #[cfg(test)]
-    fn shard_of_vehicle(&self, k: VehicleId) -> usize {
-        let anchor = self.inner.borrow().views[k.index()].anchor_node;
-        self.shards.map.shard_of(anchor)
-    }
-
     /// Ids of the orders flushed at this epoch, in creation order.
     #[inline]
     pub fn order_ids(&self) -> &[OrderId] {
