@@ -919,6 +919,8 @@ impl<'a> DecisionBatch<'a> {
         stats.pruned += dismissed;
         *acceptances += 1;
         let stamp = *acceptances;
+        // A dismissed row storing a stale cell of `k` is overwritten after
+        // the walk, which borrows the column index.
         let mut stale = Vec::new();
         for j in plans.stored_rows(k.index()) {
             if undecided.dismisses(j as u32, delta_rows[j].shard) {
