@@ -1,10 +1,9 @@
 //! Shared harness for the table/figure regenerator binaries.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (`table1`, `fig2`, `fig6`–`fig9`, `suppl_*`); `loadgen` is the decision
-//! service's chaos gate. This library provides the common plumbing: CLI
-//! parsing, model training with the right ST-prediction wiring, and result
-//! output to `target/experiments/`.
+//! (`table1`, `fig2`, `fig6`–`fig9`, `suppl_*`). This library provides the
+//! common plumbing: CLI parsing, model training with the right
+//! ST-prediction wiring, and result output to `target/experiments/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,5 +1,6 @@
 //! A blocking wire client for the decision service — the counterpart the
-//! examples, parity tests, and the `loadgen` chaos gate drive.
+//! examples, the TCP-level test suites and the perf ledger's serving
+//! workloads drive.
 
 use crate::proto::{parse_server_msg, ProtoError, ServerMsg, WireDecision};
 use dpdp_sim::EpisodeMetrics;
@@ -119,13 +120,6 @@ impl ServeClient {
         frame.push_str(line);
         frame.push('\n');
         self.writer.write_all(frame.as_bytes())
-    }
-
-    /// Writes raw bytes with no framing at all. The chaos harness uses
-    /// this to drip a frame out byte-by-byte (slow-loris) and to inject
-    /// partial garbage; real clients should prefer the typed senders.
-    pub fn send_bytes(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.writer.write_all(bytes)
     }
 
     /// Reads the next server frame; `Ok(None)` on EOF. Blank lines are

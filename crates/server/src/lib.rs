@@ -48,8 +48,8 @@
 //!
 //! (A debug-only `PANIC` frame — honoured when the server runs with
 //! [`ServerConfig::debug_frames`] — crashes the session thread on
-//! purpose so tests and the chaos loadgen can exercise supervision;
-//! otherwise it draws `ERR debug-disabled`.)
+//! purpose so tests can exercise supervision; otherwise it draws
+//! `ERR debug-disabled`.)
 //!
 //! ## Session lifecycle
 //!
@@ -133,11 +133,14 @@
 //!   then force-closes stragglers — reporting which via
 //!   [`DrainOutcome`].
 //!
-//! The `session_recovery` test suite proves kill-mid-episode + `RESUME`
-//! is bit-identical to an uninterrupted run, and the `loadgen` chaos gate
-//! drives seeded fault injection (kills + resumes, malformed floods,
-//! slow-loris writers, idle ghosts, panics) while gating that every
-//! tenant still converges to correct metrics.
+//! The `session_recovery` test suite proves over TCP that
+//! kill-mid-episode + `RESUME` is bit-identical to an uninterrupted run.
+//! The session itself reads and writes any byte stream, so the crate's
+//! unit tests also drive it over an in-memory pipe: a seeded chaos test
+//! gives four concurrent tenants one fault each (a kill and a panic, each
+//! resumed; a malformed flood; slow-loris frames; an idle ghost) and
+//! checks that every tenant still converges to its uninterrupted metrics,
+//! and a seeded byte fuzz feeds one session random and mutated streams.
 //!
 //! [`Simulator::serve`]: dpdp_sim::Simulator::serve
 //! [`sync_channel`]: std::sync::mpsc::sync_channel
@@ -146,6 +149,8 @@
 
 pub mod client;
 pub mod journal;
+#[cfg(test)]
+mod pipe;
 pub mod preset;
 pub mod proto;
 mod server;

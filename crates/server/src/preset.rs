@@ -67,7 +67,8 @@ fn grid9() -> Instance {
 
 fn ring12() -> Instance {
     // Twelve factories on a 15 km ring around a central depot — the
-    // loadgen workhorse: enough spread that routes stay non-trivial.
+    // workhorse of the serving tests and the ledger's serving workloads:
+    // enough spread that routes stay non-trivial.
     let mut nodes = vec![Node::depot(NodeId(0), Point::new(0.0, 0.0))];
     for i in 0..12u32 {
         let angle = std::f64::consts::TAU * i as f64 / 12.0;

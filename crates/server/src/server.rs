@@ -20,10 +20,10 @@
 
 use crate::journal::JournalStore;
 use crate::proto::StatsSnapshot;
-use crate::session::{run_session, SessionContext};
+use crate::session::{run_session, send_line, SessionContext};
 use dpdp_pool::ThreadPool;
 use std::collections::HashMap;
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
@@ -101,25 +101,13 @@ impl ServerStats {
 
 struct Shared {
     ctx: SessionContext,
+    /// Each session socket's read timeout (`None` = wait forever).
+    idle_timeout: Option<Duration>,
     shutdown: AtomicBool,
     drain_timeout: Duration,
     session_seq: AtomicU64,
     /// Live session sockets, for force-close at the drain deadline.
     sessions: Mutex<HashMap<u64, TcpStream>>,
-}
-
-/// Best-effort farewell on a socket the server is about to close.
-fn send_farewell(stream: &TcpStream, lines: &[&str]) {
-    let mut stream = stream;
-    for line in lines {
-        let mut frame = String::with_capacity(line.len() + 1);
-        frame.push_str(line);
-        frame.push('\n');
-        if stream.write_all(frame.as_bytes()).is_err() {
-            return;
-        }
-    }
-    let _ = stream.flush();
 }
 
 /// A bound, not-yet-running decision service. Call [`run`](Self::run) to
@@ -142,9 +130,9 @@ impl DecisionServer {
                 queue_depth: config.queue_depth.max(1),
                 stats: Arc::new(ServerStats::default()),
                 journals: Arc::new(JournalStore::new(config.journal_dir)),
-                idle_timeout: config.idle_timeout,
                 debug_frames: config.debug_frames,
             },
+            idle_timeout: config.idle_timeout,
             shutdown: AtomicBool::new(false),
             drain_timeout: config.drain_timeout,
             session_seq: AtomicU64::new(0),
@@ -179,10 +167,11 @@ impl DecisionServer {
                 if stats.active.load(Ordering::Acquire) >= cap {
                     stats.shed.fetch_add(1, Ordering::AcqRel);
                     let _ = stream.set_nodelay(true);
-                    send_farewell(
-                        &stream,
-                        &[&format!("ERR overloaded session cap {cap} reached"), "BYE"],
-                    );
+                    let writer = Mutex::new(&stream);
+                    let _ = send_line(
+                        &writer,
+                        &format!("ERR overloaded session cap {cap} reached"),
+                    ) && send_line(&writer, "BYE");
                     continue;
                 }
             }
@@ -199,7 +188,7 @@ impl DecisionServer {
             let shared = Arc::clone(&self.shared);
             std::thread::Builder::new()
                 .name("dpdp-session".into())
-                .spawn(move || supervise_session(stream, id, &shared))?;
+                .spawn(move || serve_connection(stream, id, &shared))?;
         }
     }
 
@@ -220,27 +209,43 @@ impl DecisionServer {
 /// Runs one session under [`catch_unwind`](std::panic::catch_unwind): a
 /// panic anywhere in the session (frame handling, or a sim-thread panic
 /// propagated through the scoped join) is confined to this connection.
-/// The supervisor answers the client `ERR internal <payload>` + `BYE`,
-/// bumps the panic counter, and releases the bookkeeping the unwound
+/// The supervisor answers the client `ERR internal <payload>` + `BYE` and
+/// bumps the panic counter. Returns whether the session panicked.
+pub(crate) fn supervise_session<R: Read, W: Write + Send>(
+    reader: R,
+    writer: W,
+    ctx: &SessionContext,
+) -> bool {
+    let writer = Mutex::new(writer);
+    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| run_session(reader, &writer, ctx)));
+    let Err(panic) = outcome else {
+        return false;
+    };
+    ctx.stats.panics.fetch_add(1, Ordering::AcqRel);
+    let payload = panic
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| panic.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "session panicked".to_string());
+    // One line only: the payload must not smuggle frame delimiters.
+    let payload = payload.replace(['\n', '\r'], " ");
+    let _ = send_line(&writer, &format!("ERR internal {payload}")) && send_line(&writer, "BYE");
+    true
+}
+
+/// The TCP shell around [`supervise_session`]: socket options, the read
+/// timeout that is the idle deadline, and the bookkeeping an unwound
 /// session can no longer release itself.
-fn supervise_session(stream: TcpStream, id: u64, shared: &Shared) {
-    let farewell = stream.try_clone().ok();
-    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| run_session(stream, &shared.ctx)));
-    if outcome.is_err() {
-        shared.ctx.stats.panics.fetch_add(1, Ordering::AcqRel);
-        let payload = outcome
-            .err()
-            .map(|e| {
-                e.downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| e.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "session panicked".to_string())
-            })
-            .unwrap_or_default();
-        // One line only: the payload must not smuggle frame delimiters.
-        let payload = payload.replace(['\n', '\r'], " ");
-        if let Some(stream) = &farewell {
-            send_farewell(stream, &[&format!("ERR internal {payload}"), "BYE"]);
+fn serve_connection(stream: TcpStream, id: u64, shared: &Shared) {
+    // Decision frames are small and latency-bound: never Nagle them.
+    let _ = stream.set_nodelay(true);
+    // The idle deadline applies from the first byte: a connection that
+    // never completes a handshake is reaped like a mid-episode ghost.
+    if shared.idle_timeout.is_some() {
+        let _ = stream.set_read_timeout(shared.idle_timeout);
+    }
+    if let Ok(read_half) = stream.try_clone() {
+        if supervise_session(read_half, &stream, &shared.ctx) {
             let _ = stream.shutdown(std::net::Shutdown::Both);
         }
     }

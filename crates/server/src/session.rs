@@ -1,13 +1,17 @@
 //! One connection = one session = one live episode.
 //!
-//! The session thread owns the socket's read half. After the `HELLO` (or
-//! `RESUME`) handshake it spawns a scoped *sim thread* running
+//! The session is written against any byte stream: it reads frames from a
+//! [`Read`] and writes them to a [`Write`] behind a mutex, so the same
+//! code serves a TCP connection (`server.rs` hands it the socket's two
+//! halves) and the in-memory pipe the crate's tests drive it through.
+//! The session thread owns the read half. After the `HELLO` (or `RESUME`)
+//! handshake it spawns a scoped *sim thread* running
 //! [`Simulator::serve_observed`] over a **bounded** command queue
 //! ([`std::sync::mpsc::sync_channel`]) while the session thread keeps
 //! parsing frames into [`StreamCommand`]s:
 //!
 //! ```text
-//! socket ──read──> session thread ──sync_channel(depth)──> sim thread ──write──> socket
+//! reader ──read──> session thread ──sync_channel(depth)──> sim thread ──write──> writer
 //!                    │ journal append                        │ suppress first `ack` frames on resume
 //! ```
 //!
@@ -31,7 +35,9 @@
 //! - frames are read through a **bounded** line reader — an oversized
 //!   frame draws `ERR frame-too-long` (and is discarded) instead of
 //!   growing an unbounded buffer;
-//! - a socket idle past [`ServerConfig::idle_timeout`] is reaped with
+//! - a read that fails with `TimedOut` or `WouldBlock` is the idle
+//!   deadline (a socket's read timeout, set from
+//!   [`ServerConfig::idle_timeout`]): the session is reaped with
 //!   `ERR idle-timeout` through the ordinary drain path.
 //!
 //! [`Simulator::serve`]: dpdp_sim::Simulator::serve
@@ -52,12 +58,10 @@ use dpdp_sim::{
     BufferingMode, DecisionRecord, DisruptionRecord, EpochInfo, ShardConfig, SimObserver,
     Simulator, StreamCommand,
 };
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// Shared per-server session parameters.
 pub(crate) struct SessionContext {
@@ -69,8 +73,6 @@ pub(crate) struct SessionContext {
     pub stats: Arc<ServerStats>,
     /// The per-tenant write-ahead journal registry.
     pub journals: Arc<JournalStore>,
-    /// Per-socket read deadline (`None` = wait forever).
-    pub idle_timeout: Option<Duration>,
     /// Whether debug frames (`PANIC`) are honoured.
     pub debug_frames: bool,
 }
@@ -97,14 +99,14 @@ enum Frame {
 /// A line reader with a hard per-line byte bound — the fix for the
 /// giant-frame OOM hole: an oversized line is consumed chunk-by-chunk and
 /// discarded, never accumulated.
-struct LineReader {
-    inner: BufReader<TcpStream>,
+struct LineReader<R> {
+    inner: BufReader<R>,
 }
 
-impl LineReader {
-    fn new(stream: TcpStream) -> LineReader {
+impl<R: Read> LineReader<R> {
+    fn new(reader: R) -> LineReader<R> {
         LineReader {
-            inner: BufReader::new(stream),
+            inner: BufReader::new(reader),
         }
     }
 
@@ -166,9 +168,10 @@ fn finish_line(mut buf: Vec<u8>) -> String {
     String::from_utf8_lossy(&buf).into_owned()
 }
 
-/// Writes one frame; returns `false` once the client is unreachable.
-fn send_line(writer: &Mutex<TcpStream>, line: &str) -> bool {
-    // A writer poisoned by a panicking holder still owns a usable socket.
+/// Writes one frame with a single `write_all`; returns `false` once the
+/// client is unreachable.
+pub(crate) fn send_line<W: Write>(writer: &Mutex<W>, line: &str) -> bool {
+    // A writer poisoned by a panicking holder still owns a usable stream.
     let mut guard = writer.lock().unwrap_or_else(|p| p.into_inner());
     let mut frame = String::with_capacity(line.len() + 1);
     frame.push_str(line);
@@ -182,13 +185,13 @@ fn send_line(writer: &Mutex<TcpStream>, line: &str) -> bool {
 /// episode, the first `skip` frames — the ones the client acknowledged
 /// receiving before the interruption — are suppressed: the replay is
 /// deterministic, so frame `ack` onward is exactly the continuation.
-struct WireObserver<'w> {
-    writer: &'w Mutex<TcpStream>,
+struct WireObserver<'w, W> {
+    writer: &'w Mutex<W>,
     dead: bool,
     skip: usize,
 }
 
-impl WireObserver<'_> {
+impl<W: Write> WireObserver<'_, W> {
     fn emit(&mut self, line: &str) {
         if self.skip > 0 {
             self.skip -= 1;
@@ -200,7 +203,7 @@ impl WireObserver<'_> {
     }
 }
 
-impl SimObserver for WireObserver<'_> {
+impl<W: Write> SimObserver for WireObserver<'_, W> {
     fn on_epoch(&mut self, epoch: &EpochInfo) {
         self.emit(&format_epoch(epoch));
     }
@@ -273,6 +276,9 @@ fn resolve_spec(spec: &SessionSpec) -> Result<(BufferingMode, ShardConfig), Prot
 /// A claimed, validated way into an episode: fresh (`HELLO`) or rebuilt
 /// from a journal (`RESUME`).
 struct Opening {
+    /// Whether the opening frame was `RESUME` (even of an empty journal
+    /// with ack 0): it decides the greeting and the `resumed` counter.
+    resumed: bool,
     spec: SessionSpec,
     buffering: BufferingMode,
     sharding: ShardConfig,
@@ -313,6 +319,7 @@ fn open_hello(cmd: Command, ctx: &SessionContext) -> Result<Opening, ProtoError>
         .token
         .clone();
     Ok(Opening {
+        resumed: false,
         spec,
         buffering,
         sharding,
@@ -338,14 +345,15 @@ fn open_resume(
     };
     // A file-loaded journal re-validates like a fresh HELLO would; a
     // registry drift (e.g. a journal written by a newer server) draws the
-    // same structured errors. The claim guard releases on the error path.
+    // same structured errors. The claim guard releases on the error path;
+    // on success the opening keeps it, so the journal stays held.
     let (buffering, sharding) = resolve_spec(&spec)?;
-    drop(claim);
     Ok(Opening {
+        resumed: true,
         spec,
         buffering,
         sharding,
-        claim: ActiveClaim(Arc::clone(&journal)),
+        claim,
         journal,
         replay,
         ack,
@@ -362,24 +370,18 @@ enum StreamEnd {
     Interrupted,
 }
 
-/// Runs one session to completion. Never panics outward on client
-/// misbehaviour — a poisoned socket simply ends the session. (A genuine
-/// panic — engine bug, or an injected `PANIC` debug frame — unwinds into
-/// the supervisor in `server.rs`, which answers `ERR internal` and keeps
-/// the process serving.)
-pub(crate) fn run_session(stream: TcpStream, ctx: &SessionContext) {
-    // Decision frames are small and latency-bound: never Nagle them.
-    let _ = stream.set_nodelay(true);
-    // The idle deadline applies from the first byte: a connection that
-    // never completes a handshake is reaped like a mid-episode ghost.
-    if ctx.idle_timeout.is_some() {
-        let _ = stream.set_read_timeout(ctx.idle_timeout);
-    }
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = LineReader::new(read_half);
-    let writer = Mutex::new(stream);
+/// Runs one session to completion, reading frames from `reader` and
+/// writing every frame to `writer`. Never panics outward on client
+/// misbehaviour — a failed read or write simply ends the session. (A
+/// genuine panic — engine bug, or an injected `PANIC` debug frame —
+/// unwinds into the supervisor in `server.rs`, which answers
+/// `ERR internal` and keeps the process serving.)
+pub(crate) fn run_session<R: Read, W: Write + Send>(
+    reader: R,
+    writer: &Mutex<W>,
+    ctx: &SessionContext,
+) {
+    let mut reader = LineReader::new(reader);
 
     // Handshake: keep answering ERR until a valid HELLO or RESUME (or
     // EOF, or the idle deadline).
@@ -388,14 +390,11 @@ pub(crate) fn run_session(stream: TcpStream, ctx: &SessionContext) {
             Frame::Eof | Frame::Lost => return,
             Frame::TimedOut => {
                 ctx.stats.reaped.fetch_add(1, Ordering::AcqRel);
-                let _ = send_line(
-                    &writer,
-                    "ERR idle-timeout no frame before the idle deadline",
-                );
+                let _ = send_line(writer, "ERR idle-timeout no frame before the idle deadline");
                 return;
             }
             Frame::TooLong => {
-                if !send_line(&writer, &frame_too_long().to_line()) {
+                if !send_line(writer, &frame_too_long().to_line()) {
                     return;
                 }
                 continue;
@@ -405,7 +404,7 @@ pub(crate) fn run_session(stream: TcpStream, ctx: &SessionContext) {
         let attempt = match parse_command(&line) {
             Ok(None) => continue,
             Ok(Some(Command::Stats)) => {
-                if !send_line(&writer, &format_stats(&ctx.stats.snapshot())) {
+                if !send_line(writer, &format_stats(&ctx.stats.snapshot())) {
                     return;
                 }
                 continue;
@@ -430,20 +429,19 @@ pub(crate) fn run_session(stream: TcpStream, ctx: &SessionContext) {
         match attempt {
             Ok(opening) => break opening,
             Err(err) => {
-                if !send_line(&writer, &err.to_line()) {
+                if !send_line(writer, &err.to_line()) {
                     return;
                 }
             }
         }
     };
 
-    let resumed = !opening.replay.is_empty() || opening.ack > 0;
-    if resumed {
+    if opening.resumed {
         ctx.stats.resumed.fetch_add(1, Ordering::AcqRel);
     }
     // Invariant: resolve_spec checked PRESET_NAMES; see every_advertised_preset_builds_with_*.
     let instance = build_instance(&opening.spec.preset).expect("preset validated at opening");
-    let greeting = if resumed {
+    let greeting = if opening.resumed {
         format!(
             "OK RESUME {} preset={} policy={} seed={} replayed={} ack={} token={}",
             opening.spec.tenant,
@@ -467,7 +465,7 @@ pub(crate) fn run_session(stream: TcpStream, ctx: &SessionContext) {
             opening.token,
         )
     };
-    if !send_line(&writer, &greeting) {
+    if !send_line(writer, &greeting) {
         return;
     }
 
@@ -491,16 +489,16 @@ pub(crate) fn run_session(stream: TcpStream, ctx: &SessionContext) {
                 .build()
                 .expect("presets build valid simulators");
             let mut observer = WireObserver {
-                writer: &writer,
+                writer,
                 dead: false,
                 skip: opening.ack,
             };
             let result = sim.serve_observed(rx, policy.as_mut(), &mut [&mut observer]);
             // The episode is drained: final aggregates, then goodbye.
             if !crashed.load(Ordering::Acquire)
-                && send_line(&writer, &format_metrics(&result.metrics))
+                && send_line(writer, &format_metrics(&result.metrics))
             {
-                send_line(&writer, "BYE");
+                send_line(writer, "BYE");
             }
         });
 
@@ -522,7 +520,7 @@ pub(crate) fn run_session(stream: TcpStream, ctx: &SessionContext) {
         let end = if replay_ok {
             read_commands(
                 &mut reader,
-                &writer,
+                writer,
                 &instance,
                 tx,
                 &opening.journal,
@@ -565,9 +563,9 @@ fn debug_disabled() -> ProtoError {
 /// journaled before it is forwarded (write-ahead: an accepted command is
 /// recovered even if it never reached the engine).
 #[allow(clippy::too_many_arguments)] // session-internal plumbing
-fn read_commands(
-    reader: &mut LineReader,
-    writer: &Mutex<TcpStream>,
+fn read_commands<R: Read, W: Write>(
+    reader: &mut LineReader<R>,
+    writer: &Mutex<W>,
     instance: &Instance,
     tx: std::sync::mpsc::SyncSender<StreamCommand>,
     journal: &Arc<Mutex<Journal>>,
@@ -711,30 +709,6 @@ fn read_commands(
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use std::net::TcpListener;
-
-    /// A session thread that panicked while holding the wire writer leaves
-    /// it poisoned; the farewell frames after it still reach the client.
-    #[test]
-    fn send_line_writes_through_a_poisoned_writer() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
-        let (server_side, _) = listener.accept().expect("accept");
-        let writer = Mutex::new(server_side);
-        let holder = std::thread::scope(|s| {
-            s.spawn(|| {
-                let _guard = writer.lock();
-                panic!("a session panics while writing");
-            })
-            .join()
-        });
-        assert!(holder.is_err() && writer.is_poisoned());
-
-        assert!(send_line(&writer, "BYE"));
-        let mut line = String::new();
-        BufReader::new(client).read_line(&mut line).expect("read");
-        assert_eq!(line, "BYE\n");
-    }
-}
+mod fuzz;
+#[cfg(test)]
+mod tests;

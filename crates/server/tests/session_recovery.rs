@@ -603,5 +603,18 @@ fn resume_verdicts_and_debug_gating_are_structured() {
         Err(ClientError::Rejected { code, .. }) => assert_eq!(code, "session-active"),
         other => panic!("expected ERR session-active, got {other:?}"),
     }
+
+    // A resumed holder holds its journal just as the original did.
+    send_orders(&mut probe, &trace(1));
+    drop(probe);
+    let _holder = resume_with_retry(server.addr(), "holder", &token, 0);
+    match rival.resume("holder", &token, 0) {
+        Err(ClientError::Rejected { code, .. }) => assert_eq!(code, "session-active"),
+        other => panic!("expected ERR session-active beside a resumed holder, got {other:?}"),
+    }
+    match rival.hello("holder", "ring12", 4, "baseline1", 0.0) {
+        Err(ClientError::Rejected { code, .. }) => assert_eq!(code, "session-active"),
+        other => panic!("expected ERR session-active beside a resumed holder, got {other:?}"),
+    }
     server.shutdown();
 }

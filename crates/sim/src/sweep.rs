@@ -144,7 +144,10 @@ pub struct ShardStats {
 /// Reusable classification buffers for [`plan_sweep`] — part of the
 /// per-episode [`EpochScratch`](crate::batch::EpochScratch) arena. Every
 /// vector is cleared (capacity retained, never freed) at the start of each
-/// call, so steady-state epochs classify without touching the allocator.
+/// call, so these tables are not reallocated from epoch to epoch. The
+/// per-cell pass still allocates on every call: each vehicle cell's task
+/// builds its own `work` and `live` lists, and the pool's `par_map`
+/// allocates the vector of their results before `work` copies them in.
 ///
 /// The one cross-call invariant is `node_slot`: a dense node → anchor-slot
 /// table sized to the network, all entries `u32::MAX` between calls.

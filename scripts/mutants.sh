@@ -4,9 +4,10 @@
 # (due times, flush order, which events join an epoch), or the bounds that
 # let the sweep and commit deltas skip work (the cell-pair gap, the merged
 # prune probe, which blocks may be dismissed, the stale cells of a
-# dismissed row). This applies each patch in turn to a scratch copy of
-# HEAD, runs `cargo test -q` there and prints the tests that failed — the
-# ones that catch the mutant.
+# dismissed row), or the decision service's journal claim (a resumed
+# session must hold its tenant's journal). This applies each patch in turn
+# to a scratch copy of HEAD, runs `cargo test -q` there and prints the
+# tests that failed — the ones that catch the mutant.
 #
 #   scripts/mutants.sh [WORKDIR]
 #
