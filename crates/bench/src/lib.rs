@@ -1,9 +1,10 @@
 //! Shared harness for the table/figure regenerator binaries.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (`table1`, `fig2`, `fig6`–`fig9`, `suppl_*`). This library provides the
-//! common plumbing: CLI parsing, model training with the right
-//! ST-prediction wiring, and result output to `target/experiments/`.
+//! Each binary in `src/bin/` regenerates tables or figures of the paper:
+//! `scorecard` (Table I, Fig. 6 and Fig. 7 in one run), `fig2`, `fig8`,
+//! `fig9` and `suppl_*`. This library provides the common plumbing: CLI
+//! parsing, model training with the right ST-prediction wiring, and
+//! result output to `target/experiments/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -13,43 +14,8 @@ use dpdp_core::prelude::*;
 use dpdp_rl::TrainerConfig;
 use std::path::PathBuf;
 
-/// Which scenario family a benchmark run exercises (`--scenario`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Scenario {
-    /// The paper's single-campus workload (the default).
-    #[default]
-    Campus,
-    /// Metro plus seeded cancellations and vehicle breakdowns
-    /// (`Presets::metro_disrupted`); the disruption seed is the master
-    /// `--seed` and is recorded in the benchmark JSON so perf
-    /// trajectories stay comparable across scenarios.
-    MetroDisrupted,
-}
-
-impl Scenario {
-    /// Every scenario, in CLI advertisement order.
-    pub const ALL: [Scenario; 2] = [Scenario::Campus, Scenario::MetroDisrupted];
-
-    /// The scenario's canonical CLI/JSON name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Scenario::Campus => "campus",
-            Scenario::MetroDisrupted => "metro_disrupted",
-        }
-    }
-
-    fn parse(s: &str) -> Option<Scenario> {
-        Scenario::ALL.into_iter().find(|sc| sc.name() == s)
-    }
-
-    /// The comma-separated list of valid names, for error messages.
-    fn names() -> String {
-        Scenario::ALL.map(Scenario::name).join(", ")
-    }
-}
-
 /// Minimal CLI: `--episodes N`, `--instances N`, `--quick` (smaller
-/// dataset), `--seed N`, `--threads N`, `--scenario NAME`.
+/// dataset), `--seed N`, `--threads N`.
 #[derive(Debug, Clone)]
 pub struct Cli {
     /// Training episodes for learned models.
@@ -63,13 +29,6 @@ pub struct Cli {
     /// Scoring pool width for evaluation episodes (1 = serial; results are
     /// identical for every width, only wall time moves).
     pub threads: usize,
-    /// Scenario family (`--scenario campus|metro_disrupted`).
-    /// Selects which *scenario-specific* sections a benchmark binary adds
-    /// (e.g. `table1`'s disrupted smoke episode); the fixed campus rows
-    /// every run produces are unaffected. Recorded in the benchmark JSON
-    /// header together with the disruption seed so the scenario rows stay
-    /// comparable across runs.
-    pub scenario: Scenario,
 }
 
 /// Why a command line was rejected (see [`Cli::parse_from`]).
@@ -86,9 +45,6 @@ pub enum CliError {
         /// The offending value.
         value: String,
     },
-    /// `--scenario` named a scenario that does not exist; the error lists
-    /// the valid names so a typo is self-correcting.
-    UnknownScenario(String),
     /// `--help` / `-h` was given.
     HelpRequested,
 }
@@ -100,13 +56,6 @@ impl std::fmt::Display for CliError {
             CliError::MissingValue(flag) => write!(f, "flag `{flag}` needs a value"),
             CliError::InvalidValue { flag, value } => {
                 write!(f, "flag `{flag}` got an invalid value `{value}`")
-            }
-            CliError::UnknownScenario(value) => {
-                write!(
-                    f,
-                    "unknown scenario `{value}`; valid scenarios: {}",
-                    Scenario::names()
-                )
             }
             CliError::HelpRequested => write!(f, "help requested"),
         }
@@ -122,8 +71,6 @@ options:
   --instances N   number of evaluation instances
   --seed N        master seed
   --threads N     scoring pool width (1 = serial; results are identical)
-  --scenario NAME scenario family: campus (default) or metro_disrupted
-                  (seeded cancellations + breakdowns)
   --quick         use the reduced-volume dataset
   -h, --help      print this help";
 
@@ -165,7 +112,6 @@ impl Cli {
             quick: false,
             seed: 7,
             threads: 1,
-            scenario: Scenario::default(),
         };
         fn numeric<T: std::str::FromStr>(
             flag: &'static str,
@@ -200,14 +146,6 @@ impl Cli {
                             value: "0".to_string(),
                         });
                     }
-                    i += 1;
-                }
-                "--scenario" => {
-                    let value = args
-                        .get(i + 1)
-                        .ok_or(CliError::MissingValue("--scenario"))?;
-                    cli.scenario = Scenario::parse(value)
-                        .ok_or_else(|| CliError::UnknownScenario(value.clone()))?;
                     i += 1;
                 }
                 "--quick" => cli.quick = true,
@@ -397,11 +335,9 @@ impl BenchRecord {
 }
 
 /// Renders a benchmark run as JSON (hand-rolled — the workspace has no
-/// JSON dependency), recording the perf trajectory across PRs: wall time
-/// per policy, the thread count it ran with, and epoch counts. The header
-/// also records the `--scenario` family (which labels the run's
-/// scenario-specific rows — the fixed campus rows are present in every
-/// run) and, under `metro_disrupted`, the disruption seed.
+/// JSON dependency): a header with the bench name, the thread count, the
+/// `--episodes` budget, the seed and `--quick`, then one row per record
+/// (NUV, TC, wall time and epoch count per policy and instance).
 pub fn bench_json(bench: &str, cli: &Cli, records: &[BenchRecord]) -> String {
     fn esc(s: &str) -> String {
         s.replace('\\', "\\\\").replace('"', "\\\"")
@@ -421,18 +357,11 @@ pub fn bench_json(bench: &str, cli: &Cli, records: &[BenchRecord]) -> String {
             )
         })
         .collect();
-    let disruption_seed = match cli.scenario {
-        Scenario::MetroDisrupted => cli.seed.to_string(),
-        _ => "null".to_string(),
-    };
     format!(
         "{{\n  \"bench\": \"{}\",\n  \"threads\": {},\n  \
-         \"scenario\": \"{}\",\n  \"disruption_seed\": {},\n  \
          \"episodes\": {},\n  \"seed\": {},\n  \"quick\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
         esc(bench),
         cli.threads,
-        cli.scenario.name(),
-        disruption_seed,
         cli.episodes,
         cli.seed,
         cli.quick,
@@ -494,44 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn cli_parses_scenarios() {
-        let cli = Cli::parse_from(&argv(&["--scenario", "metro_disrupted"]), 60, 3).unwrap();
-        assert_eq!(cli.scenario, Scenario::MetroDisrupted);
-        assert_eq!(cli.scenario.name(), "metro_disrupted");
-        let cli = Cli::parse_from(&[], 60, 3).unwrap();
-        assert_eq!(cli.scenario, Scenario::Campus);
-        // A prefix of a valid name is not a name.
-        for bad in ["mars", "metro"] {
-            let err = Cli::parse_from(&argv(&["--scenario", bad]), 60, 3).unwrap_err();
-            assert_eq!(err, CliError::UnknownScenario(bad.to_string()));
-            let msg = err.to_string();
-            assert!(
-                msg.ends_with("valid scenarios: campus, metro_disrupted"),
-                "the error must list every valid scenario: {msg}"
-            );
-        }
-        let err = Cli::parse_from(&argv(&["--scenario"]), 60, 3).unwrap_err();
-        assert_eq!(err, CliError::MissingValue("--scenario"));
-    }
-
-    #[test]
-    fn bench_json_records_scenario_and_disruption_seed() {
-        let cli = Cli::parse_from(
-            &argv(&["--scenario", "metro_disrupted", "--seed", "13"]),
-            9,
-            1,
-        )
-        .unwrap();
-        let json = bench_json("table1", &cli, &[]);
-        assert!(json.contains("\"scenario\": \"metro_disrupted\""));
-        assert!(json.contains("\"disruption_seed\": 13"));
-        let cli = Cli::parse_from(&[], 9, 1).unwrap();
-        let json = bench_json("table1", &cli, &[]);
-        assert!(json.contains("\"scenario\": \"campus\""));
-        assert!(json.contains("\"disruption_seed\": null"));
-    }
-
-    #[test]
     fn bench_json_is_well_formed() {
         let cli = Cli::parse_from(&argv(&["--threads", "2", "--quick"]), 9, 1).unwrap();
         let records = vec![BenchRecord {
@@ -561,6 +452,9 @@ mod tests {
         let err = Cli::parse_from(&argv(&["--episode", "500"]), 60, 3).unwrap_err();
         assert_eq!(err, CliError::UnknownFlag("--episode".to_string()));
         assert!(err.to_string().contains("--episode"));
+        // The scenario family flag is gone; the disrupted smoke is a test.
+        let err = Cli::parse_from(&argv(&["--scenario", "metro_disrupted"]), 60, 3).unwrap_err();
+        assert_eq!(err, CliError::UnknownFlag("--scenario".to_string()));
     }
 
     #[test]

@@ -161,12 +161,6 @@ pub fn evaluate_pooled(
     }
 }
 
-/// Evaluates a dispatcher across several instances single-threaded,
-/// returning one row per instance (in order).
-pub fn evaluate_many(dispatcher: &mut dyn Dispatcher, instances: &[Instance]) -> Vec<EvalRow> {
-    evaluate_many_threads(dispatcher, instances, 1)
-}
-
 /// Evaluates a dispatcher across several instances, each episode scored on
 /// a pool of `num_threads` threads, returning one row per instance (in
 /// order).

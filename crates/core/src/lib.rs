@@ -63,8 +63,7 @@ pub mod probes;
 pub mod report;
 
 pub use experiment::{
-    evaluate, evaluate_many, evaluate_many_threads, evaluate_pooled, evaluate_threads, EvalProbe,
-    EvalRow,
+    evaluate, evaluate_many_threads, evaluate_pooled, evaluate_threads, EvalProbe, EvalRow,
 };
 pub use models::ModelSpec;
 pub use presets::Presets;
@@ -73,8 +72,7 @@ pub use probes::{CurveProbe, DemandRecorder};
 /// Commonly used re-exports for downstream binaries and examples.
 pub mod prelude {
     pub use crate::experiment::{
-        evaluate, evaluate_many, evaluate_many_threads, evaluate_pooled, evaluate_threads,
-        EvalProbe, EvalRow,
+        evaluate, evaluate_many_threads, evaluate_pooled, evaluate_threads, EvalProbe, EvalRow,
     };
     pub use crate::models::{self, ModelSpec};
     pub use crate::presets::Presets;

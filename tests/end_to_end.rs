@@ -1,10 +1,11 @@
 //! Cross-crate integration tests: the full pipeline from synthetic data to
-//! trained dispatchers and exact optima.
+//! trained dispatchers and exact optima, and a disrupted metro episode.
 
 use dpdp_core::models::{self, ModelSpec};
 use dpdp_core::prelude::*;
+use dpdp_net::TimeDelta;
 use dpdp_rl::CapacityRecorder;
-use dpdp_sim::Dispatcher;
+use dpdp_sim::{Dispatcher, InvariantAuditor};
 
 fn quick_presets() -> Presets {
     let mut cfg = DatasetConfig::default();
@@ -158,4 +159,43 @@ fn st_ddgn_full_pipeline_with_prediction() {
     let second = evaluate(&mut b, &instance);
     assert_eq!(first.nuv, second.nuv, "same seed must give same policy");
     assert!((first.total_cost - second.total_cost).abs() < 1e-9);
+}
+
+/// The disrupted metro smoke: one audited Baseline 1 episode on the metro
+/// preset with seeded cancellations and breakdowns armed, under 10-minute
+/// buffering. The scenario must not be vacuous (at least 1% of orders
+/// cancelled, at least one breakdown), and every order must end in exactly
+/// one final state: served, or rejected for a reason — so every stranded
+/// order was re-dispatched or accounted for.
+#[test]
+fn disrupted_metro_episode_cancels_breaks_down_and_accounts_for_every_order() {
+    const ORDERS: usize = 240;
+    const FLEET: usize = 32;
+    let (metro, disruptions) = Presets::metro_disrupted(7);
+    let instance = metro.metro_instance(ORDERS, FLEET, 1);
+    let mut probe = EvalProbe::default();
+    let mut auditor = InvariantAuditor::default();
+    let result = Simulator::builder(&instance)
+        .buffering(BufferingMode::FixedInterval(TimeDelta::from_minutes(10.0)))
+        .disruptions(disruptions)
+        .seed(7)
+        .build()
+        .unwrap()
+        .run_observed(&mut Baseline1, &mut [&mut probe, &mut auditor]);
+    let m = &result.metrics;
+    assert_eq!(auditor.episodes, 1);
+    assert!(
+        m.rejections.cancelled * 100 >= ORDERS,
+        "vacuous: {} cancellations over {ORDERS} orders (< 1%)",
+        m.rejections.cancelled
+    );
+    assert!(probe.breakdowns >= 1, "no breakdown");
+    assert_eq!(
+        m.served + m.rejections.total(),
+        ORDERS,
+        "orders lost: served {} + rejected by reason {}",
+        m.served,
+        m.rejections.total()
+    );
+    assert!(m.total_cost.is_finite(), "total cost {}", m.total_cost);
 }
