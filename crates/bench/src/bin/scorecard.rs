@@ -24,10 +24,12 @@
 //! every section.
 //!
 //! Every row of every section is archived in
-//! `target/experiments/BENCH_scorecard.json` (NUV, TC, wall time and epoch
-//! count; the `instance` label names the section: `table1/6`, `fig6/0`,
-//! `fig6/mean`, `fig7/day1`, …; the header's `episodes` is Table I's
-//! budget). The run exits 1 on a non-finite metric in any row.
+//! `target/experiments/BENCH_scorecard.json` (NUV, TC, wall time, epoch
+//! count and the row's training budget — Table I's for its models, the
+//! lineup's for Fig. 6 and Fig. 7, 0 for the baselines and the exact
+//! solver; the `instance` label names the section: `table1/6`, `fig6/0`,
+//! `fig6/mean`, `fig7/day1`, …). The run exits 1 on a non-finite metric
+//! in any row.
 //!
 //! The wall-time columns are the paper's (DRL inference vs one exact
 //! solve) and gate nothing; performance is tracked by the perf ledger
@@ -88,6 +90,16 @@ fn main() {
     }
 }
 
+/// The training budget of a lineup row: `episodes` for a learned model,
+/// 0 for a baseline (which `build_and_train` never trains).
+fn budget(spec: ModelSpec, episodes: usize) -> usize {
+    if spec.is_learned() {
+        episodes
+    } else {
+        0
+    }
+}
+
 /// Archives one row, exiting 1 first if any of its metrics is non-finite.
 fn archive(records: &mut Vec<BenchRecord>, record: BenchRecord) {
     check_finite(&record);
@@ -123,7 +135,8 @@ fn table_one(cli: &Cli, presets: &Presets, pool: &Arc<ThreadPool>, records: &mut
         for spec in specs {
             let mut model = build_and_train(spec, presets, &instance, cli.episodes, cli.seed);
             let row = evaluate_pooled(model.dispatcher(), &instance, pool);
-            archive(records, BenchRecord::from_row(format!("table1/{n}"), &row));
+            let record = BenchRecord::from_row(format!("table1/{n}"), cli.episodes, &row);
+            archive(records, record);
             println!(
                 "{:<10} {:>5} {:>12.2} {:>12.4} {:>10}",
                 row.algo, row.nuv, row.total_cost, row.wall_secs, ""
@@ -145,6 +158,7 @@ fn table_one(cli: &Cli, presets: &Presets, pool: &Arc<ThreadPool>, records: &mut
                     total_cost: sol.total_cost,
                     wall_secs: wall,
                     epochs: 0,
+                    episodes: 0,
                 };
                 archive(records, record);
                 println!(
@@ -196,7 +210,8 @@ fn fig_six(
     );
 
     let mut all_rows = Vec::new();
-    for (_, model) in lineup.iter_mut() {
+    for (spec, model) in lineup.iter_mut() {
+        let budget = budget(*spec, episodes);
         let rows: Vec<EvalRow> = eval_instances
             .iter()
             .map(|instance| evaluate_pooled(model.dispatcher(), instance, pool))
@@ -215,11 +230,14 @@ fn fig_six(
                 mean.rejections.policy_rejected,
                 mean.rejections.infeasible_choice,
             );
-            archive(records, BenchRecord::from_row("fig6/mean", &mean));
+            archive(records, BenchRecord::from_row("fig6/mean", budget, &mean));
             all_rows.push(mean);
         }
         for (i, row) in rows.iter().enumerate() {
-            archive(records, BenchRecord::from_row(format!("fig6/{i}"), row));
+            archive(
+                records,
+                BenchRecord::from_row(format!("fig6/{i}"), budget, row),
+            );
         }
         all_rows.extend(rows);
     }
@@ -255,9 +273,10 @@ fn fig_seven(
         for (i, (spec, model)) in lineup.iter_mut().enumerate() {
             model.set_prediction(Some(presets.test_prediction(day, 4)));
             let row = evaluate_pooled(model.dispatcher(), &instance, pool);
+            let label = format!("fig7/day{}", day + 1);
             archive(
                 records,
-                BenchRecord::from_row(format!("fig7/day{}", day + 1), &row),
+                BenchRecord::from_row(label, budget(*spec, episodes), &row),
             );
             print!("  {}={}|{:.0}", spec.name(), row.nuv, row.total_cost);
             sums[i].0 += row.nuv as f64;

@@ -318,11 +318,15 @@ pub struct BenchRecord {
     pub wall_secs: f64,
     /// Decision epochs the episode went through.
     pub epochs: usize,
+    /// Training episodes behind the row's policy (0 when it is not
+    /// learned: a baseline or the exact solver).
+    pub episodes: usize,
 }
 
 impl BenchRecord {
-    /// Builds a record from an evaluation row.
-    pub fn from_row(instance: impl Into<String>, row: &EvalRow) -> BenchRecord {
+    /// Builds a record from an evaluation row whose policy trained for
+    /// `episodes`.
+    pub fn from_row(instance: impl Into<String>, episodes: usize, row: &EvalRow) -> BenchRecord {
         BenchRecord {
             instance: instance.into(),
             algo: row.algo.clone(),
@@ -330,14 +334,16 @@ impl BenchRecord {
             total_cost: row.total_cost,
             wall_secs: row.wall_secs,
             epochs: row.epochs,
+            episodes,
         }
     }
 }
 
 /// Renders a benchmark run as JSON (hand-rolled — the workspace has no
 /// JSON dependency): a header with the bench name, the thread count, the
-/// `--episodes` budget, the seed and `--quick`, then one row per record
-/// (NUV, TC, wall time and epoch count per policy and instance).
+/// seed and `--quick`, then one row per record (NUV, TC, wall time, epoch
+/// count and training budget per policy and instance — sections of one
+/// run may train for different budgets).
 pub fn bench_json(bench: &str, cli: &Cli, records: &[BenchRecord]) -> String {
     fn esc(s: &str) -> String {
         s.replace('\\', "\\\\").replace('"', "\\\"")
@@ -347,22 +353,23 @@ pub fn bench_json(bench: &str, cli: &Cli, records: &[BenchRecord]) -> String {
         .map(|r| {
             format!(
                 "    {{\"instance\": \"{}\", \"algo\": \"{}\", \"nuv\": {}, \
-                 \"total_cost\": {:.6}, \"wall_secs\": {:.9}, \"epochs\": {}}}",
+                 \"total_cost\": {:.6}, \"wall_secs\": {:.9}, \"epochs\": {}, \
+                 \"episodes\": {}}}",
                 esc(&r.instance),
                 esc(&r.algo),
                 r.nuv,
                 r.total_cost,
                 r.wall_secs,
-                r.epochs
+                r.epochs,
+                r.episodes
             )
         })
         .collect();
     format!(
         "{{\n  \"bench\": \"{}\",\n  \"threads\": {},\n  \
-         \"episodes\": {},\n  \"seed\": {},\n  \"quick\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
+         \"seed\": {},\n  \"quick\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
         esc(bench),
         cli.threads,
-        cli.episodes,
         cli.seed,
         cli.quick,
         rows.join(",\n")
@@ -425,21 +432,35 @@ mod tests {
     #[test]
     fn bench_json_is_well_formed() {
         let cli = Cli::parse_from(&argv(&["--threads", "2", "--quick"]), 9, 1).unwrap();
-        let records = vec![BenchRecord {
-            instance: "6".into(),
-            algo: "ST-\"DDGN\"".into(),
+        let record = |instance: &str, algo: &str, episodes| BenchRecord {
+            instance: instance.into(),
+            algo: algo.into(),
             nuv: 3,
             total_cost: 1234.5,
             wall_secs: 0.25,
             epochs: 6,
-        }];
-        let json = bench_json("table1", &cli, &records);
-        assert!(json.contains("\"bench\": \"table1\""));
+            episodes,
+        };
+        // Two sections of one run, trained for different budgets: each
+        // row carries its own; the header carries none.
+        let records = [
+            record("table1/6", "ST-\"DDGN\"", 60),
+            record("fig6/0", "DQN", 120),
+        ];
+        let json = bench_json("scorecard", &cli, &records);
+        assert!(json.contains("\"bench\": \"scorecard\""));
         assert!(json.contains("\"threads\": 2"));
-        assert!(json.contains("\"episodes\": 9"));
         assert!(json.contains("\"quick\": true"));
         assert!(json.contains("\\\"DDGN\\\""), "quotes must be escaped");
         assert!(json.contains("\"epochs\": 6"));
+        let rows: Vec<&str> = json
+            .lines()
+            .filter(|l| l.contains("\"instance\""))
+            .collect();
+        assert_eq!(rows.len(), 2);
+        assert!(rows[0].contains("\"table1/6\"") && rows[0].ends_with("\"episodes\": 60},"));
+        assert!(rows[1].contains("\"fig6/0\"") && rows[1].ends_with("\"episodes\": 120}"));
+        assert_eq!(json.matches("\"episodes\"").count(), 2, "no header budget");
         // Balanced braces/brackets (cheap well-formedness check without a
         // JSON parser in the offline env).
         assert_eq!(json.matches('{').count(), json.matches('}').count());

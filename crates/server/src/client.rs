@@ -1,19 +1,22 @@
 //! A blocking wire client for the decision service — the counterpart the
 //! examples, the TCP-level test suites and the perf ledger's serving
-//! workloads drive.
+//! workloads drive. It writes every frame through [`Command`]'s writer.
 
-use crate::proto::{parse_server_msg, ProtoError, ServerMsg, WireDecision};
+use crate::proto::{
+    line, parse_server_msg, Command, Greeting, ProtoError, ServerMsg, SessionSpec, StatsSnapshot,
+    WireDecision,
+};
+use dpdp_net::{NodeId, OrderId, TimePoint, VehicleId};
 use dpdp_sim::EpisodeMetrics;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-/// Extracts the `token=<tok>` field from an `OK HELLO` / `OK RESUME`
-/// detail line. The token is the session's `RESUME` credential.
-pub fn token_from_ok_detail(detail: &str) -> Option<&str> {
-    detail
-        .split_ascii_whitespace()
-        .find_map(|field| field.strip_prefix("token="))
+/// A wire time: the grammar carries finite seconds only.
+fn time(at_s: f64) -> io::Result<TimePoint> {
+    at_s.is_finite()
+        .then(|| TimePoint::from_seconds(at_s))
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "wire times are finite"))
 }
 
 /// Why a client call failed.
@@ -113,13 +116,15 @@ impl ServeClient {
         Ok(ServeClient { writer, reader })
     }
 
+    /// Sends one command, written by [`Command`]'s writer.
+    fn send(&mut self, cmd: &Command) -> io::Result<()> {
+        self.writer.write_all(line(cmd).as_bytes())
+    }
+
     /// Sends one raw frame (appending the newline). Public so tests can
     /// exercise malformed input.
-    pub fn send_line(&mut self, line: &str) -> io::Result<()> {
-        let mut frame = String::with_capacity(line.len() + 1);
-        frame.push_str(line);
-        frame.push('\n');
-        self.writer.write_all(frame.as_bytes())
+    pub fn send_line(&mut self, frame: &str) -> io::Result<()> {
+        self.writer.write_all(line(&frame).as_bytes())
     }
 
     /// Reads the next server frame; `Ok(None)` on EOF. Blank lines are
@@ -138,8 +143,19 @@ impl ServeClient {
         }
     }
 
+    /// Sends an opening frame (`HELLO` or `RESUME`) and returns the
+    /// server's greeting.
+    pub fn open(&mut self, cmd: &Command) -> Result<Greeting, ClientError> {
+        self.send(cmd)?;
+        match self.next_msg()? {
+            Some(ServerMsg::Ok(greeting)) => Ok(greeting),
+            Some(ServerMsg::Err { code, detail }) => Err(ClientError::Rejected { code, detail }),
+            Some(_) | None => Err(ClientError::Closed),
+        }
+    }
+
     /// Opens the episode: sends `HELLO` and waits for the server's
-    /// verdict. Returns the `OK` detail line on success.
+    /// verdict. Returns the greeting after `OK ` on success.
     pub fn hello(
         &mut self,
         tenant: &str,
@@ -148,14 +164,15 @@ impl ServeClient {
         policy: &str,
         buffer_mins: f64,
     ) -> Result<String, ClientError> {
-        self.send_line(&format!(
-            "HELLO {tenant} {preset} {seed} {policy} {buffer_mins}"
-        ))?;
-        match self.next_msg()? {
-            Some(ServerMsg::Ok(detail)) => Ok(detail),
-            Some(ServerMsg::Err { code, detail }) => Err(ClientError::Rejected { code, detail }),
-            Some(_) | None => Err(ClientError::Closed),
-        }
+        let spec = SessionSpec {
+            tenant: tenant.to_string(),
+            preset: preset.to_string(),
+            seed,
+            policy: policy.to_string(),
+            buffer_mins,
+            shards: None,
+        };
+        Ok(self.open(&Command::Hello(spec))?.to_string())
     }
 
     /// Resumes an interrupted episode from its journal: sends
@@ -165,18 +182,18 @@ impl ServeClient {
     /// re-emission of exactly that prefix, so the stream picks up where
     /// it left off. Returns the `OK RESUME` detail line on success.
     pub fn resume(&mut self, tenant: &str, token: &str, ack: usize) -> Result<String, ClientError> {
-        self.send_line(&format!("RESUME {tenant} {token} {ack}"))?;
-        match self.next_msg()? {
-            Some(ServerMsg::Ok(detail)) => Ok(detail),
-            Some(ServerMsg::Err { code, detail }) => Err(ClientError::Rejected { code, detail }),
-            Some(_) | None => Err(ClientError::Closed),
-        }
+        let cmd = Command::Resume {
+            tenant: tenant.to_string(),
+            token: token.to_string(),
+            ack,
+        };
+        Ok(self.open(&cmd)?.to_string())
     }
 
     /// Asks the server for its lifetime counters (`STATS` frame). Works
     /// before the handshake and mid-episode alike.
-    pub fn stats(&mut self) -> Result<crate::proto::StatsSnapshot, ClientError> {
-        self.send_line("STATS")?;
+    pub fn stats(&mut self) -> Result<StatsSnapshot, ClientError> {
+        self.send(&Command::Stats)?;
         match self.next_msg()? {
             Some(ServerMsg::Stats(snapshot)) => Ok(snapshot),
             Some(ServerMsg::Err { code, detail }) => Err(ClientError::Rejected { code, detail }),
@@ -184,7 +201,7 @@ impl ServeClient {
         }
     }
 
-    /// Streams one order. Times are raw seconds.
+    /// Streams one order. Times are raw seconds and must be finite.
     pub fn order(
         &mut self,
         pickup: u32,
@@ -193,34 +210,47 @@ impl ServeClient {
         created_s: f64,
         deadline_s: f64,
     ) -> io::Result<()> {
-        self.send_line(&format!(
-            "ORDER {pickup} {delivery} {quantity} {created_s} {deadline_s}"
-        ))
+        self.send(&Command::Order {
+            pickup: NodeId(pickup),
+            delivery: NodeId(delivery),
+            quantity,
+            created: time(created_s)?,
+            deadline: time(deadline_s)?,
+        })
     }
 
     /// Cancels a streamed order.
     pub fn cancel(&mut self, order: u32, at_s: f64) -> io::Result<()> {
-        self.send_line(&format!("CANCEL {order} {at_s}"))
+        self.send(&Command::Cancel {
+            order: OrderId(order),
+            at: time(at_s)?,
+        })
     }
 
     /// Breaks a vehicle down.
     pub fn breakdown(&mut self, vehicle: u32, at_s: f64) -> io::Result<()> {
-        self.send_line(&format!("BREAKDOWN {vehicle} {at_s}"))
+        self.send(&Command::Breakdown {
+            vehicle: VehicleId(vehicle),
+            at: time(at_s)?,
+        })
     }
 
     /// Recovers a broken vehicle.
     pub fn recover(&mut self, vehicle: u32, at_s: f64) -> io::Result<()> {
-        self.send_line(&format!("RECOVER {vehicle} {at_s}"))
+        self.send(&Command::Recover {
+            vehicle: VehicleId(vehicle),
+            at: time(at_s)?,
+        })
     }
 
     /// Sends a time heartbeat.
     pub fn flush(&mut self, at_s: f64) -> io::Result<()> {
-        self.send_line(&format!("FLUSH {at_s}"))
+        self.send(&Command::Flush { at: time(at_s)? })
     }
 
     /// Asks the server to drain the episode.
     pub fn drain(&mut self) -> io::Result<()> {
-        self.send_line("DRAIN")
+        self.send(&Command::Drain)
     }
 
     /// Half-closes the connection (no more frames will be sent) without

@@ -22,8 +22,10 @@
 //! ...
 //! ```
 //!
-//! so a journal file is literally a replayable session transcript (times
-//! use shortest round-trip `f64` printing and parse back bit-identically).
+//! so a journal file is literally a replayable session transcript. Below
+//! its `TOKEN` line, every line is written by [`Command`]'s one writer and
+//! read back by [`parse_command`], the wire's own parser (times use
+//! shortest round-trip `f64` printing and parse back bit-identically).
 //!
 //! **Durability, precisely.** [`Journal::append`] writes each line to the
 //! operating system and no further: the `File::flush` after the write is a
@@ -44,7 +46,7 @@
 //! [`Simulator::serve`]: dpdp_sim::Simulator::serve
 //! [`ServerConfig::journal_dir`]: crate::ServerConfig::journal_dir
 
-use crate::proto::{parse_command, Command, ProtoError};
+use crate::proto::{line, parse_command, Command, ProtoError, SessionSpec};
 use dpdp_net::{Order, OrderId};
 use dpdp_sim::StreamCommand;
 use std::collections::HashMap;
@@ -53,64 +55,6 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-
-/// The replayable `HELLO` configuration of a session — everything besides
-/// the command stream that determines the episode.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionSpec {
-    /// Tenant label; the journal registry key.
-    pub tenant: String,
-    /// Instance preset name.
-    pub preset: String,
-    /// Episode seed.
-    pub seed: u64,
-    /// Dispatch policy name.
-    pub policy: String,
-    /// Epoch buffering period in minutes (`0` = immediate).
-    pub buffer_mins: f64,
-    /// Optional flat shard-count override from the `HELLO` frame.
-    pub shards: Option<u64>,
-}
-
-impl SessionSpec {
-    /// The journal header line — a replayable `HELLO` frame.
-    fn header_line(&self) -> String {
-        let mut line = format!(
-            "HELLO {} {} {} {} {}",
-            self.tenant, self.preset, self.seed, self.policy, self.buffer_mins
-        );
-        if let Some(n) = self.shards {
-            line.push(' ');
-            line.push_str(&n.to_string());
-        }
-        line
-    }
-}
-
-/// Serializes a journaled command back into its wire frame — journal
-/// files are session transcripts.
-pub fn command_line(cmd: &StreamCommand) -> String {
-    match cmd {
-        StreamCommand::Order(o) => format!(
-            "ORDER {} {} {} {} {}",
-            o.pickup.0,
-            o.delivery.0,
-            o.quantity,
-            o.created.seconds(),
-            o.deadline.seconds()
-        ),
-        StreamCommand::Cancel { order, at } => {
-            format!("CANCEL {} {}", order.index(), at.seconds())
-        }
-        StreamCommand::Breakdown { vehicle, at } => {
-            format!("BREAKDOWN {} {}", vehicle.index(), at.seconds())
-        }
-        StreamCommand::Recover { vehicle, at } => {
-            format!("RECOVER {} {}", vehicle.index(), at.seconds())
-        }
-        StreamCommand::Flush { at } => format!("FLUSH {}", at.seconds()),
-    }
-}
 
 /// Rebuilds a stream command from a parsed journal line. The engine
 /// reassigns order ids on arrival, so the placeholder id is irrelevant.
@@ -156,10 +100,8 @@ impl Journal {
     /// memory-only journaling — serving beats persistence.
     pub fn append(&mut self, cmd: StreamCommand) {
         if let Some(file) = &mut self.file {
-            let mut line = command_line(&cmd);
-            line.push('\n');
             if file
-                .write_all(line.as_bytes())
+                .write_all(line(&Command::from(&cmd)).as_bytes())
                 .and_then(|_| file.flush())
                 .is_err()
             {
@@ -261,7 +203,7 @@ impl JournalStore {
         }
         let token = self.next_token(&spec.tenant);
         let file = self.path_for(&spec.tenant).and_then(|path| {
-            let header = format!("TOKEN {token}\n{}\n", spec.header_line());
+            let header = format!("TOKEN {token}\n{}", line(&Command::Hello(spec.clone())));
             File::create(&path)
                 .and_then(|mut f| {
                     f.write_all(header.as_bytes())
@@ -301,23 +243,8 @@ impl JournalStore {
             .strip_prefix("TOKEN ")
             .map(str::to_string)?;
         let header = lines.next()?.ok()?;
-        let spec = match parse_command(&header).ok()?? {
-            Command::Hello {
-                tenant,
-                preset,
-                seed,
-                policy,
-                buffer_mins,
-                shards,
-            } => SessionSpec {
-                tenant,
-                preset,
-                seed,
-                policy,
-                buffer_mins,
-                shards,
-            },
-            _ => return None,
+        let Command::Hello(spec) = parse_command(&header).ok()?? else {
+            return None;
         };
         if spec.tenant != tenant {
             return None;
@@ -511,6 +438,45 @@ mod tests {
             !dir.join(file_name("acme")).exists(),
             "finish deletes the file"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The exact bytes of a journal file: the `TOKEN` line, the `HELLO`
+    /// header and one frame per command, times in shortest round-trip
+    /// seconds. The file format is the wire grammar, so a writer change
+    /// that moves a byte of either fails here.
+    #[test]
+    fn a_journal_file_keeps_its_bytes() {
+        let dir = std::env::temp_dir().join(format!("dpdp-journal-bytes-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = JournalStore::new(Some(dir.clone()));
+        let spec = SessionSpec {
+            buffer_mins: 0.1 + 0.2,
+            ..spec("pinned")
+        };
+        let journal = store.open(spec).expect("open");
+        {
+            let mut guard = lock_unpoisoned(&journal);
+            guard.append(order(1e5 / 7.0));
+            guard.append(StreamCommand::Flush {
+                at: TimePoint::from_seconds(30_000.0 + 0.1 + 0.2),
+            });
+            guard.append(StreamCommand::Breakdown {
+                vehicle: dpdp_net::VehicleId(2),
+                at: TimePoint::from_seconds(1e5 / 3.0),
+            });
+        }
+        let text = std::fs::read_to_string(dir.join(file_name("pinned"))).expect("journal file");
+        assert_eq!(
+            text,
+            "TOKEN 1-d9c25706\n\
+             HELLO pinned ring12 7 baseline1 0.30000000000000004 3\n\
+             ORDER 1 5 2.5 14285.714285714286 21485.714285714286\n\
+             FLUSH 30000.3\n\
+             BREAKDOWN 2 33333.333333333336\n"
+        );
+        drop(ActiveClaim(journal));
+        store.finish("pinned");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -51,6 +51,15 @@
 //! purpose so tests can exercise supervision; otherwise it draws
 //! `ERR debug-disabled`.)
 //!
+//! The grammar has one definition, in [`proto`]: one parser per
+//! direction ([`proto::parse_command`], [`proto::parse_server_msg`]) and
+//! one writer per message type — `Display` for [`Command`] and for
+//! [`ServerMsg`]. The client, the session, the supervisor and the journal
+//! files write every frame through it, greetings included ([`Greeting`]:
+//! the tenant positional, the `key=value` fields named), and a seeded
+//! property checks `parse(format(x)) == x` over every variant, each `f64`
+//! field bit-equal.
+//!
 //! ## Session lifecycle
 //!
 //! 1. **Handshake** — the first meaningful frame must be `HELLO`; anything
@@ -156,7 +165,9 @@ pub mod proto;
 mod server;
 mod session;
 
-pub use client::{token_from_ok_detail, ClientError, Episode, ServeClient};
-pub use journal::SessionSpec;
-pub use proto::{Command, ProtoError, ServerMsg, StatsSnapshot, WireDecision};
+pub use client::{ClientError, Episode, ServeClient};
+pub use proto::{
+    token_from_ok_detail, Command, Greeting, Opened, ProtoError, ServerMsg, SessionSpec,
+    StatsSnapshot, WireDecision,
+};
 pub use server::{DecisionServer, DrainOutcome, ServerConfig, ServerHandle};

@@ -1,4 +1,5 @@
-//! Wire protocol: line grammar, parsing, and formatting.
+//! Wire protocol: the line grammar, its one parser and its one writer per
+//! direction.
 //!
 //! Both directions speak newline-delimited frames of whitespace-separated
 //! ASCII tokens. Times travel as raw **seconds** (`f64`, printed with
@@ -6,15 +7,20 @@
 //! wire is bit-identical to the one the server computed — the property the
 //! socket-parity suite leans on.
 //!
-//! Client → server frames are [`Command`]s; server → client frames are
-//! [`ServerMsg`]s. See the crate docs for the full grammar.
+//! Client → server frames are [`Command`]s, read by [`parse_command`];
+//! server → client frames are [`ServerMsg`]s, read by [`parse_server_msg`].
+//! Each type's `Display` is its one writer: every frame the crate puts on
+//! the wire or in a journal file is written through it, so
+//! `parse(format(x)) == x` over every variant (a seeded property in this
+//! module's tests) is the proof that writer and parser agree. See the
+//! crate docs for the full grammar.
 
 use dpdp_net::{NodeId, OrderId, TimePoint, VehicleId};
 use dpdp_sim::{
-    CancelOutcome, DecisionReason, DisruptionKind, DisruptionRecord, EpisodeMetrics, EpochInfo,
-    RejectionCounts,
+    CancelOutcome, DecisionReason, DisruptionKind, DisruptionRecord, EpisodeMetrics,
+    RejectionCounts, StreamCommand,
 };
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A structured protocol error, sent to clients as `ERR <code> <detail>`.
 ///
@@ -36,11 +42,6 @@ impl ProtoError {
             detail: detail.into(),
         }
     }
-
-    /// The `ERR ...` line this error travels as.
-    pub fn to_line(&self) -> String {
-        format!("ERR {} {}", self.code, self.detail)
-    }
 }
 
 impl fmt::Display for ProtoError {
@@ -51,27 +52,33 @@ impl fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
+/// The replayable `HELLO` configuration of a session — everything besides
+/// the command stream that determines the episode.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SessionSpec {
+    /// Tenant label, echoed back; the journal registry key.
+    pub tenant: String,
+    /// Instance preset name (see [`crate::preset::PRESET_NAMES`]).
+    pub preset: String,
+    /// Episode seed.
+    pub seed: u64,
+    /// Dispatch policy name (see [`crate::preset::POLICY_NAMES`]).
+    pub policy: String,
+    /// Epoch buffering period in minutes; `0` = immediate dispatch.
+    pub buffer_mins: f64,
+    /// Optional flat shard-count override; `None` keeps the preset's
+    /// registered [`ShardConfig`](dpdp_sim::ShardConfig). Sharding never
+    /// changes decisions, only how scoring is partitioned.
+    pub shards: Option<u64>,
+}
+
 /// One parsed client → server frame.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// `HELLO <tenant> <preset> <seed> [policy] [buffer_mins] [shards]` —
-    /// opens the session's episode.
-    Hello {
-        /// Tenant label, echoed back; purely informational.
-        tenant: String,
-        /// Instance preset name (see [`crate::preset::PRESET_NAMES`]).
-        preset: String,
-        /// Episode seed.
-        seed: u64,
-        /// Dispatch policy name (see [`crate::preset::POLICY_NAMES`]).
-        policy: String,
-        /// Epoch buffering period in minutes; `0` = immediate dispatch.
-        buffer_mins: f64,
-        /// Optional flat shard-count override; `None` keeps the preset's
-        /// registered [`ShardConfig`](dpdp_sim::ShardConfig). Sharding
-        /// never changes decisions, only how scoring is partitioned.
-        shards: Option<u64>,
-    },
+    /// opens the session's episode. An absent policy reads `baseline1`
+    /// and an absent buffer `0`; the writer always writes both.
+    Hello(SessionSpec),
     /// `ORDER <pickup> <delivery> <qty> <created_s> <deadline_s>`.
     Order {
         /// Pickup factory node.
@@ -133,6 +140,81 @@ pub enum Command {
     /// supervision path. Refused with `ERR debug-disabled` unless the
     /// server was built with debug frames enabled.
     Panic,
+}
+
+/// The command's wire frame — the one writer of client frames.
+impl fmt::Display for Command {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Command::Hello(s) => {
+                write!(
+                    f,
+                    "HELLO {} {} {} {} {}",
+                    s.tenant, s.preset, s.seed, s.policy, s.buffer_mins
+                )?;
+                match s.shards {
+                    Some(n) => write!(f, " {n}"),
+                    None => Ok(()),
+                }
+            }
+            Command::Order {
+                pickup,
+                delivery,
+                quantity,
+                created,
+                deadline,
+            } => write!(
+                f,
+                "ORDER {} {} {quantity} {} {}",
+                pickup.0,
+                delivery.0,
+                created.seconds(),
+                deadline.seconds()
+            ),
+            Command::Cancel { order, at } => {
+                write!(f, "CANCEL {} {}", order.index(), at.seconds())
+            }
+            Command::Breakdown { vehicle, at } => {
+                write!(f, "BREAKDOWN {} {}", vehicle.index(), at.seconds())
+            }
+            Command::Recover { vehicle, at } => {
+                write!(f, "RECOVER {} {}", vehicle.index(), at.seconds())
+            }
+            Command::Flush { at } => write!(f, "FLUSH {}", at.seconds()),
+            Command::Drain => f.write_str("DRAIN"),
+            Command::Resume { tenant, token, ack } => write!(f, "RESUME {tenant} {token} {ack}"),
+            Command::Stats => f.write_str("STATS"),
+            Command::Panic => f.write_str("PANIC"),
+        }
+    }
+}
+
+/// The frame of an engine command, as the journal writes it.
+impl From<&StreamCommand> for Command {
+    fn from(cmd: &StreamCommand) -> Command {
+        match *cmd {
+            StreamCommand::Order(ref o) => Command::Order {
+                pickup: o.pickup,
+                delivery: o.delivery,
+                quantity: o.quantity,
+                created: o.created,
+                deadline: o.deadline,
+            },
+            StreamCommand::Cancel { order, at } => Command::Cancel { order, at },
+            StreamCommand::Breakdown { vehicle, at } => Command::Breakdown { vehicle, at },
+            StreamCommand::Recover { vehicle, at } => Command::Recover { vehicle, at },
+            StreamCommand::Flush { at } => Command::Flush { at },
+        }
+    }
+}
+
+/// `frame` and its newline in one buffer, so a frame goes out in a single
+/// `write_all` — the bytes the wire and the journal files carry.
+pub(crate) fn line(frame: &impl fmt::Display) -> String {
+    let mut line = String::with_capacity(64);
+    // Writing into a `String` cannot fail.
+    let _ = writeln!(line, "{frame}");
+    line
 }
 
 fn parse_u64(tok: &str, what: &str) -> Result<u64, ProtoError> {
@@ -198,14 +280,14 @@ pub fn parse_command(line: &str) -> Result<Option<Command>, ProtoError> {
                 Some(tok) => Some(parse_u64(tok, "shards")?),
                 None => None,
             };
-            Command::Hello {
+            Command::Hello(SessionSpec {
                 tenant: args[0].to_string(),
                 preset: args[1].to_string(),
                 seed: parse_u64(args[2], "seed")?,
                 policy: args.get(3).unwrap_or(&"baseline1").to_string(),
                 buffer_mins,
                 shards,
-            }
+            })
         }
         "ORDER" => {
             if args.len() != 5 {
@@ -338,63 +420,12 @@ pub struct WireDecision {
     pub time_s: f64,
 }
 
-/// Formats a `DECISION` line.
+/// Formats a `DECISION` line (without its newline) through the
+/// [`ServerMsg`] writer.
 pub fn format_decision(d: &WireDecision) -> String {
-    let vehicle = match d.vehicle {
-        Some(v) => v.index().to_string(),
-        None => "-".to_string(),
-    };
-    format!(
-        "DECISION {} {} {} {}",
-        d.order.index(),
-        vehicle,
-        reason_name(d.reason),
-        d.time_s
-    )
-}
-
-/// Formats an `EPOCH` line.
-pub fn format_epoch(e: &EpochInfo) -> String {
-    format!("EPOCH {} {} {}", e.index, e.now.seconds(), e.num_orders)
-}
-
-/// Formats a `DISRUPT` line.
-pub fn format_disruption(d: &DisruptionRecord) -> String {
-    let t = d.time.seconds();
-    match &d.kind {
-        DisruptionKind::OrderCancelled {
-            order,
-            outcome,
-            vehicle,
-        } => {
-            let outcome = match outcome {
-                CancelOutcome::BeforeDispatch => "before_dispatch",
-                CancelOutcome::AfterAssignment => "after_assignment",
-                CancelOutcome::TooLate => "too_late",
-            };
-            match vehicle {
-                Some(v) => format!(
-                    "DISRUPT {t} cancel {} {outcome} {}",
-                    order.index(),
-                    v.index()
-                ),
-                None => format!("DISRUPT {t} cancel {} {outcome}", order.index()),
-            }
-        }
-        DisruptionKind::VehicleBreakdown {
-            vehicle,
-            stranded,
-            lost,
-        } => format!(
-            "DISRUPT {t} breakdown {} stranded={} lost={}",
-            vehicle.index(),
-            stranded.len(),
-            lost.len()
-        ),
-        DisruptionKind::VehicleRecovered { vehicle } => {
-            format!("DISRUPT {t} recover {}", vehicle.index())
-        }
-    }
+    let mut frame = line(&ServerMsg::Decision(*d));
+    frame.pop();
+    frame
 }
 
 /// A point-in-time health snapshot of the server, as carried by a `STATS`
@@ -417,56 +448,81 @@ pub struct StatsSnapshot {
     pub resumed: usize,
 }
 
-/// Formats a `STATS` frame.
-pub fn format_stats(s: &StatsSnapshot) -> String {
-    format!(
-        "STATS active={} total={} panics={} shed={} reaped={} resumed={}",
-        s.active, s.total, s.panics, s.shed, s.reaped, s.resumed,
-    )
+/// The handshake's answer: `OK HELLO <tenant> preset=.. policy=.. seed=..
+/// orders_base=.. vehicles=.. shards=.. token=..` or `OK RESUME <tenant>
+/// preset=.. policy=.. seed=.. replayed=.. ack=.. token=..`. The tenant is
+/// positional, so a tenant named like a field (`token=…`) is never read
+/// as one.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Greeting {
+    /// The tenant the session serves.
+    pub tenant: String,
+    /// Instance preset name.
+    pub preset: String,
+    /// Dispatch policy name.
+    pub policy: String,
+    /// Episode seed.
+    pub seed: u64,
+    /// How the episode was opened, with the fields only that way carries.
+    pub opened: Opened,
+    /// The session token a later `RESUME` presents.
+    pub token: String,
 }
 
-fn parse_stats(args: &[&str]) -> Result<StatsSnapshot, ProtoError> {
-    let fields: Vec<(&str, &str)> = args.iter().filter_map(|tok| tok.split_once('=')).collect();
-    let count = |key: &str| -> Result<usize, ProtoError> {
-        let tok = metrics_field(&fields, key)?;
-        tok.parse::<usize>()
-            .map_err(|_| ProtoError::new("bad-stats", format!("field `{key}` = `{tok}`")))
-    };
-    Ok(StatsSnapshot {
-        active: count("active")?,
-        total: count("total")?,
-        panics: count("panics")?,
-        shed: count("shed")?,
-        reaped: count("reaped")?,
-        resumed: count("resumed")?,
-    })
+/// How a greeted episode was opened.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Opened {
+    /// `OK HELLO`: a fresh episode.
+    Hello {
+        /// The id the first streamed order gets.
+        orders_base: usize,
+        /// Fleet size.
+        vehicles: usize,
+        /// Cell count of the resolved shard layout.
+        shards: usize,
+    },
+    /// `OK RESUME`: an episode rebuilt from its journal.
+    Resume {
+        /// Journaled commands replayed into the fresh episode.
+        replayed: usize,
+        /// Episode frames suppressed as already delivered.
+        ack: usize,
+    },
 }
 
-/// Formats the final `METRICS` line from an episode's aggregates.
-pub fn format_metrics(m: &EpisodeMetrics) -> String {
-    format!(
-        "METRICS served={} rejected={} nuv={} ttl={} total_cost={} avg_response_s={} \
-         rej_no_feasible={} rej_policy={} rej_infeasible={} rej_cancelled={} \
-         rej_vehicle_lost={}",
-        m.served,
-        m.rejected,
-        m.nuv,
-        m.ttl,
-        m.total_cost,
-        m.avg_response_secs,
-        m.rejections.no_feasible_vehicle,
-        m.rejections.policy_rejected,
-        m.rejections.infeasible_choice,
-        m.rejections.cancelled,
-        m.rejections.vehicle_lost,
-    )
+/// The greeting's detail — its frame after `OK `.
+impl fmt::Display for Greeting {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let kind = match self.opened {
+            Opened::Hello { .. } => "HELLO",
+            Opened::Resume { .. } => "RESUME",
+        };
+        write!(
+            f,
+            "{kind} {} preset={} policy={} seed={}",
+            self.tenant, self.preset, self.policy, self.seed
+        )?;
+        match self.opened {
+            Opened::Hello {
+                orders_base,
+                vehicles,
+                shards,
+            } => write!(
+                f,
+                " orders_base={orders_base} vehicles={vehicles} shards={shards}"
+            )?,
+            Opened::Resume { replayed, ack } => write!(f, " replayed={replayed} ack={ack}")?,
+        }
+        write!(f, " token={}", self.token)
+    }
 }
 
 /// One parsed server → client frame.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServerMsg {
-    /// `OK <detail...>` — a positive acknowledgement (handshake).
-    Ok(String),
+    /// `OK HELLO|RESUME <tenant> <key=value...>` — the handshake's
+    /// greeting.
+    Ok(Greeting),
     /// `ERR <code> <detail...>` — a structured protocol error.
     Err {
         /// Stable error class.
@@ -474,7 +530,8 @@ pub enum ServerMsg {
         /// Human-oriented detail.
         detail: String,
     },
-    /// `DECISION ...` — one committed dispatch decision.
+    /// `DECISION <order> <vehicle|-> <reason> <time_s>` — one committed
+    /// dispatch decision.
     Decision(WireDecision),
     /// `EPOCH <index> <now_s> <orders>` — a decision epoch opened.
     Epoch {
@@ -495,38 +552,209 @@ pub enum ServerMsg {
     Bye,
 }
 
-fn metrics_field<'a>(fields: &'a [(&'a str, &'a str)], key: &str) -> Result<&'a str, ProtoError> {
-    fields
-        .iter()
-        .find(|(k, _)| *k == key)
-        .map(|(_, v)| *v)
-        .ok_or_else(|| ProtoError::new("bad-metrics", format!("missing field `{key}`")))
+/// The message's wire frame — the one writer of server frames.
+impl fmt::Display for ServerMsg {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ServerMsg::Ok(greeting) => write!(f, "OK {greeting}"),
+            ServerMsg::Err { code, detail } => write!(f, "ERR {code} {detail}"),
+            ServerMsg::Decision(d) => {
+                write!(f, "DECISION {} ", d.order.index())?;
+                match d.vehicle {
+                    Some(v) => write!(f, "{}", v.index())?,
+                    None => f.write_str("-")?,
+                }
+                write!(f, " {} {}", reason_name(d.reason), d.time_s)
+            }
+            ServerMsg::Epoch {
+                index,
+                now_s,
+                num_orders,
+            } => write!(f, "EPOCH {index} {now_s} {num_orders}"),
+            ServerMsg::Disrupt(tail) => write!(f, "DISRUPT {tail}"),
+            ServerMsg::Metrics(m) => write!(
+                f,
+                "METRICS served={} rejected={} nuv={} ttl={} total_cost={} avg_response_s={} \
+                 rej_no_feasible={} rej_policy={} rej_infeasible={} rej_cancelled={} \
+                 rej_vehicle_lost={}",
+                m.served,
+                m.rejected,
+                m.nuv,
+                m.ttl,
+                m.total_cost,
+                m.avg_response_secs,
+                m.rejections.no_feasible_vehicle,
+                m.rejections.policy_rejected,
+                m.rejections.infeasible_choice,
+                m.rejections.cancelled,
+                m.rejections.vehicle_lost,
+            ),
+            ServerMsg::Stats(s) => write!(
+                f,
+                "STATS active={} total={} panics={} shed={} reaped={} resumed={}",
+                s.active, s.total, s.panics, s.shed, s.reaped, s.resumed,
+            ),
+            ServerMsg::Bye => f.write_str("BYE"),
+        }
+    }
+}
+
+/// The `ERR` frame a protocol error travels as.
+impl From<ProtoError> for ServerMsg {
+    fn from(err: ProtoError) -> ServerMsg {
+        ServerMsg::Err {
+            code: err.code.to_string(),
+            detail: err.detail,
+        }
+    }
+}
+
+/// The `DISRUPT` frame of an applied disruption: `<time_s> cancel <order>
+/// <outcome> [vehicle]`, `<time_s> breakdown <vehicle> stranded=.. lost=..`
+/// or `<time_s> recover <vehicle>`.
+impl From<&DisruptionRecord> for ServerMsg {
+    fn from(d: &DisruptionRecord) -> ServerMsg {
+        let t = d.time.seconds();
+        ServerMsg::Disrupt(match &d.kind {
+            DisruptionKind::OrderCancelled {
+                order,
+                outcome,
+                vehicle,
+            } => {
+                let outcome = match outcome {
+                    CancelOutcome::BeforeDispatch => "before_dispatch",
+                    CancelOutcome::AfterAssignment => "after_assignment",
+                    CancelOutcome::TooLate => "too_late",
+                };
+                match vehicle {
+                    Some(v) => format!("{t} cancel {} {outcome} {}", order.index(), v.index()),
+                    None => format!("{t} cancel {} {outcome}", order.index()),
+                }
+            }
+            DisruptionKind::VehicleBreakdown {
+                vehicle,
+                stranded,
+                lost,
+            } => format!(
+                "{t} breakdown {} stranded={} lost={}",
+                vehicle.index(),
+                stranded.len(),
+                lost.len()
+            ),
+            DisruptionKind::VehicleRecovered { vehicle } => {
+                format!("{t} recover {}", vehicle.index())
+            }
+        })
+    }
+}
+
+/// A frame's `key=value` fields, looked up by key; `code` is the error
+/// class a missing or malformed field draws.
+struct Fields<'a> {
+    code: &'static str,
+    pairs: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Fields<'a> {
+    fn new(code: &'static str, args: &[&'a str]) -> Fields<'a> {
+        let pairs = args.iter().filter_map(|tok| tok.split_once('=')).collect();
+        Fields { code, pairs }
+    }
+
+    fn get(&self, key: &str) -> Result<&'a str, ProtoError> {
+        self.pairs
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| *v)
+            .ok_or_else(|| ProtoError::new(self.code, format!("missing field `{key}`")))
+    }
+
+    fn count(&self, key: &str) -> Result<usize, ProtoError> {
+        let tok = self.get(key)?;
+        tok.parse::<usize>()
+            .map_err(|_| ProtoError::new(self.code, format!("field `{key}` = `{tok}`")))
+    }
+
+    fn float(&self, key: &str) -> Result<f64, ProtoError> {
+        parse_f64(self.get(key)?, key)
+    }
+}
+
+/// Splits a greeting's detail (`HELLO|RESUME <tenant> <key=value...>`)
+/// into its kind, its positional tenant and its named fields.
+fn greeting_parts<'a>(args: &[&'a str]) -> Result<(&'a str, &'a str, Fields<'a>), ProtoError> {
+    match args {
+        [kind @ ("HELLO" | "RESUME"), tenant, fields @ ..] => {
+            Ok((kind, tenant, Fields::new("bad-greeting", fields)))
+        }
+        _ => Err(ProtoError::new(
+            "bad-greeting",
+            "OK must be followed by HELLO or RESUME and a tenant",
+        )),
+    }
+}
+
+/// Extracts the session token — the `RESUME` credential — from an
+/// `OK HELLO` / `OK RESUME` detail (the greeting after `OK `, as
+/// [`ServeClient::hello`](crate::ServeClient::hello) returns it): its
+/// `token=` field, read after the positional tenant, so a tenant named
+/// `token=…` is never mistaken for it.
+pub fn token_from_ok_detail(detail: &str) -> Option<&str> {
+    let args: Vec<&str> = detail.split_whitespace().collect();
+    greeting_parts(&args).ok()?.2.get("token").ok()
+}
+
+fn parse_greeting(args: &[&str]) -> Result<Greeting, ProtoError> {
+    let (kind, tenant, fields) = greeting_parts(args)?;
+    let opened = if kind == "HELLO" {
+        Opened::Hello {
+            orders_base: fields.count("orders_base")?,
+            vehicles: fields.count("vehicles")?,
+            shards: fields.count("shards")?,
+        }
+    } else {
+        Opened::Resume {
+            replayed: fields.count("replayed")?,
+            ack: fields.count("ack")?,
+        }
+    };
+    Ok(Greeting {
+        tenant: tenant.to_string(),
+        preset: fields.get("preset")?.to_string(),
+        policy: fields.get("policy")?.to_string(),
+        seed: parse_u64(fields.get("seed")?, "seed")?,
+        opened,
+        token: fields.get("token")?.to_string(),
+    })
+}
+
+fn parse_stats(args: &[&str]) -> Result<StatsSnapshot, ProtoError> {
+    let fields = Fields::new("bad-stats", args);
+    Ok(StatsSnapshot {
+        active: fields.count("active")?,
+        total: fields.count("total")?,
+        panics: fields.count("panics")?,
+        shed: fields.count("shed")?,
+        reaped: fields.count("reaped")?,
+        resumed: fields.count("resumed")?,
+    })
 }
 
 fn parse_metrics(args: &[&str]) -> Result<EpisodeMetrics, ProtoError> {
-    let fields: Vec<(&str, &str)> = args.iter().filter_map(|tok| tok.split_once('=')).collect();
-    let count = |key: &str| -> Result<usize, ProtoError> {
-        let tok = metrics_field(&fields, key)?;
-        tok.parse::<usize>()
-            .map_err(|_| ProtoError::new("bad-metrics", format!("field `{key}` = `{tok}`")))
-    };
-    let float = |key: &str| -> Result<f64, ProtoError> {
-        let tok = metrics_field(&fields, key)?;
-        parse_f64(tok, key)
-    };
+    let fields = Fields::new("bad-metrics", args);
     Ok(EpisodeMetrics {
-        served: count("served")?,
-        rejected: count("rejected")?,
-        nuv: count("nuv")?,
-        ttl: float("ttl")?,
-        total_cost: float("total_cost")?,
-        avg_response_secs: float("avg_response_s")?,
+        served: fields.count("served")?,
+        rejected: fields.count("rejected")?,
+        nuv: fields.count("nuv")?,
+        ttl: fields.float("ttl")?,
+        total_cost: fields.float("total_cost")?,
+        avg_response_secs: fields.float("avg_response_s")?,
         rejections: RejectionCounts {
-            no_feasible_vehicle: count("rej_no_feasible")?,
-            policy_rejected: count("rej_policy")?,
-            infeasible_choice: count("rej_infeasible")?,
-            cancelled: count("rej_cancelled")?,
-            vehicle_lost: count("rej_vehicle_lost")?,
+            no_feasible_vehicle: fields.count("rej_no_feasible")?,
+            policy_rejected: fields.count("rej_policy")?,
+            infeasible_choice: fields.count("rej_infeasible")?,
+            cancelled: fields.count("rej_cancelled")?,
+            vehicle_lost: fields.count("rej_vehicle_lost")?,
         },
     })
 }
@@ -538,7 +766,7 @@ pub fn parse_server_msg(line: &str) -> Result<Option<ServerMsg>, ProtoError> {
         return Ok(None);
     };
     let msg = match kind {
-        "OK" => ServerMsg::Ok(args.join(" ")),
+        "OK" => ServerMsg::Ok(parse_greeting(args)?),
         "ERR" => {
             let (code, detail) = args
                 .split_first()
@@ -589,208 +817,4 @@ pub fn parse_server_msg(line: &str) -> Result<Option<ServerMsg>, ProtoError> {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn hello_defaults_and_overrides() {
-        let cmd = parse_command("HELLO acme line4 7").unwrap().unwrap();
-        assert_eq!(
-            cmd,
-            Command::Hello {
-                tenant: "acme".into(),
-                preset: "line4".into(),
-                seed: 7,
-                policy: "baseline1".into(),
-                buffer_mins: 0.0,
-                shards: None,
-            }
-        );
-        let cmd = parse_command("HELLO t ring12 42 baseline3 10")
-            .unwrap()
-            .unwrap();
-        assert_eq!(
-            cmd,
-            Command::Hello {
-                tenant: "t".into(),
-                preset: "ring12".into(),
-                seed: 42,
-                policy: "baseline3".into(),
-                buffer_mins: 10.0,
-                shards: None,
-            }
-        );
-        let cmd = parse_command("HELLO t ring12 42 baseline3 10 4")
-            .unwrap()
-            .unwrap();
-        assert_eq!(
-            cmd,
-            Command::Hello {
-                tenant: "t".into(),
-                preset: "ring12".into(),
-                seed: 42,
-                policy: "baseline3".into(),
-                buffer_mins: 10.0,
-                shards: Some(4),
-            }
-        );
-        assert_eq!(
-            parse_command("HELLO t ring12 42 baseline3 10 four")
-                .unwrap_err()
-                .code,
-            "bad-number"
-        );
-    }
-
-    #[test]
-    fn malformed_frames_produce_stable_codes() {
-        assert_eq!(parse_command("").unwrap(), None);
-        assert_eq!(parse_command("   ").unwrap(), None);
-        assert_eq!(parse_command("NOPE 1").unwrap_err().code, "unknown-command");
-        assert_eq!(parse_command("ORDER 1 2 3").unwrap_err().code, "bad-arity");
-        assert_eq!(
-            parse_command("ORDER 1 2 3 x 5").unwrap_err().code,
-            "bad-number"
-        );
-        assert_eq!(parse_command("FLUSH -4").unwrap_err().code, "bad-number");
-        assert_eq!(parse_command("FLUSH NaN").unwrap_err().code, "bad-number");
-        assert_eq!(parse_command("DRAIN now").unwrap_err().code, "bad-arity");
-        assert_eq!(
-            parse_command("HELLO t p 9 pol inf").unwrap_err().code,
-            "bad-number"
-        );
-    }
-
-    #[test]
-    fn order_frame_round_trips_seconds_exactly() {
-        // An awkward decimal: the shortest round-trip printing must come
-        // back bit-identical through the wire.
-        let created = TimePoint::from_hours(8.17).seconds();
-        let line = format!("ORDER 1 2 3.5 {created} {}", created + 21_600.0);
-        match parse_command(&line).unwrap().unwrap() {
-            Command::Order {
-                created: c,
-                deadline: d,
-                quantity,
-                ..
-            } => {
-                assert_eq!(c.seconds().to_bits(), created.to_bits());
-                assert_eq!(d.seconds().to_bits(), (created + 21_600.0).to_bits());
-                assert_eq!(quantity, 3.5);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn decision_line_round_trips() {
-        let d = WireDecision {
-            order: OrderId(17),
-            vehicle: Some(VehicleId(3)),
-            reason: DecisionReason::Assigned,
-            time_s: 29_412.000000000004,
-        };
-        let line = format_decision(&d);
-        match parse_server_msg(&line).unwrap().unwrap() {
-            ServerMsg::Decision(back) => {
-                assert_eq!(back, d);
-                assert_eq!(back.time_s.to_bits(), d.time_s.to_bits());
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        let rej = WireDecision {
-            order: OrderId(2),
-            vehicle: None,
-            reason: DecisionReason::NoFeasibleVehicle,
-            time_s: 0.1,
-        };
-        assert_eq!(
-            parse_server_msg(&format_decision(&rej)).unwrap().unwrap(),
-            ServerMsg::Decision(rej)
-        );
-    }
-
-    #[test]
-    fn metrics_line_round_trips() {
-        let m = EpisodeMetrics {
-            nuv: 3,
-            ttl: 123.45600000000002,
-            total_cost: 1746.912,
-            served: 9,
-            rejected: 15,
-            // Distinct per reason, so swapping two `rej_*` keys fails.
-            rejections: RejectionCounts {
-                no_feasible_vehicle: 1,
-                policy_rejected: 2,
-                infeasible_choice: 3,
-                cancelled: 4,
-                vehicle_lost: 5,
-            },
-            avg_response_secs: 300.5,
-        };
-        match parse_server_msg(&format_metrics(&m)).unwrap().unwrap() {
-            ServerMsg::Metrics(back) => assert_eq!(back, m),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn resume_stats_and_panic_frames_parse() {
-        assert_eq!(
-            parse_command("RESUME acme tok123").unwrap().unwrap(),
-            Command::Resume {
-                tenant: "acme".into(),
-                token: "tok123".into(),
-                ack: 0,
-            }
-        );
-        assert_eq!(
-            parse_command("RESUME acme tok123 17").unwrap().unwrap(),
-            Command::Resume {
-                tenant: "acme".into(),
-                token: "tok123".into(),
-                ack: 17,
-            }
-        );
-        assert_eq!(
-            parse_command("RESUME acme tok123 lots").unwrap_err().code,
-            "bad-number"
-        );
-        assert_eq!(parse_command("RESUME acme").unwrap_err().code, "bad-arity");
-        assert_eq!(parse_command("STATS").unwrap().unwrap(), Command::Stats);
-        assert_eq!(parse_command("STATS now").unwrap_err().code, "bad-arity");
-        assert_eq!(parse_command("PANIC").unwrap().unwrap(), Command::Panic);
-        assert_eq!(parse_command("PANIC hard").unwrap_err().code, "bad-arity");
-    }
-
-    #[test]
-    fn stats_line_round_trips() {
-        let s = StatsSnapshot {
-            active: 2,
-            total: 9,
-            panics: 1,
-            shed: 3,
-            reaped: 4,
-            resumed: 5,
-        };
-        match parse_server_msg(&format_stats(&s)).unwrap().unwrap() {
-            ServerMsg::Stats(back) => assert_eq!(back, s),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn every_reason_round_trips() {
-        for reason in [
-            DecisionReason::Assigned,
-            DecisionReason::NoFeasibleVehicle,
-            DecisionReason::PolicyRejected,
-            DecisionReason::InfeasibleChoice,
-            DecisionReason::Cancelled,
-            DecisionReason::VehicleLost,
-        ] {
-            assert_eq!(parse_reason(reason_name(reason)), Some(reason));
-        }
-        assert_eq!(parse_reason("nope"), None);
-    }
-}
+mod tests;

@@ -19,7 +19,7 @@
 //!   still attached when the drain deadline passes.
 
 use crate::journal::JournalStore;
-use crate::proto::StatsSnapshot;
+use crate::proto::{ProtoError, ServerMsg, StatsSnapshot};
 use crate::session::{run_session, send_line, SessionContext};
 use dpdp_pool::ThreadPool;
 use std::collections::HashMap;
@@ -168,10 +168,8 @@ impl DecisionServer {
                     stats.shed.fetch_add(1, Ordering::AcqRel);
                     let _ = stream.set_nodelay(true);
                     let writer = Mutex::new(&stream);
-                    let _ = send_line(
-                        &writer,
-                        &format!("ERR overloaded session cap {cap} reached"),
-                    ) && send_line(&writer, "BYE");
+                    let shed = ProtoError::new("overloaded", format!("session cap {cap} reached"));
+                    let _ = send_line(&writer, &shed.into()) && send_line(&writer, &ServerMsg::Bye);
                     continue;
                 }
             }
@@ -229,7 +227,8 @@ pub(crate) fn supervise_session<R: Read, W: Write + Send>(
         .unwrap_or_else(|| "session panicked".to_string());
     // One line only: the payload must not smuggle frame delimiters.
     let payload = payload.replace(['\n', '\r'], " ");
-    let _ = send_line(&writer, &format!("ERR internal {payload}")) && send_line(&writer, "BYE");
+    let crash = ProtoError::new("internal", payload);
+    let _ = send_line(&writer, &crash.into()) && send_line(&writer, &ServerMsg::Bye);
     true
 }
 

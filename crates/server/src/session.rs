@@ -45,11 +45,11 @@
 //! [`StreamCommand`]: dpdp_sim::StreamCommand
 //! [`ServerConfig::idle_timeout`]: crate::ServerConfig::idle_timeout
 
-use crate::journal::{ActiveClaim, Journal, JournalStore, SessionSpec};
+use crate::journal::{ActiveClaim, Journal, JournalStore};
 use crate::preset::{build_instance, build_policy, shard_config, POLICY_NAMES, PRESET_NAMES};
 use crate::proto::{
-    format_decision, format_disruption, format_epoch, format_metrics, format_stats, parse_command,
-    Command, ProtoError, WireDecision,
+    line, parse_command, Command, Greeting, Opened, ProtoError, ServerMsg, SessionSpec,
+    WireDecision,
 };
 use crate::server::ServerStats;
 use dpdp_net::{Instance, Order, OrderId, TimeDelta};
@@ -168,14 +168,12 @@ fn finish_line(mut buf: Vec<u8>) -> String {
     String::from_utf8_lossy(&buf).into_owned()
 }
 
-/// Writes one frame with a single `write_all`; returns `false` once the
-/// client is unreachable.
-pub(crate) fn send_line<W: Write>(writer: &Mutex<W>, line: &str) -> bool {
+/// Writes one frame, by [`ServerMsg`]'s one writer, with a single
+/// `write_all`; returns `false` once the client is unreachable.
+pub(crate) fn send_line<W: Write>(writer: &Mutex<W>, msg: &ServerMsg) -> bool {
+    let frame = line(msg);
     // A writer poisoned by a panicking holder still owns a usable stream.
     let mut guard = writer.lock().unwrap_or_else(|p| p.into_inner());
-    let mut frame = String::with_capacity(line.len() + 1);
-    frame.push_str(line);
-    frame.push('\n');
     guard.write_all(frame.as_bytes()).is_ok()
 }
 
@@ -192,25 +190,29 @@ struct WireObserver<'w, W> {
 }
 
 impl<W: Write> WireObserver<'_, W> {
-    fn emit(&mut self, line: &str) {
+    fn emit(&mut self, msg: &ServerMsg) {
         if self.skip > 0 {
             self.skip -= 1;
             return;
         }
         if !self.dead {
-            self.dead = !send_line(self.writer, line);
+            self.dead = !send_line(self.writer, msg);
         }
     }
 }
 
 impl<W: Write> SimObserver for WireObserver<'_, W> {
     fn on_epoch(&mut self, epoch: &EpochInfo) {
-        self.emit(&format_epoch(epoch));
+        self.emit(&ServerMsg::Epoch {
+            index: epoch.index,
+            now_s: epoch.now.seconds(),
+            num_orders: epoch.num_orders,
+        });
     }
 
     fn on_decision(&mut self, record: &DecisionRecord<'_>) {
         let a = record.assignment;
-        self.emit(&format_decision(&WireDecision {
+        self.emit(&ServerMsg::Decision(WireDecision {
             order: a.order,
             vehicle: a.vehicle,
             reason: a.reason,
@@ -219,7 +221,7 @@ impl<W: Write> SimObserver for WireObserver<'_, W> {
     }
 
     fn on_disruption(&mut self, record: &DisruptionRecord) {
-        self.emit(&format_disruption(record));
+        self.emit(&record.into());
     }
 }
 
@@ -291,26 +293,7 @@ struct Opening {
     token: String,
 }
 
-fn open_hello(cmd: Command, ctx: &SessionContext) -> Result<Opening, ProtoError> {
-    let Command::Hello {
-        tenant,
-        preset,
-        seed,
-        policy,
-        buffer_mins,
-        shards,
-    } = cmd
-    else {
-        unreachable!("caller matched Command::Hello");
-    };
-    let spec = SessionSpec {
-        tenant,
-        preset,
-        seed,
-        policy,
-        buffer_mins,
-        shards,
-    };
+fn open_hello(spec: SessionSpec, ctx: &SessionContext) -> Result<Opening, ProtoError> {
     let (buffering, sharding) = resolve_spec(&spec)?;
     let journal = ctx.journals.open(spec.clone())?;
     let token = journal
@@ -390,11 +373,12 @@ pub(crate) fn run_session<R: Read, W: Write + Send>(
             Frame::Eof | Frame::Lost => return,
             Frame::TimedOut => {
                 ctx.stats.reaped.fetch_add(1, Ordering::AcqRel);
-                let _ = send_line(writer, "ERR idle-timeout no frame before the idle deadline");
+                let reaped = ProtoError::new("idle-timeout", "no frame before the idle deadline");
+                let _ = send_line(writer, &reaped.into());
                 return;
             }
             Frame::TooLong => {
-                if !send_line(writer, &frame_too_long().to_line()) {
+                if !send_line(writer, &frame_too_long().into()) {
                     return;
                 }
                 continue;
@@ -404,7 +388,7 @@ pub(crate) fn run_session<R: Read, W: Write + Send>(
         let attempt = match parse_command(&line) {
             Ok(None) => continue,
             Ok(Some(Command::Stats)) => {
-                if !send_line(writer, &format_stats(&ctx.stats.snapshot())) {
+                if !send_line(writer, &ServerMsg::Stats(ctx.stats.snapshot())) {
                     return;
                 }
                 continue;
@@ -415,7 +399,7 @@ pub(crate) fn run_session<R: Read, W: Write + Send>(
                 }
                 Err(debug_disabled())
             }
-            Ok(Some(cmd @ Command::Hello { .. })) => open_hello(cmd, ctx),
+            Ok(Some(Command::Hello(spec))) => open_hello(spec, ctx),
             Ok(Some(Command::Resume { tenant, token, ack })) => {
                 open_resume(&tenant, &token, ack, ctx)
             }
@@ -429,7 +413,7 @@ pub(crate) fn run_session<R: Read, W: Write + Send>(
         match attempt {
             Ok(opening) => break opening,
             Err(err) => {
-                if !send_line(writer, &err.to_line()) {
+                if !send_line(writer, &err.into()) {
                     return;
                 }
             }
@@ -441,30 +425,26 @@ pub(crate) fn run_session<R: Read, W: Write + Send>(
     }
     // Invariant: resolve_spec checked PRESET_NAMES; see every_advertised_preset_builds_with_*.
     let instance = build_instance(&opening.spec.preset).expect("preset validated at opening");
-    let greeting = if opening.resumed {
-        format!(
-            "OK RESUME {} preset={} policy={} seed={} replayed={} ack={} token={}",
-            opening.spec.tenant,
-            opening.spec.preset,
-            opening.spec.policy,
-            opening.spec.seed,
-            opening.replay.len(),
-            opening.ack,
-            opening.token,
-        )
+    let opened = if opening.resumed {
+        Opened::Resume {
+            replayed: opening.replay.len(),
+            ack: opening.ack,
+        }
     } else {
-        format!(
-            "OK HELLO {} preset={} policy={} seed={} orders_base={} vehicles={} shards={} token={}",
-            opening.spec.tenant,
-            opening.spec.preset,
-            opening.spec.policy,
-            opening.spec.seed,
-            instance.num_orders(),
-            instance.num_vehicles(),
-            opening.sharding.num_shards(),
-            opening.token,
-        )
+        Opened::Hello {
+            orders_base: instance.num_orders(),
+            vehicles: instance.num_vehicles(),
+            shards: opening.sharding.num_shards(),
+        }
     };
+    let greeting = ServerMsg::Ok(Greeting {
+        tenant: opening.spec.tenant.clone(),
+        preset: opening.spec.preset.clone(),
+        policy: opening.spec.policy.clone(),
+        seed: opening.spec.seed,
+        opened,
+        token: opening.token.clone(),
+    });
     if !send_line(writer, &greeting) {
         return;
     }
@@ -496,9 +476,9 @@ pub(crate) fn run_session<R: Read, W: Write + Send>(
             let result = sim.serve_observed(rx, policy.as_mut(), &mut [&mut observer]);
             // The episode is drained: final aggregates, then goodbye.
             if !crashed.load(Ordering::Acquire)
-                && send_line(writer, &format_metrics(&result.metrics))
+                && send_line(writer, &ServerMsg::Metrics(result.metrics))
             {
-                send_line(writer, "BYE");
+                send_line(writer, &ServerMsg::Bye);
             }
         });
 
@@ -588,15 +568,15 @@ fn read_commands<R: Read, W: Write>(
             Frame::Eof | Frame::Lost => return StreamEnd::Interrupted,
             Frame::TimedOut => {
                 ctx.stats.reaped.fetch_add(1, Ordering::AcqRel);
-                let _ = send_line(
-                    writer,
-                    "ERR idle-timeout no frame before the idle deadline; episode drained, \
-                     journal kept for RESUME",
+                let reaped = ProtoError::new(
+                    "idle-timeout",
+                    "no frame before the idle deadline; episode drained, journal kept for RESUME",
                 );
+                let _ = send_line(writer, &reaped.into());
                 return StreamEnd::Interrupted;
             }
             Frame::TooLong => {
-                if !send_line(writer, &frame_too_long().to_line()) {
+                if !send_line(writer, &frame_too_long().into()) {
                     return StreamEnd::Interrupted;
                 }
                 continue;
@@ -607,19 +587,19 @@ fn read_commands<R: Read, W: Write>(
             Ok(None) => continue,
             Ok(Some(cmd)) => cmd,
             Err(err) => {
-                if !send_line(writer, &err.to_line()) {
+                if !send_line(writer, &err.into()) {
                     return StreamEnd::Interrupted;
                 }
                 continue;
             }
         };
         let reply = match command {
-            Command::Hello { .. } | Command::Resume { .. } => Some(ProtoError::new(
+            Command::Hello(_) | Command::Resume { .. } => Some(ProtoError::new(
                 "already-active",
                 "this session already runs an episode",
             )),
             Command::Stats => {
-                if !send_line(writer, &format_stats(&ctx.stats.snapshot())) {
+                if !send_line(writer, &ServerMsg::Stats(ctx.stats.snapshot())) {
                     return StreamEnd::Interrupted;
                 }
                 None
@@ -701,7 +681,7 @@ fn read_commands<R: Read, W: Write>(
             Command::Drain => return StreamEnd::Drained,
         };
         if let Some(err) = reply {
-            if !send_line(writer, &err.to_line()) {
+            if !send_line(writer, &err.into()) {
                 return StreamEnd::Interrupted;
             }
         }

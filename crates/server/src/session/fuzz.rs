@@ -1,7 +1,10 @@
 //! Seeded byte fuzz of one session: random bytes and mutated valid
 //! transcripts, read at seeded chunk boundaries and ended by EOF, must
-//! never crash, hang or garble a session. The generator is the in-tree
-//! xorshift; a failure names the seed that replays it.
+//! never crash, hang or garble a session. Every line the session sends
+//! must be exactly what the one writer writes for its parse, and every
+//! corpus line that parses must rewrite to a line that parses back to the
+//! same command. The generator is the in-tree xorshift; a failure names
+//! the seed that replays it.
 
 use super::tests::{context, replay};
 use super::*;
@@ -147,6 +150,32 @@ fn stream(rng: &mut Rng) -> Vec<u8> {
     bytes
 }
 
+/// Rewrites every line of `bytes` that parses as a command through
+/// [`Command`]'s one writer and checks the rewrite parses back to the same
+/// command, every float bit-equal (`Debug` prints each in shortest
+/// round-trip form, the sign of zero included). Returns how many lines it
+/// checked.
+fn check_rewrites(seed: u64, bytes: &[u8]) -> usize {
+    let mut checked = 0;
+    for raw in bytes.split(|&b| b == b'\n') {
+        let line = String::from_utf8_lossy(raw);
+        let Ok(Some(cmd)) = parse_command(&line) else {
+            continue;
+        };
+        let rewritten = cmd.to_string();
+        match parse_command(&rewritten) {
+            Ok(Some(back)) => assert_eq!(
+                format!("{back:?}"),
+                format!("{cmd:?}"),
+                "seed {seed:#x}: `{line}` rewrote to `{rewritten}`"
+            ),
+            other => panic!("seed {seed:#x}: `{line}` rewrote to `{rewritten}`: {other:?}"),
+        }
+        checked += 1;
+    }
+    checked
+}
+
 /// How a fuzzed session ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ending {
@@ -186,15 +215,16 @@ fn check_stream(seed: u64, bytes: Vec<u8>, pool: &Arc<ThreadPool>) -> Ending {
             Ok(Some(ServerMsg::Err { code, .. })) if code == "internal" => {
                 panic!("seed {seed:#x}: `{line}`")
             }
-            Ok(Some(msg)) => msgs.push(msg),
-            other => panic!("seed {seed:#x}: unparseable frame `{line}`: {other:?}"),
+            // Every line the session sent is its frame's one rewrite.
+            Ok(Some(msg)) if msg.to_string() == line => msgs.push(msg),
+            other => panic!("seed {seed:#x}: unparseable or unwritten frame `{line}`: {other:?}"),
         }
     }
     let opened = msgs.iter().find_map(|m| match m {
-        ServerMsg::Ok(detail) => Some(detail.clone()),
+        ServerMsg::Ok(greeting) => Some(greeting),
         _ => None,
     });
-    let Some(detail) = opened else {
+    let Some(greeting) = opened else {
         assert!(
             !msgs
                 .iter()
@@ -206,14 +236,8 @@ fn check_stream(seed: u64, bytes: Vec<u8>, pool: &Arc<ThreadPool>) -> Ending {
     let [.., ServerMsg::Metrics(metrics), ServerMsg::Bye] = msgs.as_slice() else {
         panic!("seed {seed:#x}: an opened session must end METRICS + BYE");
     };
-    // `OK HELLO <tenant> ... token=<token>`: a fresh store never resumes.
-    let tenant = detail.split(' ').nth(1).expect("tenant field");
-    let token = detail
-        .rsplit(' ')
-        .next()
-        .and_then(|field| field.strip_prefix("token="))
-        .expect("token field");
-    match ctx.journals.resume(tenant, token) {
+    // A fresh store never resumes: the greeting is an `OK HELLO`.
+    match ctx.journals.resume(&greeting.tenant, &greeting.token) {
         // No DRAIN: the kept journal replays to the same episode.
         Ok(journal) => {
             let journal = journal.lock().unwrap_or_else(|p| p.into_inner());
@@ -235,11 +259,17 @@ fn check_stream(seed: u64, bytes: Vec<u8>, pool: &Arc<ThreadPool>) -> Ending {
 fn arbitrary_bytes_never_crash_hang_or_garble_a_session() {
     let pool = Arc::new(ThreadPool::new(1));
     let mut endings = Vec::new();
+    let mut rewritten = 0;
     for case in 0..STREAMS {
         let seed = 0xf022_0000 + case;
         let bytes = stream(&mut Rng::new(seed));
+        rewritten += check_rewrites(seed, &bytes);
         endings.push(check_stream(seed, bytes, &pool));
     }
+    assert!(
+        rewritten > STREAMS as usize,
+        "only {rewritten} corpus lines parsed"
+    );
     for ending in [Ending::Unopened, Ending::Drained, Ending::Kept] {
         assert!(endings.contains(&ending), "no stream ended {ending:?}");
     }

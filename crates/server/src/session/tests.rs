@@ -4,9 +4,8 @@
 //! `tests/session_recovery.rs`.
 
 use super::*;
-use crate::client::token_from_ok_detail;
 use crate::pipe::{duplex, Client, Rng};
-use crate::proto::ServerMsg;
+use crate::proto::{token_from_ok_detail, Greeting, Opened, ServerMsg};
 use crate::server::supervise_session;
 use dpdp_net::{NodeId, TimePoint};
 use dpdp_sim::{EpisodeMetrics, InvariantAuditor};
@@ -66,7 +65,7 @@ fn send_line_writes_through_a_poisoned_writer() {
     });
     assert!(holder.is_err() && writer.is_poisoned());
 
-    assert!(send_line(&writer, "BYE"));
+    assert!(send_line(&writer, &ServerMsg::Bye));
     assert_eq!(client.next_line().as_deref(), Some("BYE"));
 }
 
@@ -172,10 +171,10 @@ impl<'scope> Dialer<'scope, '_> {
         let (mut client, session) = self.connect();
         client.send(resume);
         match client.next_msg() {
-            Some(ServerMsg::Ok(detail)) => assert!(
-                detail.starts_with("RESUME ") && detail.contains(&format!(" ack={ack} ")),
-                "OK RESUME must echo the ack, got `{detail}`"
-            ),
+            Some(ServerMsg::Ok(Greeting {
+                opened: Opened::Resume { ack: echoed, .. },
+                ..
+            })) => assert_eq!(echoed, ack, "OK RESUME must echo the ack"),
             other => panic!("expected OK RESUME, got {other:?}"),
         }
         (client, session)
@@ -212,9 +211,7 @@ fn run_tenant<'scope>(
         spec.tenant, spec.preset, spec.seed, spec.policy
     ));
     let token = match client.next_msg() {
-        Some(ServerMsg::Ok(detail)) => token_from_ok_detail(&detail)
-            .expect("OK HELLO carries a token")
-            .to_string(),
+        Some(ServerMsg::Ok(greeting)) => greeting.token,
         other => panic!("{fault:?}: expected OK HELLO, got {other:?}"),
     };
 
@@ -407,9 +404,7 @@ fn a_resume_of_an_empty_journal_greets_resume_and_holds_the_journal() {
         let (mut client, session) = dialer.connect();
         client.send("HELLO quiet ring12 3");
         let token = match client.next_msg() {
-            Some(ServerMsg::Ok(detail)) => token_from_ok_detail(&detail)
-                .expect("OK HELLO carries a token")
-                .to_string(),
+            Some(ServerMsg::Ok(greeting)) => greeting.token,
             other => panic!("expected OK HELLO, got {other:?}"),
         };
         client.kill();
@@ -433,4 +428,95 @@ fn a_resume_of_an_empty_journal_greets_resume_and_holds_the_journal() {
         assert_eq!(held.join().ok(), Some(false));
     });
     assert_eq!(ctx.stats.snapshot().resumed, 1);
+}
+
+/// Drives `client` until `want` decisions have arrived; returns the
+/// episode frames read (the `ack` of a later `RESUME`).
+fn await_decisions(client: &mut Client, want: usize) -> usize {
+    let (mut ack, mut decisions) = (0, 0);
+    while decisions < want {
+        match client.next_msg() {
+            Some(ServerMsg::Decision(_)) => {
+                ack += 1;
+                decisions += 1;
+            }
+            Some(ServerMsg::Epoch { .. } | ServerMsg::Disrupt(_)) => ack += 1,
+            other => panic!("unexpected frame {other:?}"),
+        }
+    }
+    ack
+}
+
+/// The exact `OK HELLO` and `OK RESUME` lines of a fixed session: the
+/// greetings are structured frames now, and their bytes must not move.
+#[test]
+fn greetings_keep_their_bytes() {
+    let ctx = context(Arc::new(ThreadPool::new(1)), false);
+    std::thread::scope(|scope| {
+        let mut dialer = Dialer {
+            scope,
+            ctx: &ctx,
+            rng: Rng::new(SEED),
+            max_chunk: 64,
+        };
+        let (mut client, session) = dialer.connect();
+        client.send("HELLO pinned ring12 7 baseline1 0 2");
+        assert_eq!(
+            client.next_line().as_deref(),
+            Some(
+                "OK HELLO pinned preset=ring12 policy=baseline1 seed=7 orders_base=0 \
+                 vehicles=8 shards=2 token=1-d9c25706"
+            )
+        );
+        for k in 0..3 {
+            for frame in &chaos_order(0, k).0 {
+                client.send(frame);
+            }
+        }
+        let ack = await_decisions(&mut client, 3);
+        client.kill();
+        assert_eq!(session.join().ok(), Some(false));
+
+        let (mut client, session) = dialer.connect();
+        client.send(&format!("RESUME pinned 1-d9c25706 {ack}"));
+        assert_eq!(
+            client.next_line().as_deref(),
+            Some(
+                "OK RESUME pinned preset=ring12 policy=baseline1 seed=7 replayed=6 ack=6 \
+                 token=1-d9c25706"
+            )
+        );
+        client.send("DRAIN");
+        while client.next_msg().is_some() {}
+        assert_eq!(session.join().ok(), Some(false));
+    });
+}
+
+/// A tenant named like a greeting field (`token=evil`) still resumes:
+/// the token is read from the greeting's own field, not the first
+/// `token=` in the line.
+#[test]
+fn a_tenant_named_like_the_token_field_resumes_with_its_own_token() {
+    let ctx = context(Arc::new(ThreadPool::new(1)), false);
+    std::thread::scope(|scope| {
+        let mut dialer = Dialer {
+            scope,
+            ctx: &ctx,
+            rng: Rng::new(SEED),
+            max_chunk: 64,
+        };
+        let (mut client, session) = dialer.connect();
+        client.send("HELLO token=evil ring12 3");
+        let line = client.next_line().expect("a greeting");
+        let detail = line.strip_prefix("OK ").expect("an OK greeting");
+        let token = token_from_ok_detail(detail)
+            .expect("OK HELLO carries a token")
+            .to_string();
+        client.kill();
+        let resume = format!("RESUME token=evil {token} 0");
+        let (mut client, session) = dialer.resume(session, false, &resume, 0);
+        client.send("DRAIN");
+        while client.next_msg().is_some() {}
+        assert_eq!(session.join().ok(), Some(false));
+    });
 }

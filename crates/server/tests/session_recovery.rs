@@ -7,8 +7,8 @@
 
 use dpdp_net::{NodeId, Order, OrderId, TimePoint};
 use dpdp_server::{
-    token_from_ok_detail, ClientError, DecisionServer, DrainOutcome, ServeClient, ServerConfig,
-    ServerMsg, WireDecision,
+    token_from_ok_detail, ClientError, Command, DecisionServer, DrainOutcome, Opened, ServeClient,
+    ServerConfig, ServerMsg, WireDecision,
 };
 use dpdp_sim::{
     BufferingMode, EpisodeResult, EventSource, InvariantAuditor, ReplaySource, Simulator,
@@ -107,11 +107,16 @@ fn resume_with_retry(addr: SocketAddr, tenant: &str, token: &str, ack: usize) ->
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let mut client = ServeClient::connect(addr).expect("connect");
-        match client.resume(tenant, token, ack) {
-            Ok(detail) => {
+        let resume = Command::Resume {
+            tenant: tenant.to_string(),
+            token: token.to_string(),
+            ack,
+        };
+        match client.open(&resume) {
+            Ok(greeting) => {
                 assert!(
-                    detail.contains(&format!("ack={ack}")),
-                    "OK RESUME must echo the ack, got `{detail}`"
+                    matches!(greeting.opened, Opened::Resume { ack: echoed, .. } if echoed == ack),
+                    "OK RESUME must echo the ack, got `{greeting}`"
                 );
                 return client;
             }

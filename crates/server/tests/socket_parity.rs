@@ -6,7 +6,7 @@
 
 use dpdp_net::TimeDelta;
 use dpdp_net::{NodeId, Order, OrderId, TimePoint};
-use dpdp_server::{DecisionServer, ServeClient, ServerConfig, WireDecision};
+use dpdp_server::{DecisionServer, Opened, ServeClient, ServerConfig, WireDecision};
 use dpdp_sim::{
     BufferingMode, EpisodeResult, EventSource, InvariantAuditor, ReplaySource, Simulator,
 };
@@ -169,10 +169,10 @@ fn a_shard_override_reproduces_the_unsharded_reference_episode() {
         .send_line("HELLO override ring12 11 baseline1 0 3")
         .expect("send");
     match client.next_msg().expect("handshake frame") {
-        Some(dpdp_server::ServerMsg::Ok(detail)) => {
+        Some(dpdp_server::ServerMsg::Ok(greeting)) => {
             assert!(
-                detail.contains("shards=3"),
-                "OK must echo the resolved layout, got `{detail}`"
+                matches!(greeting.opened, Opened::Hello { shards: 3, .. }),
+                "OK must echo the resolved layout, got `{greeting}`"
             );
         }
         other => panic!("expected OK HELLO, got {other:?}"),
