@@ -23,6 +23,15 @@
 //! tasks it drains the injector itself, so scopes may be entered reentrantly
 //! from inside a task (nested [`ThreadPool::par_map`] cannot deadlock —
 //! every joiner makes progress on whatever work remains).
+//!
+//! A fan-out is not free: a `par_map` queues its chunks under one lock and
+//! wakes at most one idle worker per chunk (never more than `threads - 1`),
+//! and a woken worker can take tens of microseconds to start on a busy
+//! host. So the simulator does not hand every epoch to the
+//! pool: an epoch below `dpdp_sim::FAN_OUT_MIN_CELLS` cells (orders ×
+//! active vehicles), a one-order serving epoch among them, runs its stages
+//! on a serial pool, inline on the caller, at any width. Only wide epochs
+//! pay for the wake-up, and only they gain from it.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -75,8 +84,8 @@ impl Join {
         })
     }
 
-    fn add_task(&self) {
-        self.state.lock().expect("join lock poisoned").pending += 1;
+    fn add_tasks(&self, n: usize) {
+        self.state.lock().expect("join lock poisoned").pending += n;
     }
 
     fn complete(&self, panic: Option<Box<dyn std::any::Any + Send>>) {
@@ -99,14 +108,27 @@ struct Injector {
 
 struct InjectorState {
     tasks: VecDeque<Task>,
+    /// Workers blocked in [`Injector::pop_blocking`]: what a push may wake.
+    idle: usize,
     shutdown: bool,
 }
 
 impl Injector {
-    fn push(&self, task: Task) {
+    /// Queues `tasks` under one lock, then wakes one idle worker per task,
+    /// and no more workers than are idle. A wake is a syscall even when
+    /// nobody waits, so a fan-out pays one lock and at most `threads - 1`
+    /// wakes, not one of each per task; a worker that is busy finds the
+    /// queue when it next looks.
+    fn push(&self, tasks: Vec<Task>) {
         let mut state = self.queue.lock().expect("injector lock poisoned");
-        state.tasks.push_back(task);
-        self.work.notify_one();
+        let wake = tasks.len().min(state.idle);
+        state.tasks.extend(tasks);
+        drop(state);
+        // Each worker counted idle is already waiting (the condvar released
+        // the lock it was counted under), so no wake-up can be lost.
+        for _ in 0..wake {
+            self.work.notify_one();
+        }
     }
 
     fn try_pop(&self) -> Option<Task> {
@@ -127,7 +149,9 @@ impl Injector {
             if state.shutdown {
                 return None;
             }
+            state.idle += 1;
             state = self.work.wait(state).expect("injector lock poisoned");
+            state.idle -= 1;
         }
     }
 }
@@ -164,6 +188,7 @@ impl ThreadPool {
         let injector = Arc::new(Injector {
             queue: Mutex::new(InjectorState {
                 tasks: VecDeque::new(),
+                idle: 0,
                 shutdown: false,
             }),
             work: Condvar::new(),
@@ -261,14 +286,14 @@ impl ThreadPool {
         let chunk = n.div_ceil((self.threads * 4).min(n)).max(1);
         let f = &f;
         self.scope(|s| {
-            for (ci, slots) in out.chunks_mut(chunk).enumerate() {
+            s.spawn_all(out.chunks_mut(chunk).enumerate().map(|(ci, slots)| {
                 let base = ci * chunk;
-                s.spawn(move || {
+                move || {
                     for (off, slot) in slots.iter_mut().enumerate() {
                         *slot = Some(f(base + off));
                     }
-                });
-            }
+                }
+            }));
         });
         out.into_iter()
             .map(|slot| slot.expect("scope join fills every slot"))
@@ -338,17 +363,31 @@ impl<'pool, 'env> Scope<'pool, 'env> {
     /// outlives `'env`; the enclosing [`ThreadPool::scope`] call joins it
     /// before returning.
     pub fn spawn(&self, task: impl FnOnce() + Send + 'env) {
-        self.join.add_task();
-        let body: Box<dyn FnOnce() + Send + 'env> = Box::new(task);
-        // SAFETY: the task may borrow data of lifetime 'env. `scope` joins
-        // (blocks until `Join::pending == 0`) before it returns, and 'env
-        // outlives the `scope` call by construction of the invariant
-        // lifetime, so every borrow is live whenever the body can run.
-        let body: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(body) };
-        self.pool.injector.push(Task {
-            body,
-            join: Arc::clone(&self.join),
-        });
+        self.spawn_all(std::iter::once(task));
+    }
+
+    /// Queues every task of `tasks` at once: one count on the scope, one
+    /// lock on the injector and at most one wake per idle worker (see
+    /// [`ThreadPool::par_map`]).
+    fn spawn_all<F: FnOnce() + Send + 'env>(&self, tasks: impl Iterator<Item = F>) {
+        let tasks: Vec<Task> = tasks
+            .map(|task| {
+                let body: Box<dyn FnOnce() + Send + 'env> = Box::new(task);
+                // SAFETY: the task may borrow data of lifetime 'env. `scope`
+                // joins (blocks until `Join::pending == 0`) before it
+                // returns, and 'env outlives the `scope` call by
+                // construction of the invariant lifetime, so every borrow is
+                // live whenever the body can run.
+                let body: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(body) };
+                Task {
+                    body,
+                    join: Arc::clone(&self.join),
+                }
+            })
+            .collect();
+        // Counted before any of them can run and complete.
+        self.join.add_tasks(tasks.len());
+        self.pool.injector.push(tasks);
     }
 
     /// Width of the owning pool.

@@ -75,6 +75,8 @@ pub struct Episode {
 pub struct ServeClient {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
+    /// The line buffer every frame is read into, kept across reads.
+    line: String,
 }
 
 impl ServeClient {
@@ -113,7 +115,11 @@ impl ServeClient {
         // Command frames are small and latency-bound: never Nagle them.
         writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
-        Ok(ServeClient { writer, reader })
+        Ok(ServeClient {
+            writer,
+            reader,
+            line: String::new(),
+        })
     }
 
     /// Sends one command, written by [`Command`]'s writer.
@@ -131,11 +137,11 @@ impl ServeClient {
     /// skipped.
     pub fn next_msg(&mut self) -> Result<Option<ServerMsg>, ClientError> {
         loop {
-            let mut line = String::new();
-            if self.reader.read_line(&mut line)? == 0 {
+            self.line.clear();
+            if self.reader.read_line(&mut self.line)? == 0 {
                 return Ok(None);
             }
-            match parse_server_msg(line.trim_end_matches(['\r', '\n'])) {
+            match parse_server_msg(self.line.trim_end_matches(['\r', '\n'])) {
                 Ok(None) => continue,
                 Ok(Some(msg)) => return Ok(Some(msg)),
                 Err(e) => return Err(ClientError::Proto(e)),

@@ -58,6 +58,7 @@ use dpdp_sim::{
     BufferingMode, DecisionRecord, DisruptionRecord, EpochInfo, ShardConfig, SimObserver,
     Simulator, StreamCommand,
 };
+use std::borrow::Cow;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::sync_channel;
@@ -83,9 +84,10 @@ pub(crate) struct SessionContext {
 pub(crate) const MAX_LINE_BYTES: usize = 16 * 1024;
 
 /// One read attempt's outcome, from the bounded line reader.
-enum Frame {
-    /// A complete line (newline stripped, lossy UTF-8).
-    Line(String),
+enum Frame<'a> {
+    /// A complete line (newline stripped, lossy UTF-8), borrowed from the
+    /// reader's line buffer until the next read.
+    Line(Cow<'a, str>),
     /// The line exceeded [`MAX_LINE_BYTES`]; it was consumed and dropped.
     TooLong,
     /// Clean end-of-stream.
@@ -101,39 +103,51 @@ enum Frame {
 /// discarded, never accumulated.
 struct LineReader<R> {
     inner: BufReader<R>,
+    /// The line being read, kept across frames: a frame that fits costs
+    /// no allocation, and valid UTF-8 is handed out without a copy.
+    buf: Vec<u8>,
 }
 
 impl<R: Read> LineReader<R> {
     fn new(reader: R) -> LineReader<R> {
         LineReader {
             inner: BufReader::new(reader),
+            buf: Vec::new(),
         }
     }
 
-    fn next_frame(&mut self) -> Frame {
-        let mut buf: Vec<u8> = Vec::new();
+    fn next_frame(&mut self) -> Frame<'_> {
+        match self.read_line() {
+            Ok(()) => Frame::Line(finish_line(&self.buf)),
+            Err(frame) => frame,
+        }
+    }
+
+    /// Reads the next line into `buf`; `Err` carries every other outcome.
+    fn read_line(&mut self) -> Result<(), Frame<'static>> {
+        self.buf.clear();
         let mut overflow = false;
         loop {
             let (consumed, newline_at) = match self.inner.fill_buf() {
                 Ok([]) => {
                     // EOF: a final unterminated line still counts.
                     return if overflow {
-                        Frame::TooLong
-                    } else if buf.is_empty() {
-                        Frame::Eof
+                        Err(Frame::TooLong)
+                    } else if self.buf.is_empty() {
+                        Err(Frame::Eof)
                     } else {
-                        Frame::Line(finish_line(buf))
+                        Ok(())
                     };
                 }
                 Ok(chunk) => {
                     let newline_at = chunk.iter().position(|&b| b == b'\n');
                     let take = newline_at.map_or(chunk.len(), |p| p);
                     if !overflow {
-                        if buf.len() + take > MAX_LINE_BYTES {
+                        if self.buf.len() + take > MAX_LINE_BYTES {
                             overflow = true;
-                            buf.clear();
+                            self.buf.clear();
                         } else {
-                            buf.extend_from_slice(&chunk[..take]);
+                            self.buf.extend_from_slice(&chunk[..take]);
                         }
                     }
                     (newline_at.map_or(chunk.len(), |p| p + 1), newline_at)
@@ -145,27 +159,24 @@ impl<R: Read> LineReader<R> {
                         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                     ) =>
                 {
-                    return Frame::TimedOut;
+                    return Err(Frame::TimedOut);
                 }
-                Err(_) => return Frame::Lost,
+                Err(_) => return Err(Frame::Lost),
             };
             self.inner.consume(consumed);
             if newline_at.is_some() {
                 return if overflow {
-                    Frame::TooLong
+                    Err(Frame::TooLong)
                 } else {
-                    Frame::Line(finish_line(buf))
+                    Ok(())
                 };
             }
         }
     }
 }
 
-fn finish_line(mut buf: Vec<u8>) -> String {
-    if buf.last() == Some(&b'\r') {
-        buf.pop();
-    }
-    String::from_utf8_lossy(&buf).into_owned()
+fn finish_line(buf: &[u8]) -> Cow<'_, str> {
+    String::from_utf8_lossy(buf.strip_suffix(b"\r").unwrap_or(buf))
 }
 
 /// Writes one frame, by [`ServerMsg`]'s one writer, with a single

@@ -75,6 +75,19 @@
 //! through [`DecisionBatch::with_context`], or as the candidate row of
 //! scores [`DecisionBatch::fold_candidates`] folds over.
 //!
+//! **An epoch fans out only when its cells pay for the wake-up.** Waking
+//! a pool worker and joining it back cost tens of microseconds on a busy
+//! 2-core host, more than a 10 000-cell metro epoch saves by splitting
+//! its work. So `DecisionBatch::new` counts the
+//! epoch's cells — its orders times its active vehicles, known before
+//! classification — and below [`FAN_OUT_MIN_CELLS`] runs classification,
+//! the cache refresh and the scoring inline on the caller, as at width 1;
+//! a commit delta's column replan follows the same rule on its own cell
+//! count. A one-order serving epoch on a fleet of fewer than
+//! [`FAN_OUT_MIN_CELLS`] vehicles never touches the pool, at any width.
+//! Results cannot move: every fan-out fills slot `i` with `f(i)` at any
+//! width (see [`dpdp_pool::ThreadPool::par_map`]).
+//!
 //! Sequential commit through [`DecisionBatch::resolve`] reproduces the
 //! legacy one-order-at-a-time semantics exactly (same snapshot evolution,
 //! same plan values), which is what makes the batch/serial parity tests in
@@ -99,7 +112,11 @@ use store::{Column, DeltaRow, PlanStore};
 mod caches;
 mod cells;
 mod commit;
+mod gate;
 mod store;
+
+use gate::fan_out;
+pub use gate::FAN_OUT_MIN_CELLS;
 
 /// Why a [`Decision`] turned out the way it did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -430,6 +447,7 @@ pub struct DecisionBatch<'a> {
     fleet: &'a FleetConfig,
     orders: &'a [Order],
     epoch_orders: Vec<OrderId>,
+    /// The scoring pool, for the commit deltas that reach the fan-out gate.
     pool: Arc<ThreadPool>,
     shards: ShardContext,
     /// Per-vehicle availability mask (`None` = every vehicle available).
@@ -448,10 +466,11 @@ impl<'a> DecisionBatch<'a> {
     /// fleet — its views and states — by move (there is no second copy of
     /// the fleet, and no view is cloned: [`DecisionBatch::into_parts`]
     /// returns them). The initial
-    /// `B x K` Algorithm 2 sweep is scored across `pool`'s threads, each
-    /// `(order, column)` score landing in its pre-indexed matrix slot —
-    /// bit-identical to the serial sweep for any thread count. No route is
-    /// built here.
+    /// `B x K` Algorithm 2 sweep is scored across `pool`'s threads when the
+    /// epoch has at least [`FAN_OUT_MIN_CELLS`] cells, inline otherwise
+    /// (decided once, here), each `(order, column)` score landing in its
+    /// pre-indexed matrix slot — bit-identical to the serial sweep for any
+    /// thread count. No route is built here.
     ///
     /// The fleet's idle twins are grouped first (see the module docs): a
     /// group is one column of the matrix, so classification, scoring and
@@ -492,6 +511,9 @@ impl<'a> DecisionBatch<'a> {
         let epoch = &epoch_orders;
         let active_ref = active.as_deref();
         scratch.group_twins(&views, active_ref, net.nodes().len());
+        // Whether the epoch's stages fan out, decided once from its cells.
+        let active_k = active_ref.map_or(views.len(), |a| a.iter().filter(|&&on| on).count());
+        let stage_pool = fan_out(&pool, epoch.len() * active_k);
         // Classify every cell, score the surviving cells shard-grouped
         // across the pool, and store them as candidate-sparse rows over the
         // per-column pruned fallback. Every pruned cell's output is
@@ -508,12 +530,12 @@ impl<'a> DecisionBatch<'a> {
             epoch,
             active_ref,
             &scratch.column_map,
-            &pool,
+            stage_pool,
             &mut scratch.sweep,
         );
         profile::lap(&mut clock, Stage::Classify);
         let work = std::mem::take(&mut scratch.sweep.work);
-        let (scores, built) = scratch.score_cells(&planner, &views, epoch, &pool, &work);
+        let (scores, built) = scratch.score_cells(&planner, &views, epoch, stage_pool, &work);
         profile::lap(&mut clock, Stage::Score);
         stats.shared = stats.evaluated - work.len();
         stats.caches_built = built;
@@ -591,14 +613,6 @@ impl<'a> DecisionBatch<'a> {
         if let Some(clock) = &self.clock {
             clock.borrow_mut().lap(stage);
         }
-    }
-
-    /// The thread pool decisions of this epoch may score on. Width 1 means
-    /// strictly serial execution; any width yields identical results (see
-    /// [`dpdp_pool::ThreadPool::par_map`]).
-    #[inline]
-    pub fn pool(&self) -> &Arc<ThreadPool> {
-        &self.pool
     }
 
     /// Folds `f` over the `i`-th order's **candidate row** of the current

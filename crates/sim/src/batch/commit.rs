@@ -5,7 +5,7 @@
 //! of the epoch — the plan delta of the module docs of [`super`], pruned by
 //! the same exact bound as the initial sweep.
 
-use super::{BatchInner, CommitAssignment, Decision, DecisionBatch, DecisionReason};
+use super::{fan_out, BatchInner, CommitAssignment, Decision, DecisionBatch, DecisionReason};
 use dpdp_net::{OrderId, VehicleId};
 use dpdp_routing::{PlanScore, RoutePlanner};
 
@@ -148,17 +148,17 @@ pub(super) fn commit(
             }
         }
     };
-    // Columns are usually short next to the pool's wake/join latency;
-    // replan them inline below this size (the values are identical
-    // either way — `par_map` already matches the serial order).
-    const PAR_COLUMN_MIN: usize = 256;
+    // A column is one cell per undecided row: it fans out by the epoch's
+    // rule (the values are identical either way — `par_map` already
+    // matches the serial order).
     let rows = undecided.rows();
-    if rows.len() < PAR_COLUMN_MIN {
+    let pool = fan_out(&batch.pool, rows.len());
+    if !pool.is_parallel() {
         for &j in rows {
             record(j as usize, replan(j as usize));
         }
     } else {
-        let fresh = batch.pool.par_map(rows.len(), |u| replan(rows[u] as usize));
+        let fresh = pool.par_map(rows.len(), |u| replan(rows[u] as usize));
         for (&j, cell) in rows.iter().zip(fresh) {
             record(j as usize, cell);
         }

@@ -183,7 +183,7 @@ pub mod state;
 pub mod sweep;
 
 pub use audit::InvariantAuditor;
-pub use batch::{Decision, DecisionBatch, DecisionReason};
+pub use batch::{Decision, DecisionBatch, DecisionReason, FAN_OUT_MIN_CELLS};
 pub use dispatcher::{DispatchContext, Dispatcher, FirstFeasible, PerOrder};
 pub use dpdp_net::{ShardMap, ShardPolicy};
 pub use event::{

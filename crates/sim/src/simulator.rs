@@ -161,6 +161,13 @@ impl<'a> SimulatorBuilder<'a> {
     /// count** (the parity suite in `tests/batch_parity.rs` asserts this
     /// for all built-in policies).
     ///
+    /// Only epochs of at least [`FAN_OUT_MIN_CELLS`] cells (orders ×
+    /// active vehicles) use the workers. A smaller epoch — every epoch of
+    /// one-order immediate dispatch on a fleet under 100 000 vehicles —
+    /// runs inline on the caller at any width, because waking a worker and
+    /// joining it back costs more than such an epoch's whole fan-out saves.
+    ///
+    /// [`FAN_OUT_MIN_CELLS`]: crate::FAN_OUT_MIN_CELLS
     /// [`DecisionBatch`]: crate::batch::DecisionBatch
     pub fn num_threads(mut self, num_threads: usize) -> Self {
         self.num_threads = num_threads;
@@ -173,7 +180,8 @@ impl<'a> SimulatorBuilder<'a> {
     /// (e.g. one per evaluation episode) should reuse the same workers
     /// rather than pay thread spawn/teardown per episode. Overrides any
     /// previous [`SimulatorBuilder::num_threads`]; the pool's own width
-    /// applies.
+    /// applies, to the epochs that reach the fan-out gate (see
+    /// [`SimulatorBuilder::num_threads`]).
     pub fn thread_pool(mut self, pool: Arc<ThreadPool>) -> Self {
         self.num_threads = pool.threads();
         self.pool = Some(pool);

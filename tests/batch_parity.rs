@@ -36,6 +36,7 @@ use dpdp_routing::best_insertion_naive;
 use dpdp_sim::{
     BufferingMode, Decision, DecisionBatch, DispatchContext, DisruptionConfig, EpisodeResult,
     EpochInfo, InvariantAuditor, PerOrder, RepartitionPolicy, ShardConfig, SimObserver,
+    FAN_OUT_MIN_CELLS,
 };
 use golden::parallel_threads;
 
@@ -685,6 +686,40 @@ fn every_policy_is_bit_identical_across_thread_counts() {
         let a = run_threads(&rl_instance, mode, &mut ac_serial, 1);
         let b = run_threads(&rl_instance, mode, &mut ac_parallel, threads);
         assert_eq!(a, b, "AC diverged at {threads} threads under {mode:?}");
+    }
+}
+
+/// Epochs at or above `FAN_OUT_MIN_CELLS` fan out on the pool, every
+/// smaller one runs inline: the golden case whose widest epochs reach the
+/// gate gives the committed episode through the native batch path and the
+/// per-order adapter, at 1 thread and at the parallel width.
+#[test]
+fn wide_epochs_match_through_both_paths_at_both_widths() {
+    let case = golden::cases("metro_wide").pop().expect("the wide case");
+    for width in [1, parallel_threads()] {
+        let sim = case
+            .builder()
+            .num_threads(width)
+            .build()
+            .expect("valid configuration");
+        let mut widest = golden::WidestEpoch {
+            vehicles: case.instance.fleet.vehicles.len(),
+            cells: 0,
+        };
+        let native = sim.run_observed(
+            &mut Baseline1,
+            &mut [&mut widest, &mut InvariantAuditor::default()],
+        );
+        assert!(
+            widest.cells >= FAN_OUT_MIN_CELLS,
+            "no epoch reached the gate"
+        );
+        case.assert_digest(&native, &format!("native batch / {width} thread(s)"));
+        let serial = sim.run_observed(
+            &mut PerOrder(Baseline1),
+            &mut [&mut InvariantAuditor::default()],
+        );
+        case.assert_digest(&serial, &format!("per-order / {width} thread(s)"));
     }
 }
 

@@ -3,7 +3,9 @@
 //! 1. **Committed episodes** — the event engine fed by a `ReplaySource`
 //!    alone, for Baselines 1–3, actor-critic and DGN training under both
 //!    buffering strategies: every shard × thread cell, audited, matches
-//!    its case's committed decision digest (`tests/golden`).
+//!    its case's committed decision digest (`tests/golden`). One case's
+//!    epochs are wide enough to fan out on the pool at the parallel width
+//!    (`dpdp_sim::FAN_OUT_MIN_CELLS`); every other epoch runs inline.
 //! 2. **Seeded-disruption determinism** — with a `DisruptionConfig`
 //!    armed, the same seed reproduces the identical, committed episode
 //!    *and* the identical disruption trace; a different seed moves the
@@ -19,8 +21,8 @@ use dpdp_net::{
     FleetConfig, IntervalGrid, Node, NodeId, Order, OrderId, Point, RoadNetwork, TimeDelta,
     TimePoint,
 };
-use dpdp_sim::{DisruptionRecord, EpisodeResult, EpochInfo, InvariantAuditor};
-use golden::{parallel_threads, Case};
+use dpdp_sim::{DisruptionRecord, EpisodeResult, EpochInfo, InvariantAuditor, FAN_OUT_MIN_CELLS};
+use golden::{parallel_threads, Case, WidestEpoch};
 
 /// `case` against its digest at the given shard counts × widths {1, N}.
 fn assert_cells(case: &Case, shard_counts: &[usize]) {
@@ -53,6 +55,30 @@ fn replay_parity_holds_for_dqn_training_episodes() {
     // The whole training episode, exploration RNG included.
     for case in golden::cases("metro_dgn_training") {
         assert_cells(&case, &[1, 4]);
+    }
+}
+
+#[test]
+fn wide_epochs_fan_out_and_are_the_committed_ones() {
+    // The one case whose epochs reach the gate: at the parallel width its
+    // widest epochs run on the pool, and every cell still matches.
+    let case = golden::cases("metro_wide").pop().expect("the wide case");
+    for shards in [1, 4] {
+        for threads in [1, parallel_threads()] {
+            let mut widest = WidestEpoch {
+                vehicles: case.instance.fleet.vehicles.len(),
+                cells: 0,
+            };
+            let sharding = ShardConfig::flat(shards).expect("positive shard count");
+            let result = case.run(sharding, threads, &mut [&mut widest]);
+            case.assert_digest(&result, &format!("{shards} shard(s) / {threads} thread(s)"));
+            assert!(
+                widest.cells >= FAN_OUT_MIN_CELLS,
+                "the widest epoch has {} cells, below the gate: the parallel \
+                 legs would never touch the pool",
+                widest.cells
+            );
+        }
     }
 }
 

@@ -15,7 +15,7 @@
 use dpdp_core::prelude::*;
 use dpdp_net::TimeDelta;
 use dpdp_rl::ActorCriticConfig;
-use dpdp_sim::InvariantAuditor;
+use dpdp_sim::{EpochInfo, InvariantAuditor};
 
 /// Parallel width for the thread-parity legs: `DPDP_TEST_THREADS`, or 4.
 pub fn parallel_threads() -> usize {
@@ -137,7 +137,33 @@ fn all_cases() -> Vec<Case> {
         disruptions: Some((disruptions, 11)),
         policy: || Box::new(Baseline1),
     });
+    // A wide fleet buffered for two hours: its largest epochs reach
+    // `FAN_OUT_MIN_CELLS`, so this is the case whose epochs fan out on the
+    // pool at the parallel width — every other case's stay below the gate
+    // and run inline.
+    cases.push(Case {
+        name: "metro_wide_baseline1_120min".into(),
+        instance: metro.metro_instance(300, 2048, 5),
+        buffering: BufferingMode::FixedInterval(TimeDelta::from_minutes(120.0)),
+        disruptions: None,
+        policy: || Box::new(Baseline1),
+    });
     cases
+}
+
+/// The largest epoch an episode formed, in cells: orders times the fleet's
+/// vehicles (every vehicle is active on an undisrupted day), the count
+/// `FAN_OUT_MIN_CELLS` gates.
+#[derive(Default)]
+pub struct WidestEpoch {
+    pub vehicles: usize,
+    pub cells: usize,
+}
+
+impl SimObserver for WidestEpoch {
+    fn on_epoch(&mut self, epoch: &EpochInfo) {
+        self.cells = self.cells.max(epoch.num_orders * self.vehicles);
+    }
 }
 
 /// The committed cases whose names start with `prefix`.
