@@ -119,7 +119,7 @@ impl Injector {
     /// nobody waits, so a fan-out pays one lock and at most `threads - 1`
     /// wakes, not one of each per task; a worker that is busy finds the
     /// queue when it next looks.
-    fn push(&self, tasks: Vec<Task>) {
+    fn push(&self, tasks: impl ExactSizeIterator<Item = Task>) {
         let mut state = self.queue.lock().expect("injector lock poisoned");
         let wake = tasks.len().min(state.idle);
         state.tasks.extend(tasks);
@@ -369,24 +369,22 @@ impl<'pool, 'env> Scope<'pool, 'env> {
     /// Queues every task of `tasks` at once: one count on the scope, one
     /// lock on the injector and at most one wake per idle worker (see
     /// [`ThreadPool::par_map`]).
-    fn spawn_all<F: FnOnce() + Send + 'env>(&self, tasks: impl Iterator<Item = F>) {
-        let tasks: Vec<Task> = tasks
-            .map(|task| {
-                let body: Box<dyn FnOnce() + Send + 'env> = Box::new(task);
-                // SAFETY: the task may borrow data of lifetime 'env. `scope`
-                // joins (blocks until `Join::pending == 0`) before it
-                // returns, and 'env outlives the `scope` call by
-                // construction of the invariant lifetime, so every borrow is
-                // live whenever the body can run.
-                let body: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(body) };
-                Task {
-                    body,
-                    join: Arc::clone(&self.join),
-                }
-            })
-            .collect();
+    fn spawn_all<F: FnOnce() + Send + 'env>(&self, tasks: impl ExactSizeIterator<Item = F>) {
         // Counted before any of them can run and complete.
         self.join.add_tasks(tasks.len());
+        let tasks = tasks.map(|task| {
+            let body: Box<dyn FnOnce() + Send + 'env> = Box::new(task);
+            // SAFETY: the task may borrow data of lifetime 'env. `scope`
+            // joins (blocks until `Join::pending == 0`) before it
+            // returns, and 'env outlives the `scope` call by
+            // construction of the invariant lifetime, so every borrow is
+            // live whenever the body can run.
+            let body: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(body) };
+            Task {
+                body,
+                join: Arc::clone(&self.join),
+            }
+        });
         self.pool.injector.push(tasks);
     }
 
