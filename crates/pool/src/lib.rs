@@ -27,11 +27,11 @@
 //! A fan-out is not free: a `par_map` queues its chunks under one lock and
 //! wakes at most one idle worker per chunk (never more than `threads - 1`),
 //! and a woken worker can take tens of microseconds to start on a busy
-//! host. So the simulator does not hand every epoch to the
-//! pool: an epoch below `dpdp_sim::FAN_OUT_MIN_CELLS` cells (orders ×
-//! active vehicles), a one-order serving epoch among them, runs its stages
-//! on a serial pool, inline on the caller, at any width. Only wide epochs
-//! pay for the wake-up, and only they gain from it.
+//! host. So the simulator does not hand every epoch to the pool: an epoch
+//! below `dpdp_sim::FAN_OUT_MIN_CELLS` cells (orders × active vehicles), a
+//! one-order serving epoch among them, runs its stages on a serial pool,
+//! inline on the caller, at any width. Only wide epochs pay for the
+//! wake-up, and only they gain from it.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]

@@ -36,7 +36,10 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Width of the shared scoring pool (1 = serial scoring; decisions are
-    /// identical either way, only wall time moves).
+    /// identical either way, only wall time moves). Only epochs of at
+    /// least `dpdp_sim::FAN_OUT_MIN_CELLS` cells use it: an epoch of a few
+    /// orders on a preset's fleet runs inline on its session's engine
+    /// thread at any width.
     pub threads: usize,
     /// Bound of each session's command queue. Small values apply
     /// backpressure sooner; the bound never affects decisions.

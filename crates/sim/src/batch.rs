@@ -78,15 +78,15 @@
 //! **An epoch fans out only when its cells pay for the wake-up.** Waking
 //! a pool worker and joining it back cost tens of microseconds on a busy
 //! 2-core host, more than a 10 000-cell metro epoch saves by splitting
-//! its work. So `DecisionBatch::new` counts the
-//! epoch's cells — its orders times its active vehicles, known before
-//! classification — and below [`FAN_OUT_MIN_CELLS`] runs classification,
-//! the cache refresh and the scoring inline on the caller, as at width 1;
-//! a commit delta's column replan follows the same rule on its own cell
-//! count. A one-order serving epoch on a fleet of fewer than
-//! [`FAN_OUT_MIN_CELLS`] vehicles never touches the pool, at any width.
-//! Results cannot move: every fan-out fills slot `i` with `f(i)` at any
-//! width (see [`dpdp_pool::ThreadPool::par_map`]).
+//! its work. So `DecisionBatch::new` counts the epoch's cells — its
+//! orders times its active vehicles, known before classification — and
+//! below [`FAN_OUT_MIN_CELLS`] runs classification, the cache refresh and
+//! the scoring inline on the caller, as at width 1; a commit delta's
+//! column replan follows the same rule on its own cell count. A one-order
+//! serving epoch on a fleet of fewer than [`FAN_OUT_MIN_CELLS`] vehicles
+//! never touches the pool, at any width. Results cannot move: every
+//! fan-out fills slot `i` with `f(i)` at any width (see
+//! [`dpdp_pool::ThreadPool::par_map`]).
 //!
 //! Sequential commit through [`DecisionBatch::resolve`] reproduces the
 //! legacy one-order-at-a-time semantics exactly (same snapshot evolution,
