@@ -110,6 +110,8 @@ struct InjectorState {
     tasks: VecDeque<Task>,
     /// Workers blocked in [`Injector::pop_blocking`]: what a push may wake.
     idle: usize,
+    /// Pushes so far (see [`ThreadPool::fan_outs`]).
+    pushes: usize,
     shutdown: bool,
 }
 
@@ -122,6 +124,7 @@ impl Injector {
     fn push(&self, tasks: impl ExactSizeIterator<Item = Task>) {
         let mut state = self.queue.lock().expect("injector lock poisoned");
         let wake = tasks.len().min(state.idle);
+        state.pushes += 1;
         state.tasks.extend(tasks);
         drop(state);
         // Each worker counted idle is already waiting (the condvar released
@@ -189,6 +192,7 @@ impl ThreadPool {
             queue: Mutex::new(InjectorState {
                 tasks: VecDeque::new(),
                 idle: 0,
+                pushes: 0,
                 shutdown: false,
             }),
             work: Condvar::new(),
@@ -228,6 +232,19 @@ impl ThreadPool {
     #[inline]
     pub fn is_parallel(&self) -> bool {
         self.threads > 1
+    }
+
+    /// How many times work was queued on this pool: once per
+    /// [`Scope::spawn`], and once per [`ThreadPool::par_map`] that splits
+    /// its work (more than one item on a pool wider than one). A caller
+    /// that gates its fan-outs reads it to tell which work reached the
+    /// workers; it never influences results.
+    pub fn fan_outs(&self) -> usize {
+        self.injector
+            .queue
+            .lock()
+            .expect("injector lock poisoned")
+            .pushes
     }
 
     /// Runs `f` with a [`Scope`] on which borrowing tasks can be spawned,
@@ -502,6 +519,21 @@ mod tests {
         let out = pool.par_map(8, |i| pool.par_map(8, |j| i * j).iter().sum::<usize>());
         let expect: Vec<usize> = (0..8).map(|i| (0..8).map(|j| i * j).sum()).collect();
         assert_eq!(out, expect);
+    }
+
+    #[test]
+    fn fan_outs_count_the_maps_that_split() {
+        let pool = ThreadPool::new(2);
+        assert_eq!(pool.fan_outs(), 0);
+        pool.par_map(1, |i| i);
+        assert_eq!(pool.fan_outs(), 0, "one item runs inline");
+        pool.par_map(64, |i| i);
+        assert_eq!(pool.fan_outs(), 1, "one push for all of a map's chunks");
+        pool.scope(|s| s.spawn(|| {}));
+        assert_eq!(pool.fan_outs(), 2);
+        let serial = ThreadPool::serial();
+        serial.par_map(64, |i| i);
+        assert_eq!(serial.fan_outs(), 0, "a serial map runs inline");
     }
 
     #[test]

@@ -81,12 +81,12 @@
 //! its work. So `DecisionBatch::new` counts the epoch's cells — its
 //! orders times its active vehicles, known before classification — and
 //! below [`FAN_OUT_MIN_CELLS`] runs classification, the cache refresh and
-//! the scoring inline on the caller, as at width 1; a commit delta's
-//! column replan follows the same rule on its own cell count. A one-order
-//! serving epoch on a fleet of fewer than [`FAN_OUT_MIN_CELLS`] vehicles
-//! never touches the pool, at any width. Results cannot move: every
-//! fan-out fills slot `i` with `f(i)` at any width (see
-//! [`dpdp_pool::ThreadPool::par_map`]).
+//! the scoring inline on the caller, as at width 1. A commit delta's
+//! column replan always runs inline: it has one cell per undecided order,
+//! under a thousand on the largest shipped day. A one-order serving epoch
+//! on a fleet of fewer than [`FAN_OUT_MIN_CELLS`] vehicles never touches
+//! the pool, at any width. Results cannot move: every fan-out fills slot
+//! `i` with `f(i)` at any width (see [`dpdp_pool::ThreadPool::par_map`]).
 //!
 //! Sequential commit through [`DecisionBatch::resolve`] reproduces the
 //! legacy one-order-at-a-time semantics exactly (same snapshot evolution,
@@ -105,7 +105,6 @@ use dpdp_net::{FleetConfig, Order, OrderId, RoadNetwork, TimePoint, VehicleId};
 use dpdp_pool::ThreadPool;
 use dpdp_routing::{PlanScore, PlannerOutput, RoutePlanner, ScheduleCache, VehicleView};
 use std::cell::RefCell;
-use std::sync::Arc;
 pub(crate) use store::ColumnMap;
 use store::{Column, DeltaRow, PlanStore};
 
@@ -447,8 +446,6 @@ pub struct DecisionBatch<'a> {
     fleet: &'a FleetConfig,
     orders: &'a [Order],
     epoch_orders: Vec<OrderId>,
-    /// The scoring pool, for the commit deltas that reach the fan-out gate.
-    pool: Arc<ThreadPool>,
     shards: ShardContext,
     /// Per-vehicle availability mask (`None` = every vehicle available).
     /// Masked vehicles — e.g. broken down mid-episode — keep their dense
@@ -501,7 +498,7 @@ impl<'a> DecisionBatch<'a> {
         epoch_orders: Vec<OrderId>,
         views: Vec<VehicleView>,
         states: Vec<VehicleState>,
-        pool: Arc<ThreadPool>,
+        pool: &ThreadPool,
         shards: ShardContext,
         active: Option<Vec<bool>>,
         mut clock: Option<StageClock>,
@@ -513,7 +510,7 @@ impl<'a> DecisionBatch<'a> {
         scratch.group_twins(&views, active_ref, net.nodes().len());
         // Whether the epoch's stages fan out, decided once from its cells.
         let active_k = active_ref.map_or(views.len(), |a| a.iter().filter(|&&on| on).count());
-        let stage_pool = fan_out(&pool, epoch.len() * active_k);
+        let stage_pool = fan_out(pool, epoch.len() * active_k);
         // Classify every cell, score the surviving cells shard-grouped
         // across the pool, and store them as candidate-sparse rows over the
         // per-column pruned fallback. Every pruned cell's output is
@@ -585,7 +582,6 @@ impl<'a> DecisionBatch<'a> {
             fleet,
             orders,
             epoch_orders,
-            pool,
             shards,
             active,
             inner: RefCell::new(BatchInner {

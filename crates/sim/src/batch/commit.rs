@@ -5,7 +5,7 @@
 //! of the epoch — the plan delta of the module docs of [`super`], pruned by
 //! the same exact bound as the initial sweep.
 
-use super::{fan_out, BatchInner, CommitAssignment, Decision, DecisionBatch, DecisionReason};
+use super::{BatchInner, CommitAssignment, Decision, DecisionBatch, DecisionReason};
 use dpdp_net::{OrderId, VehicleId};
 use dpdp_routing::{PlanScore, RoutePlanner};
 
@@ -66,7 +66,7 @@ pub(super) fn commit(
     // cells of the group it leaves stay right for the members left.
     plans.map.split(k.index());
     // The plan delta: only the accepting vehicle's column changes, and
-    // only for the still-undecided orders — replanned in parallel, each
+    // only for the still-undecided orders — replanned inline, each
     // result landing back in its own row, all sharing one schedule
     // cache rebuilt for the vehicle's new route. The column gets the
     // same exact prune as the initial sweep (foreign
@@ -117,50 +117,27 @@ pub(super) fn commit(
     }
     let delta_rows = &*delta_rows;
     let (orders, epoch) = (batch.orders, &batch.epoch_orders);
-    // `(score, foreign)` of delta cell `(j, k)`; `None` = pruned. The
-    // stored probe runs the float expression `provably_infeasible`
-    // would (see `PruneProbe::prunes`).
-    let replan = |j: usize| {
+    // Each undecided row's cell `(j, k)`: pruned, or scored on the
+    // shared cache. The stored probe runs the float expression
+    // `provably_infeasible` would (see `PruneProbe::prunes`).
+    for &j in undecided.rows() {
+        let j = j as usize;
         let order = &orders[epoch[j].index()];
         let foreign = delta_rows[j].shard != vehicle_shard;
         let pruned = foreign && {
             let to_pickup = planner.leg_time(view.anchor_node, order.pickup);
             delta_rows[j].probe.prunes(view.anchor_time, to_pickup)
         };
-        if pruned {
-            return (None, foreign);
-        }
-        (Some(planner.score_cached(cache, view, order)), foreign)
-    };
-    let mut record = |j: usize, (score, foreign): (Option<PlanScore>, bool)| {
         stats.cells += 1;
-        match score {
-            Some(score) => {
-                stats.evaluated += 1;
-                stats.escalated += usize::from(foreign);
-                plans.store(j, k.index(), score);
+        if pruned {
+            stats.pruned += 1;
+            if delta_rows[j].holds == stamp {
+                plans.prune_stored(j, k.index());
             }
-            None => {
-                stats.pruned += 1;
-                if delta_rows[j].holds == stamp {
-                    plans.prune_stored(j, k.index());
-                }
-            }
-        }
-    };
-    // A column is one cell per undecided row: it fans out by the epoch's
-    // rule (the values are identical either way — `par_map` already
-    // matches the serial order).
-    let rows = undecided.rows();
-    let pool = fan_out(&batch.pool, rows.len());
-    if !pool.is_parallel() {
-        for &j in rows {
-            record(j as usize, replan(j as usize));
-        }
-    } else {
-        let fresh = pool.par_map(rows.len(), |u| replan(rows[u] as usize));
-        for (&j, cell) in rows.iter().zip(fresh) {
-            record(j as usize, cell);
+        } else {
+            stats.evaluated += 1;
+            stats.escalated += usize::from(foreign);
+            plans.store(j, k.index(), planner.score_cached(cache, view, order));
         }
     }
     (

@@ -4,6 +4,7 @@ use dpdp_net::{
     FleetConfig, Instance, IntervalGrid, Node, NodeId, Point, ShardMap, ShardPolicy, TimeDelta,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 mod blocks;
 
@@ -107,7 +108,7 @@ fn batch_of<'a>(
         inst.orders().iter().map(|o| o.id).collect(),
         views,
         states,
-        Arc::new(ThreadPool::serial()),
+        &ThreadPool::serial(),
         shards,
         active,
         None,

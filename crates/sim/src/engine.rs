@@ -44,7 +44,6 @@ use crate::state::{fresh_fleet, VehicleState};
 use dpdp_net::{Order, OrderId, TimePoint, VehicleId};
 use dpdp_routing::{StopAction, VehicleView};
 use std::sync::mpsc::Receiver;
-use std::sync::Arc;
 
 /// One buffered order waiting for its decision epoch.
 #[derive(Debug, Clone, Copy)]
@@ -456,7 +455,7 @@ impl<'a> Simulator<'a> {
             epoch_ids,
             std::mem::take(views),
             std::mem::take(states),
-            Arc::clone(&self.pool),
+            &self.pool,
             shard_rt.context(),
             active,
             clock,

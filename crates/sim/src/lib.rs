@@ -80,10 +80,11 @@
 //! # Parallel epoch scoring
 //!
 //! [`SimulatorBuilder::num_threads`] hands every [`DecisionBatch`] a
-//! [`dpdp_pool::ThreadPool`]: the initial `B x K` Algorithm 2 sweep and
-//! the longer per-commit plan deltas fan out across it, with every result
-//! written to a pre-indexed slot — results are bit-identical for every
-//! thread count.
+//! [`dpdp_pool::ThreadPool`]: the initial `B x K` Algorithm 2 sweep of an
+//! epoch of at least [`FAN_OUT_MIN_CELLS`] cells fans out across it, with
+//! every result written to a pre-indexed slot — results are bit-identical
+//! for every thread count. Smaller epochs and the per-commit plan deltas
+//! run inline on the caller.
 //!
 //! # Candidate rows
 //!

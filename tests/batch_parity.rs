@@ -31,6 +31,7 @@ mod golden;
 
 use dpdp_core::prelude::*;
 use dpdp_net::{TimeDelta, VehicleId};
+use dpdp_pool::ThreadPool;
 use dpdp_rl::ActorCriticConfig;
 use dpdp_routing::best_insertion_naive;
 use dpdp_sim::{
@@ -39,6 +40,7 @@ use dpdp_sim::{
     FAN_OUT_MIN_CELLS,
 };
 use golden::parallel_threads;
+use std::sync::Arc;
 
 fn presets() -> Presets {
     let mut cfg = DatasetConfig::default();
@@ -692,34 +694,33 @@ fn every_policy_is_bit_identical_across_thread_counts() {
 /// Epochs at or above `FAN_OUT_MIN_CELLS` fan out on the pool, every
 /// smaller one runs inline: the golden case whose widest epochs reach the
 /// gate gives the committed episode through the native batch path and the
-/// per-order adapter, at 1 thread and at the parallel width.
+/// per-order adapter, at 1 thread and at the parallel width, where both
+/// runs fan out on the pool.
 #[test]
 fn wide_epochs_match_through_both_paths_at_both_widths() {
     let case = golden::cases("metro_wide").pop().expect("the wide case");
     for width in [1, parallel_threads()] {
+        let pool = Arc::new(ThreadPool::new(width));
         let sim = case
             .builder()
-            .num_threads(width)
+            .thread_pool(Arc::clone(&pool))
             .build()
             .expect("valid configuration");
-        let mut widest = golden::WidestEpoch {
-            vehicles: case.instance.fleet.vehicles.len(),
-            cells: 0,
-        };
-        let native = sim.run_observed(
-            &mut Baseline1,
-            &mut [&mut widest, &mut InvariantAuditor::default()],
-        );
-        assert!(
-            widest.cells >= FAN_OUT_MIN_CELLS,
-            "no epoch reached the gate"
-        );
+        let native = sim.run_observed(&mut Baseline1, &mut [&mut InvariantAuditor::default()]);
         case.assert_digest(&native, &format!("native batch / {width} thread(s)"));
+        let native_fan_outs = pool.fan_outs();
         let serial = sim.run_observed(
             &mut PerOrder(Baseline1),
             &mut [&mut InvariantAuditor::default()],
         );
         case.assert_digest(&serial, &format!("per-order / {width} thread(s)"));
+        if pool.is_parallel() {
+            assert!(
+                native_fan_outs > 0 && pool.fan_outs() > native_fan_outs,
+                "no epoch reached the gate of {FAN_OUT_MIN_CELLS} cells on one \
+                 of the two paths"
+            );
+        }
     }
 }
 

@@ -5,7 +5,8 @@
 //!    buffering strategies: every shard × thread cell, audited, matches
 //!    its case's committed decision digest (`tests/golden`). One case's
 //!    epochs are wide enough to fan out on the pool at the parallel width
-//!    (`dpdp_sim::FAN_OUT_MIN_CELLS`); every other epoch runs inline.
+//!    (`dpdp_sim::FAN_OUT_MIN_CELLS`), and its pool is shown to have
+//!    fanned out; every other case's pool is shown never to.
 //! 2. **Seeded-disruption determinism** — with a `DisruptionConfig`
 //!    armed, the same seed reproduces the identical, committed episode
 //!    *and* the identical disruption trace; a different seed moves the
@@ -21,16 +22,32 @@ use dpdp_net::{
     FleetConfig, IntervalGrid, Node, NodeId, Order, OrderId, Point, RoadNetwork, TimeDelta,
     TimePoint,
 };
+use dpdp_pool::ThreadPool;
 use dpdp_sim::{DisruptionRecord, EpisodeResult, EpochInfo, InvariantAuditor, FAN_OUT_MIN_CELLS};
-use golden::{parallel_threads, Case, WidestEpoch};
+use golden::{parallel_threads, Case};
+use std::sync::Arc;
 
-/// `case` against its digest at the given shard counts × widths {1, N}.
-fn assert_cells(case: &Case, shard_counts: &[usize]) {
+/// `case` against its digest at the given shard counts × widths {1, N},
+/// each cell on a pool of its own. At a parallel width the pool must have
+/// fanned out exactly when `fans_out`: only an epoch of at least
+/// `FAN_OUT_MIN_CELLS` cells (orders × active vehicles) reaches it.
+fn assert_cells(case: &Case, shard_counts: &[usize], fans_out: bool) {
     for &shards in shard_counts {
         for threads in [1, parallel_threads()] {
+            let pool = Arc::new(ThreadPool::new(threads));
             let sharding = ShardConfig::flat(shards).expect("positive shard count");
-            let result = case.run(sharding, threads, &mut []);
-            case.assert_digest(&result, &format!("{shards} shard(s) / {threads} thread(s)"));
+            let result = case.run(sharding, &pool, &mut []);
+            let cell = format!("{shards} shard(s) / {threads} thread(s)");
+            case.assert_digest(&result, &cell);
+            if pool.is_parallel() {
+                assert_eq!(
+                    pool.fan_outs() > 0,
+                    fans_out,
+                    "{cell}: the pool fanned out {} time(s) against a gate of \
+                     {FAN_OUT_MIN_CELLS} cells",
+                    pool.fan_outs()
+                );
+            }
         }
     }
 }
@@ -38,7 +55,7 @@ fn assert_cells(case: &Case, shard_counts: &[usize]) {
 #[test]
 fn metro_baseline_episodes_are_the_committed_ones() {
     for case in golden::cases("metro_baseline") {
-        assert_cells(&case, &[1, 4]);
+        assert_cells(&case, &[1, 4], false);
     }
 }
 
@@ -46,7 +63,7 @@ fn metro_baseline_episodes_are_the_committed_ones() {
 fn replay_parity_covers_the_campus_preset_and_actor_critic() {
     // batch_parity's quick campus, and actor-critic agents.
     for case in golden::cases("campus_") {
-        assert_cells(&case, &[1]);
+        assert_cells(&case, &[1], false);
     }
 }
 
@@ -54,7 +71,7 @@ fn replay_parity_covers_the_campus_preset_and_actor_critic() {
 fn replay_parity_holds_for_dqn_training_episodes() {
     // The whole training episode, exploration RNG included.
     for case in golden::cases("metro_dgn_training") {
-        assert_cells(&case, &[1, 4]);
+        assert_cells(&case, &[1, 4], false);
     }
 }
 
@@ -63,23 +80,7 @@ fn wide_epochs_fan_out_and_are_the_committed_ones() {
     // The one case whose epochs reach the gate: at the parallel width its
     // widest epochs run on the pool, and every cell still matches.
     let case = golden::cases("metro_wide").pop().expect("the wide case");
-    for shards in [1, 4] {
-        for threads in [1, parallel_threads()] {
-            let mut widest = WidestEpoch {
-                vehicles: case.instance.fleet.vehicles.len(),
-                cells: 0,
-            };
-            let sharding = ShardConfig::flat(shards).expect("positive shard count");
-            let result = case.run(sharding, threads, &mut [&mut widest]);
-            case.assert_digest(&result, &format!("{shards} shard(s) / {threads} thread(s)"));
-            assert!(
-                widest.cells >= FAN_OUT_MIN_CELLS,
-                "the widest epoch has {} cells, below the gate: the parallel \
-                 legs would never touch the pool",
-                widest.cells
-            );
-        }
-    }
+    assert_cells(&case, &[1, 4], true);
 }
 
 /// Rewrites `tests/golden/episodes.digest` (see `tests/golden/mod.rs`).

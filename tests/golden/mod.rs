@@ -14,8 +14,10 @@
 
 use dpdp_core::prelude::*;
 use dpdp_net::TimeDelta;
+use dpdp_pool::ThreadPool;
 use dpdp_rl::ActorCriticConfig;
-use dpdp_sim::{EpochInfo, InvariantAuditor};
+use dpdp_sim::InvariantAuditor;
+use std::sync::Arc;
 
 /// Parallel width for the thread-parity legs: `DPDP_TEST_THREADS`, or 4.
 pub fn parallel_threads() -> usize {
@@ -53,12 +55,13 @@ impl Case {
         (self.policy)()
     }
 
-    /// The case's episode in one cell, watched by `probes` and an
+    /// The case's episode in one cell — a layout and a pool the caller
+    /// keeps, to read what reached it — watched by `probes` and an
     /// [`InvariantAuditor`].
     pub fn run(
         &self,
         sharding: ShardConfig,
-        threads: usize,
+        pool: &Arc<ThreadPool>,
         probes: &mut [&mut dyn SimObserver],
     ) -> EpisodeResult {
         let mut auditor = InvariantAuditor::default();
@@ -66,7 +69,7 @@ impl Case {
         observers.extend(probes.iter_mut().map(|p| &mut **p as &mut dyn SimObserver));
         self.builder()
             .sharding(sharding)
-            .num_threads(threads)
+            .thread_pool(Arc::clone(pool))
             .build()
             .expect("valid configuration")
             .run_observed(&mut *self.policy(), &mut observers)
@@ -151,21 +154,6 @@ fn all_cases() -> Vec<Case> {
     cases
 }
 
-/// The largest epoch an episode formed, in cells: orders times the fleet's
-/// vehicles (every vehicle is active on an undisrupted day), the count
-/// `FAN_OUT_MIN_CELLS` gates.
-#[derive(Default)]
-pub struct WidestEpoch {
-    pub vehicles: usize,
-    pub cells: usize,
-}
-
-impl SimObserver for WidestEpoch {
-    fn on_epoch(&mut self, epoch: &EpochInfo) {
-        self.cells = self.cells.max(epoch.num_orders * self.vehicles);
-    }
-}
-
 /// The committed cases whose names start with `prefix`.
 pub fn cases(prefix: &str) -> Vec<Case> {
     all_cases()
@@ -179,7 +167,8 @@ pub fn rewrite() {
     let lines: String = all_cases()
         .iter()
         .map(|case| {
-            let result = case.run(ShardConfig::default(), 1, &mut []);
+            let serial = Arc::new(ThreadPool::serial());
+            let result = case.run(ShardConfig::default(), &serial, &mut []);
             format!("{} {:016x}\n", case.name, digest(&result))
         })
         .collect();

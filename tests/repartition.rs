@@ -16,8 +16,10 @@ mod golden;
 
 use dpdp_core::prelude::*;
 use dpdp_net::TimeDelta;
+use dpdp_pool::ThreadPool;
 use dpdp_sim::{BufferingMode, EpochInfo, InvariantAuditor, RepartitionPolicy, ShardConfig};
 use golden::parallel_threads;
+use std::sync::Arc;
 
 /// Counts epochs whose shard map was re-seeded.
 #[derive(Default)]
@@ -55,7 +57,7 @@ fn repartitioned_episodes_match_the_unsharded_run_bit_for_bit() {
             let mut fired = RepartitionCounter::default();
             let result = case.run(
                 repartitioning_config(escalation),
-                threads,
+                &Arc::new(ThreadPool::new(threads)),
                 &mut [&mut fired],
             );
             case.assert_digest(
